@@ -12,13 +12,14 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
 import jsonschema
 
 from . import continuation, frame, mpass, pde, surface, wp
-from .cubic import constant_cubic, cubic_to_json, synthetic_cubic
+from .cubic import constant_cubic, synthetic_cubic
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -196,7 +197,6 @@ def cmd_mesh(cfg, args) -> int:
     payload = surface.mesh_to_json(s)
     payload["euler_characteristic"] = s.euler_characteristic()
     if s.genus >= 2:
-        import math
         payload["area_error_vs_hyperbolic"] = abs(s.area - 4 * math.pi * (s.genus - 1))
     emit(payload, cfg, args.output)
     return EXIT_OK
@@ -240,10 +240,7 @@ def cmd_continue(cfg, args) -> int:
                                  comment=f"config_hash={config_hash(cfg)}")
     payload = continuation.curve_to_json(curve)
     payload["nonexistence_bound"] = bound
-    with open(json_path, "w") as fh:
-        payload["config_hash"] = config_hash(cfg)
-        payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        json.dump(payload, fh, sort_keys=True, indent=2)
+    emit(payload, cfg, json_path)
     print(f"T0 estimate: {t0:.8g}")
     print(f"nonexistence bound T: {bound:.8g}")
     print(f"curve written to {csv_path} and {json_path}")
@@ -258,7 +255,7 @@ def cmd_mpass(cfg, args) -> int:
     cp = mpass.build_cutoffs(cfg.get("theta", 3.0))
     opts = cfg.get("mpass", {})
     try:
-        stable = _stable_branch_point(s, q, t, tol)
+        stable = continuation.branch_point(s, q, t, tol)
     except pde.NonConvergence as exc:
         print(f"no stable branch point at t = {t} (at or beyond the fold): {exc}",
               file=sys.stderr)
@@ -286,29 +283,6 @@ def cmd_mpass(cfg, args) -> int:
     return EXIT_OK
 
 
-def _stable_branch_point(s, q, t, tol):
-    """Warm-started walk along the canonical branch up to t."""
-    u = np.zeros(s.n_classes)
-    point = pde.newton_solve(u, 0.0, s, q, tol=tol)
-    if t == 0.0:
-        return point
-    n_steps = 8
-    step = t / n_steps
-    tau = 0.0
-    while tau < t - 1e-15 * max(1.0, t):
-        target = min(t, tau + step)
-        try:
-            point = pde.newton_solve(point.u, target, s, q, tol=tol)
-        except (pde.NonConvergence, pde.SingularJacobian):
-            step *= 0.5
-            if step < t * 1e-6:
-                raise pde.NonConvergence(
-                    f"branch walk stalled at t = {tau:.6g} before {t}")
-            continue
-        tau = target
-    return point
-
-
 def cmd_frame(cfg, args) -> int:
     s = build_backend(cfg)
     q = build_cubic(cfg, s)
@@ -316,21 +290,24 @@ def cmd_frame(cfg, args) -> int:
     step = fcfg.get("step", 0.005)
     project = fcfg.get("project", False)
     tol = cfg.get("tol", 1e-10)
+    trivial = fcfg.get("trivial", False)
+    if trivial and s.genus < 2:
+        raise ConfigError("frame 'trivial' coefficients (u = q = 0 on the "
+                          "Poincare disk) need a genus >= 2 backend")
     if fcfg.get("path"):
         path = [complex(a, b) for a, b in fcfg["path"]]
     elif s.genus >= 2:
-        import math
         path = [0j, complex(math.tanh(0.5), 0.0)]   # hyperbolic length 1
     else:
         side = cfg["backend"].get("side", 1.0)
         path = [side * (0.25 + 0.25j), side * (0.75 + 0.25j)]
 
-    if fcfg.get("trivial", False) and s.genus >= 2:
+    if trivial:
         coeffs = frame.poincare_trivial_coefficients()
     else:
         t = float(cfg.get("t", 0.0))
         try:
-            p = _stable_branch_point(s, q, t, tol)
+            p = continuation.branch_point(s, q, t, tol)
         except pde.NonConvergence as exc:
             print(f"frame solve failed: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
@@ -379,7 +356,6 @@ def cmd_wpcheck(cfg, args) -> int:
 
 def cmd_selftest(cfg, args) -> int:
     """Fast end-to-end sanity checks on both backends."""
-    import math
     failures = 0
 
     def check(name, ok, detail=""):

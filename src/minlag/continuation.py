@@ -8,6 +8,10 @@ near the fold.  `detect_fold` then refines the fold location T0 by bisection
 between the last converged t and a failed t until the smallest eigenvalue is
 inside the fold tolerance.
 
+`branch_point` reaches a single t on the same branch by a fixed warm-started
+walk from (0, 0) (8 steps, halved on failure) and classifies only the point
+it returns; the mountain-pass and frame commands start from it.
+
 The nonexistence threshold is T = (area/2 / integral ||q||^(2/3))^(3/2);
 on a hyperbolic surface area/2 = 2 pi (g - 1), and every computed fold must
 sit strictly below it.
@@ -16,13 +20,13 @@ sit strictly below it.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cubic import CubicDifferential, norm_field
-from .pde import NonConvergence, SingularJacobian, SolutionPoint, newton_solve
+from .pde import (NonConvergence, SingularJacobian, SolutionPoint,
+                  newton_solve, solve_u)
 from .surface import DiscreteSurface, integrate, laplacian
 
 EPS_FOLD = 1e-4        # |lambda_min| window accepted as the fold point
@@ -106,6 +110,33 @@ def trace_curve(s: DiscreteSurface, q: CubicDifferential, dt0: float,
             f"{lam_end:.3g} (started at {lam0:.3g}); diagnostics: {diagnostics}")
     return SolutionCurve(points=points, surface=s, cubic=q,
                          sup_norms=sup_norms, diagnostics=diagnostics)
+
+
+def branch_point(s: DiscreteSurface, q: CubicDifferential, t: float,
+                 tol: float = 1e-10) -> SolutionPoint:
+    """Stable-branch point at t, walked from (0, 0) in 8 warm-started steps.
+
+    A failed step is halved; the walk raises NonConvergence when the step
+    drops below t * 1e-6 (t at or beyond the fold).  Intermediate points
+    skip the eigen solve; the returned point carries lambda_min.
+    """
+    u, _, _ = solve_u(np.zeros(s.n_classes), 0.0, s, q, tol=tol)
+    step = t / 8
+    tau = 0.0
+    while tau < t - 1e-15 * max(1.0, t):
+        target = min(t, tau + step)
+        try:
+            u, _, _ = solve_u(u, target, s, q, tol=tol)
+        except (NonConvergence, SingularJacobian):
+            step *= 0.5
+            if step < t * 1e-6:
+                raise NonConvergence(
+                    f"branch walk stalled at t = {tau:.6g} before {t}")
+            continue
+        tau = target
+    # already converged at tau (t up to rounding of the step sums): this
+    # only classifies the point
+    return newton_solve(u, tau, s, q, tol=tol)
 
 
 def _quadratic_root(ts, lams):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface import DiscreteSurface, integrate, laplacian
+from .surface import DiscreteSurface, laplacian
 
 
 @dataclass
@@ -107,9 +107,3 @@ def cubic_to_json(q: CubicDifferential) -> dict:
         "values": [[float(v.real), float(v.imag)] for v in q.values],
         "zeros": [[int(c), int(o)] for c, o in q.zero_divisor],
     }
-
-
-def cubic_norm_sq_integral(s: DiscreteSurface, q: CubicDifferential) -> float:
-    """integral ||q||^2 dA, equal to the WP pairing of q with itself."""
-    nf = norm_field(q)
-    return integrate(s, nf ** 2)

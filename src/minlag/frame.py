@@ -24,10 +24,10 @@ neighborhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CloughTocher2DInterpolator, LinearNDInterpolator
+from scipy.interpolate import CloughTocher2DInterpolator
 
 from .cubic import CubicDifferential
 from .surface import DiscreteSurface, _mobius_apply, hyperbolic_midpoint
@@ -254,12 +254,6 @@ def _project_su21(F: np.ndarray) -> np.ndarray:
     G = F @ np.linalg.inv(P)
     det = np.linalg.det(G)
     return G / det ** (1.0 / 3.0)
-
-
-def integrate_frame_on_mesh(surface: DiscreteSurface, u: np.ndarray,
-                            q: CubicDifferential, path, **kwargs) -> FrameSheet:
-    """Integrate the frame of mesh fields (u, q) along a chart path."""
-    return integrate_frame(MeshCoefficients(surface, u, q), path, **kwargs)
 
 
 def side_pairing_frame_product(coeffs, surface: DiscreteSurface,

@@ -16,7 +16,7 @@ Both equations have the same solution set: any critical point of
 with u <= 0 solves the structure equation, and conversely.  The second
 (mountain-pass) solution at t in (0, T0) is found by deforming a discrete
 path from the stable branch point to a deep negative constant, then polishing
-the path maximum with Newton on grad F = 0.
+the path maximum with Newton on grad F = 0 (the `pde.damped_newton` loop).
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cubic import CubicDifferential, norm_field
-from .pde import TOL_POS, SolutionPoint, linearize, residual, smallest_eigenvalue
+from .pde import (TOL_POS, NonConvergence, SingularJacobian, SolutionPoint,
+                  damped_newton, linearize, residual, smallest_eigenvalue)
 from .surface import DiscreteSurface, laplacian
 
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
@@ -215,7 +216,7 @@ def v_gram(s: DiscreteSurface, q: CubicDifferential, t: float) -> sp.csr_matrix:
     V = _v_field(t, q)
     if float(op.mass_diag @ V) <= 0.0:
         raise DegenerateNorm("integral V = 0; V-norm requires t > 0 and q != 0")
-    return (op.stiffness + sp.diags(op.mass_diag * V)).tocsr()
+    return op.shifted(V)
 
 
 def v_norm(u: np.ndarray, t: float, q: CubicDifferential,
@@ -234,9 +235,8 @@ def norm_equivalence_constants(s: DiscreteSurface, q: CubicDifferential,
     are finite and positive; they quantify the equivalence of the V-norm
     with the standard first-order Sobolev norm (V = 1 gives exactly H1).
     """
-    op = laplacian(s)
     gv = v_gram(s, q, t).toarray()
-    gh = (op.stiffness + sp.diags(op.mass_diag)).toarray()
+    gh = laplacian(s).shifted(1.0).toarray()
     w = sla.eigh(gv, gh, eigvals_only=True)
     return float(w[0]), float(w[-1])
 
@@ -246,41 +246,20 @@ def norm_equivalence_constants(s: DiscreteSurface, q: CubicDifferential,
 
 
 def _hessian(u, t, s, q, cp):
-    op = laplacian(s)
     V = _v_field(t, q)
-    pot = V - cp.df1(u) - V * cp.df2(u)
-    return (op.stiffness + sp.diags(op.mass_diag * pot)).tocsr()
+    return laplacian(s).shifted(V - cp.df1(u) - V * cp.df2(u))
 
 
 def _newton_critical(u0, t, s, q, cp, tol, max_iter=60):
-    """Newton on grad F = 0 with backtracking on the gradient norm."""
-    m = laplacian(s).mass_diag
-    u = u0.copy()
-    g = functional_gradient(u, t, s, q, cp)
-    gnorm = np.sqrt(float(m @ g ** 2))
-    for _ in range(max_iter):
-        if gnorm <= tol:
-            return u, gnorm
-        H = _hessian(u, t, s, q, cp)
-        try:
-            delta = spla.splu(H.tocsc()).solve(m * g)
-        except RuntimeError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        alpha = 1.0
-        while alpha >= 1e-10:
-            u_try = u - alpha * delta
-            g_try = functional_gradient(u_try, t, s, q, cp)
-            with np.errstate(over="ignore", invalid="ignore"):
-                gnorm_try = np.sqrt(float(m @ g_try ** 2))
-            if gnorm_try <= (1.0 - 1e-4 * alpha) * gnorm:
-                u, g, gnorm = u_try, g_try, gnorm_try
-                break
-            alpha *= 0.5
-        else:
-            return None
-    return (u, gnorm) if gnorm <= tol else None
+    """(u, gradient norm) from Newton on grad F = 0, or None on failure."""
+    try:
+        u, gnorm, _ = damped_newton(
+            u0, lambda v: functional_gradient(v, t, s, q, cp),
+            lambda v: _hessian(v, t, s, q, cp), laplacian(s).mass_diag,
+            tol, max_iter)
+    except (NonConvergence, SingularJacobian):
+        return None
+    return u, gnorm
 
 
 def _negative_endpoint(f_target, t, s, q, cp):

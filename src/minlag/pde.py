@@ -12,6 +12,11 @@ divided by the lumped mass).  The linearized operator about u is
 assembled as K + M diag(potential) and always generalized against M.  Its
 smallest eigenvalue decides stability of a solution: positive on the stable
 branch, zero at the fold.
+
+`damped_newton` is the one Newton/Armijo loop of the package.  `solve_u`
+runs it on the structure equation (field = -residual, Jacobian = L), and
+`newton_solve` adds the eigenvalue classification of the converged point;
+`mpass` runs the same loop on the gradient of its cutoff functional.
 """
 
 from __future__ import annotations
@@ -97,14 +102,6 @@ def residual(u: np.ndarray, t: float, s: DiscreteSurface,
                 - 16.0 * t * t * _norm_sq_field(q) * np.exp(-2.0 * u))
 
 
-def residual_norm(u: np.ndarray, t: float, s: DiscreteSurface,
-                  q: CubicDifferential) -> float:
-    """M-weighted L2 norm of the nodal residual."""
-    f = residual(u, t, s, q)
-    m = laplacian(s).mass_diag
-    return float(np.sqrt(m @ f ** 2))
-
-
 def linearize(u: np.ndarray, t: float, s: DiscreteSurface,
               q: CubicDifferential) -> LinearizedOperator:
     """Assemble L(u, t) = K + M diag(2 e^{-2u}(e^{3u} - 16 t^2 ||q||^2))."""
@@ -115,8 +112,8 @@ def linearize(u: np.ndarray, t: float, s: DiscreteSurface,
         raise ResidualBlowup(f"min u = {u.min():.3g} below {BLOWUP_THRESHOLD}")
     op = laplacian(s)
     pot = 2.0 * np.exp(-2.0 * u) * (np.exp(3.0 * u) - 16.0 * t * t * _norm_sq_field(q))
-    mat = (op.stiffness + sp.diags(op.mass_diag * pot)).tocsr()
-    return LinearizedOperator(matrix=mat, mass_diag=op.mass_diag, potential=pot)
+    return LinearizedOperator(matrix=op.shifted(pot), mass_diag=op.mass_diag,
+                              potential=pot)
 
 
 def smallest_eigenvalue(L: LinearizedOperator, tol: float = 1e-9):
@@ -140,8 +137,9 @@ def smallest_eigenvalue(L: LinearizedOperator, tol: float = 1e-9):
         lower = min(0.0, float(L.potential.min()))
         sigma = lower - 0.1 * (1.0 + abs(lower))
         try:
+            # a fixed start vector makes ARPACK, so lambda_min, reproducible
             w, v = spla.eigsh(L.matrix, k=1, M=sp.diags(m), sigma=sigma,
-                              which="LM", tol=tol)
+                              which="LM", tol=tol, v0=np.ones(n))
             lam, vec = float(w[0]), v[:, 0]
         except (spla.ArpackError, RuntimeError):
             lam, vec = _dense()
@@ -154,23 +152,23 @@ def smallest_eigenvalue(L: LinearizedOperator, tol: float = 1e-9):
     return lam, vec
 
 
-def newton_solve(u0: np.ndarray, t: float, s: DiscreteSurface,
-                 q: CubicDifferential, tol: float = 1e-10,
-                 max_iter: int = 50) -> SolutionPoint:
-    """Damped Newton iteration on the weak residual.
+def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
+                  tol: float, max_iter: int):
+    """Damped Newton iteration on M field_fn(u) = 0.
 
-    The merit function is half the squared M-weighted residual norm; steps
-    are Armijo-backtracked.  The accepted point records the smallest
-    eigenvalue of the linearization and its stability flag.
+    `field_fn(u)` is a nodal field and `jacobian(u)` the sparse derivative
+    of M field_fn at u.  Steps u - alpha J^{-1} (M field) are Armijo-
+    backtracked on the merit 1/2 ||field||_M^2 down to alpha = 1e-10.
+    Returns (u, residual_norm, iterations); raises NonConvergence or
+    SingularJacobian.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    op = laplacian(s)
-    m = op.mass_diag
+    m = mass_diag
     u = np.asarray(u0, dtype=float).copy()
 
     def merit(v):
-        f = residual(v, t, s, q)
+        f = field_fn(v)
         with np.errstate(over="ignore", invalid="ignore"):
             return 0.5 * float(m @ f ** 2), f
 
@@ -182,17 +180,12 @@ def newton_solve(u0: np.ndarray, t: float, s: DiscreteSurface,
     for it in range(max_iter + 1):
         rnorm = np.sqrt(2.0 * phi)
         if rnorm <= tol:
-            L = linearize(u, t, s, q)
-            lam, _ = smallest_eigenvalue(L)
-            return SolutionPoint(u=u, t=float(t), residual_norm=float(rnorm),
-                                 lambda_min=lam, stable=lam > 0.0,
-                                 meta={"newton_iterations": it})
+            return u, float(rnorm), it
         if it == max_iter:
             break
-        L = linearize(u, t, s, q)
+        J = jacobian(u).tocsc()
         try:
-            lu = spla.splu(L.matrix.tocsc())
-            delta = lu.solve(m * f)
+            delta = spla.splu(J).solve(m * f)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(delta)):
@@ -201,20 +194,46 @@ def newton_solve(u0: np.ndarray, t: float, s: DiscreteSurface,
         alpha = 1.0
         while True:
             try:
-                phi_new, f_new = merit(u + alpha * delta)
+                phi_new, f_new = merit(u - alpha * delta)
             except ResidualBlowup:
                 phi_new = np.inf
             if phi_new <= (1.0 - 2e-4 * alpha) * phi:
-                u = u + alpha * delta
+                u = u - alpha * delta
                 phi, f = phi_new, f_new
                 break
             alpha *= 0.5
-            if alpha < 1e-12:
+            if alpha < 1e-10:
                 raise NonConvergence("line search failed to reduce the residual",
                                      iterations=it, residual_norm=float(rnorm))
 
     raise NonConvergence(f"no convergence in {max_iter} iterations",
                          iterations=max_iter, residual_norm=float(np.sqrt(2 * phi)))
+
+
+def solve_u(u0: np.ndarray, t: float, s: DiscreteSurface,
+            q: CubicDifferential, tol: float = 1e-10, max_iter: int = 50):
+    """Newton on the structure equation without the stability eigen solve.
+
+    Returns (u, residual_norm, iterations).
+    """
+    return damped_newton(u0, lambda v: -residual(v, t, s, q),
+                         lambda v: linearize(v, t, s, q).matrix,
+                         laplacian(s).mass_diag, tol, max_iter)
+
+
+def newton_solve(u0: np.ndarray, t: float, s: DiscreteSurface,
+                 q: CubicDifferential, tol: float = 1e-10,
+                 max_iter: int = 50) -> SolutionPoint:
+    """Solve the structure equation at t from u0 (`solve_u`) and classify it.
+
+    The returned point records the smallest eigenvalue of L(u, t), its
+    stability flag and the Newton iteration count.
+    """
+    u, rnorm, it = solve_u(u0, t, s, q, tol=tol, max_iter=max_iter)
+    lam, _ = smallest_eigenvalue(linearize(u, t, s, q))
+    return SolutionPoint(u=u, t=float(t), residual_norm=rnorm,
+                         lambda_min=lam, stable=lam > 0.0,
+                         meta={"newton_iterations": it})
 
 
 def legendre_pair(a: float, b: float):

@@ -112,11 +112,11 @@ class LaplaceOperator:
     """
 
     stiffness: sp.csr_matrix
-    mass: sp.dia_matrix
     mass_diag: np.ndarray
 
-    def apply_laplacian(self, f: np.ndarray) -> np.ndarray:
-        return -(self.stiffness @ f) / self.mass_diag
+    def shifted(self, p) -> sp.csr_matrix:
+        """K + M diag(p) for a per-class potential p (or a scalar)."""
+        return (self.stiffness + sp.diags(self.mass_diag * p)).tocsr()
 
 
 def _assemble(s: DiscreteSurface) -> LaplaceOperator:
@@ -157,8 +157,7 @@ def _assemble(s: DiscreteSurface) -> LaplaceOperator:
     if not np.all(np.isfinite(K.data)) or not np.all(np.isfinite(m)):
         raise MeshError("non-finite entries in assembled operators")
 
-    op = LaplaceOperator(stiffness=K, mass=sp.diags(m), mass_diag=m)
-    return op
+    return LaplaceOperator(stiffness=K, mass_diag=m)
 
 
 def laplacian(s: DiscreteSurface) -> LaplaceOperator:

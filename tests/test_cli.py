@@ -117,6 +117,12 @@ def test_frame_trivial_defects(tmp_path):
     assert payload["max_det_defect"] <= 1e-8
 
 
+def test_frame_trivial_on_torus_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", dict(TORUS, frame={"trivial": True}))
+    assert main(["frame", cfg]) == 1
+    assert "genus >= 2" in capsys.readouterr().err
+
+
 def test_frame_bad_zero_class(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {
         "backend": {"type": "octagon", "refinement": 1},
@@ -157,13 +163,16 @@ def test_continue_octagon_csv(tmp_path, capsys):
 
 
 def test_determinism_modulo_timestamp(tmp_path):
-    cfg = write_cfg(tmp_path, "c.json", TORUS)
-    o1, o2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["solve", cfg, "-o", str(o1)]) == 0
-    assert main(["solve", cfg, "-o", str(o2)]) == 0
-    d1, d2 = json.loads(o1.read_text()), json.loads(o2.read_text())
-    d1.pop("timestamp"), d2.pop("timestamp")
-    assert d1 == d2
+    # n = 32 has more classes than pde.DENSE_EIG_LIMIT: the sparse eigen path
+    sparse = dict(TORUS, backend=dict(TORUS["backend"], n=32), t=0.1)
+    for i, cfg_dict in enumerate((TORUS, sparse)):
+        cfg = write_cfg(tmp_path, f"c{i}.json", cfg_dict)
+        o1, o2 = tmp_path / f"a{i}.json", tmp_path / f"b{i}.json"
+        assert main(["solve", cfg, "-o", str(o1)]) == 0
+        assert main(["solve", cfg, "-o", str(o2)]) == 0
+        d1, d2 = json.loads(o1.read_text()), json.loads(o2.read_text())
+        d1.pop("timestamp"), d2.pop("timestamp")
+        assert d1 == d2
 
 
 def test_selftest_passes(capsys):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from minlag.continuation import (NoFoldDetected, StallBeforeFold, ZeroCubic,
-                                 detect_fold, nonexistence_bound, trace_curve,
-                                 write_curve_csv)
+                                 branch_point, detect_fold, nonexistence_bound,
+                                 trace_curve, write_curve_csv)
 from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
+from minlag.pde import NonConvergence, newton_solve
 from minlag.surface import integrate
 
 from scalar_oracle import U_FOLD, fold_t
@@ -138,3 +139,19 @@ def test_curve_csv(tmp_path, torus_curve):
     assert len(lines) == len(torus_curve.points) + 1
     ts = [float(row.split(",")[0]) for row in lines[1:]]
     assert ts == sorted(ts)
+
+
+def test_branch_point_matches_cold_solve(torus16, unit_cubic):
+    p = branch_point(torus16, unit_cubic, 0.1, tol=1e-11)
+    cold = newton_solve(np.zeros(torus16.n_classes), 0.1, torus16, unit_cubic,
+                        tol=1e-11)
+    assert p.t == pytest.approx(0.1, rel=1e-15)
+    assert p.stable and p.residual_norm <= 1e-11
+    assert np.abs(p.u - cold.u).max() <= 1e-9
+    assert p.lambda_min == pytest.approx(cold.lambda_min, abs=1e-9)
+
+
+def test_branch_point_beyond_fold_raises(torus16, unit_cubic):
+    assert 0.15 > 1.0 / math.sqrt(54.0)
+    with pytest.raises(NonConvergence):
+        branch_point(torus16, unit_cubic, 0.15)

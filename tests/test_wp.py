@@ -147,3 +147,17 @@ def test_fd2_converges_under_h_and_mesh(unit_cubic, torus16, torus32):
     # error shrinks with h at fixed mesh
     assert table[1][2] < table[0][2]
     assert table[3][2] < table[2][2]
+
+
+@pytest.mark.parametrize("stencil,n_points", [("centered", 4), ("centered", 2),
+                                              ("oneside", 4), ("oneside", 2)])
+def test_area_record_checks_share_the_chain(torus16, unit_cubic, stencil,
+                                            n_points):
+    h, tol = 0.01, 1e-12
+    rec = area_record(torus16, unit_cubic, h, n_points=n_points,
+                      stencil=stencil, tol=tol)
+    assert len(rec.ts) == len(rec.areas) == n_points
+    assert rec.fd1 == first_variation_check(torus16, unit_cubic, h, tol=tol)
+    fd2, exact, rel = second_variation_check(torus16, unit_cubic, h,
+                                             stencil=stencil, tol=tol)
+    assert (rec.fd2, rec.exact_second, rec.rel_err) == (fd2, exact, rel)
