@@ -228,7 +228,7 @@ def cmd_continue(cfg, args) -> int:
         return EXIT_CONFIG
     try:
         curve = continuation.trace_curve(s, q, dt0=dt0, tol=tol)
-        t0 = continuation.detect_fold(curve, tol=min(tol, 1e-11))
+        t0 = continuation.detect_fold(curve, tol=tol)
     except (continuation.StallBeforeFold, continuation.NoFoldDetected,
             pde.NonConvergence) as exc:
         print(f"continuation failed: {exc}", file=sys.stderr)

@@ -1,12 +1,13 @@
-"""Continuation of the stable solution branch and fold detection.
+"""Continuation of the stable solution branch and the fold as an equation.
 
 The branch starts at the exact point (u, t) = (0, 0) and is continued in the
 natural parameter t with the previous solution as warm start.  The step is
 halved whenever Newton fails or the smallest eigenvalue of the linearization
 drops by more than half in one step; the trace stops when the step underflows
-near the fold.  `detect_fold` then refines the fold location T0 by bisection
-between the last converged t and a failed t until the smallest eigenvalue is
-inside the fold tolerance.
+near the fold.  `detect_fold` then solves for the fold directly: from the
+last traced point it runs Newton on the Moore-Spence extended system
+F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> = 1, whose solution is the
+turning point (u*, T0) with its null vector phi.
 
 `branch_point` reaches a single t on the same branch by a fixed warm-started
 walk from (0, 0) (8 steps, halved on failure) and classifies only the point
@@ -23,13 +24,15 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cubic import CubicDifferential, norm_field
 from .pde import (NonConvergence, SingularJacobian, SolutionPoint,
-                  newton_solve, solve_u)
+                  damped_newton, linearize, newton_solve, residual,
+                  smallest_eigenvalue, solve_u)
 from .surface import DiscreteSurface, integrate, laplacian
 
-EPS_FOLD = 1e-4        # |lambda_min| window accepted as the fold point
+EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
 NO_FOLD_FRACTION = 0.25  # terminal lambda_min above this fraction of the
                          # initial one means the trace never approached a fold
 
@@ -55,8 +58,12 @@ class SolutionCurve:
     cubic: CubicDifferential
     T0_estimate: float | None = None
     fold_point: SolutionPoint | None = None
-    sup_norms: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def sup_norms(self) -> list:
+        """max |u| at each point."""
+        return [float(np.abs(p.u).max()) for p in self.points]
 
     def ts(self) -> np.ndarray:
         return np.array([p.t for p in self.points])
@@ -77,7 +84,6 @@ def trace_curve(s: DiscreteSurface, q: CubicDifferential, dt0: float,
     n = s.n_classes
     p0 = newton_solve(np.zeros(n), 0.0, s, q, tol=tol)
     points = [p0]
-    sup_norms = [float(np.abs(p0.u).max())]
     rejects = 0
 
     dt = dt0
@@ -97,7 +103,6 @@ def trace_curve(s: DiscreteSurface, q: CubicDifferential, dt0: float,
             dt *= 0.5
             continue
         points.append(p)
-        sup_norms.append(float(np.abs(p.u).max()))
         dt = min(1.25 * dt, dt0)
 
     lam0 = points[0].lambda_min
@@ -109,7 +114,7 @@ def trace_curve(s: DiscreteSurface, q: CubicDifferential, dt0: float,
             f"step collapsed at t = {points[-1].t:.6g} with lambda_min = "
             f"{lam_end:.3g} (started at {lam0:.3g}); diagnostics: {diagnostics}")
     return SolutionCurve(points=points, surface=s, cubic=q,
-                         sup_norms=sup_norms, diagnostics=diagnostics)
+                         diagnostics=diagnostics)
 
 
 def branch_point(s: DiscreteSurface, q: CubicDifferential, t: float,
@@ -139,30 +144,22 @@ def branch_point(s: DiscreteSurface, q: CubicDifferential, t: float,
     return newton_solve(u, tau, s, q, tol=tol)
 
 
-def _quadratic_root(ts, lams):
-    """Smallest root >= ts[-1] of the quadratic through the last 3 samples."""
-    coeffs = np.polyfit(ts, lams, 2)
-    roots = np.roots(coeffs)
-    real = [float(r.real) for r in roots if abs(r.imag) < 1e-12 * max(1, abs(r))]
-    ahead = [r for r in real if r >= ts[-1]]
-    return min(ahead) if ahead else None
+def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
+    """Solve for the fold T0 from the last traced point (Moore-Spence).
 
-
-def detect_fold(curve: SolutionCurve, tol: float = 1e-11,
-                eps_fold: float = EPS_FOLD, max_bisect: int = 200) -> float:
-    """Locate the fold T0 and refine until |lambda_min| <= eps_fold there.
-
-    Extrapolates lambda_min(t) quadratically to its zero crossing, brackets
-    the fold between the last converged t and a t where Newton fails, then
-    bisects with warm-started solves.  Sets T0_estimate and fold_point on the
-    curve and returns T0.
+    With phi0 the M-normalized smallest eigenvector of L there,
+    `damped_newton` solves -F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> = 1
+    for (u, phi, t), a regular system at a quadratic fold, and
+    `newton_solve` classifies the converged (u, t).
+    Raises NoFoldDetected if the curve does not approach a fold, the solve
+    fails, or it ends off the fold or behind the curve.  Sets T0_estimate
+    and fold_point on the curve and returns T0.
     """
     pts = curve.points
     if len(pts) < 3:
         raise NoFoldDetected("need at least 3 points to detect a fold")
     lam0 = pts[0].lambda_min
     lams = curve.lambda_mins()
-    ts = curve.ts()
     if lams[-1] > NO_FOLD_FRACTION * lam0:
         raise NoFoldDetected(
             f"lambda_min stays above {NO_FOLD_FRACTION:.2f} of its initial "
@@ -171,47 +168,44 @@ def detect_fold(curve: SolutionCurve, tol: float = 1e-11,
         raise NoFoldDetected("terminal lambda_min is not decreasing")
 
     s, q = curve.surface, curve.cubic
-    lo_point = pts[-1]
-    lo = lo_point.t
-    guess = _quadratic_root(ts[-3:], lams[-3:])
-    last_dt = max(ts[-1] - ts[-2], 1e-12 * max(1.0, lo))
-    hi = guess if guess is not None and guess > lo else lo + 10.0 * last_dt
-    hi = max(hi, lo + 4.0 * last_dt)
+    p, n = pts[-1], s.n_classes
+    m = laplacian(s).mass_diag
+    nq2 = norm_field(q) ** 2
+    _, phi0 = smallest_eigenvalue(linearize(p.u, p.t, s, q))
+    m_phi0 = m * phi0
 
-    def try_solve(t, u_start):
-        try:
-            p = newton_solve(u_start, t, s, q, tol=tol)
-        except (NonConvergence, SingularJacobian):
-            return None
-        return p if p.lambda_min > 0.0 else None
+    def field_fn(x):
+        u, phi, t = x[:n], x[n:-1], x[-1]
+        return np.concatenate([-residual(u, t, s, q),
+                               (linearize(u, t, s, q).matrix @ phi) / m,
+                               [m_phi0 @ phi - 1.0]])
 
-    # push hi beyond the fold
-    for _ in range(80):
-        p = try_solve(hi, lo_point.u)
-        if p is None:
-            break
-        lo_point, lo = p, hi
-        hi = lo + 2.0 * (hi - ts[-1] if hi > ts[-1] else last_dt)
-    else:
-        raise NoFoldDetected("no Newton failure found beyond the traced range")
+    def jacobian(x):
+        u, phi, t = x[:n], x[n:-1], x[-1]
+        L = linearize(u, t, s, q).matrix
+        w = m * nq2 * np.exp(-2.0 * u)          # M ||q||^2 e^{-2u}
+        m_pot_u = 2.0 * m * np.exp(u) + 64.0 * t * t * w
+        return sp.bmat([[L, None, (32.0 * t * w)[:, None]],
+                        [sp.diags(m_pot_u * phi), L,
+                         (-64.0 * t * w * phi)[:, None]],
+                        [None, m_phi0[None, :], None]], format="csc")
 
-    for _ in range(max_bisect):
-        if lo_point.lambda_min <= eps_fold:
-            break
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        p = try_solve(mid, lo_point.u)
-        if p is None:
-            hi = mid
-        else:
-            lo_point, lo = p, mid
+    x0 = np.concatenate([p.u, phi0, [p.t]])
+    try:
+        x, _, _ = damped_newton(x0, field_fn, jacobian,
+                                np.concatenate([m, m, [1.0]]), tol, 50)
+        fold = newton_solve(x[:n], x[-1], s, q, tol=tol)
+    except (NonConvergence, SingularJacobian) as exc:
+        raise NoFoldDetected(f"extended-system solve failed: {exc}") from exc
+    if abs(fold.lambda_min) > EPS_FOLD or fold.t <= p.t:
+        raise NoFoldDetected(
+            f"extended-system solve ended at t = {fold.t:.10g} with lambda_min "
+            f"= {fold.lambda_min:.3g}, not a fold beyond t = {p.t:.10g}")
 
-    curve.T0_estimate = float(lo)
-    curve.fold_point = lo_point
-    curve.diagnostics["fold_lambda_min"] = lo_point.lambda_min
-    curve.diagnostics["fold_bracket"] = (float(lo), float(hi))
-    return float(lo)
+    curve.T0_estimate = fold.t
+    curve.fold_point = fold
+    curve.diagnostics["fold_lambda_min"] = fold.lambda_min
+    return fold.t
 
 
 def nonexistence_bound(s: DiscreteSurface, q: CubicDifferential) -> float:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.interpolate import CloughTocher2DInterpolator
 
 from .cubic import CubicDifferential
@@ -213,9 +214,9 @@ class FrameSheet:
         }
 
 
-def _connection(coeffs, z: complex, zdot: complex) -> np.ndarray:
-    s, s_z, s_zbar, qv = coeffs.at(z)
-    A, B = maurer_cartan(s, s_z, s_zbar, qv)
+def _connection(c, zdot: complex) -> np.ndarray:
+    """A zdot + B conj(zdot) from a coefficient tuple `coeffs.at(z)`."""
+    A, B = maurer_cartan(*c)
     return A * zdot + B * np.conjugate(zdot)
 
 
@@ -248,7 +249,6 @@ def mesh_flatness_defect(surface: DiscreteSurface, u: np.ndarray,
 
 def _project_su21(F: np.ndarray) -> np.ndarray:
     """Polar-type reprojection onto the eta-unitary group with det 1."""
-    import scipy.linalg as sla
     M = ETA @ F.conj().T @ ETA @ F
     P = sla.sqrtm(M)
     G = F @ np.linalg.inv(P)
@@ -313,8 +313,9 @@ def integrate_frame(coeffs, path, step: float = 0.01, project: bool = False,
     F = np.eye(3, dtype=complex)
     nodes = [path[0]]
     frames = [F.copy()]
-    s0 = coeffs.at(path[0])[0]
-    svals = [s0]
+    z1 = path[0]
+    c1 = coeffs.at(z1)
+    svals = [c1[0]]
     defects = [(0.0, 0.0, flatness_defect(coeffs, path[0], flatness_h))]
 
     prev_unit_defect = 0.0
@@ -323,18 +324,21 @@ def integrate_frame(coeffs, path, step: float = 0.01, project: bool = False,
         length = abs(seg)
         if length == 0.0:
             continue
+        # each step evaluates its midpoint and end point once; k1 reuses the
+        # previous end point, re-evaluated at a segment start it misses
+        c0 = c1 if z1 == a else coeffs.at(a)
         nsub = max(1, int(np.ceil(length / step)))
         hh = 1.0 / nsub
         zdot = seg                      # d z / d tau on the unit parameter
         for k in range(nsub):
             tau0 = k * hh
-            z0 = a + tau0 * seg
-            z_half = a + (tau0 + 0.5 * hh) * seg
             z1 = a + (tau0 + hh) * seg
-            k1 = F @ _connection(coeffs, z0, zdot)
-            k2 = (F + 0.5 * hh * k1) @ _connection(coeffs, z_half, zdot)
-            k3 = (F + 0.5 * hh * k2) @ _connection(coeffs, z_half, zdot)
-            k4 = (F + hh * k3) @ _connection(coeffs, z1, zdot)
+            c_half, c1 = coeffs.at(a + (tau0 + 0.5 * hh) * seg), coeffs.at(z1)
+            conn_half = _connection(c_half, zdot)
+            k1 = F @ _connection(c0, zdot)
+            k2 = (F + 0.5 * hh * k1) @ conn_half
+            k3 = (F + 0.5 * hh * k2) @ conn_half
+            k4 = (F + hh * k3) @ _connection(c1, zdot)
             F = F + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if project:
                 F = _project_su21(F)
@@ -346,9 +350,10 @@ def integrate_frame(coeffs, path, step: float = 0.01, project: bool = False,
             prev_unit_defect = unit_defect
             nodes.append(z1)
             frames.append(F.copy())
-            svals.append(coeffs.at(z1)[0])
+            svals.append(c1[0])
             defects.append((unit_defect, det_defect,
                             flatness_defect(coeffs, z1, flatness_h)))
+            c0 = c1
 
     return FrameSheet(path=np.array(nodes), frames=np.array(frames),
                       s_field=np.array(svals), defects=np.array(defects))

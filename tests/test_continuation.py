@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from minlag import continuation
+from minlag.cli import EXIT_NUMERICAL, main
 from minlag.continuation import (NoFoldDetected, StallBeforeFold, ZeroCubic,
                                  branch_point, detect_fold, nonexistence_bound,
                                  trace_curve, write_curve_csv)
@@ -42,21 +45,21 @@ def test_curve_monotone_t_and_stable(torus_curve, octagon_curve):
 
 
 def test_fold_location_constant_data(torus_curve):
-    assert torus_curve.T0_estimate == pytest.approx(fold_t(1.0), rel=1e-3)
-    assert abs(torus_curve.fold_point.lambda_min) <= 1e-4
-    assert np.abs(torus_curve.fold_point.u - U_FOLD).max() <= 1e-3
+    assert torus_curve.T0_estimate == pytest.approx(fold_t(1.0), rel=1e-11)
+    assert abs(torus_curve.fold_point.lambda_min) <= 1e-9
+    assert np.abs(torus_curve.fold_point.u - U_FOLD).max() <= 1e-9
 
 
 def test_fold_scaling_in_c(torus16):
     q2 = constant_cubic(torus16, 2.0)
     curve = trace_curve(torus16, q2, dt0=0.005, tol=1e-11)
     t0 = detect_fold(curve)
-    assert t0 == pytest.approx(fold_t(2.0), rel=1e-3)
+    assert t0 == pytest.approx(fold_t(2.0), rel=1e-11)
 
 
 def test_octagon_fold(octagon_curve):
     assert octagon_curve.T0_estimate is not None
-    assert abs(octagon_curve.fold_point.lambda_min) <= 1e-4
+    assert abs(octagon_curve.fold_point.lambda_min) <= 1e-9
     assert max(p.u.max() for p in octagon_curve.points) <= 1e-8
 
 
@@ -94,6 +97,26 @@ def test_short_curve_rejected(torus_curve):
         detect_fold(trunc)
 
 
+def test_fold_solve_failure_raises(torus_curve, monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise NonConvergence("forced failure")
+
+    monkeypatch.setattr(continuation, "damped_newton", fail)
+    curve = dataclasses.replace(torus_curve, T0_estimate=None,
+                                fold_point=None, diagnostics={})
+    with pytest.raises(NoFoldDetected):
+        detect_fold(curve)
+    assert curve.T0_estimate is None and curve.fold_point is None
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "backend": {"type": "torus", "n": 16, "side": 1.0, "lambda0": 1.0},
+        "cubic": {"constant": [1.0, 0.0]}, "dt0": 0.01}))
+    code = main(["continue", str(cfg), "-o", str(tmp_path / "curve")])
+    assert code == EXIT_NUMERICAL
+    assert not (tmp_path / "curve.csv").exists()
+
+
 def test_stall_before_fold(torus16, unit_cubic):
     with pytest.raises(StallBeforeFold):
         trace_curve(torus16, unit_cubic, dt0=1e-4, tol=1e-11, max_points=6)
@@ -128,7 +151,7 @@ def test_zero_cubic_rejected(torus16):
 def test_warm_start_consistency(torus16, unit_cubic, torus_curve):
     curve2 = trace_curve(torus16, unit_cubic, dt0=0.005, tol=1e-11)
     t0b = detect_fold(curve2)
-    assert t0b == pytest.approx(torus_curve.T0_estimate, rel=1e-3)
+    assert t0b == pytest.approx(torus_curve.T0_estimate, rel=1e-11)
 
 
 def test_curve_csv(tmp_path, torus_curve):
