@@ -18,6 +18,7 @@ from .surface import (
 )
 from .cubic import CubicDifferential, constant_cubic, norm_field, synthetic_cubic, wp_pairing
 from .pde import (
+    EigenFailure,
     LinearizedOperator,
     NonConvergence,
     SingularJacobian,

@@ -444,10 +444,11 @@ def main(argv=None) -> int:
     except (continuation.ZeroCubic, mpass.DegenerateNorm, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (pde.NonConvergence, pde.SingularJacobian, surface.MeshError,
-            continuation.StallBeforeFold, continuation.NoFoldDetected,
-            mpass.PathCollapse, mpass.VerificationFailure,
-            frame.StepTooLarge, wp.BranchUnavailable) as exc:
+    except (pde.NonConvergence, pde.SingularJacobian, pde.EigenFailure,
+            surface.MeshError, continuation.StallBeforeFold,
+            continuation.NoFoldDetected, mpass.PathCollapse,
+            mpass.VerificationFailure, frame.StepTooLarge,
+            wp.BranchUnavailable) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -294,8 +294,7 @@ def side_pairing_frame_product(coeffs, surface: DiscreteSurface,
 
 
 def integrate_frame(coeffs, path, step: float = 0.01, project: bool = False,
-                    max_step_defect: float = 1e-6,
-                    flatness_h: float = 1e-3) -> FrameSheet:
+                    max_step_defect: float = 1e-6) -> FrameSheet:
     """Integrate F' = F (A zdot + B zbardot) along a polyline, F(0) = I.
 
     `path` is a sequence of complex chart points inside one simply connected
@@ -316,7 +315,7 @@ def integrate_frame(coeffs, path, step: float = 0.01, project: bool = False,
     z1 = path[0]
     c1 = coeffs.at(z1)
     svals = [c1[0]]
-    defects = [(0.0, 0.0, flatness_defect(coeffs, path[0], flatness_h))]
+    defects = [(0.0, 0.0, flatness_defect(coeffs, path[0]))]
 
     prev_unit_defect = 0.0
     for a, b in zip(path[:-1], path[1:]):
@@ -352,7 +351,7 @@ def integrate_frame(coeffs, path, step: float = 0.01, project: bool = False,
             frames.append(F.copy())
             svals.append(c1[0])
             defects.append((unit_defect, det_defect,
-                            flatness_defect(coeffs, z1, flatness_h)))
+                            flatness_defect(coeffs, z1)))
             c0 = c1
 
     return FrameSheet(path=np.array(nodes), frames=np.array(frames),

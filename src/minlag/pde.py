@@ -33,7 +33,6 @@ from .surface import DiscreteSurface, laplacian
 
 BLOWUP_THRESHOLD = -50.0     # e^{-2u} overflow guard; solutions are O(1)
 TOL_POS = 1e-8               # discrete ceiling for u <= 0
-DENSE_EIG_LIMIT = 600        # below this, dense generalized eigh is cheaper
 
 
 class ResidualBlowup(RuntimeError):
@@ -51,6 +50,10 @@ class NonConvergence(RuntimeError):
 
 class SingularJacobian(RuntimeError):
     """Linearized operator could not be factorized (typically at a fold)."""
+
+
+class EigenFailure(RuntimeError):
+    """The smallest eigenpair failed its residual check."""
 
 
 @dataclass
@@ -81,10 +84,6 @@ class LinearizedOperator:
     potential: np.ndarray
 
 
-def _norm_sq_field(q: CubicDifferential) -> np.ndarray:
-    return norm_field(q) ** 2
-
-
 def residual(u: np.ndarray, t: float, s: DiscreteSurface,
              q: CubicDifferential) -> np.ndarray:
     """Nodal residual of the structure equation at (u, t)."""
@@ -99,7 +98,7 @@ def residual(u: np.ndarray, t: float, s: DiscreteSurface,
     # the Newton line search rejects; only u < threshold is a hard failure
     with np.errstate(over="ignore"):
         return (lap + 2.0 - 2.0 * np.exp(u)
-                - 16.0 * t * t * _norm_sq_field(q) * np.exp(-2.0 * u))
+                - 16.0 * t * t * norm_field(q) ** 2 * np.exp(-2.0 * u))
 
 
 def linearize(u: np.ndarray, t: float, s: DiscreteSurface,
@@ -111,44 +110,36 @@ def linearize(u: np.ndarray, t: float, s: DiscreteSurface,
     if u.min() < BLOWUP_THRESHOLD:
         raise ResidualBlowup(f"min u = {u.min():.3g} below {BLOWUP_THRESHOLD}")
     op = laplacian(s)
-    pot = 2.0 * np.exp(-2.0 * u) * (np.exp(3.0 * u) - 16.0 * t * t * _norm_sq_field(q))
+    pot = 2.0 * np.exp(-2.0 * u) * (np.exp(3.0 * u) - 16.0 * t * t * norm_field(q) ** 2)
     return LinearizedOperator(matrix=op.shifted(pot), mass_diag=op.mass_diag,
                               potential=pot)
 
 
-def smallest_eigenvalue(L: LinearizedOperator, tol: float = 1e-9):
+def smallest_eigenvalue(L: LinearizedOperator):
     """Smallest generalized eigenpair of (L, M), eigenvector M-normalized.
 
-    Uses shift-invert Lanczos with a shift strictly below the spectrum
-    (the potential minimum bounds the smallest eigenvalue from below since
-    K >= 0); falls back to a dense solve for small operators or on ARPACK
-    breakdown.
+    Uses shift-invert Lanczos (ARPACK) with a shift strictly below the
+    spectrum: the potential minimum bounds the smallest eigenvalue from
+    below since K >= 0.  Only when ARPACK fails does it solve the dense
+    problem.  Raises EigenFailure if the pair misses its residual check.
     """
     n = L.matrix.shape[0]
     m = L.mass_diag
-
-    def _dense():
+    lower = min(0.0, float(L.potential.min()))
+    sigma = lower - 0.1 * (1.0 + abs(lower))
+    try:
+        # a fixed start vector makes ARPACK, so lambda_min, reproducible
+        w, v = spla.eigsh(L.matrix, k=1, M=sp.diags(m), sigma=sigma,
+                          which="LM", tol=1e-9, v0=np.ones(n))
+    except (spla.ArpackError, RuntimeError):
         w, v = sla.eigh(L.matrix.toarray(), np.diag(m))
-        return float(w[0]), v[:, 0]
-
-    if n <= DENSE_EIG_LIMIT:
-        lam, vec = _dense()
-    else:
-        lower = min(0.0, float(L.potential.min()))
-        sigma = lower - 0.1 * (1.0 + abs(lower))
-        try:
-            # a fixed start vector makes ARPACK, so lambda_min, reproducible
-            w, v = spla.eigsh(L.matrix, k=1, M=sp.diags(m), sigma=sigma,
-                              which="LM", tol=tol, v0=np.ones(n))
-            lam, vec = float(w[0]), v[:, 0]
-        except (spla.ArpackError, RuntimeError):
-            lam, vec = _dense()
+    lam, vec = float(w[0]), v[:, 0]
 
     vec = vec / np.sqrt(m @ vec ** 2)
     res = np.linalg.norm(L.matrix @ vec - lam * (m * vec))
     scale = max(1.0, abs(lam)) * np.sqrt(float(n))
     if res > 1e-6 * scale:
-        raise RuntimeError(f"eigen residual {res:.2e} exceeds tolerance")
+        raise EigenFailure(f"eigen residual {res:.2e} exceeds tolerance")
     return lam, vec
 
 

@@ -71,11 +71,7 @@ class DiscreteSurface:
     @property
     def class_representative(self) -> np.ndarray:
         """Index of the first chart vertex in each class."""
-        reps = np.full(self.n_classes, -1, dtype=int)
-        for i, c in enumerate(self.class_of):
-            if reps[c] < 0:
-                reps[c] = i
-        return reps
+        return np.unique(self.class_of, return_index=True)[1]
 
     def lambda_classes(self) -> np.ndarray:
         """Conformal factor sampled at class representatives."""

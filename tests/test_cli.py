@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from minlag import pde
 from minlag.cli import main
 
 
@@ -34,6 +36,16 @@ def test_solve_beyond_fold_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.2))
     assert main(["solve", cfg]) == 2
     assert "failed" in capsys.readouterr().err
+
+
+def test_eigen_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # an eigenpair that misses its residual check is a numerical failure
+    monkeypatch.setattr(pde.spla, "eigsh", lambda A, **kwargs: (
+        np.array([5.0]), np.ones((A.shape[0], 1))))
+    cfg = write_cfg(tmp_path, "c.json",
+                    dict(TORUS, backend=dict(TORUS["backend"], n=32), t=0.1))
+    assert main(["solve", cfg]) == 2
+    assert "eigen residual" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):
@@ -163,7 +175,8 @@ def test_continue_octagon_csv(tmp_path, capsys):
 
 
 def test_determinism_modulo_timestamp(tmp_path):
-    # n = 32 has more classes than pde.DENSE_EIG_LIMIT: the sparse eigen path
+    # both configs take the ARPACK path, whose fixed start vector keeps
+    # lambda_min repeatable
     sparse = dict(TORUS, backend=dict(TORUS["backend"], n=32), t=0.1)
     for i, cfg_dict in enumerate((TORUS, sparse)):
         cfg = write_cfg(tmp_path, f"c{i}.json", cfg_dict)

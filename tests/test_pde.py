@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from minlag import pde
 from minlag.cubic import constant_cubic, norm_field
 from minlag.pde import (LinearizedOperator, NonConvergence, ResidualBlowup,
                         legendre_pair, linearize, newton_solve, residual,
@@ -139,6 +142,60 @@ def test_smallest_eigenvector_normalization(torus16, unit_cubic):
     L = linearize(np.zeros(torus16.n_classes), 0.05, torus16, unit_cubic)
     _, vec = smallest_eigenvalue(L)
     assert float(L.mass_diag @ vec ** 2) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def octagon3_operators(octagon3, octagon3_cubic):
+    """Stable L at the branch solution for t = 20; indefinite L at u = -1.5."""
+    p = newton_solve(np.zeros(octagon3.n_classes), 20.0, octagon3,
+                     octagon3_cubic)
+    u = np.full(octagon3.n_classes, -1.5)
+    return [linearize(p.u, 20.0, octagon3, octagon3_cubic),
+            linearize(u, 30.0, octagon3, octagon3_cubic)]
+
+
+def dense_pair(L):
+    w, v = sla.eigh(L.matrix.toarray(), np.diag(L.mass_diag))
+    return float(w[0]), v[:, 0]
+
+
+def test_smallest_eigenvalue_needs_no_dense_solve(monkeypatch, torus16,
+                                                   unit_cubic,
+                                                   octagon3_operators):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(pde.sla, "eigh", no_dense)
+    L16 = linearize(np.full(torus16.n_classes, -0.2), 0.05, torus16,
+                    unit_cubic)
+    for L in (L16, *octagon3_operators):
+        lam, vec = smallest_eigenvalue(L)
+        assert float(L.mass_diag @ vec ** 2) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_smallest_eigenvalue_matches_dense_reference(octagon3_operators):
+    signs = []
+    for L in octagon3_operators:
+        ref, ref_vec = dense_pair(L)
+        lam, vec = smallest_eigenvalue(L)
+        assert lam == pytest.approx(ref, abs=1e-9)
+        # same M-unit eigenvector up to sign
+        assert abs(L.mass_diag @ (vec * ref_vec)) == pytest.approx(1.0, abs=1e-9)
+        signs.append(lam > 0.0)
+    assert signs == [True, False]
+
+
+def test_smallest_eigenvalue_dense_fallback(monkeypatch, torus16, unit_cubic):
+    L = linearize(np.full(torus16.n_classes, -0.2), 0.05, torus16, unit_cubic)
+    ref, _ = dense_pair(L)
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(pde.spla, "eigsh", no_convergence)
+    lam, vec = smallest_eigenvalue(L)
+    assert lam == pytest.approx(ref, abs=1e-12)
+    assert float(L.mass_diag @ vec ** 2) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_legendre_boundary():
