@@ -3,11 +3,14 @@
 The branch starts at the exact point (u, t) = (0, 0) and is continued in the
 natural parameter t with the previous solution as warm start.  The step is
 halved whenever Newton fails or the smallest eigenvalue of the linearization
-drops by more than half in one step; the trace stops when the step underflows
-near the fold.  `detect_fold` then solves for the fold directly: from the
-last traced point it runs Newton on the Moore-Spence extended system
-F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> = 1, whose solution is the
-turning point (u*, T0) with its null vector phi.
+drops by more than half in one step; the trace stops at the first accepted
+point from which the fold solve can start (`_fold_solve_can_start`: at least
+3 points, lambda_min down to NO_FOLD_FRACTION of its value at t = 0, and the
+last three lambda_min strictly decreasing).  `detect_fold` then solves for
+the fold directly: from the last traced point it runs Newton on the
+Moore-Spence extended system F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> = 1,
+whose solution is the turning point (u*, T0) with its null vector phi.  Its
+Newton tolerance does not depend on how close to the fold the trace stopped.
 
 `branch_point` reaches a single t on the same branch by a fixed warm-started
 walk from (0, 0) (8 steps, halved on failure) and classifies only the point
@@ -33,12 +36,12 @@ from .pde import (NonConvergence, SingularJacobian, SolutionPoint,
 from .surface import DiscreteSurface, integrate, laplacian
 
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
-NO_FOLD_FRACTION = 0.25  # terminal lambda_min above this fraction of the
-                         # initial one means the trace never approached a fold
+NO_FOLD_FRACTION = 0.25  # the fold solve starts only once lambda_min is at
+                         # or below this fraction of its value at t = 0
 
 
 class StallBeforeFold(RuntimeError):
-    """Steps shrank to nothing while lambda_min stayed away from zero."""
+    """The trace ended before the fold solve could start from its last point."""
 
 
 class NoFoldDetected(RuntimeError):
@@ -72,12 +75,28 @@ class SolutionCurve:
         return np.array([p.lambda_min for p in self.points])
 
 
+def _fold_solve_can_start(points) -> bool:
+    """True when `detect_fold` will start from the last of `points`.
+
+    It needs at least 3 points, the last lambda_min at or below
+    NO_FOLD_FRACTION of the first, and the last three strictly decreasing.
+    """
+    if len(points) < 3:
+        return False
+    lam = [p.lambda_min for p in points[-3:]]
+    return (lam[2] <= NO_FOLD_FRACTION * points[0].lambda_min
+            and lam[2] < lam[1] < lam[0])
+
+
 def trace_curve(s: DiscreteSurface, q: CubicDifferential, dt0: float,
                 tol: float = 1e-10, max_points: int = 2000) -> SolutionCurve:
-    """Natural-parameter continuation from (0, 0) until the step underflows.
+    """Natural-parameter continuation from (0, 0) to where the fold solve starts.
 
-    Raises StallBeforeFold if the step collapses while lambda_min is still a
-    sizable fraction of its value at t = 0.
+    Returns at the first accepted point from which `detect_fold` can start.
+    Raises StallBeforeFold if the step underflows (below dt0 * 1e-4) or
+    max_points are accepted before that.  `diagnostics` holds the rejected
+    step count, `n_points` and `final_step`, the step the trace would have
+    tried next from its last point.
     """
     if dt0 <= 0:
         raise ValueError("dt0 must be positive")
@@ -104,17 +123,17 @@ def trace_curve(s: DiscreteSurface, q: CubicDifferential, dt0: float,
             continue
         points.append(p)
         dt = min(1.25 * dt, dt0)
+        if _fold_solve_can_start(points):
+            return SolutionCurve(
+                points=points, surface=s, cubic=q,
+                diagnostics={"rejected_steps": rejects, "final_step": dt,
+                             "n_points": len(points)})
 
-    lam0 = points[0].lambda_min
-    lam_end = points[-1].lambda_min
-    diagnostics = {"rejected_steps": rejects, "final_step": dt,
-                   "n_points": len(points)}
-    if len(points) < 3 or lam_end > NO_FOLD_FRACTION * lam0:
-        raise StallBeforeFold(
-            f"step collapsed at t = {points[-1].t:.6g} with lambda_min = "
-            f"{lam_end:.3g} (started at {lam0:.3g}); diagnostics: {diagnostics}")
-    return SolutionCurve(points=points, surface=s, cubic=q,
-                         diagnostics=diagnostics)
+    raise StallBeforeFold(
+        f"trace stopped at t = {points[-1].t:.6g} with lambda_min = "
+        f"{points[-1].lambda_min:.3g} (started at {p0.lambda_min:.3g}) "
+        f"before the fold solve could start; {len(points)} points, "
+        f"{rejects} rejected steps, step {dt:.3g}")
 
 
 def branch_point(s: DiscreteSurface, q: CubicDifferential, t: float,
@@ -156,16 +175,14 @@ def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
     and fold_point on the curve and returns T0.
     """
     pts = curve.points
-    if len(pts) < 3:
-        raise NoFoldDetected("need at least 3 points to detect a fold")
-    lam0 = pts[0].lambda_min
-    lams = curve.lambda_mins()
-    if lams[-1] > NO_FOLD_FRACTION * lam0:
+    if not _fold_solve_can_start(pts):
+        lams = curve.lambda_mins()
         raise NoFoldDetected(
-            f"lambda_min stays above {NO_FOLD_FRACTION:.2f} of its initial "
-            f"value ({lams[-1]:.3g} vs {lam0:.3g}) on the traced range")
-    if not (lams[-1] < lams[-2] < lams[-3]):
-        raise NoFoldDetected("terminal lambda_min is not decreasing")
+            f"the curve does not approach a fold: {len(lams)} points, "
+            f"lambda_min {lams[0]:.3g} at t = 0 and {lams[-3:]} at the end; "
+            f"the fold solve needs at least 3 points, the last lambda_min at "
+            f"most {NO_FOLD_FRACTION:.2f} of the first, and the last three "
+            f"strictly decreasing")
 
     s, q = curve.surface, curve.cubic
     p, n = pts[-1], s.n_classes
@@ -234,6 +251,12 @@ def write_curve_csv(curve: SolutionCurve, path: str,
 
 
 def curve_to_json(curve: SolutionCurve) -> dict:
+    """curve.json payload.
+
+    `diagnostics` carries `trace_curve`'s `rejected_steps`, `n_points` and
+    `final_step` (the step it would have tried next from the last point,
+    where the fold solve starts) and `detect_fold`'s `fold_lambda_min`.
+    """
     return {
         "points": [p.to_json() for p in curve.points],
         "T0_estimate": None if curve.T0_estimate is None else float(curve.T0_estimate),

@@ -220,15 +220,19 @@ def _connection(c, zdot: complex) -> np.ndarray:
     return A * zdot + B * np.conjugate(zdot)
 
 
-def flatness_defect(coeffs, z: complex, h: float = 1e-3) -> float:
+def flatness_defect(coeffs, z: complex, h: float = 1e-3,
+                    center=None) -> float:
     """Finite-difference residual of the local integrability equations.
 
     Returns the larger of |q_zbar| and the defect of
     d^2/dz dzbar log(s^2) = |q|^2 s^-4 + s^2, both sampled on a 5-point
-    stencil of radius h around z.
+    stencil of radius h around z.  `center` is `coeffs.at(z)` when the
+    caller has it already.
     """
-    zs = [z, z + h, z - h, z + 1j * h, z - 1j * h]
-    vals = [coeffs.at(w) for w in zs]
+    if center is None:
+        center = coeffs.at(z)
+    vals = [center] + [coeffs.at(w) for w in
+                       (z + h, z - h, z + 1j * h, z - 1j * h)]
     log_s2 = [2.0 * np.log(v[0]) for v in vals]
     lap = (log_s2[1] + log_s2[2] + log_s2[3] + log_s2[4] - 4.0 * log_s2[0]) / h ** 2
     ddzbar = 0.25 * lap
@@ -315,7 +319,7 @@ def integrate_frame(coeffs, path, step: float = 0.01, project: bool = False,
     z1 = path[0]
     c1 = coeffs.at(z1)
     svals = [c1[0]]
-    defects = [(0.0, 0.0, flatness_defect(coeffs, path[0]))]
+    defects = [(0.0, 0.0, flatness_defect(coeffs, z1, center=c1))]
 
     prev_unit_defect = 0.0
     for a, b in zip(path[:-1], path[1:]):
@@ -351,7 +355,7 @@ def integrate_frame(coeffs, path, step: float = 0.01, project: bool = False,
             frames.append(F.copy())
             svals.append(c1[0])
             defects.append((unit_defect, det_defect,
-                            flatness_defect(coeffs, z1)))
+                            flatness_defect(coeffs, z1, center=c1)))
             c0 = c1
 
     return FrameSheet(path=np.array(nodes), frames=np.array(frames),

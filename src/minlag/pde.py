@@ -128,9 +128,12 @@ def smallest_eigenvalue(L: LinearizedOperator):
     lower = min(0.0, float(L.potential.min()))
     sigma = lower - 0.1 * (1.0 + abs(lower))
     try:
-        # a fixed start vector makes ARPACK, so lambda_min, reproducible
+        # a fixed start vector makes ARPACK, so lambda_min, reproducible;
+        # shift-invert makes the one wanted eigenvalue dominant, so 8 Lanczos
+        # vectors (default 20) suffice; ARPACK needs n > ncv, and the mesh
+        # builders refuse meshes with fewer than 16 classes
         w, v = spla.eigsh(L.matrix, k=1, M=sp.diags(m), sigma=sigma,
-                          which="LM", tol=1e-9, v0=np.ones(n))
+                          which="LM", tol=1e-9, v0=np.ones(n), ncv=8)
     except (spla.ArpackError, RuntimeError):
         w, v = sla.eigh(L.matrix.toarray(), np.diag(m))
     lam, vec = float(w[0]), v[:, 0]

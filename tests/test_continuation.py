@@ -11,7 +11,7 @@ from minlag.continuation import (NoFoldDetected, StallBeforeFold, ZeroCubic,
                                  branch_point, detect_fold, nonexistence_bound,
                                  trace_curve, write_curve_csv)
 from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
-from minlag.pde import NonConvergence, newton_solve
+from minlag.pde import NonConvergence, SingularJacobian, newton_solve
 from minlag.surface import integrate
 
 from scalar_oracle import U_FOLD, fold_t
@@ -115,6 +115,40 @@ def test_fold_solve_failure_raises(torus_curve, monkeypatch, tmp_path):
     code = main(["continue", str(cfg), "-o", str(tmp_path / "curve")])
     assert code == EXIT_NUMERICAL
     assert not (tmp_path / "curve.csv").exists()
+
+
+def trace_to_underflow(curve, dt0, tol):
+    """Continue `curve` with trace_curve's steps until the step underflows."""
+    s, q = curve.surface, curve.cubic
+    points = list(curve.points)
+    dt = curve.diagnostics["final_step"]
+    while dt >= dt0 * 1e-4:
+        prev = points[-1]
+        try:
+            p = newton_solve(prev.u, prev.t + dt, s, q, tol=tol)
+        except (NonConvergence, SingularJacobian):
+            dt *= 0.5
+            continue
+        if p.lambda_min <= 0.0 or p.lambda_min < 0.5 * prev.lambda_min:
+            dt *= 0.5
+            continue
+        points.append(p)
+        dt = min(1.25 * dt, dt0)
+    return dataclasses.replace(curve, points=points, T0_estimate=None,
+                               fold_point=None, diagnostics={})
+
+
+def test_trace_stops_at_fold_entry(torus_curve):
+    can_start = continuation._fold_solve_can_start
+    pts = torus_curve.points
+    assert can_start(pts)
+    assert not any(can_start(pts[:k]) for k in range(1, len(pts)))
+    assert torus_curve.diagnostics["n_points"] == len(pts)
+
+    crept = trace_to_underflow(torus_curve, dt0=0.01, tol=1e-11)
+    assert len(crept.points) > len(pts)
+    assert detect_fold(crept) == pytest.approx(torus_curve.T0_estimate,
+                                               rel=1e-11)
 
 
 def test_stall_before_fold(torus16, unit_cubic):

@@ -187,6 +187,31 @@ def test_flatness_defect_second_order():
     assert 30.0 <= ratio <= 300.0            # consistent with O(h^2)
 
 
+class CountingCoefficients:
+    """Coefficient source that records every point it is evaluated at."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.points = []
+
+    def at(self, z):
+        self.points.append(z)
+        return self.inner.at(z)
+
+
+def test_frame_flatness_reuses_node_coefficients():
+    inner = poincare_trivial_coefficients()
+    coeffs = CountingCoefficients(inner)
+    sheet = integrate_frame(coeffs, [0.0, 0.1 + 0.05j], step=0.02)
+    nodes = len(sheet.path)
+    assert nodes == 7
+    # the start point, a midpoint and an end point per step, and only the
+    # 4 outer flatness stencil points per node: the centre is the node
+    assert len(coeffs.points) == 1 + 2 * (nodes - 1) + 4 * nodes
+    fresh = [flatness_defect(inner, z) for z in sheet.path]
+    assert np.array_equal(sheet.defects[:, 2], fresh)
+
+
 def test_flatness_flags_nonholomorphic(octagon2, octagon2_cubic):
     p = newton_solve(np.zeros(octagon2.n_classes), 5.0, octagon2,
                      octagon2_cubic, tol=1e-11)
