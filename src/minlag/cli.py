@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -137,12 +138,20 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise, without re-checking the schema
+    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
     return cfg
+
+
+@functools.lru_cache(maxsize=None)
+def _config_validator():
+    """The CONFIG_SCHEMA validator, built and its schema checked once."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
 
 
 def config_hash(cfg: dict) -> str:

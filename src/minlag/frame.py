@@ -19,7 +19,8 @@ flatness defect measures their failure by finite differences.
 
 Coefficients can be supplied analytically or interpolated from mesh fields;
 derivatives of mesh fields come from least-squares quadratic fits on vertex
-neighborhoods.
+neighborhoods.  Sources evaluate batches, `at_many(zs) -> (s, s_z, q)`; since no
+point depends on F, `integrate_frame` evaluates each path in one batch first.
 """
 
 from __future__ import annotations
@@ -94,14 +95,15 @@ def second_fundamental_form(sval: float, qval: complex) -> np.ndarray:
 class AnalyticCoefficients:
     """Frame coefficients from closed-form callables.
 
-    `fn(z) -> (s, s_z, s_zbar, q)` evaluated at complex chart points.
+    `fn(z) -> (s, s_z, q)` evaluated at complex chart points.
     """
 
     def __init__(self, fn):
         self._fn = fn
 
-    def at(self, z: complex):
-        return self._fn(complex(z))
+    def at_many(self, zs):
+        s, s_z, q = zip(*(self._fn(complex(z)) for z in zs))
+        return np.array(s, float), np.array(s_z, complex), np.array(q, complex)
 
 
 def poincare_trivial_coefficients() -> AnalyticCoefficients:
@@ -115,14 +117,14 @@ def poincare_trivial_coefficients() -> AnalyticCoefficients:
         denom = 1.0 - r2
         s = np.sqrt(2.0) / denom
         s_z = np.sqrt(2.0) * z.conjugate() / denom ** 2
-        return s, s_z, s_z.conjugate(), 0.0 + 0.0j
+        return s, s_z, 0.0 + 0.0j
     return AnalyticCoefficients(fn)
 
 
 def constant_coefficients(sval: float, qval: complex) -> AnalyticCoefficients:
     """Spatially constant s and q (torus backend with constant data)."""
     def fn(z):
-        return sval, 0.0 + 0.0j, 0.0 + 0.0j, complex(qval)
+        return sval, 0.0 + 0.0j, complex(qval)
     return AnalyticCoefficients(fn)
 
 
@@ -131,8 +133,9 @@ class MeshCoefficients:
 
     s is computed per chart vertex from u and the chart conformal factor;
     s_z comes from a least-squares quadratic fit on each vertex's
-    neighborhood, and all fields are interpolated with a C1 scheme so the
-    coefficients fed to the integrator are smooth away from seams.
+    neighborhood.  One C1 interpolator carries the columns [s, Re s_z,
+    Im s_z, Re q, Im q]: coefficients are smooth away from seams, and a
+    batch of points costs one call.
     """
 
     def __init__(self, surface: DiscreteSurface, u: np.ndarray,
@@ -143,21 +146,29 @@ class MeshCoefficients:
         s_chart = np.sqrt(np.exp(u_chart) * surface.conformal_factor / 2.0)
         s_z = _vertex_wirtinger(surface, s_chart)
         qv = q.values.astype(complex)
-
-        self._s = CloughTocher2DInterpolator(pts, s_chart)
-        self._sz_re = CloughTocher2DInterpolator(pts, s_z.real)
-        self._sz_im = CloughTocher2DInterpolator(pts, s_z.imag)
-        self._q_re = CloughTocher2DInterpolator(pts, qv.real)
-        self._q_im = CloughTocher2DInterpolator(pts, qv.imag)
+        self._interp = CloughTocher2DInterpolator(pts, np.column_stack(
+            [s_chart, s_z.real, s_z.imag, qv.real, qv.imag]))
 
     def at(self, z: complex):
-        xy = (z.real, z.imag)
-        s = float(self._s(xy))
-        if not np.isfinite(s):
+        return _point_coefficients(*(v[0] for v in self.at_many([z])))
+
+    def at_many(self, zs):
+        """Arrays (s, s_z, q); StepTooLarge names the first point off the patch."""
+        zs = np.asarray(zs, dtype=complex)
+        vals = self._interp(zs.real, zs.imag)
+        outside = ~np.isfinite(vals[:, 0])
+        if outside.any():
+            z = complex(zs[outside.argmax()])
             raise StepTooLarge(f"point {z:.4f} is outside the meshed patch")
-        s_z = complex(float(self._sz_re(xy)), float(self._sz_im(xy)))
-        qv = complex(float(self._q_re(xy)), float(self._q_im(xy)))
-        return s, s_z, s_z.conjugate(), qv
+        # (re, im) column pairs viewed as complex keep every bit, signed zeros too
+        return (vals[:, 0], vals[:, 1:3].copy().view(complex)[:, 0],
+                vals[:, 3:5].copy().view(complex)[:, 0])
+
+
+def _point_coefficients(s, s_z, q):
+    """Python scalars (s, s_z, s_zbar, q): numpy's complex division differs."""
+    s_z = complex(s_z)
+    return float(s), s_z, s_z.conjugate(), complex(q)
 
 
 def _vertex_wirtinger(surface: DiscreteSurface, f: np.ndarray) -> np.ndarray:
@@ -215,33 +226,33 @@ class FrameSheet:
 
 
 def _connection(c, zdot: complex) -> np.ndarray:
-    """A zdot + B conj(zdot) from a coefficient tuple `coeffs.at(z)`."""
+    """A zdot + B conj(zdot) from a tuple (s, s_z, s_zbar, q)."""
     A, B = maurer_cartan(*c)
     return A * zdot + B * np.conjugate(zdot)
 
 
-def flatness_defect(coeffs, z: complex, h: float = 1e-3,
-                    center=None) -> float:
+def flatness_defect(coeffs, z, h: float = 1e-3):
     """Finite-difference residual of the local integrability equations.
 
     Returns the larger of |q_zbar| and the defect of
     d^2/dz dzbar log(s^2) = |q|^2 s^-4 + s^2, both sampled on a 5-point
-    stencil of radius h around z.  `center` is `coeffs.at(z)` when the
-    caller has it already.
+    stencil of radius h around z.  `z` is a point (float result) or an array
+    of points (array result); all 5 N stencil points, node by node, go to
+    one `coeffs.at_many` call.
     """
-    if center is None:
-        center = coeffs.at(z)
-    vals = [center] + [coeffs.at(w) for w in
-                       (z + h, z - h, z + 1j * h, z - 1j * h)]
-    log_s2 = [2.0 * np.log(v[0]) for v in vals]
+    z = np.asarray(z, dtype=complex)
+    stencil = z.reshape(-1, 1) + np.array([0.0, h, -h, 1j * h, -1j * h])
+    s, _, q = coeffs.at_many(stencil.ravel())
+    s, q = s.reshape(-1, 5).T, q.reshape(-1, 5).T
+    log_s2 = 2.0 * np.log(s)
     lap = (log_s2[1] + log_s2[2] + log_s2[3] + log_s2[4] - 4.0 * log_s2[0]) / h ** 2
     ddzbar = 0.25 * lap
-    s0, _, _, q0 = vals[0]
-    gauss_res = abs(ddzbar - (abs(q0) ** 2 * s0 ** -4.0 + s0 ** 2))
-    q_x = (vals[1][3] - vals[2][3]) / (2.0 * h)
-    q_y = (vals[3][3] - vals[4][3]) / (2.0 * h)
+    gauss_res = np.abs(ddzbar - (np.abs(q[0]) ** 2 * s[0] ** -4.0 + s[0] ** 2))
+    q_x = (q[1] - q[2]) / (2.0 * h)
+    q_y = (q[3] - q[4]) / (2.0 * h)
     q_zbar = 0.5 * (q_x + 1j * q_y)
-    return float(max(gauss_res, abs(q_zbar)))
+    out = np.maximum(gauss_res, np.abs(q_zbar))
+    return out.reshape(z.shape) if z.ndim else float(out[0])
 
 
 def mesh_flatness_defect(surface: DiscreteSurface, u: np.ndarray,
@@ -303,7 +314,10 @@ def integrate_frame(coeffs, path, step: float = 0.01, project: bool = False,
 
     `path` is a sequence of complex chart points inside one simply connected
     patch; each segment is subdivided into chart steps of length at most
-    `step` and advanced with the classical fourth-order rule.  Per-node
+    `step` and advanced with the classical fourth-order rule.  All RK4
+    points (the start, each segment start the last end point misses, a
+    midpoint and end point per step) go to one `coeffs.at_many` call, all
+    node stencils to one `flatness_defect` call.  Per-node
     unitarity/determinant/flatness defects are recorded; a unitarity jump
     above `max_step_defect` in one step raises StepTooLarge.  With `project`
     the frame is reprojected onto the group after every step (defects then
@@ -313,50 +327,48 @@ def integrate_frame(coeffs, path, step: float = 0.01, project: bool = False,
     if len(path) < 2:
         raise ValueError("path needs at least two points")
 
-    F = np.eye(3, dtype=complex)
-    nodes = [path[0]]
-    frames = [F.copy()]
-    z1 = path[0]
-    c1 = coeffs.at(z1)
-    svals = [c1[0]]
-    defects = [(0.0, 0.0, flatness_defect(coeffs, z1, center=c1))]
-
-    prev_unit_defect = 0.0
+    points = [path[0]]
+    steps = []                      # (zdot, hh, index of the step's start)
     for a, b in zip(path[:-1], path[1:]):
-        seg = b - a
-        length = abs(seg)
-        if length == 0.0:
+        seg = b - a                 # d z / d tau on the unit parameter
+        if seg == 0.0:
             continue
-        # each step evaluates its midpoint and end point once; k1 reuses the
-        # previous end point, re-evaluated at a segment start it misses
-        c0 = c1 if z1 == a else coeffs.at(a)
-        nsub = max(1, int(np.ceil(length / step)))
+        if points[-1] != a:
+            points.append(a)
+        nsub = max(1, int(np.ceil(abs(seg) / step)))
         hh = 1.0 / nsub
-        zdot = seg                      # d z / d tau on the unit parameter
         for k in range(nsub):
             tau0 = k * hh
-            z1 = a + (tau0 + hh) * seg
-            c_half, c1 = coeffs.at(a + (tau0 + 0.5 * hh) * seg), coeffs.at(z1)
-            conn_half = _connection(c_half, zdot)
-            k1 = F @ _connection(c0, zdot)
-            k2 = (F + 0.5 * hh * k1) @ conn_half
-            k3 = (F + 0.5 * hh * k2) @ conn_half
-            k4 = (F + hh * k3) @ _connection(c1, zdot)
-            F = F + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if project:
-                F = _project_su21(F)
-            unit_defect, det_defect = su21_defect(F)
-            if unit_defect - prev_unit_defect > max_step_defect:
-                raise StepTooLarge(
-                    f"unitarity defect grew by {unit_defect - prev_unit_defect:.2e} "
-                    f"in one step near z = {z1:.4f}; reduce the step size")
-            prev_unit_defect = unit_defect
-            nodes.append(z1)
-            frames.append(F.copy())
-            svals.append(c1[0])
-            defects.append((unit_defect, det_defect,
-                            flatness_defect(coeffs, z1, center=c1)))
-            c0 = c1
+            steps.append((seg, hh, len(points) - 1))
+            points += [a + (tau0 + 0.5 * hh) * seg, a + (tau0 + hh) * seg]
+    vals = [_point_coefficients(*c) for c in zip(*coeffs.at_many(points))]
 
-    return FrameSheet(path=np.array(nodes), frames=np.array(frames),
-                      s_field=np.array(svals), defects=np.array(defects))
+    F = np.eye(3, dtype=complex)
+    frames = [F.copy()]
+    node_ids = [0]
+    defects = [(0.0, 0.0)]
+    prev_unit_defect = 0.0
+    for zdot, hh, i in steps:
+        conn_half = _connection(vals[i + 1], zdot)
+        k1 = F @ _connection(vals[i], zdot)
+        k2 = (F + 0.5 * hh * k1) @ conn_half
+        k3 = (F + 0.5 * hh * k2) @ conn_half
+        k4 = (F + hh * k3) @ _connection(vals[i + 2], zdot)
+        F = F + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if project:
+            F = _project_su21(F)
+        unit_defect, det_defect = su21_defect(F)
+        if unit_defect - prev_unit_defect > max_step_defect:
+            raise StepTooLarge(
+                f"unitarity defect grew by {unit_defect - prev_unit_defect:.2e} "
+                f"in one step near z = {points[i + 2]:.4f}; reduce the step size")
+        prev_unit_defect = unit_defect
+        node_ids.append(i + 2)
+        frames.append(F.copy())
+        defects.append((unit_defect, det_defect))
+
+    nodes = np.array([points[i] for i in node_ids])
+    flatness = flatness_defect(coeffs, nodes)
+    return FrameSheet(path=nodes, frames=np.array(frames),
+                      s_field=np.array([vals[i][0] for i in node_ids]),
+                      defects=np.column_stack([defects, flatness]))

@@ -6,6 +6,8 @@ import pytest
 from minlag import pde
 from minlag.cli import main
 
+from conftest import octagon_zero_classes
+
 
 def write_cfg(tmp_path, name, cfg):
     p = tmp_path / name
@@ -127,6 +129,42 @@ def test_frame_trivial_defects(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["max_unitarity_defect"] <= 1e-8
     assert payload["max_det_defect"] <= 1e-8
+
+
+# the benchmark's frame loop, on octagon r2 at 0.55 of its fold T0
+FRAME_LOOP = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5],
+              [0.5, 0.0], [0.0, 0.0]]
+OCTAGON2_MESH = {
+    "backend": {"type": "octagon", "refinement": 2},
+    "t": 0.55 * 43.498131284,
+    "tol": 1e-10,
+    "frame": {"path": FRAME_LOOP, "step": 0.005},
+}
+
+
+def test_frame_mesh_coefficients_loop(tmp_path, octagon2):
+    cubic = {"zeros": [list(z) for z in octagon_zero_classes(octagon2)],
+             "amplitude": 1.0}
+    cfg = write_cfg(tmp_path, "c.json", dict(OCTAGON2_MESH, cubic=cubic))
+    runs = []
+    for name in ("a.json", "b.json"):
+        assert main(["frame", cfg, "-o", str(tmp_path / name)]) == 0
+        runs.append(json.loads((tmp_path / name).read_text()))
+        runs[-1].pop("timestamp")
+    assert runs[0] == runs[1]
+    assert runs[0]["max_unitarity_defect"] <= 1e-8
+    assert runs[0]["max_det_defect"] <= 1e-8
+    assert len(runs[0]["path"]) == 769
+
+
+def test_frame_path_leaving_patch_exits_2(tmp_path, capsys, octagon2):
+    cubic = {"zeros": [list(z) for z in octagon_zero_classes(octagon2)],
+             "amplitude": 1.0}
+    cfg = write_cfg(tmp_path, "c.json", dict(
+        OCTAGON2_MESH, cubic=cubic, t=1.0,
+        frame={"path": [[0.0, 0.0], [0.95, 0.0]], "step": 0.01}))
+    assert main(["frame", cfg]) == 2
+    assert "outside the meshed patch" in capsys.readouterr().err
 
 
 def test_frame_trivial_on_torus_exits_1(tmp_path, capsys):

@@ -188,28 +188,98 @@ def test_flatness_defect_second_order():
 
 
 class CountingCoefficients:
-    """Coefficient source that records every point it is evaluated at."""
+    """Coefficient source that records every batch it is evaluated on."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.points = []
+        self.batches = []
 
-    def at(self, z):
-        self.points.append(z)
-        return self.inner.at(z)
+    def at_many(self, zs):
+        self.batches.append(list(zs))
+        return self.inner.at_many(zs)
 
 
-def test_frame_flatness_reuses_node_coefficients():
+def test_frame_evaluates_coefficients_in_two_batches():
     inner = poincare_trivial_coefficients()
     coeffs = CountingCoefficients(inner)
     sheet = integrate_frame(coeffs, [0.0, 0.1 + 0.05j], step=0.02)
     nodes = len(sheet.path)
     assert nodes == 7
-    # the start point, a midpoint and an end point per step, and only the
-    # 4 outer flatness stencil points per node: the centre is the node
-    assert len(coeffs.points) == 1 + 2 * (nodes - 1) + 4 * nodes
+    rk4, stencils = coeffs.batches
+    # the start, then a midpoint and an end point per step, each point once
+    assert len(rk4) == len(set(rk4)) == 1 + 2 * (nodes - 1)
+    assert rk4[0] == 0.0 and rk4[2::2] == list(sheet.path[1:])
+    # one 5-point flatness stencil per node
+    assert len(stencils) == 5 * nodes
     fresh = [flatness_defect(inner, z) for z in sheet.path]
     assert np.array_equal(sheet.defects[:, 2], fresh)
+
+
+def test_frame_batch_reevaluates_missed_segment_start():
+    # 6 steps of 1/6 end at tau = 1 - 2^-53, missing the corner 0.06;
+    # 5 steps of 1/5 end on the corner 0.05 exactly
+    for corner, step, missed in ((0.06, 0.01, True), (0.05, 0.01, False)):
+        coeffs = CountingCoefficients(poincare_trivial_coefficients())
+        sheet = integrate_frame(coeffs, [0.0, corner, corner * (1 + 1j)],
+                                step=step)
+        rk4 = coeffs.batches[0]
+        assert len(rk4) == len(set(rk4)) == 1 + 2 * (len(sheet.path) - 1) + missed
+        assert rk4.count(corner) == 1
+
+
+def _single_column_interpolators(surface, u, q):
+    """The five one-column interpolators MeshCoefficients used to build."""
+    from scipy.interpolate import CloughTocher2DInterpolator
+    from minlag.frame import _vertex_wirtinger
+
+    z = surface.vertices
+    pts = np.column_stack([z.real, z.imag])
+    s_chart = np.sqrt(np.exp(u[surface.class_of]) * surface.conformal_factor
+                      / 2.0)
+    s_z = _vertex_wirtinger(surface, s_chart)
+    qv = q.values.astype(complex)
+    return [CloughTocher2DInterpolator(pts, col) for col in
+            (s_chart, s_z.real, s_z.imag, qv.real, qv.imag)]
+
+
+@pytest.fixture(scope="module")
+def octagon2_mesh(octagon2, octagon2_cubic):
+    p = newton_solve(np.zeros(octagon2.n_classes), 5.0, octagon2,
+                     octagon2_cubic, tol=1e-11)
+    return (MeshCoefficients(octagon2, p.u, octagon2_cubic),
+            _single_column_interpolators(octagon2, p.u, octagon2_cubic))
+
+
+def test_mesh_at_many_matches_single_column_interpolators(octagon2_mesh):
+    coeffs, (s_i, szr_i, szi_i, qr_i, qi_i) = octagon2_mesh
+    rng = np.random.default_rng(6)
+    cand = rng.uniform(-0.9, 0.9, 2000) + 1j * rng.uniform(-0.9, 0.9, 2000)
+    inside = cand[np.isfinite(s_i(cand.real, cand.imag))][:500]
+    assert len(inside) == 500
+    s, s_z, q = coeffs.at_many(inside)
+    x, y = inside.real, inside.imag
+    assert np.abs(s - s_i(x, y)).max() == 0.0
+    assert np.abs(s_z.real - szr_i(x, y)).max() == 0.0
+    assert np.abs(s_z.imag - szi_i(x, y)).max() == 0.0
+    assert np.abs(q.real - qr_i(x, y)).max() == 0.0
+    assert np.abs(q.imag - qi_i(x, y)).max() == 0.0
+    # the scalar entry point is the same batch of one
+    sval, sz1, szbar1, q1 = coeffs.at(complex(inside[3]))
+    assert (sval, sz1, szbar1, q1) == (s[3], s_z[3], np.conj(s_z[3]), q[3])
+
+
+def test_mesh_at_many_names_first_point_outside(octagon2_mesh):
+    coeffs, (s_i, *_) = octagon2_mesh
+    with pytest.raises(StepTooLarge, match=r"point 0\.9900\+0\.0000j is outside"):
+        coeffs.at_many([0.1, 0.99, 0.95, 0.2j])
+    # a path leaving the patch: the first RK4 point outside is named
+    path, step = [0.0, 0.95], 0.01
+    nsub = int(np.ceil(0.95 / step))
+    taus = np.arange(1, 2 * nsub + 1) / (2 * nsub)
+    first = 0.95 * taus[~np.isfinite(s_i(0.95 * taus, 0.0 * taus))][0]
+    with pytest.raises(StepTooLarge, match="outside the meshed patch") as err:
+        integrate_frame(coeffs, path, step=step)
+    assert f"point {complex(first):.4f} is outside" in str(err.value)
 
 
 def test_flatness_flags_nonholomorphic(octagon2, octagon2_cubic):
