@@ -173,10 +173,6 @@ def build_cubic(cfg: dict, s: surface.DiscreteSurface):
         re, im = c["constant"]
         return constant_cubic(s, complex(re, im))
     zeros = [(int(a), int(b)) for a, b in c["zeros"]]
-    for cls, _ in zeros:
-        if cls >= s.n_classes:
-            raise ConfigError(f"zero class {cls} out of range "
-                              f"(surface has {s.n_classes} classes)")
     try:
         return synthetic_cubic(s, zeros, c.get("amplitude", 1.0))
     except ValueError as exc:
@@ -212,12 +208,11 @@ def cmd_mesh(cfg, args) -> int:
 
 
 def cmd_solve(cfg, args) -> int:
-    s = build_backend(cfg)
-    q = build_cubic(cfg, s)
+    q = build_cubic(cfg, build_backend(cfg))
     t = _require_t(cfg)
     tol = cfg.get("tol", 1e-10)
     try:
-        p = pde.newton_solve(np.zeros(s.n_classes), t, s, q, tol=tol)
+        p = pde.newton_solve(np.zeros(q.surface.n_classes), t, q, tol=tol)
     except (pde.NonConvergence, pde.SingularJacobian) as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -226,17 +221,16 @@ def cmd_solve(cfg, args) -> int:
 
 
 def cmd_continue(cfg, args) -> int:
-    s = build_backend(cfg)
-    q = build_cubic(cfg, s)
+    q = build_cubic(cfg, build_backend(cfg))
     tol = cfg.get("tol", 1e-10)
     dt0 = cfg.get("dt0", 0.01)
     try:
-        bound = continuation.nonexistence_bound(s, q)
+        bound = continuation.nonexistence_bound(q)
     except continuation.ZeroCubic as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        curve = continuation.trace_curve(s, q, dt0=dt0, tol=tol)
+        curve = continuation.trace_curve(q, dt0=dt0, tol=tol)
         t0 = continuation.detect_fold(curve, tol=tol)
     except (continuation.StallBeforeFold, continuation.NoFoldDetected,
             pde.NonConvergence) as exc:
@@ -257,20 +251,19 @@ def cmd_continue(cfg, args) -> int:
 
 
 def cmd_mpass(cfg, args) -> int:
-    s = build_backend(cfg)
-    q = build_cubic(cfg, s)
+    q = build_cubic(cfg, build_backend(cfg))
     t = _require_t(cfg)
     tol = cfg.get("tol", 1e-10)
     cp = mpass.build_cutoffs(cfg.get("theta", 3.0))
     opts = cfg.get("mpass", {})
     try:
-        stable = continuation.branch_point(s, q, t, tol)
+        stable = continuation.branch_point(q, t, tol)
     except pde.NonConvergence as exc:
         print(f"no stable branch point at t = {t} (at or beyond the fold): {exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL
     try:
-        p2 = mpass.find_mountain_pass(stable, t, s, q, cp, tol=tol,
+        p2 = mpass.find_mountain_pass(stable, t, q, cp, tol=tol,
                                       n_nodes=opts.get("path_nodes", 20),
                                       max_sweeps=opts.get("max_sweeps", 600))
     except mpass.DegenerateNorm as exc:
@@ -293,19 +286,18 @@ def cmd_mpass(cfg, args) -> int:
 
 
 def cmd_frame(cfg, args) -> int:
-    s = build_backend(cfg)
-    q = build_cubic(cfg, s)
+    q = build_cubic(cfg, build_backend(cfg))
     fcfg = cfg.get("frame", {})
     step = fcfg.get("step", 0.005)
     project = fcfg.get("project", False)
     tol = cfg.get("tol", 1e-10)
     trivial = fcfg.get("trivial", False)
-    if trivial and s.genus < 2:
+    if trivial and q.surface.genus < 2:
         raise ConfigError("frame 'trivial' coefficients (u = q = 0 on the "
                           "Poincare disk) need a genus >= 2 backend")
     if fcfg.get("path"):
         path = [complex(a, b) for a, b in fcfg["path"]]
-    elif s.genus >= 2:
+    elif q.surface.genus >= 2:
         path = [0j, complex(math.tanh(0.5), 0.0)]   # hyperbolic length 1
     else:
         side = cfg["backend"].get("side", 1.0)
@@ -316,11 +308,11 @@ def cmd_frame(cfg, args) -> int:
     else:
         t = float(cfg.get("t", 0.0))
         try:
-            p = continuation.branch_point(s, q, t, tol)
+            p = continuation.branch_point(q, t, tol)
         except pde.NonConvergence as exc:
             print(f"frame solve failed: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        coeffs = frame.MeshCoefficients(s, p.u, q)
+        coeffs = frame.MeshCoefficients(p.u, q)
     try:
         sheet = frame.integrate_frame(coeffs, path, step=step, project=project)
     except frame.StepTooLarge as exc:
@@ -334,12 +326,11 @@ def cmd_frame(cfg, args) -> int:
 
 
 def cmd_wpcheck(cfg, args) -> int:
-    s = build_backend(cfg)
-    q = build_cubic(cfg, s)
+    q = build_cubic(cfg, build_backend(cfg))
     w = cfg.get("wpcheck", {})
     h = w.get("h", 0.01)
     try:
-        rec = wp.area_record(s, q, h, n_points=w.get("n_points", 4),
+        rec = wp.area_record(q, h, n_points=w.get("n_points", 4),
                              stencil=w.get("stencil", "centered"),
                              tol=cfg.get("tol", 1e-12))
     except wp.BranchUnavailable as exc:
@@ -374,14 +365,14 @@ def cmd_selftest(cfg, args) -> int:
 
     s = surface.build_flat_torus(16, 1.0, 1.0)
     q = constant_cubic(s, 1.0)
-    p = pde.newton_solve(np.zeros(s.n_classes), 0.0, s, q)
+    p = pde.newton_solve(np.zeros(s.n_classes), 0.0, q)
     check("torus trivial solution", np.abs(p.u).max() <= 1e-10
           and abs(p.lambda_min - 2.0) < 1e-2, f"lambda_min={p.lambda_min:.6f}")
 
     o = surface.build_genus2_octagon(2)
     check("octagon topology", o.euler_characteristic() == -2,
           f"chi={o.euler_characteristic()}")
-    p = pde.newton_solve(np.zeros(o.n_classes), 0.0, o,
+    p = pde.newton_solve(np.zeros(o.n_classes), 0.0,
                          synthetic_cubic(o, [(0, 6)], 1.0))
     check("octagon trivial solution", np.abs(p.u).max() <= 1e-10)
 

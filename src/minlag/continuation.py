@@ -18,7 +18,8 @@ it returns; the mountain-pass and frame commands start from it.
 
 The nonexistence threshold is T = (area/2 / integral ||q||^(2/3))^(3/2);
 on a hyperbolic surface area/2 = 2 pi (g - 1), and every computed fold must
-sit strictly below it.
+sit strictly below it.  Every function reads the surface from the cubic
+differential (`q.surface`, `curve.cubic.surface`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .cubic import CubicDifferential, norm_field
 from .pde import (NonConvergence, SingularJacobian, SolutionPoint,
                   damped_newton, linearize, newton_solve, residual,
                   smallest_eigenvalue, solve_u)
-from .surface import DiscreteSurface, integrate, laplacian
+from .surface import integrate, laplacian
 
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
 NO_FOLD_FRACTION = 0.25  # the fold solve starts only once lambda_min is at
@@ -57,7 +58,6 @@ class SolutionCurve:
     """Ordered stable-branch points from t = 0 toward the fold."""
 
     points: list
-    surface: DiscreteSurface
     cubic: CubicDifferential
     T0_estimate: float | None = None
     fold_point: SolutionPoint | None = None
@@ -88,8 +88,8 @@ def _fold_solve_can_start(points) -> bool:
             and lam[2] < lam[1] < lam[0])
 
 
-def trace_curve(s: DiscreteSurface, q: CubicDifferential, dt0: float,
-                tol: float = 1e-10, max_points: int = 2000) -> SolutionCurve:
+def trace_curve(q: CubicDifferential, dt0: float, tol: float = 1e-10,
+                max_points: int = 2000) -> SolutionCurve:
     """Natural-parameter continuation from (0, 0) to where the fold solve starts.
 
     Returns at the first accepted point from which `detect_fold` can start.
@@ -100,8 +100,7 @@ def trace_curve(s: DiscreteSurface, q: CubicDifferential, dt0: float,
     """
     if dt0 <= 0:
         raise ValueError("dt0 must be positive")
-    n = s.n_classes
-    p0 = newton_solve(np.zeros(n), 0.0, s, q, tol=tol)
+    p0 = newton_solve(np.zeros(q.surface.n_classes), 0.0, q, tol=tol)
     points = [p0]
     rejects = 0
 
@@ -111,7 +110,7 @@ def trace_curve(s: DiscreteSurface, q: CubicDifferential, dt0: float,
         prev = points[-1]
         t_next = prev.t + dt
         try:
-            p = newton_solve(prev.u, t_next, s, q, tol=tol)
+            p = newton_solve(prev.u, t_next, q, tol=tol)
         except (NonConvergence, SingularJacobian):
             rejects += 1
             dt *= 0.5
@@ -125,7 +124,7 @@ def trace_curve(s: DiscreteSurface, q: CubicDifferential, dt0: float,
         dt = min(1.25 * dt, dt0)
         if _fold_solve_can_start(points):
             return SolutionCurve(
-                points=points, surface=s, cubic=q,
+                points=points, cubic=q,
                 diagnostics={"rejected_steps": rejects, "final_step": dt,
                              "n_points": len(points)})
 
@@ -136,7 +135,7 @@ def trace_curve(s: DiscreteSurface, q: CubicDifferential, dt0: float,
         f"{rejects} rejected steps, step {dt:.3g}")
 
 
-def branch_point(s: DiscreteSurface, q: CubicDifferential, t: float,
+def branch_point(q: CubicDifferential, t: float,
                  tol: float = 1e-10) -> SolutionPoint:
     """Stable-branch point at t, walked from (0, 0) in 8 warm-started steps.
 
@@ -144,13 +143,13 @@ def branch_point(s: DiscreteSurface, q: CubicDifferential, t: float,
     drops below t * 1e-6 (t at or beyond the fold).  Intermediate points
     skip the eigen solve; the returned point carries lambda_min.
     """
-    u, _, _ = solve_u(np.zeros(s.n_classes), 0.0, s, q, tol=tol)
+    u, _, _ = solve_u(np.zeros(q.surface.n_classes), 0.0, q, tol=tol)
     step = t / 8
     tau = 0.0
     while tau < t - 1e-15 * max(1.0, t):
         target = min(t, tau + step)
         try:
-            u, _, _ = solve_u(u, target, s, q, tol=tol)
+            u, _, _ = solve_u(u, target, q, tol=tol)
         except (NonConvergence, SingularJacobian):
             step *= 0.5
             if step < t * 1e-6:
@@ -160,7 +159,7 @@ def branch_point(s: DiscreteSurface, q: CubicDifferential, t: float,
         tau = target
     # already converged at tau (t up to rounding of the step sums): this
     # only classifies the point
-    return newton_solve(u, tau, s, q, tol=tol)
+    return newton_solve(u, tau, q, tol=tol)
 
 
 def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
@@ -184,23 +183,22 @@ def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
             f"most {NO_FOLD_FRACTION:.2f} of the first, and the last three "
             f"strictly decreasing")
 
-    s, q = curve.surface, curve.cubic
-    p, n = pts[-1], s.n_classes
-    m = laplacian(s).mass_diag
-    nq2 = norm_field(q) ** 2
-    _, phi0 = smallest_eigenvalue(linearize(p.u, p.t, s, q))
+    q = curve.cubic
+    p, n = pts[-1], q.surface.n_classes
+    m = laplacian(q.surface).mass_diag
+    _, phi0 = smallest_eigenvalue(linearize(p.u, p.t, q))
     m_phi0 = m * phi0
 
     def field_fn(x):
         u, phi, t = x[:n], x[n:-1], x[-1]
-        return np.concatenate([-residual(u, t, s, q),
-                               (linearize(u, t, s, q).matrix @ phi) / m,
+        return np.concatenate([-residual(u, t, q),
+                               (linearize(u, t, q).matrix @ phi) / m,
                                [m_phi0 @ phi - 1.0]])
 
     def jacobian(x):
         u, phi, t = x[:n], x[n:-1], x[-1]
-        L = linearize(u, t, s, q).matrix
-        w = m * nq2 * np.exp(-2.0 * u)          # M ||q||^2 e^{-2u}
+        L = linearize(u, t, q).matrix
+        w = m * q.norm_sq * np.exp(-2.0 * u)    # M ||q||^2 e^{-2u}
         m_pot_u = 2.0 * m * np.exp(u) + 64.0 * t * t * w
         return sp.bmat([[L, None, (32.0 * t * w)[:, None]],
                         [sp.diags(m_pot_u * phi), L,
@@ -211,7 +209,7 @@ def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
     try:
         x, _, _ = damped_newton(x0, field_fn, jacobian,
                                 np.concatenate([m, m, [1.0]]), tol, 50)
-        fold = newton_solve(x[:n], x[-1], s, q, tol=tol)
+        fold = newton_solve(x[:n], x[-1], q, tol=tol)
     except (NonConvergence, SingularJacobian) as exc:
         raise NoFoldDetected(f"extended-system solve failed: {exc}") from exc
     if abs(fold.lambda_min) > EPS_FOLD or fold.t <= p.t:
@@ -225,19 +223,18 @@ def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
     return fold.t
 
 
-def nonexistence_bound(s: DiscreteSurface, q: CubicDifferential) -> float:
+def nonexistence_bound(q: CubicDifferential) -> float:
     """Upper bound T beyond which the structure equation has no solution."""
-    nq = norm_field(q)
-    denom = integrate(s, nq ** (2.0 / 3.0))
+    denom = integrate(q.surface, norm_field(q) ** (2.0 / 3.0))
     if denom <= 0.0:
         raise ZeroCubic("integral of ||q||^(2/3) vanishes")
-    return (0.5 * s.area / denom) ** 1.5
+    return (0.5 * q.surface.area / denom) ** 1.5
 
 
 def write_curve_csv(curve: SolutionCurve, path: str,
                     comment: str | None = None) -> None:
     """Curve table: t, lambda_min, residual_norm, u_min, u_max, area_induced."""
-    m = laplacian(curve.surface).mass_diag
+    m = laplacian(curve.cubic.surface).mass_diag
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")

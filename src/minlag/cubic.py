@@ -9,6 +9,12 @@ built from Blaschke factors and evaluated at class representatives so the
 norm is well defined on the quotient.  They are not exactly holomorphic;
 callers that need holomorphy (the global frame statement) must check the
 `holomorphic` flag.
+
+A `CubicDifferential` carries its surface, so the pair (sigma, q) of the
+prescribed data is one argument everywhere.  Its per-class ||q||^2
+(`norm_sq`) is computed once at construction, so `values` must not be
+mutated afterwards; build a new differential (e.g. `dataclasses.replace`)
+instead.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ class CubicDifferential:
     surface: DiscreteSurface
     zero_divisor: list = field(default_factory=list)   # [(class, order), ...]
     holomorphic: bool = True
+    norm_sq: np.ndarray = field(init=False, repr=False)   # ||q||^2 per class
+
+    def __post_init__(self):
+        self.norm_sq = norm_field(self) ** 2
 
     def class_values(self) -> np.ndarray:
         """Values at class representatives (canonical quotient values)."""
@@ -70,7 +80,8 @@ def synthetic_cubic(s: DiscreteSurface, zeros: list, amplitude: float) -> CubicD
     n_cls = s.n_classes
     for cls, order in zeros:
         if not (0 <= cls < n_cls):
-            raise ValueError(f"zero class {cls} out of range")
+            raise ValueError(f"zero class {cls} out of range "
+                             f"(surface has {n_cls} classes)")
         if order < 1:
             raise ValueError("zero orders must be positive integers")
 

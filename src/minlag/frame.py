@@ -138,8 +138,8 @@ class MeshCoefficients:
     batch of points costs one call.
     """
 
-    def __init__(self, surface: DiscreteSurface, u: np.ndarray,
-                 q: CubicDifferential):
+    def __init__(self, u: np.ndarray, q: CubicDifferential):
+        surface = q.surface
         z = surface.vertices
         pts = np.column_stack([z.real, z.imag])
         u_chart = np.asarray(u, dtype=float)[surface.class_of]
@@ -253,13 +253,6 @@ def flatness_defect(coeffs, z, h: float = 1e-3):
     q_zbar = 0.5 * (q_x + 1j * q_y)
     out = np.maximum(gauss_res, np.abs(q_zbar))
     return out.reshape(z.shape) if z.ndim else float(out[0])
-
-
-def mesh_flatness_defect(surface: DiscreteSurface, u: np.ndarray,
-                         q: CubicDifferential, z: complex,
-                         h: float = 1e-3) -> float:
-    """Flatness defect of mesh fields on a finite-difference cell at z."""
-    return flatness_defect(MeshCoefficients(surface, u, q), z, h)
 
 
 def _project_su21(F: np.ndarray) -> np.ndarray:

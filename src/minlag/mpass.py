@@ -17,21 +17,23 @@ with u <= 0 solves the structure equation, and conversely.  The second
 (mountain-pass) solution at t in (0, T0) is found by deforming a discrete
 path from the stable branch point to a deep negative constant, then polishing
 the path maximum with Newton on grad F = 0 (the `pde.damped_newton` loop).
+Every function reads the surface from the cubic differential (`q.surface`)
+and ||q||^2 from its cache (`q.norm_sq`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cubic import CubicDifferential, norm_field
+from .cubic import CubicDifferential
 from .pde import (TOL_POS, NonConvergence, SingularJacobian, SolutionPoint,
                   damped_newton, linearize, residual, smallest_eigenvalue)
-from .surface import DiscreteSurface, laplacian
+from .surface import laplacian
 
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
 
@@ -108,7 +110,6 @@ class CutoffPair:
     F2: callable
     df1: callable
     df2: callable
-    blend_knots: dict = field(default_factory=dict)
 
 
 def _piecewise(neg_fn, blend_coeffs, pos_fn):
@@ -173,8 +174,7 @@ def build_cutoffs(theta: float = 3.0) -> CutoffPair:
                      lambda s: np.zeros_like(s))
 
     return CutoffPair(theta=float(theta), f1=f1, f2=f2, F1=F1, F2=F2,
-                      df1=df1, df2=df2,
-                      blend_knots={"f1": c1.tolist(), "f2": c2.tolist()})
+                      df1=df1, df2=df2)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +182,13 @@ def build_cutoffs(theta: float = 3.0) -> CutoffPair:
 
 
 def _v_field(t: float, q: CubicDifferential) -> np.ndarray:
-    return 16.0 * t * t * norm_field(q) ** 2
+    return 16.0 * t * t * q.norm_sq
 
 
-def functional_value(u: np.ndarray, t: float, s: DiscreteSurface,
-                     q: CubicDifferential, cp: CutoffPair) -> float:
+def functional_value(u: np.ndarray, t: float, q: CubicDifferential,
+                     cp: CutoffPair) -> float:
     """F(u) = 1/2 integral(|grad u|^2 + V u^2) - integral(F1(u) + V F2(u))."""
-    op = laplacian(s)
+    op = laplacian(q.surface)
     u = np.asarray(u, dtype=float)
     V = _v_field(t, q)
     # overflowing trial fields yield inf/nan, rejected by the line searches
@@ -199,10 +199,10 @@ def functional_value(u: np.ndarray, t: float, s: DiscreteSurface,
         return quad - bulk
 
 
-def functional_gradient(u: np.ndarray, t: float, s: DiscreteSurface,
-                        q: CubicDifferential, cp: CutoffPair) -> np.ndarray:
+def functional_gradient(u: np.ndarray, t: float, q: CubicDifferential,
+                        cp: CutoffPair) -> np.ndarray:
     """Nodal gradient field g with dF(u)[v] = <g, v>_M."""
-    op = laplacian(s)
+    op = laplacian(q.surface)
     u = np.asarray(u, dtype=float)
     V = _v_field(t, q)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -210,33 +210,31 @@ def functional_gradient(u: np.ndarray, t: float, s: DiscreteSurface,
         return weak / op.mass_diag
 
 
-def v_gram(s: DiscreteSurface, q: CubicDifferential, t: float) -> sp.csr_matrix:
+def v_gram(t: float, q: CubicDifferential) -> sp.csr_matrix:
     """Gram matrix of the V-inner product: int grad f.grad g + V f g."""
-    op = laplacian(s)
+    op = laplacian(q.surface)
     V = _v_field(t, q)
     if float(op.mass_diag @ V) <= 0.0:
         raise DegenerateNorm("integral V = 0; V-norm requires t > 0 and q != 0")
     return op.shifted(V)
 
 
-def v_norm(u: np.ndarray, t: float, q: CubicDifferential,
-           s: DiscreteSurface) -> float:
+def v_norm(u: np.ndarray, t: float, q: CubicDifferential) -> float:
     """V-norm sqrt(integral |grad u|^2 + V u^2)."""
-    g = v_gram(s, q, t)
+    g = v_gram(t, q)
     u = np.asarray(u, dtype=float)
     return float(np.sqrt(u @ (g @ u)))
 
 
-def norm_equivalence_constants(s: DiscreteSurface, q: CubicDifferential,
-                               t: float):
+def norm_equivalence_constants(t: float, q: CubicDifferential):
     """Extreme generalized eigenvalues of (V-Gram, H1-Gram).
 
     Both Grams are positive definite when integral V > 0, so the constants
     are finite and positive; they quantify the equivalence of the V-norm
     with the standard first-order Sobolev norm (V = 1 gives exactly H1).
     """
-    gv = v_gram(s, q, t).toarray()
-    gh = laplacian(s).shifted(1.0).toarray()
+    gv = v_gram(t, q).toarray()
+    gh = laplacian(q.surface).shifted(1.0).toarray()
     w = sla.eigh(gv, gh, eigvals_only=True)
     return float(w[0]), float(w[-1])
 
@@ -245,37 +243,37 @@ def norm_equivalence_constants(s: DiscreteSurface, q: CubicDifferential,
 # mountain pass
 
 
-def _hessian(u, t, s, q, cp):
+def _hessian(u, t, q, cp):
     V = _v_field(t, q)
-    return laplacian(s).shifted(V - cp.df1(u) - V * cp.df2(u))
+    return laplacian(q.surface).shifted(V - cp.df1(u) - V * cp.df2(u))
 
 
-def _newton_critical(u0, t, s, q, cp, tol, max_iter=60):
+def _newton_critical(u0, t, q, cp, tol):
     """(u, gradient norm) from Newton on grad F = 0, or None on failure."""
     try:
         u, gnorm, _ = damped_newton(
-            u0, lambda v: functional_gradient(v, t, s, q, cp),
-            lambda v: _hessian(v, t, s, q, cp), laplacian(s).mass_diag,
-            tol, max_iter)
+            u0, lambda v: functional_gradient(v, t, q, cp),
+            lambda v: _hessian(v, t, q, cp), laplacian(q.surface).mass_diag,
+            tol, 60)
     except (NonConvergence, SingularJacobian):
         return None
     return u, gnorm
 
 
-def _negative_endpoint(f_target, t, s, q, cp):
+def _negative_endpoint(f_target, t, q, cp):
     """Constant field w with F(w) strictly below f_target; exists because
     F(k) -> -infinity for constants k -> -infinity."""
-    n = s.n_classes
+    n = q.surface.n_classes
     k = -1.0
     while k > -200.0:
         w = np.full(n, k)
-        if functional_value(w, t, s, q, cp) < f_target - 1.0:
+        if functional_value(w, t, q, cp) < f_target - 1.0:
             return w
         k *= 2.0
     raise VerificationFailure("no negative constant with low functional value")
 
 
-def find_mountain_pass(u_stable: SolutionPoint, t: float, s: DiscreteSurface,
+def find_mountain_pass(u_stable: SolutionPoint, t: float,
                        q: CubicDifferential, cp: CutoffPair,
                        tol: float = 1e-10, n_nodes: int = 20,
                        max_sweeps: int = 600) -> SolutionPoint:
@@ -291,13 +289,12 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float, s: DiscreteSurface,
     """
     if abs(t - u_stable.t) > 1e-12 * max(1.0, t):
         raise ValueError("u_stable was computed at a different t")
-    op = laplacian(s)
-    m = op.mass_diag
-    gram = v_gram(s, q, t)                      # raises DegenerateNorm at t=0
+    m = laplacian(q.surface).mass_diag
+    gram = v_gram(t, q)                         # raises DegenerateNorm at t=0
     gram_lu = spla.splu(gram.tocsc())
 
-    f_stable = functional_value(u_stable.u, t, s, q, cp)
-    w = _negative_endpoint(f_stable, t, s, q, cp)
+    f_stable = functional_value(u_stable.u, t, q, cp)
+    w = _negative_endpoint(f_stable, t, q, cp)
 
     def vnorm(x):
         return float(np.sqrt(x @ (gram @ x)))
@@ -328,29 +325,29 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float, s: DiscreteSurface,
         step = 1.0
         for sweeps in range(1, max_sweeps + 1):
             path = redistribute(path)
-            vals = [functional_value(p, t, s, q, cp) for p in path]
+            vals = [functional_value(p, t, q, cp) for p in path]
             jmax = int(np.argmax(vals[1:-1])) + 1
             u_top = path[jmax]
-            g = functional_gradient(u_top, t, s, q, cp)
+            g = functional_gradient(u_top, t, q, cp)
             gnorm = np.sqrt(float(m @ g ** 2))
             # polish candidates near stationarity; keep deforming if Newton
             # lands back on the stable minimizer
             if gnorm < 0.1 or sweeps % 5 == 0:
-                refined = _newton_critical(u_top, t, s, q, cp, tol)
+                refined = _newton_critical(u_top, t, q, cp, tol)
                 if refined is not None and separated(refined[0]):
                     return refined, sweeps
             d = gram_lu.solve(m * g)   # descent in the V-inner product
             alpha, moved = step, False
             for _ in range(40):
                 u_try = u_top - alpha * d
-                if functional_value(u_try, t, s, q, cp) < vals[jmax]:
+                if functional_value(u_try, t, q, cp) < vals[jmax]:
                     path[jmax] = u_try
                     step = min(alpha * 2.0, 1.0)
                     moved = True
                     break
                 alpha *= 0.5
             if not moved:
-                refined = _newton_critical(u_top, t, s, q, cp, tol)
+                refined = _newton_critical(u_top, t, q, cp, tol)
                 if refined is not None and separated(refined[0]):
                     return refined, sweeps
                 return None, sweeps
@@ -372,11 +369,11 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float, s: DiscreteSurface,
     if u2.max() > TOL_POS:
         raise VerificationFailure(
             f"critical point violates u <= 0: max u = {u2.max():.3g}")
-    rnorm = float(np.sqrt(m @ residual(u2, t, s, q) ** 2))
+    rnorm = float(np.sqrt(m @ residual(u2, t, q) ** 2))
     if rnorm > 10.0 * tol:
         raise VerificationFailure(
             f"structure-equation residual {rnorm:.3g} exceeds 10*tol")
-    lam, _ = smallest_eigenvalue(linearize(u2, t, s, q))
+    lam, _ = smallest_eigenvalue(linearize(u2, t, q))
     if lam > EPS_UNSTABLE:
         raise VerificationFailure(
             f"second critical point is stable (lambda_min = {lam:.3g}); "

@@ -5,7 +5,9 @@ The residual of the equation
     Delta u + 2 - 2 e^u - 16 t^2 ||q||^2 e^{-2u} = 0
 
 is evaluated in weak form and returned as a nodal field (weak residual
-divided by the lumped mass).  The linearized operator about u is
+divided by the lumped mass).  The surface is the cubic differential's own
+(`q.surface`) and ||q||^2 its cached `q.norm_sq`.  The linearized operator
+about u is
 
     L(u, t) = -Delta + 2 e^{-2u} (e^{3u} - 16 t^2 ||q||^2),
 
@@ -28,8 +30,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cubic import CubicDifferential, norm_field
-from .surface import DiscreteSurface, laplacian
+from .cubic import CubicDifferential
+from .surface import laplacian
 
 BLOWUP_THRESHOLD = -50.0     # e^{-2u} overflow guard; solutions are O(1)
 TOL_POS = 1e-8               # discrete ceiling for u <= 0
@@ -84,24 +86,23 @@ class LinearizedOperator:
     potential: np.ndarray
 
 
-def residual(u: np.ndarray, t: float, s: DiscreteSurface,
-             q: CubicDifferential) -> np.ndarray:
+def residual(u: np.ndarray, t: float, q: CubicDifferential) -> np.ndarray:
     """Nodal residual of the structure equation at (u, t)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     u = np.asarray(u, dtype=float)
     if u.min() < BLOWUP_THRESHOLD:
         raise ResidualBlowup(f"min u = {u.min():.3g} below {BLOWUP_THRESHOLD}")
-    op = laplacian(s)
+    op = laplacian(q.surface)
     lap = -(op.stiffness @ u) / op.mass_diag
     # overflow of exp(u) for wildly positive trial iterates yields inf, which
     # the Newton line search rejects; only u < threshold is a hard failure
     with np.errstate(over="ignore"):
         return (lap + 2.0 - 2.0 * np.exp(u)
-                - 16.0 * t * t * norm_field(q) ** 2 * np.exp(-2.0 * u))
+                - 16.0 * t * t * q.norm_sq * np.exp(-2.0 * u))
 
 
-def linearize(u: np.ndarray, t: float, s: DiscreteSurface,
+def linearize(u: np.ndarray, t: float,
               q: CubicDifferential) -> LinearizedOperator:
     """Assemble L(u, t) = K + M diag(2 e^{-2u}(e^{3u} - 16 t^2 ||q||^2))."""
     if t < 0:
@@ -109,8 +110,8 @@ def linearize(u: np.ndarray, t: float, s: DiscreteSurface,
     u = np.asarray(u, dtype=float)
     if u.min() < BLOWUP_THRESHOLD:
         raise ResidualBlowup(f"min u = {u.min():.3g} below {BLOWUP_THRESHOLD}")
-    op = laplacian(s)
-    pot = 2.0 * np.exp(-2.0 * u) * (np.exp(3.0 * u) - 16.0 * t * t * norm_field(q) ** 2)
+    op = laplacian(q.surface)
+    pot = 2.0 * np.exp(-2.0 * u) * (np.exp(3.0 * u) - 16.0 * t * t * q.norm_sq)
     return LinearizedOperator(matrix=op.shifted(pot), mass_diag=op.mass_diag,
                               potential=pot)
 
@@ -204,27 +205,26 @@ def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
                          iterations=max_iter, residual_norm=float(np.sqrt(2 * phi)))
 
 
-def solve_u(u0: np.ndarray, t: float, s: DiscreteSurface,
-            q: CubicDifferential, tol: float = 1e-10, max_iter: int = 50):
+def solve_u(u0: np.ndarray, t: float, q: CubicDifferential,
+            tol: float = 1e-10):
     """Newton on the structure equation without the stability eigen solve.
 
     Returns (u, residual_norm, iterations).
     """
-    return damped_newton(u0, lambda v: -residual(v, t, s, q),
-                         lambda v: linearize(v, t, s, q).matrix,
-                         laplacian(s).mass_diag, tol, max_iter)
+    return damped_newton(u0, lambda v: -residual(v, t, q),
+                         lambda v: linearize(v, t, q).matrix,
+                         laplacian(q.surface).mass_diag, tol, 50)
 
 
-def newton_solve(u0: np.ndarray, t: float, s: DiscreteSurface,
-                 q: CubicDifferential, tol: float = 1e-10,
-                 max_iter: int = 50) -> SolutionPoint:
+def newton_solve(u0: np.ndarray, t: float, q: CubicDifferential,
+                 tol: float = 1e-10) -> SolutionPoint:
     """Solve the structure equation at t from u0 (`solve_u`) and classify it.
 
     The returned point records the smallest eigenvalue of L(u, t), its
     stability flag and the Newton iteration count.
     """
-    u, rnorm, it = solve_u(u0, t, s, q, tol=tol, max_iter=max_iter)
-    lam, _ = smallest_eigenvalue(linearize(u, t, s, q))
+    u, rnorm, it = solve_u(u0, t, q, tol=tol)
+    lam, _ = smallest_eigenvalue(linearize(u, t, q))
     return SolutionPoint(u=u, t=float(t), residual_norm=rnorm,
                          lambda_min=lam, stable=lam > 0.0,
                          meta={"newton_iterations": it})

@@ -15,8 +15,10 @@ The equation depends on t only through t^2, so A extends evenly across 0;
 derivative estimates use the even extension by default (centered stencils
 with A(-h) = A(h)) with a one-sided variant available for comparison.
 
-All estimates read one sampling chain: A(k h), k = 0, 1, ..., solved once
-each, warm-started from (0, 0) and without the stability eigen solve.
+All estimates come from `area_record`, which reads one sampling chain:
+A(k h), k = 0, 1, ..., solved once each, warm-started from (0, 0) and
+without the stability eigen solve.  The surface is the cubic
+differential's own (`q.surface`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .cubic import CubicDifferential, norm_field
+from .cubic import CubicDifferential
 from .pde import NonConvergence, SingularJacobian, SolutionPoint, solve_u
 from .surface import DiscreteSurface, integrate, laplacian
 
@@ -50,63 +52,9 @@ def d_operator(s: DiscreteSurface, f: np.ndarray) -> np.ndarray:
     return spla.splu(op.shifted(2.0).tocsc()).solve(2.0 * op.mass_diag * f)
 
 
-def udotdot(s: DiscreteSurface, q: CubicDifferential) -> np.ndarray:
+def udotdot(q: CubicDifferential) -> np.ndarray:
     """Second t-derivative of the branch at t = 0: -16 D(||q||^2)."""
-    nq2 = norm_field(q) ** 2
-    return -16.0 * d_operator(s, nq2)
-
-
-def _sample_areas(s, q, h, count, tol):
-    """A(k h) for k < count along the warm-started chain from (0, 0)."""
-    m = laplacian(s).mass_diag
-    u = np.zeros(s.n_classes)
-    areas = []
-    for k in range(count):
-        try:
-            u, _, _ = solve_u(u, k * h, s, q, tol=tol)
-        except (NonConvergence, SingularJacobian) as exc:
-            raise BranchUnavailable(
-                f"branch solve failed at t = {k * h}: {exc}") from exc
-        areas.append(-float(m @ np.exp(u)))
-    return areas
-
-
-def _variations(s, q, h, stencil, tol, n_points=2):
-    """(areas, fd2, exact, rel_err) from one chain of at least n_points
-    samples, extended as far as `stencil` needs."""
-    if stencil not in ("centered", "oneside"):
-        raise ValueError("stencil must be 'centered' or 'oneside'")
-    count = max(n_points, 4 if stencil == "oneside" else 2)
-    areas = _sample_areas(s, q, h, count, tol)
-    if stencil == "centered":
-        fd2 = 2.0 * (areas[1] - areas[0]) / h ** 2
-    else:
-        fd2 = (2.0 * areas[0] - 5.0 * areas[1] + 4.0 * areas[2]
-               - areas[3]) / h ** 2
-    exact = 16.0 * integrate(s, norm_field(q) ** 2)
-    rel_err = abs(fd2 - exact) / abs(exact)
-    return areas, float(fd2), float(exact), float(rel_err)
-
-
-def first_variation_check(s: DiscreteSurface, q: CubicDifferential,
-                          h: float, tol: float = 1e-13) -> float:
-    """One-sided estimate (A(h) - A(0)) / h of dA/dt at 0; tends to 0 as O(h)."""
-    areas = _sample_areas(s, q, h, 2, tol)
-    return (areas[1] - areas[0]) / h
-
-
-def second_variation_check(s: DiscreteSurface, q: CubicDifferential,
-                           h: float, stencil: str = "centered",
-                           tol: float = 1e-12):
-    """Second t-derivative of A at 0 versus 16 integral ||q||^2 dA.
-
-    `stencil` is "centered" (default; uses the even extension A(-h) = A(h),
-    so d2 = 2 (A(h) - A(0)) / h^2) or "oneside"
-    (d2 = (2 A(0) - 5 A(h) + 4 A(2h) - A(3h)) / h^2).
-
-    Returns (fd2, exact, rel_err).
-    """
-    return _variations(s, q, h, stencil, tol)[1:]
+    return -16.0 * d_operator(q.surface, q.norm_sq)
 
 
 @dataclass
@@ -124,16 +72,39 @@ class AreaRecord:
         return list(zip(self.ts.tolist(), self.areas.tolist()))
 
 
-def area_record(s: DiscreteSurface, q: CubicDifferential, h: float,
-                n_points: int = 4, stencil: str = "centered",
-                tol: float = 1e-12) -> AreaRecord:
+def area_record(q: CubicDifferential, h: float, n_points: int = 4,
+                stencil: str = "centered", tol: float = 1e-12) -> AreaRecord:
     """Sample A on {0, h, ..., (n-1) h} and attach the variation checks.
 
+    `fd1 = (A(h) - A(0)) / h` is the one-sided first variation, which tends
+    to 0 as O(h).  `fd2` is the second variation at 0 with `stencil`
+    "centered" (default; uses the even extension A(-h) = A(h), so
+    d2 = 2 (A(h) - A(0)) / h^2) or "oneside"
+    (d2 = (2 A(0) - 5 A(h) + 4 A(2h) - A(3h)) / h^2); `exact_second` is
+    16 integral ||q||^2 dA and `rel_err` the relative gap of fd2 to it.
     The checks read the same samples; the chain runs past n_points when the
     stencil needs more, and the extra samples are not reported.
     """
-    areas, fd2, exact, rel = _variations(s, q, h, stencil, tol, n_points)
+    if stencil not in ("centered", "oneside"):
+        raise ValueError("stencil must be 'centered' or 'oneside'")
+    m = laplacian(q.surface).mass_diag
+    u = np.zeros(q.surface.n_classes)
+    areas = []
+    for k in range(max(n_points, 4 if stencil == "oneside" else 2)):
+        try:
+            u, _, _ = solve_u(u, k * h, q, tol=tol)
+        except (NonConvergence, SingularJacobian) as exc:
+            raise BranchUnavailable(
+                f"branch solve failed at t = {k * h}: {exc}") from exc
+        areas.append(-float(m @ np.exp(u)))
+    if stencil == "centered":
+        fd2 = 2.0 * (areas[1] - areas[0]) / h ** 2
+    else:
+        fd2 = (2.0 * areas[0] - 5.0 * areas[1] + 4.0 * areas[2]
+               - areas[3]) / h ** 2
+    exact = 16.0 * integrate(q.surface, q.norm_sq)
     return AreaRecord(ts=np.array([k * h for k in range(n_points)]),
                       areas=np.array(areas[:n_points]),
                       fd1=float((areas[1] - areas[0]) / h),
-                      fd2=fd2, exact_second=exact, rel_err=rel)
+                      fd2=float(fd2), exact_second=float(exact),
+                      rel_err=float(abs(fd2 - exact) / abs(exact)))

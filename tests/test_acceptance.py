@@ -21,8 +21,7 @@ from minlag.mpass import (build_cutoffs, find_mountain_pass,
                           norm_equivalence_constants)
 from minlag.pde import legendre_pair, newton_solve
 from minlag.surface import build_flat_torus, build_genus2_octagon, laplacian
-from minlag.wp import (d_operator, first_variation_check,
-                       second_variation_check)
+from minlag.wp import area_record, d_operator
 
 from conftest import octagon_zero_classes
 from scalar_oracle import U_FOLD, fold_t, scalar_roots
@@ -51,7 +50,7 @@ class Context:
         for c in (0.5, 1.0, 2.0):
             q = constant_cubic(self.torus, c)
             start = time.perf_counter()
-            curve = trace_curve(self.torus, q, dt0=0.01 / c, tol=TOL)
+            curve = trace_curve(q, dt0=0.01 / c, tol=TOL)
             t0 = detect_fold(curve, tol=TOL)
             elapsed = time.perf_counter() - start
             self.fold_runs[c] = (curve, t0, elapsed, q)
@@ -59,7 +58,7 @@ class Context:
             self.accepted_points.append(("torus", curve.fold_point))
 
         # octagon branch and fold
-        curve = trace_curve(self.octagon, self.oct_cubic, dt0=0.5, tol=1e-10)
+        curve = trace_curve(self.oct_cubic, dt0=0.5, tol=1e-10)
         self.oct_T0 = detect_fold(curve, tol=1e-10)
         self.oct_curve = curve
         self.accepted_points += [("octagon", p) for p in curve.points]
@@ -69,9 +68,9 @@ class Context:
         self.mpass_torus = {}
         for t in (0.05, 0.10, 0.13, 0.135):
             stable = newton_solve(np.zeros(self.torus.n_classes), t,
-                                  self.torus, self.unit_cubic, tol=TOL)
-            p2 = find_mountain_pass(stable, t, self.torus, self.unit_cubic,
-                                    self.cutoffs, tol=TOL)
+                                  self.unit_cubic, tol=TOL)
+            p2 = find_mountain_pass(stable, t, self.unit_cubic, self.cutoffs,
+                                    tol=TOL)
             self.mpass_torus[t] = (stable, p2)
             self.accepted_points += [("torus", stable), ("torus", p2)]
         self.mpass_octagon = {}
@@ -81,10 +80,9 @@ class Context:
             for p in self.oct_curve.points:
                 if p.t <= t:
                     warm = p
-            stable = newton_solve(warm.u, t, self.octagon, self.oct_cubic,
-                                  tol=TOL)
-            p2 = find_mountain_pass(stable, t, self.octagon, self.oct_cubic,
-                                    self.cutoffs, tol=TOL)
+            stable = newton_solve(warm.u, t, self.oct_cubic, tol=TOL)
+            p2 = find_mountain_pass(stable, t, self.oct_cubic, self.cutoffs,
+                                    tol=TOL)
             self.mpass_octagon[t] = (stable, p2)
             self.accepted_points += [("octagon", stable), ("octagon", p2)]
         self.mpass_elapsed = time.perf_counter() - start
@@ -97,10 +95,10 @@ def ctx():
 
 def test_criterion_1_trivial_solution(ctx):
     start = time.perf_counter()
-    p_torus = newton_solve(np.zeros(ctx.torus32.n_classes), 0.0, ctx.torus32,
+    p_torus = newton_solve(np.zeros(ctx.torus32.n_classes), 0.0,
                            constant_cubic(ctx.torus32, 1.0), tol=TOL)
-    p_oct = newton_solve(np.zeros(ctx.octagon.n_classes), 0.0, ctx.octagon,
-                         ctx.oct_cubic, tol=TOL)
+    p_oct = newton_solve(np.zeros(ctx.octagon.n_classes), 0.0, ctx.oct_cubic,
+                         tol=TOL)
     elapsed = time.perf_counter() - start
     assert np.abs(p_torus.u).max() <= 1e-10
     assert np.abs(p_oct.u).max() <= 1e-10
@@ -126,10 +124,10 @@ def test_criterion_3_nonexistence_bound(ctx):
     margin = 1e-6
     checks = []
     for c, (curve, t0, _, q) in ctx.fold_runs.items():
-        bound = nonexistence_bound(ctx.torus, q)
+        bound = nonexistence_bound(q)
         assert t0 < bound - margin
         checks.append((f"torus c={c}", t0, bound))
-    bound = nonexistence_bound(ctx.octagon, ctx.oct_cubic)
+    bound = nonexistence_bound(ctx.oct_cubic)
     assert ctx.oct_T0 < bound - margin
     checks.append(("octagon", ctx.oct_T0, bound))
     t_unit, bound_unit = checks[1][1], checks[1][2]
@@ -177,13 +175,11 @@ def test_criterion_6_equivalence(ctx):
         assert p2.residual_norm <= 10.0 * TOL
     checked = 0
     for t, (stable, _) in ctx.mpass_torus.items():
-        g = functional_gradient(stable.u, t, ctx.torus, ctx.unit_cubic,
-                                ctx.cutoffs)
+        g = functional_gradient(stable.u, t, ctx.unit_cubic, ctx.cutoffs)
         assert math.sqrt(float(m_t @ g ** 2)) <= 10.0 * TOL
         checked += 1
     for t, (stable, _) in ctx.mpass_octagon.items():
-        g = functional_gradient(stable.u, t, ctx.octagon, ctx.oct_cubic,
-                                ctx.cutoffs)
+        g = functional_gradient(stable.u, t, ctx.oct_cubic, ctx.cutoffs)
         assert math.sqrt(float(m_o @ g ** 2)) <= 10.0 * TOL
         checked += 1
     print(f"PASS criterion 6: mountain-pass points satisfy u <= 1e-8 and "
@@ -191,20 +187,20 @@ def test_criterion_6_equivalence(ctx):
 
 
 def test_criterion_7_wp_identities(ctx):
-    p0 = newton_solve(np.zeros(ctx.octagon3.n_classes), 0.0, ctx.octagon3,
-                      ctx.oct3_cubic, tol=TOL)
+    p0 = newton_solve(np.zeros(ctx.octagon3.n_classes), 0.0, ctx.oct3_cubic,
+                      tol=TOL)
     m3 = laplacian(ctx.octagon3).mass_diag
     area0 = -float(m3 @ np.exp(p0.u))
     assert area0 == pytest.approx(-4.0 * math.pi, rel=0.02)
 
-    fd1 = first_variation_check(ctx.torus, ctx.unit_cubic, 1e-4)
+    fd1 = area_record(ctx.unit_cubic, 1e-4, n_points=2, tol=1e-13).fd1
     assert abs(fd1) <= 1e-3
 
-    fd2, exact, rel = second_variation_check(ctx.torus, ctx.unit_cubic, 0.01)
-    assert exact == pytest.approx(16.0, rel=1e-12)
+    rec = area_record(ctx.unit_cubic, 0.01, n_points=2)
+    rel = rec.rel_err
+    assert rec.exact_second == pytest.approx(16.0, rel=1e-12)
     assert rel <= 0.02
-    fd2_o, exact_o, rel_o = second_variation_check(ctx.octagon,
-                                                   ctx.oct_cubic, 0.5)
+    rel_o = area_record(ctx.oct_cubic, 0.5, n_points=2).rel_err
     assert rel_o <= 0.05
 
     rng = np.random.default_rng(0)
@@ -268,11 +264,11 @@ def test_criterion_9_inequality_suite(ctx):
         assert np.isfinite(c)
         consts.append(c)
 
-    vals = [functional_value(np.full(ctx.torus.n_classes, k), 0.1, ctx.torus,
+    vals = [functional_value(np.full(ctx.torus.n_classes, k), 0.1,
                              ctx.unit_cubic, cp) for k in (-10.0, -20.0, -40.0)]
     assert vals[0] > vals[1] > vals[2]
 
-    lo, hi = norm_equivalence_constants(ctx.torus, ctx.unit_cubic, 0.1)
+    lo, hi = norm_equivalence_constants(0.1, ctx.unit_cubic)
     assert 0.0 < lo <= hi < math.inf
     print(f"PASS criterion 9: Legendre inequality on 10^4 samples; growth "
           f"constants C1 = {consts[0]:.4g}, C2 = {consts[1]:.4g}; F(k) "

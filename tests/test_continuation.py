@@ -19,14 +19,14 @@ from scalar_oracle import U_FOLD, fold_t
 
 @pytest.fixture(scope="module")
 def torus_curve(torus16, unit_cubic):
-    curve = trace_curve(torus16, unit_cubic, dt0=0.01, tol=1e-11)
+    curve = trace_curve(unit_cubic, dt0=0.01, tol=1e-11)
     detect_fold(curve)
     return curve
 
 
 @pytest.fixture(scope="module")
 def octagon_curve(octagon2, octagon2_cubic):
-    curve = trace_curve(octagon2, octagon2_cubic, dt0=0.5, tol=1e-10)
+    curve = trace_curve(octagon2_cubic, dt0=0.5, tol=1e-10)
     detect_fold(curve)
     return curve
 
@@ -52,7 +52,7 @@ def test_fold_location_constant_data(torus_curve):
 
 def test_fold_scaling_in_c(torus16):
     q2 = constant_cubic(torus16, 2.0)
-    curve = trace_curve(torus16, q2, dt0=0.005, tol=1e-11)
+    curve = trace_curve(q2, dt0=0.005, tol=1e-11)
     t0 = detect_fold(curve)
     assert t0 == pytest.approx(fold_t(2.0), rel=1e-11)
 
@@ -119,13 +119,13 @@ def test_fold_solve_failure_raises(torus_curve, monkeypatch, tmp_path):
 
 def trace_to_underflow(curve, dt0, tol):
     """Continue `curve` with trace_curve's steps until the step underflows."""
-    s, q = curve.surface, curve.cubic
+    q = curve.cubic
     points = list(curve.points)
     dt = curve.diagnostics["final_step"]
     while dt >= dt0 * 1e-4:
         prev = points[-1]
         try:
-            p = newton_solve(prev.u, prev.t + dt, s, q, tol=tol)
+            p = newton_solve(prev.u, prev.t + dt, q, tol=tol)
         except (NonConvergence, SingularJacobian):
             dt *= 0.5
             continue
@@ -153,17 +153,17 @@ def test_trace_stops_at_fold_entry(torus_curve):
 
 def test_stall_before_fold(torus16, unit_cubic):
     with pytest.raises(StallBeforeFold):
-        trace_curve(torus16, unit_cubic, dt0=1e-4, tol=1e-11, max_points=6)
+        trace_curve(unit_cubic, dt0=1e-4, tol=1e-11, max_points=6)
 
 
 def test_nonexistence_bound_torus(torus16, unit_cubic, torus_curve):
-    bound = nonexistence_bound(torus16, unit_cubic)
+    bound = nonexistence_bound(unit_cubic)
     assert bound == pytest.approx(0.5 ** 1.5, rel=1e-12)
     assert torus_curve.T0_estimate < bound - 1e-6
 
 
 def test_nonexistence_bound_octagon(octagon2, octagon2_cubic, octagon_curve):
-    bound = nonexistence_bound(octagon2, octagon2_cubic)
+    bound = nonexistence_bound(octagon2_cubic)
     denom = integrate(octagon2, norm_field(octagon2_cubic) ** (2.0 / 3.0))
     assert bound == pytest.approx((0.5 * octagon2.area / denom) ** 1.5,
                                   rel=1e-12)
@@ -173,17 +173,17 @@ def test_nonexistence_bound_octagon(octagon2, octagon2_cubic, octagon_curve):
 def test_nonexistence_bound_homogeneity(octagon2, octagon2_cubic):
     scaled = dataclasses.replace(octagon2_cubic,
                                  values=8.0 * octagon2_cubic.values)
-    assert nonexistence_bound(octagon2, scaled) == pytest.approx(
-        nonexistence_bound(octagon2, octagon2_cubic) / 8.0, rel=1e-12)
+    assert nonexistence_bound(scaled) == pytest.approx(
+        nonexistence_bound(octagon2_cubic) / 8.0, rel=1e-12)
 
 
 def test_zero_cubic_rejected(torus16):
     with pytest.raises(ZeroCubic):
-        nonexistence_bound(torus16, constant_cubic(torus16, 0.0))
+        nonexistence_bound(constant_cubic(torus16, 0.0))
 
 
 def test_warm_start_consistency(torus16, unit_cubic, torus_curve):
-    curve2 = trace_curve(torus16, unit_cubic, dt0=0.005, tol=1e-11)
+    curve2 = trace_curve(unit_cubic, dt0=0.005, tol=1e-11)
     t0b = detect_fold(curve2)
     assert t0b == pytest.approx(torus_curve.T0_estimate, rel=1e-11)
 
@@ -199,8 +199,8 @@ def test_curve_csv(tmp_path, torus_curve):
 
 
 def test_branch_point_matches_cold_solve(torus16, unit_cubic):
-    p = branch_point(torus16, unit_cubic, 0.1, tol=1e-11)
-    cold = newton_solve(np.zeros(torus16.n_classes), 0.1, torus16, unit_cubic,
+    p = branch_point(unit_cubic, 0.1, tol=1e-11)
+    cold = newton_solve(np.zeros(torus16.n_classes), 0.1, unit_cubic,
                         tol=1e-11)
     assert p.t == pytest.approx(0.1, rel=1e-15)
     assert p.stable and p.residual_norm <= 1e-11
@@ -211,4 +211,4 @@ def test_branch_point_matches_cold_solve(torus16, unit_cubic):
 def test_branch_point_beyond_fold_raises(torus16, unit_cubic):
     assert 0.15 > 1.0 / math.sqrt(54.0)
     with pytest.raises(NonConvergence):
-        branch_point(torus16, unit_cubic, 0.15)
+        branch_point(unit_cubic, 0.15)

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from minlag import cubic
+from minlag.continuation import detect_fold, trace_curve
 from minlag.cubic import (constant_cubic, cubic_to_json, norm_field,
                           synthetic_cubic, wp_pairing)
 from minlag.surface import build_flat_torus, integrate
@@ -110,3 +112,24 @@ def test_cubic_json(octagon2_cubic):
     assert set(payload) == {"values", "zeros"}
     assert len(payload["values"]) == len(octagon2_cubic.values)
     assert all(len(z) == 2 for z in payload["zeros"])
+
+
+def test_norm_sq_is_the_squared_norm_field(octagon2_cubic):
+    assert np.array_equal(octagon2_cubic.norm_sq,
+                          norm_field(octagon2_cubic) ** 2)
+    scaled = dataclasses.replace(octagon2_cubic,
+                                 values=2.0 * octagon2_cubic.values)
+    assert np.array_equal(scaled.norm_sq, 4.0 * octagon2_cubic.norm_sq)
+
+
+def test_norm_field_computed_once_per_cubic(torus16, monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return norm_field(q)
+
+    monkeypatch.setattr(cubic, "norm_field", counting)
+    q = constant_cubic(torus16, 1.0)
+    detect_fold(trace_curve(q, dt0=0.01, tol=1e-11))
+    assert len(calls) == 1 and calls[0] is q

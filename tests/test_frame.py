@@ -7,7 +7,7 @@ from minlag.cubic import constant_cubic
 from minlag.frame import (MeshCoefficients, StepTooLarge,
                           constant_coefficients, flatness_defect,
                           integrate_frame, maurer_cartan,
-                          mesh_flatness_defect, poincare_trivial_coefficients,
+                          poincare_trivial_coefficients,
                           s_from_u, second_fundamental_form, su21_defect)
 from minlag.pde import newton_solve
 from minlag.surface import build_flat_torus
@@ -227,11 +227,12 @@ def test_frame_batch_reevaluates_missed_segment_start():
         assert rk4.count(corner) == 1
 
 
-def _single_column_interpolators(surface, u, q):
+def _single_column_interpolators(u, q):
     """The five one-column interpolators MeshCoefficients used to build."""
     from scipy.interpolate import CloughTocher2DInterpolator
     from minlag.frame import _vertex_wirtinger
 
+    surface = q.surface
     z = surface.vertices
     pts = np.column_stack([z.real, z.imag])
     s_chart = np.sqrt(np.exp(u[surface.class_of]) * surface.conformal_factor
@@ -244,10 +245,10 @@ def _single_column_interpolators(surface, u, q):
 
 @pytest.fixture(scope="module")
 def octagon2_mesh(octagon2, octagon2_cubic):
-    p = newton_solve(np.zeros(octagon2.n_classes), 5.0, octagon2,
-                     octagon2_cubic, tol=1e-11)
-    return (MeshCoefficients(octagon2, p.u, octagon2_cubic),
-            _single_column_interpolators(octagon2, p.u, octagon2_cubic))
+    p = newton_solve(np.zeros(octagon2.n_classes), 5.0, octagon2_cubic,
+                     tol=1e-11)
+    return (MeshCoefficients(p.u, octagon2_cubic),
+            _single_column_interpolators(p.u, octagon2_cubic))
 
 
 def test_mesh_at_many_matches_single_column_interpolators(octagon2_mesh):
@@ -283,18 +284,18 @@ def test_mesh_at_many_names_first_point_outside(octagon2_mesh):
 
 
 def test_flatness_flags_nonholomorphic(octagon2, octagon2_cubic):
-    p = newton_solve(np.zeros(octagon2.n_classes), 5.0, octagon2,
-                     octagon2_cubic, tol=1e-11)
-    defect = mesh_flatness_defect(octagon2, p.u, octagon2_cubic, 0.1 + 0.05j,
-                                  h=0.02)
+    p = newton_solve(np.zeros(octagon2.n_classes), 5.0, octagon2_cubic,
+                     tol=1e-11)
+    defect = flatness_defect(MeshCoefficients(p.u, octagon2_cubic),
+                             0.1 + 0.05j, h=0.02)
     assert np.isfinite(defect)
     print(f"octagon mesh flatness defect (synthetic q): {defect:.3e}")
 
 
 def test_mesh_coefficients_constant_data(torus16):
     q = constant_cubic(torus16, 1.0)
-    p = newton_solve(np.zeros(torus16.n_classes), 0.1, torus16, q, tol=1e-11)
-    coeffs = MeshCoefficients(torus16, p.u, q)
+    p = newton_solve(np.zeros(torus16.n_classes), 0.1, q, tol=1e-11)
+    coeffs = MeshCoefficients(p.u, q)
     sval, s_z, s_zbar, qv = coeffs.at(0.5 + 0.5j)
     assert sval == pytest.approx(math.sqrt(0.5 * math.exp(p.u[0])), rel=1e-10)
     assert abs(s_z) <= 1e-8
@@ -328,8 +329,9 @@ def test_mesh_flatness_trivial_octagon(octagon3):
     # so the mesh flatness defect is pure discretization error
     with pytest.warns(UserWarning):
         q0 = constant_cubic(octagon3, 0.0)
-    defect = mesh_flatness_defect(octagon3, np.zeros(octagon3.n_classes), q0,
-                                  0.15 + 0.1j, h=0.02)
+    defect = flatness_defect(
+        MeshCoefficients(np.zeros(octagon3.n_classes), q0), 0.15 + 0.1j,
+        h=0.02)
     assert defect <= 0.5
     print(f"octagon trivial-solution mesh flatness defect: {defect:.3e}")
 

@@ -1,4 +1,4 @@
-"""Every name a `minlag` module imports is used in that module."""
+"""Static checks over the `minlag` sources: unused imports, argument design."""
 
 import ast
 from pathlib import Path
@@ -32,3 +32,52 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _annotation_name(node):
+    """Last name of an annotation: `surface.DiscreteSurface` gives
+    DiscreteSurface."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def surface_and_cubic_functions(source: str) -> list:
+    """Functions taking both a surface and a cubic differential.
+
+    A surface parameter is annotated `DiscreteSurface` or named `surface`;
+    a cubic parameter is annotated `CubicDifferential` or named `q`.  The
+    cubic differential carries its surface, so no function needs both.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs
+        kinds = {(_annotation_name(p.annotation), p.arg) for p in params}
+        surface = any(t == "DiscreteSurface" or n == "surface"
+                      for t, n in kinds)
+        cubic = any(t == "CubicDifferential" or n == "q" for t, n in kinds)
+        if surface and cubic:
+            found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_detects_surface_and_cubic_parameters():
+    source = (
+        "def a(u, s: DiscreteSurface, q): pass\n"
+        "def b(surface, cubic: cubic.CubicDifferential): pass\n"
+        "def c(u, t, q: CubicDifferential): pass\n"
+        "def d(s: surface.DiscreteSurface, f): pass\n"
+        "class K:\n"
+        "    def e(self, surface, q): pass\n")
+    assert surface_and_cubic_functions(source) == [
+        "a (line 1)", "b (line 2)", "e (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_takes_surface_and_cubic(path):
+    assert surface_and_cubic_functions(path.read_text()) == []

@@ -104,20 +104,20 @@ def test_functional_at_zero(torus16, unit_cubic, cutoffs):
     t = 0.1
     V = 16.0 * t * t * norm_field(unit_cubic) ** 2
     expect = -0.5 * integrate(torus16, V)
-    assert functional_value(np.zeros(torus16.n_classes), t, torus16,
-                            unit_cubic, cutoffs) == pytest.approx(expect)
+    assert functional_value(np.zeros(torus16.n_classes), t, unit_cubic,
+                            cutoffs) == pytest.approx(expect)
 
 
 def test_functional_diverges_down_constants(torus16, unit_cubic, cutoffs):
     t = 0.1
-    vals = [functional_value(np.full(torus16.n_classes, k), t, torus16,
-                             unit_cubic, cutoffs) for k in (-10.0, -20.0, -40.0)]
+    vals = [functional_value(np.full(torus16.n_classes, k), t, unit_cubic,
+                             cutoffs) for k in (-10.0, -20.0, -40.0)]
     assert vals[0] > vals[1] > vals[2]
 
 
 def test_gradient_zero_at_origin_when_t_zero(torus16, unit_cubic, cutoffs):
-    g = functional_gradient(np.zeros(torus16.n_classes), 0.0, torus16,
-                            unit_cubic, cutoffs)
+    g = functional_gradient(np.zeros(torus16.n_classes), 0.0, unit_cubic,
+                            cutoffs)
     assert np.abs(g).max() <= 1e-14
 
 
@@ -129,10 +129,10 @@ def test_gradient_matches_finite_difference(torus16, unit_cubic, cutoffs):
         u = rng.uniform(-1.5, 0.5, torus16.n_classes)
         v = rng.standard_normal(torus16.n_classes)
         t = rng.uniform(0.01, 0.13)
-        g = functional_gradient(u, t, torus16, unit_cubic, cutoffs)
+        g = functional_gradient(u, t, unit_cubic, cutoffs)
         pair = float(m @ (g * v))
-        fd = (functional_value(u + eps * v, t, torus16, unit_cubic, cutoffs)
-              - functional_value(u - eps * v, t, torus16, unit_cubic,
+        fd = (functional_value(u + eps * v, t, unit_cubic, cutoffs)
+              - functional_value(u - eps * v, t, unit_cubic,
                                  cutoffs)) / (2.0 * eps)
         assert fd == pytest.approx(pair, rel=1e-5, abs=1e-8)
 
@@ -141,16 +141,15 @@ def test_stable_branch_is_critical(torus16, unit_cubic, cutoffs):
     # Newton solutions of the structure equation are critical points of F
     tol = 1e-11
     m = laplacian(torus16).mass_diag
-    p = newton_solve(np.zeros(torus16.n_classes), 0.1, torus16, unit_cubic,
-                     tol=tol)
-    g = functional_gradient(p.u, p.t, torus16, unit_cubic, cutoffs)
+    p = newton_solve(np.zeros(torus16.n_classes), 0.1, unit_cubic, tol=tol)
+    g = functional_gradient(p.u, p.t, unit_cubic, cutoffs)
     assert math.sqrt(float(m @ g ** 2)) <= 10.0 * tol
 
 
 def test_v_norm_constant(torus16, unit_cubic):
     t = 0.1
     V = 16.0 * t * t * norm_field(unit_cubic) ** 2
-    nrm = v_norm(np.ones(torus16.n_classes), t, unit_cubic, torus16)
+    nrm = v_norm(np.ones(torus16.n_classes), t, unit_cubic)
     assert nrm == pytest.approx(math.sqrt(integrate(torus16, V)), rel=1e-12)
 
 
@@ -162,16 +161,16 @@ def test_v_norm_reduces_to_h1(torus16):
     for _ in range(5):
         u = rng.standard_normal(torus16.n_classes)
         h1 = math.sqrt(float(u @ (op.stiffness @ u)) + float(op.mass_diag @ u ** 2))
-        assert v_norm(u, 0.25, q, torus16) == pytest.approx(h1, rel=1e-12)
+        assert v_norm(u, 0.25, q) == pytest.approx(h1, rel=1e-12)
 
 
 def test_v_norm_degenerate(torus16, unit_cubic):
     with pytest.raises(DegenerateNorm):
-        v_norm(np.ones(torus16.n_classes), 0.0, unit_cubic, torus16)
+        v_norm(np.ones(torus16.n_classes), 0.0, unit_cubic)
 
 
 def test_norm_equivalence_constants(torus16, unit_cubic):
-    lo, hi = norm_equivalence_constants(torus16, unit_cubic, 0.1)
+    lo, hi = norm_equivalence_constants(0.1, unit_cubic)
     assert 0.0 < lo <= hi < math.inf
     print(f"V-norm vs H1 equivalence constants: [{lo:.6g}, {hi:.6g}]")
 
@@ -182,16 +181,16 @@ def test_norm_equivalence_constants(torus16, unit_cubic):
 
 @pytest.fixture(scope="module")
 def torus_stables(torus16, unit_cubic):
-    return {t: newton_solve(np.zeros(torus16.n_classes), t, torus16,
-                            unit_cubic, tol=1e-11)
+    return {t: newton_solve(np.zeros(torus16.n_classes), t, unit_cubic,
+                            tol=1e-11)
             for t in (0.05, 0.10, 0.13, 0.135)}
 
 
 def test_mountain_pass_matches_lower_root(torus16, unit_cubic, cutoffs,
                                           torus_stables):
     for t, root in LOWER_ROOT.items():
-        p2 = find_mountain_pass(torus_stables[t], t, torus16, unit_cubic,
-                                cutoffs, tol=1e-11)
+        p2 = find_mountain_pass(torus_stables[t], t, unit_cubic, cutoffs,
+                                tol=1e-11)
         assert np.abs(p2.u - root).max() <= 1e-4
         assert p2.u.max() < U_FOLD          # below the fold level
         assert not p2.stable
@@ -203,8 +202,8 @@ def test_mountain_pass_separation_shrinks(torus16, unit_cubic, cutoffs,
                                           torus_stables):
     seps = {}
     for t in (0.05, 0.10, 0.13, 0.135):
-        p2 = find_mountain_pass(torus_stables[t], t, torus16, unit_cubic,
-                                cutoffs, tol=1e-11)
+        p2 = find_mountain_pass(torus_stables[t], t, unit_cubic, cutoffs,
+                                tol=1e-11)
         seps[t] = p2.meta["vnorm_separation"]
         # oracle separation: |u2 - u1| * sqrt(int V) for constant fields
         lo, hi = scalar_roots(16.0 * t * t)
@@ -214,16 +213,15 @@ def test_mountain_pass_separation_shrinks(torus16, unit_cubic, cutoffs,
 
 
 def test_mountain_pass_octagon(octagon2, octagon2_cubic, cutoffs):
-    curve = trace_curve(octagon2, octagon2_cubic, dt0=0.5, tol=1e-10)
+    curve = trace_curve(octagon2_cubic, dt0=0.5, tol=1e-10)
     t0 = detect_fold(curve)
     t = 0.5 * t0
     stable = None
     for p in curve.points:
         if p.t <= t:
             stable = p
-    stable = newton_solve(stable.u, t, octagon2, octagon2_cubic, tol=1e-11)
-    p2 = find_mountain_pass(stable, t, octagon2, octagon2_cubic, cutoffs,
-                            tol=1e-11)
+    stable = newton_solve(stable.u, t, octagon2_cubic, tol=1e-11)
+    p2 = find_mountain_pass(stable, t, octagon2_cubic, cutoffs, tol=1e-11)
     assert p2.residual_norm <= 1e-8
     assert p2.lambda_min <= 1e-4
     assert p2.u.max() <= 1e-8
@@ -235,11 +233,10 @@ def test_mountain_pass_octagon(octagon2, octagon2_cubic, cutoffs):
 def test_mountain_pass_rejects_mismatched_t(torus16, unit_cubic, cutoffs,
                                             torus_stables):
     with pytest.raises(ValueError):
-        find_mountain_pass(torus_stables[0.05], 0.10, torus16, unit_cubic,
-                           cutoffs)
+        find_mountain_pass(torus_stables[0.05], 0.10, unit_cubic, cutoffs)
 
 
 def test_mountain_pass_degenerate_at_zero(torus16, unit_cubic, cutoffs):
-    p0 = newton_solve(np.zeros(torus16.n_classes), 0.0, torus16, unit_cubic)
+    p0 = newton_solve(np.zeros(torus16.n_classes), 0.0, unit_cubic)
     with pytest.raises(DegenerateNorm):
-        find_mountain_pass(p0, 0.0, torus16, unit_cubic, cutoffs)
+        find_mountain_pass(p0, 0.0, unit_cubic, cutoffs)

@@ -30,7 +30,7 @@ def test_frozen_roots_match_oracle():
 
 
 def test_residual_trivial(torus16, unit_cubic):
-    f = residual(np.zeros(torus16.n_classes), 0.0, torus16, unit_cubic)
+    f = residual(np.zeros(torus16.n_classes), 0.0, unit_cubic)
     assert np.all(f == 0.0)
 
 
@@ -40,24 +40,24 @@ def test_residual_constant_field(torus16, unit_cubic):
     for _ in range(5):
         u0 = rng.uniform(-2.0, 0.0)
         t = rng.uniform(0.0, 0.2)
-        f = residual(np.full(torus16.n_classes, u0), t, torus16, unit_cubic)
+        f = residual(np.full(torus16.n_classes, u0), t, unit_cubic)
         expect = 2.0 - 2.0 * math.exp(u0) - 16.0 * t * t * math.exp(-2.0 * u0)
         assert f == pytest.approx(np.full_like(f, expect), rel=1e-12, abs=1e-12)
 
 
 def test_residual_at_zero_u(torus16, unit_cubic):
     t = 0.3
-    f = residual(np.zeros(torus16.n_classes), t, torus16, unit_cubic)
+    f = residual(np.zeros(torus16.n_classes), t, unit_cubic)
     assert f == pytest.approx(-16.0 * t * t * norm_field(unit_cubic) ** 2)
 
 
 def test_residual_blowup_guard(torus16, unit_cubic):
     with pytest.raises(ResidualBlowup):
-        residual(np.full(torus16.n_classes, -60.0), 0.1, torus16, unit_cubic)
+        residual(np.full(torus16.n_classes, -60.0), 0.1, unit_cubic)
 
 
 def test_linearize_at_origin(torus16, unit_cubic):
-    L = linearize(np.zeros(torus16.n_classes), 0.0, torus16, unit_cubic)
+    L = linearize(np.zeros(torus16.n_classes), 0.0, unit_cubic)
     assert L.potential == pytest.approx(2.0 * np.ones_like(L.potential))
     lam, vec = smallest_eigenvalue(L)
     assert lam == pytest.approx(2.0, abs=1e-9)
@@ -67,7 +67,7 @@ def test_linearize_at_origin(torus16, unit_cubic):
 
 def test_linearize_at_fold_state(torus16, unit_cubic):
     u = np.full(torus16.n_classes, U_FOLD)
-    L = linearize(u, fold_t(1.0), torus16, unit_cubic)
+    L = linearize(u, fold_t(1.0), unit_cubic)
     lam, _ = smallest_eigenvalue(L)
     assert abs(lam) <= 1e-6
 
@@ -79,16 +79,16 @@ def test_jacobian_matches_finite_differences(torus16, unit_cubic):
         u = rng.uniform(-0.5, 0.0, torus16.n_classes)
         v = rng.standard_normal(torus16.n_classes)
         t = rng.uniform(0.0, 0.13)
-        L = linearize(u, t, torus16, unit_cubic)
+        L = linearize(u, t, unit_cubic)
         lv = (L.matrix @ v) / L.mass_diag
-        fd = (residual(u + eps * v, t, torus16, unit_cubic)
-              - residual(u, t, torus16, unit_cubic)) / eps
+        fd = (residual(u + eps * v, t, unit_cubic)
+              - residual(u, t, unit_cubic)) / eps
         # d residual / du = -M^{-1} L by the sign convention of L
         assert np.linalg.norm(fd + lv) <= 1e-5 * np.linalg.norm(lv)
 
 
 def test_newton_trivial_is_immediate(torus16, unit_cubic):
-    p = newton_solve(np.zeros(torus16.n_classes), 0.0, torus16, unit_cubic)
+    p = newton_solve(np.zeros(torus16.n_classes), 0.0, unit_cubic)
     assert p.meta["newton_iterations"] == 0
     assert np.all(p.u == 0.0)
     assert p.stable
@@ -96,8 +96,7 @@ def test_newton_trivial_is_immediate(torus16, unit_cubic):
 
 def test_newton_matches_scalar_root(torus16, unit_cubic):
     for t, root in UPPER_ROOT.items():
-        p = newton_solve(np.zeros(torus16.n_classes), t, torus16, unit_cubic,
-                         tol=1e-12)
+        p = newton_solve(np.zeros(torus16.n_classes), t, unit_cubic, tol=1e-12)
         assert np.abs(p.u - root).max() <= 1e-10
         assert p.u.std() <= 1e-12            # field stays constant
         assert p.stable
@@ -106,20 +105,19 @@ def test_newton_matches_scalar_root(torus16, unit_cubic):
 def test_newton_beyond_fold_fails(torus16, unit_cubic):
     # no real root exists once 16 t^2 > 8/27, i.e. t > 1/sqrt(54)
     with pytest.raises(NonConvergence):
-        newton_solve(np.zeros(torus16.n_classes), 0.2, torus16, unit_cubic)
+        newton_solve(np.zeros(torus16.n_classes), 0.2, unit_cubic)
 
 
 def test_newton_maximum_principle(torus16, octagon2, unit_cubic,
                                   octagon2_cubic):
     for s, q, t in ((torus16, unit_cubic, 0.1), (octagon2, octagon2_cubic, 5.0)):
-        p = newton_solve(np.zeros(s.n_classes), t, s, q, tol=1e-11)
+        p = newton_solve(np.zeros(s.n_classes), t, q, tol=1e-11)
         assert p.u.max() <= 1e-8
 
 
 def test_accepted_point_integral_identity(torus16, unit_cubic):
     tol = 1e-11
-    p = newton_solve(np.zeros(torus16.n_classes), 0.12, torus16, unit_cubic,
-                     tol=tol)
+    p = newton_solve(np.zeros(torus16.n_classes), 0.12, unit_cubic, tol=tol)
     nq2 = norm_field(unit_cubic) ** 2
     m = laplacian(torus16).mass_diag
     bulk = 2.0 - 2.0 * np.exp(p.u) - 16.0 * p.t ** 2 * nq2 * np.exp(-2.0 * p.u)
@@ -128,7 +126,7 @@ def test_accepted_point_integral_identity(torus16, unit_cubic):
 
 def test_smallest_eigenvalue_shift(torus16, unit_cubic):
     u = np.full(torus16.n_classes, -0.2)
-    L = linearize(u, 0.05, torus16, unit_cubic)
+    L = linearize(u, 0.05, unit_cubic)
     lam, _ = smallest_eigenvalue(L)
     shift = 0.37
     shifted = LinearizedOperator(
@@ -139,7 +137,7 @@ def test_smallest_eigenvalue_shift(torus16, unit_cubic):
 
 
 def test_smallest_eigenvector_normalization(torus16, unit_cubic):
-    L = linearize(np.zeros(torus16.n_classes), 0.05, torus16, unit_cubic)
+    L = linearize(np.zeros(torus16.n_classes), 0.05, unit_cubic)
     _, vec = smallest_eigenvalue(L)
     assert float(L.mass_diag @ vec ** 2) == pytest.approx(1.0, rel=1e-9)
 
@@ -147,11 +145,10 @@ def test_smallest_eigenvector_normalization(torus16, unit_cubic):
 @pytest.fixture(scope="module")
 def octagon3_operators(octagon3, octagon3_cubic):
     """Stable L at the branch solution for t = 20; indefinite L at u = -1.5."""
-    p = newton_solve(np.zeros(octagon3.n_classes), 20.0, octagon3,
-                     octagon3_cubic)
+    p = newton_solve(np.zeros(octagon3.n_classes), 20.0, octagon3_cubic)
     u = np.full(octagon3.n_classes, -1.5)
-    return [linearize(p.u, 20.0, octagon3, octagon3_cubic),
-            linearize(u, 30.0, octagon3, octagon3_cubic)]
+    return [linearize(p.u, 20.0, octagon3_cubic),
+            linearize(u, 30.0, octagon3_cubic)]
 
 
 def dense_pair(L):
@@ -166,8 +163,7 @@ def test_smallest_eigenvalue_needs_no_dense_solve(monkeypatch, torus16,
         raise AssertionError("dense eigh called")
 
     monkeypatch.setattr(pde.sla, "eigh", no_dense)
-    L16 = linearize(np.full(torus16.n_classes, -0.2), 0.05, torus16,
-                    unit_cubic)
+    L16 = linearize(np.full(torus16.n_classes, -0.2), 0.05, unit_cubic)
     for L in (L16, *octagon3_operators):
         lam, vec = smallest_eigenvalue(L)
         assert float(L.mass_diag @ vec ** 2) == pytest.approx(1.0, rel=1e-9)
@@ -186,7 +182,7 @@ def test_smallest_eigenvalue_matches_dense_reference(octagon3_operators):
 
 
 def test_smallest_eigenvalue_dense_fallback(monkeypatch, torus16, unit_cubic):
-    L = linearize(np.full(torus16.n_classes, -0.2), 0.05, torus16, unit_cubic)
+    L = linearize(np.full(torus16.n_classes, -0.2), 0.05, unit_cubic)
     ref, _ = dense_pair(L)
 
     def no_convergence(*args, **kwargs):

@@ -7,8 +7,7 @@ import pytest
 from minlag.cubic import constant_cubic, norm_field
 from minlag.pde import newton_solve
 from minlag.surface import integrate, laplacian
-from minlag.wp import (area_functional, area_record, d_operator,
-                       first_variation_check, second_variation_check, udotdot)
+from minlag.wp import area_functional, area_record, d_operator, udotdot
 
 from scalar_oracle import scalar_roots
 
@@ -23,13 +22,12 @@ def test_area_oracle_frozen_values():
 
 
 def test_area_at_zero_torus(torus16, unit_cubic):
-    p = newton_solve(np.zeros(torus16.n_classes), 0.0, torus16, unit_cubic)
+    p = newton_solve(np.zeros(torus16.n_classes), 0.0, unit_cubic)
     assert area_functional(p, torus16) == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_area_at_zero_octagon(octagon3, octagon3_cubic):
-    p = newton_solve(np.zeros(octagon3.n_classes), 0.0, octagon3,
-                     octagon3_cubic)
+    p = newton_solve(np.zeros(octagon3.n_classes), 0.0, octagon3_cubic)
     # 4 pi (1 - g) = -4 pi for genus 2, up to the mesh area error
     assert area_functional(p, octagon3) == pytest.approx(-4.0 * math.pi,
                                                          rel=0.02)
@@ -37,8 +35,7 @@ def test_area_at_zero_octagon(octagon3, octagon3_cubic):
 
 def test_area_matches_scalar_oracle(torus16, unit_cubic):
     for t, val in AREA_ORACLE.items():
-        p = newton_solve(np.zeros(torus16.n_classes), t, torus16, unit_cubic,
-                         tol=1e-12)
+        p = newton_solve(np.zeros(torus16.n_classes), t, unit_cubic, tol=1e-12)
         assert area_functional(p, torus16) == pytest.approx(val, abs=1e-10)
 
 
@@ -74,59 +71,64 @@ def test_d_self_adjoint_positive(torus16, octagon2):
 def test_udotdot_constant_data(torus16):
     for c in (1.0, 2.0):
         q = constant_cubic(torus16, c)
-        udd = udotdot(torus16, q)
+        udd = udotdot(q)
         assert udd == pytest.approx(-16.0 * c * c * np.ones_like(udd),
                                     rel=1e-10)
 
 
 def test_udotdot_zero_cubic(torus16):
     q = constant_cubic(torus16, 0.0)
-    assert np.abs(udotdot(torus16, q)).max() == 0.0
+    assert np.abs(udotdot(q)).max() == 0.0
 
 
 def test_udotdot_defining_equation(octagon2, octagon2_cubic):
     op = laplacian(octagon2)
-    udd = udotdot(octagon2, octagon2_cubic)
+    udd = udotdot(octagon2_cubic)
     nq2 = norm_field(octagon2_cubic) ** 2
     lhs = op.stiffness @ udd + 2.0 * op.mass_diag * udd
     rhs = -32.0 * op.mass_diag * nq2
     assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
 
-def test_second_variation_torus(torus16, unit_cubic):
-    fd2, exact, rel = second_variation_check(torus16, unit_cubic, 0.01)
-    assert exact == pytest.approx(16.0, rel=1e-12)
+def test_second_variation_torus(unit_cubic):
+    rec = area_record(unit_cubic, 0.01, n_points=2)
+    rel = rec.rel_err
+    assert rec.exact_second == pytest.approx(16.0, rel=1e-12)
     assert rel <= 0.02
-    fd2o, _, relo = second_variation_check(torus16, unit_cubic, 0.01,
-                                           stencil="oneside")
+    relo = area_record(unit_cubic, 0.01, n_points=2,
+                       stencil="oneside").rel_err
     assert relo <= 0.05
     print(f"second variation: centered rel {rel:.2e}, one-sided rel {relo:.2e}")
 
 
 def test_second_variation_quadratic_in_q(torus16):
-    _, e1, _ = second_variation_check(torus16, constant_cubic(torus16, 1.0),
-                                      0.01)
-    _, e2, _ = second_variation_check(torus16, constant_cubic(torus16, 2.0),
-                                      0.005)
+    e1 = area_record(constant_cubic(torus16, 1.0), 0.01,
+                     n_points=2).exact_second
+    e2 = area_record(constant_cubic(torus16, 2.0), 0.005,
+                     n_points=2).exact_second
     assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
 
 def test_second_variation_octagon(octagon2, octagon2_cubic):
-    fd2, exact, rel = second_variation_check(octagon2, octagon2_cubic, 0.5)
-    assert exact == pytest.approx(
+    rec = area_record(octagon2_cubic, 0.5, n_points=2)
+    assert rec.exact_second == pytest.approx(
         16.0 * integrate(octagon2, norm_field(octagon2_cubic) ** 2), rel=1e-12)
-    assert rel <= 0.05
+    assert rec.rel_err <= 0.05
 
 
-def test_first_variation_vanishes_linearly(torus16, unit_cubic):
-    fd_coarse = first_variation_check(torus16, unit_cubic, 1e-2)
-    fd_fine = first_variation_check(torus16, unit_cubic, 1e-3)
+def first_variation(q, h):
+    return area_record(q, h, n_points=2, tol=1e-13).fd1
+
+
+def test_first_variation_vanishes_linearly(unit_cubic):
+    fd_coarse = first_variation(unit_cubic, 1e-2)
+    fd_fine = first_variation(unit_cubic, 1e-3)
     assert abs(fd_fine) <= 0.2 * abs(fd_coarse)     # O(h) or better
-    assert abs(first_variation_check(torus16, unit_cubic, 1e-4)) <= 1e-3
+    assert abs(first_variation(unit_cubic, 1e-4)) <= 1e-3
 
 
-def test_area_record_table(torus16, unit_cubic):
-    rec = area_record(torus16, unit_cubic, 0.01, n_points=4)
+def test_area_record_table(unit_cubic):
+    rec = area_record(unit_cubic, 0.01, n_points=4)
     assert len(rec.ts) == len(rec.areas) == 4
     assert rec.areas[0] == pytest.approx(-1.0, rel=1e-12)
     assert rec.rel_err <= 0.02
@@ -135,13 +137,13 @@ def test_area_record_table(torus16, unit_cubic):
     print("area table:", [f"A({t:.2f}) = {a:.8f}" for t, a in rows])
 
 
-def test_fd2_converges_under_h_and_mesh(unit_cubic, torus16, torus32):
+def test_fd2_converges_under_h_and_mesh(torus16, torus32):
     from minlag.cubic import constant_cubic as cc
     table = []
     for s in (torus16, torus32):
         q = cc(s, 1.0)
         for h in (0.02, 0.01):
-            _, _, rel = second_variation_check(s, q, h)
+            rel = area_record(q, h, n_points=2).rel_err
             table.append((s.n_classes, h, rel))
     print("fd2 convergence (classes, h, rel_err):", table)
     # error shrinks with h at fixed mesh
@@ -151,13 +153,8 @@ def test_fd2_converges_under_h_and_mesh(unit_cubic, torus16, torus32):
 
 @pytest.mark.parametrize("stencil,n_points", [("centered", 4), ("centered", 2),
                                               ("oneside", 4), ("oneside", 2)])
-def test_area_record_checks_share_the_chain(torus16, unit_cubic, stencil,
-                                            n_points):
+def test_area_record_checks_share_the_chain(unit_cubic, stencil, n_points):
     h, tol = 0.01, 1e-12
-    rec = area_record(torus16, unit_cubic, h, n_points=n_points,
-                      stencil=stencil, tol=tol)
+    rec = area_record(unit_cubic, h, n_points=n_points, stencil=stencil,
+                      tol=tol)
     assert len(rec.ts) == len(rec.areas) == n_points
-    assert rec.fd1 == first_variation_check(torus16, unit_cubic, h, tol=tol)
-    fd2, exact, rel = second_variation_check(torus16, unit_cubic, h,
-                                             stencil=stencil, tol=tol)
-    assert (rec.fd2, rec.exact_second, rec.rel_err) == (fd2, exact, rel)
