@@ -2,6 +2,10 @@
 
 Subcommands: mesh, solve, continue, mpass, frame, wpcheck, selftest.
 Exit codes: 0 success, 1 configuration or domain error, 2 numerical failure.
+Commands raise; `main` holds the only exception-to-exit-code map.  Every
+`ValueError` exits 1 as a config error, and every class on
+`NUMERICAL_FAILURES` exits 2 as `<command> failed`.  A new failure class
+must either go on that tuple or derive from `ValueError`.
 Outputs embed the sha256 hash of the canonicalized config for provenance and
 are byte-identical across reruns except for the timestamp field.
 """
@@ -29,6 +33,14 @@ EXIT_NUMERICAL = 2
 
 class ConfigError(ValueError):
     pass
+
+
+# every exception class minlag defines that is not a ValueError: exit 2
+NUMERICAL_FAILURES = (
+    pde.ResidualBlowup, pde.NonConvergence, pde.SingularJacobian,
+    pde.EigenFailure, surface.MeshError, continuation.StallBeforeFold,
+    continuation.NoFoldDetected, mpass.PathCollapse, mpass.VerificationFailure,
+    frame.StepTooLarge, wp.BranchUnavailable)
 
 
 CONFIG_SCHEMA = {
@@ -173,10 +185,7 @@ def build_cubic(cfg: dict, s: surface.DiscreteSurface):
         re, im = c["constant"]
         return constant_cubic(s, complex(re, im))
     zeros = [(int(a), int(b)) for a, b in c["zeros"]]
-    try:
-        return synthetic_cubic(s, zeros, c.get("amplitude", 1.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return synthetic_cubic(s, zeros, c.get("amplitude", 1.0))
 
 
 def emit(payload: dict, cfg: dict, out_path: str | None) -> None:
@@ -189,6 +198,12 @@ def emit(payload: dict, cfg: dict, out_path: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _csv_path(args, default: str) -> str:
+    """The -o argument (or `default`) with a .csv suffix."""
+    base = args.output or default
+    return base if base.endswith(".csv") else base + ".csv"
 
 
 def _require_t(cfg):
@@ -211,11 +226,7 @@ def cmd_solve(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     t = _require_t(cfg)
     tol = cfg.get("tol", 1e-10)
-    try:
-        p = pde.newton_solve(np.zeros(q.surface.n_classes), t, q, tol=tol)
-    except (pde.NonConvergence, pde.SingularJacobian) as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    p = pde.newton_solve(np.zeros(q.surface.n_classes), t, q, tol=tol)
     emit(p.to_json(), cfg, args.output)
     return EXIT_OK
 
@@ -224,20 +235,10 @@ def cmd_continue(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     tol = cfg.get("tol", 1e-10)
     dt0 = cfg.get("dt0", 0.01)
-    try:
-        bound = continuation.nonexistence_bound(q)
-    except continuation.ZeroCubic as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        curve = continuation.trace_curve(q, dt0=dt0, tol=tol)
-        t0 = continuation.detect_fold(curve, tol=tol)
-    except (continuation.StallBeforeFold, continuation.NoFoldDetected,
-            pde.NonConvergence) as exc:
-        print(f"continuation failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    base = args.output or "curve"
-    csv_path = base + ".csv" if not base.endswith(".csv") else base
+    bound = continuation.nonexistence_bound(q)
+    curve = continuation.trace_curve(q, dt0=dt0, tol=tol)
+    t0 = continuation.detect_fold(curve, tol=tol)
+    csv_path = _csv_path(args, "curve")
     json_path = csv_path[:-4] + ".json"
     continuation.write_curve_csv(curve, csv_path,
                                  comment=f"config_hash={config_hash(cfg)}")
@@ -256,22 +257,10 @@ def cmd_mpass(cfg, args) -> int:
     tol = cfg.get("tol", 1e-10)
     cp = mpass.build_cutoffs(cfg.get("theta", 3.0))
     opts = cfg.get("mpass", {})
-    try:
-        stable = continuation.branch_point(q, t, tol)
-    except pde.NonConvergence as exc:
-        print(f"no stable branch point at t = {t} (at or beyond the fold): {exc}",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-    try:
-        p2 = mpass.find_mountain_pass(stable, t, q, cp, tol=tol,
-                                      n_nodes=opts.get("path_nodes", 20),
-                                      max_sweeps=opts.get("max_sweeps", 600))
-    except mpass.DegenerateNorm as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (mpass.PathCollapse, mpass.VerificationFailure) as exc:
-        print(f"mountain pass failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    stable = continuation.branch_point(q, t, tol)
+    p2 = mpass.find_mountain_pass(stable, t, q, cp, tol=tol,
+                                  n_nodes=opts.get("path_nodes", 20),
+                                  max_sweeps=opts.get("max_sweeps", 600))
     payload = {
         "t": p2.t,
         "u2": [float(v) for v in p2.u],
@@ -307,17 +296,9 @@ def cmd_frame(cfg, args) -> int:
         coeffs = frame.poincare_trivial_coefficients()
     else:
         t = float(cfg.get("t", 0.0))
-        try:
-            p = continuation.branch_point(q, t, tol)
-        except pde.NonConvergence as exc:
-            print(f"frame solve failed: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        p = continuation.branch_point(q, t, tol)
         coeffs = frame.MeshCoefficients(p.u, q)
-    try:
-        sheet = frame.integrate_frame(coeffs, path, step=step, project=project)
-    except frame.StepTooLarge as exc:
-        print(f"frame integration failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    sheet = frame.integrate_frame(coeffs, path, step=step, project=project)
     payload = sheet.to_json()
     payload["max_unitarity_defect"] = float(sheet.defects[:, 0].max())
     payload["max_det_defect"] = float(sheet.defects[:, 1].max())
@@ -329,15 +310,10 @@ def cmd_wpcheck(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     w = cfg.get("wpcheck", {})
     h = w.get("h", 0.01)
-    try:
-        rec = wp.area_record(q, h, n_points=w.get("n_points", 4),
-                             stencil=w.get("stencil", "centered"),
-                             tol=cfg.get("tol", 1e-12))
-    except wp.BranchUnavailable as exc:
-        print(f"wpcheck failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    base = args.output or "wpcheck"
-    csv_path = base + ".csv" if not base.endswith(".csv") else base
+    rec = wp.area_record(q, h, n_points=w.get("n_points", 4),
+                         stencil=w.get("stencil", "centered"),
+                         tol=cfg.get("tol", 1e-12))
+    csv_path = _csv_path(args, "wpcheck")
     with open(csv_path, "w") as fh:
         fh.write(f"# config_hash={config_hash(cfg)}\n")
         fh.write("t,area\n")
@@ -432,24 +408,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else {}
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         return COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (continuation.ZeroCubic, mpass.DegenerateNorm, ValueError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (pde.NonConvergence, pde.SingularJacobian, pde.EigenFailure,
-            surface.MeshError, continuation.StallBeforeFold,
-            continuation.NoFoldDetected, mpass.PathCollapse,
-            mpass.VerificationFailure, frame.StepTooLarge,
-            wp.BranchUnavailable) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except NUMERICAL_FAILURES as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -153,8 +153,8 @@ def branch_point(q: CubicDifferential, t: float,
         except (NonConvergence, SingularJacobian):
             step *= 0.5
             if step < t * 1e-6:
-                raise NonConvergence(
-                    f"branch walk stalled at t = {tau:.6g} before {t}")
+                raise NonConvergence(f"branch walk stalled at t = {tau:.6g} "
+                                     f"before {t} (at or beyond the fold)")
             continue
         tau = target
     # already converged at tau (t up to rounding of the step sums): this

@@ -213,7 +213,6 @@ class FrameSheet:
 
     path: np.ndarray          # complex nodes actually stepped through
     frames: np.ndarray        # (N, 3, 3) complex, frames[0] = identity
-    s_field: np.ndarray       # s at each node
     defects: np.ndarray       # (N, 3): unitarity, |det - 1|, flatness
 
     def to_json(self) -> dict:
@@ -363,5 +362,4 @@ def integrate_frame(coeffs, path, step: float = 0.01, project: bool = False,
     nodes = np.array([points[i] for i in node_ids])
     flatness = flatness_defect(coeffs, nodes)
     return FrameSheet(path=nodes, frames=np.array(frames),
-                      s_field=np.array([vals[i][0] for i in node_ids]),
                       defects=np.column_stack([defects, flatness]))

@@ -38,8 +38,9 @@ from .surface import laplacian
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
 
 
-class BlendSignViolation(RuntimeError):
-    """Cutoff blend failed to stay negative on the joining interval."""
+class BlendSignViolation(ValueError):
+    """Cutoff blend failed to stay negative on the joining interval: theta is
+    outside the range the blend construction covers."""
 
 
 class DegenerateNorm(ValueError):
@@ -152,7 +153,7 @@ def build_cutoffs(theta: float = 3.0) -> CutoffPair:
             if np.all(vals < 0.0):
                 return c
         raise BlendSignViolation(
-            f"blend not negative on (0,1) for theta = {data}")
+            f"blend not negative on (0,1) for theta = {theta}")
 
     c1 = make_blend(f1_data, include_right=True)    # f1 < 0 for all s > 0
     c2 = make_blend(f2_data, include_right=False)   # f2 < 0 on (0,1), f2(1)=0

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 class MeshError(RuntimeError):
@@ -43,9 +44,6 @@ class DiscreteSurface:
         Counterclockwise triangles indexing chart vertices.
     class_of : int array, shape (Vc,)
         Quotient class index of each chart vertex.
-    identification : dict
-        chart vertex index -> class, listed only for vertices that share
-        their class with another chart vertex (the glued boundary).
     conformal_factor : float array, shape (Vc,)
         Metric factor lambda at each chart vertex (chart dependent on the
         octagon, constant on the torus).
@@ -59,7 +57,6 @@ class DiscreteSurface:
     class_of: np.ndarray
     conformal_factor: np.ndarray
     genus: int
-    identification: dict = field(default_factory=dict)
     area: float = 0.0
     side_pairings: list = field(default_factory=list)
     _ops: "LaplaceOperator | None" = field(default=None, repr=False)
@@ -67,6 +64,13 @@ class DiscreteSurface:
     @property
     def n_classes(self) -> int:
         return int(self.class_of.max()) + 1
+
+    @property
+    def identification(self) -> dict:
+        """Chart vertex index -> class, for every vertex that shares its
+        class with another chart vertex (the glued boundary)."""
+        shared = np.bincount(self.class_of)[self.class_of] > 1
+        return {int(k): int(self.class_of[k]) for k in np.flatnonzero(shared)}
 
     @property
     def class_representative(self) -> np.ndarray:
@@ -204,16 +208,12 @@ def build_flat_torus(n: int, side: float, lambda0: float) -> DiscreteSurface:
             tris.append((a, c, d))
     triangles = np.array(tris, dtype=int)
 
-    ident = {int(k): int(class_of[k]) for k in range(m * m)
-             if ii.ravel()[k] == n or jj.ravel()[k] == n}
-
     s = DiscreteSurface(
         vertices=verts,
         triangles=triangles,
         class_of=class_of,
         conformal_factor=np.full(m * m, float(lambda0)),
         genus=1,
-        identification=ident,
     )
     laplacian(s)
     return s
@@ -264,22 +264,6 @@ def mobius_two_point(p: complex, q: complex, p_img: complex, q_img: complex) -> 
     tq_inv = np.array([[1.0, p_img], [p_img.conjugate(), 1.0]], dtype=complex)
     mat = tq_inv @ rot @ tp
     return mat / cmath.sqrt(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 # Side pairs realizing the boundary word a b a^-1 b^-1 c d c^-1 d^-1: side k
@@ -372,22 +356,16 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
             if partner > 8:  # keep the corner coordinates exact
                 verts[partner] = _mobius_apply(g, verts[idx])
 
-    uf = _UnionFind(len(verts))
-    for i, j, g in pairings:
-        for tau, idx in side_nodes[j].items():
-            uf.union(idx, side_nodes[i][round(1.0 - tau, 12)])
-
-    corner_roots = {uf.find(k + 1) for k in range(8)}
-    if len(corner_roots) != 1:
+    # classes are the components of the gluing graph, numbered in order of
+    # their first chart vertex
+    glued = np.array([(idx, side_nodes[i][round(1.0 - tau, 12)])
+                      for i, j, _ in pairings
+                      for tau, idx in side_nodes[j].items()])
+    gluing = sp.coo_matrix((np.ones(len(glued)), glued.T),
+                           shape=(len(verts), len(verts)))
+    _, class_of = connected_components(gluing, directed=False)
+    if len(set(class_of[1:9])) != 1:
         raise MeshError("octagon corners did not glue to a single class")
-
-    roots = [uf.find(k) for k in range(len(verts))]
-    order = {}
-    class_of = np.empty(len(verts), dtype=int)
-    for k, r in enumerate(roots):
-        if r not in order:
-            order[r] = len(order)
-        class_of[k] = order[r]
 
     vertices = np.array(verts, dtype=complex)
     triangles = np.array(tris, dtype=int)
@@ -401,17 +379,12 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
     if np.any(np.abs(det) < 1e-14):
         raise MeshError("refinement produced a degenerate triangle")
 
-    counts = np.bincount(class_of)
-    ident = {int(k): int(class_of[k]) for k in range(len(verts))
-             if counts[class_of[k]] > 1}
-
     s = DiscreteSurface(
         vertices=vertices,
         triangles=triangles,
         class_of=class_of,
         conformal_factor=disk_lambda(vertices),
         genus=2,
-        identification=ident,
         side_pairings=pairings,
     )
     if s.euler_characteristic() != -2:

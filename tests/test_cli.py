@@ -1,9 +1,11 @@
+import importlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from minlag import pde
+from minlag import cli, pde
 from minlag.cli import main
 
 from conftest import octagon_zero_classes
@@ -118,6 +120,13 @@ def test_mpass_beyond_fold_exits_2(tmp_path, capsys):
     assert "fold" in capsys.readouterr().err
 
 
+def test_mpass_theta_out_of_blend_range_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.1, theta=50))
+    assert main(["mpass", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "theta = 50" in err
+
+
 def test_frame_trivial_defects(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {
         "backend": {"type": "octagon", "refinement": 1},
@@ -196,6 +205,64 @@ def test_wpcheck_report(tmp_path, capsys):
     assert rows[0].startswith("# config_hash=")
     assert rows[1] == "t,area"
     assert any(r.startswith("# fd2") for r in rows)
+
+
+def test_wpcheck_beyond_fold_exits_2(tmp_path, capsys):
+    # h = 0.2 is past the torus fold T0 = 1/sqrt(54) = 0.136
+    cfg = write_cfg(tmp_path, "c.json", {
+        "backend": {"type": "torus", "n": 16, "side": 1.0, "lambda0": 1.0},
+        "cubic": {"constant": [1.0, 0.0]},
+        "wpcheck": {"h": 0.2},
+    })
+    assert main(["wpcheck", cfg, "-o", str(tmp_path / "wpt")]) == 2
+    assert "branch solve failed at t = 0.2" in capsys.readouterr().err
+
+
+def test_mesh_octagon_reports_topology_and_area(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "backend": {"type": "octagon", "refinement": 1},
+        "cubic": {"constant": [1.0, 0.0]},
+    })
+    out = tmp_path / "mesh.json"
+    assert main(["mesh", cfg, "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["euler_characteristic"] == -2
+    assert payload["area_error_vs_hyperbolic"] == pytest.approx(3.79, abs=0.01)
+
+
+def test_mesh_torus_has_no_hyperbolic_area_error(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", TORUS)
+    out = tmp_path / "mesh.json"
+    assert main(["mesh", cfg, "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["euler_characteristic"] == 0
+    assert "area_error_vs_hyperbolic" not in payload
+
+
+def _minlag_exception_classes():
+    found = []
+    for name in ("surface", "cubic", "pde", "continuation", "mpass", "frame",
+                 "wp", "cli"):
+        module = importlib.import_module(f"minlag.{name}")
+        found += [obj for _, obj in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(obj, Exception)
+                  and obj.__module__ == module.__name__]
+    return found
+
+
+@pytest.mark.parametrize("exc_cls", _minlag_exception_classes(),
+                         ids=lambda c: f"{c.__module__}.{c.__name__}")
+def test_main_maps_every_minlag_exception(tmp_path, capsys, monkeypatch,
+                                          exc_cls):
+    def command(cfg, args):
+        raise exc_cls("injected")
+
+    monkeypatch.setitem(cli.COMMANDS, "solve", command)
+    cfg = write_cfg(tmp_path, "c.json", TORUS)
+    expected = 1 if issubclass(exc_cls, ValueError) else 2
+    assert main(["solve", cfg]) == expected
+    prefix = "config error:" if expected == 1 else "solve failed:"
+    assert capsys.readouterr().err == f"{prefix} injected\n"
 
 
 def test_continue_octagon_csv(tmp_path, capsys):

@@ -81,3 +81,31 @@ def test_detects_surface_and_cubic_parameters():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_takes_surface_and_cubic(path):
     assert surface_and_cubic_functions(path.read_text()) == []
+
+
+def functions_with_try(source: str) -> set:
+    """Names of the top-level functions that contain a try statement;
+    a try outside any function counts as "<module>"."""
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    found = set()
+    for node in ast.parse(source).body:
+        if any(isinstance(n, tries) for n in ast.walk(node)):
+            found.add(node.name if isinstance(node, ast.FunctionDef)
+                      else "<module>")
+    return found
+
+
+def test_detects_try_blocks():
+    source = ("def a():\n    try:\n        pass\n    finally:\n        pass\n"
+              "def b():\n    def c():\n        try:\n            pass\n"
+              "        except OSError:\n            pass\n"
+              "def d():\n    pass\n"
+              "try:\n    import x\nexcept ImportError:\n    pass\n")
+    assert functions_with_try(source) == {"a", "b", "<module>"}
+
+
+def test_only_main_maps_exceptions_in_cli():
+    # `load_config` turns unreadable or invalid JSON into ConfigError;
+    # every other failure reaches `main`, the one exception -> exit code map
+    assert functions_with_try((SRC / "cli.py").read_text()) == {
+        "main", "load_config"}

@@ -123,6 +123,11 @@ def test_identification_maps_boundary(torus16, octagon2):
     for s in (torus16, octagon2):
         for chart_idx, cls in s.identification.items():
             assert s.class_of[chart_idx] == cls
+        # the keys are exactly the chart vertices whose class has 2+ copies
+        counts = np.bincount(s.class_of)
+        shared = {k for k in range(len(s.class_of))
+                  if counts[s.class_of[k]] > 1}
+        assert set(s.identification) == shared
     # octagon boundary classes carry at least two chart vertices
     counts = np.bincount(octagon2.class_of)
     assert all(counts[octagon2.class_of[i]] > 1
