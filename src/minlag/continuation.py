@@ -1,20 +1,24 @@
 """Continuation of the stable solution branch and the fold as an equation.
 
 The branch starts at the exact point (u, t) = (0, 0) and is continued in the
-natural parameter t with the previous solution as warm start.  The step is
-halved whenever Newton fails or the smallest eigenvalue of the linearization
-drops by more than half in one step; the trace stops at the first accepted
-point from which the fold solve can start (`_fold_solve_can_start`: at least
-3 points, lambda_min down to NO_FOLD_FRACTION of its value at t = 0, and the
-last three lambda_min strictly decreasing).  `detect_fold` then solves for
-the fold directly: from the last traced point it runs Newton on the
-Moore-Spence extended system F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> = 1,
-whose solution is the turning point (u*, T0) with its null vector phi.  Its
-Newton tolerance does not depend on how close to the fold the trace stopped.
+natural parameter t with the previous solution as warm start.  One step rule
+(`_next_step`) serves `trace_curve` and `branch_point`: the step grows by
+STEP_GROWTH after each accepted step and is halved whenever Newton fails or,
+in the trace, the smallest eigenvalue of the linearization drops by more
+than half in one step; only an optional `dt_max` caps it.  The trace stops
+at the first accepted point from which the fold solve can start
+(`_fold_solve_can_start`: at least 3 points, lambda_min down to
+NO_FOLD_FRACTION of its value at t = 0, and the last three lambda_min
+strictly decreasing).  `detect_fold` then solves for the fold directly: from
+the last traced point it runs Newton on the Moore-Spence extended system
+F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> = 1, whose solution is the
+turning point (u*, T0) with its null vector phi.  Its Newton tolerance does
+not depend on how close to the fold the trace stopped.
 
-`branch_point` reaches a single t on the same branch by a fixed warm-started
-walk from (0, 0) (8 steps, halved on failure) and classifies only the point
-it returns; the mountain-pass and frame commands start from it.
+`branch_point` reaches a single t on the same branch by a warm-started walk
+from (0, 0) that starts with the step t / 8 and clamps each step to t; it
+classifies only the point it returns, and the mountain-pass and frame
+commands start from it.
 
 The nonexistence threshold is T = (area/2 / integral ||q||^(2/3))^(3/2);
 on a hyperbolic surface area/2 = 2 pi (g - 1), and every computed fold must
@@ -39,6 +43,7 @@ from .surface import integrate, laplacian
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
 NO_FOLD_FRACTION = 0.25  # the fold solve starts only once lambda_min is at
                          # or below this fraction of its value at t = 0
+STEP_GROWTH = 1.5      # step factor after each accepted continuation step
 
 
 class StallBeforeFold(RuntimeError):
@@ -88,45 +93,65 @@ def _fold_solve_can_start(points) -> bool:
             and lam[2] < lam[1] < lam[0])
 
 
+def _next_step(dt: float, accepted: bool,
+               dt_max: float | None = None) -> float:
+    """The continuation step rule: the step to try after one of size dt.
+
+    An accepted step grows by STEP_GROWTH, to at most dt_max when it is
+    set; a rejected one is halved.
+    """
+    if not accepted:
+        return 0.5 * dt
+    dt *= STEP_GROWTH
+    return dt if dt_max is None else min(dt, dt_max)
+
+
 def trace_curve(q: CubicDifferential, dt0: float, tol: float = 1e-10,
-                max_points: int = 2000) -> SolutionCurve:
+                max_points: int = 2000,
+                dt_max: float | None = None) -> SolutionCurve:
     """Natural-parameter continuation from (0, 0) to where the fold solve starts.
 
-    Returns at the first accepted point from which `detect_fold` can start.
-    Raises StallBeforeFold if the step underflows (below dt0 * 1e-4) or
-    max_points are accepted before that.  `diagnostics` holds the rejected
-    step count, `n_points` and `final_step`, the step the trace would have
-    tried next from its last point.
+    The first step is dt0 (or dt_max, if smaller); each step follows
+    `_next_step`, growing by STEP_GROWTH after an accepted point and halving
+    after a failed Newton solve or a lambda_min drop of more than half.
+    With dt_max set, no step exceeds it.  Returns at the first accepted
+    point from which `detect_fold` can start.  Raises StallBeforeFold if the
+    step underflows (below dt0 * 1e-4) or max_points are accepted before
+    that.  `diagnostics` holds the rejected step count, `n_points`,
+    `newton_iterations` (summed over the points) and `final_step`, the step
+    the trace would have tried next from its last point.
     """
     if dt0 <= 0:
         raise ValueError("dt0 must be positive")
+    if dt_max is not None and dt_max <= 0:
+        raise ValueError("dt_max must be positive")
     p0 = newton_solve(np.zeros(q.surface.n_classes), 0.0, q, tol=tol)
     points = [p0]
     rejects = 0
 
-    dt = dt0
+    dt = dt0 if dt_max is None else min(dt0, dt_max)
     dt_min = dt0 * 1e-4
     while dt >= dt_min and len(points) < max_points:
         prev = points[-1]
-        t_next = prev.t + dt
         try:
-            p = newton_solve(prev.u, t_next, q, tol=tol)
+            p = newton_solve(prev.u, prev.t + dt, q, tol=tol)
+            # a drop of more than half overshot toward or past the fold
+            accepted = (p.lambda_min > 0.0
+                        and p.lambda_min >= 0.5 * prev.lambda_min)
         except (NonConvergence, SingularJacobian):
+            accepted = False
+        dt = _next_step(dt, accepted, dt_max)
+        if not accepted:
             rejects += 1
-            dt *= 0.5
-            continue
-        if p.lambda_min <= 0.0 or p.lambda_min < 0.5 * prev.lambda_min:
-            # overshot toward or past the fold; retry with a smaller step
-            rejects += 1
-            dt *= 0.5
             continue
         points.append(p)
-        dt = min(1.25 * dt, dt0)
         if _fold_solve_can_start(points):
             return SolutionCurve(
                 points=points, cubic=q,
                 diagnostics={"rejected_steps": rejects, "final_step": dt,
-                             "n_points": len(points)})
+                             "n_points": len(points),
+                             "newton_iterations": sum(
+                                 pt.meta["newton_iterations"] for pt in points)})
 
     raise StallBeforeFold(
         f"trace stopped at t = {points[-1].t:.6g} with lambda_min = "
@@ -137,11 +162,13 @@ def trace_curve(q: CubicDifferential, dt0: float, tol: float = 1e-10,
 
 def branch_point(q: CubicDifferential, t: float,
                  tol: float = 1e-10) -> SolutionPoint:
-    """Stable-branch point at t, walked from (0, 0) in 8 warm-started steps.
+    """Stable-branch point at t, walked from (0, 0) in warm-started steps.
 
-    A failed step is halved; the walk raises NonConvergence when the step
-    drops below t * 1e-6 (t at or beyond the fold).  Intermediate points
-    skip the eigen solve; the returned point carries lambda_min.
+    The walk starts with the step t / 8, clamps each step to t and follows
+    `_next_step`: it grows by STEP_GROWTH after a converged step and halves
+    after a failed one.  It raises NonConvergence when the step drops below
+    t * 1e-6 (t at or beyond the fold).  Intermediate points skip the eigen
+    solve; the returned point carries lambda_min.
     """
     u, _, _ = solve_u(np.zeros(q.surface.n_classes), 0.0, q, tol=tol)
     step = t / 8
@@ -151,12 +178,13 @@ def branch_point(q: CubicDifferential, t: float,
         try:
             u, _, _ = solve_u(u, target, q, tol=tol)
         except (NonConvergence, SingularJacobian):
-            step *= 0.5
+            step = _next_step(step, accepted=False)
             if step < t * 1e-6:
                 raise NonConvergence(f"branch walk stalled at t = {tau:.6g} "
                                      f"before {t} (at or beyond the fold)")
             continue
         tau = target
+        step = _next_step(step, accepted=True)
     # already converged at tau (t up to rounding of the step sums): this
     # only classifies the point
     return newton_solve(u, tau, q, tol=tol)
@@ -250,9 +278,12 @@ def write_curve_csv(curve: SolutionCurve, path: str,
 def curve_to_json(curve: SolutionCurve) -> dict:
     """curve.json payload.
 
-    `diagnostics` carries `trace_curve`'s `rejected_steps`, `n_points` and
-    `final_step` (the step it would have tried next from the last point,
-    where the fold solve starts) and `detect_fold`'s `fold_lambda_min`.
+    `diagnostics` carries `trace_curve`'s `rejected_steps`, `n_points`,
+    `newton_iterations` (the Newton iterations of the accepted points,
+    summed; deterministic) and `final_step` (the step it would have tried
+    next from the last point, where the fold solve starts: the last
+    accepted step times STEP_GROWTH, capped by `dt_max` when set) and
+    `detect_fold`'s `fold_lambda_min`.
     """
     return {
         "points": [p.to_json() for p in curve.points],

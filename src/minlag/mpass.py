@@ -128,11 +128,12 @@ def _piecewise(neg_fn, blend_coeffs, pos_fn):
 
 
 def build_cutoffs(theta: float = 3.0) -> CutoffPair:
-    """Construct the cutoff pair for a growth exponent theta > 2.
+    """Construct the cutoff pair for a growth exponent theta in (2, 8].
 
     The blends are checked negative on a fine grid of (0, 1); a violation is
     retried with a softened curvature condition before raising
-    BlendSignViolation.
+    BlendSignViolation, which every theta above about 8.0000023 does (the
+    CLI schema caps theta at 8).
     """
     if theta <= 2.0:
         raise ValueError("theta must exceed 2")

@@ -90,6 +90,22 @@ def test_continue_outputs(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "curve.json").read_text())
     assert sidecar["T0_estimate"] == pytest.approx(0.13608276, rel=1e-4)
     assert sidecar["nonexistence_bound"] == pytest.approx(0.35355339, rel=1e-6)
+    iterations = sidecar["diagnostics"]["newton_iterations"]
+    assert isinstance(iterations, int) and iterations > 0
+
+
+def test_continue_dt_max_caps_every_step(tmp_path):
+    dt_max = 0.02
+    cfg = write_cfg(tmp_path, "c.json",
+                    {k: v for k, v in TORUS.items() if k != "t"}
+                    | {"dt0": 0.01, "dt_max": dt_max})
+    assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
+    ts = [p["t"] for p in
+          json.loads((tmp_path / "curve.json").read_text())["points"]]
+    steps = np.diff(ts)
+    assert steps.max() <= dt_max * (1.0 + 1e-12)
+    # the cap binds: the step grew from dt0 up to dt_max
+    assert steps.max() == pytest.approx(dt_max, rel=1e-12)
 
 
 def test_continue_zero_cubic_exits_1(tmp_path, capsys):
@@ -124,7 +140,8 @@ def test_mpass_theta_out_of_blend_range_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.1, theta=50))
     assert main(["mpass", cfg]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "theta = 50" in err
+    assert err.startswith("config error:") and "theta" in err
+    assert "50 is greater than the maximum of 8" in err
 
 
 def test_frame_trivial_defects(tmp_path):
@@ -228,6 +245,22 @@ def test_mesh_octagon_reports_topology_and_area(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["euler_characteristic"] == -2
     assert payload["area_error_vs_hyperbolic"] == pytest.approx(3.79, abs=0.01)
+
+
+def test_mesh_needs_no_cubic(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"backend": {"type": "octagon", "refinement": 1}})
+    out = tmp_path / "mesh.json"
+    assert main(["mesh", cfg, "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["euler_characteristic"] == -2
+
+
+def test_solve_without_cubic_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {k: v for k, v in TORUS.items() if k != "cubic"})
+    assert main(["solve", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'cubic'" in err
 
 
 def test_mesh_torus_has_no_hyperbolic_area_error(tmp_path):

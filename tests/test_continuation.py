@@ -11,7 +11,7 @@ from minlag.continuation import (NoFoldDetected, StallBeforeFold, ZeroCubic,
                                  branch_point, detect_fold, nonexistence_bound,
                                  trace_curve, write_curve_csv)
 from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
-from minlag.pde import NonConvergence, SingularJacobian, newton_solve
+from minlag.pde import NonConvergence, SingularJacobian, newton_solve, solve_u
 from minlag.surface import integrate
 
 from scalar_oracle import U_FOLD, fold_t
@@ -118,7 +118,7 @@ def test_fold_solve_failure_raises(torus_curve, monkeypatch, tmp_path):
 
 
 def trace_to_underflow(curve, dt0, tol):
-    """Continue `curve` with trace_curve's steps until the step underflows."""
+    """Continue `curve` in steps capped at dt0 until the step underflows."""
     q = curve.cubic
     points = list(curve.points)
     dt = curve.diagnostics["final_step"]
@@ -144,11 +144,21 @@ def test_trace_stops_at_fold_entry(torus_curve):
     assert can_start(pts)
     assert not any(can_start(pts[:k]) for k in range(1, len(pts)))
     assert torus_curve.diagnostics["n_points"] == len(pts)
+    assert torus_curve.diagnostics["newton_iterations"] == sum(
+        p.meta["newton_iterations"] for p in pts)
 
     crept = trace_to_underflow(torus_curve, dt0=0.01, tol=1e-11)
     assert len(crept.points) > len(pts)
     assert detect_fold(crept) == pytest.approx(torus_curve.T0_estimate,
                                                rel=1e-11)
+
+
+def test_step_growth_thins_the_octagon_curve(octagon2_cubic, octagon_curve):
+    capped = trace_curve(octagon2_cubic, dt0=0.5, tol=1e-10, dt_max=0.5)
+    assert np.diff(capped.ts()).max() <= 0.5 * (1.0 + 1e-12)
+    assert len(octagon_curve.points) < len(capped.points)
+    assert detect_fold(capped) == pytest.approx(octagon_curve.T0_estimate,
+                                                rel=1e-11)
 
 
 def test_stall_before_fold(torus16, unit_cubic):
@@ -206,6 +216,20 @@ def test_branch_point_matches_cold_solve(torus16, unit_cubic):
     assert p.stable and p.residual_norm <= 1e-11
     assert np.abs(p.u - cold.u).max() <= 1e-9
     assert p.lambda_min == pytest.approx(cold.lambda_min, abs=1e-9)
+
+
+def test_branch_point_step_grows(torus16, unit_cubic, monkeypatch):
+    calls = []
+
+    def counting_solve_u(*args, **kwargs):
+        calls.append(args[1])           # the t of each solve
+        return solve_u(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "solve_u", counting_solve_u)
+    p = branch_point(unit_cubic, 0.1, tol=1e-11)
+    assert p.t == pytest.approx(0.1, rel=1e-15)
+    # the solve at t = 0 and 8 equal steps of t / 8 would be 9 calls
+    assert len(calls) < 9
 
 
 def test_branch_point_beyond_fold_raises(torus16, unit_cubic):

@@ -78,7 +78,7 @@ def test_cutoff_theta_validation():
 
 
 def test_cutoff_other_thetas():
-    for theta in (2.5, 4.0, 6.0):
+    for theta in (2.5, 4.0, 6.0, 8.0):
         cp = build_cutoffs(theta)
         s = np.linspace(1e-6, 5.0, 5001)
         assert np.all(cp.f1(s) < 0.0)
