@@ -8,11 +8,9 @@ Commands raise; `main` holds the only exception-to-exit-code map.  Every
 must either go on that tuple or derive from `ValueError`.
 
 Every command but `mesh` and `selftest` needs a `cubic`.  `continue` reads
-`dt0`, its first step in t (default 0.01), and the optional `dt_max`: the
-step grows by `continuation.STEP_GROWTH` after each accepted point, so
-without `dt_max` curve.csv samples the branch ever more coarsely; with it,
-no step exceeds `dt_max`.  `theta`, the mountain-pass growth exponent, lies
-in (2, 8], where `mpass.build_cutoffs` can build its blends.
+`dt0`, its first step in t (default 0.01); the step then grows by
+`continuation.STEP_GROWTH` after each accepted point, so curve.csv samples
+the branch ever more coarsely toward the fold.
 
 Outputs embed the sha256 hash of the canonicalized config for provenance and
 are byte-identical across reruns except for the timestamp field.
@@ -112,10 +110,9 @@ CONFIG_SCHEMA = {
         },
         "t": {"type": "number", "minimum": 0},
         "dt0": {"type": "number", "exclusiveMinimum": 0},
-        "dt_max": {"type": "number", "exclusiveMinimum": 0},
         "tol": {"type": "number", "exclusiveMinimum": 0},
         "seed": {"type": "integer", "minimum": 0},
-        "theta": {"type": "number", "exclusiveMinimum": 2, "maximum": 8},
+        "theta": {"type": "number", "exclusiveMinimum": 2},
         "mpass": {
             "type": "object",
             "additionalProperties": False,
@@ -247,8 +244,7 @@ def cmd_continue(cfg, args) -> int:
     tol = cfg.get("tol", 1e-10)
     dt0 = cfg.get("dt0", 0.01)
     bound = continuation.nonexistence_bound(q)
-    curve = continuation.trace_curve(q, dt0=dt0, tol=tol,
-                                     dt_max=cfg.get("dt_max"))
+    curve = continuation.trace_curve(q, dt0=dt0, tol=tol)
     t0 = continuation.detect_fold(curve, tol=tol)
     csv_path = _csv_path(args, "curve")
     json_path = csv_path[:-4] + ".json"

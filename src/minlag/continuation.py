@@ -5,7 +5,7 @@ natural parameter t with the previous solution as warm start.  One step rule
 (`_next_step`) serves `trace_curve` and `branch_point`: the step grows by
 STEP_GROWTH after each accepted step and is halved whenever Newton fails or,
 in the trace, the smallest eigenvalue of the linearization drops by more
-than half in one step; only an optional `dt_max` caps it.  The trace stops
+than half in one step; nothing caps it.  The trace stops
 at the first accepted point from which the fold solve can start
 (`_fold_solve_can_start`: at least 3 points, lambda_min down to
 NO_FOLD_FRACTION of its value at t = 0, and the last three lambda_min
@@ -93,43 +93,34 @@ def _fold_solve_can_start(points) -> bool:
             and lam[2] < lam[1] < lam[0])
 
 
-def _next_step(dt: float, accepted: bool,
-               dt_max: float | None = None) -> float:
+def _next_step(dt: float, accepted: bool) -> float:
     """The continuation step rule: the step to try after one of size dt.
 
-    An accepted step grows by STEP_GROWTH, to at most dt_max when it is
-    set; a rejected one is halved.
+    An accepted step grows by STEP_GROWTH; a rejected one is halved.
     """
-    if not accepted:
-        return 0.5 * dt
-    dt *= STEP_GROWTH
-    return dt if dt_max is None else min(dt, dt_max)
+    return STEP_GROWTH * dt if accepted else 0.5 * dt
 
 
 def trace_curve(q: CubicDifferential, dt0: float, tol: float = 1e-10,
-                max_points: int = 2000,
-                dt_max: float | None = None) -> SolutionCurve:
+                max_points: int = 2000) -> SolutionCurve:
     """Natural-parameter continuation from (0, 0) to where the fold solve starts.
 
-    The first step is dt0 (or dt_max, if smaller); each step follows
-    `_next_step`, growing by STEP_GROWTH after an accepted point and halving
-    after a failed Newton solve or a lambda_min drop of more than half.
-    With dt_max set, no step exceeds it.  Returns at the first accepted
-    point from which `detect_fold` can start.  Raises StallBeforeFold if the
-    step underflows (below dt0 * 1e-4) or max_points are accepted before
-    that.  `diagnostics` holds the rejected step count, `n_points`,
+    The first step is dt0; each step follows `_next_step`, growing by
+    STEP_GROWTH after an accepted point and halving after a failed Newton
+    solve or a lambda_min drop of more than half.  Returns at the first
+    accepted point from which `detect_fold` can start.  Raises
+    StallBeforeFold if the step underflows (below dt0 * 1e-4) or max_points
+    are accepted before that.  `diagnostics` holds the rejected step count, `n_points`,
     `newton_iterations` (summed over the points) and `final_step`, the step
     the trace would have tried next from its last point.
     """
     if dt0 <= 0:
         raise ValueError("dt0 must be positive")
-    if dt_max is not None and dt_max <= 0:
-        raise ValueError("dt_max must be positive")
     p0 = newton_solve(np.zeros(q.surface.n_classes), 0.0, q, tol=tol)
     points = [p0]
     rejects = 0
 
-    dt = dt0 if dt_max is None else min(dt0, dt_max)
+    dt = dt0
     dt_min = dt0 * 1e-4
     while dt >= dt_min and len(points) < max_points:
         prev = points[-1]
@@ -140,7 +131,7 @@ def trace_curve(q: CubicDifferential, dt0: float, tol: float = 1e-10,
                         and p.lambda_min >= 0.5 * prev.lambda_min)
         except (NonConvergence, SingularJacobian):
             accepted = False
-        dt = _next_step(dt, accepted, dt_max)
+        dt = _next_step(dt, accepted)
         if not accepted:
             rejects += 1
             continue
@@ -282,7 +273,7 @@ def curve_to_json(curve: SolutionCurve) -> dict:
     `newton_iterations` (the Newton iterations of the accepted points,
     summed; deterministic) and `final_step` (the step it would have tried
     next from the last point, where the fold solve starts: the last
-    accepted step times STEP_GROWTH, capped by `dt_max` when set) and
+    accepted step times STEP_GROWTH) and
     `detect_fold`'s `fold_lambda_min`.
     """
     return {

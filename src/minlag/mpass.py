@@ -132,8 +132,7 @@ def build_cutoffs(theta: float = 3.0) -> CutoffPair:
 
     The blends are checked negative on a fine grid of (0, 1); a violation is
     retried with a softened curvature condition before raising
-    BlendSignViolation, which every theta above about 8.0000023 does (the
-    CLI schema caps theta at 8).
+    BlendSignViolation, which every theta above about 8.0000023 does.
     """
     if theta <= 2.0:
         raise ValueError("theta must exceed 2")

@@ -94,20 +94,6 @@ def test_continue_outputs(tmp_path, capsys):
     assert isinstance(iterations, int) and iterations > 0
 
 
-def test_continue_dt_max_caps_every_step(tmp_path):
-    dt_max = 0.02
-    cfg = write_cfg(tmp_path, "c.json",
-                    {k: v for k, v in TORUS.items() if k != "t"}
-                    | {"dt0": 0.01, "dt_max": dt_max})
-    assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
-    ts = [p["t"] for p in
-          json.loads((tmp_path / "curve.json").read_text())["points"]]
-    steps = np.diff(ts)
-    assert steps.max() <= dt_max * (1.0 + 1e-12)
-    # the cap binds: the step grew from dt0 up to dt_max
-    assert steps.max() == pytest.approx(dt_max, rel=1e-12)
-
-
 def test_continue_zero_cubic_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json",
                     dict(TORUS, cubic={"constant": [0.0, 0.0]}))
@@ -140,8 +126,7 @@ def test_mpass_theta_out_of_blend_range_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.1, theta=50))
     assert main(["mpass", cfg]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "theta" in err
-    assert "50 is greater than the maximum of 8" in err
+    assert err.startswith("config error:") and "theta = 50" in err
 
 
 def test_frame_trivial_defects(tmp_path):

@@ -153,12 +153,17 @@ def test_trace_stops_at_fold_entry(torus_curve):
                                                rel=1e-11)
 
 
-def test_step_growth_thins_the_octagon_curve(octagon2_cubic, octagon_curve):
-    capped = trace_curve(octagon2_cubic, dt0=0.5, tol=1e-10, dt_max=0.5)
-    assert np.diff(capped.ts()).max() <= 0.5 * (1.0 + 1e-12)
-    assert len(octagon_curve.points) < len(capped.points)
-    assert detect_fold(capped) == pytest.approx(octagon_curve.T0_estimate,
-                                                rel=1e-11)
+def test_step_growth_thins_the_octagon_curve(octagon_curve):
+    # dense reference: the same walk from (0, 0) with every step capped at dt0
+    origin = dataclasses.replace(octagon_curve,
+                                 points=octagon_curve.points[:1],
+                                 diagnostics={"final_step": 0.5})
+    dense = trace_to_underflow(origin, dt0=0.5, tol=1e-10)
+    assert np.diff(dense.ts()).max() <= 0.5
+    t_last = octagon_curve.points[-1].t
+    assert len(octagon_curve.points) < np.count_nonzero(dense.ts() <= t_last)
+    assert detect_fold(dense) == pytest.approx(octagon_curve.T0_estimate,
+                                               rel=1e-11)
 
 
 def test_stall_before_fold(torus16, unit_cubic):
@@ -209,13 +214,15 @@ def test_curve_csv(tmp_path, torus_curve):
 
 
 def test_branch_point_matches_cold_solve(torus16, unit_cubic):
-    p = branch_point(unit_cubic, 0.1, tol=1e-11)
-    cold = newton_solve(np.zeros(torus16.n_classes), 0.1, unit_cubic,
-                        tol=1e-11)
-    assert p.t == pytest.approx(0.1, rel=1e-15)
-    assert p.stable and p.residual_norm <= 1e-11
-    assert np.abs(p.u - cold.u).max() <= 1e-9
-    assert p.lambda_min == pytest.approx(cold.lambda_min, abs=1e-9)
+    # 0.135 is about 0.99 T0: the grown steps land just below the fold
+    for t in (0.1, 0.135):
+        p = branch_point(unit_cubic, t, tol=1e-11)
+        cold = newton_solve(np.zeros(torus16.n_classes), t, unit_cubic,
+                            tol=1e-11)
+        assert p.t == pytest.approx(t, rel=1e-15)
+        assert p.stable and p.residual_norm <= 1e-11
+        assert np.abs(p.u - cold.u).max() <= 1e-9
+        assert p.lambda_min == pytest.approx(cold.lambda_min, abs=1e-9)
 
 
 def test_branch_point_step_grows(torus16, unit_cubic, monkeypatch):
