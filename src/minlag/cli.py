@@ -12,6 +12,11 @@ Every command but `mesh` and `selftest` needs a `cubic`.  `continue` reads
 `continuation.STEP_GROWTH` after each accepted point, so curve.csv samples
 the branch ever more coarsely toward the fold.
 
+Every number in a config must be a finite float: the NaN and Infinity
+literals, and numbers beyond the float range such as 1e400, exit 1.  The
+mountain-pass path size and sweep budget are constants of `mpass`, so a
+config with an `mpass` block exits 1 as an unknown key.
+
 Outputs embed the sha256 hash of the canonicalized config for provenance and
 are byte-identical across reruns except for the timestamp field.
 """
@@ -113,14 +118,6 @@ CONFIG_SCHEMA = {
         "tol": {"type": "number", "exclusiveMinimum": 0},
         "seed": {"type": "integer", "minimum": 0},
         "theta": {"type": "number", "exclusiveMinimum": 2},
-        "mpass": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "path_nodes": {"type": "integer", "minimum": 3},
-                "max_sweeps": {"type": "integer", "minimum": 1},
-            },
-        },
         "frame": {
             "type": "object",
             "additionalProperties": False,
@@ -148,10 +145,21 @@ CONFIG_SCHEMA = {
 }
 
 
+def _finite(parse):
+    """A json number hook: `parse(text)`, or ConfigError when the number is
+    not a finite float (the NaN and Infinity literals, or beyond 1.8e308)."""
+    def hook(text):
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"config holds the non-finite number {text}")
+        return parse(text)
+    return hook
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_finite(float),
+                            parse_float=_finite(float), parse_int=_finite(int))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -264,11 +272,8 @@ def cmd_mpass(cfg, args) -> int:
     t = _require_t(cfg)
     tol = cfg.get("tol", 1e-10)
     cp = mpass.build_cutoffs(cfg.get("theta", 3.0))
-    opts = cfg.get("mpass", {})
     stable = continuation.branch_point(q, t, tol)
-    p2 = mpass.find_mountain_pass(stable, t, q, cp, tol=tol,
-                                  n_nodes=opts.get("path_nodes", 20),
-                                  max_sweeps=opts.get("max_sweeps", 600))
+    p2 = mpass.find_mountain_pass(stable, t, q, cp, tol=tol)
     payload = {
         "t": p2.t,
         "u2": [float(v) for v in p2.u],

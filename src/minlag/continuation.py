@@ -35,9 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cubic import CubicDifferential, norm_field
-from .pde import (NonConvergence, SingularJacobian, SolutionPoint,
-                  damped_newton, linearize, newton_solve, residual,
-                  smallest_eigenvalue, solve_u)
+from .pde import (NonConvergence, SolutionPoint, damped_newton, linearize,
+                  newton_solve, residual, smallest_eigenvalue, solve_u)
 from .surface import integrate, laplacian
 
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
@@ -129,7 +128,7 @@ def trace_curve(q: CubicDifferential, dt0: float, tol: float = 1e-10,
             # a drop of more than half overshot toward or past the fold
             accepted = (p.lambda_min > 0.0
                         and p.lambda_min >= 0.5 * prev.lambda_min)
-        except (NonConvergence, SingularJacobian):
+        except NonConvergence:
             accepted = False
         dt = _next_step(dt, accepted)
         if not accepted:
@@ -168,7 +167,7 @@ def branch_point(q: CubicDifferential, t: float,
         target = min(t, tau + step)
         try:
             u, _, _ = solve_u(u, target, q, tol=tol)
-        except (NonConvergence, SingularJacobian):
+        except NonConvergence:
             step = _next_step(step, accepted=False)
             if step < t * 1e-6:
                 raise NonConvergence(f"branch walk stalled at t = {tau:.6g} "
@@ -229,7 +228,7 @@ def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
         x, _, _ = damped_newton(x0, field_fn, jacobian,
                                 np.concatenate([m, m, [1.0]]), tol, 50)
         fold = newton_solve(x[:n], x[-1], q, tol=tol)
-    except (NonConvergence, SingularJacobian) as exc:
+    except NonConvergence as exc:
         raise NoFoldDetected(f"extended-system solve failed: {exc}") from exc
     if abs(fold.lambda_min) > EPS_FOLD or fold.t <= p.t:
         raise NoFoldDetected(

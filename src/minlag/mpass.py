@@ -26,16 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cubic import CubicDifferential
-from .pde import (TOL_POS, NonConvergence, SingularJacobian, SolutionPoint,
-                  damped_newton, linearize, residual, smallest_eigenvalue)
+from .pde import (TOL_POS, NonConvergence, SolutionPoint, damped_newton,
+                  linearize, residual, smallest_eigenvalue)
 from .surface import laplacian
 
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
+PATH_NODES = 20       # nodes of the first mountain-pass path
+MAX_SWEEPS = 600      # relaxation sweeps per path
+POLISH_PERIOD = 5     # a Newton polish at least every this many sweeps
 
 
 class BlendSignViolation(ValueError):
@@ -85,21 +89,6 @@ def _hermite_blend(v0, d0, v1, d1, jump, curv0):
     return h + a * p4 + b * p5
 
 
-def _polyval(c, s):
-    out = np.zeros_like(s)
-    for ck in c[::-1]:
-        out = out * s + ck
-    return out
-
-
-def _polyder(c):
-    return np.array([k * ck for k, ck in enumerate(c)])[1:]
-
-
-def _polyint(c, const):
-    return np.concatenate([[const], [ck / (k + 1) for k, ck in enumerate(c)]])
-
-
 @dataclass
 class CutoffPair:
     """Cutoff functions f1, f2 with antiderivatives F1, F2 and derivatives."""
@@ -121,7 +110,7 @@ def _piecewise(neg_fn, blend_coeffs, pos_fn):
         lo, mid, hi = s <= 0.0, (s > 0.0) & (s <= 1.0), s > 1.0
         with np.errstate(over="ignore"):
             out[lo] = neg_fn(s[lo])
-            out[mid] = _polyval(blend_coeffs, s[mid])
+            out[mid] = P.polyval(s[mid], blend_coeffs)
             out[hi] = pos_fn(s[hi])
         return float(out[0]) if scalar else out
     return fn
@@ -149,7 +138,7 @@ def build_cutoffs(theta: float = 3.0) -> CutoffPair:
     def make_blend(data, include_right):
         for curv in (data["curv0"], 0.0, -8.0):
             c = _hermite_blend(**dict(data, curv0=curv))
-            vals = _polyval(c, grid if include_right else grid[:-1])
+            vals = P.polyval(grid if include_right else grid[:-1], c)
             if np.all(vals < 0.0):
                 return c
         raise BlendSignViolation(
@@ -158,8 +147,8 @@ def build_cutoffs(theta: float = 3.0) -> CutoffPair:
     c1 = make_blend(f1_data, include_right=True)    # f1 < 0 for all s > 0
     c2 = make_blend(f2_data, include_right=False)   # f2 < 0 on (0,1), f2(1)=0
 
-    C1 = _polyint(c1, 0.0)   # F1(0) = 0 matches 2s - 2e^s + 2 from the left
-    C2 = _polyint(c2, 0.5)   # F2(0) = 1/2 matches (s^2 + e^{-2s})/2
+    C1 = P.polyint(c1, k=0.0)  # F1(0) = 0 matches 2s - 2e^s + 2 from the left
+    C2 = P.polyint(c2, k=0.5)  # F2(0) = 1/2 matches (s^2 + e^{-2s})/2
 
     f1 = _piecewise(lambda s: 2.0 - 2.0 * np.exp(s), c1,
                     lambda s: -theta * s ** (theta - 1.0))
@@ -169,9 +158,9 @@ def build_cutoffs(theta: float = 3.0) -> CutoffPair:
                     lambda s: -s ** theta)
     F2 = _piecewise(lambda s: 0.5 * (s * s + np.exp(-2.0 * s)), C2,
                     lambda s: np.zeros_like(s))
-    df1 = _piecewise(lambda s: -2.0 * np.exp(s), _polyder(c1),
+    df1 = _piecewise(lambda s: -2.0 * np.exp(s), P.polyder(c1),
                      lambda s: -theta * (theta - 1.0) * s ** (theta - 2.0))
-    df2 = _piecewise(lambda s: 1.0 + 2.0 * np.exp(-2.0 * s), _polyder(c2),
+    df2 = _piecewise(lambda s: 1.0 + 2.0 * np.exp(-2.0 * s), P.polyder(c2),
                      lambda s: np.zeros_like(s))
 
     return CutoffPair(theta=float(theta), f1=f1, f2=f2, F1=F1, F2=F2,
@@ -249,18 +238,6 @@ def _hessian(u, t, q, cp):
     return laplacian(q.surface).shifted(V - cp.df1(u) - V * cp.df2(u))
 
 
-def _newton_critical(u0, t, q, cp, tol):
-    """(u, gradient norm) from Newton on grad F = 0, or None on failure."""
-    try:
-        u, gnorm, _ = damped_newton(
-            u0, lambda v: functional_gradient(v, t, q, cp),
-            lambda v: _hessian(v, t, q, cp), laplacian(q.surface).mass_diag,
-            tol, 60)
-    except (NonConvergence, SingularJacobian):
-        return None
-    return u, gnorm
-
-
 def _negative_endpoint(f_target, t, q, cp):
     """Constant field w with F(w) strictly below f_target; exists because
     F(k) -> -infinity for constants k -> -infinity."""
@@ -276,17 +253,30 @@ def _negative_endpoint(f_target, t, q, cp):
 
 def find_mountain_pass(u_stable: SolutionPoint, t: float,
                        q: CubicDifferential, cp: CutoffPair,
-                       tol: float = 1e-10, n_nodes: int = 20,
-                       max_sweeps: int = 600) -> SolutionPoint:
+                       tol: float = 1e-10) -> SolutionPoint:
     """Second critical point of F at the same t as a converged stable point.
 
-    Runs a discretized min-max: the node of highest functional value on a
-    path from u_stable to a deep negative constant is relaxed by descent
-    steps preconditioned with the V-Gram matrix, and the limiting node is
-    polished with Newton on grad F = 0.  The result is verified against the
-    cutoff equivalence: u <= 0 within TOL_POS, structure-equation residual
-    at most 10*tol, and smallest eigenvalue of the linearization at most
-    EPS_UNSTABLE (a second minimizer would signal a path collapse).
+    Runs a discretized min-max, the path deformation of Choi and McKenna.
+    The path is one (nodes, n_classes) array, at first the straight
+    PATH_NODES-node path from u_stable to a deep negative constant.  Each
+    sweep resamples it at uniform V-arclength with the endpoints fixed,
+    takes its interior node of highest F and moves that node by one
+    backtracked descent step preconditioned with the V-Gram matrix.  The
+    node as it was before the step is then polished by Newton on grad F = 0
+    (`pde.damped_newton`) when its gradient norm is below 0.1, on every
+    POLISH_PERIOD-th sweep, and when the step could not lower F.  A polished
+    point V-separated from u_stable ends the search.  A step that cannot
+    lower F, or MAX_SWEEPS sweeps, end the path; it restarts with twice the
+    nodes, twice at most, and then PathCollapse is raised.
+
+    The three are module constants, not options: no caller, config or
+    benchmark workload needs other values, and the node doubling already
+    refines a path that is too coarse.
+
+    The result is verified against the cutoff equivalence: u <= 0 within
+    TOL_POS, structure-equation residual at most 10*tol, and smallest
+    eigenvalue of the linearization at most EPS_UNSTABLE (a second
+    minimizer would signal a path collapse).
     """
     if abs(t - u_stable.t) > 1e-12 * max(1.0, t):
         raise ValueError("u_stable was computed at a different t")
@@ -300,72 +290,62 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
     def vnorm(x):
         return float(np.sqrt(x @ (gram @ x)))
 
-    def redistribute(path):
-        """Resample the polyline at uniform V-arclength, endpoints fixed."""
-        seg = np.array([vnorm(path[i + 1] - path[i])
-                        for i in range(len(path) - 1)])
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        if cum[-1] <= 0.0:
-            return path
-        targets = np.linspace(0.0, cum[-1], len(path))
-        out = [path[0]]
-        for tgt in targets[1:-1]:
-            i = min(np.searchsorted(cum, tgt) - 1, len(seg) - 1)
-            i = max(i, 0)
-            frac = 0.0 if seg[i] == 0.0 else (tgt - cum[i]) / seg[i]
-            out.append((1.0 - frac) * path[i] + frac * path[i + 1])
-        out.append(path[-1])
-        return out
-
-    def separated(u_cand):
-        return vnorm(u_cand - u_stable.u) > 10.0 * tol
-
-    def attempt(nodes_count):
-        tau = np.linspace(0.0, 1.0, nodes_count)
-        path = [(1.0 - a) * u_stable.u + a * w for a in tau]
+    def relax(nodes):
+        """(u, gradient norm, V-norm separation, sweeps), or None."""
+        tau = np.linspace(0.0, 1.0, nodes)[:, None]
+        path = (1.0 - tau) * u_stable.u + tau * w
         step = 1.0
-        for sweeps in range(1, max_sweeps + 1):
-            path = redistribute(path)
-            vals = [functional_value(p, t, q, cp) for p in path]
-            jmax = int(np.argmax(vals[1:-1])) + 1
-            u_top = path[jmax]
+        for sweeps in range(1, MAX_SWEEPS + 1):
+            # interior targets lie strictly inside the arclength range, so
+            # each falls in a segment of positive length
+            seg = np.array([vnorm(d) for d in np.diff(path, axis=0)])
+            cum = np.concatenate([[0.0], np.cumsum(seg)])
+            targets = np.linspace(0.0, cum[-1], nodes)[1:-1]
+            i = np.searchsorted(cum, targets) - 1
+            frac = ((targets - cum[i]) / seg[i])[:, None]
+            path[1:-1] = (1.0 - frac) * path[i] + frac * path[i + 1]
+
+            vals = [functional_value(x, t, q, cp) for x in path[1:-1]]
+            j = int(np.argmax(vals)) + 1
+            u_top = path[j].copy()
             g = functional_gradient(u_top, t, q, cp)
             gnorm = np.sqrt(float(m @ g ** 2))
-            # polish candidates near stationarity; keep deforming if Newton
-            # lands back on the stable minimizer
-            if gnorm < 0.1 or sweeps % 5 == 0:
-                refined = _newton_critical(u_top, t, q, cp, tol)
-                if refined is not None and separated(refined[0]):
-                    return refined, sweeps
             d = gram_lu.solve(m * g)   # descent in the V-inner product
             alpha, moved = step, False
             for _ in range(40):
                 u_try = u_top - alpha * d
-                if functional_value(u_try, t, q, cp) < vals[jmax]:
-                    path[jmax] = u_try
+                if functional_value(u_try, t, q, cp) < vals[j - 1]:
+                    path[j] = u_try
                     step = min(alpha * 2.0, 1.0)
                     moved = True
                     break
                 alpha *= 0.5
-            if not moved:
-                refined = _newton_critical(u_top, t, q, cp, tol)
-                if refined is not None and separated(refined[0]):
-                    return refined, sweeps
-                return None, sweeps
-        return None, max_sweeps
 
-    nodes = n_nodes
-    u2 = sep = gnorm = sweeps = None
-    for _ in range(3):
-        refined, sweeps = attempt(nodes)
-        if refined is not None:
-            u2, gnorm = refined
-            sep = vnorm(u2 - u_stable.u)
+            # polish candidates near stationarity; keep deforming if Newton
+            # fails or lands back on the stable minimizer
+            if gnorm < 0.1 or sweeps % POLISH_PERIOD == 0 or not moved:
+                try:
+                    u, u_gnorm, _ = damped_newton(
+                        u_top, lambda v: functional_gradient(v, t, q, cp),
+                        lambda v: _hessian(v, t, q, cp), m, tol, 60)
+                except NonConvergence:
+                    pass
+                else:
+                    sep = vnorm(u - u_stable.u)
+                    if sep > 10.0 * tol:
+                        return u, u_gnorm, sep, sweeps
+            if not moved:
+                return None
+        return None
+
+    for nodes in (PATH_NODES, 2 * PATH_NODES, 4 * PATH_NODES):
+        found = relax(nodes)
+        if found is not None:
             break
-        nodes *= 2
     else:
         raise PathCollapse(
-            f"path slid back to the stable solution for up to {nodes // 2} nodes")
+            f"path slid back to the stable solution for up to {nodes} nodes")
+    u2, gnorm, sep, sweeps = found
 
     if u2.max() > TOL_POS:
         raise VerificationFailure(

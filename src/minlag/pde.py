@@ -50,8 +50,11 @@ class NonConvergence(RuntimeError):
         self.residual_norm = residual_norm
 
 
-class SingularJacobian(RuntimeError):
-    """Linearized operator could not be factorized (typically at a fold)."""
+class SingularJacobian(NonConvergence):
+    """Linearized operator could not be factorized (typically at a fold).
+
+    A kind of NonConvergence, so one `except NonConvergence` catches every
+    failed Newton solve."""
 
 
 class EigenFailure(RuntimeError):
@@ -154,8 +157,8 @@ def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
     `field_fn(u)` is a nodal field and `jacobian(u)` the sparse derivative
     of M field_fn at u.  Steps u - alpha J^{-1} (M field) are Armijo-
     backtracked on the merit 1/2 ||field||_M^2 down to alpha = 1e-10.
-    Returns (u, residual_norm, iterations); raises NonConvergence or
-    SingularJacobian.
+    Returns (u, residual_norm, iterations); raises NonConvergence, or its
+    subclass SingularJacobian when a Jacobian cannot be factorized.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .cubic import CubicDifferential
-from .pde import NonConvergence, SingularJacobian, SolutionPoint, solve_u
+from .pde import NonConvergence, SolutionPoint, solve_u
 from .surface import DiscreteSurface, integrate, laplacian
 
 
@@ -93,7 +93,7 @@ def area_record(q: CubicDifferential, h: float, n_points: int = 4,
     for k in range(max(n_points, 4 if stencil == "oneside" else 2)):
         try:
             u, _, _ = solve_u(u, k * h, q, tol=tol)
-        except (NonConvergence, SingularJacobian) as exc:
+        except NonConvergence as exc:
             raise BranchUnavailable(
                 f"branch solve failed at t = {k * h}: {exc}") from exc
         areas.append(-float(m @ np.exp(u)))

@@ -69,8 +69,27 @@ def test_schema_violation_reports_path(tmp_path, capsys):
 
 
 def test_unknown_keys_rejected(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "c.json", dict(TORUS, mystery=1))
-    assert main(["solve", cfg]) == 1
+    # an `mpass` block is unknown too: the mountain-pass path size and sweep
+    # budget are constants of minlag.mpass
+    for extra in ({"mystery": 1}, {"mpass": {"path_nodes": 40}}):
+        cfg = write_cfg(tmp_path, "c.json", dict(TORUS, **extra))
+        assert main(["solve", cfg]) == 1
+        assert next(iter(extra)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, raw", [
+    ("solve", "NaN"), ("solve", "Infinity"), ("solve", "-Infinity"),
+    ("solve", "1e400"), ("mpass", "NaN"),
+    pytest.param("solve", "1" + "0" * 400, id="solve-401-digit-int")])
+def test_non_finite_numbers_rejected(tmp_path, capsys, command, raw):
+    # json reads the NaN/Infinity literals, 1e400 as inf and a 401-digit
+    # integer as an int no float holds; every schema bound check passes NaN
+    text = json.dumps(dict(TORUS, t=0.5)).replace('"t": 0.5', f'"t": {raw}')
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert main([command, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and raw in err
 
 
 def test_continue_outputs(tmp_path, capsys):

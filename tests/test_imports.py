@@ -1,4 +1,5 @@
-"""Static checks over the `minlag` sources: unused imports, argument design."""
+"""Static checks over the `minlag` sources: unused imports, argument design,
+unreferenced private names."""
 
 import ast
 from pathlib import Path
@@ -109,3 +110,55 @@ def test_only_main_maps_exceptions_in_cli():
     # every other failure reaches `main`, the one exception -> exit code map
     assert functions_with_try((SRC / "cli.py").read_text()) == {
         "main", "load_config"}
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """Module-level `_`-prefixed functions, classes and constants of
+    `sources` (file name -> text) that no top-level statement of any source
+    mentions, other than the one that defines them.  Dunder names are
+    exempt."""
+    mentions = []       # (statement, identifiers it mentions)
+    defined = []        # (file, statement, name)
+    for name, source in sources.items():
+        for node in ast.parse(source).body:
+            ids = set()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    ids.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    ids.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    ids.add(n.name)
+            mentions.append((node, ids))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            else:
+                targets = []
+            defined += [(name, node, t) for t in targets
+                        if t.startswith("_") and not t.startswith("__")]
+    return [f"{name}: {t} (line {node.lineno})" for name, node, t in defined
+            if not any(t in ids for stmt, ids in mentions if stmt is not node)]
+
+
+def test_detects_unreferenced_private_names():
+    sources = {
+        "a.py": ("_LIMIT = 3\n"
+                 "_UNUSED = 4\n"
+                 "def _helper(x):\n    return _helper(x - 1) if x else _LIMIT\n"
+                 "def _orphan():\n    return _orphan()\n"
+                 "class _Kind:\n    pass\n"
+                 "def _shared():\n    pass\n"
+                 "def public():\n    return _helper(1), _Kind\n"),
+        "b.py": "from .a import _shared\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        "a.py: _UNUSED (line 2)", "a.py: _orphan (line 5)"]
+
+
+def test_no_unreferenced_private_names():
+    # an orphaned helper left behind by a refactor shows up here
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

@@ -5,11 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from minlag.continuation import detect_fold, trace_curve
+from minlag import mpass
 from minlag.mpass import (DegenerateNorm, PathCollapse, build_cutoffs,
                           find_mountain_pass, functional_gradient,
                           functional_value, norm_equivalence_constants,
                           v_norm)
-from minlag.pde import newton_solve
+from minlag.pde import NonConvergence, newton_solve
 from minlag.cubic import constant_cubic, norm_field
 from minlag.surface import integrate, laplacian
 
@@ -240,3 +241,16 @@ def test_mountain_pass_degenerate_at_zero(torus16, unit_cubic, cutoffs):
     p0 = newton_solve(np.zeros(torus16.n_classes), 0.0, unit_cubic)
     with pytest.raises(DegenerateNorm):
         find_mountain_pass(p0, 0.0, unit_cubic, cutoffs)
+
+
+def test_mountain_pass_collapse_after_three_paths(torus16, unit_cubic, cutoffs,
+                                                  torus_stables, monkeypatch):
+    # every polish fails, so each path runs out of sweeps; the search gives
+    # up after the 20-, 40- and 80-node paths
+    def failing_newton(*args):
+        raise NonConvergence("injected")
+
+    monkeypatch.setattr(mpass, "MAX_SWEEPS", 3)
+    monkeypatch.setattr(mpass, "damped_newton", failing_newton)
+    with pytest.raises(PathCollapse, match="up to 80 nodes"):
+        find_mountain_pass(torus_stables[0.10], 0.10, unit_cubic, cutoffs)
