@@ -59,6 +59,6 @@ from .frame import (
     second_fundamental_form,
     su21_defect,
 )
-from .wp import area_functional, d_operator, udotdot
+from .wp import area_record, d_operator, udotdot
 
 __version__ = "0.1.0"

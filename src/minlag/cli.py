@@ -15,7 +15,16 @@ the branch ever more coarsely toward the fold.
 Every number in a config must be a finite float: the NaN and Infinity
 literals, and numbers beyond the float range such as 1e400, exit 1.  The
 mountain-pass path size and sweep budget are constants of `mpass`, so a
-config with an `mpass` block exits 1 as an unknown key.
+config with an `mpass` block exits 1 as an unknown key, as do the removed
+`frame.project`, `wpcheck.stencil` and `wpcheck.n_points`: the frame is
+never reprojected, and `wpcheck` always uses the centred stencil.
+
+`wpcheck` reads `wpcheck.h` (default 0.01) and samples the area A(t) along
+the branch at t = 0, h, 2h and 3h, so 3h must lie below the fold; a failed
+branch solve exits 2.  Its CSV holds the `t,area` table, then the rows
+`# fd1`, `# fd2` (with the exact 16 <q, q> and `rel_err`) and `# udd_gap`,
+the pointwise gap of 2 (u(h) - u(0)) / h^2 to u_tt(0) = `wp.udotdot(q)`.
+A vanishing cubic exits 1.
 
 Outputs embed the sha256 hash of the canonicalized config for provenance and
 are byte-identical across reruns except for the timestamp field.
@@ -128,7 +137,6 @@ CONFIG_SCHEMA = {
                               "items": {"type": "number"}},
                 },
                 "step": {"type": "number", "exclusiveMinimum": 0},
-                "project": {"type": "boolean"},
                 "trivial": {"type": "boolean"},
             },
         },
@@ -137,8 +145,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "h": {"type": "number", "exclusiveMinimum": 0},
-                "stencil": {"enum": ["centered", "oneside"]},
-                "n_points": {"type": "integer", "minimum": 2},
             },
         },
     },
@@ -291,7 +297,6 @@ def cmd_frame(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     fcfg = cfg.get("frame", {})
     step = fcfg.get("step", 0.005)
-    project = fcfg.get("project", False)
     tol = cfg.get("tol", 1e-10)
     trivial = fcfg.get("trivial", False)
     if trivial and q.surface.genus < 2:
@@ -311,7 +316,7 @@ def cmd_frame(cfg, args) -> int:
         t = float(cfg.get("t", 0.0))
         p = continuation.branch_point(q, t, tol)
         coeffs = frame.MeshCoefficients(p.u, q)
-    sheet = frame.integrate_frame(coeffs, path, step=step, project=project)
+    sheet = frame.integrate_frame(coeffs, path, step=step)
     payload = sheet.to_json()
     payload["max_unitarity_defect"] = float(sheet.defects[:, 0].max())
     payload["max_det_defect"] = float(sheet.defects[:, 1].max())
@@ -321,11 +326,8 @@ def cmd_frame(cfg, args) -> int:
 
 def cmd_wpcheck(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
-    w = cfg.get("wpcheck", {})
-    h = w.get("h", 0.01)
-    rec = wp.area_record(q, h, n_points=w.get("n_points", 4),
-                         stencil=w.get("stencil", "centered"),
-                         tol=cfg.get("tol", 1e-12))
+    h = cfg.get("wpcheck", {}).get("h", 0.01)
+    rec = wp.area_record(q, h, tol=cfg.get("tol", 1e-12))
     csv_path = _csv_path(args, "wpcheck")
     with open(csv_path, "w") as fh:
         fh.write(f"# config_hash={config_hash(cfg)}\n")
@@ -335,10 +337,12 @@ def cmd_wpcheck(cfg, args) -> int:
         fh.write(f"# fd1,{rec.fd1!r}\n")
         fh.write(f"# fd2,{rec.fd2!r},exact,{rec.exact_second!r},"
                  f"rel_err,{rec.rel_err!r}\n")
+        fh.write(f"# udd_gap,{rec.udd_gap!r}\n")
     print(f"area(0) = {rec.areas[0]:.8g}")
     print(f"first-variation estimate: {rec.fd1:.3e}")
     print(f"second variation: fd2 = {rec.fd2:.8g}, exact = "
           f"{rec.exact_second:.8g}, rel_err = {rec.rel_err:.3e}")
+    print(f"pointwise u_tt(0) gap: udd_gap = {rec.udd_gap:.3e}")
     print(f"table written to {csv_path}")
     return EXIT_OK
 

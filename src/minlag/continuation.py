@@ -252,7 +252,7 @@ def nonexistence_bound(q: CubicDifferential) -> float:
 def write_curve_csv(curve: SolutionCurve, path: str,
                     comment: str | None = None) -> None:
     """Curve table: t, lambda_min, residual_norm, u_min, u_max, area_induced."""
-    m = laplacian(curve.cubic.surface).mass_diag
+    s = curve.cubic.surface
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
@@ -262,7 +262,7 @@ def write_curve_csv(curve: SolutionCurve, path: str,
         for p in curve.points:
             w.writerow([repr(float(x)) for x in
                         (p.t, p.lambda_min, p.residual_norm, p.u.min(),
-                         p.u.max(), float(m @ np.exp(p.u)))])
+                         p.u.max(), integrate(s, np.exp(p.u)))])
 
 
 def curve_to_json(curve: SolutionCurve) -> dict:

@@ -111,10 +111,3 @@ def wp_pairing(q1: CubicDifferential, q2: CubicDifferential) -> complex:
     m = laplacian(s).mass_diag
     vals = q1.class_values() * np.conjugate(q2.class_values()) / lam ** 3
     return complex((m * vals).sum())
-
-
-def cubic_to_json(q: CubicDifferential) -> dict:
-    return {
-        "values": [[float(v.real), float(v.imag)] for v in q.values],
-        "zeros": [[int(c), int(o)] for c, o in q.zero_divisor],
-    }

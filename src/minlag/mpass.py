@@ -1,7 +1,7 @@
 """Reformulated functional with cutoff nonlinearities and mountain-pass search.
 
 The structure equation is recast as -Delta u + V u = f1(u) + V f2(u) with
-V = 16 t^2 ||q||^2 and cutoff functions
+V = 16 t^2 ||q||^2 (`pde.v_field`) and cutoff functions
 
     f1(s) = 2 - 2 e^s        (s <= 0),   -theta s^(theta-1)  (s > 1),
     f2(s) = s - e^{-2s}      (s <= 0),   0                   (s > 1),
@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .cubic import CubicDifferential
 from .pde import (TOL_POS, NonConvergence, SolutionPoint, damped_newton,
-                  linearize, residual, smallest_eigenvalue)
+                  linearize, residual, smallest_eigenvalue, v_field)
 from .surface import laplacian
 
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
@@ -171,16 +171,12 @@ def build_cutoffs(theta: float = 3.0) -> CutoffPair:
 # functional, gradient, V-norm
 
 
-def _v_field(t: float, q: CubicDifferential) -> np.ndarray:
-    return 16.0 * t * t * q.norm_sq
-
-
 def functional_value(u: np.ndarray, t: float, q: CubicDifferential,
                      cp: CutoffPair) -> float:
     """F(u) = 1/2 integral(|grad u|^2 + V u^2) - integral(F1(u) + V F2(u))."""
     op = laplacian(q.surface)
     u = np.asarray(u, dtype=float)
-    V = _v_field(t, q)
+    V = v_field(t, q)
     # overflowing trial fields yield inf/nan, rejected by the line searches
     with np.errstate(over="ignore", invalid="ignore"):
         quad = 0.5 * float(u @ (op.stiffness @ u)) \
@@ -194,7 +190,7 @@ def functional_gradient(u: np.ndarray, t: float, q: CubicDifferential,
     """Nodal gradient field g with dF(u)[v] = <g, v>_M."""
     op = laplacian(q.surface)
     u = np.asarray(u, dtype=float)
-    V = _v_field(t, q)
+    V = v_field(t, q)
     with np.errstate(over="ignore", invalid="ignore"):
         weak = op.stiffness @ u + op.mass_diag * (V * u - cp.f1(u) - V * cp.f2(u))
         return weak / op.mass_diag
@@ -203,7 +199,7 @@ def functional_gradient(u: np.ndarray, t: float, q: CubicDifferential,
 def v_gram(t: float, q: CubicDifferential) -> sp.csr_matrix:
     """Gram matrix of the V-inner product: int grad f.grad g + V f g."""
     op = laplacian(q.surface)
-    V = _v_field(t, q)
+    V = v_field(t, q)
     if float(op.mass_diag @ V) <= 0.0:
         raise DegenerateNorm("integral V = 0; V-norm requires t > 0 and q != 0")
     return op.shifted(V)
@@ -234,7 +230,7 @@ def norm_equivalence_constants(t: float, q: CubicDifferential):
 
 
 def _hessian(u, t, q, cp):
-    V = _v_field(t, q)
+    V = v_field(t, q)
     return laplacian(q.surface).shifted(V - cp.df1(u) - V * cp.df2(u))
 
 

@@ -6,7 +6,8 @@ The residual of the equation
 
 is evaluated in weak form and returned as a nodal field (weak residual
 divided by the lumped mass).  The surface is the cubic differential's own
-(`q.surface`) and ||q||^2 its cached `q.norm_sq`.  The linearized operator
+(`q.surface`), ||q||^2 its cached `q.norm_sq`, and V = 16 t^2 ||q||^2 is
+formed only by `v_field`, which `mpass` reads too.  The linearized operator
 about u is
 
     L(u, t) = -Delta + 2 e^{-2u} (e^{3u} - 16 t^2 ||q||^2),
@@ -89,6 +90,11 @@ class LinearizedOperator:
     potential: np.ndarray
 
 
+def v_field(t: float, q: CubicDifferential) -> np.ndarray:
+    """The potential V = 16 t^2 ||q||^2 per class."""
+    return 16.0 * t * t * q.norm_sq
+
+
 def residual(u: np.ndarray, t: float, q: CubicDifferential) -> np.ndarray:
     """Nodal residual of the structure equation at (u, t)."""
     if t < 0:
@@ -101,8 +107,7 @@ def residual(u: np.ndarray, t: float, q: CubicDifferential) -> np.ndarray:
     # overflow of exp(u) for wildly positive trial iterates yields inf, which
     # the Newton line search rejects; only u < threshold is a hard failure
     with np.errstate(over="ignore"):
-        return (lap + 2.0 - 2.0 * np.exp(u)
-                - 16.0 * t * t * q.norm_sq * np.exp(-2.0 * u))
+        return lap + 2.0 - 2.0 * np.exp(u) - v_field(t, q) * np.exp(-2.0 * u)
 
 
 def linearize(u: np.ndarray, t: float,
@@ -114,7 +119,7 @@ def linearize(u: np.ndarray, t: float,
     if u.min() < BLOWUP_THRESHOLD:
         raise ResidualBlowup(f"min u = {u.min():.3g} below {BLOWUP_THRESHOLD}")
     op = laplacian(q.surface)
-    pot = 2.0 * np.exp(-2.0 * u) * (np.exp(3.0 * u) - 16.0 * t * t * q.norm_sq)
+    pot = 2.0 * np.exp(-2.0 * u) * (np.exp(3.0 * u) - v_field(t, q))
     return LinearizedOperator(matrix=op.shifted(pot), mass_diag=op.mass_diag,
                               potential=pot)
 

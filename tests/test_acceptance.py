@@ -193,14 +193,14 @@ def test_criterion_7_wp_identities(ctx):
     area0 = -float(m3 @ np.exp(p0.u))
     assert area0 == pytest.approx(-4.0 * math.pi, rel=0.02)
 
-    fd1 = area_record(ctx.unit_cubic, 1e-4, n_points=2, tol=1e-13).fd1
+    fd1 = area_record(ctx.unit_cubic, 1e-4, tol=1e-13).fd1
     assert abs(fd1) <= 1e-3
 
-    rec = area_record(ctx.unit_cubic, 0.01, n_points=2)
+    rec = area_record(ctx.unit_cubic, 0.01)
     rel = rec.rel_err
     assert rec.exact_second == pytest.approx(16.0, rel=1e-12)
     assert rel <= 0.02
-    rel_o = area_record(ctx.oct_cubic, 0.5, n_points=2).rel_err
+    rel_o = area_record(ctx.oct_cubic, 0.5).rel_err
     assert rel_o <= 0.05
 
     rng = np.random.default_rng(0)

@@ -70,11 +70,16 @@ def test_schema_violation_reports_path(tmp_path, capsys):
 
 def test_unknown_keys_rejected(tmp_path, capsys):
     # an `mpass` block is unknown too: the mountain-pass path size and sweep
-    # budget are constants of minlag.mpass
-    for extra in ({"mystery": 1}, {"mpass": {"path_nodes": 40}}):
+    # budget are constants of minlag.mpass; the frame is never reprojected
+    # and wpcheck has the centred stencil only
+    for extra, key in (({"mystery": 1}, "mystery"),
+                       ({"mpass": {"path_nodes": 40}}, "mpass"),
+                       ({"wpcheck": {"stencil": "oneside"}}, "stencil"),
+                       ({"wpcheck": {"n_points": 2}}, "n_points"),
+                       ({"frame": {"project": True}}, "project")):
         cfg = write_cfg(tmp_path, "c.json", dict(TORUS, **extra))
         assert main(["solve", cfg]) == 1
-        assert next(iter(extra)) in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, raw", [
@@ -225,7 +230,20 @@ def test_wpcheck_report(tmp_path, capsys):
     rows = (tmp_path / "wpt.csv").read_text().strip().splitlines()
     assert rows[0].startswith("# config_hash=")
     assert rows[1] == "t,area"
+    assert len([r for r in rows if not r.startswith("#")]) == 5
     assert any(r.startswith("# fd2") for r in rows)
+    assert rows[-1].startswith("# udd_gap,")
+    assert float(rows[-1].split(",")[1]) <= 0.01
+    assert "udd_gap" in out
+
+
+def test_wpcheck_zero_cubic_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json",
+                    dict(TORUS, cubic={"constant": [0.0, 0.0]}))
+    # was a ZeroDivisionError traceback from the rel_err division
+    assert main(["wpcheck", cfg, "-o", str(tmp_path / "wpt")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: the cubic differential vanishes")
 
 
 def test_wpcheck_beyond_fold_exits_2(tmp_path, capsys):

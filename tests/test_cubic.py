@@ -5,8 +5,8 @@ import pytest
 
 from minlag import cubic
 from minlag.continuation import detect_fold, trace_curve
-from minlag.cubic import (constant_cubic, cubic_to_json, norm_field,
-                          synthetic_cubic, wp_pairing)
+from minlag.cubic import (constant_cubic, norm_field, synthetic_cubic,
+                          wp_pairing)
 from minlag.surface import build_flat_torus, integrate
 from conftest import octagon_zero_classes
 
@@ -105,13 +105,6 @@ def test_norm_scales_linearly(octagon2_cubic):
     scaled = dataclasses.replace(octagon2_cubic,
                                  values=3.7 * octagon2_cubic.values)
     assert norm_field(scaled) == pytest.approx(3.7 * base, rel=1e-14)
-
-
-def test_cubic_json(octagon2_cubic):
-    payload = cubic_to_json(octagon2_cubic)
-    assert set(payload) == {"values", "zeros"}
-    assert len(payload["values"]) == len(octagon2_cubic.values)
-    assert all(len(z) == 2 for z in payload["zeros"])
 
 
 def test_norm_sq_is_the_squared_norm_field(octagon2_cubic):

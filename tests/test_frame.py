@@ -19,18 +19,19 @@ ETA = np.diag([1.0, 1.0, -1.0])
 
 def test_s_from_u_constant_factor():
     s = build_flat_torus(8, 1.0, 4.0)
-    vals = s_from_u(np.zeros(s.n_classes), s)
+    vals = s_from_u(np.zeros(s.n_classes), s.lambda_classes())
     assert vals == pytest.approx(math.sqrt(2.0) * np.ones_like(vals))
 
 
 def test_s_from_u_disk_center(octagon2):
-    vals = s_from_u(np.zeros(octagon2.n_classes), octagon2)
+    vals = s_from_u(np.zeros(octagon2.n_classes), octagon2.lambda_classes())
     center = int(octagon2.class_of[0])
     assert vals[center] == pytest.approx(math.sqrt(2.0))
 
 
 def test_s_from_u_fold_state(torus16):
-    vals = s_from_u(np.full(torus16.n_classes, U_FOLD), torus16)
+    vals = s_from_u(np.full(torus16.n_classes, U_FOLD),
+                    torus16.lambda_classes())
     assert vals == pytest.approx(math.sqrt(1.0 / 3.0) * np.ones_like(vals))
 
 
@@ -312,16 +313,6 @@ def test_constant_coefficients_order():
         defects.append(sheet.defects[-1, 0])
     orders = [math.log2(defects[i] / defects[i + 1]) for i in range(2)]
     assert min(orders) >= 3.5
-
-
-def test_projection_restores_group():
-    coeffs = poincare_trivial_coefficients()
-    plain = integrate_frame(coeffs, [0.0, 0.6], step=0.02)
-    projected = integrate_frame(coeffs, [0.0, 0.6], step=0.02, project=True)
-    assert projected.defects[:, 0].max() <= 1e-12
-    assert projected.defects[:, 1].max() <= 1e-12
-    # projection is a small correction of the unprojected frame
-    assert np.abs(projected.frames[-1] - plain.frames[-1]).max() <= 1e-6
 
 
 def test_mesh_flatness_trivial_octagon(octagon3):

