@@ -1,14 +1,14 @@
 """Command-line interface: JSON-configured runs with JSON/CSV results.
 
-Subcommands: mesh, solve, continue, mpass, frame, wpcheck, selftest.
+Subcommands: mesh, solve, continue, mpass, frame, wpcheck.
 Exit codes: 0 success, 1 configuration or domain error, 2 numerical failure.
 Commands raise; `main` holds the only exception-to-exit-code map.  Every
 `ValueError` exits 1 as a config error, and every class on
 `NUMERICAL_FAILURES` exits 2 as `<command> failed`.  A new failure class
 must either go on that tuple or derive from `ValueError`.
 
-Every command but `mesh` and `selftest` needs a `cubic`.  `continue` reads
-`dt0`, its first step in t (default 0.01); the step then grows by
+Every command but `mesh` needs a `cubic`.  `continue` reads `dt0`, its
+first step in t (default 0.01); the step then grows by
 `continuation.STEP_GROWTH` after each accepted point, so curve.csv samples
 the branch ever more coarsely toward the fold.
 
@@ -17,10 +17,13 @@ literals, and numbers beyond the float range such as 1e400, exit 1.  The
 mountain-pass path size and sweep budget are constants of `mpass`, so a
 config with an `mpass` block exits 1 as an unknown key, as do the removed
 `frame.project`, `wpcheck.stencil` and `wpcheck.n_points`: the frame is
-never reprojected, and `wpcheck` always uses the centred stencil.
+never reprojected, and `wpcheck` always uses the centred stencil.  So do
+`seed`, which nothing reads; `theta`, since the cutoff exponent is the
+constant `mpass.THETA`; and `frame.trivial`, since the frame is always
+built from the solved branch point.
 
 `wpcheck` reads `wpcheck.h` (default 0.01) and samples the area A(t) along
-the branch at t = 0, h, 2h and 3h, so 3h must lie below the fold; a failed
+the branch at t = 0 and h, so only h must lie below the fold; a failed
 branch solve exits 2.  Its CSV holds the `t,area` table, then the rows
 `# fd1`, `# fd2` (with the exact 16 <q, q> and `rel_err`) and `# udd_gap`,
 the pointwise gap of 2 (u(h) - u(0)) / h^2 to u_tt(0) = `wp.udotdot(q)`.
@@ -125,8 +128,6 @@ CONFIG_SCHEMA = {
         "t": {"type": "number", "minimum": 0},
         "dt0": {"type": "number", "exclusiveMinimum": 0},
         "tol": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer", "minimum": 0},
-        "theta": {"type": "number", "exclusiveMinimum": 2},
         "frame": {
             "type": "object",
             "additionalProperties": False,
@@ -137,7 +138,6 @@ CONFIG_SCHEMA = {
                               "items": {"type": "number"}},
                 },
                 "step": {"type": "number", "exclusiveMinimum": 0},
-                "trivial": {"type": "boolean"},
             },
         },
         "wpcheck": {
@@ -277,7 +277,7 @@ def cmd_mpass(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     t = _require_t(cfg)
     tol = cfg.get("tol", 1e-10)
-    cp = mpass.build_cutoffs(cfg.get("theta", 3.0))
+    cp = mpass.build_cutoffs()
     stable = continuation.branch_point(q, t, tol)
     p2 = mpass.find_mountain_pass(stable, t, q, cp, tol=tol)
     payload = {
@@ -298,10 +298,6 @@ def cmd_frame(cfg, args) -> int:
     fcfg = cfg.get("frame", {})
     step = fcfg.get("step", 0.005)
     tol = cfg.get("tol", 1e-10)
-    trivial = fcfg.get("trivial", False)
-    if trivial and q.surface.genus < 2:
-        raise ConfigError("frame 'trivial' coefficients (u = q = 0 on the "
-                          "Poincare disk) need a genus >= 2 backend")
     if fcfg.get("path"):
         path = [complex(a, b) for a, b in fcfg["path"]]
     elif q.surface.genus >= 2:
@@ -310,13 +306,9 @@ def cmd_frame(cfg, args) -> int:
         side = cfg["backend"].get("side", 1.0)
         path = [side * (0.25 + 0.25j), side * (0.75 + 0.25j)]
 
-    if trivial:
-        coeffs = frame.poincare_trivial_coefficients()
-    else:
-        t = float(cfg.get("t", 0.0))
-        p = continuation.branch_point(q, t, tol)
-        coeffs = frame.MeshCoefficients(p.u, q)
-    sheet = frame.integrate_frame(coeffs, path, step=step)
+    p = continuation.branch_point(q, float(cfg.get("t", 0.0)), tol)
+    sheet = frame.integrate_frame(frame.MeshCoefficients(p.u, q), path,
+                                  step=step)
     payload = sheet.to_json()
     payload["max_unitarity_defect"] = float(sheet.defects[:, 0].max())
     payload["max_det_defect"] = float(sheet.defects[:, 1].max())
@@ -347,53 +339,6 @@ def cmd_wpcheck(cfg, args) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(cfg, args) -> int:
-    """Fast end-to-end sanity checks on both backends."""
-    failures = 0
-
-    def check(name, ok, detail=""):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
-        failures += 0 if ok else 1
-
-    s = surface.build_flat_torus(16, 1.0, 1.0)
-    q = constant_cubic(s, 1.0)
-    p = pde.newton_solve(np.zeros(s.n_classes), 0.0, q)
-    check("torus trivial solution", np.abs(p.u).max() <= 1e-10
-          and abs(p.lambda_min - 2.0) < 1e-2, f"lambda_min={p.lambda_min:.6f}")
-
-    o = surface.build_genus2_octagon(2)
-    check("octagon topology", o.euler_characteristic() == -2,
-          f"chi={o.euler_characteristic()}")
-    p = pde.newton_solve(np.zeros(o.n_classes), 0.0,
-                         synthetic_cubic(o, [(0, 6)], 1.0))
-    check("octagon trivial solution", np.abs(p.u).max() <= 1e-10)
-
-    one = np.ones(s.n_classes)
-    check("D(1) = 1 (torus)", np.abs(wp.d_operator(s, one) - 1.0).max() < 1e-12)
-    check("D(1) = 1 (octagon)",
-          np.abs(wp.d_operator(o, np.ones(o.n_classes)) - 1.0).max() < 1e-12)
-
-    rng = np.random.default_rng(cfg.get("seed", 0))
-    a = 1.0 + rng.uniform(0.0, 1e6, 2000)
-    b = rng.uniform(0.0, 1e3, 2000)
-    hs = [pde.legendre_pair(ai, bi) for ai, bi in zip(a, b)]
-    ok = all(ai * bi <= h + hst + 1e-9 * max(1.0, ai * bi)
-             for (ai, bi), (h, hst) in zip(zip(a, b), hs))
-    check("Legendre-transform inequality", ok)
-
-    cp = mpass.build_cutoffs(3.0)
-    grid = np.linspace(-3.0, 3.0, 1201)
-    d = np.diff(cp.F1(grid))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    ok = np.abs(d / np.diff(grid) - cp.f1(mids)).max() < 1e-2
-    check("cutoff antiderivative F1' = f1", ok)
-
-    print(f"{'OK' if failures == 0 else 'FAILED'}: "
-          f"{failures} failing check(s)")
-    return EXIT_OK if failures == 0 else EXIT_NUMERICAL
-
-
 COMMANDS = {
     "mesh": cmd_mesh,
     "solve": cmd_solve,
@@ -401,7 +346,6 @@ COMMANDS = {
     "mpass": cmd_mpass,
     "frame": cmd_frame,
     "wpcheck": cmd_wpcheck,
-    "selftest": cmd_selftest,
 }
 
 
@@ -414,18 +358,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        if name != "selftest":
-            p.add_argument("config", help="JSON configuration file")
-        else:
-            p.add_argument("config", nargs="?", help="optional JSON config")
+        p.add_argument("config", help="JSON configuration file")
         p.add_argument("-o", "--output", default=None,
                        help="output file (JSON; or CSV base name for "
                             "continue/wpcheck)")
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config) if args.config else {}
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](load_config(args.config), args)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

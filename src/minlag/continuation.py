@@ -43,6 +43,7 @@ EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
 NO_FOLD_FRACTION = 0.25  # the fold solve starts only once lambda_min is at
                          # or below this fraction of its value at t = 0
 STEP_GROWTH = 1.5      # step factor after each accepted continuation step
+MAX_POINTS = 2000      # accepted points after which the trace stalls
 
 
 class StallBeforeFold(RuntimeError):
@@ -72,9 +73,6 @@ class SolutionCurve:
         """max |u| at each point."""
         return [float(np.abs(p.u).max()) for p in self.points]
 
-    def ts(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
     def lambda_mins(self) -> np.ndarray:
         return np.array([p.lambda_min for p in self.points])
 
@@ -100,15 +98,15 @@ def _next_step(dt: float, accepted: bool) -> float:
     return STEP_GROWTH * dt if accepted else 0.5 * dt
 
 
-def trace_curve(q: CubicDifferential, dt0: float, tol: float = 1e-10,
-                max_points: int = 2000) -> SolutionCurve:
+def trace_curve(q: CubicDifferential, dt0: float,
+                tol: float = 1e-10) -> SolutionCurve:
     """Natural-parameter continuation from (0, 0) to where the fold solve starts.
 
     The first step is dt0; each step follows `_next_step`, growing by
     STEP_GROWTH after an accepted point and halving after a failed Newton
     solve or a lambda_min drop of more than half.  Returns at the first
     accepted point from which `detect_fold` can start.  Raises
-    StallBeforeFold if the step underflows (below dt0 * 1e-4) or max_points
+    StallBeforeFold if the step underflows (below dt0 * 1e-4) or MAX_POINTS
     are accepted before that.  `diagnostics` holds the rejected step count, `n_points`,
     `newton_iterations` (summed over the points) and `final_step`, the step
     the trace would have tried next from its last point.
@@ -121,7 +119,7 @@ def trace_curve(q: CubicDifferential, dt0: float, tol: float = 1e-10,
 
     dt = dt0
     dt_min = dt0 * 1e-4
-    while dt >= dt_min and len(points) < max_points:
+    while dt >= dt_min and len(points) < MAX_POINTS:
         prev = points[-1]
         try:
             p = newton_solve(prev.u, prev.t + dt, q, tol=tol)

@@ -34,6 +34,7 @@ from .cubic import CubicDifferential
 from .surface import DiscreteSurface, _mobius_apply, hyperbolic_midpoint
 
 ETA = np.diag([1.0, 1.0, -1.0]).astype(complex)
+MAX_STEP_DEFECT = 1e-6   # largest unitarity-defect growth in one RK4 step
 
 
 class StepTooLarge(RuntimeError):
@@ -148,9 +149,6 @@ class MeshCoefficients:
         qv = q.values.astype(complex)
         self._interp = CloughTocher2DInterpolator(pts, np.column_stack(
             [s_chart, s_z.real, s_z.imag, qv.real, qv.imag]))
-
-    def at(self, z: complex):
-        return _point_coefficients(*(v[0] for v in self.at_many([z])))
 
     def at_many(self, zs):
         """Arrays (s, s_z, q); StepTooLarge names the first point off the patch."""
@@ -291,8 +289,7 @@ def side_pairing_frame_product(coeffs, surface: DiscreteSurface,
     return product, defects
 
 
-def integrate_frame(coeffs, path, step: float = 0.01,
-                    max_step_defect: float = 1e-6) -> FrameSheet:
+def integrate_frame(coeffs, path, step: float = 0.01) -> FrameSheet:
     """Integrate F' = F (A zdot + B zbardot) along a polyline, F(0) = I.
 
     `path` is a sequence of complex chart points inside one simply connected
@@ -302,7 +299,7 @@ def integrate_frame(coeffs, path, step: float = 0.01,
     midpoint and end point per step) go to one `coeffs.at_many` call, all
     node stencils to one `flatness_defect` call.  Per-node
     unitarity/determinant/flatness defects are recorded; a unitarity jump
-    above `max_step_defect` in one step raises StepTooLarge.  The frame is
+    above MAX_STEP_DEFECT in one step raises StepTooLarge.  The frame is
     never reprojected onto the group, so the defects measure the accumulated
     integrator error (about 4e-11 on the benchmark's octagon loop).
     """
@@ -339,7 +336,7 @@ def integrate_frame(coeffs, path, step: float = 0.01,
         k4 = (F + hh * k3) @ _connection(vals[i + 2], zdot)
         F = F + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         unit_defect, det_defect = su21_defect(F)
-        if unit_defect - prev_unit_defect > max_step_defect:
+        if unit_defect - prev_unit_defect > MAX_STEP_DEFECT:
             raise StepTooLarge(
                 f"unitarity defect grew by {unit_defect - prev_unit_defect:.2e} "
                 f"in one step near z = {points[i + 2]:.4f}; reduce the step size")

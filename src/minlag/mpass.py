@@ -13,10 +13,14 @@ Both equations have the same solution set: any critical point of
 
     F(u) = 1/2 integral (|grad u|^2 + V u^2) - integral (F1(u) + V F2(u))
 
-with u <= 0 solves the structure equation, and conversely.  The second
-(mountain-pass) solution at t in (0, T0) is found by deforming a discrete
-path from the stable branch point to a deep negative constant, then polishing
-the path maximum with Newton on grad F = 0 (the `pde.damped_newton` loop).
+with u <= 0 solves the structure equation, and conversely.  The growth
+exponent theta > 2 is a device of the existence proof: it gives F the
+Ambrosetti-Rabinowitz growth condition.  The cutoffs depend on it only for
+s > 0, so every critical point with u <= 0 is a solution whatever theta is,
+and it is the constant THETA = 3.  The second (mountain-pass) solution at
+t in (0, T0) is found by deforming a discrete path from the stable branch
+point to a deep negative constant, then polishing the path maximum with
+Newton on grad F = 0 (the `pde.damped_newton` loop).
 Every function reads the surface from the cubic differential (`q.surface`)
 and ||q||^2 from its cache (`q.norm_sq`).
 """
@@ -36,15 +40,11 @@ from .pde import (TOL_POS, NonConvergence, SolutionPoint, damped_newton,
                   linearize, residual, smallest_eigenvalue, v_field)
 from .surface import laplacian
 
+THETA = 3.0           # growth exponent of the cutoffs for s > 1
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
 PATH_NODES = 20       # nodes of the first mountain-pass path
 MAX_SWEEPS = 600      # relaxation sweeps per path
 POLISH_PERIOD = 5     # a Newton polish at least every this many sweeps
-
-
-class BlendSignViolation(ValueError):
-    """Cutoff blend failed to stay negative on the joining interval: theta is
-    outside the range the blend construction covers."""
 
 
 class DegenerateNorm(ValueError):
@@ -93,7 +93,6 @@ def _hermite_blend(v0, d0, v1, d1, jump, curv0):
 class CutoffPair:
     """Cutoff functions f1, f2 with antiderivatives F1, F2 and derivatives."""
 
-    theta: float
     f1: callable
     f2: callable
     F1: callable
@@ -116,55 +115,38 @@ def _piecewise(neg_fn, blend_coeffs, pos_fn):
     return fn
 
 
-def build_cutoffs(theta: float = 3.0) -> CutoffPair:
-    """Construct the cutoff pair for a growth exponent theta in (2, 8].
+def build_cutoffs() -> CutoffPair:
+    """Construct the cutoff pair for the growth exponent THETA.
 
-    The blends are checked negative on a fine grid of (0, 1); a violation is
-    retried with a softened curvature condition before raising
-    BlendSignViolation, which every theta above about 8.0000023 does.
+    Each blend is `_hermite_blend` with the curvature of its left branch at
+    0; at THETA = 3 both are negative on (0, 1), which
+    `test_cutoff_sign_conditions` checks.
     """
-    if theta <= 2.0:
-        raise ValueError("theta must exceed 2")
-
-    # f1 matches 2 - 2e^s at 0 and -theta s^(theta-1) at 1; its integral over
+    # f1 matches 2 - 2e^s at 0 and -THETA s^(THETA-1) at 1; its integral over
     # (0,1) must equal F1(1+) - F1(0-) = -1 so that F1' = f1 distributionally.
-    f1_data = dict(v0=0.0, d0=-2.0, v1=-theta, d1=-theta * (theta - 1.0),
-                   jump=-1.0, curv0=-2.0)
+    c1 = _hermite_blend(v0=0.0, d0=-2.0, v1=-THETA, d1=-THETA * (THETA - 1.0),
+                        jump=-1.0, curv0=-2.0)
     # f2 matches s - e^{-2s} at 0 and 0 at 1; integral equals 0 - 1/2.
-    f2_data = dict(v0=-1.0, d0=3.0, v1=0.0, d1=0.0, jump=-0.5, curv0=-4.0)
-
-    grid = np.linspace(0.0, 1.0, 4001)[1:]
-
-    def make_blend(data, include_right):
-        for curv in (data["curv0"], 0.0, -8.0):
-            c = _hermite_blend(**dict(data, curv0=curv))
-            vals = P.polyval(grid if include_right else grid[:-1], c)
-            if np.all(vals < 0.0):
-                return c
-        raise BlendSignViolation(
-            f"blend not negative on (0,1) for theta = {theta}")
-
-    c1 = make_blend(f1_data, include_right=True)    # f1 < 0 for all s > 0
-    c2 = make_blend(f2_data, include_right=False)   # f2 < 0 on (0,1), f2(1)=0
+    c2 = _hermite_blend(v0=-1.0, d0=3.0, v1=0.0, d1=0.0, jump=-0.5,
+                        curv0=-4.0)
 
     C1 = P.polyint(c1, k=0.0)  # F1(0) = 0 matches 2s - 2e^s + 2 from the left
     C2 = P.polyint(c2, k=0.5)  # F2(0) = 1/2 matches (s^2 + e^{-2s})/2
 
     f1 = _piecewise(lambda s: 2.0 - 2.0 * np.exp(s), c1,
-                    lambda s: -theta * s ** (theta - 1.0))
+                    lambda s: -THETA * s ** (THETA - 1.0))
     f2 = _piecewise(lambda s: s - np.exp(-2.0 * s), c2,
                     lambda s: np.zeros_like(s))
     F1 = _piecewise(lambda s: 2.0 * s - 2.0 * np.exp(s) + 2.0, C1,
-                    lambda s: -s ** theta)
+                    lambda s: -s ** THETA)
     F2 = _piecewise(lambda s: 0.5 * (s * s + np.exp(-2.0 * s)), C2,
                     lambda s: np.zeros_like(s))
     df1 = _piecewise(lambda s: -2.0 * np.exp(s), P.polyder(c1),
-                     lambda s: -theta * (theta - 1.0) * s ** (theta - 2.0))
+                     lambda s: -THETA * (THETA - 1.0) * s ** (THETA - 2.0))
     df2 = _piecewise(lambda s: 1.0 + 2.0 * np.exp(-2.0 * s), P.polyder(c2),
                      lambda s: np.zeros_like(s))
 
-    return CutoffPair(theta=float(theta), f1=f1, f2=f2, F1=F1, F2=F2,
-                      df1=df1, df2=df2)
+    return CutoffPair(f1=f1, f2=f2, F1=F1, F2=F2, df1=df1, df2=df2)
 
 
 # ---------------------------------------------------------------------------

@@ -66,13 +66,6 @@ class DiscreteSurface:
         return int(self.class_of.max()) + 1
 
     @property
-    def identification(self) -> dict:
-        """Chart vertex index -> class, for every vertex that shares its
-        class with another chart vertex (the glued boundary)."""
-        shared = np.bincount(self.class_of)[self.class_of] > 1
-        return {int(k): int(self.class_of[k]) for k in np.flatnonzero(shared)}
-
-    @property
     def class_representative(self) -> np.ndarray:
         """Index of the first chart vertex in each class."""
         return np.unique(self.class_of, return_index=True)[1]

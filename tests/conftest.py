@@ -57,4 +57,4 @@ def octagon3_cubic(octagon3):
 
 @pytest.fixture(scope="session")
 def cutoffs():
-    return build_cutoffs(3.0)
+    return build_cutoffs()

@@ -16,7 +16,7 @@ from minlag.continuation import detect_fold, nonexistence_bound, trace_curve
 from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
 from minlag.frame import (integrate_frame, poincare_trivial_coefficients,
                           second_fundamental_form)
-from minlag.mpass import (build_cutoffs, find_mountain_pass,
+from minlag.mpass import (THETA, build_cutoffs, find_mountain_pass,
                           functional_gradient, functional_value,
                           norm_equivalence_constants)
 from minlag.pde import legendre_pair, newton_solve
@@ -37,7 +37,7 @@ class Context:
         self.torus32 = build_flat_torus(32, 1.0, 1.0)
         self.octagon = build_genus2_octagon(2)
         self.octagon3 = build_genus2_octagon(3)
-        self.cutoffs = build_cutoffs(3.0)
+        self.cutoffs = build_cutoffs()
         self.unit_cubic = constant_cubic(self.torus, 1.0)
         self.oct_cubic = synthetic_cubic(
             self.octagon, octagon_zero_classes(self.octagon), 1.0)
@@ -260,7 +260,7 @@ def test_criterion_9_inequality_suite(ctx):
     cp = ctx.cutoffs
     consts = []
     for f, F in ((cp.f1, cp.F1), (cp.f2, cp.F2)):
-        c = (F(s) - (s / cp.theta) * f(s)).max()
+        c = (F(s) - (s / THETA) * f(s)).max()
         assert np.isfinite(c)
         consts.append(c)
 

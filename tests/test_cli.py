@@ -22,7 +22,6 @@ TORUS = {
     "cubic": {"constant": [1.0, 0.0]},
     "t": 0.0,
     "tol": 1e-10,
-    "seed": 0,
 }
 
 
@@ -70,13 +69,17 @@ def test_schema_violation_reports_path(tmp_path, capsys):
 
 def test_unknown_keys_rejected(tmp_path, capsys):
     # an `mpass` block is unknown too: the mountain-pass path size and sweep
-    # budget are constants of minlag.mpass; the frame is never reprojected
-    # and wpcheck has the centred stencil only
+    # budget are constants of minlag.mpass, as is the cutoff exponent theta;
+    # nothing reads a seed, the frame is never reprojected nor built from
+    # trivial coefficients, and wpcheck has the centred stencil only
     for extra, key in (({"mystery": 1}, "mystery"),
                        ({"mpass": {"path_nodes": 40}}, "mpass"),
                        ({"wpcheck": {"stencil": "oneside"}}, "stencil"),
                        ({"wpcheck": {"n_points": 2}}, "n_points"),
-                       ({"frame": {"project": True}}, "project")):
+                       ({"frame": {"project": True}}, "project"),
+                       ({"seed": 0}, "seed"),
+                       ({"theta": 3}, "theta"),
+                       ({"frame": {"trivial": True}}, "trivial")):
         cfg = write_cfg(tmp_path, "c.json", dict(TORUS, **extra))
         assert main(["solve", cfg]) == 1
         assert key in capsys.readouterr().err
@@ -146,26 +149,6 @@ def test_mpass_beyond_fold_exits_2(tmp_path, capsys):
     assert "fold" in capsys.readouterr().err
 
 
-def test_mpass_theta_out_of_blend_range_exits_1(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.1, theta=50))
-    assert main(["mpass", cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "theta = 50" in err
-
-
-def test_frame_trivial_defects(tmp_path):
-    cfg = write_cfg(tmp_path, "c.json", {
-        "backend": {"type": "octagon", "refinement": 1},
-        "cubic": {"zeros": [[0, 6]], "amplitude": 1.0},
-        "frame": {"trivial": True, "step": 0.005},
-    })
-    out = tmp_path / "frame.json"
-    assert main(["frame", cfg, "-o", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["max_unitarity_defect"] <= 1e-8
-    assert payload["max_det_defect"] <= 1e-8
-
-
 # the benchmark's frame loop, on octagon r2 at 0.55 of its fold T0
 FRAME_LOOP = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5],
               [0.5, 0.0], [0.0, 0.0]]
@@ -202,12 +185,6 @@ def test_frame_path_leaving_patch_exits_2(tmp_path, capsys, octagon2):
     assert "outside the meshed patch" in capsys.readouterr().err
 
 
-def test_frame_trivial_on_torus_exits_1(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "c.json", dict(TORUS, frame={"trivial": True}))
-    assert main(["frame", cfg]) == 1
-    assert "genus >= 2" in capsys.readouterr().err
-
-
 def test_frame_bad_zero_class(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {
         "backend": {"type": "octagon", "refinement": 1},
@@ -230,7 +207,8 @@ def test_wpcheck_report(tmp_path, capsys):
     rows = (tmp_path / "wpt.csv").read_text().strip().splitlines()
     assert rows[0].startswith("# config_hash=")
     assert rows[1] == "t,area"
-    assert len([r for r in rows if not r.startswith("#")]) == 5
+    assert rows[2].startswith("0.0,")
+    assert len([r for r in rows if not r.startswith("#")]) == 3
     assert any(r.startswith("# fd2") for r in rows)
     assert rows[-1].startswith("# udd_gap,")
     assert float(rows[-1].split(",")[1]) <= 0.01
@@ -244,6 +222,19 @@ def test_wpcheck_zero_cubic_exits_1(tmp_path, capsys):
     assert main(["wpcheck", cfg, "-o", str(tmp_path / "wpt")]) == 1
     assert capsys.readouterr().err.startswith(
         "config error: the cubic differential vanishes")
+
+
+def test_wpcheck_h_below_the_fold_suffices(tmp_path, capsys):
+    # 3h = 0.15 is past the torus fold T0 = 0.136, but the checks read only
+    # t = 0 and h
+    cfg = write_cfg(tmp_path, "c.json", {
+        "backend": {"type": "torus", "n": 16, "side": 1.0, "lambda0": 1.0},
+        "cubic": {"constant": [1.0, 0.0]},
+        "wpcheck": {"h": 0.05},
+    })
+    assert main(["wpcheck", cfg, "-o", str(tmp_path / "wpt")]) == 0
+    rows = (tmp_path / "wpt.csv").read_text().strip().splitlines()
+    assert [r.split(",")[0] for r in rows[2:4]] == ["0.0", "0.05"]
 
 
 def test_wpcheck_beyond_fold_exits_2(tmp_path, capsys):
@@ -347,7 +338,3 @@ def test_determinism_modulo_timestamp(tmp_path):
         d1.pop("timestamp"), d2.pop("timestamp")
         assert d1 == d2
 
-
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    assert "FAIL" not in capsys.readouterr().out.replace("0 failing", "")

@@ -39,7 +39,7 @@ def test_curve_starts_at_origin(torus_curve):
 
 def test_curve_monotone_t_and_stable(torus_curve, octagon_curve):
     for curve in (torus_curve, octagon_curve):
-        ts = curve.ts()
+        ts = [p.t for p in curve.points]
         assert np.all(np.diff(ts) > 0.0)
         assert np.all(curve.lambda_mins() > 0.0)
 
@@ -159,16 +159,18 @@ def test_step_growth_thins_the_octagon_curve(octagon_curve):
                                  points=octagon_curve.points[:1],
                                  diagnostics={"final_step": 0.5})
     dense = trace_to_underflow(origin, dt0=0.5, tol=1e-10)
-    assert np.diff(dense.ts()).max() <= 0.5
+    ts = np.array([p.t for p in dense.points])
+    assert np.diff(ts).max() <= 0.5
     t_last = octagon_curve.points[-1].t
-    assert len(octagon_curve.points) < np.count_nonzero(dense.ts() <= t_last)
+    assert len(octagon_curve.points) < np.count_nonzero(ts <= t_last)
     assert detect_fold(dense) == pytest.approx(octagon_curve.T0_estimate,
                                                rel=1e-11)
 
 
-def test_stall_before_fold(torus16, unit_cubic):
+def test_stall_before_fold(monkeypatch, torus16, unit_cubic):
+    monkeypatch.setattr(continuation, "MAX_POINTS", 6)
     with pytest.raises(StallBeforeFold):
-        trace_curve(unit_cubic, dt0=1e-4, tol=1e-11, max_points=6)
+        trace_curve(unit_cubic, dt0=1e-4, tol=1e-11)
 
 
 def test_nonexistence_bound_torus(torus16, unit_cubic, torus_curve):

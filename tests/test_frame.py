@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from minlag import frame
 from minlag.cubic import constant_cubic
 from minlag.frame import (MeshCoefficients, StepTooLarge,
                           constant_coefficients, flatness_defect,
@@ -265,9 +266,6 @@ def test_mesh_at_many_matches_single_column_interpolators(octagon2_mesh):
     assert np.abs(s_z.imag - szi_i(x, y)).max() == 0.0
     assert np.abs(q.real - qr_i(x, y)).max() == 0.0
     assert np.abs(q.imag - qi_i(x, y)).max() == 0.0
-    # the scalar entry point is the same batch of one
-    sval, sz1, szbar1, q1 = coeffs.at(complex(inside[3]))
-    assert (sval, sz1, szbar1, q1) == (s[3], s_z[3], np.conj(s_z[3]), q[3])
 
 
 def test_mesh_at_many_names_first_point_outside(octagon2_mesh):
@@ -297,7 +295,7 @@ def test_mesh_coefficients_constant_data(torus16):
     q = constant_cubic(torus16, 1.0)
     p = newton_solve(np.zeros(torus16.n_classes), 0.1, q, tol=1e-11)
     coeffs = MeshCoefficients(p.u, q)
-    sval, s_z, s_zbar, qv = coeffs.at(0.5 + 0.5j)
+    (sval,), (s_z,), (qv,) = coeffs.at_many([0.5 + 0.5j])
     assert sval == pytest.approx(math.sqrt(0.5 * math.exp(p.u[0])), rel=1e-10)
     assert abs(s_z) <= 1e-8
     assert qv == pytest.approx(1.0 + 0.0j)
@@ -339,11 +337,11 @@ def test_side_pairing_frame_product(octagon2):
     print(f"side-pairing product defects: {defects}")
 
 
-def test_step_guard():
+def test_step_guard(monkeypatch):
+    monkeypatch.setattr(frame, "MAX_STEP_DEFECT", 1e-10)
     coeffs = poincare_trivial_coefficients()
     with pytest.raises(StepTooLarge):
-        integrate_frame(coeffs, [0.0, 0.97], step=0.5,
-                        max_step_defect=1e-10)
+        integrate_frame(coeffs, [0.0, 0.97], step=0.5)
 
 
 def test_frame_sheet_json():

@@ -1,5 +1,6 @@
 """Static checks over the `minlag` sources: unused imports, argument design,
-unreferenced private names."""
+unreferenced private names, public names without a consumer, and a package
+`__init__` that binds nothing."""
 
 import ast
 from pathlib import Path
@@ -204,6 +205,12 @@ KEPT_WITHOUT_CONSUMER = {
     "side_pairing_frame_product",
     # the V-norm the mountain pass separates solutions by, as a function
     "v_norm",
+    # the Legendre-transform pair of the cutoff estimates, checked by
+    # acceptance criterion 9 and the pde tests
+    "legendre_pair",
+    # the exactly flat totally geodesic case: the frame tests' reference
+    # for pure integrator error
+    "poincare_trivial_coefficients",
 }
 
 
@@ -225,3 +232,113 @@ def test_every_public_function_has_a_consumer():
     found = unconsumed_public_functions(sources)
     # an allowlisted function that gains a consumer leaves the list too
     assert {f.split()[1] for f in found} == KEPT_WITHOUT_CONSUMER, found
+
+
+def _root_name(node):
+    """`a` for an attribute chain `a.b.c`, else None."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _attribute_mentions(node, external, cls=None, funcs=()) -> list:
+    """(attribute, class or None, enclosing functions) for every attribute
+    access under `node`; the class is the enclosing one for `self.name` and
+    None for any other access.  Accesses on a chain rooted at a name in
+    `external` (a library module, as in `np.add.at`) are skipped."""
+    if isinstance(node, ast.ClassDef):
+        cls = node.name
+    elif isinstance(node, ast.FunctionDef):
+        funcs += (node,)
+    found = []
+    if isinstance(node, ast.Attribute):
+        root = _root_name(node.value)
+        if root not in external:
+            found.append((node.attr, cls if root == "self" else None, funcs))
+    for child in ast.iter_child_nodes(node):
+        found += _attribute_mentions(child, external, cls, funcs)
+    return found
+
+
+def unconsumed_public_members(sources: dict) -> list:
+    """Public methods and properties of the module-level classes of
+    `sources` (file name -> text) that no attribute access mentions, other
+    than one inside the member itself.  `self.name` in a class counts only
+    for that class's own member, not for a namesake in another class, and
+    an access on a library module (`np.add.at`) for none."""
+    members, mentions = [], []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        members += [(name, cls.name, m) for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) for m in cls.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not m.name.startswith("_")]
+        external = {a.asname or a.name.split(".")[0] for n in tree.body
+                    if isinstance(n, (ast.Import, ast.ImportFrom))
+                    and not getattr(n, "level", 0) for a in n.names}
+        mentions += _attribute_mentions(tree, external)
+    return [f"{name}: {cls}.{m.name} (line {m.lineno})"
+            for name, cls, m in members
+            if not any(attr == m.name and owner in (None, cls)
+                       and m not in funcs for attr, owner, funcs in mentions)]
+
+
+def test_detects_unconsumed_public_members():
+    sources = {
+        "a.py": ("class K:\n"
+                 "    def used(self):\n        return self.helper()\n"
+                 "    def helper(self):\n        pass\n"
+                 "    @property\n"
+                 "    def orphan(self):\n        return self.orphan\n"
+                 "    def _private(self):\n        pass\n"
+                 "    def shadowed(self):\n        pass\n"
+                 "    def at(self):\n        pass\n"
+                 "class J:\n"
+                 "    shadowed: int = 0\n"
+                 "    def read(self):\n        return self.shadowed\n"),
+        "b.py": ("import numpy as np\n"
+                 "from .a import J, K\n"
+                 "K().used()\nJ().read()\nnp.add.at(x, 0, 1)\n"),
+    }
+    assert unconsumed_public_members(sources) == [
+        "a.py: K.orphan (line 7)", "a.py: K.shadowed (line 11)",
+        "a.py: K.at (line 13)"]
+
+
+def test_every_public_member_has_a_consumer():
+    # a method or property only tests reach restates what they can compute
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert unconsumed_public_members(sources) == []
+
+
+def bound_names(source: str) -> list:
+    """Names a module binds at its top level: imports, assignments,
+    functions and classes."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            found += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+    return found
+
+
+def test_detects_bound_names():
+    source = ('"""Doc."""\n'
+              "from .a import b, c as d\n"
+              "import os.path\n"
+              "x, y = 1, 2\n"
+              "z: int = 3\n"
+              "def f():\n    pass\n"
+              "class K:\n    pass\n")
+    assert bound_names(source) == ["b", "d", "os", "x", "y", "z", "f", "K"]
+
+
+def test_package_init_binds_no_names():
+    # callers import the modules: `from minlag import cli`,
+    # `from minlag.pde import newton_solve`
+    assert bound_names((SRC / "__init__.py").read_text()) == []

@@ -73,25 +73,12 @@ def test_cutoff_derivatives(cutoffs):
             assert fd == pytest.approx(df(s0), rel=1e-5, abs=1e-5)
 
 
-def test_cutoff_theta_validation():
-    with pytest.raises(ValueError):
-        build_cutoffs(2.0)
-
-
-def test_cutoff_other_thetas():
-    for theta in (2.5, 4.0, 6.0, 8.0):
-        cp = build_cutoffs(theta)
-        s = np.linspace(1e-6, 5.0, 5001)
-        assert np.all(cp.f1(s) < 0.0)
-        assert cp.F1(1.0 + 1e-12) == pytest.approx(-1.0, abs=1e-9)
-
-
 def test_growth_inequality_constant(cutoffs):
     # F_j(s) <= (s/theta) f_j(s) + C with a finite constant over [-50, 50]
     s = np.linspace(-50.0, 50.0, 10001)
     for f, F, name in ((cutoffs.f1, cutoffs.F1, "f1"),
                        (cutoffs.f2, cutoffs.F2, "f2")):
-        gap = F(s) - (s / cutoffs.theta) * f(s)
+        gap = F(s) - (s / mpass.THETA) * f(s)
         c = gap.max()
         assert np.isfinite(c)
         print(f"growth-inequality constant for {name}: C = {c:.6g}")

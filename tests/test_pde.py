@@ -87,11 +87,15 @@ def test_jacobian_matches_finite_differences(torus16, unit_cubic):
         assert np.linalg.norm(fd + lv) <= 1e-5 * np.linalg.norm(lv)
 
 
-def test_newton_trivial_is_immediate(torus16, unit_cubic):
-    p = newton_solve(np.zeros(torus16.n_classes), 0.0, unit_cubic)
-    assert p.meta["newton_iterations"] == 0
-    assert np.all(p.u == 0.0)
-    assert p.stable
+def test_newton_trivial_is_immediate(torus16, octagon2, unit_cubic,
+                                     octagon2_cubic):
+    for s, q in ((torus16, unit_cubic), (octagon2, octagon2_cubic)):
+        p = newton_solve(np.zeros(s.n_classes), 0.0, q)
+        assert p.meta["newton_iterations"] == 0
+        assert np.all(p.u == 0.0)
+        # L = -Delta + 2 at (0, 0): constants give the smallest eigenvalue
+        assert p.lambda_min == pytest.approx(2.0, abs=1e-9)
+        assert p.stable
 
 
 def test_newton_matches_scalar_root(torus16, unit_cubic):

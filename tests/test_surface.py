@@ -31,13 +31,13 @@ def test_torus_rejects_tiny_grid():
         build_flat_torus(8, -1.0, 1.0)
 
 
-def test_octagon_topology():
-    s = build_genus2_octagon(1)
-    assert s.euler_characteristic() == -2
-    assert s.genus == 2
-    # all eight corners glue to one smooth point
-    corner_classes = {int(s.class_of[k]) for k in range(1, 9)}
-    assert len(corner_classes) == 1
+def test_octagon_topology(octagon2):
+    for s in (build_genus2_octagon(1), octagon2):
+        assert s.euler_characteristic() == -2
+        assert s.genus == 2
+        # all eight corners glue to one smooth point
+        corner_classes = {int(s.class_of[k]) for k in range(1, 9)}
+        assert len(corner_classes) == 1
 
 
 def test_octagon_area_refinement():
@@ -120,21 +120,6 @@ def test_integrate_is_mass_weighted_sum(torus16):
 def test_integrate_dimension_mismatch(torus16):
     with pytest.raises(ValueError):
         integrate(torus16, np.ones(torus16.n_classes + 1))
-
-
-def test_identification_maps_boundary(torus16, octagon2):
-    for s in (torus16, octagon2):
-        for chart_idx, cls in s.identification.items():
-            assert s.class_of[chart_idx] == cls
-        # the keys are exactly the chart vertices whose class has 2+ copies
-        counts = np.bincount(s.class_of)
-        shared = {k for k in range(len(s.class_of))
-                  if counts[s.class_of[k]] > 1}
-        assert set(s.identification) == shared
-    # octagon boundary classes carry at least two chart vertices
-    counts = np.bincount(octagon2.class_of)
-    assert all(counts[octagon2.class_of[i]] > 1
-               for i in octagon2.identification)
 
 
 def test_mesh_export_schema(octagon2):
