@@ -102,15 +102,26 @@ class CutoffPair:
 
 
 def _piecewise(neg_fn, blend_coeffs, pos_fn):
+    """Vectorized cutoff: `neg_fn` for s <= 0, the blend on (0, 1] and
+    `pos_fn` for s > 1.
+
+    A field with no positive entry, as on most of a mountain-pass path, goes
+    to `neg_fn` whole.  NaN counts as not positive, so it propagates.
+    """
     def fn(s):
         scalar = np.isscalar(s)
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s)
-        lo, mid, hi = s <= 0.0, (s > 0.0) & (s <= 1.0), s > 1.0
+        pos = s > 0.0
         with np.errstate(over="ignore"):
-            out[lo] = neg_fn(s[lo])
-            out[mid] = P.polyval(s[mid], blend_coeffs)
-            out[hi] = pos_fn(s[hi])
+            if not pos.any():
+                out = neg_fn(s)
+            else:
+                out = np.empty_like(s)
+                hi = s > 1.0
+                mid = pos & ~hi
+                out[~pos] = neg_fn(s[~pos])
+                out[mid] = P.polyval(s[mid], blend_coeffs)
+                out[hi] = pos_fn(s[hi])
         return float(out[0]) if scalar else out
     return fn
 

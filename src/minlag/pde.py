@@ -20,6 +20,9 @@ branch, zero at the fold.
 runs it on the structure equation (field = -residual, Jacobian = L), and
 `newton_solve` adds the eigenvalue classification of the converged point;
 `mpass` runs the same loop on the gradient of its cutoff functional.
+Every caller inherits its damping floor `MIN_DAMPING`: `continuation`'s
+`trace_curve`, `branch_point` and `detect_fold`, the `wp` samples and the
+`mpass` polish.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .surface import laplacian
 
 BLOWUP_THRESHOLD = -50.0     # e^{-2u} overflow guard; solutions are O(1)
 TOL_POS = 1e-8               # discrete ceiling for u <= 0
+MIN_DAMPING = 1e-4           # Deuflhard's lambda_min: Armijo gives up below it
 
 
 class ResidualBlowup(RuntimeError):
@@ -161,7 +165,11 @@ def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
 
     `field_fn(u)` is a nodal field and `jacobian(u)` the sparse derivative
     of M field_fn at u.  Steps u - alpha J^{-1} (M field) are Armijo-
-    backtracked on the merit 1/2 ||field||_M^2 down to alpha = 1e-10.
+    backtracked on the merit 1/2 ||field||_M^2 by halving alpha, and the
+    solve fails once alpha drops below MIN_DAMPING (14 trial steps).  The
+    floor is safe: a step that needs a smaller alpha belongs to a solve that
+    stalls (past the fold, or a mountain-pass polish off its basin), so the
+    floor only ends such a solve sooner.
     Returns (u, residual_norm, iterations); raises NonConvergence, or its
     subclass SingularJacobian when a Jacobian cannot be factorized.
     """
@@ -205,7 +213,7 @@ def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
                 phi, f = phi_new, f_new
                 break
             alpha *= 0.5
-            if alpha < 1e-10:
+            if alpha < MIN_DAMPING:
                 raise NonConvergence("line search failed to reduce the residual",
                                      iterations=it, residual_norm=float(rnorm))
 

@@ -28,6 +28,26 @@ def test_cutoff_closed_form_regions(cutoffs):
     assert cutoffs.F1(2.0) == pytest.approx(-8.0)        # -s^theta
     assert cutoffs.f2(-2.0) == pytest.approx(-2.0 - math.exp(4.0))
     assert cutoffs.F2(3.0) == 0.0
+    # a field with no positive entry takes the closed form whole; it must
+    # match bit for bit what the three-branch path gives the same entries
+    rng = np.random.default_rng(1)
+    fields = (np.linspace(-30.0, 0.0, 101), -rng.exponential(2.0, 510),
+              np.array([-0.0, -1e-300]), np.empty(0))
+    for fn in (cutoffs.f1, cutoffs.f2, cutoffs.F1, cutoffs.F2, cutoffs.df1,
+               cutoffs.df2):
+        for s in fields:
+            mixed = fn(np.append(s, 0.5))[:-1]
+            assert fn(s).tobytes() == mixed.tobytes()
+
+
+def test_cutoff_nan_propagates(cutoffs):
+    s = np.array([np.nan, -1.0, 0.5, 2.0])
+    for fn in (cutoffs.f1, cutoffs.f2, cutoffs.F1, cutoffs.F2, cutoffs.df1,
+               cutoffs.df2):
+        out = fn(s)
+        assert np.isnan(out[0])
+        assert out[1:].tolist() == [fn(v) for v in s[1:]]
+        assert math.isnan(fn(float("nan")))
 
 
 def test_cutoff_continuity(cutoffs):

@@ -106,10 +106,19 @@ def test_newton_matches_scalar_root(torus16, unit_cubic):
         assert p.stable
 
 
-def test_newton_beyond_fold_fails(torus16, unit_cubic):
-    # no real root exists once 16 t^2 > 8/27, i.e. t > 1/sqrt(54)
+def test_newton_beyond_fold_fails(torus16, unit_cubic, monkeypatch):
+    # no real root exists once 16 t^2 > 8/27, i.e. t > 1/sqrt(54); the
+    # damping floor MIN_DAMPING ends the hopeless solve within a few LUs
+    factorizations, splu = [], spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        factorizations.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(pde.spla, "splu", counting_splu)
     with pytest.raises(NonConvergence):
         newton_solve(np.zeros(torus16.n_classes), 0.2, unit_cubic)
+    assert 0 < len(factorizations) <= 6
 
 
 def test_newton_maximum_principle(torus16, octagon2, unit_cubic,
