@@ -3,9 +3,11 @@
 Subcommands: mesh, solve, continue, mpass, frame, wpcheck.
 Exit codes: 0 success, 1 configuration or domain error, 2 numerical failure.
 Commands raise; `main` holds the only exception-to-exit-code map.  Every
-`ValueError` exits 1 as a config error, and every class on
-`NUMERICAL_FAILURES` exits 2 as `<command> failed`.  A new failure class
-must either go on that tuple or derive from `ValueError`.
+class on `NUMERICAL_FAILURES` exits 2 as `<command> failed`, and every other
+`ValueError` exits 1 as a config error.  The tuple is tested first because
+it holds `numpy.linalg.LinAlgError`, a `ValueError` raised by a failed dense
+eigen solve.  A new failure class must either go on that tuple or derive
+from `ValueError`.
 
 Every command but `mesh` needs a `cubic`.  `continue` reads `dt0`, its
 first step in t (default 0.01); the step then grows by
@@ -13,14 +15,8 @@ first step in t (default 0.01); the step then grows by
 the branch ever more coarsely toward the fold.
 
 Every number in a config must be a finite float: the NaN and Infinity
-literals, and numbers beyond the float range such as 1e400, exit 1.  The
-mountain-pass path size and sweep budget are constants of `mpass`, so a
-config with an `mpass` block exits 1 as an unknown key, as do the removed
-`frame.project`, `wpcheck.stencil` and `wpcheck.n_points`: the frame is
-never reprojected, and `wpcheck` always uses the centred stencil.  So do
-`seed`, which nothing reads; `theta`, since the cutoff exponent is the
-constant `mpass.THETA`; and `frame.trivial`, since the frame is always
-built from the solved branch point.
+literals, and numbers beyond the float range such as 1e400, exit 1.  A
+config key the schema does not name exits 1 as an unknown key.
 
 `wpcheck` reads `wpcheck.h` (default 0.01) and samples the area A(t) along
 the branch at t = 0 and h, so only h must lie below the fold; a failed
@@ -58,12 +54,13 @@ class ConfigError(ValueError):
     pass
 
 
-# every exception class minlag defines that is not a ValueError: exit 2
+# every exception class minlag defines that is not a ValueError, and the
+# ValueError a failed dense eigen solve raises: exit 2
 NUMERICAL_FAILURES = (
     pde.ResidualBlowup, pde.NonConvergence, pde.SingularJacobian,
     pde.EigenFailure, surface.MeshError, continuation.StallBeforeFold,
     continuation.NoFoldDetected, mpass.PathCollapse, mpass.VerificationFailure,
-    frame.StepTooLarge, wp.BranchUnavailable)
+    frame.StepTooLarge, wp.BranchUnavailable, np.linalg.LinAlgError)
 
 
 CONFIG_SCHEMA = {
@@ -277,9 +274,8 @@ def cmd_mpass(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     t = _require_t(cfg)
     tol = cfg.get("tol", 1e-10)
-    cp = mpass.build_cutoffs()
     stable = continuation.branch_point(q, t, tol)
-    p2 = mpass.find_mountain_pass(stable, t, q, cp, tol=tol)
+    p2 = mpass.find_mountain_pass(stable, t, q, tol=tol)
     payload = {
         "t": p2.t,
         "u2": [float(v) for v in p2.u],
@@ -366,12 +362,12 @@ def main(argv=None) -> int:
 
     try:
         return COMMANDS[args.command](load_config(args.config), args)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NUMERICAL_FAILURES as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

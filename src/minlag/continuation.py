@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from .cubic import CubicDifferential, norm_field
 from .pde import (NonConvergence, SolutionPoint, damped_newton, linearize,
                   newton_solve, residual, smallest_eigenvalue, solve_u)
-from .surface import integrate, laplacian
+from .surface import integrate
 
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
 NO_FOLD_FRACTION = 0.25  # the fold solve starts only once lambda_min is at
@@ -201,7 +201,7 @@ def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
 
     q = curve.cubic
     p, n = pts[-1], q.surface.n_classes
-    m = laplacian(q.surface).mass_diag
+    m = q.surface.mass_diag
     _, phi0 = smallest_eigenvalue(linearize(p.u, p.t, q))
     m_phi0 = m * phi0
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface import DiscreteSurface, laplacian
+from .surface import DiscreteSurface
 
 
 @dataclass
@@ -108,6 +108,6 @@ def wp_pairing(q1: CubicDifferential, q2: CubicDifferential) -> complex:
         raise ValueError("cubic differentials live on different surfaces")
     s = q1.surface
     lam = s.lambda_classes()
-    m = laplacian(s).mass_diag
+    m = s.mass_diag
     vals = q1.class_values() * np.conjugate(q2.class_values()) / lam ** 3
     return complex((m * vals).sum())

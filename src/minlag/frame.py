@@ -289,7 +289,7 @@ def side_pairing_frame_product(coeffs, surface: DiscreteSurface,
     return product, defects
 
 
-def integrate_frame(coeffs, path, step: float = 0.01) -> FrameSheet:
+def integrate_frame(coeffs, path, step: float) -> FrameSheet:
     """Integrate F' = F (A zdot + B zbardot) along a polyline, F(0) = I.
 
     `path` is a sequence of complex chart points inside one simply connected

@@ -17,17 +17,17 @@ with u <= 0 solves the structure equation, and conversely.  The growth
 exponent theta > 2 is a device of the existence proof: it gives F the
 Ambrosetti-Rabinowitz growth condition.  The cutoffs depend on it only for
 s > 0, so every critical point with u <= 0 is a solution whatever theta is,
-and it is the constant THETA = 3.  The second (mountain-pass) solution at
-t in (0, T0) is found by deforming a discrete path from the stable branch
-point to a deep negative constant, then polishing the path maximum with
-Newton on grad F = 0 (the `pde.damped_newton` loop).
+and it is the constant THETA = 3.  So the cutoffs f1, f2, F1, F2 and their
+derivatives df1, df2 are module functions, built once at import.  The second
+(mountain-pass) solution at t in (0, T0) is found by deforming a discrete
+path from the stable branch point to a deep negative constant, then
+polishing the path maximum with Newton on grad F = 0 (the `pde.damped_newton`
+loop).
 Every function reads the surface from the cubic differential (`q.surface`)
 and ||q||^2 from its cache (`q.norm_sq`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -38,7 +38,6 @@ import scipy.sparse.linalg as spla
 from .cubic import CubicDifferential
 from .pde import (TOL_POS, NonConvergence, SolutionPoint, damped_newton,
                   linearize, residual, smallest_eigenvalue, v_field)
-from .surface import laplacian
 
 THETA = 3.0           # growth exponent of the cutoffs for s > 1
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
@@ -89,18 +88,6 @@ def _hermite_blend(v0, d0, v1, d1, jump, curv0):
     return h + a * p4 + b * p5
 
 
-@dataclass
-class CutoffPair:
-    """Cutoff functions f1, f2 with antiderivatives F1, F2 and derivatives."""
-
-    f1: callable
-    f2: callable
-    F1: callable
-    F2: callable
-    df1: callable
-    df2: callable
-
-
 def _piecewise(neg_fn, blend_coeffs, pos_fn):
     """Vectorized cutoff: `neg_fn` for s <= 0, the blend on (0, 1] and
     `pos_fn` for s > 1.
@@ -126,76 +113,67 @@ def _piecewise(neg_fn, blend_coeffs, pos_fn):
     return fn
 
 
-def build_cutoffs() -> CutoffPair:
-    """Construct the cutoff pair for the growth exponent THETA.
+# Each blend is `_hermite_blend` with the curvature of its left branch at 0;
+# at THETA = 3 both are negative on (0, 1), which `test_cutoff_sign_conditions`
+# checks.  f1 matches 2 - 2e^s at 0 and -THETA s^(THETA-1) at 1; its integral
+# over (0,1) must equal F1(1+) - F1(0-) = -1 so that F1' = f1
+# distributionally.
+_BLEND1 = _hermite_blend(v0=0.0, d0=-2.0, v1=-THETA, d1=-THETA * (THETA - 1.0),
+                         jump=-1.0, curv0=-2.0)
+# f2 matches s - e^{-2s} at 0 and 0 at 1; integral equals 0 - 1/2.
+_BLEND2 = _hermite_blend(v0=-1.0, d0=3.0, v1=0.0, d1=0.0, jump=-0.5,
+                         curv0=-4.0)
 
-    Each blend is `_hermite_blend` with the curvature of its left branch at
-    0; at THETA = 3 both are negative on (0, 1), which
-    `test_cutoff_sign_conditions` checks.
-    """
-    # f1 matches 2 - 2e^s at 0 and -THETA s^(THETA-1) at 1; its integral over
-    # (0,1) must equal F1(1+) - F1(0-) = -1 so that F1' = f1 distributionally.
-    c1 = _hermite_blend(v0=0.0, d0=-2.0, v1=-THETA, d1=-THETA * (THETA - 1.0),
-                        jump=-1.0, curv0=-2.0)
-    # f2 matches s - e^{-2s} at 0 and 0 at 1; integral equals 0 - 1/2.
-    c2 = _hermite_blend(v0=-1.0, d0=3.0, v1=0.0, d1=0.0, jump=-0.5,
-                        curv0=-4.0)
-
-    C1 = P.polyint(c1, k=0.0)  # F1(0) = 0 matches 2s - 2e^s + 2 from the left
-    C2 = P.polyint(c2, k=0.5)  # F2(0) = 1/2 matches (s^2 + e^{-2s})/2
-
-    f1 = _piecewise(lambda s: 2.0 - 2.0 * np.exp(s), c1,
-                    lambda s: -THETA * s ** (THETA - 1.0))
-    f2 = _piecewise(lambda s: s - np.exp(-2.0 * s), c2,
-                    lambda s: np.zeros_like(s))
-    F1 = _piecewise(lambda s: 2.0 * s - 2.0 * np.exp(s) + 2.0, C1,
-                    lambda s: -s ** THETA)
-    F2 = _piecewise(lambda s: 0.5 * (s * s + np.exp(-2.0 * s)), C2,
-                    lambda s: np.zeros_like(s))
-    df1 = _piecewise(lambda s: -2.0 * np.exp(s), P.polyder(c1),
-                     lambda s: -THETA * (THETA - 1.0) * s ** (THETA - 2.0))
-    df2 = _piecewise(lambda s: 1.0 + 2.0 * np.exp(-2.0 * s), P.polyder(c2),
-                     lambda s: np.zeros_like(s))
-
-    return CutoffPair(f1=f1, f2=f2, F1=F1, F2=F2, df1=df1, df2=df2)
+f1 = _piecewise(lambda s: 2.0 - 2.0 * np.exp(s), _BLEND1,
+                lambda s: -THETA * s ** (THETA - 1.0))
+f2 = _piecewise(lambda s: s - np.exp(-2.0 * s), _BLEND2,
+                lambda s: np.zeros_like(s))
+# F1(0) = 0 matches 2s - 2e^s + 2 from the left
+F1 = _piecewise(lambda s: 2.0 * s - 2.0 * np.exp(s) + 2.0,
+                P.polyint(_BLEND1, k=0.0), lambda s: -s ** THETA)
+# F2(0) = 1/2 matches (s^2 + e^{-2s})/2
+F2 = _piecewise(lambda s: 0.5 * (s * s + np.exp(-2.0 * s)),
+                P.polyint(_BLEND2, k=0.5), lambda s: np.zeros_like(s))
+df1 = _piecewise(lambda s: -2.0 * np.exp(s), P.polyder(_BLEND1),
+                 lambda s: -THETA * (THETA - 1.0) * s ** (THETA - 2.0))
+df2 = _piecewise(lambda s: 1.0 + 2.0 * np.exp(-2.0 * s), P.polyder(_BLEND2),
+                 lambda s: np.zeros_like(s))
 
 
 # ---------------------------------------------------------------------------
 # functional, gradient, V-norm
 
 
-def functional_value(u: np.ndarray, t: float, q: CubicDifferential,
-                     cp: CutoffPair) -> float:
+def functional_value(u: np.ndarray, t: float, q: CubicDifferential) -> float:
     """F(u) = 1/2 integral(|grad u|^2 + V u^2) - integral(F1(u) + V F2(u))."""
-    op = laplacian(q.surface)
+    s = q.surface
     u = np.asarray(u, dtype=float)
     V = v_field(t, q)
     # overflowing trial fields yield inf/nan, rejected by the line searches
     with np.errstate(over="ignore", invalid="ignore"):
-        quad = 0.5 * float(u @ (op.stiffness @ u)) \
-            + 0.5 * float(op.mass_diag @ (V * u * u))
-        bulk = float(op.mass_diag @ (cp.F1(u) + V * cp.F2(u)))
+        quad = 0.5 * float(u @ (s.stiffness @ u)) \
+            + 0.5 * float(s.mass_diag @ (V * u * u))
+        bulk = float(s.mass_diag @ (F1(u) + V * F2(u)))
         return quad - bulk
 
 
-def functional_gradient(u: np.ndarray, t: float, q: CubicDifferential,
-                        cp: CutoffPair) -> np.ndarray:
+def functional_gradient(u: np.ndarray, t: float,
+                        q: CubicDifferential) -> np.ndarray:
     """Nodal gradient field g with dF(u)[v] = <g, v>_M."""
-    op = laplacian(q.surface)
+    s = q.surface
     u = np.asarray(u, dtype=float)
     V = v_field(t, q)
     with np.errstate(over="ignore", invalid="ignore"):
-        weak = op.stiffness @ u + op.mass_diag * (V * u - cp.f1(u) - V * cp.f2(u))
-        return weak / op.mass_diag
+        weak = s.stiffness @ u + s.mass_diag * (V * u - f1(u) - V * f2(u))
+        return weak / s.mass_diag
 
 
 def v_gram(t: float, q: CubicDifferential) -> sp.csr_matrix:
     """Gram matrix of the V-inner product: int grad f.grad g + V f g."""
-    op = laplacian(q.surface)
     V = v_field(t, q)
-    if float(op.mass_diag @ V) <= 0.0:
+    if float(q.surface.mass_diag @ V) <= 0.0:
         raise DegenerateNorm("integral V = 0; V-norm requires t > 0 and q != 0")
-    return op.shifted(V)
+    return q.surface.shifted(V)
 
 
 def v_norm(u: np.ndarray, t: float, q: CubicDifferential) -> float:
@@ -213,7 +191,7 @@ def norm_equivalence_constants(t: float, q: CubicDifferential):
     with the standard first-order Sobolev norm (V = 1 gives exactly H1).
     """
     gv = v_gram(t, q).toarray()
-    gh = laplacian(q.surface).shifted(1.0).toarray()
+    gh = q.surface.shifted(1.0).toarray()
     w = sla.eigh(gv, gh, eigvals_only=True)
     return float(w[0]), float(w[-1])
 
@@ -222,26 +200,26 @@ def norm_equivalence_constants(t: float, q: CubicDifferential):
 # mountain pass
 
 
-def _hessian(u, t, q, cp):
+def _hessian(u, t, q):
     V = v_field(t, q)
-    return laplacian(q.surface).shifted(V - cp.df1(u) - V * cp.df2(u))
+    return q.surface.shifted(V - df1(u) - V * df2(u))
 
 
-def _negative_endpoint(f_target, t, q, cp):
+def _negative_endpoint(f_target, t, q):
     """Constant field w with F(w) strictly below f_target; exists because
     F(k) -> -infinity for constants k -> -infinity."""
     n = q.surface.n_classes
     k = -1.0
     while k > -200.0:
         w = np.full(n, k)
-        if functional_value(w, t, q, cp) < f_target - 1.0:
+        if functional_value(w, t, q) < f_target - 1.0:
             return w
         k *= 2.0
     raise VerificationFailure("no negative constant with low functional value")
 
 
 def find_mountain_pass(u_stable: SolutionPoint, t: float,
-                       q: CubicDifferential, cp: CutoffPair,
+                       q: CubicDifferential,
                        tol: float = 1e-10) -> SolutionPoint:
     """Second critical point of F at the same t as a converged stable point.
 
@@ -269,12 +247,12 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
     """
     if abs(t - u_stable.t) > 1e-12 * max(1.0, t):
         raise ValueError("u_stable was computed at a different t")
-    m = laplacian(q.surface).mass_diag
+    m = q.surface.mass_diag
     gram = v_gram(t, q)                         # raises DegenerateNorm at t=0
     gram_lu = spla.splu(gram.tocsc())
 
-    f_stable = functional_value(u_stable.u, t, q, cp)
-    w = _negative_endpoint(f_stable, t, q, cp)
+    f_stable = functional_value(u_stable.u, t, q)
+    w = _negative_endpoint(f_stable, t, q)
 
     def vnorm(x):
         return float(np.sqrt(x @ (gram @ x)))
@@ -294,16 +272,16 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
             frac = ((targets - cum[i]) / seg[i])[:, None]
             path[1:-1] = (1.0 - frac) * path[i] + frac * path[i + 1]
 
-            vals = [functional_value(x, t, q, cp) for x in path[1:-1]]
+            vals = [functional_value(x, t, q) for x in path[1:-1]]
             j = int(np.argmax(vals)) + 1
             u_top = path[j].copy()
-            g = functional_gradient(u_top, t, q, cp)
+            g = functional_gradient(u_top, t, q)
             gnorm = np.sqrt(float(m @ g ** 2))
             d = gram_lu.solve(m * g)   # descent in the V-inner product
             alpha, moved = step, False
             for _ in range(40):
                 u_try = u_top - alpha * d
-                if functional_value(u_try, t, q, cp) < vals[j - 1]:
+                if functional_value(u_try, t, q) < vals[j - 1]:
                     path[j] = u_try
                     step = min(alpha * 2.0, 1.0)
                     moved = True
@@ -315,8 +293,8 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
             if gnorm < 0.1 or sweeps % POLISH_PERIOD == 0 or not moved:
                 try:
                     u, u_gnorm, _ = damped_newton(
-                        u_top, lambda v: functional_gradient(v, t, q, cp),
-                        lambda v: _hessian(v, t, q, cp), m, tol, 60)
+                        u_top, lambda v: functional_gradient(v, t, q),
+                        lambda v: _hessian(v, t, q), m, tol, 60)
                 except NonConvergence:
                     pass
                 else:

@@ -35,7 +35,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cubic import CubicDifferential
-from .surface import laplacian
 
 BLOWUP_THRESHOLD = -50.0     # e^{-2u} overflow guard; solutions are O(1)
 TOL_POS = 1e-8               # discrete ceiling for u <= 0
@@ -106,8 +105,8 @@ def residual(u: np.ndarray, t: float, q: CubicDifferential) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.min() < BLOWUP_THRESHOLD:
         raise ResidualBlowup(f"min u = {u.min():.3g} below {BLOWUP_THRESHOLD}")
-    op = laplacian(q.surface)
-    lap = -(op.stiffness @ u) / op.mass_diag
+    s = q.surface
+    lap = -(s.stiffness @ u) / s.mass_diag
     # overflow of exp(u) for wildly positive trial iterates yields inf, which
     # the Newton line search rejects; only u < threshold is a hard failure
     with np.errstate(over="ignore"):
@@ -122,9 +121,9 @@ def linearize(u: np.ndarray, t: float,
     u = np.asarray(u, dtype=float)
     if u.min() < BLOWUP_THRESHOLD:
         raise ResidualBlowup(f"min u = {u.min():.3g} below {BLOWUP_THRESHOLD}")
-    op = laplacian(q.surface)
+    s = q.surface
     pot = 2.0 * np.exp(-2.0 * u) * (np.exp(3.0 * u) - v_field(t, q))
-    return LinearizedOperator(matrix=op.shifted(pot), mass_diag=op.mass_diag,
+    return LinearizedOperator(matrix=s.shifted(pot), mass_diag=s.mass_diag,
                               potential=pot)
 
 
@@ -229,7 +228,7 @@ def solve_u(u0: np.ndarray, t: float, q: CubicDifferential,
     """
     return damped_newton(u0, lambda v: -residual(v, t, q),
                          lambda v: linearize(v, t, q).matrix,
-                         laplacian(q.surface).mass_diag, tol, 50)
+                         q.surface.mass_diag, tol, 50)
 
 
 def newton_solve(u0: np.ndarray, t: float, q: CubicDifferential,

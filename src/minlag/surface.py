@@ -8,7 +8,8 @@ Two mesh backends are provided:
   pi/4, sides glued by the standard pairing a b a^-1 b^-1 c d c^-1 d^-1,
   which gives a closed genus-2 surface of area 4*pi.
 
-The metric is lambda(z) |dz|^2 in chart coordinates.  The P1 stiffness
+The metric is lambda(z) |dz|^2 in chart coordinates.  A surface assembles
+its stiffness matrix K and lumped mass M on construction.  The P1 stiffness
 matrix uses flat cotangent weights (the Dirichlet energy is conformally
 invariant in two dimensions, so no curvature correction is needed), and the
 mass matrix is lumped with the conformal factor interpolated linearly over
@@ -35,6 +36,11 @@ class MeshError(RuntimeError):
 class DiscreteSurface:
     """Triangulated fundamental domain plus quotient identification.
 
+    The stiffness matrix K and the lumped mass M are assembled on
+    construction.  The convention is weak: <Delta f, g> = -integral
+    grad f . grad g, so f^T K g = integral grad f . grad g and the discrete
+    Laplacian field is -(K f) / diag(M).
+
     Attributes
     ----------
     vertices : complex array, shape (Vc,)
@@ -48,8 +54,10 @@ class DiscreteSurface:
         Metric factor lambda at each chart vertex (chart dependent on the
         octagon, constant on the torus).
     genus : int
-    area : float
-        Total area of the quotient surface, set during assembly.
+    stiffness : sparse CSR matrix, shape (n_classes, n_classes)
+        Cotangent stiffness K on quotient classes.
+    mass_diag : float array, shape (n_classes,)
+        Diagonal of the lumped mass M.
     """
 
     vertices: np.ndarray
@@ -57,9 +65,59 @@ class DiscreteSurface:
     class_of: np.ndarray
     conformal_factor: np.ndarray
     genus: int
-    area: float = 0.0
     side_pairings: list = field(default_factory=list)
-    _ops: "LaplaceOperator | None" = field(default=None, repr=False)
+    stiffness: sp.csr_matrix = field(init=False, repr=False)
+    mass_diag: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        """Assemble cotangent stiffness and lumped mass over the quotient."""
+        z = self.vertices
+        tris = self.triangles
+        lam = self.conformal_factor
+        n = self.n_classes
+
+        p = np.column_stack([z.real, z.imag])[tris]  # (T, 3, 2)
+        e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]  # edge opposite vertex i
+        area2 = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+        if not np.all(np.isfinite(area2)) or np.any(area2 <= 0):
+            raise MeshError("degenerate or misoriented triangle in assembly")
+        tri_area = 0.5 * area2
+
+        cls = self.class_of[tris]                    # (T, 3)
+        rows, cols, vals = [], [], []
+        for i in range(3):
+            for j in range(3):
+                w = (e[:, i, :] * e[:, j, :]).sum(axis=1) / (4.0 * tri_area)
+                rows.append(cls[:, i])
+                cols.append(cls[:, j])
+                vals.append(w)
+        K = sp.csr_matrix(
+            (np.concatenate(vals),
+             (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n),
+        )
+
+        # Lumped mass: integral of lambda * phi_i over each triangle with
+        # lambda interpolated linearly, i.e.
+        # tri_area * (2*lam_i + lam_j + lam_k) / 12.
+        lam_t = lam[tris]
+        m = np.zeros(n)
+        for i in range(3):
+            contrib = tri_area * (2.0 * lam_t[:, i] + lam_t[:, (i + 1) % 3]
+                                  + lam_t[:, (i + 2) % 3]) / 12.0
+            np.add.at(m, cls[:, i], contrib)
+        if not np.all(np.isfinite(K.data)) or not np.all(np.isfinite(m)):
+            raise MeshError("non-finite entries in assembled operators")
+        self.stiffness, self.mass_diag = K, m
+
+    @property
+    def area(self) -> float:
+        """Total area of the quotient surface, the sum of the lumped mass."""
+        return float(self.mass_diag.sum())
+
+    def shifted(self, p) -> sp.csr_matrix:
+        """K + M diag(p) for a per-class potential p (or a scalar)."""
+        return (self.stiffness + sp.diags(self.mass_diag * p)).tocsr()
 
     @property
     def n_classes(self) -> int:
@@ -95,79 +153,12 @@ class DiscreteSurface:
         return self.n_classes - n_edges + len(self.triangles)
 
 
-@dataclass
-class LaplaceOperator:
-    """Stiffness/mass pair on quotient classes.
-
-    The convention is weak: <Delta f, g> = -integral grad f . grad g, so
-    the assembled stiffness K satisfies f^T K g = integral grad f . grad g
-    and the discrete Laplacian field is -(K f) / diag(M).
-    """
-
-    stiffness: sp.csr_matrix
-    mass_diag: np.ndarray
-
-    def shifted(self, p) -> sp.csr_matrix:
-        """K + M diag(p) for a per-class potential p (or a scalar)."""
-        return (self.stiffness + sp.diags(self.mass_diag * p)).tocsr()
-
-
-def _assemble(s: DiscreteSurface) -> LaplaceOperator:
-    """Assemble cotangent stiffness and lumped mass over the quotient."""
-    z = s.vertices
-    tris = s.triangles
-    lam = s.conformal_factor
-    n = s.n_classes
-
-    p = np.column_stack([z.real, z.imag])[tris]          # (T, 3, 2)
-    e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]          # edge opposite vertex i
-    area2 = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
-    if not np.all(np.isfinite(area2)) or np.any(area2 <= 0):
-        raise MeshError("degenerate or misoriented triangle in assembly")
-    tri_area = 0.5 * area2
-
-    cls = s.class_of[tris]                               # (T, 3)
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            w = (e[:, i, :] * e[:, j, :]).sum(axis=1) / (4.0 * tri_area)
-            rows.append(cls[:, i])
-            cols.append(cls[:, j])
-            vals.append(w)
-    K = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-
-    # Lumped mass: integral of lambda * phi_i over each triangle with lambda
-    # interpolated linearly, i.e. tri_area * (2*lam_i + lam_j + lam_k) / 12.
-    lam_t = lam[tris]
-    m = np.zeros(n)
-    for i in range(3):
-        contrib = tri_area * (2.0 * lam_t[:, i] + lam_t[:, (i + 1) % 3]
-                              + lam_t[:, (i + 2) % 3]) / 12.0
-        np.add.at(m, cls[:, i], contrib)
-    if not np.all(np.isfinite(K.data)) or not np.all(np.isfinite(m)):
-        raise MeshError("non-finite entries in assembled operators")
-
-    return LaplaceOperator(stiffness=K, mass_diag=m)
-
-
-def laplacian(s: DiscreteSurface) -> LaplaceOperator:
-    """Return the (cached) stiffness/mass pair of the surface."""
-    if s._ops is None:
-        s._ops = _assemble(s)
-        s.area = float(s._ops.mass_diag.sum())
-    return s._ops
-
-
 def integrate(s: DiscreteSurface, f: np.ndarray) -> float:
     """Integrate a per-class scalar field against the area element."""
-    op = laplacian(s)
     f = np.asarray(f, dtype=float)
     if f.shape != (s.n_classes,):
         raise ValueError(f"field has shape {f.shape}, expected ({s.n_classes},)")
-    return float(op.mass_diag @ f)
+    return float(s.mass_diag @ f)
 
 
 def build_flat_torus(n: int, side: float, lambda0: float) -> DiscreteSurface:
@@ -201,15 +192,13 @@ def build_flat_torus(n: int, side: float, lambda0: float) -> DiscreteSurface:
             tris.append((a, c, d))
     triangles = np.array(tris, dtype=int)
 
-    s = DiscreteSurface(
+    return DiscreteSurface(
         vertices=verts,
         triangles=triangles,
         class_of=class_of,
         conformal_factor=np.full(m * m, float(lambda0)),
         genus=1,
     )
-    laplacian(s)
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +371,6 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
     )
     if s.euler_characteristic() != -2:
         raise MeshError("octagon quotient is not a genus-2 surface")
-    laplacian(s)
     return s
 
 

@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 from .continuation import ZeroCubic
 from .cubic import CubicDifferential, wp_pairing
 from .pde import NonConvergence, solve_u
-from .surface import DiscreteSurface, integrate, laplacian
+from .surface import DiscreteSurface, integrate
 
 
 class BranchUnavailable(RuntimeError):
@@ -42,11 +42,10 @@ class BranchUnavailable(RuntimeError):
 
 def d_operator(s: DiscreteSurface, f: np.ndarray) -> np.ndarray:
     """Apply D = -2 (Delta - 2)^{-1}: solve (K + 2M) x = 2 M f."""
-    op = laplacian(s)
     f = np.asarray(f, dtype=float)
     if f.shape != (s.n_classes,):
         raise ValueError("field size does not match the surface")
-    return spla.splu(op.shifted(2.0).tocsc()).solve(2.0 * op.mass_diag * f)
+    return spla.splu(s.shifted(2.0).tocsc()).solve(2.0 * s.mass_diag * f)
 
 
 def udotdot(q: CubicDifferential) -> np.ndarray:

@@ -8,7 +8,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from minlag.surface import build_flat_torus, build_genus2_octagon
 from minlag.cubic import constant_cubic, synthetic_cubic
-from minlag.mpass import build_cutoffs
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +53,3 @@ def octagon2_cubic(octagon2):
 def octagon3_cubic(octagon3):
     return synthetic_cubic(octagon3, octagon_zero_classes(octagon3), 1.0)
 
-
-@pytest.fixture(scope="session")
-def cutoffs():
-    return build_cutoffs()

@@ -16,11 +16,11 @@ from minlag.continuation import detect_fold, nonexistence_bound, trace_curve
 from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
 from minlag.frame import (integrate_frame, poincare_trivial_coefficients,
                           second_fundamental_form)
-from minlag.mpass import (THETA, build_cutoffs, find_mountain_pass,
-                          functional_gradient, functional_value,
-                          norm_equivalence_constants)
+from minlag import mpass
+from minlag.mpass import (THETA, find_mountain_pass, functional_gradient,
+                          functional_value, norm_equivalence_constants)
 from minlag.pde import legendre_pair, newton_solve
-from minlag.surface import build_flat_torus, build_genus2_octagon, laplacian
+from minlag.surface import build_flat_torus, build_genus2_octagon
 from minlag.wp import area_record, d_operator
 
 from conftest import octagon_zero_classes
@@ -37,7 +37,6 @@ class Context:
         self.torus32 = build_flat_torus(32, 1.0, 1.0)
         self.octagon = build_genus2_octagon(2)
         self.octagon3 = build_genus2_octagon(3)
-        self.cutoffs = build_cutoffs()
         self.unit_cubic = constant_cubic(self.torus, 1.0)
         self.oct_cubic = synthetic_cubic(
             self.octagon, octagon_zero_classes(self.octagon), 1.0)
@@ -69,8 +68,7 @@ class Context:
         for t in (0.05, 0.10, 0.13, 0.135):
             stable = newton_solve(np.zeros(self.torus.n_classes), t,
                                   self.unit_cubic, tol=TOL)
-            p2 = find_mountain_pass(stable, t, self.unit_cubic, self.cutoffs,
-                                    tol=TOL)
+            p2 = find_mountain_pass(stable, t, self.unit_cubic, tol=TOL)
             self.mpass_torus[t] = (stable, p2)
             self.accepted_points += [("torus", stable), ("torus", p2)]
         self.mpass_octagon = {}
@@ -81,8 +79,7 @@ class Context:
                 if p.t <= t:
                     warm = p
             stable = newton_solve(warm.u, t, self.oct_cubic, tol=TOL)
-            p2 = find_mountain_pass(stable, t, self.oct_cubic, self.cutoffs,
-                                    tol=TOL)
+            p2 = find_mountain_pass(stable, t, self.oct_cubic, tol=TOL)
             self.mpass_octagon[t] = (stable, p2)
             self.accepted_points += [("octagon", stable), ("octagon", p2)]
         self.mpass_elapsed = time.perf_counter() - start
@@ -168,18 +165,18 @@ def test_criterion_5_two_solutions(ctx):
 
 
 def test_criterion_6_equivalence(ctx):
-    m_t = laplacian(ctx.torus).mass_diag
-    m_o = laplacian(ctx.octagon).mass_diag
+    m_t = ctx.torus.mass_diag
+    m_o = ctx.octagon.mass_diag
     for label, (stable, p2) in {**ctx.mpass_torus, **ctx.mpass_octagon}.items():
         assert p2.u.max() <= 1e-8
         assert p2.residual_norm <= 10.0 * TOL
     checked = 0
     for t, (stable, _) in ctx.mpass_torus.items():
-        g = functional_gradient(stable.u, t, ctx.unit_cubic, ctx.cutoffs)
+        g = functional_gradient(stable.u, t, ctx.unit_cubic)
         assert math.sqrt(float(m_t @ g ** 2)) <= 10.0 * TOL
         checked += 1
     for t, (stable, _) in ctx.mpass_octagon.items():
-        g = functional_gradient(stable.u, t, ctx.oct_cubic, ctx.cutoffs)
+        g = functional_gradient(stable.u, t, ctx.oct_cubic)
         assert math.sqrt(float(m_o @ g ** 2)) <= 10.0 * TOL
         checked += 1
     print(f"PASS criterion 6: mountain-pass points satisfy u <= 1e-8 and "
@@ -189,7 +186,7 @@ def test_criterion_6_equivalence(ctx):
 def test_criterion_7_wp_identities(ctx):
     p0 = newton_solve(np.zeros(ctx.octagon3.n_classes), 0.0, ctx.oct3_cubic,
                       tol=TOL)
-    m3 = laplacian(ctx.octagon3).mass_diag
+    m3 = ctx.octagon3.mass_diag
     area0 = -float(m3 @ np.exp(p0.u))
     assert area0 == pytest.approx(-4.0 * math.pi, rel=0.02)
 
@@ -205,7 +202,7 @@ def test_criterion_7_wp_identities(ctx):
 
     rng = np.random.default_rng(0)
     for s in (ctx.torus, ctx.octagon):
-        m = laplacian(s).mass_diag
+        m = s.mass_diag
         assert np.abs(d_operator(s, np.ones(s.n_classes)) - 1.0).max() <= 1e-12
         for _ in range(20):
             f, g = rng.standard_normal((2, s.n_classes))
@@ -257,15 +254,14 @@ def test_criterion_9_inequality_suite(ctx):
         assert ai * bi <= (h + hstar) * (1.0 + 1e-12)
 
     s = np.linspace(-50.0, 50.0, 10001)
-    cp = ctx.cutoffs
     consts = []
-    for f, F in ((cp.f1, cp.F1), (cp.f2, cp.F2)):
+    for f, F in ((mpass.f1, mpass.F1), (mpass.f2, mpass.F2)):
         c = (F(s) - (s / THETA) * f(s)).max()
         assert np.isfinite(c)
         consts.append(c)
 
     vals = [functional_value(np.full(ctx.torus.n_classes, k), 0.1,
-                             ctx.unit_cubic, cp) for k in (-10.0, -20.0, -40.0)]
+                             ctx.unit_cubic) for k in (-10.0, -20.0, -40.0)]
     assert vals[0] > vals[1] > vals[2]
 
     lo, hi = norm_equivalence_constants(0.1, ctx.unit_cubic)

@@ -41,14 +41,32 @@ def test_solve_beyond_fold_exits_2(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def _wrong_pair(A, **kwargs):
+    return np.array([5.0]), np.ones((A.shape[0], 1))
+
+
+def _no_convergence(A, **kwargs):
+    raise pde.spla.ArpackNoConvergence("injected", np.empty(0),
+                                       np.empty((A.shape[0], 0)))
+
+
+def _singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("injected singular pencil")
+
+
 def test_eigen_failure_exits_2(tmp_path, capsys, monkeypatch):
-    # an eigenpair that misses its residual check is a numerical failure
-    monkeypatch.setattr(pde.spla, "eigsh", lambda A, **kwargs: (
-        np.array([5.0]), np.ones((A.shape[0], 1))))
+    # an eigenpair that misses its residual check is a numerical failure, and
+    # so is a failed dense fallback, though LinAlgError is a ValueError
     cfg = write_cfg(tmp_path, "c.json",
                     dict(TORUS, backend=dict(TORUS["backend"], n=32), t=0.1))
-    assert main(["solve", cfg]) == 2
-    assert "eigen residual" in capsys.readouterr().err
+    for eigsh, eigh, message in (
+            (_wrong_pair, pde.sla.eigh, "eigen residual"),
+            (_no_convergence, _singular, "injected singular pencil")):
+        monkeypatch.setattr(pde.spla, "eigsh", eigsh)
+        monkeypatch.setattr(pde.sla, "eigh", eigh)
+        assert main(["solve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed:") and message in err
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):

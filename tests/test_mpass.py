@@ -6,13 +6,12 @@ from scipy.integrate import quad
 
 from minlag.continuation import detect_fold, trace_curve
 from minlag import mpass
-from minlag.mpass import (DegenerateNorm, PathCollapse, build_cutoffs,
-                          find_mountain_pass, functional_gradient,
-                          functional_value, norm_equivalence_constants,
-                          v_norm)
+from minlag.mpass import (DegenerateNorm, PathCollapse, find_mountain_pass,
+                          functional_gradient, functional_value,
+                          norm_equivalence_constants, v_norm)
 from minlag.pde import NonConvergence, newton_solve
 from minlag.cubic import constant_cubic, norm_field
-from minlag.surface import integrate, laplacian
+from minlag.surface import integrate
 
 from scalar_oracle import U_FOLD, fold_t, scalar_roots
 from test_pde import LOWER_ROOT
@@ -22,61 +21,58 @@ from test_pde import LOWER_ROOT
 # cutoff functions
 
 
-def test_cutoff_closed_form_regions(cutoffs):
-    assert cutoffs.f1(-1.0) == pytest.approx(2.0 - 2.0 * math.exp(-1.0))
-    assert cutoffs.f1(2.0) == pytest.approx(-12.0)       # -theta s^(theta-1)
-    assert cutoffs.F1(2.0) == pytest.approx(-8.0)        # -s^theta
-    assert cutoffs.f2(-2.0) == pytest.approx(-2.0 - math.exp(4.0))
-    assert cutoffs.F2(3.0) == 0.0
+def test_cutoff_closed_form_regions():
+    assert mpass.f1(-1.0) == pytest.approx(2.0 - 2.0 * math.exp(-1.0))
+    assert mpass.f1(2.0) == pytest.approx(-12.0)       # -theta s^(theta-1)
+    assert mpass.F1(2.0) == pytest.approx(-8.0)        # -s^theta
+    assert mpass.f2(-2.0) == pytest.approx(-2.0 - math.exp(4.0))
+    assert mpass.F2(3.0) == 0.0
     # a field with no positive entry takes the closed form whole; it must
     # match bit for bit what the three-branch path gives the same entries
     rng = np.random.default_rng(1)
     fields = (np.linspace(-30.0, 0.0, 101), -rng.exponential(2.0, 510),
               np.array([-0.0, -1e-300]), np.empty(0))
-    for fn in (cutoffs.f1, cutoffs.f2, cutoffs.F1, cutoffs.F2, cutoffs.df1,
-               cutoffs.df2):
+    for fn in (mpass.f1, mpass.f2, mpass.F1, mpass.F2, mpass.df1, mpass.df2):
         for s in fields:
             mixed = fn(np.append(s, 0.5))[:-1]
             assert fn(s).tobytes() == mixed.tobytes()
 
 
-def test_cutoff_nan_propagates(cutoffs):
+def test_cutoff_nan_propagates():
     s = np.array([np.nan, -1.0, 0.5, 2.0])
-    for fn in (cutoffs.f1, cutoffs.f2, cutoffs.F1, cutoffs.F2, cutoffs.df1,
-               cutoffs.df2):
+    for fn in (mpass.f1, mpass.f2, mpass.F1, mpass.F2, mpass.df1, mpass.df2):
         out = fn(s)
         assert np.isnan(out[0])
         assert out[1:].tolist() == [fn(v) for v in s[1:]]
         assert math.isnan(fn(float("nan")))
 
 
-def test_cutoff_continuity(cutoffs):
-    for fn in (cutoffs.f1, cutoffs.f2, cutoffs.F1, cutoffs.F2, cutoffs.df1,
-               cutoffs.df2):
+def test_cutoff_continuity():
+    for fn in (mpass.f1, mpass.f2, mpass.F1, mpass.F2, mpass.df1, mpass.df2):
         for s0 in (0.0, 1.0):
             left = fn(s0 - 1e-10)
             right = fn(s0 + 1e-10)
             assert left == pytest.approx(right, abs=1e-7), f"{fn} jumps at {s0}"
 
 
-def test_cutoff_f1_additive_constant(cutoffs):
+def test_cutoff_f1_additive_constant():
     # F1(0-) = 2*0 - 2 + 2 = 0 by the additive constant in the formula
-    assert cutoffs.F1(0.0) == 0.0
-    assert cutoffs.F1(-1e-14) == pytest.approx(0.0, abs=1e-13)
+    assert mpass.F1(0.0) == 0.0
+    assert mpass.F1(-1e-14) == pytest.approx(0.0, abs=1e-13)
 
 
-def test_cutoff_sign_conditions(cutoffs):
+def test_cutoff_sign_conditions():
     s = np.linspace(1e-6, 50.0, 20001)
-    assert np.all(cutoffs.f1(s) < 0.0), "f1 must be negative for s > 0"
+    assert np.all(mpass.f1(s) < 0.0), "f1 must be negative for s > 0"
     inside = np.linspace(1e-6, 1.0 - 1e-6, 10001)
-    assert np.all(cutoffs.f2(inside) < 0.0), "f2 must be negative on (0,1)"
+    assert np.all(mpass.f2(inside) < 0.0), "f2 must be negative on (0,1)"
     everywhere = np.linspace(-30.0, 30.0, 10001)
-    assert np.all(cutoffs.f2(everywhere) <= np.minimum(0.0, everywhere) + 1e-12)
+    assert np.all(mpass.f2(everywhere) <= np.minimum(0.0, everywhere) + 1e-12)
 
 
-def test_cutoff_antiderivatives(cutoffs):
+def test_cutoff_antiderivatives():
     rng = np.random.default_rng(2)
-    for f, F in ((cutoffs.f1, cutoffs.F1), (cutoffs.f2, cutoffs.F2)):
+    for f, F in ((mpass.f1, mpass.F1), (mpass.f2, mpass.F2)):
         for _ in range(10):
             a, b = sorted(rng.uniform(-3.0, 3.0, 2))
             val, err = quad(f, a, b, points=[0.0, 1.0], limit=200,
@@ -84,20 +80,20 @@ def test_cutoff_antiderivatives(cutoffs):
             assert F(b) - F(a) == pytest.approx(val, abs=1e-10)
 
 
-def test_cutoff_derivatives(cutoffs):
+def test_cutoff_derivatives():
     rng = np.random.default_rng(3)
     eps = 1e-7
-    for f, df in ((cutoffs.f1, cutoffs.df1), (cutoffs.f2, cutoffs.df2)):
+    for f, df in ((mpass.f1, mpass.df1), (mpass.f2, mpass.df2)):
         for s0 in rng.uniform(-3.0, 3.0, 30):
             fd = (f(s0 + eps) - f(s0 - eps)) / (2.0 * eps)
             assert fd == pytest.approx(df(s0), rel=1e-5, abs=1e-5)
 
 
-def test_growth_inequality_constant(cutoffs):
+def test_growth_inequality_constant():
     # F_j(s) <= (s/theta) f_j(s) + C with a finite constant over [-50, 50]
     s = np.linspace(-50.0, 50.0, 10001)
-    for f, F, name in ((cutoffs.f1, cutoffs.F1, "f1"),
-                       (cutoffs.f2, cutoffs.F2, "f2")):
+    for f, F, name in ((mpass.f1, mpass.F1, "f1"),
+                       (mpass.f2, mpass.F2, "f2")):
         gap = F(s) - (s / mpass.THETA) * f(s)
         c = gap.max()
         assert np.isfinite(c)
@@ -108,49 +104,47 @@ def test_growth_inequality_constant(cutoffs):
 # functional and norms
 
 
-def test_functional_at_zero(torus16, unit_cubic, cutoffs):
+def test_functional_at_zero(torus16, unit_cubic):
     t = 0.1
     V = 16.0 * t * t * norm_field(unit_cubic) ** 2
     expect = -0.5 * integrate(torus16, V)
-    assert functional_value(np.zeros(torus16.n_classes), t, unit_cubic,
-                            cutoffs) == pytest.approx(expect)
+    assert functional_value(np.zeros(torus16.n_classes), t,
+                            unit_cubic) == pytest.approx(expect)
 
 
-def test_functional_diverges_down_constants(torus16, unit_cubic, cutoffs):
+def test_functional_diverges_down_constants(torus16, unit_cubic):
     t = 0.1
-    vals = [functional_value(np.full(torus16.n_classes, k), t, unit_cubic,
-                             cutoffs) for k in (-10.0, -20.0, -40.0)]
+    vals = [functional_value(np.full(torus16.n_classes, k), t, unit_cubic)
+            for k in (-10.0, -20.0, -40.0)]
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_gradient_zero_at_origin_when_t_zero(torus16, unit_cubic, cutoffs):
-    g = functional_gradient(np.zeros(torus16.n_classes), 0.0, unit_cubic,
-                            cutoffs)
+def test_gradient_zero_at_origin_when_t_zero(torus16, unit_cubic):
+    g = functional_gradient(np.zeros(torus16.n_classes), 0.0, unit_cubic)
     assert np.abs(g).max() <= 1e-14
 
 
-def test_gradient_matches_finite_difference(torus16, unit_cubic, cutoffs):
+def test_gradient_matches_finite_difference(torus16, unit_cubic):
     rng = np.random.default_rng(9)
-    m = laplacian(torus16).mass_diag
+    m = torus16.mass_diag
     eps = 1e-6
     for _ in range(10):
         u = rng.uniform(-1.5, 0.5, torus16.n_classes)
         v = rng.standard_normal(torus16.n_classes)
         t = rng.uniform(0.01, 0.13)
-        g = functional_gradient(u, t, unit_cubic, cutoffs)
+        g = functional_gradient(u, t, unit_cubic)
         pair = float(m @ (g * v))
-        fd = (functional_value(u + eps * v, t, unit_cubic, cutoffs)
-              - functional_value(u - eps * v, t, unit_cubic,
-                                 cutoffs)) / (2.0 * eps)
+        fd = (functional_value(u + eps * v, t, unit_cubic)
+              - functional_value(u - eps * v, t, unit_cubic)) / (2.0 * eps)
         assert fd == pytest.approx(pair, rel=1e-5, abs=1e-8)
 
 
-def test_stable_branch_is_critical(torus16, unit_cubic, cutoffs):
+def test_stable_branch_is_critical(torus16, unit_cubic):
     # Newton solutions of the structure equation are critical points of F
     tol = 1e-11
-    m = laplacian(torus16).mass_diag
+    m = torus16.mass_diag
     p = newton_solve(np.zeros(torus16.n_classes), 0.1, unit_cubic, tol=tol)
-    g = functional_gradient(p.u, p.t, unit_cubic, cutoffs)
+    g = functional_gradient(p.u, p.t, unit_cubic)
     assert math.sqrt(float(m @ g ** 2)) <= 10.0 * tol
 
 
@@ -165,10 +159,10 @@ def test_v_norm_reduces_to_h1(torus16):
     # V = 16 t^2 ||q||^2 = 1 for t = 1/4, q = 1, lambda = 1
     q = constant_cubic(torus16, 1.0)
     rng = np.random.default_rng(4)
-    op = laplacian(torus16)
     for _ in range(5):
         u = rng.standard_normal(torus16.n_classes)
-        h1 = math.sqrt(float(u @ (op.stiffness @ u)) + float(op.mass_diag @ u ** 2))
+        h1 = math.sqrt(float(u @ (torus16.stiffness @ u))
+                       + float(torus16.mass_diag @ u ** 2))
         assert v_norm(u, 0.25, q) == pytest.approx(h1, rel=1e-12)
 
 
@@ -194,11 +188,9 @@ def torus_stables(torus16, unit_cubic):
             for t in (0.05, 0.10, 0.13, 0.135)}
 
 
-def test_mountain_pass_matches_lower_root(torus16, unit_cubic, cutoffs,
-                                          torus_stables):
+def test_mountain_pass_matches_lower_root(torus16, unit_cubic, torus_stables):
     for t, root in LOWER_ROOT.items():
-        p2 = find_mountain_pass(torus_stables[t], t, unit_cubic, cutoffs,
-                                tol=1e-11)
+        p2 = find_mountain_pass(torus_stables[t], t, unit_cubic, tol=1e-11)
         assert np.abs(p2.u - root).max() <= 1e-4
         assert p2.u.max() < U_FOLD          # below the fold level
         assert not p2.stable
@@ -206,12 +198,10 @@ def test_mountain_pass_matches_lower_root(torus16, unit_cubic, cutoffs,
         assert p2.residual_norm <= 1e-10
 
 
-def test_mountain_pass_separation_shrinks(torus16, unit_cubic, cutoffs,
-                                          torus_stables):
+def test_mountain_pass_separation_shrinks(torus16, unit_cubic, torus_stables):
     seps = {}
     for t in (0.05, 0.10, 0.13, 0.135):
-        p2 = find_mountain_pass(torus_stables[t], t, unit_cubic, cutoffs,
-                                tol=1e-11)
+        p2 = find_mountain_pass(torus_stables[t], t, unit_cubic, tol=1e-11)
         seps[t] = p2.meta["vnorm_separation"]
         # oracle separation: |u2 - u1| * sqrt(int V) for constant fields
         lo, hi = scalar_roots(16.0 * t * t)
@@ -220,7 +210,7 @@ def test_mountain_pass_separation_shrinks(torus16, unit_cubic, cutoffs,
     assert seps[0.10] > seps[0.13] > seps[0.135]   # roots merge at the fold
 
 
-def test_mountain_pass_octagon(octagon2, octagon2_cubic, cutoffs):
+def test_mountain_pass_octagon(octagon2, octagon2_cubic):
     curve = trace_curve(octagon2_cubic, dt0=0.5, tol=1e-10)
     t0 = detect_fold(curve)
     t = 0.5 * t0
@@ -229,7 +219,7 @@ def test_mountain_pass_octagon(octagon2, octagon2_cubic, cutoffs):
         if p.t <= t:
             stable = p
     stable = newton_solve(stable.u, t, octagon2_cubic, tol=1e-11)
-    p2 = find_mountain_pass(stable, t, octagon2_cubic, cutoffs, tol=1e-11)
+    p2 = find_mountain_pass(stable, t, octagon2_cubic, tol=1e-11)
     assert p2.residual_norm <= 1e-8
     assert p2.lambda_min <= 1e-4
     assert p2.u.max() <= 1e-8
@@ -238,19 +228,19 @@ def test_mountain_pass_octagon(octagon2, octagon2_cubic, cutoffs):
     assert p2.u.std() > 1e-3
 
 
-def test_mountain_pass_rejects_mismatched_t(torus16, unit_cubic, cutoffs,
+def test_mountain_pass_rejects_mismatched_t(torus16, unit_cubic,
                                             torus_stables):
     with pytest.raises(ValueError):
-        find_mountain_pass(torus_stables[0.05], 0.10, unit_cubic, cutoffs)
+        find_mountain_pass(torus_stables[0.05], 0.10, unit_cubic)
 
 
-def test_mountain_pass_degenerate_at_zero(torus16, unit_cubic, cutoffs):
+def test_mountain_pass_degenerate_at_zero(torus16, unit_cubic):
     p0 = newton_solve(np.zeros(torus16.n_classes), 0.0, unit_cubic)
     with pytest.raises(DegenerateNorm):
-        find_mountain_pass(p0, 0.0, unit_cubic, cutoffs)
+        find_mountain_pass(p0, 0.0, unit_cubic)
 
 
-def test_mountain_pass_collapse_after_three_paths(torus16, unit_cubic, cutoffs,
+def test_mountain_pass_collapse_after_three_paths(torus16, unit_cubic,
                                                   torus_stables, monkeypatch):
     # every polish fails, so each path runs out of sweeps; the search gives
     # up after the 20-, 40- and 80-node paths
@@ -260,4 +250,4 @@ def test_mountain_pass_collapse_after_three_paths(torus16, unit_cubic, cutoffs,
     monkeypatch.setattr(mpass, "MAX_SWEEPS", 3)
     monkeypatch.setattr(mpass, "damped_newton", failing_newton)
     with pytest.raises(PathCollapse, match="up to 80 nodes"):
-        find_mountain_pass(torus_stables[0.10], 0.10, unit_cubic, cutoffs)
+        find_mountain_pass(torus_stables[0.10], 0.10, unit_cubic)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from minlag.surface import (MeshError, build_flat_torus, build_genus2_octagon,
-                            integrate, laplacian, mesh_to_json)
+from minlag.surface import (DiscreteSurface, MeshError, build_flat_torus,
+                            build_genus2_octagon, integrate, mesh_to_json)
 
 
 def test_torus_unit_area():
@@ -61,20 +61,20 @@ def test_octagon_conformal_factor_positive(octagon2):
 
 def test_stiffness_kills_constants(torus16, octagon2):
     for s in (torus16, octagon2):
-        K = laplacian(s).stiffness
+        K = s.stiffness
         ones = np.ones(s.n_classes)
         assert np.abs(K @ ones).max() <= 1e-12
 
 
 def test_stiffness_symmetric(torus16, octagon2):
     for s in (torus16, octagon2):
-        K = laplacian(s).stiffness
+        K = s.stiffness
         assert abs(K - K.T).max() == 0.0
 
 
 def test_green_identity(torus16):
     rng = np.random.default_rng(7)
-    K = laplacian(torus16).stiffness
+    K = torus16.stiffness
     scale = abs(K).max()
     for _ in range(5):
         f, g = rng.standard_normal((2, torus16.n_classes))
@@ -84,24 +84,30 @@ def test_green_identity(torus16):
 
 def test_torus_laplace_eigenvalue(torus32):
     # sin(2 pi x / side) is an exact discrete mode of the periodic stencil
-    op = laplacian(torus32)
     x = torus32.vertices[torus32.class_representative].real
     f = np.sin(2.0 * math.pi * x)
-    mu = (f @ (op.stiffness @ f)) / (f @ (op.mass_diag * f))
+    mu = (f @ (torus32.stiffness @ f)) / (f @ (torus32.mass_diag * f))
     assert mu == pytest.approx((2.0 * math.pi) ** 2, rel=0.01)
 
 
 def test_octagon_spectral_gap(octagon2):
-    op = laplacian(octagon2)
-    w = sla.eigh(op.stiffness.toarray(), np.diag(op.mass_diag),
+    w = sla.eigh(octagon2.stiffness.toarray(), np.diag(octagon2.mass_diag),
                  eigvals_only=True)
     assert abs(w[0]) < 1e-10
     assert w[1] > 0.1
 
 
 def test_mass_sums_to_area(torus16, octagon2):
-    for s in (torus16, octagon2):
-        assert laplacian(s).mass_diag.sum() == pytest.approx(s.area, rel=1e-12)
+    # a surface is assembled on construction, not only by the builders
+    direct = DiscreteSurface(
+        vertices=octagon2.vertices, triangles=octagon2.triangles,
+        class_of=octagon2.class_of, conformal_factor=octagon2.conformal_factor,
+        genus=octagon2.genus, side_pairings=octagon2.side_pairings)
+    for s in (torus16, octagon2, direct):
+        assert s.mass_diag.sum() == pytest.approx(s.area, rel=1e-12)
+    assert direct.area == direct.mass_diag.sum() == octagon2.area
+    assert (direct.shifted(0.0) != direct.stiffness).nnz == 0
+    assert (direct.stiffness != octagon2.stiffness).nnz == 0
 
 
 def test_integrate_constants(torus16, octagon2):
@@ -113,7 +119,7 @@ def test_integrate_constants(torus16, octagon2):
 def test_integrate_is_mass_weighted_sum(torus16):
     rng = np.random.default_rng(3)
     f = rng.standard_normal(torus16.n_classes)
-    m = laplacian(torus16).mass_diag
+    m = torus16.mass_diag
     assert integrate(torus16, f) == pytest.approx(float(m @ f), rel=1e-14)
 
 
