@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CloughTocher2DInterpolator
 
 from .cubic import CubicDifferential
 from .surface import DiscreteSurface, _mobius_apply, hyperbolic_midpoint
@@ -140,6 +139,11 @@ class MeshCoefficients:
     """
 
     def __init__(self, u: np.ndarray, q: CubicDifferential):
+        # imported here, not at the top: only the frame command needs
+        # scipy.interpolate, and it loads scipy.optimize too, which would
+        # lengthen every other command's start-up
+        from scipy.interpolate import CloughTocher2DInterpolator
+
         surface = q.surface
         z = surface.vertices
         pts = np.column_stack([z.real, z.imag])

@@ -33,11 +33,11 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cubic import CubicDifferential
 from .pde import (TOL_POS, NonConvergence, SolutionPoint, damped_newton,
-                  linearize, residual, smallest_eigenvalue, v_field)
+                  factorize, linearize, residual, smallest_eigenvalue,
+                  v_field)
 
 THETA = 3.0           # growth exponent of the cutoffs for s > 1
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
@@ -249,7 +249,7 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
         raise ValueError("u_stable was computed at a different t")
     m = q.surface.mass_diag
     gram = v_gram(t, q)                         # raises DegenerateNorm at t=0
-    gram_lu = spla.splu(gram.tocsc())
+    gram_lu = factorize(gram)
 
     f_stable = functional_value(u_stable.u, t, q)
     w = _negative_endpoint(f_stable, t, q)

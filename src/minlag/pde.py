@@ -23,6 +23,15 @@ runs it on the structure equation (field = -residual, Jacobian = L), and
 Every caller inherits its damping floor `MIN_DAMPING`: `continuation`'s
 `trace_curve`, `branch_point` and `detect_fold`, the `wp` samples and the
 `mpass` polish.
+
+`factorize` is the one sparse LU of the package: Newton steps, the shift-
+invert operator of `smallest_eigenvalue`, the `mpass` V-Gram matrix and
+the `wp` operator D all use it.  L, the Gram matrices and K + 2M are
+symmetric, so SuperLU orders the columns by minimum degree on the pattern
+of A + A^T and runs in symmetric mode, which prefers diagonal pivots; that
+keeps the fill of a symmetric ordering.  Threshold pivoting stays on, so
+the nonsymmetric bordered Jacobian of the fold solve, whose last diagonal
+entry is zero, still factorizes.
 """
 
 from __future__ import annotations
@@ -127,25 +136,38 @@ def linearize(u: np.ndarray, t: float,
                               potential=pot)
 
 
+def factorize(A: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of a square matrix, ordered for a symmetric pattern.
+
+    Raises RuntimeError when A is singular.
+    """
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=1e-3, options={"SymmetricMode": True})
+
+
 def smallest_eigenvalue(L: LinearizedOperator):
     """Smallest generalized eigenpair of (L, M), eigenvector M-normalized.
 
     Uses shift-invert Lanczos (ARPACK) with a shift strictly below the
     spectrum: the potential minimum bounds the smallest eigenvalue from
-    below since K >= 0.  Only when ARPACK fails does it solve the dense
+    below since K >= 0.  The inverse of L - sigma M comes from `factorize`.
+    Only when ARPACK or that factorization fails does it solve the dense
     problem.  Raises EigenFailure if the pair misses its residual check.
     """
     n = L.matrix.shape[0]
     m = L.mass_diag
+    M = sp.diags(m)
     lower = min(0.0, float(L.potential.min()))
     sigma = lower - 0.1 * (1.0 + abs(lower))
     try:
+        lu = factorize(L.matrix - sigma * M)
+        op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         # a fixed start vector makes ARPACK, so lambda_min, reproducible;
         # shift-invert makes the one wanted eigenvalue dominant, so 8 Lanczos
         # vectors (default 20) suffice; ARPACK needs n > ncv, and the mesh
         # builders refuse meshes with fewer than 16 classes
-        w, v = spla.eigsh(L.matrix, k=1, M=sp.diags(m), sigma=sigma,
-                          which="LM", tol=1e-9, v0=np.ones(n), ncv=8)
+        w, v = spla.eigsh(L.matrix, k=1, M=M, sigma=sigma, which="LM",
+                          tol=1e-9, v0=np.ones(n), ncv=8, OPinv=op_inv)
     except (spla.ArpackError, RuntimeError):
         w, v = sla.eigh(L.matrix.toarray(), np.diag(m))
     lam, vec = float(w[0]), v[:, 0]
@@ -193,9 +215,8 @@ def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
             return u, float(rnorm), it
         if it == max_iter:
             break
-        J = jacobian(u).tocsc()
         try:
-            delta = spla.splu(J).solve(m * f)
+            delta = factorize(jacobian(u)).solve(m * f)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(delta)):

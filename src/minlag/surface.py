@@ -68,6 +68,7 @@ class DiscreteSurface:
     side_pairings: list = field(default_factory=list)
     stiffness: sp.csr_matrix = field(init=False, repr=False)
     mass_diag: np.ndarray = field(init=False, repr=False)
+    _diag: np.ndarray = field(init=False, repr=False)  # K_ii's index in K.data
 
     def __post_init__(self):
         """Assemble cotangent stiffness and lumped mass over the quotient."""
@@ -108,6 +109,12 @@ class DiscreteSurface:
             np.add.at(m, cls[:, i], contrib)
         if not np.all(np.isfinite(K.data)) or not np.all(np.isfinite(m)):
             raise MeshError("non-finite entries in assembled operators")
+        # K keeps exactly the entries K + M diag(p) has: its exact zeros
+        # (right angles on the torus) go, and every K_ii > 0 stays, so the
+        # diagonal is structurally full and `shifted` only rewrites it
+        K.eliminate_zeros()
+        rows = np.repeat(np.arange(n), np.diff(K.indptr))
+        self._diag = np.flatnonzero(K.indices == rows)
         self.stiffness, self.mass_diag = K, m
 
     @property
@@ -116,8 +123,16 @@ class DiscreteSurface:
         return float(self.mass_diag.sum())
 
     def shifted(self, p) -> sp.csr_matrix:
-        """K + M diag(p) for a per-class potential p (or a scalar)."""
-        return (self.stiffness + sp.diags(self.mass_diag * p)).tocsr()
+        """K + M diag(p) for a per-class potential p (or a scalar).
+
+        Only the diagonal is written: the result has its own copy of K's
+        values but shares K's `indices` and `indptr`.  Its values may be
+        changed freely; its sparsity structure must not be, or K changes.
+        """
+        K = self.stiffness
+        data = K.data.copy()
+        data[self._diag] += self.mass_diag * p
+        return sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
 
     @property
     def n_classes(self) -> int:

@@ -28,11 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .continuation import ZeroCubic
 from .cubic import CubicDifferential, wp_pairing
-from .pde import NonConvergence, solve_u
+from .pde import NonConvergence, factorize, solve_u
 from .surface import DiscreteSurface, integrate
 
 
@@ -45,7 +44,7 @@ def d_operator(s: DiscreteSurface, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (s.n_classes,):
         raise ValueError("field size does not match the surface")
-    return spla.splu(s.shifted(2.0).tocsc()).solve(2.0 * s.mass_diag * f)
+    return factorize(s.shifted(2.0)).solve(2.0 * s.mass_diag * f)
 
 
 def udotdot(q: CubicDifferential) -> np.ndarray:

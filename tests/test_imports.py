@@ -1,8 +1,12 @@
 """Static checks over the `minlag` sources: unused imports, argument design,
-unreferenced private names, public names without a consumer, and a package
-`__init__` that binds nothing."""
+unreferenced private names, public names without a consumer, one sparse
+factorization, a package `__init__` that binds nothing, and what importing
+the CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -342,3 +346,52 @@ def test_package_init_binds_no_names():
     # callers import the modules: `from minlag import cli`,
     # `from minlag.pde import newton_solve`
     assert bound_names((SRC / "__init__.py").read_text()) == []
+
+
+def calls(source: str, name: str) -> list:
+    """(enclosing top-level function or None, call node) for every call of
+    `name`, bare or as an attribute (`spla.splu`)."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called = f.attr if isinstance(f, ast.Attribute) else getattr(
+                    f, "id", None)
+                if called == name:
+                    found.append((owner, node))
+    return found
+
+
+def test_detects_calls():
+    source = ("import scipy.sparse.linalg as spla\n"
+              "def f(A):\n    return spla.splu(A)\n"
+              "def g(A):\n    return [splu(A) for _ in range(2)]\n"
+              "lu = splu(A)\n")
+    assert [(o, n.lineno) for o, n in calls(source, "splu")] == [
+        ("f", 3), ("g", 5), (None, 6)]
+
+
+def test_one_sparse_factorization():
+    # `pde.factorize` holds the package's one LU policy; every solve and the
+    # shift-invert eigen path go through it
+    sites = [(path.name, owner) for path in MODULES
+             for owner, _ in calls(path.read_text(), "splu")]
+    assert sites == [("pde.py", "factorize")]
+    eigsh = [node for path in MODULES
+             for _, node in calls(path.read_text(), "eigsh")]
+    assert eigsh and all(any(k.arg == "OPinv" for k in node.keywords)
+                         for node in eigsh)
+
+
+def test_cli_import_loads_no_command_specific_scipy():
+    # scipy.interpolate (frame only) and the scipy.optimize it pulls in are
+    # loaded by the command that uses them, not by every command
+    code = ("import sys, minlag.cli; print(sorted({m.split('.')[1] for m in "
+            "sys.modules if m.startswith(('scipy.interpolate', "
+            "'scipy.optimize'))}))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

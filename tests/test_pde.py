@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 from minlag import pde
 from minlag.cubic import constant_cubic, norm_field
 from minlag.pde import (LinearizedOperator, NonConvergence, ResidualBlowup,
-                        legendre_pair, linearize, newton_solve, residual,
+                        SingularJacobian, damped_newton, legendre_pair,
+                        linearize, newton_solve, residual,
                         smallest_eigenvalue)
 
 from scalar_oracle import U_FOLD, fold_t, scalar_roots
@@ -118,6 +119,29 @@ def test_newton_beyond_fold_fails(torus16, unit_cubic, monkeypatch):
     with pytest.raises(NonConvergence):
         newton_solve(np.zeros(torus16.n_classes), 0.2, unit_cubic)
     assert 0 < len(factorizations) <= 6
+
+
+def test_singular_jacobian_raises(torus16):
+    # an empty row: no pivot exists, whatever the ordering
+    n = torus16.n_classes
+    J = torus16.shifted(1.0).tolil()
+    J[3, :] = 0.0
+    with pytest.raises(SingularJacobian):
+        damped_newton(np.ones(n), lambda v: v, lambda v: J.tocsr(),
+                      torus16.mass_diag, 1e-10, 5)
+
+
+def test_factorize_solves_zero_diagonal_bordered_system(torus16):
+    # the shape of the fold solve's Jacobian: a symmetric block bordered by
+    # a column and a row that differ, with a zero in the corner
+    n = torus16.n_classes
+    rng = np.random.default_rng(3)
+    b, c = rng.normal(size=n), rng.normal(size=n)
+    A = sp.bmat([[torus16.shifted(1.0), b[:, None]], [c[None, :], None]],
+                format="csc")
+    rhs = rng.normal(size=n + 1)
+    x = pde.factorize(A).solve(rhs)
+    assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_newton_maximum_principle(torus16, octagon2, unit_cubic,

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
+from minlag.pde import newton_solve
 from minlag.surface import (DiscreteSurface, MeshError, build_flat_torus,
                             build_genus2_octagon, integrate, mesh_to_json)
 
@@ -70,6 +72,33 @@ def test_stiffness_symmetric(torus16, octagon2):
     for s in (torus16, octagon2):
         K = s.stiffness
         assert abs(K - K.T).max() == 0.0
+
+
+@pytest.mark.parametrize("p", ["array", 0.0, 2.0])
+def test_shifted_is_bitwise_stiffness_plus_mass(torus16, octagon2, p):
+    for s in (torus16, octagon2):
+        pot = np.linspace(-3.0, 5.0, s.n_classes) if p == "array" else p
+        ref = (s.stiffness + sp.diags(s.mass_diag * pot)).tocsr()
+        got = s.shifted(pot)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_shifted_values_do_not_alias_stiffness(torus16, octagon2):
+    for s in (torus16, octagon2):
+        before = s.stiffness.copy()
+        s.shifted(1.0).data[:] = -7.0
+        assert np.array_equal(s.stiffness.data, before.data)
+
+
+def test_newton_leaves_stiffness_structure_unchanged(octagon2,
+                                                     octagon2_cubic):
+    # `shifted` shares K's index arrays with every operator Newton builds
+    K = octagon2.stiffness
+    indices, indptr = K.indices.copy(), K.indptr.copy()
+    newton_solve(np.zeros(octagon2.n_classes), 5.0, octagon2_cubic)
+    assert np.array_equal(K.indices, indices)
+    assert np.array_equal(K.indptr, indptr)
 
 
 def test_green_identity(torus16):
