@@ -158,7 +158,7 @@ def branch_point(q: CubicDifferential, t: float,
     t * 1e-6 (t at or beyond the fold).  Intermediate points skip the eigen
     solve; the returned point carries lambda_min.
     """
-    u, _, _ = solve_u(np.zeros(q.surface.n_classes), 0.0, q, tol=tol)
+    u = np.zeros(q.surface.n_classes)    # the exact solution at t = 0
     step = t / 8
     tau = 0.0
     while tau < t - 1e-15 * max(1.0, t):
@@ -224,7 +224,7 @@ def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
     x0 = np.concatenate([p.u, phi0, [p.t]])
     try:
         x, _, _ = damped_newton(x0, field_fn, jacobian,
-                                np.concatenate([m, m, [1.0]]), tol, 50)
+                                np.concatenate([m, m, [1.0]]), tol)
         fold = newton_solve(x[:n], x[-1], q, tol=tol)
     except NonConvergence as exc:
         raise NoFoldDetected(f"extended-system solve failed: {exc}") from exc

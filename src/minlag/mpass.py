@@ -17,12 +17,11 @@ with u <= 0 solves the structure equation, and conversely.  The growth
 exponent theta > 2 is a device of the existence proof: it gives F the
 Ambrosetti-Rabinowitz growth condition.  The cutoffs depend on it only for
 s > 0, so every critical point with u <= 0 is a solution whatever theta is,
-and it is the constant THETA = 3.  So the cutoffs f1, f2, F1, F2 and their
-derivatives df1, df2 are module functions, built once at import.  The second
-(mountain-pass) solution at t in (0, T0) is found by deforming a discrete
-path from the stable branch point to a deep negative constant, then
-polishing the path maximum with Newton on grad F = 0 (the `pde.damped_newton`
-loop).
+and it is the constant THETA = 3.  So the cutoffs f1, f2, F1, F2 are module
+functions, built once at import.  The second (mountain-pass) solution at t
+in (0, T0) is found by deforming a discrete path from the stable branch
+point to a deep negative constant, then polishing the path maximum with
+`pde.solve_u`, Newton on the structure equation itself.
 Every function reads the surface from the cubic differential (`q.surface`)
 and ||q||^2 from its cache (`q.norm_sq`).
 """
@@ -35,9 +34,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .cubic import CubicDifferential
-from .pde import (TOL_POS, NonConvergence, SolutionPoint, damped_newton,
-                  factorize, linearize, residual, smallest_eigenvalue,
-                  v_field)
+from .pde import (TOL_POS, NonConvergence, SolutionPoint, factorize,
+                  linearize, residual, smallest_eigenvalue, solve_u, v_field)
 
 THETA = 3.0           # growth exponent of the cutoffs for s > 1
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
@@ -134,10 +132,6 @@ F1 = _piecewise(lambda s: 2.0 * s - 2.0 * np.exp(s) + 2.0,
 # F2(0) = 1/2 matches (s^2 + e^{-2s})/2
 F2 = _piecewise(lambda s: 0.5 * (s * s + np.exp(-2.0 * s)),
                 P.polyint(_BLEND2, k=0.5), lambda s: np.zeros_like(s))
-df1 = _piecewise(lambda s: -2.0 * np.exp(s), P.polyder(_BLEND1),
-                 lambda s: -THETA * (THETA - 1.0) * s ** (THETA - 2.0))
-df2 = _piecewise(lambda s: 1.0 + 2.0 * np.exp(-2.0 * s), P.polyder(_BLEND2),
-                 lambda s: np.zeros_like(s))
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +194,6 @@ def norm_equivalence_constants(t: float, q: CubicDifferential):
 # mountain pass
 
 
-def _hessian(u, t, q):
-    V = v_field(t, q)
-    return q.surface.shifted(V - df1(u) - V * df2(u))
-
-
 def _negative_endpoint(f_target, t, q):
     """Constant field w with F(w) strictly below f_target; exists because
     F(k) -> -infinity for constants k -> -infinity."""
@@ -229,12 +218,14 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
     sweep resamples it at uniform V-arclength with the endpoints fixed,
     takes its interior node of highest F and moves that node by one
     backtracked descent step preconditioned with the V-Gram matrix.  The
-    node as it was before the step is then polished by Newton on grad F = 0
-    (`pde.damped_newton`) when its gradient norm is below 0.1, on every
-    POLISH_PERIOD-th sweep, and when the step could not lower F.  A polished
-    point V-separated from u_stable ends the search.  A step that cannot
-    lower F, or MAX_SWEEPS sweeps, end the path; it restarts with twice the
-    nodes, twice at most, and then PathCollapse is raised.
+    node as it was before the step is then polished by `pde.solve_u`, Newton
+    on the structure equation, when its gradient norm is below 0.1, on every
+    POLISH_PERIOD-th sweep, and when the step could not lower F.  The
+    cutoff equivalence justifies this polish: for u <= 0, grad F = 0 is the
+    structure equation, and the verification below checks u <= 0.  A
+    polished point V-separated from u_stable ends the search.  A step that
+    cannot lower F, or MAX_SWEEPS sweeps, end the path; it restarts with
+    twice the nodes, twice at most, and then PathCollapse is raised.
 
     The three are module constants, not options: no caller, config or
     benchmark workload needs other values, and the node doubling already
@@ -258,7 +249,7 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
         return float(np.sqrt(x @ (gram @ x)))
 
     def relax(nodes):
-        """(u, gradient norm, V-norm separation, sweeps), or None."""
+        """(u, V-norm separation, sweeps), or None."""
         tau = np.linspace(0.0, 1.0, nodes)[:, None]
         path = (1.0 - tau) * u_stable.u + tau * w
         step = 1.0
@@ -292,15 +283,13 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
             # fails or lands back on the stable minimizer
             if gnorm < 0.1 or sweeps % POLISH_PERIOD == 0 or not moved:
                 try:
-                    u, u_gnorm, _ = damped_newton(
-                        u_top, lambda v: functional_gradient(v, t, q),
-                        lambda v: _hessian(v, t, q), m, tol, 60)
+                    u, _, _ = solve_u(u_top, t, q, tol)
                 except NonConvergence:
                     pass
                 else:
                     sep = vnorm(u - u_stable.u)
                     if sep > 10.0 * tol:
-                        return u, u_gnorm, sep, sweeps
+                        return u, sep, sweeps
             if not moved:
                 return None
         return None
@@ -312,7 +301,7 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
     else:
         raise PathCollapse(
             f"path slid back to the stable solution for up to {nodes} nodes")
-    u2, gnorm, sep, sweeps = found
+    u2, sep, sweeps = found
 
     if u2.max() > TOL_POS:
         raise VerificationFailure(
@@ -331,5 +320,4 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
                          lambda_min=lam, stable=False,
                          meta={"path_iterations": sweeps,
                                "vnorm_separation": sep,
-                               "gradient_norm": gnorm,
                                "path_nodes": nodes})

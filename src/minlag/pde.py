@@ -19,10 +19,10 @@ branch, zero at the fold.
 `damped_newton` is the one Newton/Armijo loop of the package.  `solve_u`
 runs it on the structure equation (field = -residual, Jacobian = L), and
 `newton_solve` adds the eigenvalue classification of the converged point;
-`mpass` runs the same loop on the gradient of its cutoff functional.
-Every caller inherits its damping floor `MIN_DAMPING`: `continuation`'s
-`trace_curve`, `branch_point` and `detect_fold`, the `wp` samples and the
-`mpass` polish.
+the only other system it solves is `continuation.detect_fold`'s.
+Every caller inherits its damping floor `MIN_DAMPING` and its iteration
+cap `MAX_NEWTON_ITER`: `continuation`'s `trace_curve`, `branch_point` and
+`detect_fold`, the `wp` samples and the `mpass` polish.
 
 `factorize` is the one sparse LU of the package: Newton steps, the shift-
 invert operator of `smallest_eigenvalue`, the `mpass` V-Gram matrix and
@@ -48,6 +48,7 @@ from .cubic import CubicDifferential
 BLOWUP_THRESHOLD = -50.0     # e^{-2u} overflow guard; solutions are O(1)
 TOL_POS = 1e-8               # discrete ceiling for u <= 0
 MIN_DAMPING = 1e-4           # Deuflhard's lambda_min: Armijo gives up below it
+MAX_NEWTON_ITER = 50         # Newton iterations before a solve fails
 
 
 class ResidualBlowup(RuntimeError):
@@ -181,7 +182,7 @@ def smallest_eigenvalue(L: LinearizedOperator):
 
 
 def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
-                  tol: float, max_iter: int):
+                  tol: float):
     """Damped Newton iteration on M field_fn(u) = 0.
 
     `field_fn(u)` is a nodal field and `jacobian(u)` the sparse derivative
@@ -190,7 +191,8 @@ def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
     solve fails once alpha drops below MIN_DAMPING (14 trial steps).  The
     floor is safe: a step that needs a smaller alpha belongs to a solve that
     stalls (past the fold, or a mountain-pass polish off its basin), so the
-    floor only ends such a solve sooner.
+    floor only ends such a solve sooner.  A solve still short of tol after
+    MAX_NEWTON_ITER iterations fails too.
     Returns (u, residual_norm, iterations); raises NonConvergence, or its
     subclass SingularJacobian when a Jacobian cannot be factorized.
     """
@@ -209,11 +211,11 @@ def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
     except ResidualBlowup as exc:
         raise NonConvergence(f"initial guess out of range: {exc}") from exc
 
-    for it in range(max_iter + 1):
+    for it in range(MAX_NEWTON_ITER + 1):
         rnorm = np.sqrt(2.0 * phi)
         if rnorm <= tol:
             return u, float(rnorm), it
-        if it == max_iter:
+        if it == MAX_NEWTON_ITER:
             break
         try:
             delta = factorize(jacobian(u)).solve(m * f)
@@ -237,8 +239,9 @@ def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
                 raise NonConvergence("line search failed to reduce the residual",
                                      iterations=it, residual_norm=float(rnorm))
 
-    raise NonConvergence(f"no convergence in {max_iter} iterations",
-                         iterations=max_iter, residual_norm=float(np.sqrt(2 * phi)))
+    raise NonConvergence(f"no convergence in {MAX_NEWTON_ITER} iterations",
+                         iterations=MAX_NEWTON_ITER,
+                         residual_norm=float(np.sqrt(2 * phi)))
 
 
 def solve_u(u0: np.ndarray, t: float, q: CubicDifferential,
@@ -249,7 +252,7 @@ def solve_u(u0: np.ndarray, t: float, q: CubicDifferential,
     """
     return damped_newton(u0, lambda v: -residual(v, t, q),
                          lambda v: linearize(v, t, q).matrix,
-                         q.surface.mass_diag, tol, 50)
+                         q.surface.mass_diag, tol)
 
 
 def newton_solve(u0: np.ndarray, t: float, q: CubicDifferential,

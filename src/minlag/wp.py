@@ -17,10 +17,10 @@ The equation depends on t only through t^2, so A and u extend evenly across
 there is no one-sided variant.
 
 All estimates come from `area_record`, which reads one sampling chain:
-u(0) and u(h), solved once each, warm-started from (0, 0) and without the
-stability eigen solve, so only h must lie below the fold.  It checks the
-second variation in the integral and, against `udotdot`, pointwise.  The
-surface is the cubic differential's own (`q.surface`).
+the exact u(0) = 0 and u(h), solved once from it without the stability
+eigen solve, so only h must lie below the fold.  It checks the second
+variation in the integral and, against `udotdot`, pointwise.  The surface
+is the cubic differential's own (`q.surface`).
 """
 
 from __future__ import annotations
@@ -83,19 +83,16 @@ def area_record(q: CubicDifferential, h: float,
     exact = 16.0 * wp_pairing(q, q).real
     if exact == 0.0:
         raise ZeroCubic("the cubic differential vanishes: <q, q> = 0")
-    u = np.zeros(q.surface.n_classes)
-    us, areas = [], []
-    for t in (0.0, h):
-        try:
-            u, _, _ = solve_u(u, t, q, tol=tol)
-        except NonConvergence as exc:
-            raise BranchUnavailable(
-                f"branch solve failed at t = {t}: {exc}") from exc
-        us.append(u)
-        areas.append(-integrate(q.surface, np.exp(u)))
+    u0 = np.zeros(q.surface.n_classes)   # the exact solution at t = 0
+    try:
+        uh, _, _ = solve_u(u0, h, q, tol=tol)
+    except NonConvergence as exc:
+        raise BranchUnavailable(
+            f"branch solve failed at t = {h}: {exc}") from exc
+    areas = [-integrate(q.surface, np.exp(u)) for u in (u0, uh)]
     fd2 = 2.0 * (areas[1] - areas[0]) / h ** 2
     udd = udotdot(q)
-    udd_fd = 2.0 * (us[1] - us[0]) / h ** 2
+    udd_fd = 2.0 * (uh - u0) / h ** 2
     return AreaRecord(ts=np.array([0.0, h]),
                       areas=np.array(areas),
                       fd1=float((areas[1] - areas[0]) / h),

@@ -1,26 +1,41 @@
-"""The benchmark tracer's targets must name functions that exist.
+"""The benchmark's targets and gates, checked against the current `minlag`.
 
 `bench/tracing.py` wraps `minlag` functions by name and only warns when one
 is missing, dropping the metrics derived from it; this keeps a rename in
 `minlag` from silently emptying a per-layer metric.
+
+`bench/workloads.py` gates every command's outputs on reference values
+(T0, the nonexistence bound, the mountain-pass lambda_min, the wpcheck
+rel_err).  Running each workload at smoke size here keeps a change to
+`minlag` that moves one of them from surfacing only in a benchmark run.
 """
 
+import contextlib
 import importlib.util
+import io
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+from minlag import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("module_name,path", [
@@ -29,3 +44,17 @@ def test_tracer_target_resolves(module_name, path):
     _, _, original = tracing._resolve(module_name, path)
     # the tracer wraps plain functions and properties
     assert callable(original) or isinstance(original, property)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_gates_pass_at_smoke_size(workload, seed, tmp_path):
+    for i, cmd in enumerate(workloads.build_commands(workload, seed,
+                                                     smoke=True)):
+        config = tmp_path / f"config-{i}.json"
+        config.write_text(json.dumps(cmd.config))
+        out = tmp_path / cmd.output
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([cmd.family, str(config), "-o", str(out)])
+        assert code == 0, f"{cmd.family} {cmd.output}"
+        assert cmd.gate(out) == [], f"{cmd.family} {cmd.output}"

@@ -1,7 +1,7 @@
 """Static checks over the `minlag` sources: unused imports, argument design,
 unreferenced private names, public names without a consumer, one sparse
-factorization, a package `__init__` that binds nothing, and what importing
-the CLI loads."""
+factorization, the systems the Newton loop solves, a package `__init__` that
+binds nothing, and what importing the CLI loads."""
 
 import ast
 import os
@@ -383,6 +383,15 @@ def test_one_sparse_factorization():
              for _, node in calls(path.read_text(), "eigsh")]
     assert eigsh and all(any(k.arg == "OPinv" for k in node.keywords)
                          for node in eigsh)
+
+
+def test_newton_solves_two_systems():
+    # the structure equation (`solve_u`, which the mountain-pass polish
+    # calls too) and the Moore-Spence fold system are the only systems the
+    # one Newton loop solves
+    sites = sorted((path.name, owner) for path in MODULES
+                   for owner, _ in calls(path.read_text(), "damped_newton"))
+    assert sites == [("continuation.py", "detect_fold"), ("pde.py", "solve_u")]
 
 
 def test_cli_import_loads_no_command_specific_scipy():

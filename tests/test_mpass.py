@@ -32,7 +32,7 @@ def test_cutoff_closed_form_regions():
     rng = np.random.default_rng(1)
     fields = (np.linspace(-30.0, 0.0, 101), -rng.exponential(2.0, 510),
               np.array([-0.0, -1e-300]), np.empty(0))
-    for fn in (mpass.f1, mpass.f2, mpass.F1, mpass.F2, mpass.df1, mpass.df2):
+    for fn in (mpass.f1, mpass.f2, mpass.F1, mpass.F2):
         for s in fields:
             mixed = fn(np.append(s, 0.5))[:-1]
             assert fn(s).tobytes() == mixed.tobytes()
@@ -40,7 +40,7 @@ def test_cutoff_closed_form_regions():
 
 def test_cutoff_nan_propagates():
     s = np.array([np.nan, -1.0, 0.5, 2.0])
-    for fn in (mpass.f1, mpass.f2, mpass.F1, mpass.F2, mpass.df1, mpass.df2):
+    for fn in (mpass.f1, mpass.f2, mpass.F1, mpass.F2):
         out = fn(s)
         assert np.isnan(out[0])
         assert out[1:].tolist() == [fn(v) for v in s[1:]]
@@ -48,7 +48,7 @@ def test_cutoff_nan_propagates():
 
 
 def test_cutoff_continuity():
-    for fn in (mpass.f1, mpass.f2, mpass.F1, mpass.F2, mpass.df1, mpass.df2):
+    for fn in (mpass.f1, mpass.f2, mpass.F1, mpass.F2):
         for s0 in (0.0, 1.0):
             left = fn(s0 - 1e-10)
             right = fn(s0 + 1e-10)
@@ -78,15 +78,6 @@ def test_cutoff_antiderivatives():
             val, err = quad(f, a, b, points=[0.0, 1.0], limit=200,
                             epsabs=1e-13, epsrel=1e-13)
             assert F(b) - F(a) == pytest.approx(val, abs=1e-10)
-
-
-def test_cutoff_derivatives():
-    rng = np.random.default_rng(3)
-    eps = 1e-7
-    for f, df in ((mpass.f1, mpass.df1), (mpass.f2, mpass.df2)):
-        for s0 in rng.uniform(-3.0, 3.0, 30):
-            fd = (f(s0 + eps) - f(s0 - eps)) / (2.0 * eps)
-            assert fd == pytest.approx(df(s0), rel=1e-5, abs=1e-5)
 
 
 def test_growth_inequality_constant():
@@ -244,10 +235,10 @@ def test_mountain_pass_collapse_after_three_paths(torus16, unit_cubic,
                                                   torus_stables, monkeypatch):
     # every polish fails, so each path runs out of sweeps; the search gives
     # up after the 20-, 40- and 80-node paths
-    def failing_newton(*args):
+    def failing_solve_u(*args):
         raise NonConvergence("injected")
 
     monkeypatch.setattr(mpass, "MAX_SWEEPS", 3)
-    monkeypatch.setattr(mpass, "damped_newton", failing_newton)
+    monkeypatch.setattr(mpass, "solve_u", failing_solve_u)
     with pytest.raises(PathCollapse, match="up to 80 nodes"):
         find_mountain_pass(torus_stables[0.10], 0.10, unit_cubic)

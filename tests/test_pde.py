@@ -128,7 +128,7 @@ def test_singular_jacobian_raises(torus16):
     J[3, :] = 0.0
     with pytest.raises(SingularJacobian):
         damped_newton(np.ones(n), lambda v: v, lambda v: J.tocsr(),
-                      torus16.mass_diag, 1e-10, 5)
+                      torus16.mass_diag, 1e-10)
 
 
 def test_factorize_solves_zero_diagonal_bordered_system(torus16):
