@@ -3,16 +3,18 @@
 Subcommands: mesh, solve, continue, mpass, frame, wpcheck.
 Exit codes: 0 success, 1 configuration or domain error, 2 numerical failure.
 Commands raise; `main` holds the only exception-to-exit-code map.  Every
-class on `NUMERICAL_FAILURES` exits 2 as `<command> failed`, and every other
-`ValueError` exits 1 as a config error.  The tuple is tested first because
-it holds `numpy.linalg.LinAlgError`, a `ValueError` raised by a failed dense
-eigen solve.  A new failure class must either go on that tuple or derive
-from `ValueError`.
+subclass of a class on `NUMERICAL_FAILURES` exits 2 as `<command> failed`,
+and every other `ValueError` exits 1 as a config error.  The tuple is tested
+first because it holds `numpy.linalg.LinAlgError`, a `ValueError` raised by
+a failed dense eigen solve.  A new failure class must either derive from a
+class on that tuple or from `ValueError`.
 
 Every command but `mesh` needs a `cubic`.  `continue` reads `dt0`, its
 first step in t (default 0.01); the step then grows by
 `continuation.STEP_GROWTH` after each accepted point, so curve.csv samples
-the branch ever more coarsely toward the fold.
+the branch ever more coarsely toward the fold.  `solve`, `mpass` and `frame`
+take the stable point at `t` from `continuation.branch_point`, and exit 2
+when `t` is at or beyond the fold.
 
 Every number in a config must be a finite float: the NaN and Infinity
 literals, and numbers beyond the float range such as 1e400, exit 1.  A
@@ -54,11 +56,12 @@ class ConfigError(ValueError):
     pass
 
 
-# every exception class minlag defines that is not a ValueError, and the
-# ValueError a failed dense eigen solve raises: exit 2
+# the bases of every exception class minlag defines that is not a ValueError
+# (pde.SingularJacobian is a NonConvergence), and the ValueError a failed
+# dense eigen solve raises: exit 2
 NUMERICAL_FAILURES = (
-    pde.ResidualBlowup, pde.NonConvergence, pde.SingularJacobian,
-    pde.EigenFailure, surface.MeshError, continuation.StallBeforeFold,
+    pde.ResidualBlowup, pde.NonConvergence, pde.EigenFailure,
+    surface.MeshError, continuation.StallBeforeFold,
     continuation.NoFoldDetected, mpass.PathCollapse, mpass.VerificationFailure,
     frame.StepTooLarge, wp.BranchUnavailable, np.linalg.LinAlgError)
 
@@ -245,7 +248,7 @@ def cmd_solve(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     t = _require_t(cfg)
     tol = cfg.get("tol", 1e-10)
-    p = pde.newton_solve(np.zeros(q.surface.n_classes), t, q, tol=tol)
+    p = continuation.branch_point(q, t, tol)
     emit(p.to_json(), cfg, args.output)
     return EXIT_OK
 

@@ -1,11 +1,10 @@
 """Continuation of the stable solution branch and the fold as an equation.
 
 The branch starts at the exact point (u, t) = (0, 0) and is continued in the
-natural parameter t with the previous solution as warm start.  One step rule
-(`_next_step`) serves `trace_curve` and `branch_point`: the step grows by
-STEP_GROWTH after each accepted step and is halved whenever Newton fails or,
-in the trace, the smallest eigenvalue of the linearization drops by more
-than half in one step; nothing caps it.  The trace stops
+natural parameter t with the previous solution as warm start.  The step
+grows by STEP_GROWTH after each accepted step and is halved whenever Newton
+fails or the smallest eigenvalue of the linearization drops by more than
+half in one step; nothing caps it.  The trace stops
 at the first accepted point from which the fold solve can start
 (`_fold_solve_can_start`: at least 3 points, lambda_min down to
 NO_FOLD_FRACTION of its value at t = 0, and the last three lambda_min
@@ -15,9 +14,11 @@ F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> = 1, whose solution is the
 turning point (u*, T0) with its null vector phi.  Its Newton tolerance does
 not depend on how close to the fold the trace stopped.
 
-`branch_point` reaches a single t on the same branch by a warm-started walk
-from (0, 0) that starts with the step t / 8 and clamps each step to t; it
-classifies only the point it returns, and the mountain-pass and frame
+`branch_point` reaches a single t on the same branch with no path in t.
+The stable branch is the maximal solution, u = 0 is a supersolution at
+every t (residual(0, t) = -16 t^2 ||q||^2 <= 0) and the nonlinearity
+2 - 2 e^u - V e^{-2u} is concave, so Newton started at u = 0 descends onto
+the stable point (monotone Newton).  The solve, mountain-pass and frame
 commands start from it.
 
 The nonexistence threshold is T = (area/2 / integral ||q||^(2/3))^(3/2);
@@ -36,7 +37,7 @@ import scipy.sparse as sp
 
 from .cubic import CubicDifferential, norm_field
 from .pde import (NonConvergence, SolutionPoint, damped_newton, linearize,
-                  newton_solve, residual, smallest_eigenvalue, solve_u)
+                  newton_solve, residual, smallest_eigenvalue)
 from .surface import integrate
 
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
@@ -90,24 +91,16 @@ def _fold_solve_can_start(points) -> bool:
             and lam[2] < lam[1] < lam[0])
 
 
-def _next_step(dt: float, accepted: bool) -> float:
-    """The continuation step rule: the step to try after one of size dt.
-
-    An accepted step grows by STEP_GROWTH; a rejected one is halved.
-    """
-    return STEP_GROWTH * dt if accepted else 0.5 * dt
-
-
 def trace_curve(q: CubicDifferential, dt0: float,
                 tol: float = 1e-10) -> SolutionCurve:
     """Natural-parameter continuation from (0, 0) to where the fold solve starts.
 
-    The first step is dt0; each step follows `_next_step`, growing by
-    STEP_GROWTH after an accepted point and halving after a failed Newton
-    solve or a lambda_min drop of more than half.  Returns at the first
-    accepted point from which `detect_fold` can start.  Raises
-    StallBeforeFold if the step underflows (below dt0 * 1e-4) or MAX_POINTS
-    are accepted before that.  `diagnostics` holds the rejected step count, `n_points`,
+    The first step is dt0; the step grows by STEP_GROWTH after an accepted
+    point and halves after a failed Newton solve or a lambda_min drop of
+    more than half.  Returns at the first accepted point from which
+    `detect_fold` can start.  Raises StallBeforeFold if the step underflows
+    (below dt0 * 1e-4) or MAX_POINTS are accepted before that.
+    `diagnostics` holds the rejected step count, `n_points`,
     `newton_iterations` (summed over the points) and `final_step`, the step
     the trace would have tried next from its last point.
     """
@@ -128,7 +121,7 @@ def trace_curve(q: CubicDifferential, dt0: float,
                         and p.lambda_min >= 0.5 * prev.lambda_min)
         except NonConvergence:
             accepted = False
-        dt = _next_step(dt, accepted)
+        dt = STEP_GROWTH * dt if accepted else 0.5 * dt
         if not accepted:
             rejects += 1
             continue
@@ -150,32 +143,16 @@ def trace_curve(q: CubicDifferential, dt0: float,
 
 def branch_point(q: CubicDifferential, t: float,
                  tol: float = 1e-10) -> SolutionPoint:
-    """Stable-branch point at t, walked from (0, 0) in warm-started steps.
+    """Stable-branch point at t: one `newton_solve` from u = 0, classified.
 
-    The walk starts with the step t / 8, clamps each step to t and follows
-    `_next_step`: it grows by STEP_GROWTH after a converged step and halves
-    after a failed one.  It raises NonConvergence when the step drops below
-    t * 1e-6 (t at or beyond the fold).  Intermediate points skip the eigen
-    solve; the returned point carries lambda_min.
+    Raises NonConvergence, naming t, when that solve fails (t at or beyond
+    the fold).
     """
-    u = np.zeros(q.surface.n_classes)    # the exact solution at t = 0
-    step = t / 8
-    tau = 0.0
-    while tau < t - 1e-15 * max(1.0, t):
-        target = min(t, tau + step)
-        try:
-            u, _, _ = solve_u(u, target, q, tol=tol)
-        except NonConvergence:
-            step = _next_step(step, accepted=False)
-            if step < t * 1e-6:
-                raise NonConvergence(f"branch walk stalled at t = {tau:.6g} "
-                                     f"before {t} (at or beyond the fold)")
-            continue
-        tau = target
-        step = _next_step(step, accepted=True)
-    # already converged at tau (t up to rounding of the step sums): this
-    # only classifies the point
-    return newton_solve(u, tau, q, tol=tol)
+    try:
+        return newton_solve(np.zeros(q.surface.n_classes), t, q, tol=tol)
+    except NonConvergence as exc:
+        raise NonConvergence(f"no stable solution from u = 0 at t = {t:.6g} "
+                             f"(at or beyond the fold): {exc}") from exc
 
 
 def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:

@@ -170,13 +170,6 @@ def v_gram(t: float, q: CubicDifferential) -> sp.csr_matrix:
     return q.surface.shifted(V)
 
 
-def v_norm(u: np.ndarray, t: float, q: CubicDifferential) -> float:
-    """V-norm sqrt(integral |grad u|^2 + V u^2)."""
-    g = v_gram(t, q)
-    u = np.asarray(u, dtype=float)
-    return float(np.sqrt(u @ (g @ u)))
-
-
 def norm_equivalence_constants(t: float, q: CubicDifferential):
     """Extreme generalized eigenvalues of (V-Gram, H1-Gram).
 

@@ -21,8 +21,10 @@ runs it on the structure equation (field = -residual, Jacobian = L), and
 `newton_solve` adds the eigenvalue classification of the converged point;
 the only other system it solves is `continuation.detect_fold`'s.
 Every caller inherits its damping floor `MIN_DAMPING` and its iteration
-cap `MAX_NEWTON_ITER`: `continuation`'s `trace_curve`, `branch_point` and
-`detect_fold`, the `wp` samples and the `mpass` polish.
+cap `MAX_NEWTON_ITER`: `continuation`'s `trace_curve` (warm-started along
+t), `branch_point` (one solve from u = 0, which lies above the stable
+solution at every t) and `detect_fold`, the `wp` samples and the `mpass`
+polish.
 
 `factorize` is the one sparse LU of the package: Newton steps, the shift-
 invert operator of `smallest_eigenvalue`, the `mpass` V-Gram matrix and

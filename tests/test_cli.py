@@ -35,12 +35,6 @@ def test_solve_trivial(tmp_path, capsys):
     assert "config_hash" in payload and "timestamp" in payload
 
 
-def test_solve_beyond_fold_exits_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.2))
-    assert main(["solve", cfg]) == 2
-    assert "failed" in capsys.readouterr().err
-
-
 def _wrong_pair(A, **kwargs):
     return np.array([5.0]), np.ones((A.shape[0], 1))
 
@@ -165,6 +159,15 @@ def test_mpass_beyond_fold_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.15))
     assert main(["mpass", cfg]) == 2
     assert "fold" in capsys.readouterr().err
+
+
+def test_solve_beyond_fold_exits_2(tmp_path, capsys):
+    # 0.15 and 0.2 are past the torus fold T0 = 1/sqrt(54) = 0.136
+    for t in (0.15, 0.2):
+        cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=t))
+        assert main(["solve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed:") and "fold" in err
 
 
 # the benchmark's frame loop, on octagon r2 at 0.55 of its fold T0
@@ -312,6 +315,16 @@ def _minlag_exception_classes():
                   if issubclass(obj, Exception)
                   and obj.__module__ == module.__name__]
     return found
+
+
+def test_every_minlag_exception_has_an_exit_code():
+    # the rule of the cli docstring: a ValueError exits 1, and every other
+    # class derives from one on NUMERICAL_FAILURES and exits 2
+    classes = _minlag_exception_classes()
+    assert len(classes) >= 14
+    for exc_cls in classes:
+        assert (issubclass(exc_cls, ValueError)
+                or issubclass(exc_cls, cli.NUMERICAL_FAILURES)), exc_cls
 
 
 @pytest.mark.parametrize("exc_cls", _minlag_exception_classes(),

@@ -11,10 +11,10 @@ from minlag.continuation import (NoFoldDetected, StallBeforeFold, ZeroCubic,
                                  branch_point, detect_fold, nonexistence_bound,
                                  trace_curve, write_curve_csv)
 from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
-from minlag.pde import NonConvergence, SingularJacobian, newton_solve, solve_u
+from minlag.pde import NonConvergence, SingularJacobian, newton_solve
 from minlag.surface import integrate
 
-from scalar_oracle import U_FOLD, fold_t
+from scalar_oracle import U_FOLD, fold_t, scalar_roots
 
 
 @pytest.fixture(scope="module")
@@ -215,35 +215,42 @@ def test_curve_csv(tmp_path, torus_curve):
     assert ts == sorted(ts)
 
 
-def test_branch_point_matches_cold_solve(torus16, unit_cubic):
-    # 0.135 is about 0.99 T0: the grown steps land just below the fold
-    for t in (0.1, 0.135):
-        p = branch_point(unit_cubic, t, tol=1e-11)
-        cold = newton_solve(np.zeros(torus16.n_classes), t, unit_cubic,
-                            tol=1e-11)
-        assert p.t == pytest.approx(t, rel=1e-15)
-        assert p.stable and p.residual_norm <= 1e-11
-        assert np.abs(p.u - cold.u).max() <= 1e-9
-        assert p.lambda_min == pytest.approx(cold.lambda_min, abs=1e-9)
-
-
-def test_branch_point_step_grows(torus16, unit_cubic, monkeypatch):
+def test_branch_point_is_one_cold_solve(torus16, unit_cubic, monkeypatch):
     calls = []
 
-    def counting_solve_u(*args, **kwargs):
-        calls.append(args[1])           # the t of each solve
-        return solve_u(*args, **kwargs)
+    def recording_newton_solve(u0, t, *args, **kwargs):
+        calls.append((np.array(u0), t))
+        return newton_solve(u0, t, *args, **kwargs)
 
-    monkeypatch.setattr(continuation, "solve_u", counting_solve_u)
+    monkeypatch.setattr(continuation, "newton_solve", recording_newton_solve)
     p = branch_point(unit_cubic, 0.1, tol=1e-11)
-    assert p.t == pytest.approx(0.1, rel=1e-15)
-    # the walk starts from the exact u = 0 at t = 0 without a solve, so 8
-    # equal steps of t / 8 would be 8 calls
-    assert calls[0] > 0.0
-    assert len(calls) < 8
+    assert len(calls) == 1
+    u0, t = calls[0]
+    assert t == 0.1 and p.t == 0.1
+    assert u0.shape == (torus16.n_classes,) and np.all(u0 == 0.0)
+
+
+def test_branch_point_matches_trace(torus_curve, octagon_curve):
+    # the traced points are warm-started along t; branch_point solves from
+    # u = 0 at each t alone and must land on the same stable point
+    for curve, tol in ((torus_curve, 1e-11), (octagon_curve, 1e-10)):
+        for p in curve.points:
+            b = branch_point(curve.cubic, p.t, tol=tol)
+            assert b.t == p.t and b.stable
+            assert b.residual_norm <= tol
+            assert np.abs(b.u - p.u).max() <= 1e-9
+            assert b.lambda_min == pytest.approx(p.lambda_min, abs=1e-9)
+
+
+def test_branch_point_near_fold_is_upper_root(torus16, unit_cubic):
+    t = 0.9999 * fold_t(1.0)
+    p = branch_point(unit_cubic, t, tol=1e-11)
+    _, upper = scalar_roots(16.0 * t * t)
+    assert p.stable and p.lambda_min > 0.0
+    assert np.abs(p.u - upper).max() <= 1e-8
 
 
 def test_branch_point_beyond_fold_raises(torus16, unit_cubic):
     assert 0.15 > 1.0 / math.sqrt(54.0)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence, match="fold"):
         branch_point(unit_cubic, 0.15)

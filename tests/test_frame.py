@@ -65,6 +65,17 @@ def test_maurer_cartan_mirror_pattern():
     assert B[1, 2] == A[0, 2] == sval
 
 
+def test_maurer_cartan_constant_data_not_flat():
+    # with s_z = 0, [A, B] = diag(k, -k, 0) with k = s^2 + |q|^2 s^-4, the
+    # right side of the Gauss equation (log s)_{z zbar} = s^2 + |q|^2 s^-4;
+    # it never vanishes, so constant (s, q) is never a flat connection
+    for sval, qv in ((0.8, 1.0), (0.8, 1.0 - 0.5j), (1.7, 0.0), (0.3, 2j)):
+        A, B = maurer_cartan(sval, 0.0, 0.0, qv)
+        k = sval ** 2 + abs(qv) ** 2 * sval ** -4
+        assert A @ B - B @ A == pytest.approx(np.diag([k, -k, 0.0]),
+                                              rel=1e-14, abs=1e-14)
+
+
 def test_connection_in_lie_algebra():
     # A zdot + B conj(zdot) is eta-anti-Hermitian for any real tangent
     rng = np.random.default_rng(8)

@@ -207,8 +207,6 @@ KEPT_WITHOUT_CONSUMER = {
     "constant_coefficients",
     # the genus-2 holonomy check, for a holomorphic q (ROADMAP item 6)
     "side_pairing_frame_product",
-    # the V-norm the mountain pass separates solutions by, as a function
-    "v_norm",
     # the Legendre-transform pair of the cutoff estimates, checked by
     # acceptance criterion 9 and the pde tests
     "legendre_pair",

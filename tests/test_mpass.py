@@ -8,7 +8,7 @@ from minlag.continuation import detect_fold, trace_curve
 from minlag import mpass
 from minlag.mpass import (DegenerateNorm, PathCollapse, find_mountain_pass,
                           functional_gradient, functional_value,
-                          norm_equivalence_constants, v_norm)
+                          norm_equivalence_constants, v_gram)
 from minlag.pde import NonConvergence, newton_solve
 from minlag.cubic import constant_cubic, norm_field
 from minlag.surface import integrate
@@ -137,6 +137,11 @@ def test_stable_branch_is_critical(torus16, unit_cubic):
     p = newton_solve(np.zeros(torus16.n_classes), 0.1, unit_cubic, tol=tol)
     g = functional_gradient(p.u, p.t, unit_cubic)
     assert math.sqrt(float(m @ g ** 2)) <= 10.0 * tol
+
+
+def v_norm(u, t, q):
+    """V-norm sqrt(integral |grad u|^2 + V u^2) from the V-Gram matrix."""
+    return math.sqrt(float(u @ (v_gram(t, q) @ u)))
 
 
 def test_v_norm_constant(torus16, unit_cubic):
