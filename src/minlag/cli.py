@@ -13,16 +13,20 @@ Every command but `mesh` needs a `cubic`.  `continue` reads `dt0`, its
 first step in t (default 0.01); the step then grows by
 `continuation.STEP_GROWTH` after each accepted point, so curve.csv samples
 the branch ever more coarsely toward the fold.  `solve`, `mpass` and `frame`
-take the stable point at `t` from `continuation.branch_point`, and exit 2
-when `t` is at or beyond the fold.
+take the stable field at `t` from `continuation.branch_point`, and exit 2
+when `t` is at or beyond the fold.  Only `solve` classifies that field
+(`pde.newton_solve`, one eigen solve); `mpass` pays one eigen solve, to
+verify its second critical point, and `frame` none.
 
 Every number in a config must be a finite float: the NaN and Infinity
 literals, and numbers beyond the float range such as 1e400, exit 1.  A
 config key the schema does not name exits 1 as an unknown key.
 
 `wpcheck` reads `wpcheck.h` (default 0.01) and samples the area A(t) along
-the branch at t = 0 and h, so only h must lie below the fold; a failed
-branch solve exits 2.  Its CSV holds the `t,area` table, then the rows
+the branch at t = 0 and h, with u(h) from `continuation.branch_point`, so
+only h must lie below the fold.  Past it, wpcheck exits 2 and prints
+`wpcheck failed: no stable solution from u = 0 at t = <h> (at or beyond the
+fold): ...`.  Its CSV holds the `t,area` table, then the rows
 `# fd1`, `# fd2` (with the exact 16 <q, q> and `rel_err`) and `# udd_gap`,
 the pointwise gap of 2 (u(h) - u(0)) / h^2 to u_tt(0) = `wp.udotdot(q)`.
 A vanishing cubic exits 1.
@@ -63,7 +67,7 @@ NUMERICAL_FAILURES = (
     pde.ResidualBlowup, pde.NonConvergence, pde.EigenFailure,
     surface.MeshError, continuation.StallBeforeFold,
     continuation.NoFoldDetected, mpass.PathCollapse, mpass.VerificationFailure,
-    frame.StepTooLarge, wp.BranchUnavailable, np.linalg.LinAlgError)
+    frame.StepTooLarge, np.linalg.LinAlgError)
 
 
 CONFIG_SCHEMA = {
@@ -248,8 +252,8 @@ def cmd_solve(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     t = _require_t(cfg)
     tol = cfg.get("tol", 1e-10)
-    p = continuation.branch_point(q, t, tol)
-    emit(p.to_json(), cfg, args.output)
+    u = continuation.branch_point(q, t, tol)
+    emit(pde.newton_solve(u, t, q, tol).to_json(), cfg, args.output)
     return EXIT_OK
 
 
@@ -277,8 +281,8 @@ def cmd_mpass(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     t = _require_t(cfg)
     tol = cfg.get("tol", 1e-10)
-    stable = continuation.branch_point(q, t, tol)
-    p2 = mpass.find_mountain_pass(stable, t, q, tol=tol)
+    u_stable = continuation.branch_point(q, t, tol)
+    p2 = mpass.find_mountain_pass(u_stable, t, q, tol=tol)
     payload = {
         "t": p2.t,
         "u2": [float(v) for v in p2.u],
@@ -305,8 +309,8 @@ def cmd_frame(cfg, args) -> int:
         side = cfg["backend"].get("side", 1.0)
         path = [side * (0.25 + 0.25j), side * (0.75 + 0.25j)]
 
-    p = continuation.branch_point(q, float(cfg.get("t", 0.0)), tol)
-    sheet = frame.integrate_frame(frame.MeshCoefficients(p.u, q), path,
+    u = continuation.branch_point(q, float(cfg.get("t", 0.0)), tol)
+    sheet = frame.integrate_frame(frame.MeshCoefficients(u, q), path,
                                   step=step)
     payload = sheet.to_json()
     payload["max_unitarity_defect"] = float(sheet.defects[:, 0].max())

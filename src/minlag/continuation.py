@@ -18,8 +18,9 @@ not depend on how close to the fold the trace stopped.
 The stable branch is the maximal solution, u = 0 is a supersolution at
 every t (residual(0, t) = -16 t^2 ||q||^2 <= 0) and the nonlinearity
 2 - 2 e^u - V e^{-2u} is concave, so Newton started at u = 0 descends onto
-the stable point (monotone Newton).  The solve, mountain-pass and frame
-commands start from it.
+the stable point (monotone Newton).  It is the package's one cold solve:
+the solve, mountain-pass, frame and wpcheck commands start from the field
+it returns, and only `solve` classifies it (`pde.newton_solve`).
 
 The nonexistence threshold is T = (area/2 / integral ||q||^(2/3))^(3/2);
 on a hyperbolic surface area/2 = 2 pi (g - 1), and every computed fold must
@@ -37,7 +38,7 @@ import scipy.sparse as sp
 
 from .cubic import CubicDifferential, norm_field
 from .pde import (NonConvergence, SolutionPoint, damped_newton, linearize,
-                  newton_solve, residual, smallest_eigenvalue)
+                  newton_solve, residual, smallest_eigenvalue, solve_u)
 from .surface import integrate
 
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
@@ -142,17 +143,18 @@ def trace_curve(q: CubicDifferential, dt0: float,
 
 
 def branch_point(q: CubicDifferential, t: float,
-                 tol: float = 1e-10) -> SolutionPoint:
-    """Stable-branch point at t: one `newton_solve` from u = 0, classified.
+                 tol: float = 1e-10) -> np.ndarray:
+    """Stable field u at t: one `pde.solve_u` from u = 0, with no eigen solve.
 
     Raises NonConvergence, naming t, when that solve fails (t at or beyond
     the fold).
     """
     try:
-        return newton_solve(np.zeros(q.surface.n_classes), t, q, tol=tol)
+        u, _, _ = solve_u(np.zeros(q.surface.n_classes), t, q, tol=tol)
     except NonConvergence as exc:
         raise NonConvergence(f"no stable solution from u = 0 at t = {t:.6g} "
                              f"(at or beyond the fold): {exc}") from exc
+    return u
 
 
 def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:

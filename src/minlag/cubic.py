@@ -3,12 +3,12 @@
 The pointwise norm with respect to the metric lambda |dz|^2 is
 ||q|| = |q| / lambda^(3/2), and the natural L^2 pairing of two cubic
 differentials is <q1, q2> = integral q1 conj(q2) / lambda^3 dA (the
-Weil-Petersson pairing).  On the genus-2 backend the fields are synthetic:
-smooth complex fields with zeros of prescribed orders summing to 6g - 6,
-built from Blaschke factors and evaluated at class representatives so the
-norm is well defined on the quotient.  They are not exactly holomorphic;
-callers that need holomorphy (the global frame statement) must check the
-`holomorphic` flag.
+Weil-Petersson pairing).  Only `constant_cubic` on the torus backend gives
+a holomorphic q.  On the genus-2 backend the fields are synthetic
+(`synthetic_cubic`): smooth complex fields with zeros of prescribed orders
+summing to 6g - 6, built from Blaschke factors and evaluated at class
+representatives so the norm is well defined on the quotient.  They are not
+exactly holomorphic, so the global frame statement does not apply to them.
 
 A `CubicDifferential` carries its surface, so the pair (sigma, q) of the
 prescribed data is one argument everywhere.  Its per-class ||q||^2
@@ -29,12 +29,10 @@ from .surface import DiscreteSurface
 
 @dataclass
 class CubicDifferential:
-    """Per-vertex chart values of q with optional prescribed zero divisor."""
+    """Per-vertex chart values of q on their surface."""
 
     values: np.ndarray            # complex, per chart vertex
     surface: DiscreteSurface
-    zero_divisor: list = field(default_factory=list)   # [(class, order), ...]
-    holomorphic: bool = True
     norm_sq: np.ndarray = field(init=False, repr=False)   # ||q||^2 per class
 
     def __post_init__(self):
@@ -51,8 +49,7 @@ def constant_cubic(s: DiscreteSurface, c: complex) -> CubicDifferential:
         warnings.warn("constant_cubic is only holomorphic on the torus backend",
                       stacklevel=2)
     values = np.full(len(s.vertices), complex(c))
-    return CubicDifferential(values=values, surface=s, zero_divisor=[],
-                             holomorphic=(s.genus == 1))
+    return CubicDifferential(values=values, surface=s)
 
 
 def _blaschke(z: np.ndarray, w: complex) -> np.ndarray:
@@ -90,9 +87,7 @@ def synthetic_cubic(s: DiscreteSurface, zeros: list, amplitude: float) -> CubicD
     for cls, order in zeros:
         q_cls *= _blaschke(z_cls, complex(z_cls[cls])) ** order
     values = q_cls[s.class_of]
-    return CubicDifferential(values=values, surface=s,
-                             zero_divisor=[(int(c), int(o)) for c, o in zeros],
-                             holomorphic=False)
+    return CubicDifferential(values=values, surface=s)
 
 
 def norm_field(q: CubicDifferential) -> np.ndarray:

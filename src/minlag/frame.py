@@ -1,4 +1,4 @@
-"""SU(2,1) Legendrian frames, Maurer-Cartan integration, second fundamental form.
+"""SU(2,1) Legendrian frames and their Maurer-Cartan integration.
 
 A solution u of the structure equation together with the cubic differential q
 determines an induced metric 2 s^2 |dz|^2 with 2 s^2 = e^u lambda, and a
@@ -17,10 +17,12 @@ local equations q_zbar = 0 and d^2/dz dzbar log(s^2) = |q|^2 s^-4 + s^2,
 which hold exactly only for solutions on a hyperbolic-factor chart; the
 flatness defect measures their failure by finite differences.
 
-Coefficients can be supplied analytically or interpolated from mesh fields;
-derivatives of mesh fields come from least-squares quadratic fits on vertex
-neighborhoods.  Sources evaluate batches, `at_many(zs) -> (s, s_z, q)`; since no
-point depends on F, `integrate_frame` evaluates each path in one batch first.
+A coefficient source is any object whose `at_many(zs) -> (s, s_z, q)`
+evaluates a batch of chart points; since no point depends on F,
+`integrate_frame` evaluates each path in one batch first.  The frame command
+uses `MeshCoefficients`, interpolated from mesh fields with derivatives from
+least-squares quadratic fits on vertex neighborhoods; every other source
+(the closed-form ones of the test references) is a test fake.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubic import CubicDifferential
-from .surface import DiscreteSurface, _mobius_apply, hyperbolic_midpoint
+from .surface import DiscreteSurface
 
 ETA = np.diag([1.0, 1.0, -1.0]).astype(complex)
 MAX_STEP_DEFECT = 1e-6   # largest unitarity-defect growth in one RK4 step
@@ -71,61 +73,8 @@ def su21_defect(F: np.ndarray):
             float(abs(np.linalg.det(F) - 1.0)))
 
 
-def second_fundamental_form(sval: float, qval: complex) -> np.ndarray:
-    """Second fundamental form components in the normal basis (iE1, iE2).
-
-    Rows are II(E1,E1), II(E1,E2), II(E2,E2); the first and last rows are
-    exact negatives (minimality), and all entries scale as q / s^3.
-    """
-    if sval <= 0:
-        raise ValueError("s must be positive")
-    c = 2.0 ** -0.5 * sval ** -3.0
-    re, im = qval.real, qval.imag
-    return np.array([
-        [-c * im, -c * re],
-        [-c * re, c * im],
-        [c * im, c * re],
-    ])
-
-
 # ---------------------------------------------------------------------------
 # coefficient sources
-
-
-class AnalyticCoefficients:
-    """Frame coefficients from closed-form callables.
-
-    `fn(z) -> (s, s_z, q)` evaluated at complex chart points.
-    """
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def at_many(self, zs):
-        s, s_z, q = zip(*(self._fn(complex(z)) for z in zs))
-        return np.array(s, float), np.array(s_z, complex), np.array(q, complex)
-
-
-def poincare_trivial_coefficients() -> AnalyticCoefficients:
-    """u = 0, q = 0 on the hyperbolic disk chart: the totally geodesic case.
-
-    s = sqrt(lambda/2) = sqrt(2) / (1 - |z|^2); the connection is exactly
-    flat, so loop holonomy measures pure integrator error.
-    """
-    def fn(z):
-        r2 = (z * z.conjugate()).real
-        denom = 1.0 - r2
-        s = np.sqrt(2.0) / denom
-        s_z = np.sqrt(2.0) * z.conjugate() / denom ** 2
-        return s, s_z, 0.0 + 0.0j
-    return AnalyticCoefficients(fn)
-
-
-def constant_coefficients(sval: float, qval: complex) -> AnalyticCoefficients:
-    """Spatially constant s and q (torus backend with constant data)."""
-    def fn(z):
-        return sval, 0.0 + 0.0j, complex(qval)
-    return AnalyticCoefficients(fn)
 
 
 class MeshCoefficients:
@@ -254,43 +203,6 @@ def flatness_defect(coeffs, z, h: float = 1e-3):
     q_zbar = 0.5 * (q_x + 1j * q_y)
     out = np.maximum(gauss_res, np.abs(q_zbar))
     return out.reshape(z.shape) if z.ndim else float(out[0])
-
-
-def side_pairing_frame_product(coeffs, surface: DiscreteSurface,
-                               pair_index: int, step: float = 0.005):
-    """Approximate holonomy of one side pairing as a frame product.
-
-    For the pairing g mapping side j onto side i, integrates frames from the
-    chart origin to the hyperbolic midpoint of side j and to its identified
-    image on side i, and returns (F_i F_j^{-1}, defect dict).  The product
-    approximates the deck transformation's frame representation only up to
-    the chart gauge and the integration/flatness error, so the defects are
-    reported alongside and nothing is certified.
-    """
-    if not surface.side_pairings:
-        raise ValueError("surface carries no side pairings")
-    i, j, g = surface.side_pairings[pair_index]
-    # octagon corners sit at chart indices 1..8 by construction
-    corner_j0 = complex(surface.vertices[1 + j])
-    corner_j1 = complex(surface.vertices[1 + (j + 1) % 8])
-    m_j = hyperbolic_midpoint(corner_j0, corner_j1)
-    m_i = _mobius_apply(g, m_j)
-    # stop slightly short of the rim so interpolated coefficients stay valid
-    path_j = [0.0, 0.98 * m_j]
-    path_i = [0.0, 0.98 * m_i]
-    sheet_j = integrate_frame(coeffs, path_j, step=step)
-    sheet_i = integrate_frame(coeffs, path_i, step=step)
-    product = sheet_i.frames[-1] @ np.linalg.inv(sheet_j.frames[-1])
-    unit_d, det_d = su21_defect(product)
-    defects = {
-        "product_unitarity": unit_d,
-        "product_det": det_d,
-        "path_unitarity": float(max(sheet_j.defects[:, 0].max(),
-                                    sheet_i.defects[:, 0].max())),
-        "path_flatness": float(max(sheet_j.defects[:, 2].max(),
-                                   sheet_i.defects[:, 2].max())),
-    }
-    return product, defects
 
 
 def integrate_frame(coeffs, path, step: float) -> FrameSheet:

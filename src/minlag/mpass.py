@@ -19,9 +19,10 @@ Ambrosetti-Rabinowitz growth condition.  The cutoffs depend on it only for
 s > 0, so every critical point with u <= 0 is a solution whatever theta is,
 and it is the constant THETA = 3.  So the cutoffs f1, f2, F1, F2 are module
 functions, built once at import.  The second (mountain-pass) solution at t
-in (0, T0) is found by deforming a discrete path from the stable branch
-point to a deep negative constant, then polishing the path maximum with
-`pde.solve_u`, Newton on the structure equation itself.
+in (0, T0) is found by deforming a discrete path from the stable field
+(which the mpass command takes from `continuation.branch_point`) to a deep
+negative constant, then polishing the path maximum with `pde.solve_u`,
+Newton on the structure equation itself.
 Every function reads the surface from the cubic differential (`q.surface`)
 and ||q||^2 from its cache (`q.norm_sq`).
 """
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .cubic import CubicDifferential
@@ -170,19 +170,6 @@ def v_gram(t: float, q: CubicDifferential) -> sp.csr_matrix:
     return q.surface.shifted(V)
 
 
-def norm_equivalence_constants(t: float, q: CubicDifferential):
-    """Extreme generalized eigenvalues of (V-Gram, H1-Gram).
-
-    Both Grams are positive definite when integral V > 0, so the constants
-    are finite and positive; they quantify the equivalence of the V-norm
-    with the standard first-order Sobolev norm (V = 1 gives exactly H1).
-    """
-    gv = v_gram(t, q).toarray()
-    gh = q.surface.shifted(1.0).toarray()
-    w = sla.eigh(gv, gh, eigvals_only=True)
-    return float(w[0]), float(w[-1])
-
-
 # ---------------------------------------------------------------------------
 # mountain pass
 
@@ -200,10 +187,10 @@ def _negative_endpoint(f_target, t, q):
     raise VerificationFailure("no negative constant with low functional value")
 
 
-def find_mountain_pass(u_stable: SolutionPoint, t: float,
+def find_mountain_pass(u_stable: np.ndarray, t: float,
                        q: CubicDifferential,
                        tol: float = 1e-10) -> SolutionPoint:
-    """Second critical point of F at the same t as a converged stable point.
+    """Second critical point of F at t, given the stable field u_stable at t.
 
     Runs a discretized min-max, the path deformation of Choi and McKenna.
     The path is one (nodes, n_classes) array, at first the straight
@@ -229,13 +216,11 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
     eigenvalue of the linearization at most EPS_UNSTABLE (a second
     minimizer would signal a path collapse).
     """
-    if abs(t - u_stable.t) > 1e-12 * max(1.0, t):
-        raise ValueError("u_stable was computed at a different t")
     m = q.surface.mass_diag
     gram = v_gram(t, q)                         # raises DegenerateNorm at t=0
     gram_lu = factorize(gram)
 
-    f_stable = functional_value(u_stable.u, t, q)
+    f_stable = functional_value(u_stable, t, q)
     w = _negative_endpoint(f_stable, t, q)
 
     def vnorm(x):
@@ -244,7 +229,7 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
     def relax(nodes):
         """(u, V-norm separation, sweeps), or None."""
         tau = np.linspace(0.0, 1.0, nodes)[:, None]
-        path = (1.0 - tau) * u_stable.u + tau * w
+        path = (1.0 - tau) * u_stable + tau * w
         step = 1.0
         for sweeps in range(1, MAX_SWEEPS + 1):
             # interior targets lie strictly inside the arclength range, so
@@ -280,7 +265,7 @@ def find_mountain_pass(u_stable: SolutionPoint, t: float,
                 except NonConvergence:
                     pass
                 else:
-                    sep = vnorm(u - u_stable.u)
+                    sep = vnorm(u - u_stable)
                     if sep > 10.0 * tol:
                         return u, sep, sweeps
             if not moved:

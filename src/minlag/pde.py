@@ -22,9 +22,10 @@ runs it on the structure equation (field = -residual, Jacobian = L), and
 the only other system it solves is `continuation.detect_fold`'s.
 Every caller inherits its damping floor `MIN_DAMPING` and its iteration
 cap `MAX_NEWTON_ITER`: `continuation`'s `trace_curve` (warm-started along
-t), `branch_point` (one solve from u = 0, which lies above the stable
-solution at every t) and `detect_fold`, the `wp` samples and the `mpass`
-polish.
+t), `detect_fold` and `branch_point`, and the `mpass` polish.
+`branch_point` is the one cold solve, a `solve_u` from u = 0, which lies
+above the stable solution at every t.  The solve, mpass, frame and wpcheck
+commands start from its field; only `solve` passes it to `newton_solve`.
 
 `factorize` is the one sparse LU of the package: Newton steps, the shift-
 invert operator of `smallest_eigenvalue`, the `mpass` V-Gram matrix and
@@ -270,17 +271,3 @@ def newton_solve(u0: np.ndarray, t: float, q: CubicDifferential,
                          lambda_min=lam, stable=lam > 0.0,
                          meta={"newton_iterations": it})
 
-
-def legendre_pair(a: float, b: float):
-    """Legendre-transform pair H(a) = a (log a)^2 / 4 and its conjugate.
-
-    For a >= 1 and b >= 0 the pair satisfies a*b <= H(a) + H*(b).
-    """
-    if a < 1.0:
-        raise ValueError("legendre_pair requires a >= 1")
-    if b < 0.0:
-        raise ValueError("legendre_pair requires b >= 0")
-    h = 0.25 * a * np.log(a) ** 2
-    r = np.sqrt(1.0 + 4.0 * b)
-    hstar = 0.5 * np.exp(-1.0 + r) * (-1.0 + r)
-    return float(h), float(hstar)

@@ -1,6 +1,6 @@
 """Area functional on the canonical branch and its variations at t = 0.
 
-The functional is A(t) = -integral e^{u(t)} dA along the warm-started branch
+The functional is A(t) = -integral e^{u(t)} dA along the stable branch
 through (0, 0).  Its value at 0 is minus the surface area (4 pi (1 - g) on a
 hyperbolic surface), its first variation vanishes, and its second variation
 equals 16 <q, q>, with <., .> the Weil-Petersson pairing
@@ -17,10 +17,11 @@ The equation depends on t only through t^2, so A and u extend evenly across
 there is no one-sided variant.
 
 All estimates come from `area_record`, which reads one sampling chain:
-the exact u(0) = 0 and u(h), solved once from it without the stability
-eigen solve, so only h must lie below the fold.  It checks the second
-variation in the integral and, against `udotdot`, pointwise.  The surface
-is the cubic differential's own (`q.surface`).
+the exact u(0) = 0 and u(h) from `continuation.branch_point`, the stable
+field with no eigen solve, so only h must lie below the fold; past it the
+NonConvergence of `branch_point` names t = h and the fold.  It checks the
+second variation in the integral and, against `udotdot`, pointwise.  The
+surface is the cubic differential's own (`q.surface`).
 """
 
 from __future__ import annotations
@@ -29,14 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import ZeroCubic
+from .continuation import ZeroCubic, branch_point
 from .cubic import CubicDifferential, wp_pairing
-from .pde import NonConvergence, factorize, solve_u
+from .pde import factorize
 from .surface import DiscreteSurface, integrate
-
-
-class BranchUnavailable(RuntimeError):
-    """Newton failed at a t required by a finite-difference stencil."""
 
 
 def d_operator(s: DiscreteSurface, f: np.ndarray) -> np.ndarray:
@@ -78,17 +75,14 @@ def area_record(q: CubicDifferential, h: float,
     gap of fd2 to it.  `udd_gap` is
     max |2 (u(h) - u(0)) / h^2 - udotdot(q)| / max |udotdot(q)|, the same
     check pointwise.  Both gaps are O(h^2).  Raises ZeroCubic when q
-    vanishes, since both gaps divide by it.
+    vanishes, since both gaps divide by it, and NonConvergence when h is at
+    or beyond the fold.
     """
     exact = 16.0 * wp_pairing(q, q).real
     if exact == 0.0:
         raise ZeroCubic("the cubic differential vanishes: <q, q> = 0")
     u0 = np.zeros(q.surface.n_classes)   # the exact solution at t = 0
-    try:
-        uh, _, _ = solve_u(u0, h, q, tol=tol)
-    except NonConvergence as exc:
-        raise BranchUnavailable(
-            f"branch solve failed at t = {h}: {exc}") from exc
+    uh = branch_point(q, h, tol)
     areas = [-integrate(q.surface, np.exp(u)) for u in (u0, uh)]
     fd2 = 2.0 * (areas[1] - areas[0]) / h ** 2
     udd = udotdot(q)

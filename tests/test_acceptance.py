@@ -14,16 +14,17 @@ import pytest
 
 from minlag.continuation import detect_fold, nonexistence_bound, trace_curve
 from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
-from minlag.frame import (integrate_frame, poincare_trivial_coefficients,
-                          second_fundamental_form)
+from minlag.frame import integrate_frame
 from minlag import mpass
 from minlag.mpass import (THETA, find_mountain_pass, functional_gradient,
-                          functional_value, norm_equivalence_constants)
-from minlag.pde import legendre_pair, newton_solve
+                          functional_value)
+from minlag.pde import newton_solve
 from minlag.surface import build_flat_torus, build_genus2_octagon
 from minlag.wp import area_record, d_operator
 
 from conftest import octagon_zero_classes
+from reference import (legendre_pair, norm_equivalence_constants,
+                       poincare_trivial_coefficients, second_fundamental_form)
 from scalar_oracle import U_FOLD, fold_t, scalar_roots
 
 TOL = 1e-11
@@ -68,7 +69,7 @@ class Context:
         for t in (0.05, 0.10, 0.13, 0.135):
             stable = newton_solve(np.zeros(self.torus.n_classes), t,
                                   self.unit_cubic, tol=TOL)
-            p2 = find_mountain_pass(stable, t, self.unit_cubic, tol=TOL)
+            p2 = find_mountain_pass(stable.u, t, self.unit_cubic, tol=TOL)
             self.mpass_torus[t] = (stable, p2)
             self.accepted_points += [("torus", stable), ("torus", p2)]
         self.mpass_octagon = {}
@@ -79,7 +80,7 @@ class Context:
                 if p.t <= t:
                     warm = p
             stable = newton_solve(warm.u, t, self.oct_cubic, tol=TOL)
-            p2 = find_mountain_pass(stable, t, self.oct_cubic, tol=TOL)
+            p2 = find_mountain_pass(stable.u, t, self.oct_cubic, tol=TOL)
             self.mpass_octagon[t] = (stable, p2)
             self.accepted_points += [("octagon", stable), ("octagon", p2)]
         self.mpass_elapsed = time.perf_counter() - start

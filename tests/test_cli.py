@@ -170,6 +170,25 @@ def test_solve_beyond_fold_exits_2(tmp_path, capsys):
         assert err.startswith("solve failed:") and "fold" in err
 
 
+def test_eigen_solves_per_command(tmp_path, monkeypatch):
+    # `solve` classifies the stable field and `mpass` verifies its second
+    # critical point; the stable field itself costs no eigen solve
+    calls = []
+    eigsh = pde.spla.eigsh
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(args)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(pde.spla, "eigsh", counting_eigsh)
+    cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.1))
+    for command, expected in (("solve", 1), ("mpass", 1), ("frame", 0)):
+        calls.clear()
+        out = str(tmp_path / f"{command}.json")
+        assert main([command, cfg, "-o", out]) == 0
+        assert len(calls) == expected, command
+
+
 # the benchmark's frame loop, on octagon r2 at 0.55 of its fold T0
 FRAME_LOOP = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5],
               [0.5, 0.0], [0.0, 0.0]]
@@ -266,7 +285,9 @@ def test_wpcheck_beyond_fold_exits_2(tmp_path, capsys):
         "wpcheck": {"h": 0.2},
     })
     assert main(["wpcheck", cfg, "-o", str(tmp_path / "wpt")]) == 2
-    assert "branch solve failed at t = 0.2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("wpcheck failed:")
+    assert "at t = 0.2" in err and "fold" in err
 
 
 def test_mesh_octagon_reports_topology_and_area(tmp_path):
@@ -321,7 +342,7 @@ def test_every_minlag_exception_has_an_exit_code():
     # the rule of the cli docstring: a ValueError exits 1, and every other
     # class derives from one on NUMERICAL_FAILURES and exits 2
     classes = _minlag_exception_classes()
-    assert len(classes) >= 14
+    assert len(classes) >= 13
     for exc_cls in classes:
         assert (issubclass(exc_cls, ValueError)
                 or issubclass(exc_cls, cli.NUMERICAL_FAILURES)), exc_cls

@@ -11,7 +11,8 @@ from minlag.continuation import (NoFoldDetected, StallBeforeFold, ZeroCubic,
                                  branch_point, detect_fold, nonexistence_bound,
                                  trace_curve, write_curve_csv)
 from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
-from minlag.pde import NonConvergence, SingularJacobian, newton_solve
+from minlag.pde import (NonConvergence, SingularJacobian, linearize,
+                        newton_solve, residual, smallest_eigenvalue, solve_u)
 from minlag.surface import integrate
 
 from scalar_oracle import U_FOLD, fold_t, scalar_roots
@@ -218,36 +219,40 @@ def test_curve_csv(tmp_path, torus_curve):
 def test_branch_point_is_one_cold_solve(torus16, unit_cubic, monkeypatch):
     calls = []
 
-    def recording_newton_solve(u0, t, *args, **kwargs):
+    def recording_solve_u(u0, t, *args, **kwargs):
         calls.append((np.array(u0), t))
-        return newton_solve(u0, t, *args, **kwargs)
+        return solve_u(u0, t, *args, **kwargs)
 
-    monkeypatch.setattr(continuation, "newton_solve", recording_newton_solve)
-    p = branch_point(unit_cubic, 0.1, tol=1e-11)
+    monkeypatch.setattr(continuation, "solve_u", recording_solve_u)
+    u = branch_point(unit_cubic, 0.1, tol=1e-11)
     assert len(calls) == 1
     u0, t = calls[0]
-    assert t == 0.1 and p.t == 0.1
-    assert u0.shape == (torus16.n_classes,) and np.all(u0 == 0.0)
+    assert t == 0.1 and u.shape == u0.shape == (torus16.n_classes,)
+    assert np.all(u0 == 0.0)
 
 
 def test_branch_point_matches_trace(torus_curve, octagon_curve):
     # the traced points are warm-started along t; branch_point solves from
     # u = 0 at each t alone and must land on the same stable point
     for curve, tol in ((torus_curve, 1e-11), (octagon_curve, 1e-10)):
+        q = curve.cubic
+        m = q.surface.mass_diag
         for p in curve.points:
-            b = branch_point(curve.cubic, p.t, tol=tol)
-            assert b.t == p.t and b.stable
-            assert b.residual_norm <= tol
-            assert np.abs(b.u - p.u).max() <= 1e-9
-            assert b.lambda_min == pytest.approx(p.lambda_min, abs=1e-9)
+            u = branch_point(q, p.t, tol=tol)
+            lam, _ = smallest_eigenvalue(linearize(u, p.t, q))
+            assert lam > 0.0
+            assert np.sqrt(m @ residual(u, p.t, q) ** 2) <= tol
+            assert np.abs(u - p.u).max() <= 1e-9
+            assert lam == pytest.approx(p.lambda_min, abs=1e-9)
 
 
 def test_branch_point_near_fold_is_upper_root(torus16, unit_cubic):
     t = 0.9999 * fold_t(1.0)
-    p = branch_point(unit_cubic, t, tol=1e-11)
+    u = branch_point(unit_cubic, t, tol=1e-11)
     _, upper = scalar_roots(16.0 * t * t)
-    assert p.stable and p.lambda_min > 0.0
-    assert np.abs(p.u - upper).max() <= 1e-8
+    lam, _ = smallest_eigenvalue(linearize(u, t, unit_cubic))
+    assert lam > 0.0
+    assert np.abs(u - upper).max() <= 1e-8
 
 
 def test_branch_point_beyond_fold_raises(torus16, unit_cubic):

@@ -31,8 +31,7 @@ def test_constant_norm_scaling():
 
 def test_constant_on_octagon_warns(octagon2):
     with pytest.warns(UserWarning):
-        q = constant_cubic(octagon2, 1.0)
-    assert not q.holomorphic
+        constant_cubic(octagon2, 1.0)
 
 
 def test_synthetic_single_zero(octagon2):
@@ -40,8 +39,6 @@ def test_synthetic_single_zero(octagon2):
     nf = norm_field(q)
     assert nf[5] == 0.0
     assert np.all(nf >= 0.0)
-    assert q.zero_divisor == [(5, 6)]
-    assert not q.holomorphic
 
 
 def test_synthetic_two_zeros(octagon2, octagon2_cubic):

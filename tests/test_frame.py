@@ -5,14 +5,14 @@ import pytest
 
 from minlag import frame
 from minlag.cubic import constant_cubic
-from minlag.frame import (MeshCoefficients, StepTooLarge,
-                          constant_coefficients, flatness_defect,
-                          integrate_frame, maurer_cartan,
-                          poincare_trivial_coefficients,
-                          s_from_u, second_fundamental_form, su21_defect)
+from minlag.frame import (MeshCoefficients, StepTooLarge, flatness_defect,
+                          integrate_frame, maurer_cartan, s_from_u,
+                          su21_defect)
 from minlag.pde import newton_solve
 from minlag.surface import build_flat_torus
 
+from reference import (constant_coefficients, poincare_trivial_coefficients,
+                       second_fundamental_form, side_pairing_frame_product)
 from scalar_oracle import U_FOLD
 
 ETA = np.diag([1.0, 1.0, -1.0])
@@ -337,7 +337,6 @@ def test_mesh_flatness_trivial_octagon(octagon3):
 
 
 def test_side_pairing_frame_product(octagon2):
-    from minlag.frame import side_pairing_frame_product
     coeffs = poincare_trivial_coefficients()
     product, defects = side_pairing_frame_product(coeffs, octagon2, 0,
                                                   step=0.005)

@@ -194,28 +194,6 @@ def unconsumed_public_functions(sources: dict) -> list:
         and not node.name.startswith("_")])
 
 
-# public functions kept without a consumer in `minlag`, each a reference
-# check that the test suite runs
-KEPT_WITHOUT_CONSUMER = {
-    # a dense eigh, 40 ms on octagon r3: too costly for the mpass payload;
-    # the acceptance suite checks the V-norm equivalence with it
-    "norm_equivalence_constants",
-    # minimality of the immersion (II traceless), checked by the acceptance
-    # suite
-    "second_fundamental_form",
-    # closed-form frame coefficients: the RK4 order and frame tests use them
-    "constant_coefficients",
-    # the genus-2 holonomy check, for a holomorphic q (ROADMAP item 6)
-    "side_pairing_frame_product",
-    # the Legendre-transform pair of the cutoff estimates, checked by
-    # acceptance criterion 9 and the pde tests
-    "legendre_pair",
-    # the exactly flat totally geodesic case: the frame tests' reference
-    # for pure integrator error
-    "poincare_trivial_coefficients",
-}
-
-
 def test_detects_unconsumed_public_functions():
     sources = {
         "a.py": ("def used():\n    pass\n"
@@ -231,9 +209,8 @@ def test_detects_unconsumed_public_functions():
 def test_every_public_function_has_a_consumer():
     # a function only tests reach is a formula written twice or a dead export
     sources = {p.name: p.read_text() for p in MODULES}
-    found = unconsumed_public_functions(sources)
-    # an allowlisted function that gains a consumer leaves the list too
-    assert {f.split()[1] for f in found} == KEPT_WITHOUT_CONSUMER, found
+    # test-only references live in tests/reference.py
+    assert unconsumed_public_functions(sources) == []
 
 
 def _root_name(node):

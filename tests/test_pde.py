@@ -9,10 +9,10 @@ import scipy.sparse.linalg as spla
 from minlag import pde
 from minlag.cubic import constant_cubic, norm_field
 from minlag.pde import (LinearizedOperator, NonConvergence, ResidualBlowup,
-                        SingularJacobian, damped_newton, legendre_pair,
-                        linearize, newton_solve, residual,
-                        smallest_eigenvalue)
+                        SingularJacobian, damped_newton, linearize,
+                        newton_solve, residual, smallest_eigenvalue)
 
+from reference import legendre_pair
 from scalar_oracle import U_FOLD, fold_t, scalar_roots
 
 # frozen scalar-oracle roots of 2 - 2e^u - 16 t^2 e^{-2u} (see scalar_oracle)
