@@ -13,14 +13,30 @@ Every command but `mesh` needs a `cubic`.  `continue` reads `dt0`, its
 first step in t (default 0.01); the step then grows by
 `continuation.STEP_GROWTH` after each accepted point, so curve.csv samples
 the branch ever more coarsely toward the fold.  `solve`, `mpass` and `frame`
-take the stable field at `t` from `continuation.branch_point`, and exit 2
-when `t` is at or beyond the fold.  Only `solve` classifies that field
-(`pde.newton_solve`, one eigen solve); `mpass` pays one eigen solve, to
-verify its second critical point, and `frame` none.
+require `t`, take the stable field at `t` from `continuation.branch_point`,
+and exit 2 when `t` is at or beyond the fold.  Only `solve` classifies that
+field (`pde.newton_solve`, one eigen solve); `mpass` pays one eigen solve,
+to verify its second critical point, and `frame` none.  `frame` integrates
+the connection of the immersion's cubic differential t q, not of q.
 
-Every number in a config must be a finite float: the NaN and Infinity
-literals, and numbers beyond the float range such as 1e400, exit 1.  A
-config key the schema does not name exits 1 as an unknown key.
+`validate_config` checks every config before its command runs.  A config
+holds only these keys, and needs `backend` and, within backend and cubic,
+every key but "side", "lambda0" and "amplitude":
+
+    backend  {"type": "torus", "n": integer >= 4, "side" > 0, "lambda0" > 0}
+             or {"type": "octagon", "refinement": integer >= 1}
+    cubic    {"constant": [re, im]} or {"zeros": one or more [class, order]
+             pairs of integers >= 0, "amplitude" > 0}
+    t >= 0, dt0 > 0, tol > 0
+    frame    {"path": two or more [x, y] points, "step" > 0}
+    wpcheck  {"h" > 0}
+
+An integer is a JSON integer literal (16, not 16.0), and true and false are
+not numbers.  Every number must be a finite float: the NaN and Infinity
+literals, and numbers beyond the float range such as 1e400, exit 1 as
+`config holds the non-finite number ...`.  Every other breach exits 1 as
+`config invalid at <path>: ...`, the path naming the offending key, as in
+`backend/n` or `cubic/zeros/0/1`.
 
 `wpcheck` reads `wpcheck.h` (default 0.01) and samples the area A(t) along
 the branch at t = 0 and h, with u(h) from `continuation.branch_point`, so
@@ -39,17 +55,15 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import functools
 import hashlib
 import json
 import math
 import sys
 
 import numpy as np
-import jsonschema
 
 from . import continuation, frame, mpass, pde, surface, wp
-from .cubic import constant_cubic, synthetic_cubic
+from .cubic import CubicDifferential, constant_cubic, synthetic_cubic
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,91 +82,6 @@ NUMERICAL_FAILURES = (
     surface.MeshError, continuation.StallBeforeFold,
     continuation.NoFoldDetected, mpass.PathCollapse, mpass.VerificationFailure,
     frame.StepTooLarge, np.linalg.LinAlgError)
-
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["backend"],
-    "properties": {
-        "backend": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type", "n"],
-                    "properties": {
-                        "type": {"const": "torus"},
-                        "n": {"type": "integer", "minimum": 4},
-                        "side": {"type": "number", "exclusiveMinimum": 0},
-                        "lambda0": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type", "refinement"],
-                    "properties": {
-                        "type": {"const": "octagon"},
-                        "refinement": {"type": "integer", "minimum": 1},
-                    },
-                },
-            ]
-        },
-        "cubic": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["constant"],
-                    "properties": {
-                        "constant": {
-                            "type": "array", "minItems": 2, "maxItems": 2,
-                            "items": {"type": "number"},
-                        },
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["zeros"],
-                    "properties": {
-                        "zeros": {
-                            "type": "array", "minItems": 1,
-                            "items": {
-                                "type": "array", "minItems": 2, "maxItems": 2,
-                                "items": {"type": "integer", "minimum": 0},
-                            },
-                        },
-                        "amplitude": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
-            ]
-        },
-        "t": {"type": "number", "minimum": 0},
-        "dt0": {"type": "number", "exclusiveMinimum": 0},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "frame": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "path": {
-                    "type": "array", "minItems": 2,
-                    "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                              "items": {"type": "number"}},
-                },
-                "step": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "wpcheck": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "h": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-    },
-}
 
 
 def _finite(parse):
@@ -174,20 +103,87 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    # the error jsonschema.validate would raise, without re-checking the schema
-    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
-    if exc is not None:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
+    validate_config(cfg)
     return cfg
 
 
-@functools.lru_cache(maxsize=None)
-def _config_validator():
-    """The CONFIG_SCHEMA validator, built and its schema checked once."""
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+def validate_config(cfg) -> None:
+    """ConfigError naming the offending key unless `cfg` follows the config
+    rules of the module docstring."""
+    _keys(cfg, "", ("backend", "cubic", "t", "frame", "wpcheck"), ("backend",),
+          positive=("dt0", "tol"))
+    b = cfg["backend"]
+    kind = b.get("type") if isinstance(b, dict) else None
+    if kind == "torus":
+        _keys(b, "backend/", ("type", "n"), ("n",),
+              positive=("side", "lambda0"))
+        _number(b["n"], "backend/n", 4, integer=True)
+    elif kind == "octagon":
+        _keys(b, "backend/", ("type", "refinement"), ("refinement",))
+        _number(b["refinement"], "backend/refinement", 1, integer=True)
+    else:
+        raise ConfigError("config invalid at backend: expected an object "
+                          "whose 'type' is 'torus' or 'octagon'")
+    c = cfg.get("cubic")
+    if isinstance(c, dict) and "constant" in c:
+        _keys(c, "cubic/", ("constant",))
+        _pair(c["constant"], "cubic/constant")
+    elif "cubic" in cfg:
+        _keys(c, "cubic/", ("zeros",), ("zeros",), positive=("amplitude",))
+        if not isinstance(c["zeros"], list) or not c["zeros"]:
+            raise ConfigError("config invalid at cubic/zeros: not 1+ pairs")
+        for i, zero in enumerate(c["zeros"]):
+            _pair(zero, f"cubic/zeros/{i}", integer=True)
+    if "t" in cfg:
+        _number(cfg["t"], "t", 0)
+    f = _keys(cfg.get("frame", {}), "frame/", ("path",), positive=("step",))
+    if "path" in f:
+        if not isinstance(f["path"], list) or len(f["path"]) < 2:
+            raise ConfigError("config invalid at frame/path: not 2+ pairs")
+        for i, point in enumerate(f["path"]):
+            _pair(point, f"frame/path/{i}")
+    _keys(cfg.get("wpcheck", {}), "wpcheck/", (), positive=("h",))
+
+
+def _keys(obj, where: str, allowed: tuple, required: tuple = (),
+          positive: tuple = ()) -> dict:
+    """`obj` if it is an object with every `required` key, no key outside
+    `allowed` and `positive`, and a number > 0 at each `positive` key; `where`
+    is its path with a trailing slash, "" at the root."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config invalid at {where[:-1] or '<root>'}: "
+                          f"{json.dumps(obj)} is not an object")
+    for key in obj:
+        if key in positive:
+            _number(obj[key], where + key, 0, strict=True)
+        elif key not in allowed:
+            raise ConfigError(f"config invalid at {where}{key}: unknown key")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"config invalid at {where}{key}: missing")
+    return obj
+
+
+def _number(x, where: str, low=None, strict=False, integer=False) -> None:
+    """ConfigError unless `x` is a number, a JSON integer literal if
+    `integer`, at least `low` (above it if `strict`).  A bool is neither."""
+    kind = int if integer else (int, float)
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise ConfigError(f"config invalid at {where}: {json.dumps(x)} is not "
+                          + ("an integer" if integer else "a number"))
+    if low is not None and (x <= low if strict else x < low):
+        raise ConfigError(f"config invalid at {where}: {json.dumps(x)} is not "
+                          + ("above" if strict else "at least") + f" {low}")
+
+
+def _pair(x, where: str, integer=False) -> None:
+    """ConfigError unless `x` is a list of two numbers, integers >= 0 if
+    `integer`."""
+    if not isinstance(x, list) or len(x) != 2:
+        raise ConfigError(f"config invalid at {where}: {json.dumps(x)} is "
+                          "not a pair")
+    for i, v in enumerate(x):
+        _number(v, f"{where}/{i}", 0 if integer else None, integer=integer)
 
 
 def config_hash(cfg: dict) -> str:
@@ -210,8 +206,7 @@ def build_cubic(cfg: dict, s: surface.DiscreteSurface):
     if "constant" in c:
         re, im = c["constant"]
         return constant_cubic(s, complex(re, im))
-    zeros = [(int(a), int(b)) for a, b in c["zeros"]]
-    return synthetic_cubic(s, zeros, c.get("amplitude", 1.0))
+    return synthetic_cubic(s, c["zeros"], c.get("amplitude", 1.0))
 
 
 def emit(payload: dict, cfg: dict, out_path: str | None) -> None:
@@ -298,6 +293,7 @@ def cmd_mpass(cfg, args) -> int:
 
 def cmd_frame(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
+    t = _require_t(cfg)
     fcfg = cfg.get("frame", {})
     step = fcfg.get("step", 0.005)
     tol = cfg.get("tol", 1e-10)
@@ -309,8 +305,10 @@ def cmd_frame(cfg, args) -> int:
         side = cfg["backend"].get("side", 1.0)
         path = [side * (0.25 + 0.25j), side * (0.75 + 0.25j)]
 
-    u = continuation.branch_point(q, float(cfg.get("t", 0.0)), tol)
-    sheet = frame.integrate_frame(frame.MeshCoefficients(u, q), path,
+    u = continuation.branch_point(q, t, tol)
+    # the connection takes t q: u solves (log s^2)_{z zbar} = s^2 + |tq|^2 s^-4
+    tq = CubicDifferential(values=t * q.values, surface=q.surface)
+    sheet = frame.integrate_frame(frame.MeshCoefficients(u, tq), path,
                                   step=step)
     payload = sheet.to_json()
     payload["max_unitarity_defect"] = float(sheet.defects[:, 0].max())

@@ -1,10 +1,10 @@
 """SU(2,1) Legendrian frames and their Maurer-Cartan integration.
 
-A solution u of the structure equation together with the cubic differential q
-determines an induced metric 2 s^2 |dz|^2 with 2 s^2 = e^u lambda, and a
-moving frame F with values in SU(2,1) for the Hermitian form
-eta = diag(1, 1, -1).  The frame solves F' = F (A zdot + B zbardot) along any
-chart path, where
+A solution u of the structure equation for the data (t, q) determines an
+induced metric 2 s^2 |dz|^2 with 2 s^2 = e^u lambda, and a moving frame F
+with values in SU(2,1) for the Hermitian form eta = diag(1, 1, -1), whose
+connection takes the immersion's cubic differential t q, written q below.
+The frame solves F' = F (A zdot + B zbardot) along any chart path, where
 
     A = [[(log s)_z, 0, s], [-q s^-2, -(log s)_z, 0], [0, s, 0]],
     B = [[-(log s)_zbar, qbar s^-2, 0], [0, (log s)_zbar, s], [s, 0, 0]].

@@ -79,6 +79,29 @@ def test_schema_violation_reports_path(tmp_path, capsys):
     assert "backend" in err
 
 
+@pytest.mark.parametrize("cfg, where", [
+    (dict(TORUS, backend=dict(TORUS["backend"], n=16.0)), "backend/n"),
+    ({"backend": {"type": "octagon", "refinement": 2.0}}, "backend/refinement"),
+    ({"backend": {"type": "octagon", "refinement": 1},
+      "cubic": {"zeros": [[5, 3], [11, 3.0]]}}, "cubic/zeros/1/1"),
+    (dict(TORUS, t=True), "t")],
+    ids=["n-16.0", "refinement-2.0", "order-3.0", "t-true"])
+def test_integer_fields_take_json_integers(tmp_path, capsys, cfg, where):
+    # 16.0 is a number but not a JSON integer literal, and a bool is neither
+    assert main(["mesh", write_cfg(tmp_path, "c.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config invalid at {where}:")
+
+
+@pytest.mark.parametrize("command", ["solve", "mpass", "frame"])
+def test_single_t_commands_require_t(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {k: v for k, v in TORUS.items() if k != "t"})
+    assert main([command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'t'" in err
+
+
 def test_unknown_keys_rejected(tmp_path, capsys):
     # an `mpass` block is unknown too: the mountain-pass path size and sweep
     # budget are constants of minlag.mpass, as is the cutoff exponent theta;
@@ -103,7 +126,7 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     pytest.param("solve", "1" + "0" * 400, id="solve-401-digit-int")])
 def test_non_finite_numbers_rejected(tmp_path, capsys, command, raw):
     # json reads the NaN/Infinity literals, 1e400 as inf and a 401-digit
-    # integer as an int no float holds; every schema bound check passes NaN
+    # integer as an int no float holds; every bound check passes NaN
     text = json.dumps(dict(TORUS, t=0.5)).replace('"t": 0.5', f'"t": {raw}')
     cfg = tmp_path / "c.json"
     cfg.write_text(text)
@@ -213,6 +236,22 @@ def test_frame_mesh_coefficients_loop(tmp_path, octagon2):
     assert runs[0]["max_unitarity_defect"] <= 1e-8
     assert runs[0]["max_det_defect"] <= 1e-8
     assert len(runs[0]["path"]) == 769
+
+
+def test_frame_takes_t_times_q(tmp_path, octagon2):
+    # (t / c, c q) is the same data as (t, q): both give u and the cubic
+    # differential t q of the immersion, so both give the same frame
+    zeros = [list(z) for z in octagon_zero_classes(octagon2)]
+    frames = []
+    for c in (1.0, 1.3):
+        cfg = write_cfg(tmp_path, "c.json", dict(
+            OCTAGON2_MESH, t=OCTAGON2_MESH["t"] / c,
+            cubic={"zeros": zeros, "amplitude": c},
+            frame={"path": [[0.0, 0.0], [0.3, 0.1]], "step": 0.01}))
+        out = tmp_path / "frame.json"
+        assert main(["frame", cfg, "-o", str(out)]) == 0
+        frames.append(np.array(json.loads(out.read_text())["frames"]))
+    assert np.abs(frames[0] - frames[1]).max() <= 1e-12
 
 
 def test_frame_path_leaving_patch_exits_2(tmp_path, capsys, octagon2):

@@ -369,12 +369,13 @@ def test_newton_solves_two_systems():
     assert sites == [("continuation.py", "detect_fold"), ("pde.py", "solve_u")]
 
 
-def test_cli_import_loads_no_command_specific_scipy():
+def test_cli_import_loads_no_unneeded_module():
     # scipy.interpolate (frame only) and the scipy.optimize it pulls in are
-    # loaded by the command that uses them, not by every command
-    code = ("import sys, minlag.cli; print(sorted({m.split('.')[1] for m in "
-            "sys.modules if m.startswith(('scipy.interpolate', "
-            "'scipy.optimize'))}))")
+    # loaded by the command that uses them, not by every command; the config
+    # checks of minlag.cli need no jsonschema
+    code = ("import sys, minlag.cli; print(sorted({'.'.join(m.split('.')[:2]) "
+            "for m in sys.modules if m.startswith(('scipy.interpolate', "
+            "'scipy.optimize', 'jsonschema'))}))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout
