@@ -11,8 +11,9 @@ NO_FOLD_FRACTION of its value at t = 0, and the last three lambda_min
 strictly decreasing).  `detect_fold` then solves for the fold directly: from
 the last traced point it runs Newton on the Moore-Spence extended system
 F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> = 1, whose solution is the
-turning point (u*, T0) with its null vector phi.  Its Newton tolerance does
-not depend on how close to the fold the trace stopped.
+turning point (u*, T0) with its null vector phi.  Each Newton step comes
+from one LU of L (`fold_step`), and its tolerance does not depend on how
+close to the fold the trace stopped.
 
 `branch_point` reaches a single t on the same branch with no path in t.
 The stable branch is the maximal solution, u = 0 is a supersolution at
@@ -34,11 +35,11 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cubic import CubicDifferential, norm_field
-from .pde import (NonConvergence, SolutionPoint, damped_newton, linearize,
-                  newton_solve, residual, smallest_eigenvalue, solve_u)
+from .pde import (NonConvergence, SingularJacobian, SolutionPoint,
+                  damped_newton, linearize, newton_solve, residual,
+                  smallest_eigenvalue, solve_u)
 from .surface import integrate
 
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
@@ -157,13 +158,85 @@ def branch_point(q: CubicDifferential, t: float,
     return u
 
 
+def fold_step(q: CubicDifferential, m_phi0: np.ndarray):
+    """Newton step solver of the Moore-Spence system, from one LU of L.
+
+    With x = (u, phi, t) and psi = M phi0, the system's Jacobian is
+
+        [[L, 0, a], [B, L, c], [0, psi^T, 0]],
+
+    a = 32 t M ||q||^2 e^{-2u}, B = diag(d(M pot)/du phi) and
+    c = -64 t M ||q||^2 e^{-2u} phi.  Its 2n-block [[L, 0], [B, L]] is lower
+    block triangular, but at the fold it is singular twice over (its
+    smallest singular value goes as lambda_min(L)^2), so the step never
+    solves with it.  It solves with the bordered matrix
+    Lb = [[L, psi], [psi^T, 0]] instead, regular at a quadratic fold: once
+    for du, with psi^T du = k left free, and once for dphi, each for three
+    right-hand sides at a time; the two scalars dt and k then follow from a
+    2 x 2 system.  Each Lb solve is block elimination with the LU of L and
+    one step of iterative refinement, which is accurate as L turns singular
+    (Govaerts and Pryce, BIT 30, 1990; Govaerts, Numerical Methods for
+    Bifurcations of Dynamical Equilibria, SIAM 2000).
+    Returns `step(x, rhs)` for `pde.damped_newton`; it raises
+    SingularJacobian when a Schur complement of the elimination is zero.
+    """
+    s = q.surface
+    n, m = s.n_classes, s.mass_diag
+    psi = m_phi0
+
+    def step(x, rhs):
+        u, phi, t = x[:n], x[n:-1], x[-1]
+        L = linearize(u, t, q)
+        lu = s.factorize(L.potential)
+        w = m * q.norm_sq * np.exp(-2.0 * u)    # M ||q||^2 e^{-2u}
+        a = 32.0 * t * w
+        b = (2.0 * m * np.exp(u) + 64.0 * t * t * w) * phi   # diag of B
+        c = -64.0 * t * w * phi
+        z = lu.solve(psi)
+        psi_z = psi @ z
+        if psi_z == 0.0:
+            raise SingularJacobian("zero Schur complement in the fold step")
+
+        def eliminate(g, h):
+            y = lu.solve(g)
+            mu = (psi @ y - h) / psi_z
+            return y - np.outer(z, mu), mu
+
+        def bordered(g, h):
+            """Lb^{-1} (g, h) for the columns of g and entries of h."""
+            y, mu = eliminate(g, h)
+            dy, dmu = eliminate(g - L.matrix @ y - np.outer(psi, mu),
+                                h - psi @ y)
+            return (y + dy).T, mu + dmu
+
+        (y_r, y_a, y_1), (mu_r, mu_a, mu_1) = bordered(
+            np.column_stack([rhs[:n], a, np.zeros(n)]),
+            np.array([0.0, 0.0, 1.0]))
+        (p_r, p_a, p_1), (nu_r, nu_a, nu_1) = bordered(
+            np.column_stack([rhs[n:-1] - b * y_r, b * y_a - c, b * y_1]),
+            np.array([rhs[-1], 0.0, 0.0]))
+        # (du, mu) = Lb^{-1}(r1 - a dt, k) needs mu = 0, and
+        # (dphi, nu) = Lb^{-1}(r2 - B du - c dt, r3) needs nu = 0
+        det = mu_a * nu_1 - nu_a * mu_1
+        if det == 0.0:
+            raise SingularJacobian("zero Schur complement in the fold step")
+        dt = (nu_r * mu_1 + mu_r * nu_1) / det
+        k = (nu_r * mu_a + mu_r * nu_a) / det
+        return np.concatenate([y_r - dt * y_a + k * y_1,
+                               p_r + dt * p_a - k * p_1, [dt]])
+
+    return step
+
+
 def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
     """Solve for the fold T0 from the last traced point (Moore-Spence).
 
     With phi0 the M-normalized smallest eigenvector of L there,
     `damped_newton` solves -F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> = 1
     for (u, phi, t), a regular system at a quadratic fold, and
-    `newton_solve` classifies the converged (u, t).
+    `newton_solve` classifies the converged (u, t).  Each Newton step comes
+    from one LU of L by block elimination (`fold_step`); the bordered
+    (2n+1)-square Jacobian is never assembled.
     Raises NoFoldDetected if the curve does not approach a fold, the solve
     fails, or it ends off the fold or behind the curve.  Sets T0_estimate
     and fold_point on the curve and returns T0.
@@ -190,19 +263,9 @@ def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
                                (linearize(u, t, q).matrix @ phi) / m,
                                [m_phi0 @ phi - 1.0]])
 
-    def jacobian(x):
-        u, phi, t = x[:n], x[n:-1], x[-1]
-        L = linearize(u, t, q).matrix
-        w = m * q.norm_sq * np.exp(-2.0 * u)    # M ||q||^2 e^{-2u}
-        m_pot_u = 2.0 * m * np.exp(u) + 64.0 * t * t * w
-        return sp.bmat([[L, None, (32.0 * t * w)[:, None]],
-                        [sp.diags(m_pot_u * phi), L,
-                         (-64.0 * t * w * phi)[:, None]],
-                        [None, m_phi0[None, :], None]], format="csc")
-
     x0 = np.concatenate([p.u, phi0, [p.t]])
     try:
-        x, _, _ = damped_newton(x0, field_fn, jacobian,
+        x, _, _ = damped_newton(x0, field_fn, fold_step(q, m_phi0),
                                 np.concatenate([m, m, [1.0]]), tol)
         fold = newton_solve(x[:n], x[-1], q, tol=tol)
     except NonConvergence as exc:

@@ -34,8 +34,8 @@ from numpy.polynomial import polynomial as P
 import scipy.sparse as sp
 
 from .cubic import CubicDifferential
-from .pde import (TOL_POS, NonConvergence, SolutionPoint, factorize,
-                  linearize, residual, smallest_eigenvalue, solve_u, v_field)
+from .pde import (TOL_POS, NonConvergence, SolutionPoint, linearize,
+                  residual, smallest_eigenvalue, solve_u, v_field)
 
 THETA = 3.0           # growth exponent of the cutoffs for s > 1
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
@@ -218,7 +218,7 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
     """
     m = q.surface.mass_diag
     gram = v_gram(t, q)                         # raises DegenerateNorm at t=0
-    gram_lu = factorize(gram)
+    gram_lu = q.surface.factorize(v_field(t, q))
 
     f_stable = functional_value(u_stable, t, q)
     w = _negative_endpoint(f_stable, t, q)

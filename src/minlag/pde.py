@@ -27,19 +27,23 @@ t), `detect_fold` and `branch_point`, and the `mpass` polish.
 above the stable solution at every t.  The solve, mpass, frame and wpcheck
 commands start from its field; only `solve` passes it to `newton_solve`.
 
-`factorize` is the one sparse LU of the package: Newton steps, the shift-
-invert operator of `smallest_eigenvalue`, the `mpass` V-Gram matrix and
-the `wp` operator D all use it.  L, the Gram matrices and K + 2M are
-symmetric, so SuperLU orders the columns by minimum degree on the pattern
-of A + A^T and runs in symmetric mode, which prefers diagonal pivots; that
-keeps the fill of a symmetric ordering.  Threshold pivoting stays on, so
-the nonsymmetric bordered Jacobian of the fold solve, whose last diagonal
-entry is zero, still factorizes.
+Every matrix the package factorizes is K + M diag(p) with K's pattern:
+L, the shift-invert operator L - sigma M of `smallest_eigenvalue`, the
+`mpass` V-Gram (p = V) and the `wp` operator K + 2M (p = 2).  So
+`DiscreteSurface.factorize` orders the columns once per surface, by
+minimum degree on the pattern, and every LU reuses that order in SuperLU's
+symmetric mode, which prefers diagonal pivots.  Threshold pivoting stays on
+for the indefinite L of mountain-pass points and of solves past the fold;
+no nonsymmetric matrix is factorized, since the fold solve's bordered
+Jacobian is never assembled (`continuation.fold_step` eliminates its border
+with LUs of L).
+`damped_newton` therefore takes a step solver, not a matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -47,6 +51,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cubic import CubicDifferential
+from .surface import DiscreteSurface
 
 BLOWUP_THRESHOLD = -50.0     # e^{-2u} overflow guard; solutions are O(1)
 TOL_POS = 1e-8               # discrete ceiling for u <= 0
@@ -101,9 +106,14 @@ class SolutionPoint:
 
 @dataclass
 class LinearizedOperator:
-    matrix: sp.csr_matrix
-    mass_diag: np.ndarray
+    """L = K + M diag(potential) on `surface`."""
+
+    surface: DiscreteSurface
     potential: np.ndarray
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return self.surface.shifted(self.potential)
 
 
 def v_field(t: float, q: CubicDifferential) -> np.ndarray:
@@ -134,19 +144,8 @@ def linearize(u: np.ndarray, t: float,
     u = np.asarray(u, dtype=float)
     if u.min() < BLOWUP_THRESHOLD:
         raise ResidualBlowup(f"min u = {u.min():.3g} below {BLOWUP_THRESHOLD}")
-    s = q.surface
     pot = 2.0 * np.exp(-2.0 * u) * (np.exp(3.0 * u) - v_field(t, q))
-    return LinearizedOperator(matrix=s.shifted(pot), mass_diag=s.mass_diag,
-                              potential=pot)
-
-
-def factorize(A: sp.spmatrix) -> spla.SuperLU:
-    """Sparse LU of a square matrix, ordered for a symmetric pattern.
-
-    Raises RuntimeError when A is singular.
-    """
-    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=1e-3, options={"SymmetricMode": True})
+    return LinearizedOperator(surface=q.surface, potential=pot)
 
 
 def smallest_eigenvalue(L: LinearizedOperator):
@@ -154,17 +153,18 @@ def smallest_eigenvalue(L: LinearizedOperator):
 
     Uses shift-invert Lanczos (ARPACK) with a shift strictly below the
     spectrum: the potential minimum bounds the smallest eigenvalue from
-    below since K >= 0.  The inverse of L - sigma M comes from `factorize`.
+    below since K >= 0.  The inverse of L - sigma M comes from
+    `DiscreteSurface.factorize`.
     Only when ARPACK or that factorization fails does it solve the dense
     problem.  Raises EigenFailure if the pair misses its residual check.
     """
-    n = L.matrix.shape[0]
-    m = L.mass_diag
+    s = L.surface
+    n, m = s.n_classes, s.mass_diag
     M = sp.diags(m)
     lower = min(0.0, float(L.potential.min()))
     sigma = lower - 0.1 * (1.0 + abs(lower))
     try:
-        lu = factorize(L.matrix - sigma * M)
+        lu = s.factorize(L.potential - sigma)
         op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         # a fixed start vector makes ARPACK, so lambda_min, reproducible;
         # shift-invert makes the one wanted eigenvalue dominant, so 8 Lanczos
@@ -184,12 +184,13 @@ def smallest_eigenvalue(L: LinearizedOperator):
     return lam, vec
 
 
-def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
+def damped_newton(u0: np.ndarray, field_fn, step, mass_diag: np.ndarray,
                   tol: float):
     """Damped Newton iteration on M field_fn(u) = 0.
 
-    `field_fn(u)` is a nodal field and `jacobian(u)` the sparse derivative
-    of M field_fn at u.  Steps u - alpha J^{-1} (M field) are Armijo-
+    `field_fn(u)` is a nodal field and `step(u, rhs)` returns J^{-1} rhs,
+    with J the derivative of M field_fn at u; it raises RuntimeError when J
+    is singular.  Steps u - alpha J^{-1} (M field) are Armijo-
     backtracked on the merit 1/2 ||field||_M^2 by halving alpha, and the
     solve fails once alpha drops below MIN_DAMPING (14 trial steps).  The
     floor is safe: a step that needs a smaller alpha belongs to a solve that
@@ -197,7 +198,7 @@ def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
     floor only ends such a solve sooner.  A solve still short of tol after
     MAX_NEWTON_ITER iterations fails too.
     Returns (u, residual_norm, iterations); raises NonConvergence, or its
-    subclass SingularJacobian when a Jacobian cannot be factorized.
+    subclass SingularJacobian when a step cannot be solved.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -221,7 +222,7 @@ def damped_newton(u0: np.ndarray, field_fn, jacobian, mass_diag: np.ndarray,
         if it == MAX_NEWTON_ITER:
             break
         try:
-            delta = factorize(jacobian(u)).solve(m * f)
+            delta = step(u, m * f)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(delta)):
@@ -253,9 +254,11 @@ def solve_u(u0: np.ndarray, t: float, q: CubicDifferential,
 
     Returns (u, residual_norm, iterations).
     """
-    return damped_newton(u0, lambda v: -residual(v, t, q),
-                         lambda v: linearize(v, t, q).matrix,
-                         q.surface.mass_diag, tol)
+    s = q.surface
+    return damped_newton(
+        u0, lambda v: -residual(v, t, q),
+        lambda v, rhs: s.factorize(linearize(v, t, q).potential).solve(rhs),
+        s.mass_diag, tol)
 
 
 def newton_solve(u0: np.ndarray, t: float, q: CubicDifferential,

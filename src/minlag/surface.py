@@ -9,7 +9,9 @@ Two mesh backends are provided:
   which gives a closed genus-2 surface of area 4*pi.
 
 The metric is lambda(z) |dz|^2 in chart coordinates.  A surface assembles
-its stiffness matrix K and lumped mass M on construction.  The P1 stiffness
+its stiffness matrix K and lumped mass M on construction, and it factorizes
+every K + M diag(p) in one fill-reducing column order, computed at its
+first factorization (`DiscreteSurface.factorize`).  The P1 stiffness
 matrix uses flat cotangent weights (the Dirichlet energy is conformally
 invariant in two dimensions, so no curvature correction is needed), and the
 mass matrix is lumped with the conformal factor interpolated linearly over
@@ -22,14 +24,38 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 
 class MeshError(RuntimeError):
     """Raised when mesh construction or assembly produces degenerate data."""
+
+
+def _splu(A: sp.csc_matrix, permc_spec: str) -> spla.SuperLU:
+    """The package's one sparse LU, of a matrix with K's symmetric pattern.
+
+    Symmetric mode prefers diagonal pivots, which keeps the fill of the
+    symmetric column order; threshold pivoting (1e-3) still handles an
+    indefinite K + M diag(p).  Raises RuntimeError when A is singular.
+    """
+    return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=1e-3,
+                     options={"SymmetricMode": True})
+
+
+class ShiftedLU:
+    """LU of K + M diag(p), factorized in the surface's column order."""
+
+    def __init__(self, lu: spla.SuperLU, order: np.ndarray, pos: np.ndarray):
+        self._lu, self._order, self._pos = lu, order, pos
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with (K + M diag(p)) x = b, for b of shape (n,) or (n, k)."""
+        return self._lu.solve(b[self._order])[self._pos]
 
 
 @dataclass
@@ -133,6 +159,36 @@ class DiscreteSurface:
         data = K.data.copy()
         data[self._diag] += self.mass_diag * p
         return sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
+
+    @cached_property
+    def _lu_layout(self):
+        """K in the column order of `factorize`, and where its diagonal is.
+
+        The order is SuperLU's minimum degree on the pattern of A + A^T
+        (`MMD_AT_PLUS_A`) for A = K + M, from one LU made when the surface
+        is first factorized.  It depends only on the pattern, so it serves
+        every K + M diag(p).  Returns (order, pos, Kp, diag): `order[j]` is
+        the class in column j, `pos` its inverse, Kp = K[order][:, order] in
+        CSC layout and `Kp.data[diag]` its diagonal, in column order.
+        """
+        pos = _splu(self.shifted(1.0).tocsc(), "MMD_AT_PLUS_A").perm_c
+        order = np.argsort(pos)
+        Kp = self.stiffness[order][:, order].tocsc()
+        cols = np.repeat(np.arange(len(order)), np.diff(Kp.indptr))
+        return order, pos, Kp, np.flatnonzero(Kp.indices == cols)
+
+    def factorize(self, p) -> ShiftedLU:
+        """Sparse LU of `shifted(p)` in the surface's column order.
+
+        Its values are a copy of the permuted K plus a diagonal add, and
+        SuperLU orders nothing more (`NATURAL`).  Raises RuntimeError when
+        the matrix is singular.
+        """
+        order, pos, Kp, diag = self._lu_layout
+        data = Kp.data.copy()
+        data[diag] += (self.mass_diag * p)[order]
+        A = sp.csc_matrix((data, Kp.indices, Kp.indptr), shape=Kp.shape)
+        return ShiftedLU(_splu(A, "NATURAL"), order, pos)
 
     @property
     def n_classes(self) -> int:

@@ -32,7 +32,6 @@ import numpy as np
 
 from .continuation import ZeroCubic, branch_point
 from .cubic import CubicDifferential, wp_pairing
-from .pde import factorize
 from .surface import DiscreteSurface, integrate
 
 
@@ -41,7 +40,7 @@ def d_operator(s: DiscreteSurface, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (s.n_classes,):
         raise ValueError("field size does not match the surface")
-    return factorize(s.shifted(2.0)).solve(2.0 * s.mass_diag * f)
+    return s.factorize(2.0).solve(2.0 * s.mass_diag * f)
 
 
 def udotdot(q: CubicDifferential) -> np.ndarray:

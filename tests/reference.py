@@ -5,7 +5,8 @@ it from outside: the V-norm equivalence constants of the mountain-pass
 functional, the Legendre pair of the cutoff estimates, the second
 fundamental form of the immersion, closed-form frame coefficient sources
 (test fakes for `minlag.frame.MeshCoefficients`) and a side-pairing frame
-product for the genus-2 holonomy.  They sit next to `scalar_oracle.py` and
+product for the genus-2 holonomy, and the dense Jacobian of the fold
+solve's Moore-Spence system.  They sit next to `scalar_oracle.py` and
 are imported the same way, `from reference import ...`.
 """
 
@@ -15,6 +16,7 @@ import scipy.linalg as sla
 from minlag.cubic import CubicDifferential
 from minlag.frame import integrate_frame, su21_defect
 from minlag.mpass import v_gram
+from minlag.pde import linearize
 from minlag.surface import DiscreteSurface, _mobius_apply, hyperbolic_midpoint
 
 
@@ -29,6 +31,29 @@ def norm_equivalence_constants(t: float, q: CubicDifferential):
     gh = q.surface.shifted(1.0).toarray()
     w = sla.eigh(gv, gh, eigvals_only=True)
     return float(w[0]), float(w[-1])
+
+
+def moore_spence_jacobian(q: CubicDifferential, x: np.ndarray,
+                          m_phi0: np.ndarray) -> np.ndarray:
+    """Dense (2n+1)-square Jacobian of the fold solve's system at x.
+
+    The system is `continuation.detect_fold`'s, times the mass:
+    -M F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> - 1 = 0, for
+    x = (u, phi, t), with M F the weak residual of the structure equation.
+    """
+    s = q.surface
+    n, m = s.n_classes, s.mass_diag
+    u, phi, t = x[:n], x[n:-1], x[-1]
+    L = linearize(u, t, q).matrix.toarray()
+    w = m * q.norm_sq * np.exp(-2.0 * u)
+    J = np.zeros((2 * n + 1, 2 * n + 1))
+    J[:n, :n] = L
+    J[:n, -1] = 32.0 * t * w
+    J[n:-1, :n] = np.diag((2.0 * m * np.exp(u) + 64.0 * t * t * w) * phi)
+    J[n:-1, n:-1] = L
+    J[n:-1, -1] = -64.0 * t * w * phi
+    J[-1, n:-1] = m_phi0
+    return J
 
 
 def legendre_pair(a: float, b: float):

@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from minlag import cli, pde
 from minlag.cli import main
+from minlag.surface import build_flat_torus
 
 from conftest import octagon_zero_classes
 
@@ -154,6 +156,26 @@ def test_continue_outputs(tmp_path, capsys):
     assert sidecar["nonexistence_bound"] == pytest.approx(0.35355339, rel=1e-6)
     iterations = sidecar["diagnostics"]["newton_iterations"]
     assert isinstance(iterations, int) and iterations > 0
+
+
+def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
+    # one ordering LU, of K + M; every other LU reuses its column order
+    runs = []
+    splu = spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        runs.append((kwargs["permc_spec"], A.copy()))
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    cfg = write_cfg(tmp_path, "c.json",
+                    {k: v for k, v in dict(TORUS, dt0=0.01).items()
+                     if k != "t"})
+    assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
+    ordered = [A for spec, A in runs if spec != "NATURAL"]
+    assert len(ordered) == 1 and len(runs) > 20
+    k_plus_m = build_flat_torus(16, 1.0, 1.0).shifted(1.0)
+    assert abs(ordered[0] - k_plus_m).max() == 0.0
 
 
 def test_continue_zero_cubic_exits_1(tmp_path, capsys):

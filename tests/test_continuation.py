@@ -8,13 +8,15 @@ import pytest
 from minlag import continuation
 from minlag.cli import EXIT_NUMERICAL, main
 from minlag.continuation import (NoFoldDetected, StallBeforeFold, ZeroCubic,
-                                 branch_point, detect_fold, nonexistence_bound,
-                                 trace_curve, write_curve_csv)
+                                 branch_point, detect_fold, fold_step,
+                                 nonexistence_bound, trace_curve,
+                                 write_curve_csv)
 from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
 from minlag.pde import (NonConvergence, SingularJacobian, linearize,
                         newton_solve, residual, smallest_eigenvalue, solve_u)
 from minlag.surface import integrate
 
+from reference import moore_spence_jacobian
 from scalar_oracle import U_FOLD, fold_t, scalar_roots
 
 
@@ -96,6 +98,64 @@ def test_short_curve_rejected(torus_curve):
                                 T0_estimate=None, fold_point=None)
     with pytest.raises(NoFoldDetected):
         detect_fold(trunc)
+
+
+def moore_spence_field(q, x, m_phi0):
+    """M times `detect_fold`'s field:
+    -M F(u, t), L(u, t) phi, <M phi0, phi> - 1."""
+    n, m = q.surface.n_classes, q.surface.mass_diag
+    u, phi, t = x[:n], x[n:-1], x[-1]
+    return np.concatenate([-m * residual(u, t, q),
+                           linearize(u, t, q).matrix @ phi,
+                           [m_phi0 @ phi - 1.0]])
+
+
+def fold_states(curve):
+    """(x, M phi0) at the trace's last point and at the solved fold, phi the
+    M-normalized smallest eigenvector at each and phi0 the last point's."""
+    q = curve.cubic
+    states = []
+    for p in (curve.points[-1], curve.fold_point):
+        _, phi = smallest_eigenvalue(linearize(p.u, p.t, q))
+        states.append(np.concatenate([p.u, phi, [p.t]]))
+    m_phi0 = q.surface.mass_diag * states[0][q.surface.n_classes:-1]
+    return [(x, m_phi0) for x in states]
+
+
+def test_moore_spence_reference_matches_finite_differences(torus_curve):
+    q = torus_curve.cubic
+    rng = np.random.default_rng(4)
+    for x, m_phi0 in fold_states(torus_curve):
+        J = moore_spence_jacobian(q, x, m_phi0)
+        for _ in range(3):
+            v = rng.normal(size=x.size)
+            h = 1e-6
+            fd = (moore_spence_field(q, x + h * v, m_phi0)
+                  - moore_spence_field(q, x - h * v, m_phi0)) / (2.0 * h)
+            assert np.linalg.norm(J @ v - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_fold_step_matches_dense_solve(torus_curve):
+    # at the last traced point and at the fold itself, where L is singular
+    # to solver tolerance and plain block elimination loses digits
+    q = torus_curve.cubic
+    assert torus_curve.fold_point.t == torus_curve.T0_estimate
+    assert abs(torus_curve.fold_point.lambda_min) <= 1e-6
+    rng = np.random.default_rng(8)
+    for x, m_phi0 in fold_states(torus_curve):
+        rhs = rng.normal(size=x.size)
+        step = fold_step(q, m_phi0)(x, rhs)
+        ref = np.linalg.solve(moore_spence_jacobian(q, x, m_phi0), rhs)
+        assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_fold_step_zero_schur_complement_raises(torus_curve):
+    # a border row orthogonal to everything: the bordered matrix is singular
+    q = torus_curve.cubic
+    x, m_phi0 = fold_states(torus_curve)[0]
+    step = fold_step(q, np.zeros_like(m_phi0))
+    with pytest.raises(SingularJacobian, match="Schur"):
+        step(x, np.ones(x.size))
 
 
 def test_fold_solve_failure_raises(torus_curve, monkeypatch, tmp_path):

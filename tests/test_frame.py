@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minlag import frame
-from minlag.cubic import constant_cubic
+from minlag.cubic import CubicDifferential, constant_cubic
 from minlag.frame import (MeshCoefficients, StepTooLarge, flatness_defect,
                           integrate_frame, maurer_cartan, s_from_u,
                           su21_defect)
@@ -16,6 +16,12 @@ from reference import (constant_coefficients, poincare_trivial_coefficients,
 from scalar_oracle import U_FOLD
 
 ETA = np.diag([1.0, 1.0, -1.0])
+
+
+def times(t, q):
+    """t q: the u solved at t for q solves the structure equation of t q at
+    t = 1, so frames are built from t q, as `cmd_frame` does."""
+    return CubicDifferential(values=t * q.values, surface=q.surface)
 
 
 def test_s_from_u_constant_factor():
@@ -260,8 +266,8 @@ def _single_column_interpolators(u, q):
 def octagon2_mesh(octagon2, octagon2_cubic):
     p = newton_solve(np.zeros(octagon2.n_classes), 5.0, octagon2_cubic,
                      tol=1e-11)
-    return (MeshCoefficients(p.u, octagon2_cubic),
-            _single_column_interpolators(p.u, octagon2_cubic))
+    tq = times(5.0, octagon2_cubic)
+    return (MeshCoefficients(p.u, tq), _single_column_interpolators(p.u, tq))
 
 
 def test_mesh_at_many_matches_single_column_interpolators(octagon2_mesh):
@@ -296,7 +302,7 @@ def test_mesh_at_many_names_first_point_outside(octagon2_mesh):
 def test_flatness_flags_nonholomorphic(octagon2, octagon2_cubic):
     p = newton_solve(np.zeros(octagon2.n_classes), 5.0, octagon2_cubic,
                      tol=1e-11)
-    defect = flatness_defect(MeshCoefficients(p.u, octagon2_cubic),
+    defect = flatness_defect(MeshCoefficients(p.u, times(5.0, octagon2_cubic)),
                              0.1 + 0.05j, h=0.02)
     assert np.isfinite(defect)
     print(f"octagon mesh flatness defect (synthetic q): {defect:.3e}")

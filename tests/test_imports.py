@@ -349,11 +349,19 @@ def test_detects_calls():
 
 
 def test_one_sparse_factorization():
-    # `pde.factorize` holds the package's one LU policy; every solve and the
-    # shift-invert eigen path go through it
-    sites = [(path.name, owner) for path in MODULES
-             for owner, _ in calls(path.read_text(), "splu")]
-    assert sites == [("pde.py", "factorize")]
+    # `surface._splu` holds the package's one LU policy; every solve, the
+    # ordering LU of K + M and the shift-invert eigen path go through it.
+    # It calls `spla.splu`, never a bare `splu` bound at import, so that
+    # whoever patches scipy's `splu` sees every LU
+    found = [(path.name, owner, node) for path in MODULES
+             for owner, node in calls(path.read_text(), "splu")]
+    assert [(name, owner) for name, owner, _ in found] == [
+        ("surface.py", "_splu")]
+    func = found[0][2].func
+    assert isinstance(func, ast.Attribute) and _root_name(func) == "spla"
+    # the fold solve eliminates its border; no block matrix is assembled
+    assert [path.name for path in MODULES
+            if calls(path.read_text(), "bmat")] == []
     eigsh = [node for path in MODULES
              for _, node in calls(path.read_text(), "eigsh")]
     assert eigsh and all(any(k.arg == "OPinv" for k in node.keywords)

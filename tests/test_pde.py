@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from minlag import pde
+from minlag.continuation import fold_step
 from minlag.cubic import constant_cubic, norm_field
 from minlag.pde import (LinearizedOperator, NonConvergence, ResidualBlowup,
                         SingularJacobian, damped_newton, linearize,
@@ -80,7 +80,7 @@ def test_jacobian_matches_finite_differences(torus16, unit_cubic):
         v = rng.standard_normal(torus16.n_classes)
         t = rng.uniform(0.0, 0.13)
         L = linearize(u, t, unit_cubic)
-        lv = (L.matrix @ v) / L.mass_diag
+        lv = (L.matrix @ v) / L.surface.mass_diag
         fd = (residual(u + eps * v, t, unit_cubic)
               - residual(u, t, unit_cubic)) / eps
         # d residual / du = -M^{-1} L by the sign convention of L
@@ -121,27 +121,14 @@ def test_newton_beyond_fold_fails(torus16, unit_cubic, monkeypatch):
     assert 0 < len(factorizations) <= 6
 
 
-def test_singular_jacobian_raises(torus16):
-    # an empty row: no pivot exists, whatever the ordering
+def test_singular_jacobian_raises(torus16, unit_cubic):
+    # the fold step with a zero border row: its Schur complement vanishes
     n = torus16.n_classes
-    J = torus16.shifted(1.0).tolil()
-    J[3, :] = 0.0
+    step = fold_step(unit_cubic, np.zeros(n))
     with pytest.raises(SingularJacobian):
-        damped_newton(np.ones(n), lambda v: v, lambda v: J.tocsr(),
-                      torus16.mass_diag, 1e-10)
-
-
-def test_factorize_solves_zero_diagonal_bordered_system(torus16):
-    # the shape of the fold solve's Jacobian: a symmetric block bordered by
-    # a column and a row that differ, with a zero in the corner
-    n = torus16.n_classes
-    rng = np.random.default_rng(3)
-    b, c = rng.normal(size=n), rng.normal(size=n)
-    A = sp.bmat([[torus16.shifted(1.0), b[:, None]], [c[None, :], None]],
-                format="csc")
-    rhs = rng.normal(size=n + 1)
-    x = pde.factorize(A).solve(rhs)
-    assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        damped_newton(np.concatenate([np.zeros(n), np.ones(n), [0.1]]),
+                      lambda x: x, step,
+                      np.concatenate([torus16.mass_diag] * 2 + [[1.0]]), 1e-10)
 
 
 def test_newton_maximum_principle(torus16, octagon2, unit_cubic,
@@ -165,9 +152,8 @@ def test_smallest_eigenvalue_shift(torus16, unit_cubic):
     L = linearize(u, 0.05, unit_cubic)
     lam, _ = smallest_eigenvalue(L)
     shift = 0.37
-    shifted = LinearizedOperator(
-        matrix=(L.matrix + shift * sp.diags(L.mass_diag)).tocsr(),
-        mass_diag=L.mass_diag, potential=L.potential + shift)
+    shifted = LinearizedOperator(surface=L.surface,
+                                 potential=L.potential + shift)
     lam2, _ = smallest_eigenvalue(shifted)
     assert lam2 == pytest.approx(lam + shift, abs=1e-9)
 
@@ -175,7 +161,8 @@ def test_smallest_eigenvalue_shift(torus16, unit_cubic):
 def test_smallest_eigenvector_normalization(torus16, unit_cubic):
     L = linearize(np.zeros(torus16.n_classes), 0.05, unit_cubic)
     _, vec = smallest_eigenvalue(L)
-    assert float(L.mass_diag @ vec ** 2) == pytest.approx(1.0, rel=1e-9)
+    m = L.surface.mass_diag
+    assert float(m @ vec ** 2) == pytest.approx(1.0, rel=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +175,7 @@ def octagon3_operators(octagon3, octagon3_cubic):
 
 
 def dense_pair(L):
-    w, v = sla.eigh(L.matrix.toarray(), np.diag(L.mass_diag))
+    w, v = sla.eigh(L.matrix.toarray(), np.diag(L.surface.mass_diag))
     return float(w[0]), v[:, 0]
 
 
@@ -202,7 +189,8 @@ def test_smallest_eigenvalue_needs_no_dense_solve(monkeypatch, torus16,
     L16 = linearize(np.full(torus16.n_classes, -0.2), 0.05, unit_cubic)
     for L in (L16, *octagon3_operators):
         lam, vec = smallest_eigenvalue(L)
-        assert float(L.mass_diag @ vec ** 2) == pytest.approx(1.0, rel=1e-9)
+        m = L.surface.mass_diag
+        assert float(m @ vec ** 2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_smallest_eigenvalue_matches_dense_reference(octagon3_operators):
@@ -212,7 +200,8 @@ def test_smallest_eigenvalue_matches_dense_reference(octagon3_operators):
         lam, vec = smallest_eigenvalue(L)
         assert lam == pytest.approx(ref, abs=1e-9)
         # same M-unit eigenvector up to sign
-        assert abs(L.mass_diag @ (vec * ref_vec)) == pytest.approx(1.0, abs=1e-9)
+        m = L.surface.mass_diag
+        assert abs(m @ (vec * ref_vec)) == pytest.approx(1.0, abs=1e-9)
         signs.append(lam > 0.0)
     assert signs == [True, False]
 
@@ -227,7 +216,8 @@ def test_smallest_eigenvalue_dense_fallback(monkeypatch, torus16, unit_cubic):
     monkeypatch.setattr(pde.spla, "eigsh", no_convergence)
     lam, vec = smallest_eigenvalue(L)
     assert lam == pytest.approx(ref, abs=1e-12)
-    assert float(L.mass_diag @ vec ** 2) == pytest.approx(1.0, rel=1e-12)
+    m = L.surface.mass_diag
+    assert float(m @ vec ** 2) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_legendre_boundary():

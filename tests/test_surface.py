@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from minlag.pde import newton_solve
 from minlag.surface import (DiscreteSurface, MeshError, build_flat_torus,
@@ -164,3 +165,19 @@ def test_mesh_export_schema(octagon2):
     assert len(payload["vertices"]) == len(payload["classes"])
     assert payload["genus"] == 2
     assert payload["area"] == pytest.approx(octagon2.area)
+
+
+@pytest.mark.parametrize("name", ["torus16", "octagon2"])
+def test_factorize_matches_spsolve(name, request):
+    # an SPD and an indefinite K + M diag(p), solved in the surface's order
+    s = request.getfixturevalue(name)
+    n = s.n_classes
+    rng = np.random.default_rng(12)
+    for p in (rng.uniform(0.5, 3.0, n), rng.uniform(-8.0, 1.0, n)):
+        A = s.shifted(p).tocsc()
+        w = sla.eigvalsh(A.toarray(), np.diag(s.mass_diag))
+        assert w[0] > 0.0 if p.min() > 0.0 else w[0] < 0.0 < w[-1]
+        for b in (rng.normal(size=n), rng.normal(size=(n, 2))):
+            x = s.factorize(p).solve(b)
+            ref = spla.spsolve(A, b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
