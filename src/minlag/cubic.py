@@ -12,7 +12,7 @@ exactly holomorphic, so the global frame statement does not apply to them.
 
 A `CubicDifferential` carries its surface, so the pair (sigma, q) of the
 prescribed data is one argument everywhere.  Its per-class ||q||^2
-(`norm_sq`) is computed once at construction, so `values` must not be
+(`norm_sq`) is computed on first read and kept, so `values` must not be
 mutated afterwards; build a new differential (e.g. `dataclasses.replace`)
 instead.
 """
@@ -20,7 +20,8 @@ instead.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,10 +34,11 @@ class CubicDifferential:
 
     values: np.ndarray            # complex, per chart vertex
     surface: DiscreteSurface
-    norm_sq: np.ndarray = field(init=False, repr=False)   # ||q||^2 per class
 
-    def __post_init__(self):
-        self.norm_sq = norm_field(self) ** 2
+    @cached_property
+    def norm_sq(self) -> np.ndarray:
+        """||q||^2 per vertex class."""
+        return norm_field(self) ** 2
 
     def class_values(self) -> np.ndarray:
         """Values at class representatives (canonical quotient values)."""

@@ -19,10 +19,12 @@ flatness defect measures their failure by finite differences.
 
 A coefficient source is any object whose `at_many(zs) -> (s, s_z, q)`
 evaluates a batch of chart points; since no point depends on F,
-`integrate_frame` evaluates each path in one batch first.  The frame command
-uses `MeshCoefficients`, interpolated from mesh fields with derivatives from
-least-squares quadratic fits on vertex neighborhoods; every other source
-(the closed-form ones of the test references) is a test fake.
+`integrate_frame` evaluates each path in one batch, forms every step's
+propagator F_k^-1 F_{k+1} from it at once and multiplies them along the
+path.  The frame command uses `MeshCoefficients`, interpolated from mesh
+fields with derivatives from least-squares quadratic fits on vertex
+neighborhoods; every other source (the closed-form ones of the test
+references) is a test fake.
 """
 
 from __future__ import annotations
@@ -50,27 +52,20 @@ def s_from_u(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def maurer_cartan(sval, s_z, s_zbar, qval):
-    """Connection matrices (A, B) at a point; both are traceless."""
-    a = s_z / sval
-    b = s_zbar / sval
-    A = np.array([
-        [a, 0.0, sval],
-        [-qval / sval ** 2, -a, 0.0],
-        [0.0, sval, 0.0],
-    ], dtype=complex)
-    B = np.array([
-        [-b, np.conjugate(qval) / sval ** 2, 0.0],
-        [0.0, b, sval],
-        [sval, 0.0, 0.0],
-    ], dtype=complex)
-    return A, B
+    """Connection matrices (A, B) at a point, or stacks of them at arrays of
+    points; both are traceless."""
+    a, b, qs = s_z / sval, s_zbar / sval, qval / sval ** 2
+    o = np.zeros(np.shape(a), dtype=complex)      # makes A and B complex
+    A = np.stack([a, o, sval, -qs, -a, o, o, sval, o], -1)
+    B = np.stack([-b, np.conjugate(qs), o, o, b, sval, sval, o, o], -1)
+    return A.reshape(o.shape + (3, 3)), B.reshape(o.shape + (3, 3))
 
 
 def su21_defect(F: np.ndarray):
-    """(max |F^dagger eta F - eta|, |det F - 1|)."""
-    gram = F.conj().T @ ETA @ F
-    return (float(np.abs(gram - ETA).max()),
-            float(abs(np.linalg.det(F) - 1.0)))
+    """(max |F^dagger eta F - eta|, |det F - 1|), per matrix of a stack."""
+    gram = np.swapaxes(F.conj(), -1, -2) @ ETA @ F
+    return (np.abs(gram - ETA).max(axis=(-2, -1)),
+            np.abs(np.linalg.det(F) - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +109,6 @@ class MeshCoefficients:
         # (re, im) column pairs viewed as complex keep every bit, signed zeros too
         return (vals[:, 0], vals[:, 1:3].copy().view(complex)[:, 0],
                 vals[:, 3:5].copy().view(complex)[:, 0])
-
-
-def _point_coefficients(s, s_z, q):
-    """Python scalars (s, s_z, s_zbar, q): numpy's complex division differs."""
-    s_z = complex(s_z)
-    return float(s), s_z, s_z.conjugate(), complex(q)
 
 
 def _vertex_wirtinger(surface: DiscreteSurface, f: np.ndarray) -> np.ndarray:
@@ -167,18 +156,12 @@ class FrameSheet:
     defects: np.ndarray       # (N, 3): unitarity, |det - 1|, flatness
 
     def to_json(self) -> dict:
+        frames = self.frames.reshape(len(self.frames), 9)
         return {
-            "path": [[float(z.real), float(z.imag)] for z in self.path],
-            "frames": [[[float(v.real), float(v.imag)] for v in F.ravel()]
-                       for F in self.frames],
+            "path": np.stack([self.path.real, self.path.imag], -1).tolist(),
+            "frames": np.stack([frames.real, frames.imag], -1).tolist(),
             "defects": self.defects.tolist(),
         }
-
-
-def _connection(c, zdot: complex) -> np.ndarray:
-    """A zdot + B conj(zdot) from a tuple (s, s_z, s_zbar, q)."""
-    A, B = maurer_cartan(*c)
-    return A * zdot + B * np.conjugate(zdot)
 
 
 def flatness_defect(coeffs, z, h: float = 1e-3):
@@ -210,21 +193,29 @@ def integrate_frame(coeffs, path, step: float) -> FrameSheet:
 
     `path` is a sequence of complex chart points inside one simply connected
     patch; each segment is subdivided into chart steps of length at most
-    `step` and advanced with the classical fourth-order rule.  All RK4
-    points (the start, each segment start the last end point misses, a
-    midpoint and end point per step) go to one `coeffs.at_many` call, all
-    node stencils to one `flatness_defect` call.  Per-node
-    unitarity/determinant/flatness defects are recorded; a unitarity jump
-    above MAX_STEP_DEFECT in one step raises StepTooLarge.  The frame is
-    never reprojected onto the group, so the defects measure the accumulated
-    integrator error (about 4e-11 on the benchmark's octagon loop).
+    `step`.  The equation is linear with the connection on the right, so a
+    classical fourth-order step is exactly F_{k+1} = F_k Phi_k with
+
+        Phi = I + (C0 + 4 Cm + C1)/6 + (C0 Cm + Cm^2 + Cm C1)/6
+                + (C0 Cm^2 + Cm^2 C1)/12 + C0 Cm^2 C1/24,
+
+    where C = A dz + B conj(dz) at the step's start, midpoint and end, dz
+    being the step's chart displacement; the frames are the running product
+    of the Phi_k.  All RK4 points (the start, each segment start the last
+    end point misses, a midpoint and end point per step) go to one
+    `coeffs.at_many` call, all node stencils to one `flatness_defect` call.
+    Per node, the defects are max |F^dagger eta F - eta|, |det F - 1| and
+    the flatness defect.  The frame is never reprojected onto the group, so
+    the first two measure the accumulated integrator error (about 4e-11 on
+    the benchmark's octagon loop).  A unitarity jump above MAX_STEP_DEFECT
+    in one step raises StepTooLarge naming the first such step's end point.
     """
     path = [complex(p) for p in path]
     if len(path) < 2:
         raise ValueError("path needs at least two points")
 
     points = [path[0]]
-    steps = []                      # (zdot, hh, index of the step's start)
+    dz, start = [], []              # per step: chart displacement, start index
     for a, b in zip(path[:-1], path[1:]):
         seg = b - a                 # d z / d tau on the unit parameter
         if seg == 0.0:
@@ -235,33 +226,33 @@ def integrate_frame(coeffs, path, step: float) -> FrameSheet:
         hh = 1.0 / nsub
         for k in range(nsub):
             tau0 = k * hh
-            steps.append((seg, hh, len(points) - 1))
+            dz.append(hh * seg)
+            start.append(len(points) - 1)
             points += [a + (tau0 + 0.5 * hh) * seg, a + (tau0 + hh) * seg]
-    vals = [_point_coefficients(*c) for c in zip(*coeffs.at_many(points))]
+    s, s_z, q = coeffs.at_many(points)
+    A, B = maurer_cartan(s, s_z, np.conjugate(s_z), q)
 
-    F = np.eye(3, dtype=complex)
-    frames = [F.copy()]
-    node_ids = [0]
-    defects = [(0.0, 0.0)]
-    prev_unit_defect = 0.0
-    for zdot, hh, i in steps:
-        conn_half = _connection(vals[i + 1], zdot)
-        k1 = F @ _connection(vals[i], zdot)
-        k2 = (F + 0.5 * hh * k1) @ conn_half
-        k3 = (F + 0.5 * hh * k2) @ conn_half
-        k4 = (F + hh * k3) @ _connection(vals[i + 2], zdot)
-        F = F + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        unit_defect, det_defect = su21_defect(F)
-        if unit_defect - prev_unit_defect > MAX_STEP_DEFECT:
-            raise StepTooLarge(
-                f"unitarity defect grew by {unit_defect - prev_unit_defect:.2e} "
-                f"in one step near z = {points[i + 2]:.4f}; reduce the step size")
-        prev_unit_defect = unit_defect
-        node_ids.append(i + 2)
-        frames.append(F.copy())
-        defects.append((unit_defect, det_defect))
+    i = np.array(start, dtype=int)
+    dz = np.array(dz, dtype=complex)[:, None, None]
+    C0, Cm, C1 = (A[j] * dz + B[j] * np.conjugate(dz) for j in (i, i + 1, i + 2))
+    Cm2 = Cm @ Cm
+    C0Cm2 = C0 @ Cm2
+    phi = (np.eye(3) + (C0 + 4.0 * Cm + C1 + C0 @ Cm + Cm2 + Cm @ C1) / 6.0
+           + (C0Cm2 + Cm2 @ C1) / 12.0 + (C0Cm2 @ C1) / 24.0)
+    frames = np.empty((len(phi) + 1, 3, 3), dtype=complex)
+    frames[0] = np.eye(3)
+    # past a step the guard rejects, the product may overflow; it raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, p in enumerate(phi):
+            frames[k + 1] = frames[k] @ p
+        unit, det = su21_defect(frames)
+        growth = np.diff(unit)
+    bad = np.flatnonzero(growth > MAX_STEP_DEFECT)
+    if len(bad):
+        k = bad[0]
+        raise StepTooLarge(f"unitarity defect grew by {growth[k]:.2e} in one step "
+                           f"near z = {points[start[k] + 2]:.4f}; reduce the step size")
 
-    nodes = np.array([points[i] for i in node_ids])
-    flatness = flatness_defect(coeffs, nodes)
-    return FrameSheet(path=nodes, frames=np.array(frames),
-                      defects=np.column_stack([defects, flatness]))
+    nodes = np.array(points)[np.r_[0, i + 2]]
+    return FrameSheet(path=nodes, frames=frames, defects=np.column_stack(
+        [unit, det, flatness_defect(coeffs, nodes)]))

@@ -211,16 +211,13 @@ class DiscreteSurface:
         distinct quotient edges may connect the same class pair, so edges are
         counted by chart incidence rather than by class pairs.
         """
-        counts: dict = {}
-        for a, b, c in self.triangles:
-            for e in (frozenset((int(a), int(b))), frozenset((int(b), int(c))),
-                      frozenset((int(c), int(a)))):
-                counts[e] = counts.get(e, 0) + 1
-        interior = sum(1 for v in counts.values() if v == 2)
-        boundary = sum(1 for v in counts.values() if v == 1)
-        if boundary % 2 or any(v > 2 for v in counts.values()):
+        pairs = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        a, b = np.sort(pairs, axis=1).astype(np.int64).T
+        counts = np.unique(a * len(self.vertices) + b, return_counts=True)[1]
+        interior, boundary = (counts == 2).sum(), (counts == 1).sum()
+        if boundary % 2 or (counts > 2).any():
             raise MeshError("mesh is not a surface with pairable boundary")
-        n_edges = interior + boundary // 2
+        n_edges = int(interior + boundary // 2)
         return self.n_classes - n_edges + len(self.triangles)
 
 

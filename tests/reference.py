@@ -4,8 +4,9 @@ The package's public API is what its commands run.  These functions check
 it from outside: the V-norm equivalence constants of the mountain-pass
 functional, the Legendre pair of the cutoff estimates, the second
 fundamental form of the immersion, closed-form frame coefficient sources
-(test fakes for `minlag.frame.MeshCoefficients`) and a side-pairing frame
-product for the genus-2 holonomy, and the dense Jacobian of the fold
+(test fakes for `minlag.frame.MeshCoefficients`), a stage-wise RK4 frame
+integrator and a side-pairing frame product for the genus-2 holonomy, and
+the dense Jacobian of the fold
 solve's Moore-Spence system.  They sit next to `scalar_oracle.py` and
 are imported the same way, `from reference import ...`.
 """
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from minlag.cubic import CubicDifferential
-from minlag.frame import integrate_frame, su21_defect
+from minlag.frame import integrate_frame, maurer_cartan, su21_defect
 from minlag.mpass import v_gram
 from minlag.pde import linearize
 from minlag.surface import DiscreteSurface, _mobius_apply, hyperbolic_midpoint
@@ -122,6 +123,41 @@ def constant_coefficients(sval: float, qval: complex) -> AnalyticCoefficients:
     def fn(z):
         return sval, 0.0 + 0.0j, complex(qval)
     return AnalyticCoefficients(fn)
+
+
+def stagewise_rk4_frames(coeffs, path, step: float) -> np.ndarray:
+    """Frames at the step end points of `integrate_frame`, by classical RK4.
+
+    Each step evaluates the connection point by point and advances F with
+    the four stages k1..k4 of F' = F C, in place of one propagator product.
+    """
+    def connection(z, zdot):
+        (s,), (s_z,), (q,) = coeffs.at_many([z])
+        s_z = complex(s_z)
+        A, B = maurer_cartan(float(s), s_z, s_z.conjugate(), complex(q))
+        return A * zdot + B * np.conjugate(zdot)
+
+    path = [complex(p) for p in path]
+    F = np.eye(3, dtype=complex)
+    frames = [F]
+    for a, b in zip(path[:-1], path[1:]):
+        seg = b - a
+        if seg == 0.0:
+            continue
+        nsub = max(1, int(np.ceil(abs(seg) / step)))
+        hh = 1.0 / nsub
+        for k in range(nsub):
+            tau0 = k * hh
+            c0 = connection(a + tau0 * seg, seg)
+            c_half = connection(a + (tau0 + 0.5 * hh) * seg, seg)
+            c1 = connection(a + (tau0 + hh) * seg, seg)
+            k1 = F @ c0
+            k2 = (F + 0.5 * hh * k1) @ c_half
+            k3 = (F + 0.5 * hh * k2) @ c_half
+            k4 = (F + hh * k3) @ c1
+            F = F + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            frames.append(F)
+    return np.array(frames)
 
 
 def side_pairing_frame_product(coeffs, surface: DiscreteSurface,

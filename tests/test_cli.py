@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from minlag import cli, pde
+from minlag import cli, cubic, pde
 from minlag.cli import main
 from minlag.surface import build_flat_torus
 
@@ -232,6 +232,21 @@ def test_eigen_solves_per_command(tmp_path, monkeypatch):
         out = str(tmp_path / f"{command}.json")
         assert main([command, cfg, "-o", out]) == 0
         assert len(calls) == expected, command
+
+
+def test_frame_computes_the_norm_once(tmp_path, monkeypatch):
+    # the stable solve reads ||q||^2; the t q the frame is built from never does
+    calls = []
+    norm_field = cubic.norm_field
+
+    def counting(q):
+        calls.append(q)
+        return norm_field(q)
+
+    monkeypatch.setattr(cubic, "norm_field", counting)
+    cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.1))
+    assert main(["frame", cfg, "-o", str(tmp_path / "frame.json")]) == 0
+    assert len(calls) == 1
 
 
 # the benchmark's frame loop, on octagon r2 at 0.55 of its fold T0

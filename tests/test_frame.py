@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from minlag.pde import newton_solve
 from minlag.surface import build_flat_torus
 
 from reference import (constant_coefficients, poincare_trivial_coefficients,
-                       second_fundamental_form, side_pairing_frame_product)
+                       second_fundamental_form, side_pairing_frame_product,
+                       stagewise_rk4_frames)
 from scalar_oracle import U_FOLD
 
 ETA = np.diag([1.0, 1.0, -1.0])
@@ -109,6 +112,23 @@ def test_su21_defect_scaled_identity():
     u, d = su21_defect(2.0 * np.eye(3, dtype=complex))
     assert u == pytest.approx(3.0)
     assert d == pytest.approx(7.0)
+
+
+def test_maurer_cartan_and_su21_defect_take_stacks():
+    rng = np.random.default_rng(4)
+    sval = rng.uniform(0.2, 3.0, 6)
+    s_z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    qv = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    A, B = maurer_cartan(sval, s_z, np.conjugate(s_z), qv)
+    assert A.shape == B.shape == (6, 3, 3)
+    F = np.eye(3) + 0.1 * (A + B)
+    unit, det = su21_defect(F)
+    for k in range(6):
+        Ak, Bk = maurer_cartan(sval[k], s_z[k], np.conjugate(s_z[k]), qv[k])
+        assert np.array_equal(A[k], Ak) and np.array_equal(B[k], Bk)
+        uk, dk = su21_defect(F[k])
+        assert unit[k] == pytest.approx(uk, rel=1e-14)
+        assert det[k] == pytest.approx(dk, rel=1e-14)
 
 
 def test_sff_vanishes_without_cubic():
@@ -353,11 +373,55 @@ def test_side_pairing_frame_product(octagon2):
     print(f"side-pairing product defects: {defects}")
 
 
+@pytest.mark.parametrize("source", ["poincare", "constant", "octagon2_mesh"])
+def test_frame_matches_stagewise_rk4(source, request):
+    if source == "poincare":
+        coeffs = poincare_trivial_coefficients()
+        path, step = [0.0, 0.3, 0.3 + 0.3j, 0.3j, 0.0], 0.01
+    elif source == "constant":
+        coeffs = constant_coefficients(0.8, 1.0 - 0.5j)
+        path, step = [0.0, 1.0, 1.0 + 0.5j], 0.02
+    else:
+        coeffs = request.getfixturevalue("octagon2_mesh")[0]
+        path, step = [0.0, 0.4, 0.2 + 0.3j, 0.0], 0.005
+    sheet = integrate_frame(coeffs, path, step=step)
+    ref = stagewise_rk4_frames(coeffs, path, step)
+    assert sheet.frames.shape == ref.shape
+    assert np.abs(sheet.frames - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_repeated_points_give_one_node():
+    coeffs = poincare_trivial_coefficients()
+    sheet = integrate_frame(coeffs, [0.2j, 0.2j, 0.2j], step=0.01)
+    assert list(sheet.path) == [0.2j]
+    assert np.array_equal(sheet.frames, np.eye(3, dtype=complex)[None])
+    assert sheet.defects.shape == (1, 3)
+    assert list(sheet.defects[0, :2]) == [0.0, 0.0]
+
+
 def test_step_guard(monkeypatch):
     monkeypatch.setattr(frame, "MAX_STEP_DEFECT", 1e-10)
     coeffs = poincare_trivial_coefficients()
     with pytest.raises(StepTooLarge):
         integrate_frame(coeffs, [0.0, 0.97], step=0.5)
+    # the message names the end point of the first step over the threshold
+    path, step, threshold = [0.0, 0.97], 0.1, 1e-5
+    monkeypatch.setattr(frame, "MAX_STEP_DEFECT", np.inf)
+    sheet = integrate_frame(coeffs, path, step=step)
+    first = int(np.argmax(np.diff(sheet.defects[:, 0]) > threshold))
+    assert 0 < first < len(sheet.path) - 2   # good steps before a bad one
+    z_end = sheet.path[first + 1]
+    monkeypatch.setattr(frame, "MAX_STEP_DEFECT", threshold)
+    with pytest.raises(StepTooLarge, match=re.escape(f"near z = {z_end:.4f};")):
+        integrate_frame(coeffs, path, step=step)
+
+
+def test_step_guard_overflowing_product():
+    # far past the first rejected step the product overflows; with
+    # RuntimeWarnings as errors, the guard must still be what is raised
+    coeffs = constant_coefficients(30.0, 5.0)
+    with pytest.raises(StepTooLarge, match=re.escape("near z = 0.5000+0.0000j;")):
+        integrate_frame(coeffs, [0.0, 100.0], step=0.5)
 
 
 def test_frame_sheet_json():
@@ -367,3 +431,19 @@ def test_frame_sheet_json():
     assert set(payload) == {"path", "frames", "defects"}
     assert len(payload["frames"]) == len(payload["path"])
     assert all(len(f) == 9 for f in payload["frames"])
+
+
+def test_frame_sheet_json_matches_elementwise():
+    coeffs = poincare_trivial_coefficients()
+    sheet = integrate_frame(coeffs, [0.0, 0.2], step=0.05)
+    sheet.path[1] = complex(-0.0, 0.5)
+    sheet.frames[2, 1, 0] = complex(0.25, -0.0)
+    elementwise = {
+        "path": [[float(z.real), float(z.imag)] for z in sheet.path],
+        "frames": [[[float(v.real), float(v.imag)] for v in F.ravel()]
+                   for F in sheet.frames],
+        "defects": sheet.defects.tolist(),
+    }
+    text = json.dumps(sheet.to_json())
+    assert text == json.dumps(elementwise)
+    assert "[-0.0, 0.5]" in text and "[0.25, -0.0]" in text

@@ -22,6 +22,21 @@ def test_torus_euler_characteristic():
     assert s.euler_characteristic() == 0
 
 
+@pytest.mark.parametrize("vertices, triangles", [
+    # the edge 0-1 is shared by three triangles; the boundary count is even
+    ([0, 1, 1j, -1j, 0.5 + 2j], [[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
+    # a lone triangle has three boundary edges, an odd number
+    ([0, 1, 1j], [[0, 1, 2]]),
+])
+def test_euler_characteristic_rejects_non_surface(vertices, triangles):
+    n = len(vertices)
+    s = DiscreteSurface(vertices=np.array(vertices, dtype=complex),
+                        triangles=np.array(triangles), class_of=np.arange(n),
+                        conformal_factor=np.ones(n), genus=0)
+    with pytest.raises(MeshError, match="pairable boundary"):
+        s.euler_characteristic()
+
+
 def test_torus_area_scaling():
     s = build_flat_torus(16, 1.0, 4.0)
     assert s.area == pytest.approx(4.0, rel=1e-12)
