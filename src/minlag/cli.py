@@ -9,10 +9,19 @@ first because it holds `numpy.linalg.LinAlgError`, a `ValueError` raised by
 a failed dense eigen solve.  A new failure class must either derive from a
 class on that tuple or from `ValueError`.
 
-Every command but `mesh` needs a `cubic`.  `continue` reads `dt0`, its
-first step in t (default 0.01); the step then grows by
+Every command but `mesh` needs a `cubic`.  `continue` traces the branch
+on the coarsest level of the mesh hierarchy (octagon refinement 1; the
+torus halved while n is even and n/2 >= 4), with q taken at that level's
+chart vertices, and then solves the fold once per level up to the
+configured mesh (`continuation.detect_fold`).  It reads `dt0`, its first
+step in t (default 0.01); the step then grows by
 `continuation.STEP_GROWTH` after each accepted point, so curve.csv samples
-the branch ever more coarsely toward the fold.  `solve`, `mpass` and `frame`
+the branch ever more coarsely toward the fold.  curve.csv and the
+curve.json `points` hold the coarse trace, `area_induced` on its own
+surface; `T0_estimate`, `fold_point` and `diagnostics.fold_lambda_min` are
+the configured mesh's, and `levels` lists each level's classes, T0 and
+fold Newton iterations, coarsest first.  A level whose fold solve fails
+exits 2 naming that level.  `solve`, `mpass` and `frame`
 require `t`, take the stable field at `t` from `continuation.branch_point`,
 and exit 2 when `t` is at or beyond the fold.  Only `solve` classifies that
 field (`pde.newton_solve`, one eigen solve); `mpass` pays one eigen solve,
@@ -257,8 +266,9 @@ def cmd_continue(cfg, args) -> int:
     tol = cfg.get("tol", 1e-10)
     dt0 = cfg.get("dt0", 0.01)
     bound = continuation.nonexistence_bound(q)
-    curve = continuation.trace_curve(q, dt0=dt0, tol=tol)
-    t0 = continuation.detect_fold(curve, tol=tol)
+    levels = continuation.nested_cubics(q)
+    curve = continuation.trace_curve(levels[0], dt0=dt0, tol=tol)
+    t0 = continuation.detect_fold(curve, levels[1:], tol=tol)
     csv_path = _csv_path(args, "curve")
     json_path = csv_path[:-4] + ".json"
     continuation.write_curve_csv(curve, csv_path,

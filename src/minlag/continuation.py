@@ -8,12 +8,20 @@ half in one step; nothing caps it.  The trace stops
 at the first accepted point from which the fold solve can start
 (`_fold_solve_can_start`: at least 3 points, lambda_min down to
 NO_FOLD_FRACTION of its value at t = 0, and the last three lambda_min
-strictly decreasing).  `detect_fold` then solves for the fold directly: from
-the last traced point it runs Newton on the Moore-Spence extended system
-F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> = 1, whose solution is the
-turning point (u*, T0) with its null vector phi.  Each Newton step comes
-from one LU of L (`fold_step`), and its tolerance does not depend on how
-close to the fold the trace stopped.
+strictly decreasing).  The fold is then solved for directly (`solve_fold`):
+Newton on the Moore-Spence extended system F(u, t) = 0, L(u, t) phi = 0,
+<M phi0, phi> = 1, whose solution is the turning point (u*, T0) with its
+null vector phi.  Each Newton step comes from one LU of L (`fold_step`),
+and its tolerance does not depend on how close to the fold the trace
+stopped.
+
+The fold is found by nested iteration (the first half of full multigrid;
+Brandt, Math. Comp. 31, 1977).  `nested_cubics` lists q on every level of
+its surface's hierarchy, coarsest first; the continue command traces only
+the coarsest level, and `detect_fold` solves the fold there from the last
+traced point and then once per finer level, started from the prolonged
+(u*, phi*, T0) of the level below.  Only the finest level's fold is
+classified by an eigen solve.
 
 `branch_point` reaches a single t on the same branch with no path in t.
 The stable branch is the maximal solution, u = 0 is a supersolution at
@@ -63,12 +71,17 @@ class ZeroCubic(ValueError):
 
 @dataclass
 class SolutionCurve:
-    """Ordered stable-branch points from t = 0 toward the fold."""
+    """Ordered stable-branch points from t = 0 toward the fold.
+
+    T0_estimate, fold_point and levels are set by `detect_fold`; with finer
+    levels the fold lies on the finest one, not on the trace's surface.
+    """
 
     points: list
     cubic: CubicDifferential
     T0_estimate: float | None = None
     fold_point: SolutionPoint | None = None
+    levels: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -228,18 +241,63 @@ def fold_step(q: CubicDifferential, m_phi0: np.ndarray):
     return step
 
 
-def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
-    """Solve for the fold T0 from the last traced point (Moore-Spence).
+def solve_fold(q: CubicDifferential, u: np.ndarray, phi: np.ndarray,
+               t: float, tol: float):
+    """Moore-Spence solve for the fold of q from (u, phi, t).
 
-    With phi0 the M-normalized smallest eigenvector of L there,
-    `damped_newton` solves -F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> = 1
-    for (u, phi, t), a regular system at a quadratic fold, and
-    `newton_solve` classifies the converged (u, t).  Each Newton step comes
-    from one LU of L by block elimination (`fold_step`); the bordered
-    (2n+1)-square Jacobian is never assembled.
-    Raises NoFoldDetected if the curve does not approach a fold, the solve
-    fails, or it ends off the fold or behind the curve.  Sets T0_estimate
-    and fold_point on the curve and returns T0.
+    With phi0 = phi / ||phi||_M, `damped_newton` solves -F(u, t) = 0,
+    L(u, t) phi = 0, <M phi0, phi> = 1 for (u, phi, t), a regular system at
+    a quadratic fold, started at (u, phi0, t).  Each Newton step comes from
+    one LU of L by block elimination (`fold_step`); the bordered
+    (2n+1)-square Jacobian is never assembled.  Returns (u*, phi*, T0,
+    Newton iterations), phi* a null vector of L(u*, T0); raises
+    NonConvergence when the solve fails.
+    """
+    s = q.surface
+    n, m = s.n_classes, s.mass_diag
+    phi0 = phi / np.sqrt(m @ phi ** 2)
+    m_phi0 = m * phi0
+
+    def field_fn(x):
+        u, phi, t = x[:n], x[n:-1], x[-1]
+        return np.concatenate([-residual(u, t, q),
+                               (linearize(u, t, q).matrix @ phi) / m,
+                               [m_phi0 @ phi - 1.0]])
+
+    x, _, it = damped_newton(np.concatenate([u, phi0, [t]]), field_fn,
+                             fold_step(q, m_phi0),
+                             np.concatenate([m, m, [1.0]]), tol)
+    return x[:n], x[n:-1], float(x[-1]), it
+
+
+def nested_cubics(q: CubicDifferential) -> list:
+    """q on every level of its surface's hierarchy, coarsest first.
+
+    A coarser level's q takes the finer q's values at its chart vertices;
+    the coarser surfaces are built here.
+    """
+    qs = [q]
+    while (nest := qs[0].surface.nesting) is not None:
+        qs.insert(0, CubicDifferential(values=qs[0].values[nest.vertices],
+                                       surface=nest.coarse()))
+    return qs
+
+
+def detect_fold(curve: SolutionCurve, finer=(), tol: float = 1e-11) -> float:
+    """Solve for the fold T0 from the last traced point, then on each finer level.
+
+    `finer` lists the cubics of the finer levels of `curve.cubic`'s
+    hierarchy, coarsest first (`nested_cubics` without its first entry).
+    On the trace's level `solve_fold` starts from the last point with phi
+    its M-normalized smallest eigenvector; on each finer level it starts
+    from the prolonged (u*, phi*, T0) of the level below, so only the trace
+    makes an eigen solve for phi (nested iteration).  `newton_solve`
+    classifies the finest level's (u*, T0).
+    Raises NoFoldDetected, naming the level, if the curve does not approach
+    a fold, a solve fails, the trace level's solve ends behind the curve or
+    the finest ends off the fold.  Sets T0_estimate, fold_point and the
+    per-level table `levels` (classes, T0, fold Newton iterations) on the
+    curve and returns the finest level's T0.
     """
     pts = curve.points
     if not _fold_solve_can_start(pts):
@@ -251,32 +309,40 @@ def detect_fold(curve: SolutionCurve, tol: float = 1e-11) -> float:
             f"most {NO_FOLD_FRACTION:.2f} of the first, and the last three "
             f"strictly decreasing")
 
-    q = curve.cubic
-    p, n = pts[-1], q.surface.n_classes
-    m = q.surface.mass_diag
-    _, phi0 = smallest_eigenvalue(linearize(p.u, p.t, q))
-    m_phi0 = m * phi0
-
-    def field_fn(x):
-        u, phi, t = x[:n], x[n:-1], x[-1]
-        return np.concatenate([-residual(u, t, q),
-                               (linearize(u, t, q).matrix @ phi) / m,
-                               [m_phi0 @ phi - 1.0]])
-
-    x0 = np.concatenate([p.u, phi0, [p.t]])
+    p = pts[-1]
+    u, t = p.u, p.t
+    _, phi = smallest_eigenvalue(linearize(u, t, curve.cubic))
+    qs = [curve.cubic, *finer]
+    levels = []
+    for k, q in enumerate(qs):
+        where = (f"level {k + 1} of {len(qs)} "
+                 f"({q.surface.n_classes} classes)")
+        if k:
+            u, phi = q.surface.prolong(u), q.surface.prolong(phi)
+        try:
+            u, phi, t, it = solve_fold(q, u, phi, t, tol)
+        except NonConvergence as exc:
+            raise NoFoldDetected(
+                f"extended-system solve failed on {where}: {exc}") from exc
+        if k == 0 and t <= p.t:
+            raise NoFoldDetected(
+                f"extended-system solve on {where} ended at t = {t:.10g}, "
+                f"not a fold beyond t = {p.t:.10g}")
+        levels.append({"classes": q.surface.n_classes, "T0": t,
+                       "fold_newton_iterations": it})
     try:
-        x, _, _ = damped_newton(x0, field_fn, fold_step(q, m_phi0),
-                                np.concatenate([m, m, [1.0]]), tol)
-        fold = newton_solve(x[:n], x[-1], q, tol=tol)
+        fold = newton_solve(u, t, q, tol=tol)
     except NonConvergence as exc:
-        raise NoFoldDetected(f"extended-system solve failed: {exc}") from exc
-    if abs(fold.lambda_min) > EPS_FOLD or fold.t <= p.t:
+        raise NoFoldDetected(f"fold classification failed on {where}: "
+                             f"{exc}") from exc
+    if abs(fold.lambda_min) > EPS_FOLD:
         raise NoFoldDetected(
-            f"extended-system solve ended at t = {fold.t:.10g} with lambda_min "
-            f"= {fold.lambda_min:.3g}, not a fold beyond t = {p.t:.10g}")
+            f"extended-system solve on {where} ended at t = {fold.t:.10g} "
+            f"with lambda_min = {fold.lambda_min:.3g}, not a fold")
 
     curve.T0_estimate = fold.t
     curve.fold_point = fold
+    curve.levels = levels
     curve.diagnostics["fold_lambda_min"] = fold.lambda_min
     return fold.t
 
@@ -308,17 +374,21 @@ def write_curve_csv(curve: SolutionCurve, path: str,
 def curve_to_json(curve: SolutionCurve) -> dict:
     """curve.json payload.
 
-    `diagnostics` carries `trace_curve`'s `rejected_steps`, `n_points`,
-    `newton_iterations` (the Newton iterations of the accepted points,
-    summed; deterministic) and `final_step` (the step it would have tried
-    next from the last point, where the fold solve starts: the last
-    accepted step times STEP_GROWTH) and
-    `detect_fold`'s `fold_lambda_min`.
+    `points` and `sup_norms` are the trace's, on the coarsest level;
+    `T0_estimate` and `fold_point` are the finest level's fold.  `levels`
+    is `detect_fold`'s table, coarsest first: each level's `classes`, `T0`
+    and `fold_newton_iterations`.  `diagnostics` carries `trace_curve`'s
+    `rejected_steps`, `n_points`, `newton_iterations` (the Newton
+    iterations of the accepted points, summed; deterministic) and
+    `final_step` (the step it would have tried next from the last point,
+    where the fold solve starts: the last accepted step times STEP_GROWTH)
+    and `detect_fold`'s `fold_lambda_min`, the finest level's.
     """
     return {
         "points": [p.to_json() for p in curve.points],
         "T0_estimate": None if curve.T0_estimate is None else float(curve.T0_estimate),
         "fold_point": None if curve.fold_point is None else curve.fold_point.to_json(),
+        "levels": curve.levels,
         "sup_norms": [float(v) for v in curve.sup_norms],
         "diagnostics": {k: v for k, v in curve.diagnostics.items()},
     }

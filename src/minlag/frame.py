@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cubic import CubicDifferential
 from .surface import DiscreteSurface
@@ -115,32 +116,33 @@ def _vertex_wirtinger(surface: DiscreteSurface, f: np.ndarray) -> np.ndarray:
     """Per-vertex f_z = (f_x - i f_y)/2 by quadratic least squares.
 
     Each vertex is fit together with its one-ring (two-ring if fewer than
-    six neighbors) against a quadratic in the chart offsets.
+    six neighbors) against a quadratic in the chart offsets.  All fits are
+    one stacked QR solve: every ring is padded with zero rows (the vertex
+    itself) up to the largest, which leaves its least-squares solution
+    unchanged.
     """
     z = surface.vertices
     n = len(z)
-    neighbors = [set() for _ in range(n)]
-    for a, b, c in surface.triangles:
-        neighbors[a].update((b, c))
-        neighbors[b].update((a, c))
-        neighbors[c].update((a, b))
+    a, b = surface.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).T
+    one = sp.csr_matrix((np.ones(2 * len(a)), (np.r_[a, b], np.r_[b, a])),
+                        shape=(n, n))
+    two = one @ one + one
+    two.setdiag(0.0)                    # i is on its own two-ring pattern
+    small = np.diff(one.indptr) < 6
+    ring = sp.diags((~small).astype(float)) @ one \
+        + sp.diags(small.astype(float)) @ two
+    ring.eliminate_zeros()
 
-    out = np.empty(n, dtype=complex)
-    for i in range(n):
-        ring = set(neighbors[i])
-        if len(ring) < 6:
-            for j in list(ring):
-                ring.update(neighbors[j])
-            ring.discard(i)
-        idx = np.fromiter(ring, dtype=int)
-        dx = z[idx].real - z[i].real
-        dy = z[idx].imag - z[i].imag
-        A = np.column_stack([dx, dy, dx * dx, dx * dy, dy * dy])
-        rhs = f[idx] - f[i]
-        coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        fx, fy = coef[0], coef[1]
-        out[i] = 0.5 * (fx - 1j * fy)
-    return out
+    count = np.diff(ring.indptr)
+    rows = np.repeat(np.arange(n), count)
+    idx = np.repeat(np.arange(n)[:, None], count.max(), axis=1)
+    idx[rows, np.arange(ring.nnz) - ring.indptr[rows]] = ring.indices
+    d = z[idx] - z[:, None]
+    dx, dy = d.real, d.imag
+    Q, R = np.linalg.qr(np.stack([dx, dy, dx * dx, dx * dy, dy * dy], -1))
+    rhs = f[idx] - f[:, None]
+    coef = np.linalg.solve(R, np.einsum("nkj,nk->nj", Q, rhs)[..., None])
+    return 0.5 * (coef[:, 0, 0] - 1j * coef[:, 1, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -138,17 +138,32 @@ F2 = _piecewise(lambda s: 0.5 * (s * s + np.exp(-2.0 * s)),
 # functional, gradient, V-norm
 
 
-def functional_value(u: np.ndarray, t: float, q: CubicDifferential) -> float:
-    """F(u) = 1/2 integral(|grad u|^2 + V u^2) - integral(F1(u) + V F2(u))."""
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b.
+
+    Each is one 1-D dot of C-contiguous rows, so it sums in the order of a
+    dot of single fields; a strided row would sum in another order.
+    """
+    return np.array([x @ y for x, y in zip(a, np.ascontiguousarray(b))])
+
+
+def functional_value(u: np.ndarray, t: float, q: CubicDifferential):
+    """F(u) = 1/2 integral(|grad u|^2 + V u^2) - integral(F1(u) + V F2(u)).
+
+    A (k, n) stack of fields gives the k values, each bitwise equal to the
+    value of its row alone.
+    """
     s = q.surface
-    u = np.asarray(u, dtype=float)
+    U = np.atleast_2d(np.asarray(u, dtype=float))
     V = v_field(t, q)
+    m = np.broadcast_to(s.mass_diag, U.shape)
     # overflowing trial fields yield inf/nan, rejected by the line searches
     with np.errstate(over="ignore", invalid="ignore"):
-        quad = 0.5 * float(u @ (s.stiffness @ u)) \
-            + 0.5 * float(s.mass_diag @ (V * u * u))
-        bulk = float(s.mass_diag @ (F1(u) + V * F2(u)))
-        return quad - bulk
+        quad = 0.5 * _row_dots(U, (s.stiffness @ U.T).T) \
+            + 0.5 * _row_dots(m, V * U * U)
+        bulk = _row_dots(m, F1(U) + V * F2(U))
+        vals = quad - bulk
+    return float(vals[0]) if np.ndim(u) == 1 else vals
 
 
 def functional_gradient(u: np.ndarray, t: float,
@@ -223,8 +238,9 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
     f_stable = functional_value(u_stable, t, q)
     w = _negative_endpoint(f_stable, t, q)
 
-    def vnorm(x):
-        return float(np.sqrt(x @ (gram @ x)))
+    def vnorms(X):
+        """V-norm of each row of X."""
+        return np.sqrt(_row_dots(X, (gram @ X.T).T))
 
     def relax(nodes):
         """(u, V-norm separation, sweeps), or None."""
@@ -234,14 +250,14 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
         for sweeps in range(1, MAX_SWEEPS + 1):
             # interior targets lie strictly inside the arclength range, so
             # each falls in a segment of positive length
-            seg = np.array([vnorm(d) for d in np.diff(path, axis=0)])
+            seg = vnorms(np.diff(path, axis=0))
             cum = np.concatenate([[0.0], np.cumsum(seg)])
             targets = np.linspace(0.0, cum[-1], nodes)[1:-1]
             i = np.searchsorted(cum, targets) - 1
             frac = ((targets - cum[i]) / seg[i])[:, None]
             path[1:-1] = (1.0 - frac) * path[i] + frac * path[i + 1]
 
-            vals = [functional_value(x, t, q) for x in path[1:-1]]
+            vals = functional_value(path[1:-1], t, q)
             j = int(np.argmax(vals)) + 1
             u_top = path[j].copy()
             g = functional_gradient(u_top, t, q)
@@ -265,7 +281,7 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
                 except NonConvergence:
                     pass
                 else:
-                    sep = vnorm(u - u_stable)
+                    sep = float(vnorms((u - u_stable)[None])[0])
                     if sep > 10.0 * tol:
                         return u, sep, sweeps
             if not moved:

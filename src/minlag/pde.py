@@ -19,10 +19,10 @@ branch, zero at the fold.
 `damped_newton` is the one Newton/Armijo loop of the package.  `solve_u`
 runs it on the structure equation (field = -residual, Jacobian = L), and
 `newton_solve` adds the eigenvalue classification of the converged point;
-the only other system it solves is `continuation.detect_fold`'s.
+the only other system it solves is `continuation.solve_fold`'s.
 Every caller inherits its damping floor `MIN_DAMPING` and its iteration
 cap `MAX_NEWTON_ITER`: `continuation`'s `trace_curve` (warm-started along
-t), `detect_fold` and `branch_point`, and the `mpass` polish.
+t), `solve_fold` and `branch_point`, and the `mpass` polish.
 `branch_point` is the one cold solve, a `solve_u` from u = 0, which lies
 above the stable solution at every t.  The solve, mpass, frame and wpcheck
 commands start from its field; only `solve` passes it to `newton_solve`.

@@ -17,6 +17,13 @@ invariant in two dimensions, so no curvature correction is needed), and the
 mass matrix is lumped with the conformal factor interpolated linearly over
 each triangle.  Scalar fields live on vertex *classes*, i.e. on the quotient
 surface after boundary identification.
+
+Both backends nest: an octagon of refinement r >= 2 refines the one of
+refinement r - 1, and a torus of even n with n/2 >= 4 refines the torus of
+n/2.  Such a surface records its next coarser level (`Nesting`) without
+building it, and `DiscreteSurface.prolong` carries a field up from there:
+every class that is not a coarse vertex is the midpoint of one coarse edge
+and takes the mean of that edge's two end classes (P1 prolongation).
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,6 +64,16 @@ class ShiftedLU:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (K + M diag(p)) x = b, for b of shape (n,) or (n, k)."""
         return self._lu.solve(b[self._order])[self._pos]
+
+
+@dataclass(frozen=True)
+class Nesting:
+    """How a surface refines the next coarser level of its hierarchy."""
+
+    coarse: Callable[[], DiscreteSurface]     # builds that level
+    vertices: np.ndarray   # this surface's chart vertex at each coarse one
+    parents: np.ndarray    # (n_classes, 2): each class's two coarse parent
+                           # classes, one class twice where it is coarse
 
 
 @dataclass
@@ -92,6 +110,7 @@ class DiscreteSurface:
     conformal_factor: np.ndarray
     genus: int
     side_pairings: list = field(default_factory=list)
+    nesting: Nesting | None = field(default=None, repr=False)
     stiffness: sp.csr_matrix = field(init=False, repr=False)
     mass_diag: np.ndarray = field(init=False, repr=False)
     _diag: np.ndarray = field(init=False, repr=False)  # K_ii's index in K.data
@@ -190,6 +209,12 @@ class DiscreteSurface:
         A = sp.csc_matrix((data, Kp.indices, Kp.indptr), shape=Kp.shape)
         return ShiftedLU(_splu(A, "NATURAL"), order, pos)
 
+    def prolong(self, f: np.ndarray) -> np.ndarray:
+        """P1 prolongation of a per-class field on the next coarser level:
+        each class takes the mean of its two parent classes."""
+        a, b = self.nesting.parents.T
+        return 0.5 * (f[a] + f[b])
+
     @property
     def n_classes(self) -> int:
         return int(self.class_of.max()) + 1
@@ -237,6 +262,10 @@ def build_flat_torus(n: int, side: float, lambda0: float) -> DiscreteSurface:
     n : grid size per side, at least 4.
     side : physical side length of the square.
     lambda0 : constant metric factor, so the surface area is lambda0*side^2.
+
+    For even n with n/2 >= 4 the grid nests in the one of n/2: vertex
+    (2i, 2j) is coarse vertex (i, j), and every other vertex is the midpoint
+    of a horizontal, vertical or diagonal (a-c) coarse edge.
     """
     if n < 4:
         raise MeshError("torus grid size must be at least 4")
@@ -260,12 +289,26 @@ def build_flat_torus(n: int, side: float, lambda0: float) -> DiscreteSurface:
             tris.append((a, c, d))
     triangles = np.array(tris, dtype=int)
 
+    nesting = None
+    nc = n // 2
+    if n % 2 == 0 and nc >= 4:
+        kc = np.arange(nc + 1)
+        jc, ic = np.meshgrid(kc, kc, indexing="ij")
+        jf, i_f = np.divmod(np.arange(n * n), n)    # class J n + I is (I, J)
+        parents = [((j // 2) % nc) * nc + (i // 2) % nc
+                   for i, j in ((i_f, jf), (i_f + 1, jf + 1))]
+        nesting = Nesting(
+            coarse=partial(build_flat_torus, nc, side, lambda0),
+            vertices=(2 * jc * m + 2 * ic).ravel(),
+            parents=np.column_stack(parents))
+
     return DiscreteSurface(
         vertices=verts,
         triangles=triangles,
         class_of=class_of,
         conformal_factor=np.full(m * m, float(lambda0)),
         genus=1,
+        nesting=nesting,
     )
 
 
@@ -330,6 +373,10 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
     4-way subdivisions of the initial 8-triangle fan; all edge midpoints are
     hyperbolic midpoints, and vertices on paired sides are generated through
     the side-pairing isometries so boundary identification is exact.
+
+    For refinement >= 2 the surface nests in the one of refinement - 1:
+    that level's chart vertices and classes are a bitwise prefix of these,
+    and each further class is the hyperbolic midpoint of one coarse edge.
     """
     if refinement < 1:
         raise MeshError("refinement must be at least 1")
@@ -364,6 +411,7 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
         return min(common)
 
     midpoint_cache: dict[frozenset, int] = {}
+    ends: list[tuple] = []          # each midpoint's edge, in vertex order
 
     def midpoint(a: int, b: int) -> int:
         key = frozenset((a, b))
@@ -373,6 +421,7 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
         zm = hyperbolic_midpoint(verts[a], verts[b])
         idx = len(verts)
         verts.append(zm)
+        ends.append((a, b))
         side = shared_side(a, b)
         if side is not None:
             tags[idx] = {side: 0.5 * (tags[a][side] + tags[b][side])}
@@ -380,6 +429,7 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
         return idx
 
     for _ in range(refinement):
+        n_coarse = len(verts)       # chart vertices of the level below
         new_tris = []
         for a, b, c in tris:
             mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
@@ -429,6 +479,15 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
     if np.any(np.abs(det) < 1e-14):
         raise MeshError("refinement produced a degenerate triangle")
 
+    nesting = None
+    if refinement >= 2:
+        edge = np.repeat(np.arange(len(verts))[:, None], 2, axis=1)
+        edge[n_coarse:] = ends[n_coarse - len(verts):]
+        parents = np.empty((class_of.max() + 1, 2), dtype=int)
+        parents[class_of] = class_of[edge]     # chart copies agree
+        nesting = Nesting(coarse=partial(build_genus2_octagon, refinement - 1),
+                          vertices=np.arange(n_coarse), parents=parents)
+
     s = DiscreteSurface(
         vertices=vertices,
         triangles=triangles,
@@ -436,6 +495,7 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
         conformal_factor=disk_lambda(vertices),
         genus=2,
         side_pairings=pairings,
+        nesting=nesting,
     )
     if s.euler_characteristic() != -2:
         raise MeshError("octagon quotient is not a genus-2 surface")

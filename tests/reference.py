@@ -5,9 +5,9 @@ it from outside: the V-norm equivalence constants of the mountain-pass
 functional, the Legendre pair of the cutoff estimates, the second
 fundamental form of the immersion, closed-form frame coefficient sources
 (test fakes for `minlag.frame.MeshCoefficients`), a stage-wise RK4 frame
-integrator and a side-pairing frame product for the genus-2 holonomy, and
-the dense Jacobian of the fold
-solve's Moore-Spence system.  They sit next to `scalar_oracle.py` and
+integrator and a side-pairing frame product for the genus-2 holonomy, a
+per-vertex least-squares loop for the mesh Wirtinger derivative, and the
+dense Jacobian of the fold solve's Moore-Spence system.  They sit next to `scalar_oracle.py` and
 are imported the same way, `from reference import ...`.
 """
 
@@ -38,7 +38,7 @@ def moore_spence_jacobian(q: CubicDifferential, x: np.ndarray,
                           m_phi0: np.ndarray) -> np.ndarray:
     """Dense (2n+1)-square Jacobian of the fold solve's system at x.
 
-    The system is `continuation.detect_fold`'s, times the mass:
+    The system is `continuation.solve_fold`'s, times the mass:
     -M F(u, t) = 0, L(u, t) phi = 0, <M phi0, phi> - 1 = 0, for
     x = (u, phi, t), with M F the weak residual of the structure equation.
     """
@@ -195,3 +195,31 @@ def side_pairing_frame_product(coeffs, surface: DiscreteSurface,
                                    sheet_i.defects[:, 2].max())),
     }
     return product, defects
+
+
+def vertex_wirtinger_lstsq(surface: DiscreteSurface,
+                           f: np.ndarray) -> np.ndarray:
+    """`minlag.frame._vertex_wirtinger` as one `lstsq` per chart vertex.
+
+    Each vertex is fit together with its one-ring (two-ring if fewer than
+    six neighbors) against a quadratic in the chart offsets.
+    """
+    z = surface.vertices
+    neighbors = [set() for _ in range(len(z))]
+    for a, b, c in surface.triangles:
+        neighbors[a].update((b, c))
+        neighbors[b].update((a, c))
+        neighbors[c].update((a, b))
+    out = np.empty(len(z), dtype=complex)
+    for i, ring in enumerate(neighbors):
+        ring = set(ring)
+        if len(ring) < 6:
+            for j in list(ring):
+                ring.update(neighbors[j])
+            ring.discard(i)
+        idx = np.fromiter(ring, dtype=int)
+        dx, dy = z[idx].real - z[i].real, z[idx].imag - z[i].imag
+        A = np.column_stack([dx, dy, dx * dx, dx * dy, dy * dy])
+        coef = np.linalg.lstsq(A, f[idx] - f[i], rcond=None)[0]
+        out[i] = 0.5 * (coef[0] - 1j * coef[1])
+    return out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from minlag import cli, cubic, pde
+from minlag import cli, continuation, cubic, pde
 from minlag.cli import main
 from minlag.surface import build_flat_torus
 
@@ -156,10 +156,42 @@ def test_continue_outputs(tmp_path, capsys):
     assert sidecar["nonexistence_bound"] == pytest.approx(0.35355339, rel=1e-6)
     iterations = sidecar["diagnostics"]["newton_iterations"]
     assert isinstance(iterations, int) and iterations > 0
+    # traced on torus 4, the fold solved on 4, 8 and 16
+    assert len(sidecar["points"]) == len(ts)
+    assert len(sidecar["points"][0]["u"]) == 16
+    assert len(sidecar["fold_point"]["u"]) == 256
+    levels = sidecar["levels"]
+    assert [lv["classes"] for lv in levels] == [16, 64, 256]
+    assert levels[-1]["T0"] == sidecar["T0_estimate"]
+    assert all(isinstance(lv["fold_newton_iterations"], int) for lv in levels)
+
+
+def test_continue_failing_level_exits_2(tmp_path, capsys, monkeypatch):
+    # a fold solve that fails on one level is a numerical failure naming that
+    # level, with no fallback to a trace on the configured mesh
+    damped = continuation.damped_newton
+
+    def fail_on_64(x0, *args):
+        if len(x0) == 2 * 64 + 1:
+            raise pde.NonConvergence("forced failure")
+        return damped(x0, *args)
+
+    monkeypatch.setattr(continuation, "damped_newton", fail_on_64)
+    cfg = write_cfg(tmp_path, "c.json",
+                    {k: v for k, v in dict(TORUS, dt0=0.01).items()
+                     if k != "t"})
+    assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("continue failed:")
+    assert "level 2 of 3 (64 classes)" in err and "forced failure" in err
+    assert not (tmp_path / "curve.csv").exists()
 
 
 def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
-    # one ordering LU, of K + M; every other LU reuses its column order
+    # continue traces on torus 4 and solves the fold on 8 and 16: at most one
+    # ordering LU per level surface, of that level's K + M, and every other
+    # LU reuses its column order; the n = 8 solve starts converged (constant
+    # q gives a constant u), so it factorizes nothing
     runs = []
     splu = spla.splu
 
@@ -173,9 +205,9 @@ def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
                      if k != "t"})
     assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
     ordered = [A for spec, A in runs if spec != "NATURAL"]
-    assert len(ordered) == 1 and len(runs) > 20
-    k_plus_m = build_flat_torus(16, 1.0, 1.0).shifted(1.0)
-    assert abs(ordered[0] - k_plus_m).max() == 0.0
+    assert [A.shape[0] for A in ordered] == [16, 256] and len(runs) > 20
+    for A, n in zip(ordered, (4, 16)):
+        assert abs(A - build_flat_torus(n, 1.0, 1.0).shifted(1.0)).max() == 0.0
 
 
 def test_continue_zero_cubic_exits_1(tmp_path, capsys):

@@ -7,15 +7,16 @@ import pytest
 
 from minlag import continuation
 from minlag.cli import EXIT_NUMERICAL, main
-from minlag.continuation import (NoFoldDetected, StallBeforeFold, ZeroCubic,
-                                 branch_point, detect_fold, fold_step,
-                                 nonexistence_bound, trace_curve,
-                                 write_curve_csv)
+from minlag.continuation import (EPS_FOLD, NoFoldDetected, StallBeforeFold,
+                                 ZeroCubic, branch_point, detect_fold,
+                                 fold_step, nested_cubics, nonexistence_bound,
+                                 trace_curve, write_curve_csv)
 from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
 from minlag.pde import (NonConvergence, SingularJacobian, linearize,
                         newton_solve, residual, smallest_eigenvalue, solve_u)
-from minlag.surface import integrate
+from minlag.surface import build_genus2_octagon, integrate
 
+from conftest import octagon_zero_classes
 from reference import moore_spence_jacobian
 from scalar_oracle import U_FOLD, fold_t, scalar_roots
 
@@ -319,3 +320,49 @@ def test_branch_point_beyond_fold_raises(torus16, unit_cubic):
     assert 0.15 > 1.0 / math.sqrt(54.0)
     with pytest.raises(NonConvergence, match="fold"):
         branch_point(unit_cubic, 0.15)
+
+
+def nested_fold(q, dt0, tol):
+    """continue's fold: trace the coarsest level, then refine level by level."""
+    qs = nested_cubics(q)
+    curve = trace_curve(qs[0], dt0=dt0, tol=tol)
+    return detect_fold(curve, qs[1:], tol=tol), curve
+
+
+# amplitude of the benchmark's seed-7 variant
+SEED7_AMPLITUDE = float(np.exp(np.random.default_rng(7).uniform(-0.2, 0.2)))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("amplitude", [1.0, SEED7_AMPLITUDE],
+                         ids=["a1", "seed7"])
+def test_nested_fold_matches_single_level(r, amplitude):
+    s = build_genus2_octagon(r)
+    q = synthetic_cubic(s, octagon_zero_classes(s), amplitude)
+    single = trace_curve(q, dt0=0.5 / amplitude, tol=1e-10)
+    t_single = detect_fold(single, tol=1e-10)
+    t0, curve = nested_fold(q, 0.5 / amplitude, 1e-10)
+    assert t0 == pytest.approx(t_single, rel=1e-12)
+    assert abs(curve.fold_point.lambda_min) <= EPS_FOLD
+    # the trace ran on refinement 1, the fold on every level up to r
+    assert curve.cubic.surface.n_classes == 30
+    assert [lv["classes"] for lv in curve.levels] == [30, 126, 510][:r]
+    assert curve.levels[-1]["T0"] == t0
+    assert curve.fold_point.u.shape == (s.n_classes,)
+
+
+def test_nested_fold_torus_matches_oracle(torus16, unit_cubic):
+    t0, curve = nested_fold(unit_cubic, 0.01, 1e-11)
+    assert t0 == pytest.approx(1.0 / math.sqrt(54.0), rel=1e-12)
+    assert [lv["classes"] for lv in curve.levels] == [16, 64, 256]
+    # constant q gives a constant u, so the prolonged fold is already solved
+    assert [lv["fold_newton_iterations"] for lv in curve.levels][1:] == [0, 0]
+
+
+def test_nested_cubics_sample_the_chart_vertices(octagon2_cubic):
+    qs = nested_cubics(octagon2_cubic)
+    assert [q.surface.n_classes for q in qs] == [30, 126]
+    assert qs[-1] is octagon2_cubic
+    nv = len(qs[0].surface.vertices)
+    assert np.array_equal(qs[0].values, octagon2_cubic.values[:nv])
+

@@ -15,7 +15,7 @@ from minlag.surface import build_flat_torus
 
 from reference import (constant_coefficients, poincare_trivial_coefficients,
                        second_fundamental_form, side_pairing_frame_product,
-                       stagewise_rk4_frames)
+                       stagewise_rk4_frames, vertex_wirtinger_lstsq)
 from scalar_oracle import U_FOLD
 
 ETA = np.diag([1.0, 1.0, -1.0])
@@ -447,3 +447,17 @@ def test_frame_sheet_json_matches_elementwise():
     text = json.dumps(sheet.to_json())
     assert text == json.dumps(elementwise)
     assert "[-0.0, 0.5]" in text and "[0.25, -0.0]" in text
+
+
+@pytest.mark.parametrize("name", ["torus16", "octagon2"])
+def test_vertex_wirtinger_matches_per_vertex_lstsq(name, request):
+    # the stacked QR solve against the loop of one lstsq per vertex; torus
+    # chart corners have fewer than six neighbors and take the two-ring
+    from minlag.frame import _vertex_wirtinger
+
+    surface = request.getfixturevalue(name)
+    z = surface.vertices
+    f = np.exp(z.real) * np.cos(3.0 * z.imag) + np.abs(z) ** 2
+    ref = vertex_wirtinger_lstsq(surface, f)
+    assert np.abs(_vertex_wirtinger(surface, f) - ref).max() \
+        <= 1e-12 * np.abs(ref).max()

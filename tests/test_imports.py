@@ -374,7 +374,7 @@ def test_newton_solves_two_systems():
     # one Newton loop solves
     sites = sorted((path.name, owner) for path in MODULES
                    for owner, _ in calls(path.read_text(), "damped_newton"))
-    assert sites == [("continuation.py", "detect_fold"), ("pde.py", "solve_u")]
+    assert sites == [("continuation.py", "solve_fold"), ("pde.py", "solve_u")]
 
 
 def test_cli_import_loads_no_unneeded_module():

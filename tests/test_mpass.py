@@ -6,9 +6,10 @@ from scipy.integrate import quad
 
 from minlag.continuation import detect_fold, trace_curve
 from minlag import mpass
-from minlag.mpass import (DegenerateNorm, PathCollapse, find_mountain_pass,
-                          functional_gradient, functional_value, v_gram)
-from minlag.pde import NonConvergence, newton_solve
+from minlag.mpass import (F1, F2, DegenerateNorm, PathCollapse,
+                          find_mountain_pass, functional_gradient,
+                          functional_value, v_gram)
+from minlag.pde import NonConvergence, newton_solve, v_field
 from minlag.cubic import constant_cubic, norm_field
 from minlag.surface import integrate
 
@@ -241,3 +242,21 @@ def test_mountain_pass_collapse_after_three_paths(torus16, unit_cubic,
     monkeypatch.setattr(mpass, "solve_u", failing_solve_u)
     with pytest.raises(PathCollapse, match="up to 80 nodes"):
         find_mountain_pass(torus_stables[0.10], 0.10, unit_cubic)
+
+
+def test_functional_value_stack_is_bitwise_per_row(octagon2, octagon2_cubic):
+    # a (k, n) stack gives k values, each bit for bit the single-field
+    # formula's, also for rows with entries on every branch of the cutoffs
+    rng = np.random.default_rng(3)
+    n, t = octagon2.n_classes, 20.0
+    stack = np.vstack([rng.uniform(-3.0, 0.0, (4, n)),
+                       rng.uniform(-1.0, 2.0, (2, n)), np.zeros((1, n))])
+    vals = functional_value(stack, t, octagon2_cubic)
+    assert vals.shape == (7,)
+    K, m = octagon2.stiffness, octagon2.mass_diag
+    V = v_field(t, octagon2_cubic)
+    ref = [0.5 * float(u @ (K @ u)) + 0.5 * float(m @ (V * u * u))
+           - float(m @ (F1(u) + V * F2(u))) for u in stack]
+    assert vals.tobytes() == np.array(ref).tobytes()
+    single = functional_value(stack[4].copy(), t, octagon2_cubic)
+    assert isinstance(single, float) and single == ref[4]

@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 
 from minlag.pde import newton_solve
 from minlag.surface import (DiscreteSurface, MeshError, build_flat_torus,
-                            build_genus2_octagon, integrate, mesh_to_json)
+                            build_genus2_octagon, hyperbolic_midpoint,
+                            integrate, mesh_to_json)
 
 
 def test_torus_unit_area():
@@ -196,3 +197,70 @@ def test_factorize_matches_spsolve(name, request):
             x = s.factorize(p).solve(b)
             ref = spla.spsolve(A, b)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_octagon_coarse_level_is_a_bitwise_prefix(r):
+    s = build_genus2_octagon(r)
+    c = s.nesting.coarse()
+    nv = len(c.vertices)
+    assert np.array_equal(s.nesting.vertices, np.arange(nv))
+    assert s.vertices[:nv].tobytes() == c.vertices.tobytes()
+    assert np.array_equal(s.class_of[:nv], c.class_of)
+    # coarse classes are their own parents
+    assert np.array_equal(s.nesting.parents[:c.n_classes],
+                          np.repeat(np.arange(c.n_classes)[:, None], 2, 1))
+    assert build_genus2_octagon(1).nesting is None
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_octagon_new_classes_are_coarse_edge_midpoints(r):
+    # every chart vertex beyond the coarse ones is the hyperbolic midpoint of
+    # a coarse edge whose end classes are its class's two parents
+    s = build_genus2_octagon(r)
+    c = s.nesting.coarse()
+    edges = c.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    mid = np.array([hyperbolic_midpoint(*c.vertices[e]) for e in edges])
+    new = s.vertices[len(c.vertices):]
+    gap = np.abs(new[:, None] - mid[None, :])
+    nearest = gap.argmin(axis=1)
+    assert gap.min(axis=1).max() <= 1e-12
+    ends = np.sort(c.class_of[edges[nearest]], axis=1)
+    parents = np.sort(s.nesting.parents[s.class_of[len(c.vertices):]], axis=1)
+    assert np.array_equal(ends, parents) and np.all(ends[:, 0] < ends[:, 1])
+    assert s.class_of[len(c.vertices):].min() == c.n_classes
+
+
+def test_torus_parent_map():
+    s = build_flat_torus(8, 2.0, 3.0)
+    c = s.nesting.coarse()
+    assert c.n_classes == 16 and c.conformal_factor[0] == 3.0
+    # fine chart vertex (2i, 2j) is coarse chart vertex (i, j), bitwise
+    assert s.vertices[s.nesting.vertices].tobytes() == c.vertices.tobytes()
+    fine_of = s.class_of[s.nesting.vertices]
+    assert np.array_equal(s.nesting.parents[fine_of],
+                          np.column_stack([c.class_of, c.class_of]))
+    # every other class is the Euclidean midpoint of its two parents, on a
+    # horizontal, vertical or a-c diagonal coarse edge, across the seam too
+    z = s.vertices[s.class_representative]
+    zc = c.vertices[c.class_representative]
+    za, zb = zc[s.nesting.parents].T
+
+    def wrap(x):
+        return (x + 1.0) % 2.0 - 1.0       # periodic offset in [-1, 1)
+
+    d = wrap((zb - za).real) + 1j * wrap((zb - za).imag)
+    assert set(np.round(d / 0.5, 12)) == {0, 1, 1j, 1 + 1j}
+    assert np.abs(za + 0.5 * d - z).max() <= 1e-12
+    assert build_flat_torus(6, 1.0, 1.0).nesting is None    # n/2 = 3 < 4
+    assert build_flat_torus(9, 1.0, 1.0).nesting is None    # n odd
+
+
+@pytest.mark.parametrize("surface", [build_flat_torus(16, 1.0, 1.0),
+                                     build_genus2_octagon(3)],
+                         ids=["torus16", "octagon3"])
+def test_prolong_constant_is_exact(surface):
+    c = surface.nesting.coarse()
+    for value in (1.0, -0.3, 7.123456789):
+        f = surface.prolong(np.full(c.n_classes, value))
+        assert f.shape == (surface.n_classes,) and np.all(f == value)
