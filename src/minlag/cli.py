@@ -222,7 +222,7 @@ def emit(payload: dict, cfg: dict, out_path: str | None) -> None:
     payload = dict(payload)
     payload["config_hash"] = config_hash(cfg)
     payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(payload, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

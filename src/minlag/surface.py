@@ -6,7 +6,13 @@ Two mesh backends are provided:
   domain where constant-data closed forms exist, and
 * a regular hyperbolic octagon in the Poincare disk with all vertex angles
   pi/4, sides glued by the standard pairing a b a^-1 b^-1 c d c^-1 d^-1,
-  which gives a closed genus-2 surface of area 4*pi.
+  which gives a closed genus-2 surface of area 4*pi.  Each side is an
+  ordered list of chart vertices; those of side i are snapped onto the
+  images of side j's vertices under the pairing isometry, so the
+  identification is exact.
+
+Assembly raises `MeshError` for any triangle that is not counterclockwise
+with positive area; the builders rely on that check for orientation.
 
 The metric is lambda(z) |dz|^2 in chart coordinates.  A surface assembles
 its stiffness matrix K and lumped mass M on construction, and it factorizes
@@ -370,9 +376,13 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
     The octagon has all vertex angles pi/4 (vertices at Euclidean radius
     2^(-1/4)), so the eight corners glue to a single smooth point and the
     quotient is a closed genus-2 surface.  `refinement` counts recursive
-    4-way subdivisions of the initial 8-triangle fan; all edge midpoints are
-    hyperbolic midpoints, and vertices on paired sides are generated through
-    the side-pairing isometries so boundary identification is exact.
+    4-way subdivisions of the initial 16-triangle fan; all edge midpoints are
+    hyperbolic midpoints.  Each side is an ordered list of chart vertices
+    from corner k to corner k + 1, refined with the triangles.  For each
+    pairing (i, j, g) the vertices inside side i are snapped onto the images
+    under g of side j's vertices, and the two lists are glued entry by
+    entry, so boundary identification is exact.  The corners are chart
+    vertices 1..8 and keep their exact coordinates.
 
     For refinement >= 2 the surface nests in the one of refinement - 1:
     that level's chart vertices and classes are a bitwise prefix of these,
@@ -383,50 +393,26 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
 
     rv = 2.0 ** -0.25
     corners = [rv * cmath.exp(1j * math.pi * k / 4.0) for k in range(8)]
-
-    verts: list[complex] = [0.0 + 0.0j]
-    # boundary tag: vertex index -> {side: tau}, tau in [0,1] along the side
-    tags: dict[int, dict[int, float]] = {}
-    for k, c in enumerate(corners):
-        verts.append(c)
-        tags[k + 1] = {k: 0.0, (k - 1) % 8: 1.0}
+    verts: list[complex] = [0.0 + 0.0j, *corners]
 
     # 16-triangle base fan: each side is pre-split at its hyperbolic midpoint
     # so the rim, where the conformal factor is largest, starts twice as fine.
-    tris = []
-    for k in range(8):
-        mk = len(verts)
-        verts.append(hyperbolic_midpoint(corners[k], corners[(k + 1) % 8]))
-        tags[mk] = {k: 0.5}
-        tris.append((0, 1 + k, mk))
-        tris.append((0, mk, 1 + (k + 1) % 8))
-
-    def shared_side(a: int, b: int):
-        ta, tb = tags.get(a), tags.get(b)
-        if ta is None or tb is None:
-            return None
-        common = set(ta) & set(tb)
-        if not common:
-            return None
-        return min(common)
+    # Side k runs from corner k (chart vertex 1 + k) through its midpoint
+    # (chart vertex 9 + k) to corner k + 1.
+    sides = [[1 + k, 9 + k, 1 + (k + 1) % 8] for k in range(8)]
+    verts += [hyperbolic_midpoint(verts[a], verts[b]) for a, _, b in sides]
+    tris = [t for a, m, b in sides for t in ((0, a, m), (0, m, b))]
 
     midpoint_cache: dict[frozenset, int] = {}
     ends: list[tuple] = []          # each midpoint's edge, in vertex order
 
     def midpoint(a: int, b: int) -> int:
         key = frozenset((a, b))
-        idx = midpoint_cache.get(key)
-        if idx is not None:
-            return idx
-        zm = hyperbolic_midpoint(verts[a], verts[b])
-        idx = len(verts)
-        verts.append(zm)
-        ends.append((a, b))
-        side = shared_side(a, b)
-        if side is not None:
-            tags[idx] = {side: 0.5 * (tags[a][side] + tags[b][side])}
-        midpoint_cache[key] = idx
-        return idx
+        if key not in midpoint_cache:
+            midpoint_cache[key] = len(verts)
+            verts.append(hyperbolic_midpoint(verts[a], verts[b]))
+            ends.append((a, b))
+        return midpoint_cache[key]
 
     for _ in range(refinement):
         n_coarse = len(verts)       # chart vertices of the level below
@@ -435,49 +421,31 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
             mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             new_tris += [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
         tris = new_tris
+        # boundary edges are triangle edges, so their midpoints are cached
+        for side in sides:
+            side[1:] = [v for a, b in zip(side, side[1:])
+                        for v in (midpoint(a, b), b)]
         midpoint_cache.clear()
 
     # Pairing isometries: g maps side j onto side i reversing the boundary
-    # direction, i.e. start of j -> end of i and end of j -> start of i.
-    side_nodes: dict[int, dict[float, int]] = {k: {} for k in range(8)}
-    for idx, tg in tags.items():
-        for side, tau in tg.items():
-            side_nodes[side][tau] = idx
-
-    pairings = []
+    # direction, so side i reversed lies on g(side j) entry by entry.
+    pairings, glued = [], []
     for i, j in _OCTAGON_PAIRS:
-        vi0, vi1 = corners[i], corners[(i + 1) % 8]
-        vj0, vj1 = corners[j], corners[(j + 1) % 8]
-        g = mobius_two_point(vj0, vj1, vi1, vi0)
+        g = mobius_two_point(corners[j], corners[(j + 1) % 8],
+                             corners[(i + 1) % 8], corners[i])
         pairings.append((i, j, g))
-        # snap side-i nodes onto the exact images of side-j nodes
-        for tau, idx in side_nodes[j].items():
-            partner = side_nodes[i][round(1.0 - tau, 12)]
-            if partner > 8:  # keep the corner coordinates exact
-                verts[partner] = _mobius_apply(g, verts[idx])
+        partners = sides[i][::-1]
+        for p, v in zip(partners[1:-1], sides[j][1:-1]):   # corners stay exact
+            verts[p] = _mobius_apply(g, verts[v])
+        glued += zip(sides[j], partners)
 
     # classes are the components of the gluing graph, numbered in order of
     # their first chart vertex
-    glued = np.array([(idx, side_nodes[i][round(1.0 - tau, 12)])
-                      for i, j, _ in pairings
-                      for tau, idx in side_nodes[j].items()])
-    gluing = sp.coo_matrix((np.ones(len(glued)), glued.T),
+    gluing = sp.coo_matrix((np.ones(len(glued)), np.array(glued).T),
                            shape=(len(verts), len(verts)))
     _, class_of = connected_components(gluing, directed=False)
     if len(set(class_of[1:9])) != 1:
         raise MeshError("octagon corners did not glue to a single class")
-
-    vertices = np.array(verts, dtype=complex)
-    triangles = np.array(tris, dtype=int)
-
-    # enforce ccw orientation
-    p = np.column_stack([vertices.real, vertices.imag])[triangles]
-    det = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-           - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
-    flip = det < 0
-    triangles[flip] = triangles[flip][:, ::-1]
-    if np.any(np.abs(det) < 1e-14):
-        raise MeshError("refinement produced a degenerate triangle")
 
     nesting = None
     if refinement >= 2:
@@ -488,9 +456,10 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
         nesting = Nesting(coarse=partial(build_genus2_octagon, refinement - 1),
                           vertices=np.arange(n_coarse), parents=parents)
 
+    vertices = np.array(verts, dtype=complex)
     s = DiscreteSurface(
         vertices=vertices,
-        triangles=triangles,
+        triangles=np.array(tris, dtype=int),
         class_of=class_of,
         conformal_factor=disk_lambda(vertices),
         genus=2,

@@ -264,3 +264,68 @@ def test_prolong_constant_is_exact(surface):
     for value in (1.0, -0.3, 7.123456789):
         f = surface.prolong(np.full(c.n_classes, value))
         assert f.shape == (surface.n_classes,) and np.all(f == value)
+
+
+@pytest.mark.parametrize("vertices", [[0, 1j, 1], [0, 1, 2]],
+                         ids=["clockwise", "zero-area"])
+def test_assembly_rejects_misoriented_triangle(vertices):
+    with pytest.raises(MeshError, match="degenerate or misoriented"):
+        DiscreteSurface(vertices=np.array(vertices, dtype=complex),
+                        triangles=np.array([[0, 1, 2]]),
+                        class_of=np.arange(3), conformal_factor=np.ones(3),
+                        genus=0)
+
+
+def _octagon_sides(s):
+    """Chart vertices of each octagon side, corner k to corner k + 1, read
+    off the boundary: edges in one triangle, directed counterclockwise."""
+    directed = s.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = np.sort(directed, axis=1) @ [len(s.vertices), 1]
+    _, inverse, counts = np.unique(key, return_inverse=True,
+                                   return_counts=True)
+    after = dict(directed[counts[inverse] == 1])
+    sides = [[1]]
+    while len(sides) <= 8:
+        v = after[sides[-1][-1]]
+        sides[-1].append(v)
+        if 1 <= v <= 8:                   # the corners are chart vertices 1..8
+            sides.append([v])
+    assert sides[-1] == [1] and len(after) == sum(map(len, sides[:8])) - 8
+    return sides[:8]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_octagon_side_gluing_is_exact(r):
+    # each vertex on side j has a partner on side i at g(vertex), in its class;
+    # the partner is g(vertex) bitwise, except at the corners, kept exact
+    s = build_genus2_octagon(r)
+    sides = _octagon_sides(s)
+    for i, j, g in s.side_pairings:
+        assert len(sides[i]) == len(sides[j]) == 2 ** (r + 1) + 1
+        on_i = s.vertices[sides[i]]
+        for v in sides[j]:
+            z = s.vertices[v]
+            image = (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
+            if v > 8:
+                (hit,) = np.flatnonzero(on_i == image)
+            else:
+                hit = np.abs(on_i - image).argmin()
+                assert abs(on_i[hit] - image) <= 1e-14
+                assert sides[i][hit] <= 8
+            assert s.class_of[sides[i][hit]] == s.class_of[v]
+
+
+def test_octagon_first_eigenvalue_order():
+    # the first nonzero eigenvalue of (K, M) converges as O(h^2): measured
+    # 1.743601, 1.729740, 1.726097 at r = 3, 4, 5, a gap ratio of 3.81
+    lam = []
+    for r in (3, 4, 5):
+        s = build_genus2_octagon(r)
+        v0 = np.random.default_rng(0).standard_normal(s.n_classes)
+        w = spla.eigsh(s.stiffness, k=2, M=sp.diags(s.mass_diag), sigma=-1.0,
+                       v0=v0, return_eigenvectors=False)
+        lam.append(np.sort(w)[1])
+    ratio = (lam[0] - lam[1]) / (lam[1] - lam[2])
+    assert 3.5 <= ratio <= 4.5, f"eigenvalues {lam}, gap ratio {ratio:.3f}"
+    print(f"first nonzero eigenvalue at r = 3, 4, 5: "
+          f"{', '.join(f'{x:.6f}' for x in lam)}; gap ratio {ratio:.2f}")
