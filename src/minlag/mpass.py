@@ -22,7 +22,9 @@ functions, built once at import.  The second (mountain-pass) solution at t
 in (0, T0) is found by deforming a discrete path from the stable field
 (which the mpass command takes from `continuation.branch_point`) to a deep
 negative constant, then polishing the path maximum with `pde.solve_u`,
-Newton on the structure equation itself.
+Newton on the structure equation itself.  A mountain-pass critical point
+has Morse index at most 1 (Hofer, Proc. AMS 90, 1984), so the polish is
+tried only where L has index 1, read from the pivots of its LU.
 Every function reads the surface from the cubic differential (`q.surface`)
 and ||q||^2 from its cache (`q.norm_sq`).
 """
@@ -213,14 +215,20 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
     sweep resamples it at uniform V-arclength with the endpoints fixed,
     takes its interior node of highest F and moves that node by one
     backtracked descent step preconditioned with the V-Gram matrix.  The
-    node as it was before the step is then polished by `pde.solve_u`, Newton
-    on the structure equation, when its gradient norm is below 0.1, on every
-    POLISH_PERIOD-th sweep, and when the step could not lower F.  The
-    cutoff equivalence justifies this polish: for u <= 0, grad F = 0 is the
-    structure equation, and the verification below checks u <= 0.  A
-    polished point V-separated from u_stable ends the search.  A step that
-    cannot lower F, or MAX_SWEEPS sweeps, end the path; it restarts with
-    twice the nodes, twice at most, and then PathCollapse is raised.
+    node as it was before the step is then a polish candidate when its
+    gradient norm is below 0.1, on every POLISH_PERIOD-th sweep, and when
+    the step could not lower F.  A candidate is polished by `pde.solve_u`,
+    Newton on the structure equation, only when L there has Morse index 1,
+    or one `ShiftedLU.morse_index` cannot read (an off-diagonal pivot).
+    The saddle sought has index 1 (Hofer 1984); on the octagons and tori
+    measured, every solve started at another index failed or came back to
+    u_stable.  A singular L admits no polish.  The gate costs one LU of L
+    per candidate.  The cutoff equivalence justifies the polish: for
+    u <= 0, grad F = 0 is the structure equation, and the verification
+    below checks u <= 0.  A polished point V-separated from u_stable ends
+    the search.  A step that cannot lower F, or MAX_SWEEPS sweeps, end the
+    path; it restarts with twice the nodes, twice at most, and then
+    PathCollapse is raised.
 
     The three are module constants, not options: no caller, config or
     benchmark workload needs other values, and the node doubling already
@@ -241,6 +249,19 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
     def vnorms(X):
         """V-norm of each row of X."""
         return np.sqrt(_row_dots(X, (gram @ X.T).T))
+
+    def admits_polish(u):
+        """Whether L(u) has Morse index 1, or one its LU cannot read.
+
+        A singular L, or a u below the overflow guard (`ResidualBlowup`,
+        also a RuntimeError), admits no polish: its Newton solve would
+        fail at once.
+        """
+        try:
+            lu = q.surface.factorize(linearize(u, t, q).potential)
+        except RuntimeError:
+            return False
+        return lu.morse_index() in (1, None)
 
     def relax(nodes):
         """(u, V-norm separation, sweeps), or None."""
@@ -273,9 +294,11 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
                     break
                 alpha *= 0.5
 
-            # polish candidates near stationarity; keep deforming if Newton
-            # fails or lands back on the stable minimizer
-            if gnorm < 0.1 or sweeps % POLISH_PERIOD == 0 or not moved:
+            # polish candidates near stationarity where L has Morse index 1;
+            # keep deforming if Newton fails or lands back on the stable
+            # minimizer
+            if ((gnorm < 0.1 or sweeps % POLISH_PERIOD == 0 or not moved)
+                    and admits_polish(u_top)):
                 try:
                     u, _, _ = solve_u(u_top, t, q, tol)
                 except NonConvergence:

@@ -28,8 +28,10 @@ above the stable solution at every t.  The solve, mpass, frame and wpcheck
 commands start from its field; only `solve` passes it to `newton_solve`.
 
 Every matrix the package factorizes is K + M diag(p) with K's pattern:
-L, the shift-invert operator L - sigma M of `smallest_eigenvalue`, the
-`mpass` V-Gram (p = V) and the `wp` operator K + 2M (p = 2).  So
+L (in Newton steps, and in `mpass` to read its Morse index from the pivots
+before a polish), the shift-invert operator L - sigma M of
+`smallest_eigenvalue`, the `mpass` V-Gram (p = V) and the `wp` operator
+K + 2M (p = 2).  So
 `DiscreteSurface.factorize` orders the columns once per surface, by
 minimum degree on the pattern, and every LU reuses that order in SuperLU's
 symmetric mode, which prefers diagonal pivots.  Threshold pivoting stays on

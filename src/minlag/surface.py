@@ -62,7 +62,11 @@ def _splu(A: sp.csc_matrix, permc_spec: str) -> spla.SuperLU:
 
 
 class ShiftedLU:
-    """LU of K + M diag(p), factorized in the surface's column order."""
+    """LU of K + M diag(p), factorized in the surface's column order.
+
+    Besides solves it gives the Morse index of (K + M diag(p), M) from its
+    pivots, when they all lie on the diagonal.
+    """
 
     def __init__(self, lu: spla.SuperLU, order: np.ndarray, pos: np.ndarray):
         self._lu, self._order, self._pos = lu, order, pos
@@ -70,6 +74,22 @@ class ShiftedLU:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (K + M diag(p)) x = b, for b of shape (n,) or (n, k)."""
         return self._lu.solve(b[self._order])[self._pos]
+
+    def morse_index(self) -> int | None:
+        """Number of negative eigenvalues of (K + M diag(p), M), or None.
+
+        When SuperLU took every pivot on the diagonal (`perm_r == perm_c`),
+        the symmetric P A P^T factors as L D L^T with D the diagonal of U.
+        Sylvester's law of inertia then gives the negative eigenvalues of
+        A = K + M diag(p) as the negative entries of D, and those of A
+        against the positive diagonal M are as many.  Threshold pivoting
+        may take a pivot off the diagonal, which breaks the symmetry of the
+        elimination; then the count says nothing and None is returned.
+        """
+        lu = self._lu
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            return None
+        return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 @dataclass(frozen=True)

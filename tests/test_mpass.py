@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.integrate import quad
 
-from minlag.continuation import detect_fold, trace_curve
+from minlag.continuation import branch_point, detect_fold, trace_curve
 from minlag import mpass
 from minlag.mpass import (F1, F2, DegenerateNorm, PathCollapse,
                           find_mountain_pass, functional_gradient,
                           functional_value, v_gram)
-from minlag.pde import NonConvergence, newton_solve, v_field
+from minlag.pde import NonConvergence, linearize, newton_solve, v_field
 from minlag.cubic import constant_cubic, norm_field
-from minlag.surface import integrate
+from minlag.surface import ShiftedLU, integrate
 
 from reference import norm_equivalence_constants
 from scalar_oracle import U_FOLD, fold_t, scalar_roots
@@ -177,6 +178,18 @@ def test_norm_equivalence_constants(torus16, unit_cubic):
 # ---------------------------------------------------------------------------
 # mountain pass
 
+# folds of the conftest cubics on octagon r2 and r3
+T0_OCTAGON2 = 43.498131284
+T0_OCTAGON3 = 44.604248922
+
+
+def morse_indices(u, t, q):
+    """Morse index of (L(u, t), M) from the LU's pivots and from dense eigh."""
+    s = q.surface
+    L = linearize(u, t, q)
+    w = sla.eigh(L.matrix.toarray(), np.diag(s.mass_diag), eigvals_only=True)
+    return s.factorize(L.potential).morse_index(), int(np.count_nonzero(w < 0))
+
 
 @pytest.fixture(scope="module")
 def torus_stables(torus16, unit_cubic):
@@ -189,6 +202,7 @@ def test_mountain_pass_matches_lower_root(torus16, unit_cubic, torus_stables):
     for t, root in LOWER_ROOT.items():
         p2 = find_mountain_pass(torus_stables[t], t, unit_cubic, tol=1e-11)
         assert np.abs(p2.u - root).max() <= 1e-4
+        assert morse_indices(p2.u, t, unit_cubic) == (1, 1)
         assert p2.u.max() < U_FOLD          # below the fold level
         assert not p2.stable
         assert p2.lambda_min <= 1e-4
@@ -225,6 +239,45 @@ def test_mountain_pass_octagon(octagon2, octagon2_cubic):
     assert p2.u.std() > 1e-3
 
 
+@pytest.mark.parametrize("frac", [0.45, 0.55, 0.75])
+def test_mountain_pass_has_morse_index_one(octagon2_cubic, frac):
+    # a mountain-pass critical point has Morse index at most 1 (Hofer 1984),
+    # and a saddle separated from the minimizer has exactly 1
+    t = frac * T0_OCTAGON2
+    p2 = find_mountain_pass(branch_point(octagon2_cubic, t), t,
+                            octagon2_cubic, tol=1e-10)
+    assert morse_indices(p2.u, t, octagon2_cubic) == (1, 1)
+
+
+def test_polish_gate_admits_index_one_only(octagon3_cubic, monkeypatch):
+    # on octagon r3 at 0.45 T0 the path maximum is polished 7 times without
+    # the gate: 2 Newton solves fail and 4 land back on the stable field.
+    # The gate admits only the 2 starts of index 1 and finds the same u2
+    t = 0.45 * T0_OCTAGON3
+    u_stable = branch_point(octagon3_cubic, t)
+    solve_u = mpass.solve_u
+
+    def run():
+        starts = []
+
+        def recording_solve_u(u0, *args):
+            starts.append(morse_indices(u0, t, octagon3_cubic)[1])
+            return solve_u(u0, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(mpass, "solve_u", recording_solve_u)
+            p2 = find_mountain_pass(u_stable, t, octagon3_cubic, tol=1e-10)
+        return p2, starts
+
+    gated, starts = run()
+    assert starts == [1, 1]
+    monkeypatch.setattr(ShiftedLU, "morse_index", lambda self: None)
+    ungated, starts = run()
+    assert len(starts) == 7
+    assert gated.u.tobytes() == ungated.u.tobytes()
+    assert gated.meta == ungated.meta
+
+
 def test_mountain_pass_degenerate_at_zero(torus16, unit_cubic):
     p0 = newton_solve(np.zeros(torus16.n_classes), 0.0, unit_cubic)
     with pytest.raises(DegenerateNorm):
@@ -240,6 +293,23 @@ def test_mountain_pass_collapse_after_three_paths(torus16, unit_cubic,
 
     monkeypatch.setattr(mpass, "MAX_SWEEPS", 3)
     monkeypatch.setattr(mpass, "solve_u", failing_solve_u)
+    with pytest.raises(PathCollapse, match="up to 80 nodes"):
+        find_mountain_pass(torus_stables[0.10], 0.10, unit_cubic)
+
+
+def test_polish_gate_skips_singular_linearization(torus16, unit_cubic,
+                                                  torus_stables, monkeypatch):
+    # an L that cannot be factorized admits no polish, as a Newton solve
+    # from there would fail at its first step
+    def singular(*args):
+        raise RuntimeError("Factor is exactly singular")
+
+    def no_polish(*args):
+        raise AssertionError("polish attempted")
+
+    monkeypatch.setattr(mpass, "MAX_SWEEPS", 3)
+    monkeypatch.setattr(mpass, "linearize", singular)
+    monkeypatch.setattr(mpass, "solve_u", no_polish)
     with pytest.raises(PathCollapse, match="up to 80 nodes"):
         find_mountain_pass(torus_stables[0.10], 0.10, unit_cubic)
 

@@ -199,6 +199,31 @@ def test_factorize_matches_spsolve(name, request):
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("name", ["torus16", "octagon2"])
+def test_morse_index_matches_dense_inertia(name, request):
+    # SPD and indefinite K + M diag(p), from index 0 to most of the spectrum;
+    # each is factorized with diagonal pivots, so the pivots give the index
+    s = request.getfixturevalue(name)
+    n = s.n_classes
+    rng = np.random.default_rng(12)
+    for p in (rng.uniform(0.5, 3.0, n), rng.uniform(-8.0, 1.0, n),
+              np.full(n, -60.0), rng.uniform(-200.0, 1.0, n)):
+        w = sla.eigh(s.shifted(p).toarray(), np.diag(s.mass_diag),
+                     eigvals_only=True)
+        assert s.factorize(p).morse_index() == np.count_nonzero(w < 0.0)
+
+
+def test_morse_index_unknown_after_off_diagonal_pivot(octagon2):
+    # SuperLU pivots off the diagonal here; the diagonal of U then counts 12
+    # negative entries against 13 negative eigenvalues, so no index is read
+    n = octagon2.n_classes
+    p = np.random.default_rng(0).uniform(-30.0, 5.0, n)
+    w = sla.eigh(octagon2.shifted(p).toarray(), np.diag(octagon2.mass_diag),
+                 eigvals_only=True)
+    assert np.count_nonzero(w < 0.0) == 13
+    assert octagon2.factorize(p).morse_index() is None
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_octagon_coarse_level_is_a_bitwise_prefix(r):
     s = build_genus2_octagon(r)
