@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 configuration or domain error, 2 numerical failure.
 Commands raise; `main` holds the only exception-to-exit-code map.  Every
 subclass of a class on `NUMERICAL_FAILURES` exits 2 as `<command> failed`,
 and every other `ValueError` exits 1 as a config error.  The tuple is tested
-first because it holds `numpy.linalg.LinAlgError`, a `ValueError` raised by
-a failed dense eigen solve.  A new failure class must either derive from a
-class on that tuple or from `ValueError`.
+first because it holds `numpy.linalg.LinAlgError`, a `ValueError` that the
+stacked least-squares solve of `frame._vertex_wirtinger` raises on a
+singular fit.  A new failure class must either derive from a class on that
+tuple or from `ValueError`.
 
 Every command but `mesh` needs a `cubic`.  `continue` traces the branch
 on the coarsest level of the mesh hierarchy (octagon refinement 1; the
@@ -25,7 +26,8 @@ exits 2 naming that level.  `solve`, `mpass` and `frame`
 require `t`, take the stable field at `t` from `continuation.branch_point`,
 and exit 2 when `t` is at or beyond the fold.  Only `solve` classifies that
 field (`pde.newton_solve`, one eigen solve); `mpass` pays one eigen solve,
-to verify its second critical point, and `frame` none.  `frame` integrates
+when `pde.newton_solve` verifies and classifies its second critical point,
+and `frame` none.  An eigen solve that fails exits 2.  `frame` integrates
 the connection of the immersion's cubic differential t q, not of q.
 
 `validate_config` checks every config before its command runs.  A config
@@ -84,8 +86,8 @@ class ConfigError(ValueError):
 
 
 # the bases of every exception class minlag defines that is not a ValueError
-# (pde.SingularJacobian is a NonConvergence), and the ValueError a failed
-# dense eigen solve raises: exit 2
+# (pde.SingularJacobian is a NonConvergence), and the ValueError the stacked
+# `np.linalg.solve` of `frame._vertex_wirtinger` raises: exit 2
 NUMERICAL_FAILURES = (
     pde.ResidualBlowup, pde.NonConvergence, pde.EigenFailure,
     surface.MeshError, continuation.StallBeforeFold,

@@ -19,7 +19,8 @@ The fold is found by nested iteration (the first half of full multigrid;
 Brandt, Math. Comp. 31, 1977).  `nested_cubics` lists q on every level of
 its surface's hierarchy, coarsest first; the continue command traces only
 the coarsest level, and `detect_fold` solves the fold there from the last
-traced point and then once per finer level, started from the prolonged
+traced point, with the null-vector guess the trace's classification
+recorded, and then once per finer level, started from the prolonged
 (u*, phi*, T0) of the level below.  Only the finest level's fold is
 classified by an eigen solve.
 
@@ -46,8 +47,7 @@ import numpy as np
 
 from .cubic import CubicDifferential, norm_field
 from .pde import (NonConvergence, SingularJacobian, SolutionPoint,
-                  damped_newton, linearize, newton_solve, residual,
-                  smallest_eigenvalue, solve_u)
+                  damped_newton, linearize, newton_solve, residual, solve_u)
 from .surface import integrate
 
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
@@ -199,8 +199,8 @@ def fold_step(q: CubicDifferential, m_phi0: np.ndarray):
 
     def step(x, rhs):
         u, phi, t = x[:n], x[n:-1], x[-1]
-        L = linearize(u, t, q)
-        lu = s.factorize(L.potential)
+        pot = linearize(u, t, q)
+        L, lu = s.shifted(pot), s.factorize(pot)
         w = m * q.norm_sq * np.exp(-2.0 * u)    # M ||q||^2 e^{-2u}
         a = 32.0 * t * w
         b = (2.0 * m * np.exp(u) + 64.0 * t * t * w) * phi   # diag of B
@@ -218,7 +218,7 @@ def fold_step(q: CubicDifferential, m_phi0: np.ndarray):
         def bordered(g, h):
             """Lb^{-1} (g, h) for the columns of g and entries of h."""
             y, mu = eliminate(g, h)
-            dy, dmu = eliminate(g - L.matrix @ y - np.outer(psi, mu),
+            dy, dmu = eliminate(g - L @ y - np.outer(psi, mu),
                                 h - psi @ y)
             return (y + dy).T, mu + dmu
 
@@ -261,7 +261,7 @@ def solve_fold(q: CubicDifferential, u: np.ndarray, phi: np.ndarray,
     def field_fn(x):
         u, phi, t = x[:n], x[n:-1], x[-1]
         return np.concatenate([-residual(u, t, q),
-                               (linearize(u, t, q).matrix @ phi) / m,
+                               (s.shifted(linearize(u, t, q)) @ phi) / m,
                                [m_phi0 @ phi - 1.0]])
 
     x, _, it = damped_newton(np.concatenate([u, phi0, [t]]), field_fn,
@@ -289,10 +289,10 @@ def detect_fold(curve: SolutionCurve, finer=(), tol: float = 1e-11) -> float:
     `finer` lists the cubics of the finer levels of `curve.cubic`'s
     hierarchy, coarsest first (`nested_cubics` without its first entry).
     On the trace's level `solve_fold` starts from the last point with phi
-    its M-normalized smallest eigenvector; on each finer level it starts
-    from the prolonged (u*, phi*, T0) of the level below, so only the trace
-    makes an eigen solve for phi (nested iteration).  `newton_solve`
-    classifies the finest level's (u*, T0).
+    the M-normalized smallest eigenvector its `newton_solve` recorded; on
+    each finer level it starts from the prolonged (u*, phi*, T0) of the
+    level below, so no eigen solve is made for phi (nested iteration).
+    `newton_solve` classifies the finest level's (u*, T0).
     Raises NoFoldDetected, naming the level, if the curve does not approach
     a fold, a solve fails, the trace level's solve ends behind the curve or
     the finest ends off the fold.  Sets T0_estimate, fold_point and the
@@ -310,8 +310,7 @@ def detect_fold(curve: SolutionCurve, finer=(), tol: float = 1e-11) -> float:
             f"strictly decreasing")
 
     p = pts[-1]
-    u, t = p.u, p.t
-    _, phi = smallest_eigenvalue(linearize(u, t, curve.cubic))
+    u, t, phi = p.u, p.t, p.eigenvector
     qs = [curve.cubic, *finer]
     levels = []
     for k, q in enumerate(qs):

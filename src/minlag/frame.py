@@ -52,10 +52,10 @@ def s_from_u(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.sqrt(np.exp(np.asarray(u, dtype=float)) * lam / 2.0)
 
 
-def maurer_cartan(sval, s_z, s_zbar, qval):
+def maurer_cartan(sval, s_z, qval):
     """Connection matrices (A, B) at a point, or stacks of them at arrays of
-    points; both are traceless."""
-    a, b, qs = s_z / sval, s_zbar / sval, qval / sval ** 2
+    points; both are traceless.  s is real, so s_zbar = conj(s_z)."""
+    a, b, qs = s_z / sval, np.conjugate(s_z) / sval, qval / sval ** 2
     o = np.zeros(np.shape(a), dtype=complex)      # makes A and B complex
     A = np.stack([a, o, sval, -qs, -a, o, o, sval, o], -1)
     B = np.stack([-b, np.conjugate(qs), o, o, b, sval, sval, o, o], -1)
@@ -232,7 +232,7 @@ def integrate_frame(coeffs, path, step: float) -> FrameSheet:
             start.append(len(points) - 1)
             points += [a + (tau0 + 0.5 * hh) * seg, a + (tau0 + hh) * seg]
     s, s_z, q = coeffs.at_many(points)
-    A, B = maurer_cartan(s, s_z, np.conjugate(s_z), q)
+    A, B = maurer_cartan(s, s_z, q)
 
     i = np.array(start, dtype=int)
     dz = np.array(dz, dtype=complex)[:, None, None]

@@ -25,11 +25,15 @@ negative constant, then polishing the path maximum with `pde.solve_u`,
 Newton on the structure equation itself.  A mountain-pass critical point
 has Morse index at most 1 (Hofer, Proc. AMS 90, 1984), so the polish is
 tried only where L has index 1, read from the pivots of its LU.
+The point found is classified by `pde.newton_solve`, which returns it with
+residual norm at most tol and its smallest eigenpair.
 Every function reads the surface from the cubic differential (`q.surface`)
 and ||q||^2 from its cache (`q.norm_sq`).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -37,7 +41,7 @@ import scipy.sparse as sp
 
 from .cubic import CubicDifferential
 from .pde import (TOL_POS, NonConvergence, SolutionPoint, linearize,
-                  residual, smallest_eigenvalue, solve_u, v_field)
+                  newton_solve, solve_u, v_field)
 
 THETA = 3.0           # growth exponent of the cutoffs for s > 1
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
@@ -235,9 +239,12 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
     refines a path that is too coarse.
 
     The result is verified against the cutoff equivalence: u <= 0 within
-    TOL_POS, structure-equation residual at most 10*tol, and smallest
-    eigenvalue of the linearization at most EPS_UNSTABLE (a second
-    minimizer would signal a path collapse).
+    TOL_POS, then `pde.newton_solve` from it at tol, which returns the
+    point only at structure-equation residual at most tol, and its
+    smallest eigenvalue at most EPS_UNSTABLE (a second minimizer would
+    signal a path collapse).  The point returned is `newton_solve`'s with
+    the search's own `meta`: path_iterations, vnorm_separation and
+    path_nodes.
     """
     m = q.surface.mass_diag
     gram = v_gram(t, q)                         # raises DegenerateNorm at t=0
@@ -258,7 +265,7 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
         fail at once.
         """
         try:
-            lu = q.surface.factorize(linearize(u, t, q).potential)
+            lu = q.surface.factorize(linearize(u, t, q))
         except RuntimeError:
             return False
         return lu.morse_index() in (1, None)
@@ -323,18 +330,10 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
     if u2.max() > TOL_POS:
         raise VerificationFailure(
             f"critical point violates u <= 0: max u = {u2.max():.3g}")
-    rnorm = float(np.sqrt(m @ residual(u2, t, q) ** 2))
-    if rnorm > 10.0 * tol:
+    p2 = newton_solve(u2, t, q, tol)
+    if p2.lambda_min > EPS_UNSTABLE:
         raise VerificationFailure(
-            f"structure-equation residual {rnorm:.3g} exceeds 10*tol")
-    lam, _ = smallest_eigenvalue(linearize(u2, t, q))
-    if lam > EPS_UNSTABLE:
-        raise VerificationFailure(
-            f"second critical point is stable (lambda_min = {lam:.3g}); "
-            "the path converged to another minimizer")
-
-    return SolutionPoint(u=u2, t=float(t), residual_norm=rnorm,
-                         lambda_min=lam, stable=False,
-                         meta={"path_iterations": sweeps,
-                               "vnorm_separation": sep,
-                               "path_nodes": nodes})
+            f"second critical point is stable (lambda_min = "
+            f"{p2.lambda_min:.3g}); the path converged to another minimizer")
+    return replace(p2, meta={"path_iterations": sweeps,
+                             "vnorm_separation": sep, "path_nodes": nodes})

@@ -12,20 +12,26 @@ about u is
 
     L(u, t) = -Delta + 2 e^{-2u} (e^{3u} - 16 t^2 ||q||^2),
 
-assembled as K + M diag(potential) and always generalized against M.  Its
-smallest eigenvalue decides stability of a solution: positive on the stable
-branch, zero at the fold.
+that is K + M diag(p) with the potential p that `linearize` returns, always
+generalized against M: callers factorize it (`DiscreteSurface.factorize`)
+or assemble it (`DiscreteSurface.shifted`) from p.  Its smallest
+eigenvalue decides stability of a solution: positive on the stable branch,
+zero at the fold.  `smallest_eigenvalue` has one path, shift-invert ARPACK;
+a failed LU or ARPACK run raises EigenFailure, and nothing falls back.
 
 `damped_newton` is the one Newton/Armijo loop of the package.  `solve_u`
 runs it on the structure equation (field = -residual, Jacobian = L), and
 `newton_solve` adds the eigenvalue classification of the converged point;
-the only other system it solves is `continuation.solve_fold`'s.
+it is the package's one classification, and the only builder of a
+`SolutionPoint`.  The only other system the loop solves is
+`continuation.solve_fold`'s.
 Every caller inherits its damping floor `MIN_DAMPING` and its iteration
 cap `MAX_NEWTON_ITER`: `continuation`'s `trace_curve` (warm-started along
 t), `solve_fold` and `branch_point`, and the `mpass` polish.
 `branch_point` is the one cold solve, a `solve_u` from u = 0, which lies
 above the stable solution at every t.  The solve, mpass, frame and wpcheck
-commands start from its field; only `solve` passes it to `newton_solve`.
+commands start from its field; only `solve` passes it to `newton_solve`,
+and `mpass` passes its second critical point.
 
 Every matrix the package factorizes is K + M diag(p) with K's pattern:
 L (in Newton steps, and in `mpass` to read its Morse index from the pivots
@@ -45,10 +51,8 @@ with LUs of L).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -82,18 +86,21 @@ class SingularJacobian(NonConvergence):
 
 
 class EigenFailure(RuntimeError):
-    """The smallest eigenpair failed its residual check."""
+    """The smallest eigenpair could not be computed or failed its residual
+    check."""
 
 
 @dataclass
 class SolutionPoint:
-    """One accepted point (u, t) with its stability data."""
+    """One solved point (u, t) with its stability data: the smallest
+    eigenvalue of L(u, t) and its M-normalized eigenvector."""
 
     u: np.ndarray
     t: float
     residual_norm: float
     lambda_min: float
     stable: bool
+    eigenvector: np.ndarray = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)
 
     def to_json(self) -> dict:
@@ -104,18 +111,6 @@ class SolutionPoint:
             "lambda_min": float(self.lambda_min),
             "stable": bool(self.stable),
         }
-
-
-@dataclass
-class LinearizedOperator:
-    """L = K + M diag(potential) on `surface`."""
-
-    surface: DiscreteSurface
-    potential: np.ndarray
-
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        return self.surface.shifted(self.potential)
 
 
 def v_field(t: float, q: CubicDifferential) -> np.ndarray:
@@ -138,48 +133,47 @@ def residual(u: np.ndarray, t: float, q: CubicDifferential) -> np.ndarray:
         return lap + 2.0 - 2.0 * np.exp(u) - v_field(t, q) * np.exp(-2.0 * u)
 
 
-def linearize(u: np.ndarray, t: float,
-              q: CubicDifferential) -> LinearizedOperator:
-    """Assemble L(u, t) = K + M diag(2 e^{-2u}(e^{3u} - 16 t^2 ||q||^2))."""
+def linearize(u: np.ndarray, t: float, q: CubicDifferential) -> np.ndarray:
+    """Potential p = 2 e^{-2u}(e^{3u} - 16 t^2 ||q||^2) of the linearized
+    operator L(u, t) = K + M diag(p)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     u = np.asarray(u, dtype=float)
     if u.min() < BLOWUP_THRESHOLD:
         raise ResidualBlowup(f"min u = {u.min():.3g} below {BLOWUP_THRESHOLD}")
-    pot = 2.0 * np.exp(-2.0 * u) * (np.exp(3.0 * u) - v_field(t, q))
-    return LinearizedOperator(surface=q.surface, potential=pot)
+    return 2.0 * np.exp(-2.0 * u) * (np.exp(3.0 * u) - v_field(t, q))
 
 
-def smallest_eigenvalue(L: LinearizedOperator):
-    """Smallest generalized eigenpair of (L, M), eigenvector M-normalized.
+def smallest_eigenvalue(s: DiscreteSurface, p: np.ndarray):
+    """Smallest generalized eigenpair of (K + M diag(p), M), eigenvector
+    M-normalized.
 
     Uses shift-invert Lanczos (ARPACK) with a shift strictly below the
     spectrum: the potential minimum bounds the smallest eigenvalue from
     below since K >= 0.  The inverse of L - sigma M comes from
-    `DiscreteSurface.factorize`.
-    Only when ARPACK or that factorization fails does it solve the dense
-    problem.  Raises EigenFailure if the pair misses its residual check.
+    `DiscreteSurface.factorize`.  Raises EigenFailure when that
+    factorization or ARPACK fails, or when the pair misses its residual
+    check.
     """
-    s = L.surface
     n, m = s.n_classes, s.mass_diag
-    M = sp.diags(m)
-    lower = min(0.0, float(L.potential.min()))
+    A = s.shifted(p)
+    lower = min(0.0, float(p.min()))
     sigma = lower - 0.1 * (1.0 + abs(lower))
     try:
-        lu = s.factorize(L.potential - sigma)
+        lu = s.factorize(p - sigma)
         op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         # a fixed start vector makes ARPACK, so lambda_min, reproducible;
         # shift-invert makes the one wanted eigenvalue dominant, so 8 Lanczos
         # vectors (default 20) suffice; ARPACK needs n > ncv, and the mesh
         # builders refuse meshes with fewer than 16 classes
-        w, v = spla.eigsh(L.matrix, k=1, M=M, sigma=sigma, which="LM",
+        w, v = spla.eigsh(A, k=1, M=sp.diags(m), sigma=sigma, which="LM",
                           tol=1e-9, v0=np.ones(n), ncv=8, OPinv=op_inv)
-    except (spla.ArpackError, RuntimeError):
-        w, v = sla.eigh(L.matrix.toarray(), np.diag(m))
+    except RuntimeError as exc:     # a singular LU, or any ArpackError
+        raise EigenFailure(f"smallest eigenpair failed: {exc}") from exc
     lam, vec = float(w[0]), v[:, 0]
 
     vec = vec / np.sqrt(m @ vec ** 2)
-    res = np.linalg.norm(L.matrix @ vec - lam * (m * vec))
+    res = np.linalg.norm(A @ vec - lam * (m * vec))
     scale = max(1.0, abs(lam)) * np.sqrt(float(n))
     if res > 1e-6 * scale:
         raise EigenFailure(f"eigen residual {res:.2e} exceeds tolerance")
@@ -259,7 +253,7 @@ def solve_u(u0: np.ndarray, t: float, q: CubicDifferential,
     s = q.surface
     return damped_newton(
         u0, lambda v: -residual(v, t, q),
-        lambda v, rhs: s.factorize(linearize(v, t, q).potential).solve(rhs),
+        lambda v, rhs: s.factorize(linearize(v, t, q)).solve(rhs),
         s.mass_diag, tol)
 
 
@@ -267,12 +261,13 @@ def newton_solve(u0: np.ndarray, t: float, q: CubicDifferential,
                  tol: float = 1e-10) -> SolutionPoint:
     """Solve the structure equation at t from u0 (`solve_u`) and classify it.
 
-    The returned point records the smallest eigenvalue of L(u, t), its
-    stability flag and the Newton iteration count.
+    The returned point records the smallest eigenpair of L(u, t), the
+    stability flag lambda_min > 0 and the Newton iteration count.  It is
+    returned only at residual norm <= tol; otherwise NonConvergence is
+    raised.
     """
     u, rnorm, it = solve_u(u0, t, q, tol=tol)
-    lam, _ = smallest_eigenvalue(linearize(u, t, q))
+    lam, vec = smallest_eigenvalue(q.surface, linearize(u, t, q))
     return SolutionPoint(u=u, t=float(t), residual_norm=rnorm,
-                         lambda_min=lam, stable=lam > 0.0,
+                         lambda_min=lam, stable=lam > 0.0, eigenvector=vec,
                          meta={"newton_iterations": it})
-

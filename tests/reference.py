@@ -45,7 +45,7 @@ def moore_spence_jacobian(q: CubicDifferential, x: np.ndarray,
     s = q.surface
     n, m = s.n_classes, s.mass_diag
     u, phi, t = x[:n], x[n:-1], x[-1]
-    L = linearize(u, t, q).matrix.toarray()
+    L = s.shifted(linearize(u, t, q)).toarray()
     w = m * q.norm_sq * np.exp(-2.0 * u)
     J = np.zeros((2 * n + 1, 2 * n + 1))
     J[:n, :n] = L
@@ -133,8 +133,7 @@ def stagewise_rk4_frames(coeffs, path, step: float) -> np.ndarray:
     """
     def connection(z, zdot):
         (s,), (s_z,), (q,) = coeffs.at_many([z])
-        s_z = complex(s_z)
-        A, B = maurer_cartan(float(s), s_z, s_z.conjugate(), complex(q))
+        A, B = maurer_cartan(float(s), complex(s_z), complex(q))
         return A * zdot + B * np.conjugate(zdot)
 
     path = [complex(p) for p in path]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from minlag import cli, continuation, cubic, pde
+from minlag import cli, continuation, cubic, frame, pde
 from minlag.cli import main
 from minlag.surface import build_flat_torus
 
@@ -46,23 +46,31 @@ def _no_convergence(A, **kwargs):
                                        np.empty((A.shape[0], 0)))
 
 
-def _singular(*args, **kwargs):
-    raise np.linalg.LinAlgError("injected singular pencil")
-
-
 def test_eigen_failure_exits_2(tmp_path, capsys, monkeypatch):
     # an eigenpair that misses its residual check is a numerical failure, and
-    # so is a failed dense fallback, though LinAlgError is a ValueError
+    # so is an ARPACK run that does not converge: nothing falls back
     cfg = write_cfg(tmp_path, "c.json",
                     dict(TORUS, backend=dict(TORUS["backend"], n=32), t=0.1))
-    for eigsh, eigh, message in (
-            (_wrong_pair, pde.sla.eigh, "eigen residual"),
-            (_no_convergence, _singular, "injected singular pencil")):
+    for eigsh, message in (
+            (_wrong_pair, "eigen residual"),
+            (_no_convergence, "smallest eigenpair failed: ARPACK error -1: "
+                              "injected")):
         monkeypatch.setattr(pde.spla, "eigsh", eigsh)
-        monkeypatch.setattr(pde.sla, "eigh", eigh)
         assert main(["solve", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("solve failed:") and message in err
+
+
+def test_singular_fit_exits_2(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError, but the stacked solve of the frame's
+    # derivative fits raises it for a singular fit: a numerical failure
+    def singular(*args):
+        raise np.linalg.LinAlgError("injected singular fit")
+
+    monkeypatch.setattr(frame, "_vertex_wirtinger", singular)
+    cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.1))
+    assert main(["frame", cfg]) == 2
+    assert capsys.readouterr().err == "frame failed: injected singular fit\n"
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):
@@ -264,6 +272,42 @@ def test_eigen_solves_per_command(tmp_path, monkeypatch):
         out = str(tmp_path / f"{command}.json")
         assert main([command, cfg, "-o", out]) == 0
         assert len(calls) == expected, command
+
+
+# continue on torus 16 and octagon r2, and the fold T0 each gives
+CONTINUE_CASES = {
+    "torus16": (dict(TORUS, dt0=0.01), 0.1360827634879544),
+    "octagon2": ({"backend": {"type": "octagon", "refinement": 2},
+                  "cubic": {"zeros": [[5, 3], [11, 3]], "amplitude": 30.0},
+                  "dt0": 0.2, "tol": 1e-10}, 0.4937185908639932),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTINUE_CASES))
+def test_continue_solves_each_eigenpair_once(tmp_path, capsys, monkeypatch,
+                                             case):
+    # each classified point costs one eigen solve, and the fold solve starts
+    # from the eigenvector the last traced point kept: no other eigen solve
+    eigsh, newton_solve = pde.spla.eigsh, continuation.newton_solve
+    solves, classified = [], []
+
+    def counting_eigsh(*args, **kwargs):
+        solves.append(args)
+        return eigsh(*args, **kwargs)
+
+    def counting_newton(*args, **kwargs):
+        classified.append(newton_solve(*args, **kwargs))
+        return classified[-1]
+
+    monkeypatch.setattr(pde.spla, "eigsh", counting_eigsh)
+    monkeypatch.setattr(continuation, "newton_solve", counting_newton)
+    cfg, t0 = CONTINUE_CASES[case]
+    assert main(["continue", write_cfg(tmp_path, "c.json", cfg),
+                 "-o", str(tmp_path / "curve")]) == 0
+    payload = json.loads((tmp_path / "curve.json").read_text())
+    assert payload["T0_estimate"] == pytest.approx(t0, rel=1e-12)
+    assert len(classified) >= payload["diagnostics"]["n_points"] + 1
+    assert len(solves) == len(classified)
 
 
 def test_frame_computes_the_norm_once(tmp_path, monkeypatch):

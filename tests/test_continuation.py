@@ -107,7 +107,7 @@ def moore_spence_field(q, x, m_phi0):
     n, m = q.surface.n_classes, q.surface.mass_diag
     u, phi, t = x[:n], x[n:-1], x[-1]
     return np.concatenate([-m * residual(u, t, q),
-                           linearize(u, t, q).matrix @ phi,
+                           q.surface.shifted(linearize(u, t, q)) @ phi,
                            [m_phi0 @ phi - 1.0]])
 
 
@@ -117,10 +117,24 @@ def fold_states(curve):
     q = curve.cubic
     states = []
     for p in (curve.points[-1], curve.fold_point):
-        _, phi = smallest_eigenvalue(linearize(p.u, p.t, q))
-        states.append(np.concatenate([p.u, phi, [p.t]]))
+        states.append(np.concatenate([p.u, p.eigenvector, [p.t]]))
     m_phi0 = q.surface.mass_diag * states[0][q.surface.n_classes:-1]
     return [(x, m_phi0) for x in states]
+
+
+@pytest.mark.parametrize("name", ["torus_curve", "octagon_curve"])
+def test_fold_solve_reuses_the_traced_eigenvector(name, request):
+    # detect_fold starts from the eigenvector the last point's newton_solve
+    # kept: bitwise the one a fresh eigen solve there gives, so T0 is that
+    # of a fold solve started from the fresh one
+    curve = request.getfixturevalue(name)
+    p, q = curve.points[-1], curve.cubic
+    _, phi = smallest_eigenvalue(q.surface, linearize(p.u, p.t, q))
+    assert p.eigenvector.tobytes() == phi.tobytes()
+    fresh = dataclasses.replace(
+        curve, diagnostics=dict(curve.diagnostics),
+        points=[*curve.points[:-1], dataclasses.replace(p, eigenvector=phi)])
+    assert detect_fold(fresh) == curve.T0_estimate
 
 
 def test_moore_spence_reference_matches_finite_differences(torus_curve):
@@ -300,7 +314,7 @@ def test_branch_point_matches_trace(torus_curve, octagon_curve):
         m = q.surface.mass_diag
         for p in curve.points:
             u = branch_point(q, p.t, tol=tol)
-            lam, _ = smallest_eigenvalue(linearize(u, p.t, q))
+            lam, _ = smallest_eigenvalue(q.surface, linearize(u, p.t, q))
             assert lam > 0.0
             assert np.sqrt(m @ residual(u, p.t, q) ** 2) <= tol
             assert np.abs(u - p.u).max() <= 1e-9
@@ -311,7 +325,7 @@ def test_branch_point_near_fold_is_upper_root(torus16, unit_cubic):
     t = 0.9999 * fold_t(1.0)
     u = branch_point(unit_cubic, t, tol=1e-11)
     _, upper = scalar_roots(16.0 * t * t)
-    lam, _ = smallest_eigenvalue(linearize(u, t, unit_cubic))
+    lam, _ = smallest_eigenvalue(torus16, linearize(u, t, unit_cubic))
     assert lam > 0.0
     assert np.abs(u - upper).max() <= 1e-8
 

@@ -46,7 +46,7 @@ def test_s_from_u_fold_state(torus16):
 
 
 def test_maurer_cartan_structure():
-    A, B = maurer_cartan(1.7, 0.0, 0.0, 0.0)
+    A, B = maurer_cartan(1.7, 0.0, 0.0)
     # constant s, q = 0: only the two s entries survive
     expectA = np.zeros((3, 3), dtype=complex)
     expectA[0, 2] = expectA[2, 1] = 1.7
@@ -60,14 +60,14 @@ def test_maurer_cartan_traceless():
         sval = rng.uniform(0.2, 3.0)
         s_z = complex(*rng.standard_normal(2))
         qv = complex(*rng.standard_normal(2))
-        A, B = maurer_cartan(sval, s_z, np.conjugate(s_z), qv)
+        A, B = maurer_cartan(sval, s_z, qv)
         assert abs(np.trace(A)) == 0.0
         assert abs(np.trace(B)) == 0.0
 
 
 def test_maurer_cartan_mirror_pattern():
     sval, s_z, qv = 1.3, 0.2 + 0.1j, 0.5 - 0.25j
-    A, B = maurer_cartan(sval, s_z, np.conjugate(s_z), qv)
+    A, B = maurer_cartan(sval, s_z, qv)
     assert B[0, 1] == pytest.approx(np.conjugate(qv) / sval ** 2)
     assert A[1, 0] == pytest.approx(-qv / sval ** 2)
     assert B[0, 0] == pytest.approx(-np.conjugate(A[0, 0]))
@@ -79,7 +79,7 @@ def test_maurer_cartan_constant_data_not_flat():
     # right side of the Gauss equation (log s)_{z zbar} = s^2 + |q|^2 s^-4;
     # it never vanishes, so constant (s, q) is never a flat connection
     for sval, qv in ((0.8, 1.0), (0.8, 1.0 - 0.5j), (1.7, 0.0), (0.3, 2j)):
-        A, B = maurer_cartan(sval, 0.0, 0.0, qv)
+        A, B = maurer_cartan(sval, 0.0, qv)
         k = sval ** 2 + abs(qv) ** 2 * sval ** -4
         assert A @ B - B @ A == pytest.approx(np.diag([k, -k, 0.0]),
                                               rel=1e-14, abs=1e-14)
@@ -93,7 +93,7 @@ def test_connection_in_lie_algebra():
         s_z = complex(*rng.standard_normal(2))
         qv = complex(*rng.standard_normal(2))
         zdot = complex(*rng.standard_normal(2))
-        A, B = maurer_cartan(sval, s_z, np.conjugate(s_z), qv)
+        A, B = maurer_cartan(sval, s_z, qv)
         X = A * zdot + B * np.conjugate(zdot)
         assert np.abs((ETA @ X).conj().T + ETA @ X).max() <= 1e-12
 
@@ -119,12 +119,12 @@ def test_maurer_cartan_and_su21_defect_take_stacks():
     sval = rng.uniform(0.2, 3.0, 6)
     s_z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     qv = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    A, B = maurer_cartan(sval, s_z, np.conjugate(s_z), qv)
+    A, B = maurer_cartan(sval, s_z, qv)
     assert A.shape == B.shape == (6, 3, 3)
     F = np.eye(3) + 0.1 * (A + B)
     unit, det = su21_defect(F)
     for k in range(6):
-        Ak, Bk = maurer_cartan(sval[k], s_z[k], np.conjugate(s_z[k]), qv[k])
+        Ak, Bk = maurer_cartan(sval[k], s_z[k], qv[k])
         assert np.array_equal(A[k], Ak) and np.array_equal(B[k], Bk)
         uk, dk = su21_defect(F[k])
         assert unit[k] == pytest.approx(uk, rel=1e-14)

@@ -1,7 +1,8 @@
 """Static checks over the `minlag` sources: unused imports, argument design,
 unreferenced private names, public names without a consumer, one sparse
-factorization, the systems the Newton loop solves, a package `__init__` that
-binds nothing, and what importing the CLI loads."""
+factorization, the systems the Newton loop solves, one eigen path, one
+classification, a package `__init__` that binds nothing, and what importing
+the CLI loads."""
 
 import ast
 import os
@@ -375,6 +376,48 @@ def test_newton_solves_two_systems():
     sites = sorted((path.name, owner) for path in MODULES
                    for owner, _ in calls(path.read_text(), "damped_newton"))
     assert sites == [("continuation.py", "solve_fold"), ("pde.py", "solve_u")]
+
+
+def scipy_linalg_imports(source: str) -> list:
+    """Lines that import `scipy.linalg` or a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(n == "scipy.linalg" or n.startswith("scipy.linalg.")
+               for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_detects_scipy_linalg_imports():
+    source = ("import scipy.linalg as sla\n"
+              "import scipy.sparse.linalg as spla\n"
+              "from scipy import linalg\n"
+              "from scipy.linalg import eigh\n"
+              "from scipy.sparse import linalg\n")
+    assert scipy_linalg_imports(source) == [1, 3, 4]
+
+
+def test_one_eigen_path():
+    # shift-invert ARPACK in `pde.smallest_eigenvalue` is the package's one
+    # eigen solver: no dense `eigh` to fall back on, and no scipy.linalg
+    assert [(path.name, owner) for path in MODULES
+            for owner, _ in calls(path.read_text(), "eigh")] == []
+    assert [(path.name, line) for path in MODULES
+            for line in scipy_linalg_imports(path.read_text())] == []
+
+
+def test_one_classification():
+    # `pde.newton_solve` is the only place that classifies a solved point;
+    # the mountain pass and the fold take their points from it
+    sites = sorted((path.name, owner) for path in MODULES
+                   for owner, _ in calls(path.read_text(), "SolutionPoint"))
+    assert sites == [("pde.py", "newton_solve")]
 
 
 def test_cli_import_loads_no_unneeded_module():

@@ -10,7 +10,8 @@ from minlag import mpass
 from minlag.mpass import (F1, F2, DegenerateNorm, PathCollapse,
                           find_mountain_pass, functional_gradient,
                           functional_value, v_gram)
-from minlag.pde import NonConvergence, linearize, newton_solve, v_field
+from minlag.pde import (NonConvergence, linearize, newton_solve, residual,
+                        smallest_eigenvalue, v_field)
 from minlag.cubic import constant_cubic, norm_field
 from minlag.surface import ShiftedLU, integrate
 
@@ -186,9 +187,10 @@ T0_OCTAGON3 = 44.604248922
 def morse_indices(u, t, q):
     """Morse index of (L(u, t), M) from the LU's pivots and from dense eigh."""
     s = q.surface
-    L = linearize(u, t, q)
-    w = sla.eigh(L.matrix.toarray(), np.diag(s.mass_diag), eigvals_only=True)
-    return s.factorize(L.potential).morse_index(), int(np.count_nonzero(w < 0))
+    pot = linearize(u, t, q)
+    w = sla.eigh(s.shifted(pot).toarray(), np.diag(s.mass_diag),
+                 eigvals_only=True)
+    return s.factorize(pot).morse_index(), int(np.count_nonzero(w < 0))
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +249,21 @@ def test_mountain_pass_has_morse_index_one(octagon2_cubic, frac):
     p2 = find_mountain_pass(branch_point(octagon2_cubic, t), t,
                             octagon2_cubic, tol=1e-10)
     assert morse_indices(p2.u, t, octagon2_cubic) == (1, 1)
+
+
+def test_mountain_pass_is_classified_by_newton_solve(octagon2_cubic):
+    # the point is `newton_solve`'s, whose residual norm and eigenpair it
+    # keeps, with the search's own meta
+    q, t = octagon2_cubic, 0.55 * T0_OCTAGON2
+    p2 = find_mountain_pass(branch_point(q, t), t, q, tol=1e-10)
+    assert sorted(p2.meta) == ["path_iterations", "path_nodes",
+                               "vnorm_separation"]
+    m = q.surface.mass_diag
+    assert p2.residual_norm == float(np.sqrt(m @ residual(p2.u, t, q) ** 2))
+    lam, vec = smallest_eigenvalue(q.surface, linearize(p2.u, t, q))
+    assert p2.lambda_min == lam < 0.0
+    assert p2.eigenvector.tobytes() == vec.tobytes()
+    assert not p2.stable
 
 
 def test_polish_gate_admits_index_one_only(octagon3_cubic, monkeypatch):

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from minlag import pde
 from minlag.continuation import fold_step
 from minlag.cubic import constant_cubic, norm_field
-from minlag.pde import (LinearizedOperator, NonConvergence, ResidualBlowup,
+from minlag.pde import (EigenFailure, NonConvergence, ResidualBlowup,
                         SingularJacobian, damped_newton, linearize,
                         newton_solve, residual, smallest_eigenvalue)
 
@@ -57,9 +57,9 @@ def test_residual_blowup_guard(torus16, unit_cubic):
 
 
 def test_linearize_at_origin(torus16, unit_cubic):
-    L = linearize(np.zeros(torus16.n_classes), 0.0, unit_cubic)
-    assert L.potential == pytest.approx(2.0 * np.ones_like(L.potential))
-    lam, vec = smallest_eigenvalue(L)
+    p = linearize(np.zeros(torus16.n_classes), 0.0, unit_cubic)
+    assert p == pytest.approx(2.0 * np.ones_like(p))
+    lam, vec = smallest_eigenvalue(torus16, p)
     assert lam == pytest.approx(2.0, abs=1e-9)
     # constant eigenvector, M-normalized on the unit-area torus
     assert np.abs(vec).std() <= 1e-8
@@ -67,8 +67,8 @@ def test_linearize_at_origin(torus16, unit_cubic):
 
 def test_linearize_at_fold_state(torus16, unit_cubic):
     u = np.full(torus16.n_classes, U_FOLD)
-    L = linearize(u, fold_t(1.0), unit_cubic)
-    lam, _ = smallest_eigenvalue(L)
+    lam, _ = smallest_eigenvalue(torus16,
+                                 linearize(u, fold_t(1.0), unit_cubic))
     assert abs(lam) <= 1e-6
 
 
@@ -79,8 +79,8 @@ def test_jacobian_matches_finite_differences(torus16, unit_cubic):
         u = rng.uniform(-0.5, 0.0, torus16.n_classes)
         v = rng.standard_normal(torus16.n_classes)
         t = rng.uniform(0.0, 0.13)
-        L = linearize(u, t, unit_cubic)
-        lv = (L.matrix @ v) / L.surface.mass_diag
+        L = torus16.shifted(linearize(u, t, unit_cubic))
+        lv = (L @ v) / torus16.mass_diag
         fd = (residual(u + eps * v, t, unit_cubic)
               - residual(u, t, unit_cubic)) / eps
         # d residual / du = -M^{-1} L by the sign convention of L
@@ -149,75 +149,77 @@ def test_accepted_point_integral_identity(torus16, unit_cubic):
 
 def test_smallest_eigenvalue_shift(torus16, unit_cubic):
     u = np.full(torus16.n_classes, -0.2)
-    L = linearize(u, 0.05, unit_cubic)
-    lam, _ = smallest_eigenvalue(L)
+    p = linearize(u, 0.05, unit_cubic)
+    lam, _ = smallest_eigenvalue(torus16, p)
     shift = 0.37
-    shifted = LinearizedOperator(surface=L.surface,
-                                 potential=L.potential + shift)
-    lam2, _ = smallest_eigenvalue(shifted)
+    lam2, _ = smallest_eigenvalue(torus16, p + shift)
     assert lam2 == pytest.approx(lam + shift, abs=1e-9)
 
 
 def test_smallest_eigenvector_normalization(torus16, unit_cubic):
-    L = linearize(np.zeros(torus16.n_classes), 0.05, unit_cubic)
-    _, vec = smallest_eigenvalue(L)
-    m = L.surface.mass_diag
+    p = linearize(np.zeros(torus16.n_classes), 0.05, unit_cubic)
+    _, vec = smallest_eigenvalue(torus16, p)
+    m = torus16.mass_diag
     assert float(m @ vec ** 2) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_newton_solve_keeps_the_eigenvector(torus16, octagon2, unit_cubic,
+                                            octagon2_cubic):
+    # the classified point carries the M-normalized eigenvector of its
+    # lambda_min, so no caller solves the same eigenproblem again
+    for s, q, t in ((torus16, unit_cubic, 0.1),
+                    (octagon2, octagon2_cubic, 20.0)):
+        p = newton_solve(np.zeros(s.n_classes), t, q)
+        lam, vec = smallest_eigenvalue(s, linearize(p.u, t, q))
+        assert p.lambda_min == lam
+        assert p.eigenvector.tobytes() == vec.tobytes()
+        assert float(s.mass_diag @ p.eigenvector ** 2) == pytest.approx(
+            1.0, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
 def octagon3_operators(octagon3, octagon3_cubic):
-    """Stable L at the branch solution for t = 20; indefinite L at u = -1.5."""
+    """Potentials of a stable L at the branch solution for t = 20 and of
+    an indefinite L at u = -1.5."""
     p = newton_solve(np.zeros(octagon3.n_classes), 20.0, octagon3_cubic)
     u = np.full(octagon3.n_classes, -1.5)
     return [linearize(p.u, 20.0, octagon3_cubic),
             linearize(u, 30.0, octagon3_cubic)]
 
 
-def dense_pair(L):
-    w, v = sla.eigh(L.matrix.toarray(), np.diag(L.surface.mass_diag))
-    return float(w[0]), v[:, 0]
-
-
-def test_smallest_eigenvalue_needs_no_dense_solve(monkeypatch, torus16,
-                                                   unit_cubic,
-                                                   octagon3_operators):
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense eigh called")
-
-    monkeypatch.setattr(pde.sla, "eigh", no_dense)
-    L16 = linearize(np.full(torus16.n_classes, -0.2), 0.05, unit_cubic)
-    for L in (L16, *octagon3_operators):
-        lam, vec = smallest_eigenvalue(L)
-        m = L.surface.mass_diag
-        assert float(m @ vec ** 2) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_smallest_eigenvalue_matches_dense_reference(octagon3_operators):
+def test_smallest_eigenvalue_matches_dense_reference(octagon3,
+                                                     octagon3_operators):
+    m = octagon3.mass_diag
     signs = []
-    for L in octagon3_operators:
-        ref, ref_vec = dense_pair(L)
-        lam, vec = smallest_eigenvalue(L)
-        assert lam == pytest.approx(ref, abs=1e-9)
+    for p in octagon3_operators:
+        w, v = sla.eigh(octagon3.shifted(p).toarray(), np.diag(m))
+        lam, vec = smallest_eigenvalue(octagon3, p)
+        assert lam == pytest.approx(w[0], abs=1e-9)
         # same M-unit eigenvector up to sign
-        m = L.surface.mass_diag
-        assert abs(m @ (vec * ref_vec)) == pytest.approx(1.0, abs=1e-9)
+        assert abs(m @ (vec * v[:, 0])) == pytest.approx(1.0, abs=1e-9)
         signs.append(lam > 0.0)
     assert signs == [True, False]
 
 
-def test_smallest_eigenvalue_dense_fallback(monkeypatch, torus16, unit_cubic):
-    L = linearize(np.full(torus16.n_classes, -0.2), 0.05, unit_cubic)
-    ref, _ = dense_pair(L)
+def _no_convergence(*args, **kwargs):
+    raise spla.ArpackNoConvergence("injected no convergence", [], [])
 
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", [], [])
 
-    monkeypatch.setattr(pde.spla, "eigsh", no_convergence)
-    lam, vec = smallest_eigenvalue(L)
-    assert lam == pytest.approx(ref, abs=1e-12)
-    m = L.surface.mass_diag
-    assert float(m @ vec ** 2) == pytest.approx(1.0, rel=1e-12)
+def _singular_lu(*args, **kwargs):
+    raise RuntimeError("injected singular factor")
+
+
+@pytest.mark.parametrize("target, fail, message", [
+    ("eigsh", _no_convergence, "injected no convergence"),
+    ("splu", _singular_lu, "injected singular factor")], ids=["arpack", "lu"])
+def test_smallest_eigenvalue_failure_raises(monkeypatch, torus16, unit_cubic,
+                                            target, fail, message):
+    # one eigen path: a failed ARPACK run or shift-invert LU is an
+    # EigenFailure, with nothing to fall back on
+    p = linearize(np.full(torus16.n_classes, -0.2), 0.05, unit_cubic)
+    monkeypatch.setattr(pde.spla, target, fail)
+    with pytest.raises(EigenFailure, match=message):
+        smallest_eigenvalue(torus16, p)
 
 
 def test_legendre_boundary():
