@@ -1,6 +1,9 @@
 """Command-line interface: JSON-configured runs with JSON/CSV results.
 
 Subcommands: mesh, solve, continue, mpass, frame, wpcheck.
+This module is the one writer of outputs: the other modules return results
+(arrays, `SolutionPoint`s, `FrameSheet`s, `AreaRecord`s) and each command
+builds its JSON payload or CSV table from them and writes it.
 Exit codes: 0 success, 1 configuration or domain error, 2 numerical failure.
 Commands raise; `main` holds the only exception-to-exit-code map.  Every
 subclass of a class on `NUMERICAL_FAILURES` exits 2 as `<command> failed`,
@@ -17,18 +20,27 @@ chart vertices, and then solves the fold once per level up to the
 configured mesh (`continuation.detect_fold`).  It reads `dt0`, its first
 step in t (default 0.01); the step then grows by
 `continuation.STEP_GROWTH` after each accepted point, so curve.csv samples
-the branch ever more coarsely toward the fold.  curve.csv and the
-curve.json `points` hold the coarse trace, `area_induced` on its own
-surface; `T0_estimate`, `fold_point` and `diagnostics.fold_lambda_min` are
-the configured mesh's, and `levels` lists each level's classes, T0 and
-fold Newton iterations, coarsest first.  A level whose fold solve fails
-exits 2 naming that level.  `solve`, `mpass` and `frame`
+the branch ever more coarsely toward the fold.  curve.csv (t, lambda_min,
+residual_norm, u_min, u_max, area_induced) and the curve.json `points` and
+`sup_norms` hold the trace, so they lie on the mesh of `levels[0]`, the
+coarsest level, not on the configured one.  `T0_estimate`, `fold_point`
+and `diagnostics.fold_lambda_min` are the configured mesh's fold, and
+`levels` lists each level's `classes`, `T0` and `fold_newton_iterations`,
+coarsest first.  The other `diagnostics` are the trace's: `rejected_steps`,
+`n_points`, `newton_iterations` (summed over the points) and `final_step`,
+the step it would have tried next.  A level whose fold solve fails exits 2
+naming that level.  `solve`, `mpass` and `frame`
 require `t`, take the stable field at `t` from `continuation.branch_point`,
 and exit 2 when `t` is at or beyond the fold.  Only `solve` classifies that
 field (`pde.newton_solve`, one eigen solve); `mpass` pays one eigen solve,
 when `pde.newton_solve` verifies and classifies its second critical point,
 and `frame` none.  An eigen solve that fails exits 2.  `frame` integrates
-the connection of the immersion's cubic differential t q, not of q.
+the connection of the immersion's cubic differential t q, not of q, in
+chart steps of at most `frame.step` (default 0.005) along `frame.path`;
+the default path runs from 0 to tanh(1/2) (hyperbolic length 1) on the
+octagon, and from side (0.25 + 0.25i) to side (0.75 + 0.25i) on the torus.
+Every command's Newton tolerance is `tol`, default 1e-10 (1e-12 for
+`wpcheck`).
 
 `validate_config` checks every config before its command runs.  A config
 holds only these keys, and needs `backend` and, within backend and cubic,
@@ -65,6 +77,7 @@ are byte-identical across reruns except for the timestamp field.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import hashlib
 import json
@@ -238,16 +251,34 @@ def _csv_path(args, default: str) -> str:
     return base if base.endswith(".csv") else base + ".csv"
 
 
-def _require_t(cfg):
+def _single_t(cfg):
+    """(q, t, tol, u) of a command at one t: the config's cubic, t and tol,
+    and the stable field u at t from `continuation.branch_point`."""
+    q = build_cubic(cfg, build_backend(cfg))
     if "t" not in cfg:
         raise ConfigError("this command requires a single 't' value")
-    return float(cfg["t"])
+    t, tol = float(cfg["t"]), cfg.get("tol", 1e-10)
+    return q, t, tol, continuation.branch_point(q, t, tol)
+
+
+def _point(p: pde.SolutionPoint) -> dict:
+    """JSON of a solved point: t, u, residual_norm, lambda_min, stable."""
+    return {"t": float(p.t), "u": p.u.tolist(),
+            "residual_norm": float(p.residual_norm),
+            "lambda_min": float(p.lambda_min), "stable": bool(p.stable)}
 
 
 def cmd_mesh(cfg, args) -> int:
     s = build_backend(cfg)
-    payload = surface.mesh_to_json(s)
-    payload["euler_characteristic"] = s.euler_characteristic()
+    payload = {
+        "vertices": [[float(z.real), float(z.imag)] for z in s.vertices],
+        "triangles": s.triangles.tolist(),
+        "classes": s.class_of.tolist(),
+        "lambda": s.conformal_factor.tolist(),
+        "genus": int(s.genus),
+        "area": float(s.area),
+        "euler_characteristic": s.euler_characteristic(),
+    }
     if s.genus >= 2:
         payload["area_error_vs_hyperbolic"] = abs(s.area - 4 * math.pi * (s.genus - 1))
     emit(payload, cfg, args.output)
@@ -255,44 +286,48 @@ def cmd_mesh(cfg, args) -> int:
 
 
 def cmd_solve(cfg, args) -> int:
-    q = build_cubic(cfg, build_backend(cfg))
-    t = _require_t(cfg)
-    tol = cfg.get("tol", 1e-10)
-    u = continuation.branch_point(q, t, tol)
-    emit(pde.newton_solve(u, t, q, tol).to_json(), cfg, args.output)
+    q, t, tol, u = _single_t(cfg)
+    emit(_point(pde.newton_solve(u, t, q, tol)), cfg, args.output)
     return EXIT_OK
 
 
 def cmd_continue(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     tol = cfg.get("tol", 1e-10)
-    dt0 = cfg.get("dt0", 0.01)
     bound = continuation.nonexistence_bound(q)
-    levels = continuation.nested_cubics(q)
-    curve = continuation.trace_curve(levels[0], dt0=dt0, tol=tol)
-    t0 = continuation.detect_fold(curve, levels[1:], tol=tol)
+    qs = continuation.nested_cubics(q)
+    curve = continuation.trace_curve(qs[0], dt0=cfg.get("dt0", 0.01), tol=tol)
+    fold, levels = continuation.detect_fold(curve, qs[1:], tol=tol)
     csv_path = _csv_path(args, "curve")
     json_path = csv_path[:-4] + ".json"
-    continuation.write_curve_csv(curve, csv_path,
-                                 comment=f"config_hash={config_hash(cfg)}")
-    payload = continuation.curve_to_json(curve)
-    payload["nonexistence_bound"] = bound
-    emit(payload, cfg, json_path)
-    print(f"T0 estimate: {t0:.8g}")
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(f"# config_hash={config_hash(cfg)}\n")
+        w = csv.writer(fh)
+        w.writerow(["t", "lambda_min", "residual_norm", "u_min", "u_max",
+                    "area_induced"])
+        w.writerows(np.array([
+            (p.t, p.lambda_min, p.residual_norm, p.u.min(), p.u.max(),
+             surface.integrate(qs[0].surface, np.exp(p.u)))
+            for p in curve.points]).tolist())
+    emit({"points": [_point(p) for p in curve.points],
+          "T0_estimate": fold.t, "fold_point": _point(fold),
+          "levels": levels,
+          "sup_norms": [float(np.abs(p.u).max()) for p in curve.points],
+          "diagnostics": dict(curve.diagnostics,
+                              fold_lambda_min=fold.lambda_min),
+          "nonexistence_bound": bound}, cfg, json_path)
+    print(f"T0 estimate: {fold.t:.8g}")
     print(f"nonexistence bound T: {bound:.8g}")
     print(f"curve written to {csv_path} and {json_path}")
     return EXIT_OK
 
 
 def cmd_mpass(cfg, args) -> int:
-    q = build_cubic(cfg, build_backend(cfg))
-    t = _require_t(cfg)
-    tol = cfg.get("tol", 1e-10)
-    u_stable = continuation.branch_point(q, t, tol)
+    q, t, tol, u_stable = _single_t(cfg)
     p2 = mpass.find_mountain_pass(u_stable, t, q, tol=tol)
     payload = {
         "t": p2.t,
-        "u2": [float(v) for v in p2.u],
+        "u2": p2.u.tolist(),
         "residual_norm": p2.residual_norm,
         "lambda_min": p2.lambda_min,
         "vnorm_separation": p2.meta["vnorm_separation"],
@@ -304,11 +339,8 @@ def cmd_mpass(cfg, args) -> int:
 
 
 def cmd_frame(cfg, args) -> int:
-    q = build_cubic(cfg, build_backend(cfg))
-    t = _require_t(cfg)
+    q, t, tol, u = _single_t(cfg)
     fcfg = cfg.get("frame", {})
-    step = fcfg.get("step", 0.005)
-    tol = cfg.get("tol", 1e-10)
     if fcfg.get("path"):
         path = [complex(a, b) for a, b in fcfg["path"]]
     elif q.surface.genus >= 2:
@@ -317,15 +349,17 @@ def cmd_frame(cfg, args) -> int:
         side = cfg["backend"].get("side", 1.0)
         path = [side * (0.25 + 0.25j), side * (0.75 + 0.25j)]
 
-    u = continuation.branch_point(q, t, tol)
     # the connection takes t q: u solves (log s^2)_{z zbar} = s^2 + |tq|^2 s^-4
     tq = CubicDifferential(values=t * q.values, surface=q.surface)
     sheet = frame.integrate_frame(frame.MeshCoefficients(u, tq), path,
-                                  step=step)
-    payload = sheet.to_json()
-    payload["max_unitarity_defect"] = float(sheet.defects[:, 0].max())
-    payload["max_det_defect"] = float(sheet.defects[:, 1].max())
-    emit(payload, cfg, args.output)
+                                  step=fcfg.get("step", 0.005))
+    frames = sheet.frames.reshape(len(sheet.frames), 9)
+    emit({"path": np.stack([sheet.path.real, sheet.path.imag], -1).tolist(),
+          "frames": np.stack([frames.real, frames.imag], -1).tolist(),
+          "defects": sheet.defects.tolist(),
+          "max_unitarity_defect": float(sheet.defects[:, 0].max()),
+          "max_det_defect": float(sheet.defects[:, 1].max())},
+         cfg, args.output)
     return EXIT_OK
 
 
@@ -337,7 +371,7 @@ def cmd_wpcheck(cfg, args) -> int:
     with open(csv_path, "w") as fh:
         fh.write(f"# config_hash={config_hash(cfg)}\n")
         fh.write("t,area\n")
-        for t, a in rec.rows():
+        for t, a in zip(rec.ts.tolist(), rec.areas.tolist()):
             fh.write(f"{t!r},{a!r}\n")
         fh.write(f"# fd1,{rec.fd1!r}\n")
         fh.write(f"# fd2,{rec.fd2!r},exact,{rec.exact_second!r},"

@@ -22,7 +22,9 @@ the coarsest level, and `detect_fold` solves the fold there from the last
 traced point, with the null-vector guess the trace's classification
 recorded, and then once per finer level, started from the prolonged
 (u*, phi*, T0) of the level below.  Only the finest level's fold is
-classified by an eigen solve.
+classified by an eigen solve.  `detect_fold` returns that fold point and
+the per-level table and leaves the traced curve as it was; the module
+holds results only, and `cli` writes them out.
 
 `branch_point` reaches a single t on the same branch with no path in t.
 The stable branch is the maximal solution, u = 0 is a supersolution at
@@ -40,8 +42,7 @@ differential (`q.surface`, `curve.cubic.surface`).
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,26 +72,12 @@ class ZeroCubic(ValueError):
 
 @dataclass
 class SolutionCurve:
-    """Ordered stable-branch points from t = 0 toward the fold.
-
-    T0_estimate, fold_point and levels are set by `detect_fold`; with finer
-    levels the fold lies on the finest one, not on the trace's surface.
-    """
+    """Ordered stable-branch points of `cubic` from t = 0 toward the fold,
+    with `trace_curve`'s diagnostics."""
 
     points: list
     cubic: CubicDifferential
-    T0_estimate: float | None = None
-    fold_point: SolutionPoint | None = None
-    levels: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def sup_norms(self) -> list:
-        """max |u| at each point."""
-        return [float(np.abs(p.u).max()) for p in self.points]
-
-    def lambda_mins(self) -> np.ndarray:
-        return np.array([p.lambda_min for p in self.points])
+    diagnostics: dict
 
 
 def _fold_solve_can_start(points) -> bool:
@@ -283,7 +270,8 @@ def nested_cubics(q: CubicDifferential) -> list:
     return qs
 
 
-def detect_fold(curve: SolutionCurve, finer=(), tol: float = 1e-11) -> float:
+def detect_fold(curve: SolutionCurve, finer=(),
+                tol: float = 1e-11) -> tuple[SolutionPoint, list]:
     """Solve for the fold T0 from the last traced point, then on each finer level.
 
     `finer` lists the cubics of the finer levels of `curve.cubic`'s
@@ -295,13 +283,13 @@ def detect_fold(curve: SolutionCurve, finer=(), tol: float = 1e-11) -> float:
     `newton_solve` classifies the finest level's (u*, T0).
     Raises NoFoldDetected, naming the level, if the curve does not approach
     a fold, a solve fails, the trace level's solve ends behind the curve or
-    the finest ends off the fold.  Sets T0_estimate, fold_point and the
-    per-level table `levels` (classes, T0, fold Newton iterations) on the
-    curve and returns the finest level's T0.
+    the finest ends off the fold.  Returns the finest level's fold point,
+    whose t is T0, and the per-level table (each level's `classes`, `T0`
+    and `fold_newton_iterations`, coarsest first); the curve is unchanged.
     """
     pts = curve.points
     if not _fold_solve_can_start(pts):
-        lams = curve.lambda_mins()
+        lams = np.array([p.lambda_min for p in pts])
         raise NoFoldDetected(
             f"the curve does not approach a fold: {len(lams)} points, "
             f"lambda_min {lams[0]:.3g} at t = 0 and {lams[-3:]} at the end; "
@@ -338,12 +326,7 @@ def detect_fold(curve: SolutionCurve, finer=(), tol: float = 1e-11) -> float:
         raise NoFoldDetected(
             f"extended-system solve on {where} ended at t = {fold.t:.10g} "
             f"with lambda_min = {fold.lambda_min:.3g}, not a fold")
-
-    curve.T0_estimate = fold.t
-    curve.fold_point = fold
-    curve.levels = levels
-    curve.diagnostics["fold_lambda_min"] = fold.lambda_min
-    return fold.t
+    return fold, levels
 
 
 def nonexistence_bound(q: CubicDifferential) -> float:
@@ -352,42 +335,3 @@ def nonexistence_bound(q: CubicDifferential) -> float:
     if denom <= 0.0:
         raise ZeroCubic("integral of ||q||^(2/3) vanishes")
     return (0.5 * q.surface.area / denom) ** 1.5
-
-
-def write_curve_csv(curve: SolutionCurve, path: str,
-                    comment: str | None = None) -> None:
-    """Curve table: t, lambda_min, residual_norm, u_min, u_max, area_induced."""
-    s = curve.cubic.surface
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        w = csv.writer(fh)
-        w.writerow(["t", "lambda_min", "residual_norm", "u_min", "u_max",
-                    "area_induced"])
-        for p in curve.points:
-            w.writerow([repr(float(x)) for x in
-                        (p.t, p.lambda_min, p.residual_norm, p.u.min(),
-                         p.u.max(), integrate(s, np.exp(p.u)))])
-
-
-def curve_to_json(curve: SolutionCurve) -> dict:
-    """curve.json payload.
-
-    `points` and `sup_norms` are the trace's, on the coarsest level;
-    `T0_estimate` and `fold_point` are the finest level's fold.  `levels`
-    is `detect_fold`'s table, coarsest first: each level's `classes`, `T0`
-    and `fold_newton_iterations`.  `diagnostics` carries `trace_curve`'s
-    `rejected_steps`, `n_points`, `newton_iterations` (the Newton
-    iterations of the accepted points, summed; deterministic) and
-    `final_step` (the step it would have tried next from the last point,
-    where the fold solve starts: the last accepted step times STEP_GROWTH)
-    and `detect_fold`'s `fold_lambda_min`, the finest level's.
-    """
-    return {
-        "points": [p.to_json() for p in curve.points],
-        "T0_estimate": None if curve.T0_estimate is None else float(curve.T0_estimate),
-        "fold_point": None if curve.fold_point is None else curve.fold_point.to_json(),
-        "levels": curve.levels,
-        "sup_norms": [float(v) for v in curve.sup_norms],
-        "diagnostics": {k: v for k, v in curve.diagnostics.items()},
-    }

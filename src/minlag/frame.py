@@ -23,8 +23,9 @@ evaluates a batch of chart points; since no point depends on F,
 propagator F_k^-1 F_{k+1} from it at once and multiplies them along the
 path.  The frame command uses `MeshCoefficients`, interpolated from mesh
 fields with derivatives from least-squares quadratic fits on vertex
-neighborhoods; every other source (the closed-form ones of the test
-references) is a test fake.
+neighborhoods, which raises StepTooLarge for a point off the mesh; every
+other source (the closed-form ones of the test references) is a test fake.
+`integrate_frame` returns a `FrameSheet` of arrays, and `cli` writes it.
 """
 
 from __future__ import annotations
@@ -98,18 +99,49 @@ class MeshCoefficients:
         qv = q.values.astype(complex)
         self._interp = CloughTocher2DInterpolator(pts, np.column_stack(
             [s_chart, s_z.real, s_z.imag, qv.real, qv.imag]))
+        self._off_mesh = _off_mesh(self._interp.tri, surface.triangles)
 
     def at_many(self, zs):
-        """Arrays (s, s_z, q); StepTooLarge names the first point off the patch."""
+        """Arrays (s, s_z, q); StepTooLarge names the first point off the mesh.
+
+        The interpolator covers the hull of the chart vertices, which on the
+        octagon reaches past the mesh between corners; a point is off the
+        mesh when it lies in a simplex `_off_mesh` marks, or outside the hull.
+        """
         zs = np.asarray(zs, dtype=complex)
-        vals = self._interp(zs.real, zs.imag)
-        outside = ~np.isfinite(vals[:, 0])
+        xy = np.column_stack([zs.real, zs.imag])
+        vals = self._interp(xy)
+        outside = (self._off_mesh[self._interp.tri.find_simplex(xy)]
+                   | ~np.isfinite(vals[:, 0]))
         if outside.any():
             z = complex(zs[outside.argmax()])
             raise StepTooLarge(f"point {z:.4f} is outside the meshed patch")
         # (re, im) column pairs viewed as complex keep every bit, signed zeros too
         return (vals[:, 0], vals[:, 1:3].copy().view(complex)[:, 0],
                 vals[:, 3:5].copy().view(complex)[:, 0])
+
+
+def _off_mesh(tri, triangles: np.ndarray) -> np.ndarray:
+    """Per simplex of the Delaunay triangulation `tri`, whether it lies off
+    the mesh `triangles` (rows of indices into `tri.points`), with a last
+    True entry so that `find_simplex`'s -1, outside the hull, reads as off.
+
+    A simplex is on the mesh when its centroid is: the even-odd rule counts
+    the mesh's boundary edges, those of one triangle only, that a ray from
+    the centroid in the +x direction crosses.
+    """
+    n = len(tri.points)
+    e = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, count = np.unique(e[:, 0] * n + e[:, 1], return_counts=True)
+    a, b = np.divmod(keys[count == 1], n)
+    cx, cy = tri.points[tri.simplices].mean(axis=1).T
+    inside = np.zeros(len(cx), dtype=bool)
+    for (ax, ay), (bx, by) in zip(tri.points[a].tolist(),
+                                  tri.points[b].tolist()):
+        if ay != by:                    # a horizontal edge never crosses
+            inside ^= (((ay > cy) != (by > cy))
+                       & (cx < ax + (cy - ay) * ((bx - ax) / (by - ay))))
+    return np.append(~inside, True)
 
 
 def _vertex_wirtinger(surface: DiscreteSurface, f: np.ndarray) -> np.ndarray:
@@ -156,14 +188,6 @@ class FrameSheet:
     path: np.ndarray          # complex nodes actually stepped through
     frames: np.ndarray        # (N, 3, 3) complex, frames[0] = identity
     defects: np.ndarray       # (N, 3): unitarity, |det - 1|, flatness
-
-    def to_json(self) -> dict:
-        frames = self.frames.reshape(len(self.frames), 9)
-        return {
-            "path": np.stack([self.path.real, self.path.imag], -1).tolist(),
-            "frames": np.stack([frames.real, frames.imag], -1).tolist(),
-            "defects": self.defects.tolist(),
-        }
 
 
 def flatness_defect(coeffs, z, h: float = 1e-3):

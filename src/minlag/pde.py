@@ -23,7 +23,9 @@ a failed LU or ARPACK run raises EigenFailure, and nothing falls back.
 runs it on the structure equation (field = -residual, Jacobian = L), and
 `newton_solve` adds the eigenvalue classification of the converged point;
 it is the package's one classification, and the only builder of a
-`SolutionPoint`.  The only other system the loop solves is
+`SolutionPoint`, whose `stable` flag is the sign of its lambda_min.  A
+point holds results only; `cli` alone writes them out.  The only other
+system the loop solves is
 `continuation.solve_fold`'s.
 Every caller inherits its damping floor `MIN_DAMPING` and its iteration
 cap `MAX_NEWTON_ITER`: `continuation`'s `trace_curve` (warm-started along
@@ -99,18 +101,13 @@ class SolutionPoint:
     t: float
     residual_norm: float
     lambda_min: float
-    stable: bool
     eigenvector: np.ndarray = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)
 
-    def to_json(self) -> dict:
-        return {
-            "t": float(self.t),
-            "u": [float(v) for v in self.u],
-            "residual_norm": float(self.residual_norm),
-            "lambda_min": float(self.lambda_min),
-            "stable": bool(self.stable),
-        }
+    @property
+    def stable(self) -> bool:
+        """lambda_min > 0: a point of the stable branch."""
+        return self.lambda_min > 0.0
 
 
 def v_field(t: float, q: CubicDifferential) -> np.ndarray:
@@ -261,13 +258,13 @@ def newton_solve(u0: np.ndarray, t: float, q: CubicDifferential,
                  tol: float = 1e-10) -> SolutionPoint:
     """Solve the structure equation at t from u0 (`solve_u`) and classify it.
 
-    The returned point records the smallest eigenpair of L(u, t), the
-    stability flag lambda_min > 0 and the Newton iteration count.  It is
+    The returned point records the smallest eigenpair of L(u, t), whose
+    eigenvalue's sign makes it `stable`, and the Newton iteration count.  It is
     returned only at residual norm <= tol; otherwise NonConvergence is
     raised.
     """
     u, rnorm, it = solve_u(u0, t, q, tol=tol)
     lam, vec = smallest_eigenvalue(q.surface, linearize(u, t, q))
     return SolutionPoint(u=u, t=float(t), residual_norm=rnorm,
-                         lambda_min=lam, stable=lam > 0.0, eigenvector=vec,
+                         lambda_min=lam, eigenvector=vec,
                          meta={"newton_iterations": it})

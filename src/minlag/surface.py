@@ -489,15 +489,3 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
     if s.euler_characteristic() != -2:
         raise MeshError("octagon quotient is not a genus-2 surface")
     return s
-
-
-def mesh_to_json(s: DiscreteSurface) -> dict:
-    """Mesh export payload: vertices, triangles, classes, lambda, genus, area."""
-    return {
-        "vertices": [[float(z.real), float(z.imag)] for z in s.vertices],
-        "triangles": s.triangles.tolist(),
-        "classes": s.class_of.tolist(),
-        "lambda": s.conformal_factor.tolist(),
-        "genus": int(s.genus),
-        "area": float(s.area),
-    }

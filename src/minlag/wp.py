@@ -60,9 +60,6 @@ class AreaRecord:
     rel_err: float
     udd_gap: float
 
-    def rows(self):
-        return list(zip(self.ts.tolist(), self.areas.tolist()))
-
 
 def area_record(q: CubicDifferential, h: float,
                 tol: float = 1e-12) -> AreaRecord:

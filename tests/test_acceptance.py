@@ -51,15 +51,15 @@ class Context:
             q = constant_cubic(self.torus, c)
             start = time.perf_counter()
             curve = trace_curve(q, dt0=0.01 / c, tol=TOL)
-            t0 = detect_fold(curve, tol=TOL)
+            fold, _ = detect_fold(curve, tol=TOL)
             elapsed = time.perf_counter() - start
-            self.fold_runs[c] = (curve, t0, elapsed, q)
+            self.fold_runs[c] = (fold, fold.t, elapsed, q)
             self.accepted_points += [("torus", p) for p in curve.points]
-            self.accepted_points.append(("torus", curve.fold_point))
+            self.accepted_points.append(("torus", fold))
 
         # octagon branch and fold
         curve = trace_curve(self.oct_cubic, dt0=0.5, tol=1e-10)
-        self.oct_T0 = detect_fold(curve, tol=1e-10)
+        self.oct_T0 = detect_fold(curve, tol=1e-10)[0].t
         self.oct_curve = curve
         self.accepted_points += [("octagon", p) for p in curve.points]
 
@@ -107,10 +107,10 @@ def test_criterion_1_trivial_solution(ctx):
 
 
 def test_criterion_2_constant_data_fold(ctx):
-    for c, (curve, t0, elapsed, _) in ctx.fold_runs.items():
+    for c, (fold, t0, elapsed, _) in ctx.fold_runs.items():
         expect = fold_t(c)
         assert t0 == pytest.approx(expect, rel=1e-3), f"c = {c}"
-        assert np.abs(curve.fold_point.u - U_FOLD).max() <= 1e-3
+        assert np.abs(fold.u - U_FOLD).max() <= 1e-3
         assert elapsed < 30.0
     print("PASS criterion 2: fold T0 within 1e-3 of 1/(c sqrt(54)) and "
           "fold u within 1e-3 of ln(2/3) for c in {0.5, 1, 2}; "
@@ -121,7 +121,7 @@ def test_criterion_2_constant_data_fold(ctx):
 def test_criterion_3_nonexistence_bound(ctx):
     margin = 1e-6
     checks = []
-    for c, (curve, t0, _, q) in ctx.fold_runs.items():
+    for c, (_, t0, _, q) in ctx.fold_runs.items():
         bound = nonexistence_bound(q)
         assert t0 < bound - margin
         checks.append((f"torus c={c}", t0, bound))

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 from minlag import cli, continuation, cubic, frame, pde
 from minlag.cli import main
 from minlag.surface import build_flat_torus
+from minlag.wp import area_record
 
 from conftest import octagon_zero_classes
 
@@ -172,6 +173,28 @@ def test_continue_outputs(tmp_path, capsys):
     assert [lv["classes"] for lv in levels] == [16, 64, 256]
     assert levels[-1]["T0"] == sidecar["T0_estimate"]
     assert all(isinstance(lv["fold_newton_iterations"], int) for lv in levels)
+
+
+def test_curve_csv(tmp_path, capsys):
+    # one row per curve.json point, each the point's t, lambda_min,
+    # residual_norm and u range, in plain float reprs
+    cfg = write_cfg(tmp_path, "c.json",
+                    {k: v for k, v in dict(TORUS, dt0=0.01).items()
+                     if k != "t"})
+    assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
+    lines = (tmp_path / "curve.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1] == "t,lambda_min,residual_norm,u_min,u_max,area_induced"
+    points = json.loads((tmp_path / "curve.json").read_text())["points"]
+    assert len(lines) == len(points) + 2
+    for line, p in zip(lines[2:], points):
+        row = line.split(",")
+        assert len(row) == 6 and "np." not in line
+        assert [float(v) for v in row[:5]] == [
+            p["t"], p["lambda_min"], p["residual_norm"], min(p["u"]),
+            max(p["u"])]
+    ts = [float(line.split(",")[0]) for line in lines[2:]]
+    assert ts == sorted(ts)
 
 
 def test_continue_failing_level_exits_2(tmp_path, capsys, monkeypatch):
@@ -377,6 +400,54 @@ def test_frame_path_leaving_patch_exits_2(tmp_path, capsys, octagon2):
     assert "outside the meshed patch" in capsys.readouterr().err
 
 
+FRAME_TORUS = dict(TORUS, t=0.1,
+                   frame={"path": [[0.25, 0.25], [0.45, 0.25]], "step": 0.05})
+
+
+def test_frame_sheet_json(tmp_path):
+    out = tmp_path / "frame.json"
+    assert main(["frame", write_cfg(tmp_path, "c.json", FRAME_TORUS),
+                 "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"path", "frames", "defects",
+                            "max_unitarity_defect", "max_det_defect",
+                            "config_hash", "timestamp"}
+    assert len(payload["path"]) == 5
+    assert len(payload["frames"]) == len(payload["defects"]) == 5
+    assert all(len(f) == 9 for f in payload["frames"])
+    assert payload["max_unitarity_defect"] == max(
+        d[0] for d in payload["defects"])
+    assert payload["max_det_defect"] == max(d[1] for d in payload["defects"])
+
+
+def test_frame_sheet_json_matches_elementwise(tmp_path, monkeypatch):
+    # each complex entry is written as its [re, im] pair, signed zeros too
+    integrate, sheets = frame.integrate_frame, []
+
+    def signed_zeros(*args, **kwargs):
+        sheets.append(integrate(*args, **kwargs))
+        sheets[-1].path[1] = complex(-0.0, 0.5)
+        sheets[-1].frames[2, 1, 0] = complex(0.25, -0.0)
+        return sheets[-1]
+
+    monkeypatch.setattr(frame, "integrate_frame", signed_zeros)
+    out = tmp_path / "frame.json"
+    assert main(["frame", write_cfg(tmp_path, "c.json", FRAME_TORUS),
+                 "-o", str(out)]) == 0
+    sheet = sheets[0]
+    elementwise = {
+        "path": [[float(z.real), float(z.imag)] for z in sheet.path],
+        "frames": [[[float(v.real), float(v.imag)] for v in F.ravel()]
+                   for F in sheet.frames],
+        "defects": sheet.defects.tolist(),
+    }
+    text = out.read_text()
+    payload = json.loads(text)
+    assert json.dumps({k: payload[k] for k in elementwise}) == json.dumps(
+        elementwise)
+    assert "[-0.0, 0.5]" in text and "[0.25, -0.0]" in text
+
+
 def test_frame_bad_zero_class(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {
         "backend": {"type": "octagon", "refinement": 1},
@@ -405,6 +476,21 @@ def test_wpcheck_report(tmp_path, capsys):
     assert rows[-1].startswith("# udd_gap,")
     assert float(rows[-1].split(",")[1]) <= 0.01
     assert "udd_gap" in out
+
+
+def test_wpcheck_table_matches_area_record(tmp_path, unit_cubic):
+    # the t,area rows are area_record's samples, in plain float reprs
+    cfg = write_cfg(tmp_path, "c.json", {
+        "backend": {"type": "torus", "n": 16, "side": 1.0, "lambda0": 1.0},
+        "cubic": {"constant": [1.0, 0.0]},
+        "wpcheck": {"h": 0.01},
+    })
+    assert main(["wpcheck", cfg, "-o", str(tmp_path / "wpt")]) == 0
+    rows = (tmp_path / "wpt.csv").read_text().splitlines()
+    rec = area_record(unit_cubic, 0.01, tol=1e-12)     # wpcheck's default tol
+    assert rows[2:4] == [f"{t!r},{a!r}" for t, a in
+                         zip(rec.ts.tolist(), rec.areas.tolist())]
+    assert rows[2].startswith("0.0,") and "np." not in "".join(rows)
 
 
 def test_wpcheck_zero_cubic_exits_1(tmp_path, capsys):
@@ -452,6 +538,23 @@ def test_mesh_octagon_reports_topology_and_area(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["euler_characteristic"] == -2
     assert payload["area_error_vs_hyperbolic"] == pytest.approx(3.79, abs=0.01)
+
+
+def test_mesh_export_schema(tmp_path, octagon2):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"backend": {"type": "octagon", "refinement": 2}})
+    out = tmp_path / "mesh.json"
+    assert main(["mesh", cfg, "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"vertices", "triangles", "classes", "lambda",
+                            "genus", "area", "euler_characteristic",
+                            "area_error_vs_hyperbolic", "config_hash",
+                            "timestamp"}
+    assert len(payload["vertices"]) == len(payload["classes"])
+    assert len(payload["lambda"]) == len(payload["vertices"])
+    assert len(payload["triangles"]) == len(octagon2.triangles)
+    assert payload["genus"] == 2
+    assert payload["area"] == pytest.approx(octagon2.area)
 
 
 def test_mesh_needs_no_cubic(tmp_path):

@@ -10,7 +10,7 @@ from minlag.cli import EXIT_NUMERICAL, main
 from minlag.continuation import (EPS_FOLD, NoFoldDetected, StallBeforeFold,
                                  ZeroCubic, branch_point, detect_fold,
                                  fold_step, nested_cubics, nonexistence_bound,
-                                 trace_curve, write_curve_csv)
+                                 trace_curve)
 from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
 from minlag.pde import (NonConvergence, SingularJacobian, linearize,
                         newton_solve, residual, smallest_eigenvalue, solve_u)
@@ -23,16 +23,26 @@ from scalar_oracle import U_FOLD, fold_t, scalar_roots
 
 @pytest.fixture(scope="module")
 def torus_curve(torus16, unit_cubic):
-    curve = trace_curve(unit_cubic, dt0=0.01, tol=1e-11)
-    detect_fold(curve)
-    return curve
+    return trace_curve(unit_cubic, dt0=0.01, tol=1e-11)
+
+
+@pytest.fixture(scope="module")
+def torus_fold(torus_curve):
+    return detect_fold(torus_curve)[0]
 
 
 @pytest.fixture(scope="module")
 def octagon_curve(octagon2, octagon2_cubic):
-    curve = trace_curve(octagon2_cubic, dt0=0.5, tol=1e-10)
-    detect_fold(curve)
-    return curve
+    return trace_curve(octagon2_cubic, dt0=0.5, tol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def octagon_fold(octagon_curve):
+    return detect_fold(octagon_curve)[0]
+
+
+def lambda_mins(curve):
+    return np.array([p.lambda_min for p in curve.points])
 
 
 def test_curve_starts_at_origin(torus_curve):
@@ -45,39 +55,39 @@ def test_curve_monotone_t_and_stable(torus_curve, octagon_curve):
     for curve in (torus_curve, octagon_curve):
         ts = [p.t for p in curve.points]
         assert np.all(np.diff(ts) > 0.0)
-        assert np.all(curve.lambda_mins() > 0.0)
+        assert np.all(lambda_mins(curve) > 0.0)
 
 
-def test_fold_location_constant_data(torus_curve):
-    assert torus_curve.T0_estimate == pytest.approx(fold_t(1.0), rel=1e-11)
-    assert abs(torus_curve.fold_point.lambda_min) <= 1e-9
-    assert np.abs(torus_curve.fold_point.u - U_FOLD).max() <= 1e-9
+def test_fold_location_constant_data(torus_fold):
+    assert torus_fold.t == pytest.approx(fold_t(1.0), rel=1e-11)
+    assert abs(torus_fold.lambda_min) <= 1e-9
+    assert np.abs(torus_fold.u - U_FOLD).max() <= 1e-9
 
 
 def test_fold_scaling_in_c(torus16):
     q2 = constant_cubic(torus16, 2.0)
     curve = trace_curve(q2, dt0=0.005, tol=1e-11)
-    t0 = detect_fold(curve)
-    assert t0 == pytest.approx(fold_t(2.0), rel=1e-11)
+    fold, _ = detect_fold(curve)
+    assert fold.t == pytest.approx(fold_t(2.0), rel=1e-11)
 
 
-def test_octagon_fold(octagon_curve):
-    assert octagon_curve.T0_estimate is not None
-    assert abs(octagon_curve.fold_point.lambda_min) <= 1e-9
+def test_octagon_fold(octagon_curve, octagon_fold):
+    assert octagon_fold.t > octagon_curve.points[-1].t
+    assert abs(octagon_fold.lambda_min) <= 1e-9
     assert max(p.u.max() for p in octagon_curve.points) <= 1e-8
 
 
 def test_sup_norm_monitor(torus_curve):
-    sup = max(torus_curve.sup_norms)
-    assert np.isfinite(sup)
+    sup_norms = [float(np.abs(p.u).max()) for p in torus_curve.points]
+    assert np.isfinite(max(sup_norms))
     # on constant data the largest |u| along the branch is at the fold
-    assert sup <= abs(U_FOLD) + 1e-3
-    assert torus_curve.sup_norms == sorted(torus_curve.sup_norms)
+    assert max(sup_norms) <= abs(U_FOLD) + 1e-3
+    assert sup_norms == sorted(sup_norms)
 
 
 def test_lambda_decreasing_near_fold(torus_curve):
     # empirical monotonicity on the last fifth of the curve: report only
-    lams = torus_curve.lambda_mins()
+    lams = lambda_mins(torus_curve)
     tail = lams[int(0.8 * len(lams)):]
     drops = np.diff(tail)
     if not np.all(drops < 0.0):
@@ -85,18 +95,16 @@ def test_lambda_decreasing_near_fold(torus_curve):
     assert tail[-1] < tail[0]
 
 
-def test_truncated_curve_has_no_fold(torus_curve):
-    t_half = 0.5 * torus_curve.T0_estimate
+def test_truncated_curve_has_no_fold(torus_curve, torus_fold):
+    t_half = 0.5 * torus_fold.t
     pts = [p for p in torus_curve.points if p.t <= t_half]
-    trunc = dataclasses.replace(torus_curve, points=pts, T0_estimate=None,
-                                fold_point=None)
+    trunc = dataclasses.replace(torus_curve, points=pts)
     with pytest.raises(NoFoldDetected):
         detect_fold(trunc)
 
 
 def test_short_curve_rejected(torus_curve):
-    trunc = dataclasses.replace(torus_curve, points=torus_curve.points[:2],
-                                T0_estimate=None, fold_point=None)
+    trunc = dataclasses.replace(torus_curve, points=torus_curve.points[:2])
     with pytest.raises(NoFoldDetected):
         detect_fold(trunc)
 
@@ -111,12 +119,12 @@ def moore_spence_field(q, x, m_phi0):
                            [m_phi0 @ phi - 1.0]])
 
 
-def fold_states(curve):
+def fold_states(curve, fold):
     """(x, M phi0) at the trace's last point and at the solved fold, phi the
     M-normalized smallest eigenvector at each and phi0 the last point's."""
     q = curve.cubic
     states = []
-    for p in (curve.points[-1], curve.fold_point):
+    for p in (curve.points[-1], fold):
         states.append(np.concatenate([p.u, p.eigenvector, [p.t]]))
     m_phi0 = q.surface.mass_diag * states[0][q.surface.n_classes:-1]
     return [(x, m_phi0) for x in states]
@@ -128,19 +136,40 @@ def test_fold_solve_reuses_the_traced_eigenvector(name, request):
     # kept: bitwise the one a fresh eigen solve there gives, so T0 is that
     # of a fold solve started from the fresh one
     curve = request.getfixturevalue(name)
+    fold = request.getfixturevalue(name.replace("curve", "fold"))
     p, q = curve.points[-1], curve.cubic
     _, phi = smallest_eigenvalue(q.surface, linearize(p.u, p.t, q))
     assert p.eigenvector.tobytes() == phi.tobytes()
     fresh = dataclasses.replace(
-        curve, diagnostics=dict(curve.diagnostics),
+        curve,
         points=[*curve.points[:-1], dataclasses.replace(p, eigenvector=phi)])
-    assert detect_fold(fresh) == curve.T0_estimate
+    assert detect_fold(fresh)[0].t == fold.t
 
 
-def test_moore_spence_reference_matches_finite_differences(torus_curve):
+def test_detect_fold_leaves_the_curve_unchanged(unit_cubic):
+    # the fold point and the level table are returned, not stored: the
+    # curve keeps its points, their fields and its diagnostics
+    qs = nested_cubics(unit_cubic)
+    curve = trace_curve(qs[0], dt0=0.01, tol=1e-11)
+    points, diagnostics = list(curve.points), dict(curve.diagnostics)
+    fields = [(p.u.copy(), p.eigenvector.copy(), dict(p.meta))
+              for p in points]
+    fold, levels = detect_fold(curve, qs[1:], tol=1e-11)
+    assert fold.t == levels[-1]["T0"]
+    assert curve.diagnostics == diagnostics
+    assert len(curve.points) == len(points)
+    assert all(a is b for a, b in zip(curve.points, points))
+    for p, (u, phi, meta) in zip(curve.points, fields):
+        assert p.u.tobytes() == u.tobytes()
+        assert p.eigenvector.tobytes() == phi.tobytes()
+        assert p.meta == meta
+
+
+def test_moore_spence_reference_matches_finite_differences(torus_curve,
+                                                           torus_fold):
     q = torus_curve.cubic
     rng = np.random.default_rng(4)
-    for x, m_phi0 in fold_states(torus_curve):
+    for x, m_phi0 in fold_states(torus_curve, torus_fold):
         J = moore_spence_jacobian(q, x, m_phi0)
         for _ in range(3):
             v = rng.normal(size=x.size)
@@ -150,24 +179,23 @@ def test_moore_spence_reference_matches_finite_differences(torus_curve):
             assert np.linalg.norm(J @ v - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
-def test_fold_step_matches_dense_solve(torus_curve):
+def test_fold_step_matches_dense_solve(torus_curve, torus_fold):
     # at the last traced point and at the fold itself, where L is singular
     # to solver tolerance and plain block elimination loses digits
     q = torus_curve.cubic
-    assert torus_curve.fold_point.t == torus_curve.T0_estimate
-    assert abs(torus_curve.fold_point.lambda_min) <= 1e-6
+    assert abs(torus_fold.lambda_min) <= 1e-6
     rng = np.random.default_rng(8)
-    for x, m_phi0 in fold_states(torus_curve):
+    for x, m_phi0 in fold_states(torus_curve, torus_fold):
         rhs = rng.normal(size=x.size)
         step = fold_step(q, m_phi0)(x, rhs)
         ref = np.linalg.solve(moore_spence_jacobian(q, x, m_phi0), rhs)
         assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def test_fold_step_zero_schur_complement_raises(torus_curve):
+def test_fold_step_zero_schur_complement_raises(torus_curve, torus_fold):
     # a border row orthogonal to everything: the bordered matrix is singular
     q = torus_curve.cubic
-    x, m_phi0 = fold_states(torus_curve)[0]
+    x, m_phi0 = fold_states(torus_curve, torus_fold)[0]
     step = fold_step(q, np.zeros_like(m_phi0))
     with pytest.raises(SingularJacobian, match="Schur"):
         step(x, np.ones(x.size))
@@ -178,11 +206,8 @@ def test_fold_solve_failure_raises(torus_curve, monkeypatch, tmp_path):
         raise NonConvergence("forced failure")
 
     monkeypatch.setattr(continuation, "damped_newton", fail)
-    curve = dataclasses.replace(torus_curve, T0_estimate=None,
-                                fold_point=None, diagnostics={})
     with pytest.raises(NoFoldDetected):
-        detect_fold(curve)
-    assert curve.T0_estimate is None and curve.fold_point is None
+        detect_fold(torus_curve)
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -210,11 +235,10 @@ def trace_to_underflow(curve, dt0, tol):
             continue
         points.append(p)
         dt = min(1.25 * dt, dt0)
-    return dataclasses.replace(curve, points=points, T0_estimate=None,
-                               fold_point=None, diagnostics={})
+    return dataclasses.replace(curve, points=points, diagnostics={})
 
 
-def test_trace_stops_at_fold_entry(torus_curve):
+def test_trace_stops_at_fold_entry(torus_curve, torus_fold):
     can_start = continuation._fold_solve_can_start
     pts = torus_curve.points
     assert can_start(pts)
@@ -225,11 +249,10 @@ def test_trace_stops_at_fold_entry(torus_curve):
 
     crept = trace_to_underflow(torus_curve, dt0=0.01, tol=1e-11)
     assert len(crept.points) > len(pts)
-    assert detect_fold(crept) == pytest.approx(torus_curve.T0_estimate,
-                                               rel=1e-11)
+    assert detect_fold(crept)[0].t == pytest.approx(torus_fold.t, rel=1e-11)
 
 
-def test_step_growth_thins_the_octagon_curve(octagon_curve):
+def test_step_growth_thins_the_octagon_curve(octagon_curve, octagon_fold):
     # dense reference: the same walk from (0, 0) with every step capped at dt0
     origin = dataclasses.replace(octagon_curve,
                                  points=octagon_curve.points[:1],
@@ -239,8 +262,8 @@ def test_step_growth_thins_the_octagon_curve(octagon_curve):
     assert np.diff(ts).max() <= 0.5
     t_last = octagon_curve.points[-1].t
     assert len(octagon_curve.points) < np.count_nonzero(ts <= t_last)
-    assert detect_fold(dense) == pytest.approx(octagon_curve.T0_estimate,
-                                               rel=1e-11)
+    assert detect_fold(dense)[0].t == pytest.approx(octagon_fold.t,
+                                                    rel=1e-11)
 
 
 def test_stall_before_fold(monkeypatch, torus16, unit_cubic):
@@ -249,18 +272,18 @@ def test_stall_before_fold(monkeypatch, torus16, unit_cubic):
         trace_curve(unit_cubic, dt0=1e-4, tol=1e-11)
 
 
-def test_nonexistence_bound_torus(torus16, unit_cubic, torus_curve):
+def test_nonexistence_bound_torus(torus16, unit_cubic, torus_fold):
     bound = nonexistence_bound(unit_cubic)
     assert bound == pytest.approx(0.5 ** 1.5, rel=1e-12)
-    assert torus_curve.T0_estimate < bound - 1e-6
+    assert torus_fold.t < bound - 1e-6
 
 
-def test_nonexistence_bound_octagon(octagon2, octagon2_cubic, octagon_curve):
+def test_nonexistence_bound_octagon(octagon2, octagon2_cubic, octagon_fold):
     bound = nonexistence_bound(octagon2_cubic)
     denom = integrate(octagon2, norm_field(octagon2_cubic) ** (2.0 / 3.0))
     assert bound == pytest.approx((0.5 * octagon2.area / denom) ** 1.5,
                                   rel=1e-12)
-    assert octagon_curve.T0_estimate < bound - 1e-6
+    assert octagon_fold.t < bound - 1e-6
 
 
 def test_nonexistence_bound_homogeneity(octagon2, octagon2_cubic):
@@ -275,20 +298,9 @@ def test_zero_cubic_rejected(torus16):
         nonexistence_bound(constant_cubic(torus16, 0.0))
 
 
-def test_warm_start_consistency(torus16, unit_cubic, torus_curve):
+def test_warm_start_consistency(torus16, unit_cubic, torus_fold):
     curve2 = trace_curve(unit_cubic, dt0=0.005, tol=1e-11)
-    t0b = detect_fold(curve2)
-    assert t0b == pytest.approx(torus_curve.T0_estimate, rel=1e-11)
-
-
-def test_curve_csv(tmp_path, torus_curve):
-    path = tmp_path / "curve.csv"
-    write_curve_csv(torus_curve, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,lambda_min,residual_norm,u_min,u_max,area_induced"
-    assert len(lines) == len(torus_curve.points) + 1
-    ts = [float(row.split(",")[0]) for row in lines[1:]]
-    assert ts == sorted(ts)
+    assert detect_fold(curve2)[0].t == pytest.approx(torus_fold.t, rel=1e-11)
 
 
 def test_branch_point_is_one_cold_solve(torus16, unit_cubic, monkeypatch):
@@ -337,10 +349,11 @@ def test_branch_point_beyond_fold_raises(torus16, unit_cubic):
 
 
 def nested_fold(q, dt0, tol):
-    """continue's fold: trace the coarsest level, then refine level by level."""
+    """continue's fold: trace the coarsest level, then refine level by level.
+    Returns the fold point, the level table and the curve."""
     qs = nested_cubics(q)
     curve = trace_curve(qs[0], dt0=dt0, tol=tol)
-    return detect_fold(curve, qs[1:], tol=tol), curve
+    return (*detect_fold(curve, qs[1:], tol=tol), curve)
 
 
 # amplitude of the benchmark's seed-7 variant
@@ -354,23 +367,23 @@ def test_nested_fold_matches_single_level(r, amplitude):
     s = build_genus2_octagon(r)
     q = synthetic_cubic(s, octagon_zero_classes(s), amplitude)
     single = trace_curve(q, dt0=0.5 / amplitude, tol=1e-10)
-    t_single = detect_fold(single, tol=1e-10)
-    t0, curve = nested_fold(q, 0.5 / amplitude, 1e-10)
-    assert t0 == pytest.approx(t_single, rel=1e-12)
-    assert abs(curve.fold_point.lambda_min) <= EPS_FOLD
+    t_single = detect_fold(single, tol=1e-10)[0].t
+    fold, levels, curve = nested_fold(q, 0.5 / amplitude, 1e-10)
+    assert fold.t == pytest.approx(t_single, rel=1e-12)
+    assert abs(fold.lambda_min) <= EPS_FOLD
     # the trace ran on refinement 1, the fold on every level up to r
     assert curve.cubic.surface.n_classes == 30
-    assert [lv["classes"] for lv in curve.levels] == [30, 126, 510][:r]
-    assert curve.levels[-1]["T0"] == t0
-    assert curve.fold_point.u.shape == (s.n_classes,)
+    assert [lv["classes"] for lv in levels] == [30, 126, 510][:r]
+    assert levels[-1]["T0"] == fold.t
+    assert fold.u.shape == (s.n_classes,)
 
 
 def test_nested_fold_torus_matches_oracle(torus16, unit_cubic):
-    t0, curve = nested_fold(unit_cubic, 0.01, 1e-11)
-    assert t0 == pytest.approx(1.0 / math.sqrt(54.0), rel=1e-12)
-    assert [lv["classes"] for lv in curve.levels] == [16, 64, 256]
+    fold, levels, _ = nested_fold(unit_cubic, 0.01, 1e-11)
+    assert fold.t == pytest.approx(1.0 / math.sqrt(54.0), rel=1e-12)
+    assert [lv["classes"] for lv in levels] == [16, 64, 256]
     # constant q gives a constant u, so the prolonged fold is already solved
-    assert [lv["fold_newton_iterations"] for lv in curve.levels][1:] == [0, 0]
+    assert [lv["fold_newton_iterations"] for lv in levels][1:] == [0, 0]
 
 
 def test_nested_cubics_sample_the_chart_vertices(octagon2_cubic):

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -290,11 +289,23 @@ def octagon2_mesh(octagon2, octagon2_cubic):
     return (MeshCoefficients(p.u, tq), _single_column_interpolators(p.u, tq))
 
 
-def test_mesh_at_many_matches_single_column_interpolators(octagon2_mesh):
+def on_mesh(surface, zs):
+    """Whether each chart point lies in a (counterclockwise) mesh triangle."""
+    z = np.asarray(zs)[:, None]
+    a, b, c = (surface.vertices[surface.triangles[:, k]] for k in range(3))
+
+    def left(p, q):                     # z on or left of the edge p -> q
+        return ((q - p).conjugate() * (z - p)).imag >= 0.0
+
+    return (left(a, b) & left(b, c) & left(c, a)).any(axis=1)
+
+
+def test_mesh_at_many_matches_single_column_interpolators(octagon2,
+                                                          octagon2_mesh):
     coeffs, (s_i, szr_i, szi_i, qr_i, qi_i) = octagon2_mesh
     rng = np.random.default_rng(6)
     cand = rng.uniform(-0.9, 0.9, 2000) + 1j * rng.uniform(-0.9, 0.9, 2000)
-    inside = cand[np.isfinite(s_i(cand.real, cand.imag))][:500]
+    inside = cand[on_mesh(octagon2, cand)][:500]
     assert len(inside) == 500
     s, s_z, q = coeffs.at_many(inside)
     x, y = inside.real, inside.imag
@@ -317,6 +328,30 @@ def test_mesh_at_many_names_first_point_outside(octagon2_mesh):
     with pytest.raises(StepTooLarge, match="outside the meshed patch") as err:
         integrate_frame(coeffs, path, step=step)
     assert f"point {complex(first):.4f} is outside" in str(err.value)
+
+
+def test_mesh_at_many_refuses_points_off_the_mesh(octagon2, octagon2_mesh):
+    # the interpolator covers the hull of the chart vertices, which reaches
+    # past each octagon side between its corners: on the ray at angle pi/8,
+    # side 0's midpoint vertex is at radius 0.6436 and the chord between
+    # its corners at 0.77689
+    coeffs, (s_i, *_) = octagon2_mesh
+    ray = np.exp(1j * np.pi / 8)
+    assert np.isfinite(coeffs.at_many([0.6 * ray])[0]).all()
+    for r in (0.7, 0.7768):
+        assert np.isfinite(s_i(r * ray.real, r * ray.imag))
+        with pytest.raises(StepTooLarge,
+                           match=re.escape(f"point {r * ray:.4f} is outside")):
+            coeffs.at_many([0.6 * ray, r * ray])
+    # every point of the hull off the mesh raises
+    rng = np.random.default_rng(9)
+    cand = rng.uniform(-0.9, 0.9, 1000) + 1j * rng.uniform(-0.9, 0.9, 1000)
+    off = cand[np.isfinite(s_i(cand.real, cand.imag))
+               & ~on_mesh(octagon2, cand)]
+    assert len(off) >= 10
+    for z in off:
+        with pytest.raises(StepTooLarge):
+            coeffs.at_many([z])
 
 
 def test_flatness_flags_nonholomorphic(octagon2, octagon2_cubic):
@@ -422,31 +457,6 @@ def test_step_guard_overflowing_product():
     coeffs = constant_coefficients(30.0, 5.0)
     with pytest.raises(StepTooLarge, match=re.escape("near z = 0.5000+0.0000j;")):
         integrate_frame(coeffs, [0.0, 100.0], step=0.5)
-
-
-def test_frame_sheet_json():
-    coeffs = poincare_trivial_coefficients()
-    sheet = integrate_frame(coeffs, [0.0, 0.2], step=0.05)
-    payload = sheet.to_json()
-    assert set(payload) == {"path", "frames", "defects"}
-    assert len(payload["frames"]) == len(payload["path"])
-    assert all(len(f) == 9 for f in payload["frames"])
-
-
-def test_frame_sheet_json_matches_elementwise():
-    coeffs = poincare_trivial_coefficients()
-    sheet = integrate_frame(coeffs, [0.0, 0.2], step=0.05)
-    sheet.path[1] = complex(-0.0, 0.5)
-    sheet.frames[2, 1, 0] = complex(0.25, -0.0)
-    elementwise = {
-        "path": [[float(z.real), float(z.imag)] for z in sheet.path],
-        "frames": [[[float(v.real), float(v.imag)] for v in F.ravel()]
-                   for F in sheet.frames],
-        "defects": sheet.defects.tolist(),
-    }
-    text = json.dumps(sheet.to_json())
-    assert text == json.dumps(elementwise)
-    assert "[-0.0, 0.5]" in text and "[0.25, -0.0]" in text
 
 
 @pytest.mark.parametrize("name", ["torus16", "octagon2"])

@@ -1,8 +1,8 @@
 """Static checks over the `minlag` sources: unused imports, argument design,
 unreferenced private names, public names without a consumer, one sparse
 factorization, the systems the Newton loop solves, one eigen path, one
-classification, a package `__init__` that binds nothing, and what importing
-the CLI loads."""
+classification, one writer of outputs, a package `__init__` that binds
+nothing, and what importing the CLI loads."""
 
 import ast
 import os
@@ -418,6 +418,50 @@ def test_one_classification():
     sites = sorted((path.name, owner) for path in MODULES
                    for owner, _ in calls(path.read_text(), "SolutionPoint"))
     assert sites == [("pde.py", "newton_solve")]
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules `source` imports, absolute imports
+    only: `import json` and `from csv import writer` give json and csv."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def to_json_methods(source: str) -> list:
+    """`Class.to_json (line n)` for every class that defines `to_json`."""
+    return [f"{cls.name}.to_json (line {m.lineno})"
+            for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef) for m in cls.body
+            if isinstance(m, ast.FunctionDef) and m.name == "to_json"]
+
+
+def test_detects_output_writers():
+    source = ("import csv\n"
+              "import json as js, os.path\n"
+              "from json import dumps\n"
+              "from . import cli\n"
+              "class K:\n"
+              "    def to_json(self):\n        pass\n"
+              "    class J:\n"
+              "        def to_json(self):\n            pass\n"
+              "def to_json(x):\n    pass\n")
+    assert imported_modules(source) == {"csv", "json", "os"}
+    assert to_json_methods(source) == ["K.to_json (line 6)",
+                                       "J.to_json (line 9)"]
+
+
+def test_cli_is_the_one_writer_of_outputs():
+    # every JSON payload and CSV table is built and written by a command of
+    # minlag.cli; the other modules return results and format none
+    assert [path.name for path in MODULES if {"csv", "json"}
+            & imported_modules(path.read_text())] == ["cli.py"]
+    assert [m for path in MODULES
+            for m in to_json_methods(path.read_text())] == []
 
 
 def test_cli_import_loads_no_unneeded_module():

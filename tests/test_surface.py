@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from minlag.pde import newton_solve
 from minlag.surface import (DiscreteSurface, MeshError, build_flat_torus,
                             build_genus2_octagon, hyperbolic_midpoint,
-                            integrate, mesh_to_json)
+                            integrate)
 
 
 def test_torus_unit_area():
@@ -172,15 +172,6 @@ def test_integrate_is_mass_weighted_sum(torus16):
 def test_integrate_dimension_mismatch(torus16):
     with pytest.raises(ValueError):
         integrate(torus16, np.ones(torus16.n_classes + 1))
-
-
-def test_mesh_export_schema(octagon2):
-    payload = mesh_to_json(octagon2)
-    assert set(payload) == {"vertices", "triangles", "classes", "lambda",
-                            "genus", "area"}
-    assert len(payload["vertices"]) == len(payload["classes"])
-    assert payload["genus"] == 2
-    assert payload["area"] == pytest.approx(octagon2.area)
 
 
 @pytest.mark.parametrize("name", ["torus16", "octagon2"])

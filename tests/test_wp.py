@@ -127,11 +127,9 @@ def test_first_variation_vanishes_linearly(unit_cubic):
 def test_area_record_table(unit_cubic):
     rec = area_record(unit_cubic, 0.01)
     assert len(rec.ts) == len(rec.areas) == 2
+    assert rec.ts[0] == 0.0
     assert rec.areas[0] == pytest.approx(-1.0, rel=1e-12)
     assert rec.rel_err <= 0.02
-    rows = rec.rows()
-    assert rows[0][0] == 0.0
-    print("area table:", [f"A({t:.2f}) = {a:.8f}" for t, a in rows])
 
 
 def test_fd2_converges_under_h_and_mesh(torus16, torus32):
