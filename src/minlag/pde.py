@@ -16,8 +16,11 @@ that is K + M diag(p) with the potential p that `linearize` returns, always
 generalized against M: callers factorize it (`DiscreteSurface.factorize`)
 or assemble it (`DiscreteSurface.shifted`) from p.  Its smallest
 eigenvalue decides stability of a solution: positive on the stable branch,
-zero at the fold.  `smallest_eigenvalue` has one path, shift-invert ARPACK;
-a failed LU or ARPACK run raises EigenFailure, and nothing falls back.
+zero at the fold.  `smallest_eigenvalue` has one path, shift-invert
+Lanczos (ARPACK) in standard form: M is diagonal, so with D = M^{1/2} the
+shift-invert operator is the symmetric D (L - sigma M)^{-1} D (Ericsson and
+Ruhe, Math. Comp. 35, 1980), and ARPACK never multiplies by M.  A failed LU
+or ARPACK run raises EigenFailure, and nothing falls back.
 
 `damped_newton` is the one Newton/Armijo loop of the package.  `solve_u`
 runs it on the structure equation (field = -residual, Jacobian = L), and
@@ -55,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cubic import CubicDifferential
@@ -145,32 +147,39 @@ def smallest_eigenvalue(s: DiscreteSurface, p: np.ndarray):
     """Smallest generalized eigenpair of (K + M diag(p), M), eigenvector
     M-normalized.
 
-    Uses shift-invert Lanczos (ARPACK) with a shift strictly below the
+    Uses shift-invert Lanczos (ARPACK) with a shift sigma strictly below the
     spectrum: the potential minimum bounds the smallest eigenvalue from
-    below since K >= 0.  The inverse of L - sigma M comes from
-    `DiscreteSurface.factorize`.  Raises EigenFailure when that
-    factorization or ARPACK fails, or when the pair misses its residual
-    check.
+    below since K >= 0.  With D = M^{1/2} and y = D x, the pencil
+    L x = lambda M x becomes the standard symmetric problem
+
+        D (L - sigma M)^{-1} D y = theta y,    lambda = sigma + 1/theta,
+
+    whose largest theta is the wanted pair.  ARPACK gets only that operator
+    (one LU of L - sigma M from `DiscreteSurface.factorize`, and two
+    diagonal scalings per step) and no M: given the pencil, its generalized
+    mode spends most of its reverse-communication steps on products with M
+    rather than on solves.  Raises EigenFailure when the factorization or
+    ARPACK fails, or when the pair misses its residual check.
     """
     n, m = s.n_classes, s.mass_diag
-    A = s.shifted(p)
+    d = np.sqrt(m)
     lower = min(0.0, float(p.min()))
     sigma = lower - 0.1 * (1.0 + abs(lower))
     try:
         lu = s.factorize(p - sigma)
-        op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-        # a fixed start vector makes ARPACK, so lambda_min, reproducible;
-        # shift-invert makes the one wanted eigenvalue dominant, so 8 Lanczos
+        op = spla.LinearOperator((n, n), matvec=lambda y: d * lu.solve(d * y),
+                                 dtype=float)
+        # a fixed start vector makes ARPACK, so lambda_min, reproducible (D 1
+        # is the constant field); the wanted theta is dominant, so 8 Lanczos
         # vectors (default 20) suffice; ARPACK needs n > ncv, and the mesh
         # builders refuse meshes with fewer than 16 classes
-        w, v = spla.eigsh(A, k=1, M=sp.diags(m), sigma=sigma, which="LM",
-                          tol=1e-9, v0=np.ones(n), ncv=8, OPinv=op_inv)
+        w, v = spla.eigsh(op, k=1, which="LA", tol=1e-9, v0=d, ncv=8)
     except RuntimeError as exc:     # a singular LU, or any ArpackError
         raise EigenFailure(f"smallest eigenpair failed: {exc}") from exc
-    lam, vec = float(w[0]), v[:, 0]
+    lam, vec = sigma + 1.0 / float(w[0]), v[:, 0] / d
 
     vec = vec / np.sqrt(m @ vec ** 2)
-    res = np.linalg.norm(A @ vec - lam * (m * vec))
+    res = np.linalg.norm(s.shifted(p) @ vec - lam * (m * vec))
     scale = max(1.0, abs(lam)) * np.sqrt(float(n))
     if res > 1e-6 * scale:
         raise EigenFailure(f"eigen residual {res:.2e} exceeds tolerance")

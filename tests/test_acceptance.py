@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from minlag.continuation import detect_fold, nonexistence_bound, trace_curve
-from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
+from minlag.cubic import constant_cubic, synthetic_cubic
 from minlag.frame import integrate_frame
 from minlag import mpass
 from minlag.mpass import (THETA, find_mountain_pass, functional_gradient,

@@ -14,6 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "minlag"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -36,7 +37,7 @@ def test_detects_unused_import():
         "os (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -330,14 +331,17 @@ def calls(source: str, name: str) -> list:
     found = []
     for top in ast.parse(source).body:
         owner = top.name if isinstance(top, ast.FunctionDef) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                f = node.func
-                called = f.attr if isinstance(f, ast.Attribute) else getattr(
-                    f, "id", None)
-                if called == name:
-                    found.append((owner, node))
+        found += [(owner, node) for node in ast.walk(top)
+                  if _called(node) == name]
     return found
+
+
+def _called(node):
+    """The name a call node calls, bare or as an attribute, else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    f = node.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
 
 
 def test_detects_calls():
@@ -349,6 +353,42 @@ def test_detects_calls():
         ("f", 3), ("g", 5), (None, 6)]
 
 
+def eigsh_misuses(source: str) -> list:
+    """Every `eigsh` call of `source` that does not get a standard problem
+    from an operator the package built: its first argument is not a name
+    bound to a `LinearOperator(...)` call in the same top-level function,
+    or it passes `M`, `sigma` or `OPinv`, with which ARPACK would
+    factorize on its own or multiply by M."""
+    tops = {top.name: top for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef)}
+    found = []
+    for owner, node in calls(source, "eigsh"):
+        operators = {t.id for a in ast.walk(tops.get(owner, node))
+                     if isinstance(a, ast.Assign)
+                     and _called(a.value) == "LinearOperator"
+                     for t in a.targets if isinstance(t, ast.Name)}
+        first = node.args[0] if node.args else None
+        if not (isinstance(first, ast.Name) and first.id in operators):
+            found.append(f"line {node.lineno}: no LinearOperator")
+        found += [f"line {node.lineno}: {k.arg}" for k in node.keywords
+                  if k.arg in ("M", "sigma", "OPinv")]
+    return found
+
+
+def test_detects_eigsh_misuses():
+    source = ("def good(A, n):\n"
+              "    op = spla.LinearOperator((n, n), matvec=A.solve)\n"
+              "    return spla.eigsh(op, k=1, which='LA')\n"
+              "def matrix(A):\n    return spla.eigsh(A, k=1)\n"
+              "def generalized(A, n, m):\n"
+              "    op = spla.LinearOperator((n, n), matvec=A.solve)\n"
+              "    return spla.eigsh(op, k=1, M=m, sigma=0.0, OPinv=op)\n"
+              "eigsh(B, k=1)\n")
+    assert eigsh_misuses(source) == [
+        "line 5: no LinearOperator", "line 8: M", "line 8: sigma",
+        "line 8: OPinv", "line 9: no LinearOperator"]
+
+
 def test_one_sparse_factorization():
     # `surface._splu` holds the package's one LU policy; every solve, the
     # ordering LU of K + M and the shift-invert eigen path go through it.
@@ -358,15 +398,20 @@ def test_one_sparse_factorization():
              for owner, node in calls(path.read_text(), "splu")]
     assert [(name, owner) for name, owner, _ in found] == [
         ("surface.py", "_splu")]
-    func = found[0][2].func
-    assert isinstance(func, ast.Attribute) and _root_name(func) == "spla"
+    call = found[0][2]
+    assert isinstance(call.func, ast.Attribute)
+    assert _root_name(call.func) == "spla"
+    # no relaxed supernodes: their padding costs more than it saves here
+    assert [ast.unparse(k.value) for k in call.keywords
+            if k.arg == "relax"] == ["1"]
     # the fold solve eliminates its border; no block matrix is assembled
     assert [path.name for path in MODULES
             if calls(path.read_text(), "bmat")] == []
-    eigsh = [node for path in MODULES
-             for _, node in calls(path.read_text(), "eigsh")]
-    assert eigsh and all(any(k.arg == "OPinv" for k in node.keywords)
-                         for node in eigsh)
+    # ARPACK gets the scaled shift-invert operator as a standard problem, so
+    # it can neither factorize on its own nor multiply by M
+    sources = [path.read_text() for path in MODULES]
+    assert [s for s in sources if calls(s, "eigsh")]
+    assert [m for s in sources for m in eigsh_misuses(s)] == []
 
 
 def test_newton_solves_two_systems():

@@ -16,7 +16,7 @@ from minlag.cubic import constant_cubic, norm_field
 from minlag.surface import ShiftedLU, integrate
 
 from reference import norm_equivalence_constants
-from scalar_oracle import U_FOLD, fold_t, scalar_roots
+from scalar_oracle import U_FOLD, scalar_roots
 from test_pde import LOWER_ROOT
 
 

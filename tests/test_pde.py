@@ -7,10 +7,11 @@ import scipy.sparse.linalg as spla
 
 from minlag import pde
 from minlag.continuation import fold_step
-from minlag.cubic import constant_cubic, norm_field
+from minlag.cubic import norm_field
 from minlag.pde import (EigenFailure, NonConvergence, ResidualBlowup,
                         SingularJacobian, damped_newton, linearize,
                         newton_solve, residual, smallest_eigenvalue)
+from minlag.surface import build_flat_torus, build_genus2_octagon
 
 from reference import legendre_pair
 from scalar_oracle import U_FOLD, fold_t, scalar_roots
@@ -197,6 +198,27 @@ def test_smallest_eigenvalue_matches_dense_reference(octagon3,
         assert lam == pytest.approx(w[0], abs=1e-9)
         # same M-unit eigenvector up to sign
         assert abs(m @ (vec * v[:, 0])) == pytest.approx(1.0, abs=1e-9)
+        signs.append(lam > 0.0)
+    assert signs == [True, False]
+
+
+@pytest.mark.parametrize("surface", [
+    lambda: build_flat_torus(4, 1.0, 1.0), lambda: build_genus2_octagon(1)],
+    ids=["torus4", "octagon1"])
+def test_smallest_eigenpair_on_coarse_trace_meshes(surface):
+    # the meshes the coarse trace of `continue` runs on: 16 classes, where
+    # ncv = 8 is half of n, and 30; an SPD L and one with lambda_1 < 0
+    s = surface()
+    m = s.mass_diag
+    rng = np.random.default_rng(3)
+    signs = []
+    for p in (rng.uniform(0.5, 3.0, s.n_classes),
+              rng.uniform(-8.0, 1.0, s.n_classes)):
+        w, v = sla.eigh(s.shifted(p).toarray(), np.diag(m))
+        lam, vec = smallest_eigenvalue(s, p)
+        assert lam == pytest.approx(w[0], rel=1e-12)
+        ref = v[:, 0] * np.sign(m @ (vec * v[:, 0]))
+        assert np.abs(vec - ref).max() <= 1e-9
         signs.append(lam > 0.0)
     assert signs == [True, False]
 

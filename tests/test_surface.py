@@ -190,7 +190,7 @@ def test_factorize_matches_spsolve(name, request):
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("name", ["torus16", "octagon2"])
+@pytest.mark.parametrize("name", ["torus16", "octagon2", "octagon3"])
 def test_morse_index_matches_dense_inertia(name, request):
     # SPD and indefinite K + M diag(p), from index 0 to most of the spectrum;
     # each is factorized with diagonal pivots, so the pivots give the index

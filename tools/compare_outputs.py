@@ -8,13 +8,19 @@ every workload at seeds 0 and 7, full and smoke size, plus `solve` and
 checkout's `bench/`, which is only read.  Each checkout then runs all of
 them in one child process with its own `src/` on the path and one BLAS
 thread, and every output file is compared byte for byte after its JSON
-`timestamp` field is blanked.  Exit status 0 when every command exits alike
-and every file is identical, 1 otherwise.
+`timestamp` field is blanked.  For a file that differs, the report gives
+the largest absolute and relative difference over its numbers (the numeric
+JSON entries, or the CSV cells), each with where it occurs, and the first
+mismatch that is not numeric, if there is one.  Exit status 0 when every
+command exits alike and every file is identical, 1 otherwise.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -89,6 +95,63 @@ def files(out: Path) -> dict:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def entries(name: str, data: bytes) -> list:
+    """(where, value) of every leaf of a JSON file or cell of a CSV file,
+    in file order; a value is a float when it is numeric."""
+    if name.endswith(".json"):
+        found = []
+
+        def walk(node, where):
+            if isinstance(node, dict):
+                for key in node:
+                    walk(node[key], f"{where}.{key}")
+            elif isinstance(node, list):
+                for i, item in enumerate(node):
+                    walk(item, f"{where}[{i}]")
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                found.append((where, float(node)))
+            else:
+                found.append((where, node))
+
+        walk(json.loads(data), "")
+        return found
+    found = []
+    for i, row in enumerate(csv.reader(io.StringIO(data.decode()))):
+        for j, cell in enumerate(row):
+            try:
+                found.append((f"row {i} col {j}", float(cell)))
+            except ValueError:
+                found.append((f"row {i} col {j}", cell))
+    return found
+
+
+def difference(name: str, ours: bytes, theirs: bytes) -> str:
+    """How two versions of one output file differ: the largest absolute and
+    relative difference of their numbers, with where each occurs, and the
+    first non-numeric mismatch."""
+    a, b = entries(name, ours), entries(name, theirs)
+    worst_abs, worst_rel, mismatch = (0.0, None), (0.0, None), None
+    for (wa, va), (wb, vb) in zip(a, b):
+        if wa == wb and (va == vb or va != va and vb != vb):    # NaN too
+            continue
+        numeric = isinstance(va, float) and isinstance(vb, float)
+        if wa != wb or not numeric or math.isnan(va - vb):
+            mismatch = mismatch or f"{wa} {va!r} | {wb} {vb!r}"
+            continue
+        d = abs(va - vb)
+        worst_abs = max(worst_abs, (d, wa), key=lambda x: x[0])
+        worst_rel = max(worst_rel, (d / max(abs(va), abs(vb)), wa),
+                        key=lambda x: x[0])
+    if mismatch is None and len(a) != len(b):
+        mismatch = f"{len(a)} entries here, {len(b)} there"
+    report = (f"max abs diff {worst_abs[0]:.3g} at {worst_abs[1]}, "
+              f"max rel diff {worst_rel[0]:.3g} at {worst_rel[1]}"
+              if worst_abs[1] else "no numeric difference")
+    if mismatch is not None:
+        report += f"; first non-numeric mismatch: {mismatch}"
+    return report
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1 or not (Path(args[0]) / "src" / "minlag").is_dir():
@@ -109,7 +172,8 @@ def main(argv=None) -> int:
                  if not line.endswith(" 0")]
     problems += [f"{name}: only in {ROOT if name in ours else other}"
                  for name in sorted(ours.keys() ^ theirs.keys())]
-    problems += [f"{name}: differs" for name in differing]
+    problems += [f"{name}: differs; {difference(name, ours[name], theirs[name])}"
+                 for name in differing]
     for line in problems:
         print(line)
     print(f"{len(codes[ROOT])} commands, {len(ours)} output files here, "
