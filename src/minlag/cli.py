@@ -19,8 +19,11 @@ torus halved while n is even and n/2 >= 4), with q taken at that level's
 chart vertices, and then solves the fold once per level up to the
 configured mesh (`continuation.detect_fold`).  It reads `dt0`, its first
 step in t (default 0.01); the step then grows by
-`continuation.STEP_GROWTH` after each accepted point, so curve.csv samples
-the branch ever more coarsely toward the fold.  curve.csv (t, lambda_min,
+`continuation.STEP_GROWTH` after each accepted point until lambda_min
+starts to fall; from there each step goes at most
+`continuation.FOLD_STEP_FRACTION` of the way to the fold extrapolated from
+lambda_min^2, so curve.csv samples the branch coarsely at first and ever
+more finely as it nears the fold.  curve.csv (t, lambda_min,
 residual_norm, u_min, u_max, area_induced) and the curve.json `points` and
 `sup_norms` hold the trace, so they lie on the mesh of `levels[0]`, the
 coarsest level, not on the configured one.  `T0_estimate`, `fold_point`

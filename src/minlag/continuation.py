@@ -1,11 +1,16 @@
 """Continuation of the stable solution branch and the fold as an equation.
 
 The branch starts at the exact point (u, t) = (0, 0) and is continued in the
-natural parameter t with the previous solution as warm start.  The step
-grows by STEP_GROWTH after each accepted step and is halved whenever Newton
-fails or the smallest eigenvalue of the linearization drops by more than
-half in one step; nothing caps it.  The trace stops
-at the first accepted point from which the fold solve can start
+natural parameter t with the previous solution as warm start.  A point is
+accepted when Newton converges there with lambda_min > 0, the smallest
+eigenvalue of the linearization.  The step grows by STEP_GROWTH after each
+accepted point and is halved whenever it is not accepted.  Near a quadratic
+fold lambda_min^2 ~ c (T0 - t) (Govaerts, Numerical Methods for
+Bifurcations of Dynamical Equilibria, SIAM 2000), so after a point whose
+lambda_min fell, the line through the last two (t, lambda_min^2) predicts
+the fold, and the next step goes at most FOLD_STEP_FRACTION of the way
+there.  That cap is the trace's only step control near the fold.  The
+trace stops at the first accepted point from which the fold solve can start
 (`_fold_solve_can_start`: at least 3 points, lambda_min down to
 NO_FOLD_FRACTION of its value at t = 0, and the last three lambda_min
 strictly decreasing).  The fold is then solved for directly (`solve_fold`):
@@ -55,6 +60,8 @@ EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
 NO_FOLD_FRACTION = 0.25  # the fold solve starts only once lambda_min is at
                          # or below this fraction of its value at t = 0
 STEP_GROWTH = 1.5      # step factor after each accepted continuation step
+FOLD_STEP_FRACTION = 0.5  # a step goes at most this fraction of the way to
+                          # the fold that the last two lambda_min^2 predict
 MAX_POINTS = 2000      # accepted points after which the trace stalls
 
 
@@ -97,9 +104,18 @@ def trace_curve(q: CubicDifferential, dt0: float,
                 tol: float = 1e-10) -> SolutionCurve:
     """Natural-parameter continuation from (0, 0) to where the fold solve starts.
 
-    The first step is dt0; the step grows by STEP_GROWTH after an accepted
-    point and halves after a failed Newton solve or a lambda_min drop of
-    more than half.  Returns at the first accepted point from which
+    The first step is dt0.  A point is accepted when its `newton_solve`
+    converges with lambda_min > 0; the step then grows by STEP_GROWTH, and
+    it halves after any other outcome.  After an accepted point t_k whose
+    lambda_min fell from t_{k-1}, the step is also capped at
+    FOLD_STEP_FRACTION (t_est - t_k), with
+
+        t_est = t_k + lambda_k^2 (t_k - t_{k-1}) / (lambda_{k-1}^2 - lambda_k^2)
+
+    the zero of the line through the two (t, lambda_min^2), which is T0
+    when lambda_min^2 is linear in t; so the steps approach the fold
+    without overshooting it.
+    Returns at the first accepted point from which
     `detect_fold` can start.  Raises StallBeforeFold if the step underflows
     (below dt0 * 1e-4) or MAX_POINTS are accepted before that.
     `diagnostics` holds the rejected step count, `n_points`,
@@ -118,16 +134,20 @@ def trace_curve(q: CubicDifferential, dt0: float,
         prev = points[-1]
         try:
             p = newton_solve(prev.u, prev.t + dt, q, tol=tol)
-            # a drop of more than half overshot toward or past the fold
-            accepted = (p.lambda_min > 0.0
-                        and p.lambda_min >= 0.5 * prev.lambda_min)
+            accepted = p.lambda_min > 0.0
         except NonConvergence:
             accepted = False
-        dt = STEP_GROWTH * dt if accepted else 0.5 * dt
         if not accepted:
+            dt *= 0.5
             rejects += 1
             continue
         points.append(p)
+        dt *= STEP_GROWTH
+        lam2, prev2 = p.lambda_min ** 2, prev.lambda_min ** 2
+        if lam2 < prev2:
+            # lambda_min^2 ~ c (T0 - t): stop short of its linear zero
+            dt = min(dt, FOLD_STEP_FRACTION * lam2 * (p.t - prev.t)
+                     / (prev2 - lam2))
         if _fold_solve_can_start(points):
             return SolutionCurve(
                 points=points, cubic=q,

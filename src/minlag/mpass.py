@@ -227,9 +227,9 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
     The saddle sought has index 1 (Hofer 1984); on the octagons and tori
     measured, every solve started at another index failed or came back to
     u_stable.  A singular L admits no polish.  The gate costs one LU of L
-    per candidate.  The cutoff equivalence justifies the polish: for
-    u <= 0, grad F = 0 is the structure equation, and the verification
-    below checks u <= 0.  A polished point V-separated from u_stable ends
+    per candidate, and the polish's first Newton step solves with it.  The
+    cutoff equivalence justifies the polish: for u <= 0, grad F = 0 is the
+    structure equation, and the verification below checks u <= 0.  A polished point V-separated from u_stable ends
     the search.  A step that cannot lower F, or MAX_SWEEPS sweeps, end the
     path; it restarts with twice the nodes, twice at most, and then
     PathCollapse is raised.
@@ -257,18 +257,19 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
         """V-norm of each row of X."""
         return np.sqrt(_row_dots(X, (gram @ X.T).T))
 
-    def admits_polish(u):
-        """Whether L(u) has Morse index 1, or one its LU cannot read.
+    def polish_lu(u):
+        """The LU of L(u) when L has Morse index 1, or one its LU cannot
+        read; None otherwise.
 
         A singular L, or a u below the overflow guard (`ResidualBlowup`,
         also a RuntimeError), admits no polish: its Newton solve would
-        fail at once.
+        fail at once.  The polish's first Newton step solves with the LU.
         """
         try:
             lu = q.surface.factorize(linearize(u, t, q))
         except RuntimeError:
-            return False
-        return lu.morse_index() in (1, None)
+            return None
+        return lu if lu.morse_index() in (1, None) else None
 
     def relax(nodes):
         """(u, V-norm separation, sweeps), or None."""
@@ -305,9 +306,9 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
             # keep deforming if Newton fails or lands back on the stable
             # minimizer
             if ((gnorm < 0.1 or sweeps % POLISH_PERIOD == 0 or not moved)
-                    and admits_polish(u_top)):
+                    and (lu := polish_lu(u_top)) is not None):
                 try:
-                    u, _, _ = solve_u(u_top, t, q, tol)
+                    u, _, _ = solve_u(u_top, t, q, tol, lu)
                 except NonConvergence:
                     pass
                 else:

@@ -30,9 +30,12 @@ it is the package's one classification, and the only builder of a
 point holds results only; `cli` alone writes them out.  The only other
 system the loop solves is
 `continuation.solve_fold`'s.
-Every caller inherits its damping floor `MIN_DAMPING` and its iteration
-cap `MAX_NEWTON_ITER`: `continuation`'s `trace_curve` (warm-started along
-t), `solve_fold` and `branch_point`, and the `mpass` polish.
+Every caller inherits its stop rules: the damping floor `MIN_DAMPING`,
+the stall stop (a step accepted at alpha < STALL_DAMPING that keeps more
+than STALL_RATIO of the merit ends the solve) and the iteration cap
+`MAX_NEWTON_ITER`.  The callers are `continuation`'s `trace_curve`
+(warm-started along t), `solve_fold` and `branch_point`, and the `mpass`
+polish, whose first step reuses the LU of its Morse-index gate.
 `branch_point` is the one cold solve, a `solve_u` from u = 0, which lies
 above the stable solution at every t.  The solve, mpass, frame and wpcheck
 commands start from its field; only `solve` passes it to `newton_solve`,
@@ -67,6 +70,8 @@ BLOWUP_THRESHOLD = -50.0     # e^{-2u} overflow guard; solutions are O(1)
 TOL_POS = 1e-8               # discrete ceiling for u <= 0
 MIN_DAMPING = 1e-4           # Deuflhard's lambda_min: Armijo gives up below it
 MAX_NEWTON_ITER = 50         # Newton iterations before a solve fails
+STALL_DAMPING = 2.0 ** -6    # a step this damped that keeps more than
+STALL_RATIO = 0.99           # this fraction of the merit ends the solve
 
 
 class ResidualBlowup(RuntimeError):
@@ -197,8 +202,16 @@ def damped_newton(u0: np.ndarray, field_fn, step, mass_diag: np.ndarray,
     solve fails once alpha drops below MIN_DAMPING (14 trial steps).  The
     floor is safe: a step that needs a smaller alpha belongs to a solve that
     stalls (past the fold, or a mountain-pass polish off its basin), so the
-    floor only ends such a solve sooner.  A solve still short of tol after
-    MAX_NEWTON_ITER iterations fails too.
+    floor only ends such a solve sooner.  Such a solve often finds a step
+    just above the floor that Armijo accepts, since its sufficient decrease
+    1 - 2e-4 alpha is then almost 1, and it would go on paying one step
+    solve (one LU) per iteration for no progress.  So a step accepted at
+    alpha < STALL_DAMPING whose merit ratio exceeds STALL_RATIO fails the
+    solve as stalled.  The rule changes no result of the benchmark's
+    commands, and it ends their two failing mountain-pass polishes on
+    octagon r3 (at 0.45 and 0.75 T0) after 4 and 5 Newton steps instead of
+    5 and 9.  A solve still short of tol after MAX_NEWTON_ITER iterations
+    fails too.
     Returns (u, residual_norm, iterations); raises NonConvergence, or its
     subclass SingularJacobian when a step cannot be solved.
     """
@@ -237,6 +250,11 @@ def damped_newton(u0: np.ndarray, field_fn, step, mass_diag: np.ndarray,
             except ResidualBlowup:
                 phi_new = np.inf
             if phi_new <= (1.0 - 2e-4 * alpha) * phi:
+                if alpha < STALL_DAMPING and phi_new > STALL_RATIO * phi:
+                    raise NonConvergence(
+                        f"stalled: step alpha = {alpha:.3g} cut the merit "
+                        f"only by the factor {phi_new / phi:.4f}",
+                        iterations=it, residual_norm=float(rnorm))
                 u = u - alpha * delta
                 phi, f = phi_new, f_new
                 break
@@ -251,16 +269,23 @@ def damped_newton(u0: np.ndarray, field_fn, step, mass_diag: np.ndarray,
 
 
 def solve_u(u0: np.ndarray, t: float, q: CubicDifferential,
-            tol: float = 1e-10):
+            tol: float = 1e-10, lu0=None):
     """Newton on the structure equation without the stability eigen solve.
 
-    Returns (u, residual_norm, iterations).
+    `lu0`, when given, is the caller's `DiscreteSurface.factorize` of
+    L(u0, t), and the first Newton step solves with it in place of a new
+    LU.  Returns (u, residual_norm, iterations).
     """
     s = q.surface
-    return damped_newton(
-        u0, lambda v: -residual(v, t, q),
-        lambda v, rhs: s.factorize(linearize(v, t, q)).solve(rhs),
-        s.mass_diag, tol)
+
+    def step(v, rhs):
+        nonlocal lu0
+        lu = lu0 if lu0 is not None else s.factorize(linearize(v, t, q))
+        lu0 = None
+        return lu.solve(rhs)
+
+    return damped_newton(u0, lambda v: -residual(v, t, q), step,
+                         s.mass_diag, tol)
 
 
 def newton_solve(u0: np.ndarray, t: float, q: CubicDifferential,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from compare_outputs import difference, entries
+from compare_outputs import difference, entries, key_lines, key_results
 
 
 def test_json_entries_are_numbers_or_values():
@@ -36,3 +36,37 @@ def test_a_nan_against_a_number_is_a_mismatch():
         "max abs diff 1 at .y, max rel diff 0.5 at .y")
     assert difference("a.json", b'{"x": NaN}', b'{"x": 1.5}') == (
         "no numeric difference; first non-numeric mismatch: .x nan | .x 1.5")
+
+
+CURVE = (b'{"T0_estimate": 44.6, "levels": [{"T0": 45.0, "classes": 30}, '
+         b'{"T0": 44.6, "classes": 126}], "points": [{"t": 0.5, '
+         b'"lambda_min": 1.9}], "diagnostics": {"fold_lambda_min": 1e-12, '
+         b'"rejected_steps": 1}}')
+
+
+def test_key_results_of_a_curve_a_point_and_a_wpcheck_table():
+    assert key_results("curve.json", CURVE) == {
+        "T0_estimate": 44.6, "levels[0].T0": 45.0, "levels[1].T0": 44.6,
+        "diagnostics.fold_lambda_min": 1e-12}
+    assert key_results("mpass-0.45.json",
+                       b'{"t": 20.1, "lambda_min": -20.4, "u2": [-1.0]}'
+                       ) == {"lambda_min": -20.4}
+    assert key_results("wpcheck.csv", b"t,area\n0.0,-1.0\n"
+                       b"# fd2,16.02,exact,16.0,rel_err,0.0016\n") == {
+        "rel_err": 0.0016}
+    assert key_results("frame.json", b'{"max_det_defect": 1e-15}') == {}
+
+
+def test_key_lines_follow_a_moved_curve():
+    # the traced points moved; the fold's results are shown one a line
+    theirs = CURVE.replace(b'"t": 0.5', b'"t": 0.7').replace(
+        b'"T0_estimate": 44.6', b'"T0_estimate": 44.60000000000001')
+    assert key_lines("curve.json", CURVE, theirs.replace(
+        b'"fold_lambda_min": 1e-12', b'"fold_lambda_min": -1e-12')) == [
+        "  T0_estimate: 44.6 | 44.60000000000001, rel diff 1.59e-16",
+        "  diagnostics.fold_lambda_min: 1e-12 | -1e-12, rel diff 2",
+        "  levels[0].T0: 45.0 | 45.0, rel diff 0",
+        "  levels[1].T0: 44.6 | 44.6, rel diff 0"]
+    assert key_lines("curve.json", CURVE,
+                     CURVE.replace(b', {"T0": 44.6, "classes": 126}', b"")
+                     )[-1] == "  levels[1].T0: 44.6 | None"

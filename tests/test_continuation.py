@@ -266,6 +266,52 @@ def test_step_growth_thins_the_octagon_curve(octagon_curve, octagon_fold):
                                                     rel=1e-11)
 
 
+# the fold-capped traces: (cubic fixture, dt0)
+CAPPED = [("unit_cubic", 0.01), ("unit_cubic", 0.05),
+          ("octagon2_cubic", 0.5), ("octagon2_cubic", 20.0)]
+
+
+@pytest.fixture(scope="module", params=CAPPED,
+                ids=[f"{name}-dt0={dt0}" for name, dt0 in CAPPED])
+def capped(request):
+    name, dt0 = request.param
+    return trace_curve(request.getfixturevalue(name), dt0=dt0, tol=1e-11), dt0
+
+
+def test_fold_cap_leaves_few_rejected_steps(capped):
+    curve, _ = capped
+    assert curve.diagnostics["rejected_steps"] <= 2
+
+
+def test_fold_cap_keeps_the_dense_fold(capped):
+    # dense reference: the walk from (0, 0) with every step capped at dt0,
+    # halved after a lambda_min drop of more than half, up to underflow
+    curve, dt0 = capped
+    origin = dataclasses.replace(curve, points=curve.points[:1],
+                                 diagnostics={"final_step": dt0})
+    dense = trace_to_underflow(origin, dt0=dt0, tol=1e-11)
+    assert detect_fold(curve)[0].t == pytest.approx(detect_fold(dense)[0].t,
+                                                    rel=1e-11)
+
+
+def test_steps_stop_short_of_the_extrapolated_fold(capped):
+    # after each pair with falling lambda_min, the next accepted step goes
+    # at most FOLD_STEP_FRACTION of the way to the zero of the line
+    # through their (t, lambda_min^2)
+    curve, _ = capped
+    t = np.array([p.t for p in curve.points])
+    lam2 = lambda_mins(curve) ** 2
+    binding = 0
+    for k in range(1, len(t) - 1):
+        if lam2[k] >= lam2[k - 1]:
+            continue
+        t_est = t[k] + lam2[k] * (t[k] - t[k - 1]) / (lam2[k - 1] - lam2[k])
+        cap = continuation.FOLD_STEP_FRACTION * (t_est - t[k])
+        assert t[k + 1] - t[k] <= cap * (1.0 + 1e-12)
+        binding += t[k + 1] - t[k] >= cap * (1.0 - 1e-12)
+    assert binding > 0
+
+
 def test_stall_before_fold(monkeypatch, torus16, unit_cubic):
     monkeypatch.setattr(continuation, "MAX_POINTS", 6)
     with pytest.raises(StallBeforeFold):

@@ -13,7 +13,7 @@ from minlag.mpass import (F1, F2, DegenerateNorm, PathCollapse,
 from minlag.pde import (NonConvergence, linearize, newton_solve, residual,
                         smallest_eigenvalue, v_field)
 from minlag.cubic import constant_cubic, norm_field
-from minlag.surface import ShiftedLU, integrate
+from minlag.surface import DiscreteSurface, ShiftedLU, integrate
 
 from reference import norm_equivalence_constants
 from scalar_oracle import U_FOLD, scalar_roots
@@ -293,6 +293,24 @@ def test_polish_gate_admits_index_one_only(octagon3_cubic, monkeypatch):
     assert len(starts) == 7
     assert gated.u.tobytes() == ungated.u.tobytes()
     assert gated.meta == ungated.meta
+
+
+@pytest.mark.parametrize("frac", [0.45, 0.55, 0.75])
+def test_polish_reuses_the_gate_lu(octagon2_cubic, frac, monkeypatch):
+    # the polish's first Newton step solves with the LU the Morse-index
+    # gate made of the same L, so no potential is factorized twice in a row
+    q, t = octagon2_cubic, frac * T0_OCTAGON2
+    u_stable = branch_point(q, t)
+    potentials, factorize = [], DiscreteSurface.factorize
+
+    def recording_factorize(self, p):
+        potentials.append(np.asarray(p, dtype=float).tobytes())
+        return factorize(self, p)
+
+    monkeypatch.setattr(DiscreteSurface, "factorize", recording_factorize)
+    find_mountain_pass(u_stable, t, q, tol=1e-10)
+    assert len(potentials) > 2
+    assert all(a != b for a, b in zip(potentials, potentials[1:]))
 
 
 def test_mountain_pass_degenerate_at_zero(torus16, unit_cubic):

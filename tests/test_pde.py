@@ -122,6 +122,32 @@ def test_newton_beyond_fold_fails(torus16, unit_cubic, monkeypatch):
     assert 0 < len(factorizations) <= 6
 
 
+def test_stalled_solve_fails_early(monkeypatch):
+    # u^2 + 1/10 has no root: Newton slides toward u = 0, where the merit
+    # has a positive minimum and J turns singular, in ever more damped steps
+    # that barely lower the merit.  The stall rule ends the solve there,
+    # long before MAX_NEWTON_ITER and sooner than the damping floor would
+    def run():
+        steps = []
+
+        def step(u, rhs):
+            steps.append(u)
+            return rhs / (2.0 * u)
+
+        with pytest.raises(NonConvergence) as exc:
+            damped_newton(np.full(4, 3.0), lambda u: u * u + 0.1, step,
+                          np.ones(4), 1e-10)
+        return exc.value, len(steps)
+
+    stalled, stall_steps = run()
+    assert "stalled" in str(stalled)
+    assert stalled.iterations <= 5 < pde.MAX_NEWTON_ITER
+    monkeypatch.setattr(pde, "STALL_DAMPING", 0.0)
+    floored, floor_steps = run()
+    assert "line search failed" in str(floored)
+    assert stall_steps < floor_steps
+
+
 def test_singular_jacobian_raises(torus16, unit_cubic):
     # the fold step with a zero border row: its Schur complement vanishes
     n = torus16.n_classes

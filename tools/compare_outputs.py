@@ -11,8 +11,14 @@ thread, and every output file is compared byte for byte after its JSON
 `timestamp` field is blanked.  For a file that differs, the report gives
 the largest absolute and relative difference over its numbers (the numeric
 JSON entries, or the CSV cells), each with where it occurs, and the first
-mismatch that is not numeric, if there is one.  Exit status 0 when every
-command exits alike and every file is identical, 1 otherwise.
+mismatch that is not numeric, if there is one.  Below that line come the
+file's key results, one a line, here and there with their relative
+difference: `T0_estimate`, each `levels[k].T0` and
+`diagnostics.fold_lambda_min` of a curve, the `lambda_min` of a solved or
+mountain-pass point, and the `rel_err` of a wpcheck table.  A change that
+moves the traced curve on purpose moves its largest difference too, and
+these lines show whether the results moved with it.  Exit status 0 when
+every command exits alike and every file is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
 TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
+KEY_RESULTS = re.compile(
+    r"\.(T0_estimate|levels\[\d+\]\.T0|diagnostics\.fold_lambda_min|lambda_min)")
 
 # runs the jobs of argv[1] in the directory argv[2]; one exit code per line
 CHILD = """
@@ -152,6 +160,33 @@ def difference(name: str, ours: bytes, theirs: bytes) -> str:
     return report
 
 
+def key_results(name: str, data: bytes) -> dict:
+    """Key result name -> value of one output file: the JSON leaves that
+    KEY_RESULTS matches in full, and the cell after each `rel_err` cell of
+    a CSV file."""
+    found = entries(name, data)
+    if name.endswith(".json"):
+        return {where[1:]: value for where, value in found
+                if KEY_RESULTS.fullmatch(where)}
+    return {"rel_err": value for (_, label), (_, value)
+            in zip(found, found[1:]) if label == "rel_err"}
+
+
+def key_lines(name: str, ours: bytes, theirs: bytes) -> list:
+    """One line per key result of a file: its value here and there, and
+    their relative difference."""
+    a, b = key_results(name, ours), key_results(name, theirs)
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        va, vb = a.get(key), b.get(key)
+        line = f"  {key}: {va!r} | {vb!r}"
+        if isinstance(va, float) and isinstance(vb, float):
+            scale = max(abs(va), abs(vb))
+            line += f", rel diff {abs(va - vb) / scale if scale else 0.0:.3g}"
+        lines.append(line)
+    return lines
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1 or not (Path(args[0]) / "src" / "minlag").is_dir():
@@ -172,8 +207,10 @@ def main(argv=None) -> int:
                  if not line.endswith(" 0")]
     problems += [f"{name}: only in {ROOT if name in ours else other}"
                  for name in sorted(ours.keys() ^ theirs.keys())]
-    problems += [f"{name}: differs; {difference(name, ours[name], theirs[name])}"
-                 for name in differing]
+    for name in differing:
+        problems.append(f"{name}: differs; "
+                        f"{difference(name, ours[name], theirs[name])}")
+        problems += key_lines(name, ours[name], theirs[name])
     for line in problems:
         print(line)
     print(f"{len(codes[ROOT])} commands, {len(ours)} output files here, "
