@@ -28,13 +28,16 @@ residual_norm, u_min, u_max, area_induced) and the curve.json `points` and
 `sup_norms` hold the trace, so they lie on the mesh of `levels[0]`, the
 coarsest level, not on the configured one.  `T0_estimate`, `fold_point`
 and `diagnostics.fold_lambda_min` are the configured mesh's fold, and
-`levels` lists each level's `classes`, `T0` and `fold_newton_iterations`,
-coarsest first.  The other `diagnostics` are the trace's: `rejected_steps`,
-`n_points`, `newton_iterations` (summed over the points) and `final_step`,
-the step it would have tried next.  A level whose fold solve fails exits 2
-naming that level.  `solve`, `mpass` and `frame`
-require `t`, take the stable field at `t` from `continuation.branch_point`,
-and exit 2 when `t` is at or beyond the fold.  Only `solve` classifies that
+`fold_point` has no `stable` key: lambda_min is zero to rounding there, so
+its sign would flip with any change of the fold solve's path, and
+`diagnostics.fold_lambda_min` keeps the number.  `levels` lists each
+level's `classes`, `T0` and `fold_newton_iterations`, coarsest first.
+The other `diagnostics` are the trace's: `rejected_steps`, `n_points`,
+`newton_iterations` (summed over the points) and `final_step`, the step it
+would have tried next.  A level whose fold solve fails exits 2 naming that
+level.  `solve`, `mpass` and `frame` require `t`, take the stable field
+at `t` from `continuation.branch_point`, and exit 2 when `t` is at or
+beyond the fold.  Only `solve` classifies that
 field (`pde.newton_solve`, one eigen solve); `mpass` pays one eigen solve,
 when `pde.newton_solve` verifies and classifies its second critical point,
 and `frame` none.  An eigen solve that fails exits 2.  `frame` integrates
@@ -312,8 +315,11 @@ def cmd_continue(cfg, args) -> int:
             (p.t, p.lambda_min, p.residual_norm, p.u.min(), p.u.max(),
              surface.integrate(qs[0].surface, np.exp(p.u)))
             for p in curve.points]).tolist())
+    # lambda_min is zero to rounding at the fold, so its sign says nothing
+    fold_point = _point(fold)
+    del fold_point["stable"]
     emit({"points": [_point(p) for p in curve.points],
-          "T0_estimate": fold.t, "fold_point": _point(fold),
+          "T0_estimate": fold.t, "fold_point": fold_point,
           "levels": levels,
           "sup_norms": [float(np.abs(p.u).max()) for p in curve.points],
           "diagnostics": dict(curve.diagnostics,

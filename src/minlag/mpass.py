@@ -17,12 +17,17 @@ with u <= 0 solves the structure equation, and conversely.  The growth
 exponent theta > 2 is a device of the existence proof: it gives F the
 Ambrosetti-Rabinowitz growth condition.  The cutoffs depend on it only for
 s > 0, so every critical point with u <= 0 is a solution whatever theta is,
-and it is the constant THETA = 3.  So the cutoffs f1, f2, F1, F2 are module
-functions, built once at import.  The second (mountain-pass) solution at t
-in (0, T0) is found by deforming a discrete path from the stable field
-(which the mpass command takes from `continuation.branch_point`) to a deep
-negative constant, then polishing the path maximum with `pde.solve_u`,
-Newton on the structure equation itself.  A mountain-pass critical point
+and it is the constant THETA = 3.  The functional and its gradient take
+the cutoffs fused, one kernel (`_pointwise`) over the whole field: on
+u <= 0 the V u^2 terms of F cancel, so the s <= 0 closed form costs one
+e^u and one e^{-2u} per entry, and only the positive entries are then
+overwritten with the blends or the s > 1 branch.  The cutoffs one by one
+are needed only by the tests (tests/reference.py), which check the kernel
+against them.  The second (mountain-pass) solution at t in (0, T0) is
+found by deforming a discrete path from the stable field (which the mpass
+command takes from `continuation.branch_point`) to a deep negative
+constant, then polishing the path maximum with `pde.solve_u`, Newton on
+the structure equation itself.  A mountain-pass critical point
 has Morse index at most 1 (Hofer, Proc. AMS 90, 1984), so the polish is
 tried only where L has index 1, read from the pivots of its LU.
 The point found is classified by `pde.newton_solve`, which returns it with
@@ -92,31 +97,6 @@ def _hermite_blend(v0, d0, v1, d1, jump, curv0):
     return h + a * p4 + b * p5
 
 
-def _piecewise(neg_fn, blend_coeffs, pos_fn):
-    """Vectorized cutoff: `neg_fn` for s <= 0, the blend on (0, 1] and
-    `pos_fn` for s > 1.
-
-    A field with no positive entry, as on most of a mountain-pass path, goes
-    to `neg_fn` whole.  NaN counts as not positive, so it propagates.
-    """
-    def fn(s):
-        scalar = np.isscalar(s)
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        pos = s > 0.0
-        with np.errstate(over="ignore"):
-            if not pos.any():
-                out = neg_fn(s)
-            else:
-                out = np.empty_like(s)
-                hi = s > 1.0
-                mid = pos & ~hi
-                out[~pos] = neg_fn(s[~pos])
-                out[mid] = P.polyval(s[mid], blend_coeffs)
-                out[hi] = pos_fn(s[hi])
-        return float(out[0]) if scalar else out
-    return fn
-
-
 # Each blend is `_hermite_blend` with the curvature of its left branch at 0;
 # at THETA = 3 both are negative on (0, 1), which `test_cutoff_sign_conditions`
 # checks.  f1 matches 2 - 2e^s at 0 and -THETA s^(THETA-1) at 1; its integral
@@ -128,16 +108,51 @@ _BLEND1 = _hermite_blend(v0=0.0, d0=-2.0, v1=-THETA, d1=-THETA * (THETA - 1.0),
 _BLEND2 = _hermite_blend(v0=-1.0, d0=3.0, v1=0.0, d1=0.0, jump=-0.5,
                          curv0=-4.0)
 
-f1 = _piecewise(lambda s: 2.0 - 2.0 * np.exp(s), _BLEND1,
-                lambda s: -THETA * s ** (THETA - 1.0))
-f2 = _piecewise(lambda s: s - np.exp(-2.0 * s), _BLEND2,
-                lambda s: np.zeros_like(s))
-# F1(0) = 0 matches 2s - 2e^s + 2 from the left
-F1 = _piecewise(lambda s: 2.0 * s - 2.0 * np.exp(s) + 2.0,
-                P.polyint(_BLEND1, k=0.0), lambda s: -s ** THETA)
-# F2(0) = 1/2 matches (s^2 + e^{-2s})/2
-F2 = _piecewise(lambda s: 0.5 * (s * s + np.exp(-2.0 * s)),
-                P.polyint(_BLEND2, k=0.5), lambda s: np.zeros_like(s))
+# The pointwise parts of F's integrand and of its gradient,
+#     1/2 V s^2 - F1(s) - V F2(s)   and   V s - f1(s) - V f2(s).
+# On s <= 0 their V s^2 and V s terms cancel, leaving
+#     -(2s - 2e^s + 2) - 1/2 V e^{-2s}   and   2e^s - 2 + V e^{-2s}.
+# On (0, 1] each is A(s) + V B(s), with the (A, B) coefficients below (F1(0)
+# = 0 and F2(0) = 1/2 fix the antiderivatives); on s > 1, where F1 = -s^THETA
+# and F2 = 0, they are 1/2 V s^2 + s^THETA and V s + THETA s^(THETA-1).
+_VALUE_BLEND = (-P.polyint(_BLEND1, k=0.0),
+                P.polysub([0.0, 0.0, 0.5], P.polyint(_BLEND2, k=0.5)))
+_GRADIENT_BLEND = (-_BLEND1, P.polysub([0.0, 1.0], _BLEND2))
+
+
+def _horner(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The polynomial with ascending coefficients c at s."""
+    out = np.full_like(s, c[-1])
+    for ck in c[-2::-1]:
+        out *= s
+        out += ck
+    return out
+
+
+def _pointwise(U: np.ndarray, V: np.ndarray, gradient: bool) -> np.ndarray:
+    """The pointwise part of F's integrand at each entry of U, or with
+    `gradient` that of its gradient.
+
+    The s <= 0 closed form is taken over the whole array, with e^s and
+    e^{-2s} once per entry, and only the positive entries are then
+    overwritten.  A NaN entry is not positive, so it propagates.
+    """
+    e, e2 = np.exp(U), np.exp(-2.0 * U)
+    if gradient:
+        out = 2.0 * e - 2.0 + V * e2
+    else:
+        out = -(2.0 * U - 2.0 * e + 2.0) - 0.5 * V * e2
+    pos = U > 0.0
+    if pos.any():
+        s, v = U[pos], np.broadcast_to(V, U.shape)[pos]
+        a, b = _GRADIENT_BLEND if gradient else _VALUE_BLEND
+        blend = _horner(a, s) + v * _horner(b, s)
+        if gradient:
+            top = v * s + THETA * s ** (THETA - 1.0)
+        else:
+            top = 0.5 * v * s * s + s ** THETA
+        out[pos] = np.where(s > 1.0, top, blend)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +162,11 @@ F2 = _piecewise(lambda s: 0.5 * (s * s + np.exp(-2.0 * s)),
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row of a with the same row of b.
 
-    Each is one 1-D dot of C-contiguous rows, so it sums in the order of a
-    dot of single fields; a strided row would sum in another order.
+    Over C-contiguous rows each row sums in the order it would alone, so a
+    stack's row and the same field alone give the same bits; a strided row
+    would sum in another order.
     """
-    return np.array([x @ y for x, y in zip(a, np.ascontiguousarray(b))])
+    return np.einsum("ij,ij->i", a, np.ascontiguousarray(b))
 
 
 def functional_value(u: np.ndarray, t: float, q: CubicDifferential):
@@ -161,14 +177,11 @@ def functional_value(u: np.ndarray, t: float, q: CubicDifferential):
     """
     s = q.surface
     U = np.atleast_2d(np.asarray(u, dtype=float))
-    V = v_field(t, q)
     m = np.broadcast_to(s.mass_diag, U.shape)
     # overflowing trial fields yield inf/nan, rejected by the line searches
     with np.errstate(over="ignore", invalid="ignore"):
-        quad = 0.5 * _row_dots(U, (s.stiffness @ U.T).T) \
-            + 0.5 * _row_dots(m, V * U * U)
-        bulk = _row_dots(m, F1(U) + V * F2(U))
-        vals = quad - bulk
+        vals = 0.5 * _row_dots(U, (s.stiffness @ U.T).T) \
+            + _row_dots(m, _pointwise(U, v_field(t, q), gradient=False))
     return float(vals[0]) if np.ndim(u) == 1 else vals
 
 
@@ -177,10 +190,9 @@ def functional_gradient(u: np.ndarray, t: float,
     """Nodal gradient field g with dF(u)[v] = <g, v>_M."""
     s = q.surface
     u = np.asarray(u, dtype=float)
-    V = v_field(t, q)
     with np.errstate(over="ignore", invalid="ignore"):
-        weak = s.stiffness @ u + s.mass_diag * (V * u - f1(u) - V * f2(u))
-        return weak / s.mass_diag
+        return (s.stiffness @ u) / s.mass_diag \
+            + _pointwise(u, v_field(t, q), gradient=True)
 
 
 def v_gram(t: float, q: CubicDifferential) -> sp.csr_matrix:

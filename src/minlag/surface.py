@@ -63,10 +63,26 @@ def _splu(A: sp.csc_matrix, permc_spec: str) -> spla.SuperLU:
     machine, one LU of the octagon's K + M diag(p) takes 45 ms instead of
     130-160 ms at refinement 5 (8190 classes) and 0.25-0.31 s instead of
     6.2-6.8 s at refinement 6 (32766 classes), with the same fill and the
-    same pivots.  Raises RuntimeError when A is singular.
+    same pivots.  `panel_size=1` factorizes one column at a time instead of
+    SuperLU's default panel of several, whose blocking also costs more than
+    it saves at these sizes.  One LU of K + M diag(p), both with
+    `relax=1`, minimum of interleaved repeats, one BLAS thread on the same
+    machine:
+
+        mesh (classes)          default panel   panel_size=1
+        octagon r3 (510)        0.80 ms         0.58 ms
+        torus 32 (1024)         1.40 ms         1.09 ms
+        octagon r4 (2046)       4.78 ms         4.00 ms
+        octagon r5 (8190)       37.8 ms         32.1 ms
+
+    Fill and pivots are the same with either panel on all four meshes, for
+    p = 2, -5, -60 and a random indefinite p: the same L + U entries, the
+    same negative pivots, and `perm_r == perm_c`.  Raises RuntimeError
+    when A is singular.
     """
     return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=1e-3,
-                     relax=1, options={"SymmetricMode": True})
+                     relax=1, panel_size=1,
+                     options={"SymmetricMode": True})
 
 
 class ShiftedLU:

@@ -1,24 +1,50 @@
 """Closed-form references that only the tests use.
 
 The package's public API is what its commands run.  These functions check
-it from outside: the V-norm equivalence constants of the mountain-pass
-functional, the Legendre pair of the cutoff estimates, the second
-fundamental form of the immersion, closed-form frame coefficient sources
-(test fakes for `minlag.frame.MeshCoefficients`), a stage-wise RK4 frame
-integrator and a side-pairing frame product for the genus-2 holonomy, a
-per-vertex least-squares loop for the mesh Wirtinger derivative, and the
-dense Jacobian of the fold solve's Moore-Spence system.  They sit next to `scalar_oracle.py` and
-are imported the same way, `from reference import ...`.
+it from outside: the cutoffs f1, f2, F1, F2 of the mountain-pass
+functional one by one, its V-norm equivalence constants, the Legendre
+pair of the cutoff estimates, the second fundamental form of the
+immersion, closed-form frame coefficient sources (test fakes for
+`minlag.frame.MeshCoefficients`), a stage-wise RK4 frame integrator and a
+side-pairing frame product for the genus-2 holonomy, a per-vertex
+least-squares loop for the mesh Wirtinger derivative, and the dense
+Jacobian of the fold solve's Moore-Spence system.  They sit next to
+`scalar_oracle.py` and are imported the same way, `from reference import
+...`.
 """
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import scipy.linalg as sla
 
 from minlag.cubic import CubicDifferential
 from minlag.frame import integrate_frame, maurer_cartan, su21_defect
-from minlag.mpass import v_gram
+from minlag.mpass import _BLEND1, _BLEND2, THETA, v_gram
 from minlag.pde import linearize
 from minlag.surface import DiscreteSurface, _mobius_apply, hyperbolic_midpoint
+
+
+def _cutoff(neg, blend, pos):
+    """Cutoff evaluated branch by branch: `neg` for s <= 0, the polynomial
+    `blend` (ascending coefficients) on (0, 1] and `pos` for s > 1.  A
+    scalar gives a float; NaN falls through to `pos`, which keeps it."""
+    def fn(s):
+        s = np.asarray(s, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.where(s <= 0.0, neg(s),
+                           np.where(s <= 1.0, P.polyval(s, blend), pos(s)))
+        return float(out) if out.ndim == 0 else out
+    return fn
+
+
+# the cutoffs of `minlag.mpass`, whose functional evaluates them fused
+f1 = _cutoff(lambda s: 2.0 - 2.0 * np.exp(s), _BLEND1,
+             lambda s: -THETA * s ** (THETA - 1.0))
+f2 = _cutoff(lambda s: s - np.exp(-2.0 * s), _BLEND2, lambda s: 0.0 * s)
+F1 = _cutoff(lambda s: 2.0 * s - 2.0 * np.exp(s) + 2.0,
+             P.polyint(_BLEND1, k=0.0), lambda s: -s ** THETA)
+F2 = _cutoff(lambda s: 0.5 * (s * s + np.exp(-2.0 * s)),
+             P.polyint(_BLEND2, k=0.5), lambda s: 0.0 * s)
 
 
 def norm_equivalence_constants(t: float, q: CubicDifferential):

@@ -15,7 +15,6 @@ import pytest
 from minlag.continuation import detect_fold, nonexistence_bound, trace_curve
 from minlag.cubic import constant_cubic, synthetic_cubic
 from minlag.frame import integrate_frame
-from minlag import mpass
 from minlag.mpass import (THETA, find_mountain_pass, functional_gradient,
                           functional_value)
 from minlag.pde import newton_solve
@@ -23,7 +22,8 @@ from minlag.surface import build_flat_torus, build_genus2_octagon
 from minlag.wp import area_record, d_operator
 
 from conftest import octagon_zero_classes
-from reference import (legendre_pair, norm_equivalence_constants,
+from reference import (F1, F2, f1, f2, legendre_pair,
+                       norm_equivalence_constants,
                        poincare_trivial_coefficients, second_fundamental_form)
 from scalar_oracle import U_FOLD, fold_t, scalar_roots
 
@@ -256,7 +256,7 @@ def test_criterion_9_inequality_suite(ctx):
 
     s = np.linspace(-50.0, 50.0, 10001)
     consts = []
-    for f, F in ((mpass.f1, mpass.F1), (mpass.f2, mpass.F2)):
+    for f, F in ((f1, F1), (f2, F2)):
         c = (F(s) - (s / THETA) * f(s)).max()
         assert np.isfinite(c)
         consts.append(c)

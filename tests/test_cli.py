@@ -175,6 +175,21 @@ def test_continue_outputs(tmp_path, capsys):
     assert all(isinstance(lv["fold_newton_iterations"], int) for lv in levels)
 
 
+def test_fold_point_has_no_stable_flag(tmp_path, capsys):
+    # lambda_min is zero to rounding at the fold, so a stable flag read from
+    # its sign flips with any change of the fold solve's path; the number
+    # is kept, once in fold_point and once in the diagnostics
+    cfg = write_cfg(tmp_path, "c.json",
+                    {k: v for k, v in TORUS.items() if k != "t"})
+    assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
+    sidecar = json.loads((tmp_path / "curve.json").read_text())
+    fold = sidecar["fold_point"]
+    assert sorted(fold) == ["lambda_min", "residual_norm", "t", "u"]
+    assert fold["lambda_min"] == sidecar["diagnostics"]["fold_lambda_min"]
+    assert abs(fold["lambda_min"]) <= 1e-8
+    assert all(p["stable"] is True for p in sidecar["points"])
+
+
 def test_curve_csv(tmp_path, capsys):
     # one row per curve.json point, each the point's t, lambda_min,
     # residual_norm and u range, in plain float reprs

@@ -401,9 +401,11 @@ def test_one_sparse_factorization():
     call = found[0][2]
     assert isinstance(call.func, ast.Attribute)
     assert _root_name(call.func) == "spla"
-    # no relaxed supernodes: their padding costs more than it saves here
-    assert [ast.unparse(k.value) for k in call.keywords
-            if k.arg == "relax"] == ["1"]
+    # no relaxed supernodes and one-column panels: at these sizes both cost
+    # more than they save
+    for arg in ("relax", "panel_size"):
+        assert [ast.unparse(k.value) for k in call.keywords
+                if k.arg == arg] == ["1"]
     # the fold solve eliminates its border; no block matrix is assembled
     assert [path.name for path in MODULES
             if calls(path.read_text(), "bmat")] == []

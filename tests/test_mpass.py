@@ -7,15 +7,14 @@ from scipy.integrate import quad
 
 from minlag.continuation import branch_point, detect_fold, trace_curve
 from minlag import mpass
-from minlag.mpass import (F1, F2, DegenerateNorm, PathCollapse,
-                          find_mountain_pass, functional_gradient,
-                          functional_value, v_gram)
+from minlag.mpass import (DegenerateNorm, PathCollapse, find_mountain_pass,
+                          functional_gradient, functional_value, v_gram)
 from minlag.pde import (NonConvergence, linearize, newton_solve, residual,
                         smallest_eigenvalue, v_field)
 from minlag.cubic import constant_cubic, norm_field
 from minlag.surface import DiscreteSurface, ShiftedLU, integrate
 
-from reference import norm_equivalence_constants
+from reference import F1, F2, f1, f2, norm_equivalence_constants
 from scalar_oracle import U_FOLD, scalar_roots
 from test_pde import LOWER_ROOT
 
@@ -25,33 +24,40 @@ from test_pde import LOWER_ROOT
 
 
 def test_cutoff_closed_form_regions():
-    assert mpass.f1(-1.0) == pytest.approx(2.0 - 2.0 * math.exp(-1.0))
-    assert mpass.f1(2.0) == pytest.approx(-12.0)       # -theta s^(theta-1)
-    assert mpass.F1(2.0) == pytest.approx(-8.0)        # -s^theta
-    assert mpass.f2(-2.0) == pytest.approx(-2.0 - math.exp(4.0))
-    assert mpass.F2(3.0) == 0.0
-    # a field with no positive entry takes the closed form whole; it must
-    # match bit for bit what the three-branch path gives the same entries
+    assert f1(-1.0) == pytest.approx(2.0 - 2.0 * math.exp(-1.0))
+    assert f1(2.0) == pytest.approx(-12.0)       # -theta s^(theta-1)
+    assert F1(2.0) == pytest.approx(-8.0)        # -s^theta
+    assert f2(-2.0) == pytest.approx(-2.0 - math.exp(4.0))
+    assert F2(3.0) == 0.0
+    # the functional's kernel takes the s <= 0 closed form over the whole
+    # field and then overwrites the positive entries: the other entries
+    # have the same bits whether or not the field has a positive entry
     rng = np.random.default_rng(1)
     fields = (np.linspace(-30.0, 0.0, 101), -rng.exponential(2.0, 510),
               np.array([-0.0, -1e-300]), np.empty(0))
-    for fn in (mpass.f1, mpass.f2, mpass.F1, mpass.F2):
+    for gradient in (False, True):
         for s in fields:
-            mixed = fn(np.append(s, 0.5))[:-1]
-            assert fn(s).tobytes() == mixed.tobytes()
+            V = rng.uniform(0.0, 5.0, s.size)
+            mixed = mpass._pointwise(np.append(s, 0.5), np.append(V, 1.0),
+                                     gradient)[:-1]
+            assert mpass._pointwise(s, V, gradient).tobytes() \
+                == mixed.tobytes()
 
 
 def test_cutoff_nan_propagates():
     s = np.array([np.nan, -1.0, 0.5, 2.0])
-    for fn in (mpass.f1, mpass.f2, mpass.F1, mpass.F2):
+    for fn in (f1, f2, F1, F2):
         out = fn(s)
         assert np.isnan(out[0])
         assert out[1:].tolist() == [fn(v) for v in s[1:]]
         assert math.isnan(fn(float("nan")))
+    for gradient in (False, True):
+        out = mpass._pointwise(s, np.ones(4), gradient)
+        assert np.isnan(out[0]) and np.isfinite(out[1:]).all()
 
 
 def test_cutoff_continuity():
-    for fn in (mpass.f1, mpass.f2, mpass.F1, mpass.F2):
+    for fn in (f1, f2, F1, F2):
         for s0 in (0.0, 1.0):
             left = fn(s0 - 1e-10)
             right = fn(s0 + 1e-10)
@@ -60,22 +66,22 @@ def test_cutoff_continuity():
 
 def test_cutoff_f1_additive_constant():
     # F1(0-) = 2*0 - 2 + 2 = 0 by the additive constant in the formula
-    assert mpass.F1(0.0) == 0.0
-    assert mpass.F1(-1e-14) == pytest.approx(0.0, abs=1e-13)
+    assert F1(0.0) == 0.0
+    assert F1(-1e-14) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_cutoff_sign_conditions():
     s = np.linspace(1e-6, 50.0, 20001)
-    assert np.all(mpass.f1(s) < 0.0), "f1 must be negative for s > 0"
+    assert np.all(f1(s) < 0.0), "f1 must be negative for s > 0"
     inside = np.linspace(1e-6, 1.0 - 1e-6, 10001)
-    assert np.all(mpass.f2(inside) < 0.0), "f2 must be negative on (0,1)"
+    assert np.all(f2(inside) < 0.0), "f2 must be negative on (0,1)"
     everywhere = np.linspace(-30.0, 30.0, 10001)
-    assert np.all(mpass.f2(everywhere) <= np.minimum(0.0, everywhere) + 1e-12)
+    assert np.all(f2(everywhere) <= np.minimum(0.0, everywhere) + 1e-12)
 
 
 def test_cutoff_antiderivatives():
     rng = np.random.default_rng(2)
-    for f, F in ((mpass.f1, mpass.F1), (mpass.f2, mpass.F2)):
+    for f, F in ((f1, F1), (f2, F2)):
         for _ in range(10):
             a, b = sorted(rng.uniform(-3.0, 3.0, 2))
             val, err = quad(f, a, b, points=[0.0, 1.0], limit=200,
@@ -86,8 +92,8 @@ def test_cutoff_antiderivatives():
 def test_growth_inequality_constant():
     # F_j(s) <= (s/theta) f_j(s) + C with a finite constant over [-50, 50]
     s = np.linspace(-50.0, 50.0, 10001)
-    for f, F, name in ((mpass.f1, mpass.F1, "f1"),
-                       (mpass.f2, mpass.F2, "f2")):
+    for f, F, name in ((f1, F1, "f1"),
+                       (f2, F2, "f2")):
         gap = F(s) - (s / mpass.THETA) * f(s)
         c = gap.max()
         assert np.isfinite(c)
@@ -349,19 +355,60 @@ def test_polish_gate_skips_singular_linearization(torus16, unit_cubic,
         find_mountain_pass(torus_stables[0.10], 0.10, unit_cubic)
 
 
+def branch_stack(n, rng):
+    """Fields with entries on every branch of the cutoffs (s <= 0,
+    0 < s <= 1, s > 1), a field with a NaN and an overflowing field, whose
+    e^s and e^{-2s} overflow."""
+    mixed = rng.uniform(-3.0, 2.0, (3, n))
+    mixed[:, :3] = [-1.0, 0.5, 1.5]
+    nan = rng.uniform(-1.0, 0.5, n)
+    nan[n // 2] = np.nan
+    return np.vstack([rng.uniform(-3.0, 0.0, (2, n)), mixed,
+                      np.zeros((1, n)), nan, np.where(nan > 0, 800.0, -400.0)])
+
+
+def same_or_rel(a, b, rel):
+    """a and b agree to rel relative where finite, and are alike elsewhere."""
+    a, b = np.asarray(a), np.asarray(b)
+    finite = np.isfinite(b)
+    assert (np.isfinite(a) == finite).all()
+    assert (np.isnan(a) == np.isnan(b)).all()
+    assert (a[np.isinf(b)] == b[np.isinf(b)]).all()
+    assert np.abs(a[finite] - b[finite]).max(initial=0.0) \
+        <= rel * np.abs(b[finite]).max(initial=0.0)
+
+
 def test_functional_value_stack_is_bitwise_per_row(octagon2, octagon2_cubic):
-    # a (k, n) stack gives k values, each bit for bit the single-field
-    # formula's, also for rows with entries on every branch of the cutoffs
+    # a (k, n) stack gives k values, each bit for bit its row's value alone,
+    # and each the closed-form cutoffs' functional to rounding
     rng = np.random.default_rng(3)
     n, t = octagon2.n_classes, 20.0
-    stack = np.vstack([rng.uniform(-3.0, 0.0, (4, n)),
-                       rng.uniform(-1.0, 2.0, (2, n)), np.zeros((1, n))])
+    stack = branch_stack(n, rng)
     vals = functional_value(stack, t, octagon2_cubic)
-    assert vals.shape == (7,)
+    assert vals.shape == (len(stack),)
+    single = [functional_value(u.copy(), t, octagon2_cubic) for u in stack]
+    assert all(isinstance(v, float) for v in single)
+    assert vals.tobytes() == np.array(single).tobytes()
     K, m = octagon2.stiffness, octagon2.mass_diag
     V = v_field(t, octagon2_cubic)
-    ref = [0.5 * float(u @ (K @ u)) + 0.5 * float(m @ (V * u * u))
-           - float(m @ (F1(u) + V * F2(u))) for u in stack]
-    assert vals.tobytes() == np.array(ref).tobytes()
-    single = functional_value(stack[4].copy(), t, octagon2_cubic)
-    assert isinstance(single, float) and single == ref[4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = [0.5 * float(u @ (K @ u)) + 0.5 * float(m @ (V * u * u))
+               - float(m @ (F1(u) + V * F2(u))) for u in stack]
+    assert np.isnan(vals[-2]) and not np.isfinite(vals[-1])
+    for v, r in zip(vals, ref):
+        same_or_rel(v, r, 1e-13)
+
+
+def test_functional_gradient_matches_closed_form_cutoffs(octagon2,
+                                                         octagon2_cubic):
+    # the fused gradient is K u / m + V u - f1(u) - V f2(u) to rounding, on
+    # every branch, and keeps a NaN and an overflow where they are
+    rng = np.random.default_rng(4)
+    t = 20.0
+    K, m = octagon2.stiffness, octagon2.mass_diag
+    V = v_field(t, octagon2_cubic)
+    for u in branch_stack(octagon2.n_classes, rng):
+        g = functional_gradient(u, t, octagon2_cubic)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = (K @ u) / m + V * u - f1(u) - V * f2(u)
+        same_or_rel(g, ref, 1e-13)
