@@ -4,14 +4,16 @@ Subcommands: mesh, solve, continue, mpass, frame, wpcheck.
 This module is the one writer of outputs: the other modules return results
 (arrays, `SolutionPoint`s, `FrameSheet`s, `AreaRecord`s) and each command
 builds its JSON payload or CSV table from them and writes it.
-Exit codes: 0 success, 1 configuration or domain error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration or domain error or an unwritable
+output, 2 numerical failure.
 Commands raise; `main` holds the only exception-to-exit-code map.  Every
 subclass of a class on `NUMERICAL_FAILURES` exits 2 as `<command> failed`,
-and every other `ValueError` exits 1 as a config error.  The tuple is tested
-first because it holds `numpy.linalg.LinAlgError`, a `ValueError` that the
-stacked least-squares solve of `frame._vertex_wirtinger` raises on a
-singular fit.  A new failure class must either derive from a class on that
-tuple or from `ValueError`.
+every other `ValueError` exits 1 as a config error, and an `OSError` (an
+unreadable config is a config error) exits 1 as `cannot write output`.
+The tuple is tested first because it holds `numpy.linalg.LinAlgError`, a
+`ValueError` that the stacked least-squares solve of
+`frame._vertex_wirtinger` raises on a singular fit.  A new failure class
+must either derive from a class on that tuple or from `ValueError`.
 
 Every command but `mesh` needs a `cubic`.  `continue` traces the branch
 on the coarsest level of the mesh hierarchy (octagon refinement 1; the
@@ -308,7 +310,7 @@ def cmd_continue(cfg, args) -> int:
     json_path = csv_path[:-4] + ".json"
     with open(csv_path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash(cfg)}\n")
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "lambda_min", "residual_norm", "u_min", "u_max",
                     "area_induced"])
         w.writerows(np.array([
@@ -427,6 +429,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

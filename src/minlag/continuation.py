@@ -207,7 +207,7 @@ def fold_step(q: CubicDifferential, m_phi0: np.ndarray):
     def step(x, rhs):
         u, phi, t = x[:n], x[n:-1], x[-1]
         pot = linearize(u, t, q)
-        L, lu = s.shifted(pot), s.factorize(pot)
+        mp, lu = m * pot, s.factorize(pot)
         w = m * q.norm_sq * np.exp(-2.0 * u)    # M ||q||^2 e^{-2u}
         a = 32.0 * t * w
         b = (2.0 * m * np.exp(u) + 64.0 * t * t * w) * phi   # diag of B
@@ -225,7 +225,8 @@ def fold_step(q: CubicDifferential, m_phi0: np.ndarray):
         def bordered(g, h):
             """Lb^{-1} (g, h) for the columns of g and entries of h."""
             y, mu = eliminate(g, h)
-            dy, dmu = eliminate(g - L @ y - np.outer(psi, mu),
+            dy, dmu = eliminate(g - (s.stiffness @ y + mp[:, None] * y)
+                                - np.outer(psi, mu),
                                 h - psi @ y)
             return (y + dy).T, mu + dmu
 
@@ -268,7 +269,8 @@ def solve_fold(q: CubicDifferential, u: np.ndarray, phi: np.ndarray,
     def field_fn(x):
         u, phi, t = x[:n], x[n:-1], x[-1]
         return np.concatenate([-residual(u, t, q),
-                               (s.shifted(linearize(u, t, q)) @ phi) / m,
+                               (s.stiffness @ phi
+                                + m * linearize(u, t, q) * phi) / m,
                                [m_phi0 @ phi - 1.0]])
 
     x, _, it = damped_newton(np.concatenate([u, phi0, [t]]), field_fn,

@@ -196,11 +196,14 @@ def functional_gradient(u: np.ndarray, t: float,
 
 
 def v_gram(t: float, q: CubicDifferential) -> sp.csr_matrix:
-    """Gram matrix of the V-inner product: int grad f.grad g + V f g."""
-    V = v_field(t, q)
-    if float(q.surface.mass_diag @ V) <= 0.0:
+    """Gram matrix of the V-inner product, int grad f.grad g + V f g: K +
+    M diag(V) in arrays of its own, assembled since every sweep uses it."""
+    s, V = q.surface, v_field(t, q)
+    if float(s.mass_diag @ V) <= 0.0:
         raise DegenerateNorm("integral V = 0; V-norm requires t > 0 and q != 0")
-    return q.surface.shifted(V)
+    G = s.stiffness.copy()
+    G.setdiag(G.diagonal() + s.mass_diag * V)
+    return G
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ about u is
 
 that is K + M diag(p) with the potential p that `linearize` returns, always
 generalized against M: callers factorize it (`DiscreteSurface.factorize`)
-or assemble it (`DiscreteSurface.shifted`) from p.  Its smallest
+or apply it as K x + M p x.  Its smallest
 eigenvalue decides stability of a solution: positive on the stable branch,
 zero at the fold.  `smallest_eigenvalue` has one path, shift-invert
 Lanczos (ARPACK) in standard form: M is diagonal, so with D = M^{1/2} the
@@ -184,7 +184,7 @@ def smallest_eigenvalue(s: DiscreteSurface, p: np.ndarray):
     lam, vec = sigma + 1.0 / float(w[0]), v[:, 0] / d
 
     vec = vec / np.sqrt(m @ vec ** 2)
-    res = np.linalg.norm(s.shifted(p) @ vec - lam * (m * vec))
+    res = np.linalg.norm(s.stiffness @ vec + (m * p) * vec - lam * (m * vec))
     scale = max(1.0, abs(lam)) * np.sqrt(float(n))
     if res > 1e-6 * scale:
         raise EigenFailure(f"eigen residual {res:.2e} exceeds tolerance")

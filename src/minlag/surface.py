@@ -17,7 +17,8 @@ with positive area; the builders rely on that check for orientation.
 The metric is lambda(z) |dz|^2 in chart coordinates.  A surface assembles
 its stiffness matrix K and lumped mass M on construction, and it factorizes
 every K + M diag(p) in one fill-reducing column order, computed at its
-first factorization (`DiscreteSurface.factorize`).  The P1 stiffness
+first factorization (`DiscreteSurface.factorize`); callers apply it as
+K x + M p x, and only `mpass.v_gram` assembles one.  The P1 stiffness
 matrix uses flat cotangent weights (the Dirichlet energy is conformally
 invariant in two dimensions, so no curvature correction is needed), and the
 mass matrix is lumped with the conformal factor interpolated linearly over
@@ -163,7 +164,6 @@ class DiscreteSurface:
     nesting: Nesting | None = field(default=None, repr=False)
     stiffness: sp.csr_matrix = field(init=False, repr=False)
     mass_diag: np.ndarray = field(init=False, repr=False)
-    _diag: np.ndarray = field(init=False, repr=False)  # K_ii's index in K.data
 
     def __post_init__(self):
         """Assemble cotangent stiffness and lumped mass over the quotient."""
@@ -206,28 +206,15 @@ class DiscreteSurface:
             raise MeshError("non-finite entries in assembled operators")
         # K keeps exactly the entries K + M diag(p) has: its exact zeros
         # (right angles on the torus) go, and every K_ii > 0 stays, so the
-        # diagonal is structurally full and `shifted` only rewrites it
+        # diagonal is structurally full and a diagonal shift of K
+        # (`factorize`, `mpass.v_gram`) only rewrites values
         K.eliminate_zeros()
-        rows = np.repeat(np.arange(n), np.diff(K.indptr))
-        self._diag = np.flatnonzero(K.indices == rows)
         self.stiffness, self.mass_diag = K, m
 
     @property
     def area(self) -> float:
         """Total area of the quotient surface, the sum of the lumped mass."""
         return float(self.mass_diag.sum())
-
-    def shifted(self, p) -> sp.csr_matrix:
-        """K + M diag(p) for a per-class potential p (or a scalar).
-
-        Only the diagonal is written: the result has its own copy of K's
-        values but shares K's `indices` and `indptr`.  Its values may be
-        changed freely; its sparsity structure must not be, or K changes.
-        """
-        K = self.stiffness
-        data = K.data.copy()
-        data[self._diag] += self.mass_diag * p
-        return sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
 
     @cached_property
     def _lu_layout(self):
@@ -240,14 +227,16 @@ class DiscreteSurface:
         the class in column j, `pos` its inverse, Kp = K[order][:, order] in
         CSC layout and `Kp.data[diag]` its diagonal, in column order.
         """
-        pos = _splu(self.shifted(1.0).tocsc(), "MMD_AT_PLUS_A").perm_c
+        A = self.stiffness.tocsc()
+        A.setdiag(A.diagonal() + self.mass_diag)
+        pos = _splu(A, "MMD_AT_PLUS_A").perm_c
         order = np.argsort(pos)
         Kp = self.stiffness[order][:, order].tocsc()
         cols = np.repeat(np.arange(len(order)), np.diff(Kp.indptr))
         return order, pos, Kp, np.flatnonzero(Kp.indices == cols)
 
     def factorize(self, p) -> ShiftedLU:
-        """Sparse LU of `shifted(p)` in the surface's column order.
+        """Sparse LU of K + M diag(p) in the surface's column order.
 
         Its values are a copy of the permuted K plus a diagonal add, and
         SuperLU orders nothing more (`NATURAL`).  Raises RuntimeError when
@@ -328,25 +317,20 @@ def build_flat_torus(n: int, side: float, lambda0: float) -> DiscreteSurface:
     verts = (ii * h + 1j * jj * h).ravel()
     class_of = ((jj % n) * n + (ii % n)).ravel()
 
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            a = j * m + i
-            b = j * m + i + 1
-            c = (j + 1) * m + i + 1
-            d = (j + 1) * m + i
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    triangles = np.array(tris, dtype=int)
+    # cell (i, j), the one at class j n + i, has corners a, a + 1,
+    # a + m + 1, a + m (counterclockwise) and splits along its diagonal a-c
+    j, i = np.divmod(np.arange(n * n), n)
+    a = j * m + i
+    triangles = np.stack([a, a + 1, a + m + 1, a, a + m + 1, a + m],
+                         1).reshape(-1, 3)
 
     nesting = None
     nc = n // 2
     if n % 2 == 0 and nc >= 4:
         kc = np.arange(nc + 1)
         jc, ic = np.meshgrid(kc, kc, indexing="ij")
-        jf, i_f = np.divmod(np.arange(n * n), n)    # class J n + I is (I, J)
-        parents = [((j // 2) % nc) * nc + (i // 2) % nc
-                   for i, j in ((i_f, jf), (i_f + 1, jf + 1))]
+        parents = [((y // 2) % nc) * nc + (x // 2) % nc
+                   for x, y in ((i, j), (i + 1, j + 1))]
         nesting = Nesting(
             coarse=partial(build_flat_torus, nc, side, lambda0),
             vertices=(2 * jc * m + 2 * ic).ravel(),

@@ -7,15 +7,17 @@ pair of the cutoff estimates, the second fundamental form of the
 immersion, closed-form frame coefficient sources (test fakes for
 `minlag.frame.MeshCoefficients`), a stage-wise RK4 frame integrator and a
 side-pairing frame product for the genus-2 holonomy, a per-vertex
-least-squares loop for the mesh Wirtinger derivative, and the dense
-Jacobian of the fold solve's Moore-Spence system.  They sit next to
-`scalar_oracle.py` and are imported the same way, `from reference import
-...`.
+least-squares loop for the mesh Wirtinger derivative, the assembled
+operator K + M diag(p) that the package only factorizes or applies, and
+the dense Jacobian of the fold solve's Moore-Spence system.  They sit next
+to `scalar_oracle.py` and are imported the same way, `from reference
+import ...`.
 """
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from minlag.cubic import CubicDifferential
 from minlag.frame import integrate_frame, maurer_cartan, su21_defect
@@ -47,6 +49,12 @@ F2 = _cutoff(lambda s: 0.5 * (s * s + np.exp(-2.0 * s)),
              P.polyint(_BLEND2, k=0.5), lambda s: 0.0 * s)
 
 
+def assembled_operator(s: DiscreteSurface, p) -> sp.csr_matrix:
+    """K + M diag(p) as a CSR matrix, for a per-class potential p or a
+    scalar."""
+    return (s.stiffness + sp.diags(s.mass_diag * p)).tocsr()
+
+
 def norm_equivalence_constants(t: float, q: CubicDifferential):
     """Extreme generalized eigenvalues of (V-Gram, H1-Gram).
 
@@ -55,7 +63,7 @@ def norm_equivalence_constants(t: float, q: CubicDifferential):
     with the standard first-order Sobolev norm (V = 1 gives exactly H1).
     """
     gv = v_gram(t, q).toarray()
-    gh = q.surface.shifted(1.0).toarray()
+    gh = assembled_operator(q.surface, 1.0).toarray()
     w = sla.eigh(gv, gh, eigvals_only=True)
     return float(w[0]), float(w[-1])
 
@@ -71,7 +79,7 @@ def moore_spence_jacobian(q: CubicDifferential, x: np.ndarray,
     s = q.surface
     n, m = s.n_classes, s.mass_diag
     u, phi, t = x[:n], x[n:-1], x[-1]
-    L = s.shifted(linearize(u, t, q)).toarray()
+    L = assembled_operator(s, linearize(u, t, q)).toarray()
     w = m * q.norm_sq * np.exp(-2.0 * u)
     J = np.zeros((2 * n + 1, 2 * n + 1))
     J[:n, :n] = L

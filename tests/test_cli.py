@@ -12,6 +12,7 @@ from minlag.surface import build_flat_torus
 from minlag.wp import area_record
 
 from conftest import octagon_zero_classes
+from reference import assembled_operator
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -212,6 +213,26 @@ def test_curve_csv(tmp_path, capsys):
     assert ts == sorted(ts)
 
 
+def test_csv_lines_end_in_newline_only(tmp_path, capsys):
+    # the comment lines and the rows of a table share one line ending
+    cfg = {k: v for k, v in TORUS.items() if k != "t"}
+    for command, name in (("continue", "curve"), ("wpcheck", "wpt")):
+        path = write_cfg(tmp_path, f"{name}.config.json", cfg)
+        assert main([command, path, "-o", str(tmp_path / name)]) == 0
+        text = (tmp_path / f"{name}.csv").read_bytes()
+        assert text.count(b"\n") > 3 and b"\r" not in text
+
+
+@pytest.mark.parametrize("command", ["mesh", "continue"])
+def test_unwritable_output_exits_1(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {k: v for k, v in TORUS.items() if k != "t"})
+    out = tmp_path / "missing" / "out"
+    assert main([command, cfg, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and str(out) in err
+
+
 def test_continue_failing_level_exits_2(tmp_path, capsys, monkeypatch):
     # a fold solve that fails on one level is a numerical failure naming that
     # level, with no fallback to a trace on the configured mesh
@@ -253,7 +274,8 @@ def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
     ordered = [A for spec, A in runs if spec != "NATURAL"]
     assert [A.shape[0] for A in ordered] == [16, 256] and len(runs) > 20
     for A, n in zip(ordered, (4, 16)):
-        assert abs(A - build_flat_torus(n, 1.0, 1.0).shifted(1.0)).max() == 0.0
+        ref = assembled_operator(build_flat_torus(n, 1.0, 1.0), 1.0)
+        assert abs(A - ref).max() == 0.0
 
 
 def test_continue_zero_cubic_exits_1(tmp_path, capsys):

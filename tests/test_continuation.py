@@ -17,7 +17,7 @@ from minlag.pde import (NonConvergence, SingularJacobian, linearize,
 from minlag.surface import build_genus2_octagon, integrate
 
 from conftest import octagon_zero_classes
-from reference import moore_spence_jacobian
+from reference import assembled_operator, moore_spence_jacobian
 from scalar_oracle import U_FOLD, fold_t, scalar_roots
 
 
@@ -115,7 +115,8 @@ def moore_spence_field(q, x, m_phi0):
     n, m = q.surface.n_classes, q.surface.mass_diag
     u, phi, t = x[:n], x[n:-1], x[-1]
     return np.concatenate([-m * residual(u, t, q),
-                           q.surface.shifted(linearize(u, t, q)) @ phi,
+                           assembled_operator(q.surface,
+                                              linearize(u, t, q)) @ phi,
                            [m_phi0 @ phi - 1.0]])
 
 

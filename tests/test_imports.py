@@ -1,8 +1,8 @@
-"""Static checks over the `minlag` sources: unused imports, argument design,
-unreferenced private names, public names without a consumer, one sparse
-factorization, the systems the Newton loop solves, one eigen path, one
-classification, one writer of outputs, a package `__init__` that binds
-nothing, and what importing the CLI loads."""
+"""Static checks over the `minlag` sources: unused imports (there, in the
+tests and in tools/), argument design, unreferenced private names, public
+names without a consumer, one sparse factorization, the systems the Newton
+loop solves, one eigen path, one classification, one writer of outputs, a
+package `__init__` that binds nothing, and what importing the CLI loads."""
 
 import ast
 import os
@@ -15,6 +15,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "minlag"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+TOOLS = sorted((SRC.parent.parent / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -37,7 +38,8 @@ def test_detects_unused_import():
         "os (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS + TOOLS,
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

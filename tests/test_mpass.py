@@ -14,7 +14,8 @@ from minlag.pde import (NonConvergence, linearize, newton_solve, residual,
 from minlag.cubic import constant_cubic, norm_field
 from minlag.surface import DiscreteSurface, ShiftedLU, integrate
 
-from reference import F1, F2, f1, f2, norm_equivalence_constants
+from reference import (F1, F2, assembled_operator, f1, f2,
+                       norm_equivalence_constants)
 from scalar_oracle import U_FOLD, scalar_roots
 from test_pde import LOWER_ROOT
 
@@ -176,6 +177,19 @@ def test_v_norm_degenerate(torus16, unit_cubic):
         v_norm(np.ones(torus16.n_classes), 0.0, unit_cubic)
 
 
+def test_v_gram_is_bitwise_stiffness_plus_mass_in_its_own_arrays(
+        unit_cubic, octagon2_cubic):
+    # every sweep multiplies by the V-Gram, so it stays assembled; it is
+    # K + M diag(V) to the bit, and writing into it leaves K as it is
+    for t, q in ((0.1, unit_cubic), (20.0, octagon2_cubic)):
+        K = q.surface.stiffness
+        got = v_gram(t, q)
+        ref = assembled_operator(q.surface, v_field(t, q))
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+            assert not np.shares_memory(getattr(got, name), getattr(K, name))
+
+
 def test_norm_equivalence_constants(torus16, unit_cubic):
     lo, hi = norm_equivalence_constants(0.1, unit_cubic)
     assert 0.0 < lo <= hi < math.inf
@@ -194,7 +208,7 @@ def morse_indices(u, t, q):
     """Morse index of (L(u, t), M) from the LU's pivots and from dense eigh."""
     s = q.surface
     pot = linearize(u, t, q)
-    w = sla.eigh(s.shifted(pot).toarray(), np.diag(s.mass_diag),
+    w = sla.eigh(assembled_operator(s, pot).toarray(), np.diag(s.mass_diag),
                  eigvals_only=True)
     return s.factorize(pot).morse_index(), int(np.count_nonzero(w < 0))
 

@@ -11,6 +11,8 @@ from minlag.surface import (DiscreteSurface, MeshError, build_flat_torus,
                             build_genus2_octagon, hyperbolic_midpoint,
                             integrate)
 
+from reference import assembled_operator
+
 
 def test_torus_unit_area():
     s = build_flat_torus(4, 1.0, 1.0)
@@ -91,26 +93,8 @@ def test_stiffness_symmetric(torus16, octagon2):
         assert abs(K - K.T).max() == 0.0
 
 
-@pytest.mark.parametrize("p", ["array", 0.0, 2.0])
-def test_shifted_is_bitwise_stiffness_plus_mass(torus16, octagon2, p):
-    for s in (torus16, octagon2):
-        pot = np.linspace(-3.0, 5.0, s.n_classes) if p == "array" else p
-        ref = (s.stiffness + sp.diags(s.mass_diag * pot)).tocsr()
-        got = s.shifted(pot)
-        for name in ("data", "indices", "indptr"):
-            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
-
-
-def test_shifted_values_do_not_alias_stiffness(torus16, octagon2):
-    for s in (torus16, octagon2):
-        before = s.stiffness.copy()
-        s.shifted(1.0).data[:] = -7.0
-        assert np.array_equal(s.stiffness.data, before.data)
-
-
 def test_newton_leaves_stiffness_structure_unchanged(octagon2,
                                                      octagon2_cubic):
-    # `shifted` shares K's index arrays with every operator Newton builds
     K = octagon2.stiffness
     indices, indptr = K.indices.copy(), K.indptr.copy()
     newton_solve(np.zeros(octagon2.n_classes), 5.0, octagon2_cubic)
@@ -152,7 +136,6 @@ def test_mass_sums_to_area(torus16, octagon2):
     for s in (torus16, octagon2, direct):
         assert s.mass_diag.sum() == pytest.approx(s.area, rel=1e-12)
     assert direct.area == direct.mass_diag.sum() == octagon2.area
-    assert (direct.shifted(0.0) != direct.stiffness).nnz == 0
     assert (direct.stiffness != octagon2.stiffness).nnz == 0
 
 
@@ -181,7 +164,7 @@ def test_factorize_matches_spsolve(name, request):
     n = s.n_classes
     rng = np.random.default_rng(12)
     for p in (rng.uniform(0.5, 3.0, n), rng.uniform(-8.0, 1.0, n)):
-        A = s.shifted(p).tocsc()
+        A = assembled_operator(s, p).tocsc()
         w = sla.eigvalsh(A.toarray(), np.diag(s.mass_diag))
         assert w[0] > 0.0 if p.min() > 0.0 else w[0] < 0.0 < w[-1]
         for b in (rng.normal(size=n), rng.normal(size=(n, 2))):
@@ -199,8 +182,8 @@ def test_morse_index_matches_dense_inertia(name, request):
     rng = np.random.default_rng(12)
     for p in (rng.uniform(0.5, 3.0, n), rng.uniform(-8.0, 1.0, n),
               np.full(n, -60.0), rng.uniform(-200.0, 1.0, n)):
-        w = sla.eigh(s.shifted(p).toarray(), np.diag(s.mass_diag),
-                     eigvals_only=True)
+        w = sla.eigh(assembled_operator(s, p).toarray(),
+                     np.diag(s.mass_diag), eigvals_only=True)
         assert s.factorize(p).morse_index() == np.count_nonzero(w < 0.0)
 
 
@@ -209,8 +192,8 @@ def test_morse_index_unknown_after_off_diagonal_pivot(octagon2):
     # negative entries against 13 negative eigenvalues, so no index is read
     n = octagon2.n_classes
     p = np.random.default_rng(0).uniform(-30.0, 5.0, n)
-    w = sla.eigh(octagon2.shifted(p).toarray(), np.diag(octagon2.mass_diag),
-                 eigvals_only=True)
+    w = sla.eigh(assembled_operator(octagon2, p).toarray(),
+                 np.diag(octagon2.mass_diag), eigvals_only=True)
     assert np.count_nonzero(w < 0.0) == 13
     assert octagon2.factorize(p).morse_index() is None
 
