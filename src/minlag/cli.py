@@ -253,10 +253,15 @@ def emit(payload: dict, cfg: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _csv_path(args, default: str) -> str:
-    """The -o argument (or `default`) with a .csv suffix."""
+def _write_csv(args, default: str, cfg: dict, rows) -> str:
+    """Write the `# config_hash=` line and `rows` (floats as repr) to the -o
+    argument, or `default`, with a .csv suffix; return that path."""
     base = args.output or default
-    return base if base.endswith(".csv") else base + ".csv"
+    path = base if base.endswith(".csv") else base + ".csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config_hash={config_hash(cfg)}\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
 
 
 def _single_t(cfg):
@@ -306,17 +311,12 @@ def cmd_continue(cfg, args) -> int:
     qs = continuation.nested_cubics(q)
     curve = continuation.trace_curve(qs[0], dt0=cfg.get("dt0", 0.01), tol=tol)
     fold, levels = continuation.detect_fold(curve, qs[1:], tol=tol)
-    csv_path = _csv_path(args, "curve")
+    csv_path = _write_csv(args, "curve", cfg, [
+        ["t", "lambda_min", "residual_norm", "u_min", "u_max", "area_induced"],
+        *np.array([(p.t, p.lambda_min, p.residual_norm, p.u.min(), p.u.max(),
+                    surface.integrate(qs[0].surface, np.exp(p.u)))
+                   for p in curve.points]).tolist()])
     json_path = csv_path[:-4] + ".json"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "lambda_min", "residual_norm", "u_min", "u_max",
-                    "area_induced"])
-        w.writerows(np.array([
-            (p.t, p.lambda_min, p.residual_norm, p.u.min(), p.u.max(),
-             surface.integrate(qs[0].surface, np.exp(p.u)))
-            for p in curve.points]).tolist())
     # lambda_min is zero to rounding at the fold, so its sign says nothing
     fold_point = _point(fold)
     del fold_point["stable"]
@@ -378,16 +378,11 @@ def cmd_wpcheck(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     h = cfg.get("wpcheck", {}).get("h", 0.01)
     rec = wp.area_record(q, h, tol=cfg.get("tol", 1e-12))
-    csv_path = _csv_path(args, "wpcheck")
-    with open(csv_path, "w") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)}\n")
-        fh.write("t,area\n")
-        for t, a in zip(rec.ts.tolist(), rec.areas.tolist()):
-            fh.write(f"{t!r},{a!r}\n")
-        fh.write(f"# fd1,{rec.fd1!r}\n")
-        fh.write(f"# fd2,{rec.fd2!r},exact,{rec.exact_second!r},"
-                 f"rel_err,{rec.rel_err!r}\n")
-        fh.write(f"# udd_gap,{rec.udd_gap!r}\n")
+    csv_path = _write_csv(args, "wpcheck", cfg, [
+        ["t", "area"], *zip(rec.ts.tolist(), rec.areas.tolist()),
+        ["# fd1", rec.fd1],
+        ["# fd2", rec.fd2, "exact", rec.exact_second, "rel_err", rec.rel_err],
+        ["# udd_gap", rec.udd_gap]])
     print(f"area(0) = {rec.areas[0]:.8g}")
     print(f"first-variation estimate: {rec.fd1:.3e}")
     print(f"second variation: fd2 = {rec.fd2:.8g}, exact = "

@@ -25,6 +25,7 @@ path.  The frame command uses `MeshCoefficients`, interpolated from mesh
 fields with derivatives from least-squares quadratic fits on vertex
 neighborhoods, which raises StepTooLarge for a point off the mesh; every
 other source (the closed-form ones of the test references) is a test fake.
+Its triangulation is joggled, so no frame depends on rounding.
 `integrate_frame` returns a `FrameSheet` of arrays, and `cli` writes it.
 """
 
@@ -82,6 +83,12 @@ class MeshCoefficients:
     vertex's neighborhood.  One C1 interpolator carries the columns [s, Re s_z,
     Im s_z, Re q, Im q]: coefficients are smooth away from seams, and a
     batch of points costs one call.
+
+    The octagon's mirror-image vertex pairs form isosceles trapezoids,
+    cocircular quadruples whose Delaunay split plain qhull picks by rounding,
+    so one ulp on its chart vertices can move frames by 6.5e-4 at refinement
+    2.  qhull's seeded joggle (`QJ`) splits them alike whatever the last
+    bits, and the same ulp moves frames by at most 5e-15.
     """
 
     def __init__(self, u: np.ndarray, q: CubicDifferential):
@@ -89,6 +96,7 @@ class MeshCoefficients:
         # scipy.interpolate, and it loads scipy.optimize too, which would
         # lengthen every other command's start-up
         from scipy.interpolate import CloughTocher2DInterpolator
+        from scipy.spatial import Delaunay
 
         surface = q.surface
         z = surface.vertices
@@ -97,8 +105,9 @@ class MeshCoefficients:
                            surface.conformal_factor)
         s_z = _vertex_wirtinger(surface, s_chart)
         qv = q.values.astype(complex)
-        self._interp = CloughTocher2DInterpolator(pts, np.column_stack(
-            [s_chart, s_z.real, s_z.imag, qv.real, qv.imag]))
+        self._interp = CloughTocher2DInterpolator(
+            Delaunay(pts, qhull_options="QJ"),
+            np.column_stack([s_chart, s_z.real, s_z.imag, qv.real, qv.imag]))
         self._off_mesh = _off_mesh(self._interp.tri, surface.triangles)
 
     def at_many(self, zs):

@@ -81,10 +81,9 @@ class ResidualBlowup(RuntimeError):
 class NonConvergence(RuntimeError):
     """Newton failed: t beyond the existence range or a bad initial guess."""
 
-    def __init__(self, message, iterations=None, residual_norm=None):
+    def __init__(self, message, iterations=None):
         super().__init__(message)
         self.iterations = iterations
-        self.residual_norm = residual_norm
 
 
 class SingularJacobian(NonConvergence):
@@ -122,13 +121,19 @@ def v_field(t: float, q: CubicDifferential) -> np.ndarray:
     return 16.0 * t * t * q.norm_sq
 
 
-def residual(u: np.ndarray, t: float, q: CubicDifferential) -> np.ndarray:
-    """Nodal residual of the structure equation at (u, t)."""
+def _checked(u: np.ndarray, t: float) -> np.ndarray:
+    """u as floats, if t >= 0 and u clears the overflow guard."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     u = np.asarray(u, dtype=float)
     if u.min() < BLOWUP_THRESHOLD:
         raise ResidualBlowup(f"min u = {u.min():.3g} below {BLOWUP_THRESHOLD}")
+    return u
+
+
+def residual(u: np.ndarray, t: float, q: CubicDifferential) -> np.ndarray:
+    """Nodal residual of the structure equation at (u, t)."""
+    u = _checked(u, t)
     s = q.surface
     lap = -(s.stiffness @ u) / s.mass_diag
     # overflow of exp(u) for wildly positive trial iterates yields inf, which
@@ -140,11 +145,7 @@ def residual(u: np.ndarray, t: float, q: CubicDifferential) -> np.ndarray:
 def linearize(u: np.ndarray, t: float, q: CubicDifferential) -> np.ndarray:
     """Potential p = 2 e^{-2u}(e^{3u} - 16 t^2 ||q||^2) of the linearized
     operator L(u, t) = K + M diag(p)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    if u.min() < BLOWUP_THRESHOLD:
-        raise ResidualBlowup(f"min u = {u.min():.3g} below {BLOWUP_THRESHOLD}")
+    u = _checked(u, t)
     return 2.0 * np.exp(-2.0 * u) * (np.exp(3.0 * u) - v_field(t, q))
 
 
@@ -254,18 +255,17 @@ def damped_newton(u0: np.ndarray, field_fn, step, mass_diag: np.ndarray,
                     raise NonConvergence(
                         f"stalled: step alpha = {alpha:.3g} cut the merit "
                         f"only by the factor {phi_new / phi:.4f}",
-                        iterations=it, residual_norm=float(rnorm))
+                        iterations=it)
                 u = u - alpha * delta
                 phi, f = phi_new, f_new
                 break
             alpha *= 0.5
             if alpha < MIN_DAMPING:
                 raise NonConvergence("line search failed to reduce the residual",
-                                     iterations=it, residual_norm=float(rnorm))
+                                     iterations=it)
 
     raise NonConvergence(f"no convergence in {MAX_NEWTON_ITER} iterations",
-                         iterations=MAX_NEWTON_ITER,
-                         residual_norm=float(np.sqrt(2 * phi)))
+                         iterations=MAX_NEWTON_ITER)
 
 
 def solve_u(u0: np.ndarray, t: float, q: CubicDifferential,

@@ -6,10 +6,11 @@ Two mesh backends are provided:
   domain where constant-data closed forms exist, and
 * a regular hyperbolic octagon in the Poincare disk with all vertex angles
   pi/4, sides glued by the standard pairing a b a^-1 b^-1 c d c^-1 d^-1,
-  which gives a closed genus-2 surface of area 4*pi.  Each side is an
-  ordered list of chart vertices; those of side i are snapped onto the
-  images of side j's vertices under the pairing isometry, so the
-  identification is exact.
+  which gives a closed genus-2 surface of area 4*pi.  Each of its four
+  pairing isometries is one hyperbolic translation turned by rotations
+  about 0, of trace 2 + sqrt 2.  Each side is an ordered list of chart
+  vertices; those of side i are snapped onto the images of side j's
+  vertices under the pairing isometry, so the identification is exact.
 
 Assembly raises `MeshError` for any triangle that is not counterclockwise
 with positive area; the builders rely on that check for orientation.
@@ -372,27 +373,6 @@ def _mobius_apply(mat: np.ndarray, z: complex) -> complex:
     return (a * z + b) / (c * z + d)
 
 
-def _disk_translation(p: complex) -> np.ndarray:
-    """Isometry z -> (z - p) / (1 - conj(p) z) as a 2x2 matrix."""
-    return np.array([[1.0, -p], [-p.conjugate(), 1.0]], dtype=complex)
-
-
-def mobius_two_point(p: complex, q: complex, p_img: complex, q_img: complex) -> np.ndarray:
-    """Unique orientation-preserving disk isometry with p -> p_img, q -> q_img.
-
-    Requires equal hyperbolic distances d(p, q) = d(p_img, q_img).
-    """
-    tp = _disk_translation(p)
-    tq = _disk_translation(p_img)
-    w1 = _mobius_apply(tp, q)
-    w2 = _mobius_apply(tq, q_img)
-    alpha = cmath.phase(w2) - cmath.phase(w1)
-    rot = np.array([[cmath.exp(1j * alpha), 0.0], [0.0, 1.0]], dtype=complex)
-    tq_inv = np.array([[1.0, p_img], [p_img.conjugate(), 1.0]], dtype=complex)
-    mat = tq_inv @ rot @ tp
-    return mat / cmath.sqrt(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
-
-
 # Side pairs realizing the boundary word a b a^-1 b^-1 c d c^-1 d^-1: side k
 # carries the k-th letter, so paired sides are two apart within each half.
 _OCTAGON_PAIRS = [(0, 2), (1, 3), (4, 6), (5, 7)]
@@ -455,12 +435,22 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
                         for v in (midpoint(a, b), b)]
         midpoint_cache.clear()
 
-    # Pairing isometries: g maps side j onto side i reversing the boundary
-    # direction, so side i reversed lies on g(side j) entry by entry.
+    # Pairing isometries: side k's midpoint lies at radius m on the ray at
+    # angle (2k + 1) pi/8, and the hyperbolic translation T along the real
+    # axis takes -m to m.  So g = R((2i + 1) pi/8) T R(pi - (2j + 1) pi/8)
+    # maps side j onto side i reversing the boundary direction, and side i
+    # reversed lies on g(side j) entry by entry.
+    m = abs(verts[9])
+    x = 2.0 * m / (1.0 + m * m)
+    T = np.array([[1.0, x], [x, 1.0]]) / math.sqrt(1.0 - x * x)
+
+    def rotation(a):                    # z -> e^{ia} z, with det 1
+        return np.diag(np.exp([0.5j * a, -0.5j * a]))
+
     pairings, glued = [], []
     for i, j in _OCTAGON_PAIRS:
-        g = mobius_two_point(corners[j], corners[(j + 1) % 8],
-                             corners[(i + 1) % 8], corners[i])
+        g = (rotation((2 * i + 1) * math.pi / 8) @ T
+             @ rotation(math.pi - (2 * j + 1) * math.pi / 8))
         pairings.append((i, j, g))
         partners = sides[i][::-1]
         for p, v in zip(partners[1:-1], sides[j][1:-1]):   # corners stay exact

@@ -47,10 +47,22 @@ CURVE = (b'{"T0_estimate": 44.6, "levels": [{"T0": 45.0, "classes": 30}, '
 def test_key_results_of_a_curve_a_point_and_a_wpcheck_table():
     assert key_results("curve.json", CURVE) == {
         "T0_estimate": 44.6, "levels[0].T0": 45.0, "levels[1].T0": 44.6,
-        "diagnostics.fold_lambda_min": 1e-12}
+        "diagnostics.fold_lambda_min": 1e-12,
+        "diagnostics.rejected_steps": 1.0}
+    # the work counts of a curve and of a mountain pass are key results too
+    counted = (b'{"levels": [{"T0": 45.0, "classes": 30, '
+               b'"fold_newton_iterations": 3}], "diagnostics": '
+               b'{"rejected_steps": 0, "n_points": 12, "newton_iterations": 40,'
+               b' "final_step": 0.5, "fold_lambda_min": 0.0}}')
+    assert key_results("curve.json", counted) == {
+        "levels[0].T0": 45.0, "levels[0].fold_newton_iterations": 3.0,
+        "diagnostics.rejected_steps": 0.0, "diagnostics.n_points": 12.0,
+        "diagnostics.newton_iterations": 40.0,
+        "diagnostics.fold_lambda_min": 0.0}
     assert key_results("mpass-0.45.json",
-                       b'{"t": 20.1, "lambda_min": -20.4, "u2": [-1.0]}'
-                       ) == {"lambda_min": -20.4}
+                       b'{"t": 20.1, "lambda_min": -20.4, "u2": [-1.0], '
+                       b'"path_iterations": 30, "sup_norm": 2.0}'
+                       ) == {"lambda_min": -20.4, "path_iterations": 30.0}
     assert key_results("wpcheck.csv", b"t,area\n0.0,-1.0\n"
                        b"# fd2,16.02,exact,16.0,rel_err,0.0016\n") == {
         "rel_err": 0.0016}
@@ -65,6 +77,7 @@ def test_key_lines_follow_a_moved_curve():
         b'"fold_lambda_min": 1e-12', b'"fold_lambda_min": -1e-12')) == [
         "  T0_estimate: 44.6 | 44.60000000000001, rel diff 1.59e-16",
         "  diagnostics.fold_lambda_min: 1e-12 | -1e-12, rel diff 2",
+        "  diagnostics.rejected_steps: 1.0 | 1.0, rel diff 0",
         "  levels[0].T0: 45.0 | 45.0, rel diff 0",
         "  levels[1].T0: 44.6 | 44.6, rel diff 0"]
     assert key_lines("curve.json", CURVE,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -266,8 +267,10 @@ def test_frame_batch_reevaluates_missed_segment_start():
 
 
 def _single_column_interpolators(u, q):
-    """The five one-column interpolators MeshCoefficients used to build."""
+    """The five one-column interpolators MeshCoefficients used to build, on
+    its joggled triangulation."""
     from scipy.interpolate import CloughTocher2DInterpolator
+    from scipy.spatial import Delaunay
     from minlag.frame import _vertex_wirtinger
 
     surface = q.surface
@@ -277,7 +280,8 @@ def _single_column_interpolators(u, q):
                       / 2.0)
     s_z = _vertex_wirtinger(surface, s_chart)
     qv = q.values.astype(complex)
-    return [CloughTocher2DInterpolator(pts, col) for col in
+    tri = Delaunay(pts, qhull_options="QJ")
+    return [CloughTocher2DInterpolator(tri, col) for col in
             (s_chart, s_z.real, s_z.imag, qv.real, qv.imag)]
 
 
@@ -314,6 +318,27 @@ def test_mesh_at_many_matches_single_column_interpolators(octagon2,
     assert np.abs(s_z.imag - szi_i(x, y)).max() == 0.0
     assert np.abs(q.real - qr_i(x, y)).max() == 0.0
     assert np.abs(q.imag - qi_i(x, y)).max() == 0.0
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_frames_do_not_depend_on_rounding_of_the_chart(r, request):
+    # the regular octagon's chart vertices hold many cocircular quadruples,
+    # where an unjoggled Delaunay triangulation is decided by rounding: there
+    # one ulp toward 0 on every chart vertex past the corners moves these
+    # frames by 6.5e-4 (r = 2) and 1.1e-5 (r = 3)
+    s = request.getfixturevalue(f"octagon{r}")
+    q = request.getfixturevalue(f"octagon{r}_cubic")
+    t = 20.0
+    u = newton_solve(np.zeros(s.n_classes), t, q, tol=1e-11).u
+    z = s.vertices.copy()
+    z[9:] = (np.nextafter(z[9:].real, 0.0)
+             + 1j * np.nextafter(z[9:].imag, 0.0))
+    nudged = dataclasses.replace(s, vertices=z)
+    loop = [0.0, 0.5, 0.5j, -0.5, -0.5j, 0.5, 0.0]
+    frames = [integrate_frame(MeshCoefficients(u, CubicDifferential(
+        values=t * q.values, surface=surface)), loop, step=0.005).frames
+        for surface in (s, nudged)]
+    assert np.abs(frames[0] - frames[1]).max() <= 1e-12
 
 
 def test_mesh_at_many_names_first_point_outside(octagon2_mesh):

@@ -314,6 +314,21 @@ def test_octagon_side_gluing_is_exact(r):
             assert s.class_of[sides[i][hit]] == s.class_of[v]
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_octagon_pairings_are_turned_translations(r):
+    # each pairing is a rotated translation: det 1 and trace 2 + sqrt 2,
+    # mapping side j's corners onto side i's in reverse order
+    s = build_genus2_octagon(r)
+    corners = s.vertices[1:9]
+    for i, j, g in s.side_pairings:
+        assert abs(np.linalg.det(g) - 1.0) <= 1e-13
+        assert abs(np.trace(g) - (2.0 + math.sqrt(2.0))) <= 1e-13
+        for z, image in ((corners[j], corners[(i + 1) % 8]),
+                         (corners[(j + 1) % 8], corners[i])):
+            w = (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
+            assert abs(w - image) <= 1e-14
+
+
 def test_octagon_first_eigenvalue_order():
     # the first nonzero eigenvalue of (K, M) converges as O(h^2): measured
     # 1.743601, 1.729740, 1.726097 at r = 3, 4, 5, a gap ratio of 3.81

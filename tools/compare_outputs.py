@@ -14,11 +14,14 @@ JSON entries, or the CSV cells), each with where it occurs, and the first
 mismatch that is not numeric, if there is one.  Below that line come the
 file's key results, one a line, here and there with their relative
 difference: `T0_estimate`, each `levels[k].T0` and
-`diagnostics.fold_lambda_min` of a curve, the `lambda_min` of a solved or
-mountain-pass point, and the `rel_err` of a wpcheck table.  A change that
-moves the traced curve on purpose moves its largest difference too, and
-these lines show whether the results moved with it.  Exit status 0 when
-every command exits alike and every file is identical, 1 otherwise.
+`levels[k].fold_newton_iterations`, and the `diagnostics`
+`fold_lambda_min`, `rejected_steps`, `n_points` and `newton_iterations` of
+a curve, the `lambda_min` of a solved or mountain-pass point with the
+`path_iterations` of the latter, and the `rel_err` of a wpcheck table.  A
+change that moves the traced curve on purpose moves its largest difference
+too, and these lines show whether the results and the work counts moved
+with it.  Exit status 0 when every command exits alike and every file is
+identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
 TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 KEY_RESULTS = re.compile(
-    r"\.(T0_estimate|levels\[\d+\]\.T0|diagnostics\.fold_lambda_min|lambda_min)")
+    r"\.(T0_estimate|levels\[\d+\]\.(T0|fold_newton_iterations)"
+    r"|diagnostics\.(fold_lambda_min|rejected_steps|n_points|newton_iterations)"
+    r"|lambda_min|path_iterations)")
 
 # runs the jobs of argv[1] in the directory argv[2]; one exit code per line
 CHILD = """
