@@ -9,7 +9,9 @@ output, 2 numerical failure.
 Commands raise; `main` holds the only exception-to-exit-code map.  Every
 subclass of a class on `NUMERICAL_FAILURES` exits 2 as `<command> failed`,
 every other `ValueError` exits 1 as a config error, and an `OSError` (an
-unreadable config is a config error) exits 1 as `cannot write output`.
+unreadable config is a config error) exits 1 as `cannot write output`;
+`main` tries every output file before the command runs, so only a write
+that fails later (a full disk) exits 1 after the work.
 The tuple is tested first because it holds `numpy.linalg.LinAlgError`, a
 `ValueError` that the stacked least-squares solve of
 `frame._vertex_wirtinger` raises on a singular fit.  A new failure class
@@ -90,6 +92,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -253,15 +256,24 @@ def emit(payload: dict, cfg: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _write_csv(args, default: str, cfg: dict, rows) -> str:
-    """Write the `# config_hash=` line and `rows` (floats as repr) to the -o
-    argument, or `default`, with a .csv suffix; return that path."""
-    base = args.output or default
-    path = base if base.endswith(".csv") else base + ".csv"
+def _outputs(args) -> list:
+    """The files the command writes: the JSON at -o, if given, or for
+    `continue` and `wpcheck` the CSV table at -o (default curve and
+    wpcheck) with a .csv suffix, and `continue`'s JSON beside it."""
+    default = {"continue": "curve", "wpcheck": "wpcheck"}.get(args.command)
+    if default is None:
+        return [args.output] if args.output else []
+    path = (args.output or default).removesuffix(".csv") + ".csv"
+    if args.command == "wpcheck":
+        return [path]
+    return [path, path[:-4] + ".json"]
+
+
+def _write_csv(path: str, cfg: dict, rows) -> None:
+    """Write the `# config_hash=` line and the rows (floats as repr)."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash(cfg)}\n")
         csv.writer(fh, lineterminator="\n").writerows(rows)
-    return path
 
 
 def _single_t(cfg):
@@ -311,12 +323,12 @@ def cmd_continue(cfg, args) -> int:
     qs = continuation.nested_cubics(q)
     curve = continuation.trace_curve(qs[0], dt0=cfg.get("dt0", 0.01), tol=tol)
     fold, levels = continuation.detect_fold(curve, qs[1:], tol=tol)
-    csv_path = _write_csv(args, "curve", cfg, [
+    csv_path, json_path = _outputs(args)
+    _write_csv(csv_path, cfg, [
         ["t", "lambda_min", "residual_norm", "u_min", "u_max", "area_induced"],
         *np.array([(p.t, p.lambda_min, p.residual_norm, p.u.min(), p.u.max(),
                     surface.integrate(qs[0].surface, np.exp(p.u)))
                    for p in curve.points]).tolist()])
-    json_path = csv_path[:-4] + ".json"
     # lambda_min is zero to rounding at the fold, so its sign says nothing
     fold_point = _point(fold)
     del fold_point["stable"]
@@ -378,7 +390,8 @@ def cmd_wpcheck(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     h = cfg.get("wpcheck", {}).get("h", 0.01)
     rec = wp.area_record(q, h, tol=cfg.get("tol", 1e-12))
-    csv_path = _write_csv(args, "wpcheck", cfg, [
+    (csv_path,) = _outputs(args)
+    _write_csv(csv_path, cfg, [
         ["t", "area"], *zip(rec.ts.tolist(), rec.areas.tolist()),
         ["# fd1", rec.fd1],
         ["# fd2", rec.fd2, "exact", rec.exact_second, "rel_err", rec.rel_err],
@@ -418,7 +431,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        return COMMANDS[args.command](load_config(args.config), args)
+        cfg = load_config(args.config)
+        # try each output before any work, and leave it as it was
+        for path in _outputs(args):
+            existed = os.path.lexists(path)
+            open(path, "a").close()
+            if not existed:
+                os.remove(path)
+        return COMMANDS[args.command](cfg, args)
     except NUMERICAL_FAILURES as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

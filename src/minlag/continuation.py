@@ -105,9 +105,9 @@ def trace_curve(q: CubicDifferential, dt0: float,
     """Natural-parameter continuation from (0, 0) to where the fold solve starts.
 
     The first step is dt0.  A point is accepted when its `newton_solve`
-    converges with lambda_min > 0; the step then grows by STEP_GROWTH, and
-    it halves after any other outcome.  After an accepted point t_k whose
-    lambda_min fell from t_{k-1}, the step is also capped at
+    converges to a `stable` point (lambda_min > 0); the step then grows by
+    STEP_GROWTH, and it halves after any other outcome.  After an accepted
+    point t_k whose lambda_min fell from t_{k-1}, the step is also capped at
     FOLD_STEP_FRACTION (t_est - t_k), with
 
         t_est = t_k + lambda_k^2 (t_k - t_{k-1}) / (lambda_{k-1}^2 - lambda_k^2)
@@ -134,7 +134,7 @@ def trace_curve(q: CubicDifferential, dt0: float,
         prev = points[-1]
         try:
             p = newton_solve(prev.u, prev.t + dt, q, tol=tol)
-            accepted = p.lambda_min > 0.0
+            accepted = p.stable
         except NonConvergence:
             accepted = False
         if not accepted:
@@ -207,7 +207,7 @@ def fold_step(q: CubicDifferential, m_phi0: np.ndarray):
     def step(x, rhs):
         u, phi, t = x[:n], x[n:-1], x[-1]
         pot = linearize(u, t, q)
-        mp, lu = m * pot, s.factorize(pot)
+        lu = s.factorize(pot)
         w = m * q.norm_sq * np.exp(-2.0 * u)    # M ||q||^2 e^{-2u}
         a = 32.0 * t * w
         b = (2.0 * m * np.exp(u) + 64.0 * t * t * w) * phi   # diag of B
@@ -225,8 +225,7 @@ def fold_step(q: CubicDifferential, m_phi0: np.ndarray):
         def bordered(g, h):
             """Lb^{-1} (g, h) for the columns of g and entries of h."""
             y, mu = eliminate(g, h)
-            dy, dmu = eliminate(g - (s.stiffness @ y + mp[:, None] * y)
-                                - np.outer(psi, mu),
+            dy, dmu = eliminate(g - s.apply(pot, y) - np.outer(psi, mu),
                                 h - psi @ y)
             return (y + dy).T, mu + dmu
 
@@ -269,8 +268,7 @@ def solve_fold(q: CubicDifferential, u: np.ndarray, phi: np.ndarray,
     def field_fn(x):
         u, phi, t = x[:n], x[n:-1], x[-1]
         return np.concatenate([-residual(u, t, q),
-                               (s.stiffness @ phi
-                                + m * linearize(u, t, q) * phi) / m,
+                               s.apply(linearize(u, t, q), phi) / m,
                                [m_phi0 @ phi - 1.0]])
 
     x, _, it = damped_newton(np.concatenate([u, phi0, [t]]), field_fn,

@@ -42,7 +42,6 @@ from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-import scipy.sparse as sp
 
 from .cubic import CubicDifferential
 from .pde import (TOL_POS, NonConvergence, SolutionPoint, linearize,
@@ -156,7 +155,7 @@ def _pointwise(U: np.ndarray, V: np.ndarray, gradient: bool) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# functional, gradient, V-norm
+# functional and gradient
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,17 +194,6 @@ def functional_gradient(u: np.ndarray, t: float,
             + _pointwise(u, v_field(t, q), gradient=True)
 
 
-def v_gram(t: float, q: CubicDifferential) -> sp.csr_matrix:
-    """Gram matrix of the V-inner product, int grad f.grad g + V f g: K +
-    M diag(V) in arrays of its own, assembled since every sweep uses it."""
-    s, V = q.surface, v_field(t, q)
-    if float(s.mass_diag @ V) <= 0.0:
-        raise DegenerateNorm("integral V = 0; V-norm requires t > 0 and q != 0")
-    G = s.stiffness.copy()
-    G.setdiag(G.diagonal() + s.mass_diag * V)
-    return G
-
-
 # ---------------------------------------------------------------------------
 # mountain pass
 
@@ -233,7 +221,9 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
     PATH_NODES-node path from u_stable to a deep negative constant.  Each
     sweep resamples it at uniform V-arclength with the endpoints fixed,
     takes its interior node of highest F and moves that node by one
-    backtracked descent step preconditioned with the V-Gram matrix.  The
+    backtracked descent step preconditioned with the V-Gram matrix
+    K + M diag(V), which the V-norms apply and the descent factorizes once;
+    DegenerateNorm is raised when integral V = 0 (t = 0 or q = 0).  The
     node as it was before the step is then a polish candidate when its
     gradient norm is below 0.1, on every POLISH_PERIOD-th sweep, and when
     the step could not lower F.  A candidate is polished by `pde.solve_u`,
@@ -261,16 +251,18 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
     the search's own `meta`: path_iterations, vnorm_separation and
     path_nodes.
     """
-    m = q.surface.mass_diag
-    gram = v_gram(t, q)                         # raises DegenerateNorm at t=0
-    gram_lu = q.surface.factorize(v_field(t, q))
+    s, V = q.surface, v_field(t, q)
+    m = s.mass_diag
+    if float(m @ V) <= 0.0:
+        raise DegenerateNorm("integral V = 0; V-norm requires t > 0 and q != 0")
+    gram_lu = s.factorize(V)
 
     f_stable = functional_value(u_stable, t, q)
     w = _negative_endpoint(f_stable, t, q)
 
     def vnorms(X):
         """V-norm of each row of X."""
-        return np.sqrt(_row_dots(X, (gram @ X.T).T))
+        return np.sqrt(_row_dots(X, s.apply(V, X.T).T))
 
     def polish_lu(u):
         """The LU of L(u) when L has Morse index 1, or one its LU cannot
@@ -281,7 +273,7 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
         fail at once.  The polish's first Newton step solves with the LU.
         """
         try:
-            lu = q.surface.factorize(linearize(u, t, q))
+            lu = s.factorize(linearize(u, t, q))
         except RuntimeError:
             return None
         return lu if lu.morse_index() in (1, None) else None

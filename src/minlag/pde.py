@@ -14,9 +14,8 @@ about u is
 
 that is K + M diag(p) with the potential p that `linearize` returns, always
 generalized against M: callers factorize it (`DiscreteSurface.factorize`)
-or apply it as K x + M p x.  Its smallest
-eigenvalue decides stability of a solution: positive on the stable branch,
-zero at the fold.  `smallest_eigenvalue` has one path, shift-invert
+or apply it (`DiscreteSurface.apply`).  Its smallest eigenvalue decides
+stability of a solution: positive on the stable branch, zero at the fold.  `smallest_eigenvalue` has one path, shift-invert
 Lanczos (ARPACK) in standard form: M is diagonal, so with D = M^{1/2} the
 shift-invert operator is the symmetric D (L - sigma M)^{-1} D (Ericsson and
 Ruhe, Math. Comp. 35, 1980), and ARPACK never multiplies by M.  A failed LU
@@ -185,7 +184,7 @@ def smallest_eigenvalue(s: DiscreteSurface, p: np.ndarray):
     lam, vec = sigma + 1.0 / float(w[0]), v[:, 0] / d
 
     vec = vec / np.sqrt(m @ vec ** 2)
-    res = np.linalg.norm(s.stiffness @ vec + (m * p) * vec - lam * (m * vec))
+    res = np.linalg.norm(s.apply(p, vec) - lam * (m * vec))
     scale = max(1.0, abs(lam)) * np.sqrt(float(n))
     if res > 1e-6 * scale:
         raise EigenFailure(f"eigen residual {res:.2e} exceeds tolerance")

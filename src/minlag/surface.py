@@ -16,15 +16,16 @@ Assembly raises `MeshError` for any triangle that is not counterclockwise
 with positive area; the builders rely on that check for orientation.
 
 The metric is lambda(z) |dz|^2 in chart coordinates.  A surface assembles
-its stiffness matrix K and lumped mass M on construction, and it factorizes
-every K + M diag(p) in one fill-reducing column order, computed at its
-first factorization (`DiscreteSurface.factorize`); callers apply it as
-K x + M p x, and only `mpass.v_gram` assembles one.  The P1 stiffness
-matrix uses flat cotangent weights (the Dirichlet energy is conformally
-invariant in two dimensions, so no curvature correction is needed), and the
-mass matrix is lumped with the conformal factor interpolated linearly over
-each triangle.  Scalar fields live on vertex *classes*, i.e. on the quotient
-surface after boundary identification.
+its stiffness matrix K and lumped mass M on construction.  It is the one
+place that knows the form of K + M diag(p): it factorizes it in one
+fill-reducing column order, computed at its first factorization
+(`DiscreteSurface.factorize`), and applies it (`DiscreteSurface.apply`);
+no caller assembles one.  The P1 stiffness matrix uses flat cotangent
+weights (the Dirichlet energy is conformally invariant in two dimensions,
+so no curvature correction is needed), and the mass matrix is lumped with
+the conformal factor interpolated linearly over each triangle.  Scalar
+fields live on vertex *classes*, i.e. on the quotient surface after
+boundary identification.
 
 Both backends nest: an octagon of refinement r >= 2 refines the one of
 refinement r - 1, and a torus of even n with n/2 >= 4 refines the torus of
@@ -207,8 +208,8 @@ class DiscreteSurface:
             raise MeshError("non-finite entries in assembled operators")
         # K keeps exactly the entries K + M diag(p) has: its exact zeros
         # (right angles on the torus) go, and every K_ii > 0 stays, so the
-        # diagonal is structurally full and a diagonal shift of K
-        # (`factorize`, `mpass.v_gram`) only rewrites values
+        # diagonal is structurally full and the diagonal shift of
+        # `factorize` only rewrites values
         K.eliminate_zeros()
         self.stiffness, self.mass_diag = K, m
 
@@ -248,6 +249,10 @@ class DiscreteSurface:
         data[diag] += (self.mass_diag * p)[order]
         A = sp.csc_matrix((data, Kp.indices, Kp.indptr), shape=Kp.shape)
         return ShiftedLU(_splu(A, "NATURAL"), order, pos)
+
+    def apply(self, p, x: np.ndarray) -> np.ndarray:
+        """(K + M diag(p)) x, for x of shape (n,) or (n, k)."""
+        return self.stiffness @ x + ((self.mass_diag * p) * x.T).T
 
     def prolong(self, f: np.ndarray) -> np.ndarray:
         """P1 prolongation of a per-class field on the next coarser level:

@@ -21,8 +21,8 @@ import scipy.sparse as sp
 
 from minlag.cubic import CubicDifferential
 from minlag.frame import integrate_frame, maurer_cartan, su21_defect
-from minlag.mpass import _BLEND1, _BLEND2, THETA, v_gram
-from minlag.pde import linearize
+from minlag.mpass import _BLEND1, _BLEND2, THETA
+from minlag.pde import linearize, v_field
 from minlag.surface import DiscreteSurface, _mobius_apply, hyperbolic_midpoint
 
 
@@ -62,7 +62,7 @@ def norm_equivalence_constants(t: float, q: CubicDifferential):
     are finite and positive; they quantify the equivalence of the V-norm
     with the standard first-order Sobolev norm (V = 1 gives exactly H1).
     """
-    gv = v_gram(t, q).toarray()
+    gv = assembled_operator(q.surface, v_field(t, q)).toarray()
     gh = assembled_operator(q.surface, 1.0).toarray()
     w = sla.eigh(gv, gh, eigvals_only=True)
     return float(w[0]), float(w[-1])

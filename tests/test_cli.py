@@ -223,14 +223,30 @@ def test_csv_lines_end_in_newline_only(tmp_path, capsys):
         assert text.count(b"\n") > 3 and b"\r" not in text
 
 
-@pytest.mark.parametrize("command", ["mesh", "continue"])
-def test_unwritable_output_exits_1(tmp_path, capsys, command):
-    cfg = write_cfg(tmp_path, "c.json",
-                    {k: v for k, v in TORUS.items() if k != "t"})
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_unwritable_output_exits_1(tmp_path, capsys, monkeypatch, command):
+    # the output is tried before the command computes: no LU is made
+    lus, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu",
+                        lambda *a, **k: lus.append(a) or splu(*a, **k))
+    cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.1))
     out = tmp_path / "missing" / "out"
     assert main([command, cfg, "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("cannot write output:") and str(out) in err
+    assert lus == []
+
+
+def test_output_check_leaves_files_as_they_were(tmp_path, capsys):
+    # trying an output neither creates it when the command then fails nor
+    # empties a file already there
+    cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=100.0))
+    (tmp_path / "old.json").write_text("kept\n")
+    assert main(["solve", cfg, "-o", str(tmp_path / "new.json")]) == 2
+    assert main(["solve", cfg, "-o", str(tmp_path / "old.json")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json",
+                                                          "old.json"]
+    assert (tmp_path / "old.json").read_text() == "kept\n"
 
 
 def test_continue_failing_level_exits_2(tmp_path, capsys, monkeypatch):

@@ -61,8 +61,10 @@ def test_key_results_of_a_curve_a_point_and_a_wpcheck_table():
         "diagnostics.fold_lambda_min": 0.0}
     assert key_results("mpass-0.45.json",
                        b'{"t": 20.1, "lambda_min": -20.4, "u2": [-1.0], '
-                       b'"path_iterations": 30, "sup_norm": 2.0}'
-                       ) == {"lambda_min": -20.4, "path_iterations": 30.0}
+                       b'"path_iterations": 30, "sup_norm": 2.0, '
+                       b'"vnorm_separation": 3.5}'
+                       ) == {"lambda_min": -20.4, "path_iterations": 30.0,
+                             "vnorm_separation": 3.5}
     assert key_results("wpcheck.csv", b"t,area\n0.0,-1.0\n"
                        b"# fd2,16.02,exact,16.0,rel_err,0.0016\n") == {
         "rel_err": 0.0016}

