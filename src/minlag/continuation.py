@@ -281,7 +281,7 @@ def nested_cubics(q: CubicDifferential) -> list:
     """q on every level of its surface's hierarchy, coarsest first.
 
     A coarser level's q takes the finer q's values at its chart vertices;
-    the coarser surfaces are built here.
+    the coarser surfaces are assembled here (`Nesting.coarse`).
     """
     qs = [q]
     while (nest := qs[0].surface.nesting) is not None:

@@ -8,11 +8,15 @@ immersion, closed-form frame coefficient sources (test fakes for
 `minlag.frame.MeshCoefficients`), a stage-wise RK4 frame integrator and a
 side-pairing frame product for the genus-2 holonomy, a per-vertex
 least-squares loop for the mesh Wirtinger derivative, the assembled
-operator K + M diag(p) that the package only factorizes or applies, and
-the dense Jacobian of the fold solve's Moore-Spence system.  They sit next
-to `scalar_oracle.py` and are imported the same way, `from reference
-import ...`.
+operator K + M diag(p) that the package only factorizes or applies, the
+dense Jacobian of the fold solve's Moore-Spence system, and the octagon's
+subdivision one triangle at a time with a dict of edge midpoints.  They
+sit next to `scalar_oracle.py` and are imported the same way, `from
+reference import ...`.
 """
+
+import cmath
+import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -256,3 +260,34 @@ def vertex_wirtinger_lstsq(surface: DiscreteSurface,
         coef = np.linalg.lstsq(A, f[idx] - f[i], rcond=None)[0]
         out[i] = 0.5 * (coef[0] - 1j * coef[1])
     return out
+
+
+def looped_octagon_refinement(refinement: int):
+    """Chart vertices (before snapping), triangles and sides of the octagon
+    of `refinement`, subdivided one triangle at a time: each edge's midpoint
+    gets the next number when an edge (a, b), (b, c) or (c, a) first meets
+    it, computed from that first (a, b), and is looked up in a dict after."""
+    rv = 2.0 ** -0.25
+    verts = [0j] + [rv * cmath.exp(1j * math.pi * k / 4.0) for k in range(8)]
+    sides = [[1 + k, 9 + k, 1 + (k + 1) % 8] for k in range(8)]
+    verts += [hyperbolic_midpoint(verts[a], verts[b]) for a, _, b in sides]
+    tris = [t for a, m, b in sides for t in ((0, a, m), (0, m, b))]
+    for _ in range(refinement):
+        cache = {}
+
+        def midpoint(a, b):
+            key = frozenset((a, b))
+            if key not in cache:
+                cache[key] = len(verts)
+                verts.append(hyperbolic_midpoint(verts[a], verts[b]))
+            return cache[key]
+
+        new_tris = []
+        for a, b, c in tris:
+            mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_tris += [(a, mab, mca), (mab, b, mbc), (mca, mbc, c),
+                         (mab, mbc, mca)]
+        tris = new_tris
+        sides = [[side[0]] + [v for a, b in zip(side, side[1:])
+                              for v in (midpoint(a, b), b)] for side in sides]
+    return verts, tris, sides

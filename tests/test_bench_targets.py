@@ -6,8 +6,9 @@ is missing, dropping the metrics derived from it; this keeps a rename in
 
 `bench/workloads.py` gates every command's outputs on reference values
 (T0, the nonexistence bound, the mountain-pass lambda_min, the wpcheck
-rel_err).  Running each workload at smoke size here keeps a change to
-`minlag` that moves one of them from surfacing only in a benchmark run.
+rel_err).  Running each workload at smoke size here, and at full size for
+seed 0, keeps a change to `minlag` that moves one of them from surfacing
+only in a benchmark run.
 """
 
 import contextlib
@@ -46,11 +47,14 @@ def test_tracer_target_resolves(module_name, path):
     assert callable(original) or isinstance(original, property)
 
 
-@pytest.mark.parametrize("seed", [0, 7])
+# full size once: no other test checks the octagon r3 references (the
+# nested fold T0, the mountain-pass lambda_min and the wpcheck rel_err)
+@pytest.mark.parametrize("seed,smoke", [(0, True), (7, True), (0, False)],
+                         ids=["0", "7", "0-full"])
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
-def test_workload_gates_pass_at_smoke_size(workload, seed, tmp_path):
+def test_workload_gates_pass_at_smoke_size(workload, seed, smoke, tmp_path):
     for i, cmd in enumerate(workloads.build_commands(workload, seed,
-                                                     smoke=True)):
+                                                     smoke=smoke)):
         config = tmp_path / f"config-{i}.json"
         config.write_text(json.dumps(cmd.config))
         out = tmp_path / cmd.output

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from minlag import continuation
+from minlag import continuation, surface
 from minlag.cli import EXIT_NUMERICAL, main
 from minlag.continuation import (EPS_FOLD, NoFoldDetected, StallBeforeFold,
                                  ZeroCubic, branch_point, detect_fold,
@@ -463,6 +463,22 @@ def test_fold_gradient_in_q_matches_central_differences(name, dt0,
             q.surface, q.norm_sq * (1.0 + e * delta)), dt0, tol)[0].t
             for e in (eps, -eps))
         assert (t_up - t_down) / (2.0 * eps) == pytest.approx(rate, rel=1e-7)
+
+
+def test_nested_cubics_builds_the_octagon_once(monkeypatch):
+    # the coarser levels are slices of the user's one build
+    calls = []
+    build = surface.build_genus2_octagon
+
+    def counting_build(refinement):
+        calls.append(refinement)
+        return build(refinement)
+
+    monkeypatch.setattr(surface, "build_genus2_octagon", counting_build)
+    s = surface.build_genus2_octagon(3)
+    qs = nested_cubics(synthetic_cubic(s, octagon_zero_classes(s), 1.0))
+    assert [q.surface.n_classes for q in qs] == [30, 126, 510]
+    assert calls == [3]
 
 
 def test_nested_cubics_sample_the_chart_vertices(octagon2_cubic):

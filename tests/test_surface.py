@@ -7,11 +7,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from minlag.pde import newton_solve
-from minlag.surface import (DiscreteSurface, MeshError, build_flat_torus,
-                            build_genus2_octagon, hyperbolic_midpoint,
-                            integrate)
+from minlag.surface import (DiscreteSurface, MeshError, _mobius_apply,
+                            build_flat_torus, build_genus2_octagon,
+                            hyperbolic_midpoint, integrate)
 
-from reference import assembled_operator
+from reference import assembled_operator, looped_octagon_refinement
 
 
 def test_torus_unit_area():
@@ -203,7 +203,7 @@ def test_morse_index_unknown_after_off_diagonal_pivot(octagon2):
     assert octagon2.factorize(p).morse_index() is None
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
 def test_octagon_coarse_level_is_a_bitwise_prefix(r):
     s = build_genus2_octagon(r)
     c = s.nesting.coarse()
@@ -215,6 +215,42 @@ def test_octagon_coarse_level_is_a_bitwise_prefix(r):
     assert np.array_equal(s.nesting.parents[:c.n_classes],
                           np.repeat(np.arange(c.n_classes)[:, None], 2, 1))
     assert build_genus2_octagon(1).nesting is None
+
+
+def _octagon_fields(s):
+    """Everything an octagon level is made of, as bytes."""
+    fields = [s.vertices, s.triangles, s.class_of, s.conformal_factor,
+              s.stiffness.data, s.stiffness.indices, s.stiffness.indptr,
+              s.mass_diag]
+    if s.nesting is not None:
+        fields += [s.nesting.vertices, s.nesting.parents]
+    return [(f.dtype.str, f.shape, f.tobytes()) for f in fields]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_octagon_coarse_levels_equal_their_own_builds(r):
+    # the levels under a build are slices of it, bitwise what a build of
+    # that refinement gives
+    s = build_genus2_octagon(r)
+    for k in range(1, r):
+        s = s.nesting.coarse()
+        own = build_genus2_octagon(r - k)
+        assert _octagon_fields(s) == _octagon_fields(own)
+    assert s.nesting is None
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_octagon_matches_the_looped_refinement(r):
+    # the edge-array subdivision numbers, places and joins the vertices as
+    # the triangle-by-triangle loop does; snapping with the builder's
+    # pairings then gives its chart vertices bitwise
+    s = build_genus2_octagon(r)
+    verts, tris, sides = looped_octagon_refinement(r)
+    assert np.array_equal(s.triangles, tris)
+    for i, j, g in s.side_pairings:
+        for p, v in zip(sides[i][-2:0:-1], sides[j][1:-1]):
+            verts[p] = _mobius_apply(g, verts[v])
+    assert s.vertices.tobytes() == np.array(verts, dtype=complex).tobytes()
 
 
 @pytest.mark.parametrize("r", [2, 3])
