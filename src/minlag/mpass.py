@@ -234,10 +234,10 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
     u_stable.  A singular L admits no polish.  The gate costs one LU of L
     per candidate, and the polish's first Newton step solves with it.  The
     cutoff equivalence justifies the polish: for u <= 0, grad F = 0 is the
-    structure equation, and the verification below checks u <= 0.  A polished point V-separated from u_stable ends
-    the search.  A step that cannot lower F, or MAX_SWEEPS sweeps, end the
-    path; it restarts with twice the nodes, twice at most, and then
-    PathCollapse is raised.
+    structure equation, and the verification below checks u <= 0.  A
+    polished point V-separated from u_stable ends the search.  A step that
+    cannot lower F, or MAX_SWEEPS sweeps, end the path; it restarts with
+    twice the nodes, twice at most, and then PathCollapse is raised.
 
     The three are module constants, not options: no caller, config or
     benchmark workload needs other values, and the node doubling already

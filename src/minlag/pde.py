@@ -15,11 +15,12 @@ about u is
 that is K + M diag(p) with the potential p that `linearize` returns, always
 generalized against M: callers factorize it (`DiscreteSurface.factorize`)
 or apply it (`DiscreteSurface.apply`).  Its smallest eigenvalue decides
-stability of a solution: positive on the stable branch, zero at the fold.  `smallest_eigenvalue` has one path, shift-invert
-Lanczos (ARPACK) in standard form: M is diagonal, so with D = M^{1/2} the
-shift-invert operator is the symmetric D (L - sigma M)^{-1} D (Ericsson and
-Ruhe, Math. Comp. 35, 1980), and ARPACK never multiplies by M.  A failed LU
-or ARPACK run raises EigenFailure, and nothing falls back.
+stability of a solution: positive on the stable branch, zero at the fold.
+`smallest_eigenvalue` has one path, shift-invert Lanczos (ARPACK) in
+standard form: M is diagonal, so with D = M^{1/2} the shift-invert operator
+is the symmetric D (L - sigma M)^{-1} D (Ericsson and Ruhe, Math. Comp. 35,
+1980), and ARPACK never multiplies by M.  A failed LU or ARPACK run raises
+EigenFailure, and nothing falls back.
 
 `damped_newton` is the one Newton/Armijo loop of the package.  `solve_u`
 runs it on the structure equation (field = -residual, Jacobian = L), and

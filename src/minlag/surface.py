@@ -8,9 +8,11 @@ Two mesh backends are provided:
   pi/4, sides glued by the standard pairing a b a^-1 b^-1 c d c^-1 d^-1,
   which gives a closed genus-2 surface of area 4*pi.  Each of its four
   pairing isometries is one hyperbolic translation turned by rotations
-  about 0, of trace 2 + sqrt 2.  Each side is an ordered list of chart
-  vertices; those of side i are snapped onto the images of side j's
-  vertices under the pairing isometry, so the identification is exact.
+  about 0, of trace 2 + sqrt 2.  Its chart is built in array arithmetic:
+  one closed-form `hyperbolic_midpoint` call places every new vertex of a
+  refinement level, and each side is an ordered array of chart vertices.
+  One array expression of a pairing isometry snaps the interior of side i
+  onto the images of side j's, so the identification is exact.
 
 Assembly raises `MeshError` for any triangle that is not counterclockwise
 with positive area; the builders rely on that check for orientation.
@@ -38,7 +40,6 @@ takes the mean of that edge's two end classes (P1 prolongation).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -362,22 +363,20 @@ def disk_lambda(z: np.ndarray) -> np.ndarray:
     return 4.0 / (1.0 - np.abs(z) ** 2) ** 2
 
 
-# Kept scalar: a numpy version moves 32% of the r4 midpoints by rounding.
-def hyperbolic_midpoint(z1: complex, z2: complex) -> complex:
-    """Midpoint of the geodesic segment [z1, z2] in the Poincare disk."""
-    w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
-    r = abs(w)
-    if r == 0.0:
-        return z1
-    rm = math.tanh(0.5 * math.atanh(r))
-    m = w / r * rm
-    return (m + z1) / (1.0 + z1.conjugate() * m)
+def hyperbolic_midpoint(z1, z2):
+    """Midpoints of the geodesic segments [z1, z2] in the Poincare disk,
+    elementwise over arrays.
 
-
-def _mobius_apply(mat: np.ndarray, z: complex) -> complex:
-    a, b = mat[0]
-    c, d = mat[1]
-    return (a * z + b) / (c * z + d)
+    w = (z2 - z1) / (1 - conj(z1) z2) is z2 moved by the isometry taking z1
+    to 0.  The midpoint of [0, w] is w tanh(artanh|w| / 2) / |w|, which the
+    half-angle identity tanh(artanh(r) / 2) = r / (1 + sqrt(1 - r^2))
+    (Beardon, *The Geometry of Discrete Groups*, ch. 7) turns into
+    m = w / (1 + sqrt(1 - |w|^2)), with no branch at w = 0; the inverse
+    isometry carries m back.  z1 == z2 gives z1.
+    """
+    w = (z2 - z1) / (1.0 - np.conj(z1) * z2)
+    m = w / (1.0 + np.sqrt(1.0 - (w.real ** 2 + w.imag ** 2)))
+    return (m + z1) / (1.0 + np.conj(z1) * m)
 
 
 # Side pairs realizing the boundary word a b a^-1 b^-1 c d c^-1 d^-1: side k
@@ -393,13 +392,14 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
     quotient is a closed genus-2 surface.  `refinement` counts recursive
     4-way subdivisions of the initial 16-triangle fan; all edge midpoints are
     hyperbolic midpoints, numbered in the order the triangles' edges (a, b),
-    (b, c), (c, a) first meet them and computed from that first (a, b).
-    Each side is an ordered list of chart vertices from corner k to corner
-    k + 1, refined with the triangles.  For each pairing (i, j, g) the
-    vertices inside side i are snapped onto the images under g of side j's
-    vertices, and the two lists are glued entry by entry, so boundary
-    identification is exact.  The corners are chart vertices 1..8 and keep
-    their exact coordinates.
+    (b, c), (c, a) first meet them.  One closed-form `hyperbolic_midpoint`
+    call per level places them all, each from that first (a, b).  Each side
+    is an ordered array of chart vertices from corner k to corner k + 1,
+    refined with the triangles.  For each pairing (i, j, g) one array
+    expression of g snaps the interior of side i onto the images of side
+    j's interior, and the two sides are glued entry by entry, so boundary
+    identification is exact.  The corners are chart vertices 1..8 and are
+    never snapped.
 
     Every level is built once.  For refinement >= 2 the surface nests in the
     one of refinement - 1: that level's chart vertices and classes are a
@@ -411,16 +411,15 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
         raise MeshError("refinement must be at least 1")
 
     rv = 2.0 ** -0.25
-    corners = [rv * cmath.exp(1j * math.pi * k / 4.0) for k in range(8)]
-    verts: list[complex] = [0.0 + 0.0j, *corners]
+    corners = rv * np.exp(1j * np.pi / 4.0 * np.arange(8))
 
     # 16-triangle base fan: each side is pre-split at its hyperbolic midpoint
     # so the rim, where the conformal factor is largest, starts twice as fine.
     # Side k runs from corner k (chart vertex 1 + k) through its midpoint
     # (chart vertex 9 + k) to corner k + 1.
+    verts = np.concatenate(
+        [[0.0], corners, hyperbolic_midpoint(corners, np.roll(corners, -1))])
     sides = np.array([[1 + k, 9 + k, 1 + (k + 1) % 8] for k in range(8)])
-    verts += [hyperbolic_midpoint(verts[a], verts[b])
-              for a, _, b in sides.tolist()]
     tris = np.array([t for a, m, b in sides.tolist()
                      for t in ((0, a, m), (0, m, b))])
 
@@ -431,8 +430,7 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
         unique, first, inverse = np.unique(
             np.sort(edges) @ [n, 1], return_index=True, return_inverse=True)
         ends = edges[np.sort(first)]
-        verts += [hyperbolic_midpoint(verts[a], verts[b])
-                  for a, b in ends.tolist()]
+        verts = np.concatenate([verts, hyperbolic_midpoint(*verts[ends.T])])
         midpoint = n + np.argsort(np.argsort(first))   # of each unique edge
         a, b, c = tris.T
         mab, mbc, mca = midpoint[inverse].reshape(-1, 3).T
@@ -456,26 +454,26 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
     def rotation(a):                    # z -> e^{ia} z, with det 1
         return np.diag(np.exp([0.5j * a, -0.5j * a]))
 
-    pairings, glued = [], []
+    pairings = []
     for i, j in _OCTAGON_PAIRS:
         g = (rotation((2 * i + 1) * math.pi / 8) @ T
              @ rotation(math.pi - (2 * j + 1) * math.pi / 8))
         pairings.append((i, j, g))
-        partners = sides[i][::-1]
-        for p, v in zip(partners[1:-1], sides[j][1:-1]):   # corners stay exact
-            verts[p] = _mobius_apply(g, verts[v])
-        glued += zip(sides[j], partners)
+        (a, b), (c, d) = g
+        z = verts[sides[j, 1:-1]]                       # corners stay exact
+        verts[sides[i, -2:0:-1]] = (a * z + b) / (c * z + d)
 
     # classes are the components of the gluing graph, numbered in order of
     # their first chart vertex
-    gluing = sp.coo_matrix((np.ones(len(glued)), np.array(glued).T),
+    i, j = np.array(_OCTAGON_PAIRS).T
+    glued = np.stack([sides[j], sides[i, ::-1]]).reshape(2, -1)
+    gluing = sp.coo_matrix((np.ones(glued.shape[1]), glued),
                            shape=(len(verts), len(verts)))
     _, class_of = connected_components(gluing, directed=False)
     if len(set(class_of[1:9])) != 1:
         raise MeshError("octagon corners did not glue to a single class")
 
-    vertices = np.array(verts, dtype=complex)
-    lam = disk_lambda(vertices)
+    lam = disk_lambda(verts)
     level = nesting = None
     for n, tris, ends in levels:
         if level is not None:           # it nests in the level before
@@ -484,7 +482,7 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
             parents = np.empty((class_of[:n].max() + 1, 2), dtype=int)
             parents[class_of[:n]] = class_of[edge]     # chart copies agree
             nesting = Nesting(level, np.arange(n - len(ends)), parents)
-        level = partial(DiscreteSurface, vertices[:n], tris, class_of[:n],
+        level = partial(DiscreteSurface, verts[:n], tris, class_of[:n],
                         lam[:n], 2, pairings, nesting)
 
     s = level()

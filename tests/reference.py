@@ -5,18 +5,15 @@ it from outside: the cutoffs f1, f2, F1, F2 of the mountain-pass
 functional one by one, its V-norm equivalence constants, the Legendre
 pair of the cutoff estimates, the second fundamental form of the
 immersion, closed-form frame coefficient sources (test fakes for
-`minlag.frame.MeshCoefficients`), a stage-wise RK4 frame integrator and a
-side-pairing frame product for the genus-2 holonomy, a per-vertex
-least-squares loop for the mesh Wirtinger derivative, the assembled
-operator K + M diag(p) that the package only factorizes or applies, the
-dense Jacobian of the fold solve's Moore-Spence system, and the octagon's
-subdivision one triangle at a time with a dict of edge midpoints.  They
-sit next to `scalar_oracle.py` and are imported the same way, `from
-reference import ...`.
+`minlag.frame.MeshCoefficients`), a stage-wise RK4 frame integrator, the
+Mobius map of a side pairing and a side-pairing frame product for the
+genus-2 holonomy, a per-vertex least-squares loop for the mesh Wirtinger
+derivative, the assembled operator K + M diag(p) that the package only
+factorizes or applies, the dense Jacobian of the fold solve's Moore-Spence
+system, and the octagon's subdivision one triangle at a time with a dict
+of edge midpoints.  They sit next to `scalar_oracle.py` and are imported
+the same way, `from reference import ...`.
 """
-
-import cmath
-import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -27,7 +24,7 @@ from minlag.cubic import CubicDifferential
 from minlag.frame import integrate_frame, maurer_cartan, su21_defect
 from minlag.mpass import _BLEND1, _BLEND2, THETA
 from minlag.pde import linearize, v_field
-from minlag.surface import DiscreteSurface, _mobius_apply, hyperbolic_midpoint
+from minlag.surface import DiscreteSurface, hyperbolic_midpoint
 
 
 def _cutoff(neg, blend, pos):
@@ -197,6 +194,12 @@ def stagewise_rk4_frames(coeffs, path, step: float) -> np.ndarray:
     return np.array(frames)
 
 
+def mobius_apply(mat: np.ndarray, z):
+    """The Mobius map of the 2 x 2 matrix `mat` at z."""
+    (a, b), (c, d) = mat
+    return (a * z + b) / (c * z + d)
+
+
 def side_pairing_frame_product(coeffs, surface: DiscreteSurface,
                                pair_index: int, step: float = 0.005):
     """Approximate holonomy of one side pairing as a frame product.
@@ -215,7 +218,7 @@ def side_pairing_frame_product(coeffs, surface: DiscreteSurface,
     corner_j0 = complex(surface.vertices[1 + j])
     corner_j1 = complex(surface.vertices[1 + (j + 1) % 8])
     m_j = hyperbolic_midpoint(corner_j0, corner_j1)
-    m_i = _mobius_apply(g, m_j)
+    m_i = mobius_apply(g, m_j)
     # stop slightly short of the rim so interpolated coefficients stay valid
     path_j = [0.0, 0.98 * m_j]
     path_i = [0.0, 0.98 * m_i]
@@ -266,20 +269,23 @@ def looped_octagon_refinement(refinement: int):
     """Chart vertices (before snapping), triangles and sides of the octagon
     of `refinement`, subdivided one triangle at a time: each edge's midpoint
     gets the next number when an edge (a, b), (b, c) or (c, a) first meets
-    it, computed from that first (a, b), and is looked up in a dict after."""
-    rv = 2.0 ** -0.25
-    verts = [0j] + [rv * cmath.exp(1j * math.pi * k / 4.0) for k in range(8)]
+    it and is looked up in a dict after.  Each level's midpoints are placed
+    by one `hyperbolic_midpoint` call over the first (a, b) of its new
+    edges, in numbering order, and the corners are computed as the builder
+    computes them."""
+    corners = 2.0 ** -0.25 * np.exp(1j * np.pi / 4.0 * np.arange(8))
+    verts = np.concatenate(
+        [[0.0], corners, hyperbolic_midpoint(corners, np.roll(corners, -1))])
     sides = [[1 + k, 9 + k, 1 + (k + 1) % 8] for k in range(8)]
-    verts += [hyperbolic_midpoint(verts[a], verts[b]) for a, _, b in sides]
     tris = [t for a, m, b in sides for t in ((0, a, m), (0, m, b))]
     for _ in range(refinement):
-        cache = {}
+        cache, ends = {}, []
 
         def midpoint(a, b):
             key = frozenset((a, b))
             if key not in cache:
-                cache[key] = len(verts)
-                verts.append(hyperbolic_midpoint(verts[a], verts[b]))
+                cache[key] = len(verts) + len(ends)
+                ends.append((a, b))
             return cache[key]
 
         new_tris = []
@@ -290,4 +296,7 @@ def looped_octagon_refinement(refinement: int):
         tris = new_tris
         sides = [[side[0]] + [v for a, b in zip(side, side[1:])
                               for v in (midpoint(a, b), b)] for side in sides]
+        a, b = np.array(ends).T
+        verts = np.concatenate([verts,
+                                hyperbolic_midpoint(verts[a], verts[b])])
     return verts, tris, sides

@@ -7,11 +7,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from minlag.pde import newton_solve
-from minlag.surface import (DiscreteSurface, MeshError, _mobius_apply,
-                            build_flat_torus, build_genus2_octagon,
-                            hyperbolic_midpoint, integrate)
+from minlag.surface import (DiscreteSurface, MeshError, build_flat_torus,
+                            build_genus2_octagon, hyperbolic_midpoint,
+                            integrate)
 
-from reference import assembled_operator, looped_octagon_refinement
+from reference import (assembled_operator, looped_octagon_refinement,
+                       mobius_apply)
 
 
 def test_torus_unit_area():
@@ -203,6 +204,44 @@ def test_morse_index_unknown_after_off_diagonal_pivot(octagon2):
     assert octagon2.factorize(p).morse_index() is None
 
 
+def _disk_distance(a, b):
+    """Hyperbolic distance arccosh(1 + x) of the Poincare disk, with
+    x = 2 |a - b|^2 / ((1 - |a|^2)(1 - |b|^2)), evaluated as
+    log1p(x + sqrt(x (x + 2))) so that close points keep their digits."""
+    x = 2.0 * np.abs(a - b) ** 2 / ((1.0 - np.abs(a) ** 2)
+                                    * (1.0 - np.abs(b) ** 2))
+    return np.log1p(x + np.sqrt(x * (x + 2.0)))
+
+
+def _disk_pairs(n, seed=0):
+    """n seeded random pairs of points of the disk |z| <= 0.95."""
+    rng = np.random.default_rng(seed)
+    return 0.95 * np.sqrt(rng.random((2, n))) * np.exp(
+        2j * np.pi * rng.random((2, n)))
+
+
+def test_hyperbolic_midpoint_halves_the_distance():
+    z1, z2 = _disk_pairs(500)
+    m = hyperbolic_midpoint(z1, z2)
+    half = 0.5 * _disk_distance(z1, z2)
+    for d in (_disk_distance(z1, m), _disk_distance(m, z2)):
+        assert np.abs(d / half - 1.0).max() <= 1e-12
+
+
+def test_hyperbolic_midpoint_of_a_point_is_the_point():
+    z, _ = _disk_pairs(500)
+    assert hyperbolic_midpoint(z, z).tobytes() == z.tobytes()
+
+
+def test_hyperbolic_midpoint_is_elementwise_bitwise():
+    # one call over N pairs gives what N calls over one pair give: the
+    # builder places a whole level in one call
+    z1, z2 = _disk_pairs(500, seed=1)
+    one_by_one = [hyperbolic_midpoint(z1[[k]], z2[[k]]) for k in range(500)]
+    assert (hyperbolic_midpoint(z1, z2).tobytes()
+            == np.concatenate(one_by_one).tobytes())
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_octagon_coarse_level_is_a_bitwise_prefix(r):
     s = build_genus2_octagon(r)
@@ -242,15 +281,14 @@ def test_octagon_coarse_levels_equal_their_own_builds(r):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_octagon_matches_the_looped_refinement(r):
     # the edge-array subdivision numbers, places and joins the vertices as
-    # the triangle-by-triangle loop does; snapping with the builder's
-    # pairings then gives its chart vertices bitwise
+    # the triangle-by-triangle loop does; snapping each side's interior with
+    # the builder's pairings then gives its chart vertices bitwise
     s = build_genus2_octagon(r)
     verts, tris, sides = looped_octagon_refinement(r)
     assert np.array_equal(s.triangles, tris)
     for i, j, g in s.side_pairings:
-        for p, v in zip(sides[i][-2:0:-1], sides[j][1:-1]):
-            verts[p] = _mobius_apply(g, verts[v])
-    assert s.vertices.tobytes() == np.array(verts, dtype=complex).tobytes()
+        verts[sides[i][-2:0:-1]] = mobius_apply(g, verts[sides[j][1:-1]])
+    assert s.vertices.tobytes() == verts.tobytes()
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -260,7 +298,7 @@ def test_octagon_new_classes_are_coarse_edge_midpoints(r):
     s = build_genus2_octagon(r)
     c = s.nesting.coarse()
     edges = c.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    mid = np.array([hyperbolic_midpoint(*c.vertices[e]) for e in edges])
+    mid = hyperbolic_midpoint(*c.vertices[edges.T])
     new = s.vertices[len(c.vertices):]
     gap = np.abs(new[:, None] - mid[None, :])
     nearest = gap.argmin(axis=1)
@@ -337,15 +375,17 @@ def _octagon_sides(s):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_octagon_side_gluing_is_exact(r):
     # each vertex on side j has a partner on side i at g(vertex), in its class;
-    # the partner is g(vertex) bitwise, except at the corners, kept exact
+    # the partner is g(vertex) bitwise, g applied to the side's interior as
+    # one array, except at the corners, kept exact
     s = build_genus2_octagon(r)
     sides = _octagon_sides(s)
     for i, j, g in s.side_pairings:
         assert len(sides[i]) == len(sides[j]) == 2 ** (r + 1) + 1
         on_i = s.vertices[sides[i]]
-        for v in sides[j]:
-            z = s.vertices[v]
-            image = (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
+        z = s.vertices[sides[j]]
+        images = mobius_apply(g, z)
+        images[1:-1] = mobius_apply(g, z[1:-1])   # the slice the builder snaps
+        for v, image in zip(sides[j], images):
             if v > 8:
                 (hit,) = np.flatnonzero(on_i == image)
             else:
