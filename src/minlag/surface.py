@@ -8,11 +8,12 @@ Two mesh backends are provided:
   pi/4, sides glued by the standard pairing a b a^-1 b^-1 c d c^-1 d^-1,
   which gives a closed genus-2 surface of area 4*pi.  Each of its four
   pairing isometries is one hyperbolic translation turned by rotations
-  about 0, of trace 2 + sqrt 2.  Its chart is built in array arithmetic:
-  one closed-form `hyperbolic_midpoint` call places every new vertex of a
-  refinement level, and each side is an ordered array of chart vertices.
-  One array expression of a pairing isometry snaps the interior of side i
-  onto the images of side j's, so the identification is exact.
+  about 0, of trace 2 + sqrt 2, all in closed form.  Its chart is built in
+  array arithmetic: one closed-form `hyperbolic_midpoint` call places every
+  new vertex of a refinement level, and each side is an ordered array of
+  chart vertices.  One array expression of a pairing isometry snaps the
+  interior of side i onto the images of side j's, so the identification is
+  exact, and index arithmetic gives the classes.
 
 Assembly raises `MeshError` for any triangle that is not counterclockwise
 with positive area; the builders rely on that check for orientation.
@@ -48,7 +49,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 
 class MeshError(RuntimeError):
@@ -254,7 +254,9 @@ class DiscreteSurface:
 
     def apply(self, p, x: np.ndarray) -> np.ndarray:
         """(K + M diag(p)) x, for x of shape (n,) or (n, k)."""
-        return self.stiffness @ x + ((self.mass_diag * p) * x.T).T
+        y = self.stiffness @ x
+        y += ((self.mass_diag * p) * x.T).T
+        return y
 
     def prolong(self, f: np.ndarray) -> np.ndarray:
         """P1 prolongation of a per-class field on the next coarser level:
@@ -399,7 +401,8 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
     expression of g snaps the interior of side i onto the images of side
     j's interior, and the two sides are glued entry by entry, so boundary
     identification is exact.  The corners are chart vertices 1..8 and are
-    never snapped.
+    never snapped; g reads no chart vertex.  A class is one chart vertex,
+    one glued pair or the eight corners, numbered by its first chart vertex.
 
     Every level is built once.  For refinement >= 2 the surface nests in the
     one of refinement - 1: that level's chart vertices and classes are a
@@ -442,36 +445,31 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
         sides[:, 1::2] = midpoint[np.searchsorted(unique, keys)]
         levels.append((len(verts), tris, ends))
 
-    # Pairing isometries: side k's midpoint lies at radius m on the ray at
-    # angle (2k + 1) pi/8, and the hyperbolic translation T along the real
-    # axis takes -m to m.  So g = R((2i + 1) pi/8) T R(pi - (2j + 1) pi/8)
-    # maps side j onto side i reversing the boundary direction, and side i
-    # reversed lies on g(side j) entry by entry.
-    m = abs(verts[9])
-    x = 2.0 * m / (1.0 + m * m)
-    T = np.array([[1.0, x], [x, 1.0]]) / math.sqrt(1.0 - x * x)
+    # Pairing isometries: side k's midpoint lies on the ray at angle
+    # (2k + 1) pi/8 at the inradius rho, cosh rho = cot(pi/8) = 1 + sqrt 2,
+    # and T translates along the real axis by 2 rho.  So g = R((2i + 1) pi/8)
+    # T R(pi - (2j + 1) pi/8) maps side j onto side i reversing the boundary
+    # direction, and side i reversed lies on g(side j) entry by entry.
+    ch = 1.0 + math.sqrt(2.0)
+    sh = math.sqrt(ch * ch - 1.0)
+    T = np.array([[ch, sh], [sh, ch]])
 
     def rotation(a):                    # z -> e^{ia} z, with det 1
         return np.diag(np.exp([0.5j * a, -0.5j * a]))
 
     pairings = []
+    rep = np.arange(len(verts))         # each class's first chart vertex
+    rep[1:9] = 1                        # the corners are one point
     for i, j in _OCTAGON_PAIRS:
         g = (rotation((2 * i + 1) * math.pi / 8) @ T
              @ rotation(math.pi - (2 * j + 1) * math.pi / 8))
         pairings.append((i, j, g))
         (a, b), (c, d) = g
-        z = verts[sides[j, 1:-1]]                       # corners stay exact
-        verts[sides[i, -2:0:-1]] = (a * z + b) / (c * z + d)
-
-    # classes are the components of the gluing graph, numbered in order of
-    # their first chart vertex
-    i, j = np.array(_OCTAGON_PAIRS).T
-    glued = np.stack([sides[j], sides[i, ::-1]]).reshape(2, -1)
-    gluing = sp.coo_matrix((np.ones(glued.shape[1]), glued),
-                           shape=(len(verts), len(verts)))
-    _, class_of = connected_components(gluing, directed=False)
-    if len(set(class_of[1:9])) != 1:
-        raise MeshError("octagon corners did not glue to a single class")
+        on_j, on_i = sides[j, 1:-1], sides[i, -2:0:-1]  # corners stay exact
+        z = verts[on_j]
+        verts[on_i] = (a * z + b) / (c * z + d)
+        rep[on_j] = rep[on_i] = np.minimum(on_j, on_i)
+    class_of = np.unique(rep, return_inverse=True)[1]
 
     lam = disk_lambda(verts)
     level = nesting = None

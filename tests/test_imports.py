@@ -574,12 +574,15 @@ def test_cli_is_the_one_writer_of_outputs():
 
 
 def test_cli_import_loads_no_unneeded_module():
-    # scipy.interpolate (frame only) and the scipy.optimize it pulls in are
-    # loaded by the command that uses them, not by every command; the config
-    # checks of minlag.cli need no jsonschema
-    code = ("import sys, minlag.cli; print(sorted({'.'.join(m.split('.')[:2]) "
+    # scipy.interpolate and scipy.spatial (frame only) and the
+    # scipy.optimize they pull in are loaded by the command that uses them,
+    # not by every command; the octagon's classes need no graph search
+    # (scipy.sparse.csgraph), and the config checks of minlag.cli need no
+    # jsonschema
+    code = ("import sys, minlag.cli; print(sorted({'.'.join(m.split('.')[:3]) "
             "for m in sys.modules if m.startswith(('scipy.interpolate', "
-            "'scipy.optimize', 'jsonschema'))}))")
+            "'scipy.optimize', 'scipy.spatial', 'scipy.sparse.csgraph', "
+            "'jsonschema'))}))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout

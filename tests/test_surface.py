@@ -395,6 +395,52 @@ def test_octagon_side_gluing_is_exact(r):
             assert s.class_of[sides[i][hit]] == s.class_of[v]
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_octagon_classes_are_vertices_glued_pairs_and_the_corners(r):
+    # every class is exactly one chart vertex, one glued pair (side j's
+    # interior against side i's, reversed) or the eight corners, numbered by
+    # first chart vertex: nothing else merges.  At r3 that is 449 single
+    # vertices, 60 pairs and one class of 8
+    s = build_genus2_octagon(r)
+    sides = _octagon_sides(s)
+    groups = [set(range(1, 9))]
+    for i, j, _ in s.side_pairings:
+        groups += [{v, w} for v, w in zip(sides[j][1:-1], sides[i][-2:0:-1])]
+    glued = set().union(*groups)
+    groups += [{v} for v in range(len(s.vertices)) if v not in glued]
+    expected = np.empty(len(s.vertices), dtype=int)
+    for k, group in enumerate(sorted(groups, key=min)):
+        expected[list(group)] = k
+    assert np.array_equal(s.class_of, expected)
+    sizes = np.bincount(np.bincount(expected))
+    n_pairs = 4 * (2 ** (r + 1) - 1)
+    assert sizes[2] == n_pairs and sizes[8] == 1
+    assert sizes[1] == len(s.vertices) - 8 - 2 * n_pairs
+    if r == 3:
+        assert (sizes[1], sizes[2], sizes[8]) == (449, 60, 1)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_octagon_pairing_translation_is_the_closed_form(r):
+    # T = R(-(2i + 1) pi/8) g R((2j + 1) pi/8 - pi), with R(a) the rotation
+    # z -> e^{ia} z, is the translation along the real axis with cosh and
+    # sinh of the inradius, cot(pi/8) = 1 + sqrt 2 and sqrt(2 + 2 sqrt 2),
+    # on its diagonal and off it, to 2 ulp each (a T built from the rounded
+    # side midpoint is 3 ulp off)
+    def rotation(a):
+        return np.diag(np.exp([0.5j * a, -0.5j * a]))
+
+    ch = 1.0 + math.sqrt(2.0)
+    sh = math.sqrt(2.0 + 2.0 * math.sqrt(2.0))
+    exact = np.array([[ch, sh], [sh, ch]])
+    ulps = 2.0 * np.spacing(exact)
+    for i, j, g in build_genus2_octagon(r).side_pairings:
+        T = (rotation(-(2 * i + 1) * math.pi / 8) @ g
+             @ rotation((2 * j + 1) * math.pi / 8 - math.pi))
+        assert np.all(np.abs(T.real - exact) <= ulps), (i, j, T - exact)
+        assert np.all(np.abs(T.imag) <= ulps), (i, j, T.imag)
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_octagon_pairings_are_turned_translations(r):
     # each pairing is a rotated translation: det 1 and trace 2 + sqrt 2,
