@@ -18,8 +18,8 @@ The tuple is tested first because it holds `numpy.linalg.LinAlgError`, a
 must either derive from a class on that tuple or from `ValueError`.
 
 Every command but `mesh` needs a `cubic`.  `continue` traces the branch
-on the coarsest level of the mesh hierarchy (octagon refinement 1; the
-torus halved while n is even and n/2 >= 4), with q taken at that level's
+on the coarsest level of the mesh hierarchy, every level with at least
+`surface.MIN_CLASSES` = 16 classes, with q taken at that level's
 chart vertices, and then solves the fold once per level up to the
 configured mesh (`continuation.detect_fold`).  It reads `dt0`, its first
 step in t (default 0.01); the step then grows by
@@ -49,6 +49,8 @@ the connection of the immersion's cubic differential t q, not of q, in
 chart steps of at most `frame.step` (default 0.005) along `frame.path`;
 the default path runs from 0 to tanh(1/2) (hyperbolic length 1) on the
 octagon, and from side (0.25 + 0.25i) to side (0.75 + 0.25i) on the torus.
+On the torus the flatness column of `defects` measures the hyperbolic
+Gauss equation, which a flat chart does not satisfy: 0.50 at t = 0.1, q = 1.
 Every command's Newton tolerance is `tol`, default 1e-10 (1e-12 for
 `wpcheck`).
 

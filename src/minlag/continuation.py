@@ -280,13 +280,13 @@ def solve_fold(q: CubicDifferential, u: np.ndarray, phi: np.ndarray,
 def nested_cubics(q: CubicDifferential) -> list:
     """q on every level of its surface's hierarchy, coarsest first.
 
-    A coarser level's q takes the finer q's values at its chart vertices;
-    the coarser surfaces are assembled here (`Nesting.coarse`).
+    A coarser level's q takes the finer q's values at its chart vertices
+    (a prefix); the coarser surfaces are assembled here (`Nesting.coarse`).
     """
     qs = [q]
     while (nest := qs[0].surface.nesting) is not None:
-        qs.insert(0, CubicDifferential(values=qs[0].values[nest.vertices],
-                                       surface=nest.coarse()))
+        c = nest.coarse()
+        qs.insert(0, CubicDifferential(qs[0].values[:len(c.vertices)], c))
     return qs
 
 

@@ -177,8 +177,8 @@ def smallest_eigenvalue(s: DiscreteSurface, p: np.ndarray):
                                  dtype=float)
         # a fixed start vector makes ARPACK, so lambda_min, reproducible (D 1
         # is the constant field); the wanted theta is dominant, so 8 Lanczos
-        # vectors (default 20) suffice; ARPACK needs n > ncv, and the mesh
-        # builders refuse meshes with fewer than 16 classes
+        # vectors (default 20) suffice; ARPACK needs n > ncv, and every level
+        # of a hierarchy has at least `surface.MIN_CLASSES` = 16 classes
         w, v = spla.eigsh(op, k=1, which="LA", tol=1e-9, v0=d, ncv=8)
     except RuntimeError as exc:     # a singular LU, or any ArpackError
         raise EigenFailure(f"smallest eigenpair failed: {exc}") from exc

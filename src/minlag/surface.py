@@ -1,19 +1,14 @@
 """Discrete conformal surfaces and their Laplace operators.
 
-Two mesh backends are provided:
-
-* a flat square torus with a constant conformal factor, used as the test
-  domain where constant-data closed forms exist, and
-* a regular hyperbolic octagon in the Poincare disk with all vertex angles
-  pi/4, sides glued by the standard pairing a b a^-1 b^-1 c d c^-1 d^-1,
-  which gives a closed genus-2 surface of area 4*pi.  Each of its four
-  pairing isometries is one hyperbolic translation turned by rotations
-  about 0, of trace 2 + sqrt 2, all in closed form.  Its chart is built in
-  array arithmetic: one closed-form `hyperbolic_midpoint` call places every
-  new vertex of a refinement level, and each side is an ordered array of
-  chart vertices.  One array expression of a pairing isometry snaps the
-  interior of side i onto the images of side j's, so the identification is
-  exact, and index arithmetic gives the classes.
+Two mesh backends are provided: a flat square torus with a constant
+conformal factor, the test domain where constant-data closed forms exist,
+and a regular hyperbolic octagon in the Poincare disk with all vertex
+angles pi/4, sides glued by the standard pairing a b a^-1 b^-1 c d c^-1
+d^-1, which gives a closed genus-2 surface of area 4*pi.  Each of the
+octagon's four pairing isometries is one hyperbolic translation turned by
+rotations about 0, of trace 2 + sqrt 2, all in closed form; the torus is
+glued by two translations.  One routine, `_glued_polygon`, refines, glues
+and nests both, with a Euclidean or a hyperbolic midpoint rule.
 
 Assembly raises `MeshError` for any triangle that is not counterclockwise
 with positive area; the builders rely on that check for orientation.
@@ -30,13 +25,12 @@ the conformal factor interpolated linearly over each triangle.  Scalar
 fields live on vertex *classes*, i.e. on the quotient surface after
 boundary identification.
 
-Both backends nest: an octagon of refinement r >= 2 refines the one of
-refinement r - 1, and a torus of even n with n/2 >= 4 refines the torus of
-n/2.  Such a surface records its next coarser level (`Nesting`), assembled
-when called: the octagon's coarser levels are slices of its one build, the
-torus's are built then.  `DiscreteSurface.prolong` carries a field up: every
-class that is not a coarse vertex is the midpoint of one coarse edge and
-takes the mean of that edge's two end classes (P1 prolongation).
+A level of a surface's refinement with at least `MIN_CLASSES` classes
+belongs to its hierarchy; a surface records its next coarser level
+(`Nesting`), a prefix slice of its one build, assembled when called.
+`DiscreteSurface.prolong` carries a field up: every class that is not a
+coarse vertex is the midpoint of one coarse edge and takes the mean of
+that edge's two end classes (P1 prolongation).
 """
 
 from __future__ import annotations
@@ -121,12 +115,16 @@ class ShiftedLU:
         return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
+# fewest classes of a level of a hierarchy, more than the 8 Lanczos vectors
+# of `pde.smallest_eigenvalue`
+MIN_CLASSES = 16
+
+
 @dataclass(frozen=True)
 class Nesting:
-    """How a surface refines the next coarser level of its hierarchy."""
+    """How a surface refines the next coarser level, a prefix slice of it."""
 
     coarse: Callable[[], DiscreteSurface]     # assembles that level
-    vertices: np.ndarray   # this surface's chart vertex at each coarse one
     parents: np.ndarray    # (n_classes, 2): each class's two coarse parent
                            # classes, one class twice where it is coarse
 
@@ -285,14 +283,19 @@ class DiscreteSurface:
         distinct quotient edges may connect the same class pair, so edges are
         counted by chart incidence rather than by class pairs.
         """
-        pairs = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        a, b = np.sort(pairs, axis=1).astype(np.int64).T
-        counts = np.unique(a * len(self.vertices) + b, return_counts=True)[1]
+        a, b = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).T
+        key = _edge_key(a.astype(np.int64), b, len(self.vertices))
+        counts = np.unique(key, return_counts=True)[1]
         interior, boundary = (counts == 2).sum(), (counts == 1).sum()
         if boundary % 2 or (counts > 2).any():
             raise MeshError("mesh is not a surface with pairable boundary")
         n_edges = int(interior + boundary // 2)
         return self.n_classes - n_edges + len(self.triangles)
+
+
+def _edge_key(a, b, n: int):
+    """One key per undirected edge (a, b) of vertices below n."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
 
 
 def integrate(s: DiscreteSurface, f: np.ndarray) -> float:
@@ -312,48 +315,32 @@ def build_flat_torus(n: int, side: float, lambda0: float) -> DiscreteSurface:
     side : physical side length of the square.
     lambda0 : constant metric factor, so the surface area is lambda0*side^2.
 
-    For even n with n/2 >= 4 the grid nests in the one of n/2: vertex
-    (2i, 2j) is coarse vertex (i, j), and every other vertex is the midpoint
-    of a horizontal, vertical or diagonal (a-c) coarse edge.
+    The top side is the bottom one moved by i side, the left side the right
+    one moved by -side.  The coarsest grid n / 2^k with at least
+    `MIN_CLASSES` classes, its cells split along their diagonals a-c, is
+    refined k times at Euclidean midpoints by `_glued_polygon`.
     """
     if n < 4:
         raise MeshError("torus grid size must be at least 4")
     if side <= 0 or lambda0 <= 0:
         raise MeshError("side and lambda0 must be positive")
 
-    h = side / n
-    m = n + 1
-    jj, ii = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    verts = (ii * h + 1j * jj * h).ravel()
-    class_of = ((jj % n) * n + (ii % n)).ravel()
-
-    # cell (i, j), the one at class j n + i, has corners a, a + 1,
-    # a + m + 1, a + m (counterclockwise) and splits along its diagonal a-c
-    j, i = np.divmod(np.arange(n * n), n)
-    a = j * m + i
+    base, refinement = n, 0
+    while base % 2 == 0 and (base // 2) ** 2 >= MIN_CLASSES:
+        base, refinement = base // 2, refinement + 1
+    m, k = base + 1, np.arange(base + 1)
+    verts = (k + 1j * k[:, None]).ravel() * (side / base)   # (i, j) at j m + i
+    # cell (i, j) has corners a, a + 1, a + m + 1, a + m, split along a-c
+    a = (k[:-1, None] * m + k[:-1]).ravel()
     triangles = np.stack([a, a + 1, a + m + 1, a, a + m + 1, a + m],
                          1).reshape(-1, 3)
-
-    nesting = None
-    nc = n // 2
-    if n % 2 == 0 and nc >= 4:
-        kc = np.arange(nc + 1)
-        jc, ic = np.meshgrid(kc, kc, indexing="ij")
-        parents = [((y // 2) % nc) * nc + (x // 2) % nc
-                   for x, y in ((i, j), (i + 1, j + 1))]
-        nesting = Nesting(
-            coarse=partial(build_flat_torus, nc, side, lambda0),
-            vertices=(2 * jc * m + 2 * ic).ravel(),
-            parents=np.column_stack(parents))
-
-    return DiscreteSurface(
-        vertices=verts,
-        triangles=triangles,
-        class_of=class_of,
-        conformal_factor=np.full(m * m, float(lambda0)),
-        genus=1,
-        nesting=nesting,
-    )
+    # bottom, right, top and left, counterclockwise from corner 0
+    sides = np.array([k, k * m + base, base * m + base - k, (base - k) * m])
+    pairings = [(2, 0, np.array([[1.0, 1j * side], [0.0, 1.0]])),
+                (3, 1, np.array([[1.0, -side], [0.0, 1.0]], dtype=complex))]
+    return _glued_polygon(verts, triangles, sides, pairings, refinement,
+                          lambda z1, z2: 0.5 * (z1 + z2),
+                          lambda z: np.full(len(z), float(lambda0)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -392,29 +379,15 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
     The octagon has all vertex angles pi/4 (vertices at Euclidean radius
     2^(-1/4)), so the eight corners glue to a single smooth point and the
     quotient is a closed genus-2 surface.  `refinement` counts recursive
-    4-way subdivisions of the initial 16-triangle fan; all edge midpoints are
-    hyperbolic midpoints, numbered in the order the triangles' edges (a, b),
-    (b, c), (c, a) first meet them.  One closed-form `hyperbolic_midpoint`
-    call per level places them all, each from that first (a, b).  Each side
-    is an ordered array of chart vertices from corner k to corner k + 1,
-    refined with the triangles.  For each pairing (i, j, g) one array
-    expression of g snaps the interior of side i onto the images of side
-    j's interior, and the two sides are glued entry by entry, so boundary
-    identification is exact.  The corners are chart vertices 1..8 and are
-    never snapped; g reads no chart vertex.  A class is one chart vertex,
-    one glued pair or the eight corners, numbered by its first chart vertex.
-
-    Every level is built once.  For refinement >= 2 the surface nests in the
-    one of refinement - 1: that level's chart vertices and classes are a
-    prefix of these, and each further class is the hyperbolic midpoint of
-    one coarse edge.  `nesting.coarse()` assembles that level from slices of
-    this build, bitwise equal to `build_genus2_octagon(refinement - 1)`.
+    4-way subdivisions of the initial 16-triangle fan at hyperbolic edge
+    midpoints (`_glued_polygon`).  The corners are chart vertices 1..8.  The
+    fan has fewer than `MIN_CLASSES` classes, so the hierarchy of refinement
+    r has r levels, down to refinement 1.
     """
     if refinement < 1:
         raise MeshError("refinement must be at least 1")
 
-    rv = 2.0 ** -0.25
-    corners = rv * np.exp(1j * np.pi / 4.0 * np.arange(8))
+    corners = 2.0 ** -0.25 * np.exp(1j * np.pi / 4.0 * np.arange(8))
 
     # 16-triangle base fan: each side is pre-split at its hyperbolic midpoint
     # so the rim, where the conformal factor is largest, starts twice as fine.
@@ -425,25 +398,6 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
     sides = np.array([[1 + k, 9 + k, 1 + (k + 1) % 8] for k in range(8)])
     tris = np.array([t for a, m, b in sides.tolist()
                      for t in ((0, a, m), (0, m, b))])
-
-    levels = []     # chart vertex count, triangles and midpoint edges of each
-    for _ in range(refinement):
-        n = len(verts)
-        edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        unique, first, inverse = np.unique(
-            np.sort(edges) @ [n, 1], return_index=True, return_inverse=True)
-        ends = edges[np.sort(first)]
-        verts = np.concatenate([verts, hyperbolic_midpoint(*verts[ends.T])])
-        midpoint = n + np.argsort(np.argsort(first))   # of each unique edge
-        a, b, c = tris.T
-        mab, mbc, mca = midpoint[inverse].reshape(-1, 3).T
-        tris = np.column_stack([a, mab, mca, mab, b, mbc, mca, mbc, c,
-                                mab, mbc, mca]).reshape(-1, 3)
-        # boundary edges are triangle edges
-        keys = np.sort(np.stack([sides[:, :-1], sides[:, 1:]], -1)) @ [n, 1]
-        sides = np.repeat(sides, 2, axis=1)[:, :-1]
-        sides[:, 1::2] = midpoint[np.searchsorted(unique, keys)]
-        levels.append((len(verts), tris, ends))
 
     # Pairing isometries: side k's midpoint lies on the ray at angle
     # (2k + 1) pi/8 at the inradius rho, cosh rho = cot(pi/8) = 1 + sqrt 2,
@@ -457,13 +411,52 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
     def rotation(a):                    # z -> e^{ia} z, with det 1
         return np.diag(np.exp([0.5j * a, -0.5j * a]))
 
-    pairings = []
+    pairings = [(i, j, rotation((2 * i + 1) * math.pi / 8) @ T
+                 @ rotation(math.pi - (2 * j + 1) * math.pi / 8))
+                for i, j in _OCTAGON_PAIRS]
+    return _glued_polygon(verts, tris, sides, pairings, refinement,
+                          hyperbolic_midpoint, disk_lambda, 2)
+
+
+def _glued_polygon(verts, tris, sides, pairings, refinement, midpoint,
+                   conformal, genus) -> DiscreteSurface:
+    """Refine a fundamental polygon, glue its sides and nest its levels.
+
+    `verts` and `tris` triangulate the base polygon counterclockwise, row k
+    of `sides` lists side k's chart vertices from corner k to corner k + 1,
+    the corners glue to one point, and the Mobius map of g in a pairing
+    (i, j, g) carries side j onto side i reversed.  Each level splits every
+    triangle in four at the `midpoint(z1, z2)` of its edges, one call per
+    level, numbered in the order the triangles' edges (a, b), (b, c), (c, a)
+    first meet them and each placed from that first (a, b).  One array
+    expression of each g then snaps side i's interior onto the images of
+    side j's, and the two are glued entry by entry: a class is one chart
+    vertex, one glued pair or the corners, numbered by its first chart
+    vertex, so each level is a prefix of the next.  The quotient must have
+    Euler characteristic 2 - 2 genus.
+    """
+    levels = [(len(verts), tris, None)]   # chart vertex count, triangles and
+    for _ in range(refinement):           # midpoint edges of each level
+        n = len(verts)
+        edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        unique, first, inverse = np.unique(
+            _edge_key(*edges.T, n), return_index=True, return_inverse=True)
+        ends = edges[np.sort(first)]
+        verts = np.concatenate([verts, midpoint(*verts[ends.T])])
+        mid = n + np.argsort(np.argsort(first))     # of each unique edge
+        a, b, c = tris.T
+        mab, mbc, mca = mid[inverse].reshape(-1, 3).T
+        tris = np.column_stack([a, mab, mca, mab, b, mbc, mca, mbc, c,
+                                mab, mbc, mca]).reshape(-1, 3)
+        # boundary edges are triangle edges
+        keys = _edge_key(sides[:, :-1], sides[:, 1:], n)
+        sides = np.repeat(sides, 2, axis=1)[:, :-1]
+        sides[:, 1::2] = mid[np.searchsorted(unique, keys)]
+        levels.append((len(verts), tris, ends))
+
     rep = np.arange(len(verts))         # each class's first chart vertex
-    rep[1:9] = 1                        # the corners are one point
-    for i, j in _OCTAGON_PAIRS:
-        g = (rotation((2 * i + 1) * math.pi / 8) @ T
-             @ rotation(math.pi - (2 * j + 1) * math.pi / 8))
-        pairings.append((i, j, g))
+    rep[sides[:, 0]] = sides[:, 0].min()
+    for i, j, g in pairings:
         (a, b), (c, d) = g
         on_j, on_i = sides[j, 1:-1], sides[i, -2:0:-1]  # corners stay exact
         z = verts[on_j]
@@ -471,19 +464,21 @@ def build_genus2_octagon(refinement: int) -> DiscreteSurface:
         rep[on_j] = rep[on_i] = np.minimum(on_j, on_i)
     class_of = np.unique(rep, return_inverse=True)[1]
 
-    lam = disk_lambda(verts)
+    lam = conformal(verts)
     level = nesting = None
     for n, tris, ends in levels:
+        if (classes := class_of[:n].max() + 1) < MIN_CLASSES:
+            continue
         if level is not None:           # it nests in the level before
             edge = np.column_stack([np.arange(n)] * 2)
             edge[n - len(ends):] = ends
-            parents = np.empty((class_of[:n].max() + 1, 2), dtype=int)
+            parents = np.empty((classes, 2), dtype=int)
             parents[class_of[:n]] = class_of[edge]     # chart copies agree
-            nesting = Nesting(level, np.arange(n - len(ends)), parents)
+            nesting = Nesting(level, parents)
         level = partial(DiscreteSurface, verts[:n], tris, class_of[:n],
-                        lam[:n], 2, pairings, nesting)
+                        lam[:n], genus, pairings, nesting)
 
     s = level()
-    if s.euler_characteristic() != -2:
-        raise MeshError("octagon quotient is not a genus-2 surface")
+    if s.euler_characteristic() != 2 - 2 * genus:
+        raise MeshError(f"quotient is not a genus-{genus} surface")
     return s

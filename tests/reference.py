@@ -211,8 +211,8 @@ def side_pairing_frame_product(coeffs, surface: DiscreteSurface,
     the chart gauge and the integration/flatness error, so the defects are
     reported alongside and nothing is certified.
     """
-    if not surface.side_pairings:
-        raise ValueError("surface carries no side pairings")
+    if surface.genus != 2 or len(surface.side_pairings) != 4:
+        raise ValueError("side pairing frames need the genus-2 octagon")
     i, j, g = surface.side_pairings[pair_index]
     # octagon corners sit at chart indices 1..8 by construction
     corner_j0 = complex(surface.vertices[1 + j])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from minlag import cli, continuation, cubic, frame, pde
+from minlag import cli, continuation, cubic, frame, pde, surface
 from minlag.cli import main
 from minlag.surface import build_flat_torus
 from minlag.wp import area_record
@@ -292,6 +292,24 @@ def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
     for A, n in zip(ordered, (4, 16)):
         ref = assembled_operator(build_flat_torus(n, 1.0, 1.0), 1.0)
         assert abs(A - ref).max() == 0.0
+
+
+def test_torus_continue_builds_the_torus_once(tmp_path, monkeypatch):
+    # the coarser levels, torus 4 and 8, are slices of the one build of 16
+    calls = []
+    build = surface.build_flat_torus
+
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(surface, "build_flat_torus", counting_build)
+    cfg = write_cfg(tmp_path, "c.json",
+                    {k: v for k, v in TORUS.items() if k != "t"})
+    assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
+    levels = json.loads((tmp_path / "curve.json").read_text())["levels"]
+    assert [lv["classes"] for lv in levels] == [16, 64, 256]
+    assert calls == [(16, 1.0, 1.0)]
 
 
 def test_continue_zero_cubic_exits_1(tmp_path, capsys):

@@ -400,6 +400,26 @@ def test_mesh_coefficients_constant_data(torus16):
     assert sheet.defects[:, 0].max() <= 1e-9
 
 
+@pytest.mark.parametrize("n", [16, 32])
+def test_mesh_coefficients_constant_on_the_torus_sides(n):
+    # the joggled triangulation holds zero-area slivers along the square's
+    # straight sides (51 at n = 16, 111 at n = 32); constant data still
+    # interpolates to its constant on all four sides and just inside them
+    s = build_flat_torus(n, 1.0, 1.0)
+    qc = 0.7 - 0.2j
+    coeffs = MeshCoefficients(np.full(s.n_classes, -0.3),
+                              CubicDifferential(values=np.full(
+                                  len(s.vertices), qc), surface=s))
+    x = np.linspace(0.0, 1.0, 401)
+    for d in (0.0, 1e-12, 1e-6, 1e-3):
+        sval, s_z, qv = coeffs.at_many(np.concatenate(
+            [x + 1j * d, 1.0 - d + 1j * x, x + 1j * (1.0 - d), d + 1j * x]))
+        assert np.all(np.isfinite(sval)) and np.all(np.isfinite(qv))
+        assert np.abs(sval - s_from_u(-0.3, 1.0)).max() <= 1e-15
+        assert np.abs(s_z).max() <= 1e-15
+        assert np.abs(qv - qc).max() <= 1e-15
+
+
 def test_constant_coefficients_order():
     coeffs = constant_coefficients(0.8, 1.0 - 0.5j)
     defects = []
@@ -420,6 +440,14 @@ def test_mesh_flatness_trivial_octagon(octagon3):
         h=0.02)
     assert defect <= 0.5
     print(f"octagon trivial-solution mesh flatness defect: {defect:.3e}")
+
+
+def test_side_pairing_frame_product_needs_the_octagon(torus16):
+    # the torus carries its two translations as side pairings, but no
+    # octagon corners to integrate between
+    assert len(torus16.side_pairings) == 2
+    with pytest.raises(ValueError, match="genus-2 octagon"):
+        side_pairing_frame_product(poincare_trivial_coefficients(), torus16, 0)
 
 
 def test_side_pairing_frame_product(octagon2):

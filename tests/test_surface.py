@@ -242,27 +242,55 @@ def test_hyperbolic_midpoint_is_elementwise_bitwise():
             == np.concatenate(one_by_one).tobytes())
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
-def test_octagon_coarse_level_is_a_bitwise_prefix(r):
-    s = build_genus2_octagon(r)
+def _hierarchy(s):
+    """Class counts of the levels of s's hierarchy, coarsest first."""
+    counts = [s.n_classes]
+    while s.nesting is not None:
+        s = s.nesting.coarse()
+        counts.insert(0, s.n_classes)
+    return counts
+
+
+def test_hierarchy_levels_have_at_least_16_classes():
+    # one rule for both surfaces: a level belongs when it has 16 classes
+    assert _hierarchy(build_flat_torus(32, 1.0, 1.0)) == [16, 64, 256, 1024]
+    assert _hierarchy(build_flat_torus(12, 1.0, 1.0)) == [36, 144]
+    assert _hierarchy(build_flat_torus(6, 1.0, 1.0)) == [36]
+    assert _hierarchy(build_flat_torus(9, 1.0, 1.0)) == [81]
+    for r in (1, 2, 3, 4):
+        assert _hierarchy(build_genus2_octagon(r)) == [
+            30, 126, 510, 2046][:r]
+
+
+def _assert_coarse_level_is_a_prefix(s):
     c = s.nesting.coarse()
     nv = len(c.vertices)
-    assert np.array_equal(s.nesting.vertices, np.arange(nv))
     assert s.vertices[:nv].tobytes() == c.vertices.tobytes()
     assert np.array_equal(s.class_of[:nv], c.class_of)
+    assert s.conformal_factor[:nv].tobytes() == c.conformal_factor.tobytes()
     # coarse classes are their own parents
     assert np.array_equal(s.nesting.parents[:c.n_classes],
                           np.repeat(np.arange(c.n_classes)[:, None], 2, 1))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_octagon_coarse_level_is_a_bitwise_prefix(r):
+    _assert_coarse_level_is_a_prefix(build_genus2_octagon(r))
     assert build_genus2_octagon(1).nesting is None
 
 
-def _octagon_fields(s):
-    """Everything an octagon level is made of, as bytes."""
+@pytest.mark.parametrize("n", [8, 12, 16, 32])
+def test_torus_coarse_level_is_a_bitwise_prefix(n):
+    _assert_coarse_level_is_a_prefix(build_flat_torus(n, 2.0, 3.0))
+
+
+def _fields(s):
+    """Everything a surface level is made of, as bytes."""
     fields = [s.vertices, s.triangles, s.class_of, s.conformal_factor,
               s.stiffness.data, s.stiffness.indices, s.stiffness.indptr,
-              s.mass_diag]
+              s.mass_diag, *(g for _, _, g in s.side_pairings)]
     if s.nesting is not None:
-        fields += [s.nesting.vertices, s.nesting.parents]
+        fields.append(s.nesting.parents)
     return [(f.dtype.str, f.shape, f.tobytes()) for f in fields]
 
 
@@ -274,8 +302,18 @@ def test_octagon_coarse_levels_equal_their_own_builds(r):
     for k in range(1, r):
         s = s.nesting.coarse()
         own = build_genus2_octagon(r - k)
-        assert _octagon_fields(s) == _octagon_fields(own)
+        assert _fields(s) == _fields(own)
     assert s.nesting is None
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20, 32, 64])
+def test_torus_coarse_levels_equal_their_own_builds(n):
+    # torus n / 2^k is a slice of torus n, bitwise its own build
+    s, k = build_flat_torus(n, 2.0, 3.0), 0
+    while s.nesting is not None:
+        s, k = s.nesting.coarse(), k + 1
+        assert _fields(s) == _fields(build_flat_torus(n >> k, 2.0, 3.0))
+    assert s.n_classes >= 16 and (n >> k) ** 2 == s.n_classes
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -313,13 +351,9 @@ def test_torus_parent_map():
     s = build_flat_torus(8, 2.0, 3.0)
     c = s.nesting.coarse()
     assert c.n_classes == 16 and c.conformal_factor[0] == 3.0
-    # fine chart vertex (2i, 2j) is coarse chart vertex (i, j), bitwise
-    assert s.vertices[s.nesting.vertices].tobytes() == c.vertices.tobytes()
-    fine_of = s.class_of[s.nesting.vertices]
-    assert np.array_equal(s.nesting.parents[fine_of],
-                          np.column_stack([c.class_of, c.class_of]))
     # every other class is the Euclidean midpoint of its two parents, on a
-    # horizontal, vertical or a-c diagonal coarse edge, across the seam too
+    # horizontal, vertical or a-c diagonal coarse edge, across the seam too;
+    # the parents are unordered, as `prolong` takes their mean
     z = s.vertices[s.class_representative]
     zc = c.vertices[c.class_representative]
     za, zb = zc[s.nesting.parents].T
@@ -328,9 +362,14 @@ def test_torus_parent_map():
         return (x + 1.0) % 2.0 - 1.0       # periodic offset in [-1, 1)
 
     d = wrap((zb - za).real) + 1j * wrap((zb - za).imag)
-    assert set(np.round(d / 0.5, 12)) == {0, 1, 1j, 1 + 1j}
-    assert np.abs(za + 0.5 * d - z).max() <= 1e-12
-    assert build_flat_torus(6, 1.0, 1.0).nesting is None    # n/2 = 3 < 4
+    steps = np.round(d / 0.5, 12)
+    new = np.arange(s.n_classes) >= c.n_classes
+    assert np.all(steps[~new] == 0)
+    assert set(steps[new]) <= {1, -1, 1j, -1j, 1 + 1j, -1 - 1j}
+    assert set(np.abs(steps[new])) == {1, abs(1 + 1j)}
+    off = za + 0.5 * d - z
+    assert np.abs(wrap(off.real) + 1j * wrap(off.imag)).max() <= 1e-12
+    assert build_flat_torus(6, 1.0, 1.0).nesting is None    # 3^2 < 16 classes
     assert build_flat_torus(9, 1.0, 1.0).nesting is None    # n odd
 
 
@@ -354,22 +393,74 @@ def test_assembly_rejects_misoriented_triangle(vertices):
                         genus=0)
 
 
-def _octagon_sides(s):
-    """Chart vertices of each octagon side, corner k to corner k + 1, read
+def _sides(s, corners):
+    """Chart vertices of each polygon side, corner k to corner k + 1, read
     off the boundary: edges in one triangle, directed counterclockwise."""
     directed = s.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     key = np.sort(directed, axis=1) @ [len(s.vertices), 1]
     _, inverse, counts = np.unique(key, return_inverse=True,
                                    return_counts=True)
     after = dict(directed[counts[inverse] == 1])
-    sides = [[1]]
-    while len(sides) <= 8:
+    sides = [[corners[0]]]
+    while len(sides) <= len(corners):
         v = after[sides[-1][-1]]
         sides[-1].append(v)
-        if 1 <= v <= 8:                   # the corners are chart vertices 1..8
+        if v in corners:
             sides.append([v])
-    assert sides[-1] == [1] and len(after) == sum(map(len, sides[:8])) - 8
-    return sides[:8]
+    assert sides[-1] == [corners[0]]
+    assert len(after) == sum(map(len, sides[:-1])) - len(corners)
+    assert [side[0] for side in sides[:-1]] == list(corners)
+    return sides[:-1]
+
+
+def _octagon_sides(s):
+    return _sides(s, range(1, 9))     # the corners are chart vertices 1..8
+
+
+def _torus_sides(s, side):
+    """The torus's sides: bottom, right, top and left."""
+    return _sides(s, [int(np.abs(s.vertices - side * c).argmin())
+                      for c in (0, 1, 1 + 1j, 1j)])
+
+
+def _glued_classes(s, sides):
+    """Class of each chart vertex when a class is one chart vertex, one
+    glued pair (side j's interior against side i's, reversed) or the
+    corners, numbered by first chart vertex."""
+    groups = [{side[0] for side in sides}]
+    for i, j, _ in s.side_pairings:
+        groups += [{v, w} for v, w in zip(sides[j][1:-1], sides[i][-2:0:-1])]
+    glued = set().union(*groups)
+    groups += [{v} for v in range(len(s.vertices)) if v not in glued]
+    expected = np.empty(len(s.vertices), dtype=int)
+    for k, group in enumerate(sorted(groups, key=min)):
+        expected[list(group)] = k
+    return expected
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 32])
+def test_torus_side_gluing_is_exact(n):
+    # top = bottom + i side and left = right - side: each glued pair has
+    # v_i == g(v_j) bitwise and one class, and the four corners are one
+    # class; nothing else merges
+    side = 2.0
+    s = build_flat_torus(n, side, 3.0)
+    sides = _torus_sides(s, side)
+    assert [(i, j) for i, j, _ in s.side_pairings] == [(2, 0), (3, 1)]
+    for i, j, g in s.side_pairings:
+        assert len(sides[i]) == len(sides[j]) == n + 1
+        on_i, on_j = sides[i][-2:0:-1], sides[j][1:-1]
+        assert (s.vertices[on_i].tobytes()
+                == mobius_apply(g, s.vertices[on_j]).tobytes())
+        assert np.array_equal(s.class_of[on_i], s.class_of[on_j])
+        corners = s.vertices[[sides[j][0], sides[j][-1]]]
+        assert np.abs(mobius_apply(g, corners)
+                      - s.vertices[[sides[i][-1], sides[i][0]]]).max() <= 1e-15
+    assert len({int(s.class_of[side[0]]) for side in sides}) == 1
+    expected = _glued_classes(s, sides)
+    assert np.array_equal(s.class_of, expected)
+    assert np.array_equal(np.bincount(np.bincount(expected)),
+                          [0, (n - 1) ** 2, 2 * (n - 1), 0, 1])
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -402,15 +493,7 @@ def test_octagon_classes_are_vertices_glued_pairs_and_the_corners(r):
     # first chart vertex: nothing else merges.  At r3 that is 449 single
     # vertices, 60 pairs and one class of 8
     s = build_genus2_octagon(r)
-    sides = _octagon_sides(s)
-    groups = [set(range(1, 9))]
-    for i, j, _ in s.side_pairings:
-        groups += [{v, w} for v, w in zip(sides[j][1:-1], sides[i][-2:0:-1])]
-    glued = set().union(*groups)
-    groups += [{v} for v in range(len(s.vertices)) if v not in glued]
-    expected = np.empty(len(s.vertices), dtype=int)
-    for k, group in enumerate(sorted(groups, key=min)):
-        expected[list(group)] = k
+    expected = _glued_classes(s, _octagon_sides(s))
     assert np.array_equal(s.class_of, expected)
     sizes = np.bincount(np.bincount(expected))
     n_pairs = 4 * (2 ** (r + 1) - 1)

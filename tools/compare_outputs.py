@@ -3,18 +3,18 @@
 Usage: python tools/compare_outputs.py OTHER_CHECKOUT
 
 The commands are every command of `bench/workloads.build_commands`, for
-every workload at seeds 0 and 7, full and smoke size, plus `solve` and
-`mesh` on the smoke torus and octagon.  Their configs come from this
-checkout's `bench/`, which is only read.  Each checkout then runs all of
-them in one child process with its own `src/` on the path and one BLAS
-thread, and every output file is compared byte for byte after its JSON
-`timestamp` field is blanked.  For a file that differs, the report gives
-the largest absolute and relative difference over its numbers (the numeric
-JSON entries, or the CSV cells), each with where it occurs, and the first
-mismatch that is not numeric, if there is one.  Below that line come the
-file's key results, one a line, here and there with their relative
-difference: `T0_estimate`, each `levels[k].T0` and
-`levels[k].fold_newton_iterations`, and the `diagnostics`
+every workload at seeds 0 and 7, full and smoke size, plus `solve`, `mesh`
+and `frame` (with its default path) on the smoke torus and octagon.  Their
+configs come from this checkout's `bench/`, which is only read.  Each
+checkout then runs all of them in one child process with its own `src/` on
+the path and one BLAS thread, and every output file is compared byte for
+byte after its JSON `timestamp` field is blanked.  For a file that
+differs, the report gives the largest absolute and relative difference
+over its numbers (the numeric JSON entries, or the CSV cells), each with
+where it occurs, and the first mismatch that is not numeric, if there is
+one.  Below that line come the file's key results, one a line, here and
+there with their relative difference: `T0_estimate`, each `levels[k].T0`
+and `levels[k].fold_newton_iterations`, and the `diagnostics`
 `fold_lambda_min`, `rejected_steps`, `n_points` and `newton_iterations` of
 a curve, the `lambda_min` of a solved or mountain-pass point with the
 `path_iterations` and `vnorm_separation` of the latter, and the `rel_err`
@@ -85,7 +85,7 @@ def jobs() -> list:
     for name, cfg in (("torus", torus), ("octagon", octagon)):
         found += [{"dir": f"{command}-{name}", "command": command,
                    "config": cfg, "output": f"{command}.json"}
-                  for command in ("solve", "mesh")]
+                  for command in ("solve", "mesh", "frame")]
     return found
 
 
