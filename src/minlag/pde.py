@@ -47,9 +47,11 @@ before a polish), the shift-invert operator L - sigma M of
 `smallest_eigenvalue`, the `mpass` V-Gram (p = V) and the `wp` operator
 K + 2M (p = 2).  So
 `DiscreteSurface.factorize` orders the columns once per surface, by
-minimum degree on the pattern, and every LU reuses that order in SuperLU's
-symmetric mode, which prefers diagonal pivots.  Threshold pivoting stays on
-for the indefinite L of mountain-pass points and of solves past the fold;
+minimum degree on the pattern, taken from an incomplete LU of K + M that
+costs a fraction of a full one, and every LU reuses that order in
+SuperLU's symmetric mode, which prefers diagonal pivots.  Threshold
+pivoting stays on for the indefinite L of mountain-pass points and of
+solves past the fold;
 no nonsymmetric matrix is factorized, since the fold solve's bordered
 Jacobian is never assembled (`continuation.fold_step` eliminates its border
 with LUs of L).

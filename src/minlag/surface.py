@@ -17,7 +17,8 @@ The metric is lambda(z) |dz|^2 in chart coordinates.  A surface assembles
 its stiffness matrix K and lumped mass M on construction.  It is the one
 place that knows the form of K + M diag(p): it factorizes it in one
 fill-reducing column order, computed at its first factorization
-(`DiscreteSurface.factorize`), and applies it (`DiscreteSurface.apply`);
+(`DiscreteSurface.factorize`) from an incomplete LU of K + M, which orders
+the columns as a full LU would, and applies it (`DiscreteSurface.apply`);
 no caller assembles one.  The P1 stiffness matrix uses flat cotangent
 weights (the Dirichlet energy is conformally invariant in two dimensions,
 so no curvature correction is needed), and the mass matrix is lumped with
@@ -49,8 +50,15 @@ class MeshError(RuntimeError):
     """Raised when mesh construction or assembly produces degenerate data."""
 
 
-def _splu(A: sp.csc_matrix, permc_spec: str) -> spla.SuperLU:
-    """The package's one sparse LU, of a matrix with K's symmetric pattern.
+# SuperLU's settings for every LU and for the ILU that orders the columns
+# (`_splu`, `DiscreteSurface._lu_layout`)
+_SUPERLU = dict(diag_pivot_thresh=1e-3, relax=1, panel_size=1,
+                options={"SymmetricMode": True})
+
+
+def _splu(A: sp.csc_matrix) -> spla.SuperLU:
+    """The package's one sparse LU, of a matrix with K's symmetric pattern
+    whose columns are already in the surface's order (`NATURAL`).
 
     Symmetric mode prefers diagonal pivots, which keeps the fill of the
     symmetric column order; threshold pivoting (1e-3) still handles an
@@ -79,9 +87,7 @@ def _splu(A: sp.csc_matrix, permc_spec: str) -> spla.SuperLU:
     same negative pivots, and `perm_r == perm_c`.  Raises RuntimeError
     when A is singular.
     """
-    return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=1e-3,
-                     relax=1, panel_size=1,
-                     options={"SymmetricMode": True})
+    return spla.splu(A, permc_spec="NATURAL", **_SUPERLU)
 
 
 class ShiftedLU:
@@ -169,41 +175,33 @@ class DiscreteSurface:
 
     def __post_init__(self):
         """Assemble cotangent stiffness and lumped mass over the quotient."""
-        z = self.vertices
-        tris = self.triangles
-        lam = self.conformal_factor
+        tris = self.triangles.T                      # (3, T): corner i
+        lam = self.conformal_factor[tris]
         n = self.n_classes
 
-        p = np.column_stack([z.real, z.imag])[tris]  # (T, 3, 2)
-        e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]  # edge opposite vertex i
-        area2 = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+        x, y = self.vertices.real[tris], self.vertices.imag[tris]
+        # edge opposite corner i, components (3, T)
+        ex, ey = x[[2, 0, 1]] - x[[1, 2, 0]], y[[2, 0, 1]] - y[[1, 2, 0]]
+        area2 = ex[0] * ey[1] - ey[0] * ex[1]
         if not np.all(np.isfinite(area2)) or np.any(area2 <= 0):
             raise MeshError("degenerate or misoriented triangle in assembly")
         tri_area = 0.5 * area2
 
-        cls = self.class_of[tris]                    # (T, 3)
-        rows, cols, vals = [], [], []
-        for i in range(3):
-            for j in range(3):
-                w = (e[:, i, :] * e[:, j, :]).sum(axis=1) / (4.0 * tri_area)
-                rows.append(cls[:, i])
-                cols.append(cls[:, j])
-                vals.append(w)
+        # the nine weights e_i . e_j / (4 area) of each triangle, (i, j, T),
+        # and M's three corner contributions
+        # tri_area * (2 lam_i + lam_j + lam_k) / 12 (lambda interpolated
+        # linearly), (i, T), are summed in this order, i-major over (i, j)
+        # and each over the triangles, which fixes every bit of the sums
+        cls = self.class_of[tris]
+        w = (ex[:, None] * ex + ey[:, None] * ey) / (4.0 * tri_area)
         K = sp.csr_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
+            (w.ravel(), (np.repeat(cls, 3, axis=0).ravel(),
+                         np.tile(cls, (3, 1)).ravel())),
             shape=(n, n),
         )
-
-        # Lumped mass: integral of lambda * phi_i over each triangle with
-        # lambda interpolated linearly, i.e.
-        # tri_area * (2*lam_i + lam_j + lam_k) / 12.
-        lam_t = lam[tris]
-        m = np.zeros(n)
-        for i in range(3):
-            contrib = tri_area * (2.0 * lam_t[:, i] + lam_t[:, (i + 1) % 3]
-                                  + lam_t[:, (i + 2) % 3]) / 12.0
-            np.add.at(m, cls[:, i], contrib)
+        m = np.bincount(cls.ravel(), (tri_area * (
+            2.0 * lam + lam[[1, 2, 0]] + lam[[2, 0, 1]]) / 12.0).ravel(),
+            minlength=n)
         if not np.all(np.isfinite(K.data)) or not np.all(np.isfinite(m)):
             raise MeshError("non-finite entries in assembled operators")
         # K keeps exactly the entries K + M diag(p) has: its exact zeros
@@ -223,15 +221,22 @@ class DiscreteSurface:
         """K in the column order of `factorize`, and where its diagonal is.
 
         The order is SuperLU's minimum degree on the pattern of A + A^T
-        (`MMD_AT_PLUS_A`) for A = K + M, from one LU made when the surface
-        is first factorized.  It depends only on the pattern, so it serves
-        every K + M diag(p).  Returns (order, pos, Kp, diag): `order[j]` is
-        the class in column j, `pos` its inverse, Kp = K[order][:, order] in
+        (`MMD_AT_PLUS_A`) for A = K + M, computed when the surface is first
+        factorized.  It depends only on the pattern, so it serves every
+        K + M diag(p).  SuperLU's ILU orders the columns by the same steps
+        as its LU (`get_perm_c`, then the elimination-tree postorder of
+        `sp_preorder`) and, with the same `_SUPERLU` settings, gives the
+        same `perm_c` (symmetric mode is the one that matters: without it
+        the two orders differ); dropping every entry it may (`drop_tol=1`,
+        `fill_factor=1`) it costs a fraction of the LU, whose factors would
+        be thrown away.  Returns (order, pos, Kp, diag): `order[j]` is the
+        class in column j, `pos` its inverse, Kp = K[order][:, order] in
         CSC layout and `Kp.data[diag]` its diagonal, in column order.
         """
         A = self.stiffness.tocsc()
         A.setdiag(A.diagonal() + self.mass_diag)
-        pos = _splu(A, "MMD_AT_PLUS_A").perm_c
+        pos = spla.spilu(A, drop_tol=1.0, fill_factor=1,
+                         permc_spec="MMD_AT_PLUS_A", **_SUPERLU).perm_c
         order = np.argsort(pos)
         Kp = self.stiffness[order][:, order].tocsc()
         cols = np.repeat(np.arange(len(order)), np.diff(Kp.indptr))
@@ -248,7 +253,7 @@ class DiscreteSurface:
         data = Kp.data.copy()
         data[diag] += (self.mass_diag * p)[order]
         A = sp.csc_matrix((data, Kp.indices, Kp.indptr), shape=Kp.shape)
-        return ShiftedLU(_splu(A, "NATURAL"), order, pos)
+        return ShiftedLU(_splu(A), order, pos)
 
     def apply(self, p, x: np.ndarray) -> np.ndarray:
         """(K + M diag(p)) x, for x of shape (n,) or (n, k)."""

@@ -9,9 +9,11 @@ immersion, closed-form frame coefficient sources (test fakes for
 Mobius map of a side pairing and a side-pairing frame product for the
 genus-2 holonomy, a per-vertex least-squares loop for the mesh Wirtinger
 derivative, the assembled operator K + M diag(p) that the package only
-factorizes or applies, the dense Jacobian of the fold solve's Moore-Spence
-system, and the octagon's subdivision one triangle at a time with a dict
-of edge midpoints.  They sit next to `scalar_oracle.py` and are imported
+factorizes or applies, K and M assembled in nine and three blocks (the
+package's assembly in loops) and the column order of a full LU of K + M
+(which the package takes from an ILU), the dense Jacobian of the fold
+solve's Moore-Spence system, and the octagon's subdivision one triangle at
+a time with a dict of edge midpoints.  They sit next to `scalar_oracle.py` and are imported
 the same way, `from reference import ...`.
 """
 
@@ -19,6 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from minlag.cubic import CubicDifferential
 from minlag.frame import integrate_frame, maurer_cartan, su21_defect
@@ -54,6 +57,45 @@ def assembled_operator(s: DiscreteSurface, p) -> sp.csr_matrix:
     """K + M diag(p) as a CSR matrix, for a per-class potential p or a
     scalar."""
     return (s.stiffness + sp.diags(s.mass_diag * p)).tocsr()
+
+
+def blockwise_operators(s: DiscreteSurface):
+    """(K, mass diagonal) of s, assembled triangle block by block: K from
+    nine (rows, cols, vals) blocks, (i, j) i-major, summed by `csr_matrix`
+    and without its exact zeros, the lumped mass from three `np.add.at`
+    corner sums."""
+    z, tris, n = s.vertices, s.triangles, s.n_classes
+    p = np.column_stack([z.real, z.imag])[tris]  # (T, 3, 2)
+    e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]  # edge opposite vertex i
+    tri_area = 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
+    cls = s.class_of[tris]
+    rows, cols, vals = [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(cls[:, i])
+            cols.append(cls[:, j])
+            vals.append((e[:, i, :] * e[:, j, :]).sum(axis=1)
+                        / (4.0 * tri_area))
+    K = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    K.eliminate_zeros()
+    lam_t = s.conformal_factor[tris]
+    m = np.zeros(n)
+    for i in range(3):
+        np.add.at(m, cls[:, i], tri_area * (
+            2.0 * lam_t[:, i] + lam_t[:, (i + 1) % 3]
+            + lam_t[:, (i + 2) % 3]) / 12.0)
+    return K, m
+
+
+def lu_column_order(s: DiscreteSurface) -> np.ndarray:
+    """`perm_c` of a full SuperLU LU of K + M in minimum-degree order on
+    the pattern of A + A^T, with the package's LU settings."""
+    A = assembled_operator(s, 1.0).tocsc()
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                     relax=1, panel_size=1,
+                     options={"SymmetricMode": True}).perm_c
 
 
 def norm_equivalence_constants(t: float, q: CubicDifferential):

@@ -272,24 +272,29 @@ def test_continue_failing_level_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
     # continue traces on torus 4 and solves the fold on 8 and 16: at most one
-    # ordering LU per level surface, of that level's K + M, and every other
-    # LU reuses its column order; the n = 8 solve starts converged (constant
+    # ordering ILU per level surface, of that level's K + M, and every LU
+    # reuses its column order; the n = 8 solve starts converged (constant
     # q gives a constant u), so it factorizes nothing
-    runs = []
-    splu = spla.splu
+    orderings, lus = [], []
+    spilu, splu = spla.spilu, spla.splu
+
+    def recording_spilu(A, *args, **kwargs):
+        orderings.append(A.copy())
+        return spilu(A, *args, **kwargs)
 
     def recording_splu(A, *args, **kwargs):
-        runs.append((kwargs["permc_spec"], A.copy()))
+        lus.append(kwargs["permc_spec"])
         return splu(A, *args, **kwargs)
 
+    monkeypatch.setattr(spla, "spilu", recording_spilu)
     monkeypatch.setattr(spla, "splu", recording_splu)
     cfg = write_cfg(tmp_path, "c.json",
                     {k: v for k, v in dict(TORUS, dt0=0.01).items()
                      if k != "t"})
     assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
-    ordered = [A for spec, A in runs if spec != "NATURAL"]
-    assert [A.shape[0] for A in ordered] == [16, 256] and len(runs) > 20
-    for A, n in zip(ordered, (4, 16)):
+    assert [A.shape[0] for A in orderings] == [16, 256]
+    assert set(lus) == {"NATURAL"} and len(lus) > 20
+    for A, n in zip(orderings, (4, 16)):
         ref = assembled_operator(build_flat_torus(n, 1.0, 1.0), 1.0)
         assert abs(A - ref).max() == 0.0
 

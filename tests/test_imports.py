@@ -393,21 +393,31 @@ def test_detects_eigsh_misuses():
 
 
 def test_one_sparse_factorization():
-    # `surface._splu` holds the package's one LU policy; every solve, the
-    # ordering LU of K + M and the shift-invert eigen path go through it.
-    # It calls `spla.splu`, never a bare `splu` bound at import, so that
-    # whoever patches scipy's `splu` sees every LU
-    found = [(path.name, owner, node) for path in MODULES
-             for owner, node in calls(path.read_text(), "splu")]
-    assert [(name, owner) for name, owner, _ in found] == [
-        ("surface.py", "_splu")]
-    call = found[0][2]
-    assert isinstance(call.func, ast.Attribute)
-    assert _root_name(call.func) == "spla"
+    # `surface._splu` holds the package's one LU policy; every solve and the
+    # shift-invert eigen path go through it, and the column order comes
+    # from one ILU of K + M, in `DiscreteSurface._lu_layout`.  Both call
+    # `spla.splu` or `spla.spilu`, never a name bound at import, so that
+    # whoever patches scipy's sees every factorization
+    for name, owner in (("splu", "_splu"),
+                        ("spilu", "DiscreteSurface._lu_layout")):
+        assert [(path.name, o) for path in MODULES
+                for o in owned_mentions(path.read_text(),
+                                        lambda n: _called(n) == name)] == [
+            ("surface.py", owner)]
+        call = calls((SRC / "surface.py").read_text(), name)[0][1]
+        assert isinstance(call.func, ast.Attribute)
+        assert _root_name(call.func) == "spla"
+        # both read SuperLU's settings from one constant
+        assert [ast.unparse(k.value) for k in call.keywords
+                if k.arg is None] == ["_SUPERLU"]
     # no relaxed supernodes and one-column panels: at these sizes both cost
     # more than they save
+    settings = [node.value for node in ast.parse(
+        (SRC / "surface.py").read_text()).body if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["_SUPERLU"]]
+    assert len(settings) == 1
     for arg in ("relax", "panel_size"):
-        assert [ast.unparse(k.value) for k in call.keywords
+        assert [ast.unparse(k.value) for k in settings[0].keywords
                 if k.arg == arg] == ["1"]
     # the fold solve eliminates its border; no block matrix is assembled
     assert [path.name for path in MODULES

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from minlag.surface import (DiscreteSurface, MeshError, build_flat_torus,
                             build_genus2_octagon, hyperbolic_midpoint,
                             integrate)
 
-from reference import (assembled_operator, looped_octagon_refinement,
+from reference import (assembled_operator, blockwise_operators,
+                       looped_octagon_refinement, lu_column_order,
                        mobius_apply)
 
 
@@ -262,6 +264,37 @@ def test_hierarchy_levels_have_at_least_16_classes():
             30, 126, 510, 2046][:r]
 
 
+def _bits(*arrays):
+    """Each array's dtype, shape and bytes."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("build", [
+    *(partial(build_flat_torus, n, 1.0, 1.0) for n in (4, 6, 12, 32, 64)),
+    *(partial(build_genus2_octagon, r) for r in (1, 2, 3, 4, 5))],
+    ids=[f"torus{n}" for n in (4, 6, 12, 32, 64)]
+    + [f"octagon_r{r}" for r in (1, 2, 3, 4, 5)])
+def test_assembly_and_column_order_match_the_oracles(build):
+    # on every level, K and M are bitwise the block-by-block assembly, and
+    # the column order of `factorize`, taken from an ILU, is bitwise the
+    # `perm_c` of a full LU of K + M, with K permuted by it
+    s = build()
+    while s is not None:
+        K, m = blockwise_operators(s)
+        assert _bits(s.stiffness.indptr, s.stiffness.indices,
+                     s.stiffness.data, s.mass_diag) == _bits(
+            K.indptr, K.indices, K.data, m)
+        pos = lu_column_order(s)
+        order = np.argsort(pos)
+        Kp = K[order][:, order].tocsc()
+        got_order, got_pos, got_Kp, diag = s._lu_layout
+        assert _bits(got_order, got_pos, got_Kp.indptr, got_Kp.indices,
+                     got_Kp.data) == _bits(order, pos, Kp.indptr, Kp.indices,
+                                           Kp.data)
+        assert np.array_equal(got_Kp.data[diag], K.diagonal()[order])
+        s = s.nesting.coarse() if s.nesting is not None else None
+
+
 def _assert_coarse_level_is_a_prefix(s):
     c = s.nesting.coarse()
     nv = len(c.vertices)
@@ -291,7 +324,7 @@ def _fields(s):
               s.mass_diag, *(g for _, _, g in s.side_pairings)]
     if s.nesting is not None:
         fields.append(s.nesting.parents)
-    return [(f.dtype.str, f.shape, f.tobytes()) for f in fields]
+    return _bits(*fields)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
