@@ -4,18 +4,16 @@ Subcommands: mesh, solve, continue, mpass, frame, wpcheck.
 This module is the one writer of outputs: the other modules return results
 (arrays, `SolutionPoint`s, `FrameSheet`s, `AreaRecord`s) and each command
 builds its JSON payload or CSV table from them and writes it.
-Exit codes: 0 success, 1 configuration or domain error or an unwritable
-output, 2 numerical failure.
-Commands raise; `main` holds the only exception-to-exit-code map.  Every
-subclass of a class on `NUMERICAL_FAILURES` exits 2 as `<command> failed`,
-every other `ValueError` exits 1 as a config error, and an `OSError` (an
-unreadable config is a config error) exits 1 as `cannot write output`;
-`main` tries every output file before the command runs, so only a write
-that fails later (a full disk) exits 1 after the work.
-The tuple is tested first because it holds `numpy.linalg.LinAlgError`, a
-`ValueError` that the stacked least-squares solve of
-`frame._vertex_wirtinger` raises on a singular fit.  A new failure class
-must either derive from a class on that tuple or from `ValueError`.
+Exit codes: 0 success (and `-h`), 1 a usage error, a configuration or
+domain error or an unwritable output, 2 numerical failure.
+Commands raise; `main` holds the only exception-to-exit-code map.  A usage
+error exits 1 with argparse's message.  Every subclass of a class on
+`NUMERICAL_FAILURES` exits 2 as `<command> failed`, every other
+`ValueError` exits 1 as a config error, and an `OSError` (an unreadable
+config is a config error) exits 1 as `cannot write output`; `main` tries
+every output file before the command runs, so only a write that fails
+later (a full disk) exits 1 after the work.  A new failure class must
+either derive from a class on that tuple or from `ValueError`.
 
 Every command but `mesh` needs a `cubic`.  `continue` traces the branch
 on the coarsest level of the mesh hierarchy, every level with at least
@@ -28,19 +26,18 @@ starts to fall; from there each step goes at most
 `continuation.FOLD_STEP_FRACTION` of the way to the fold extrapolated from
 lambda_min^2, so curve.csv samples the branch coarsely at first and ever
 more finely as it nears the fold.  curve.csv (t, lambda_min,
-residual_norm, u_min, u_max, area_induced) and the curve.json `points` and
-`sup_norms` hold the trace, so they lie on the mesh of `levels[0]`, the
-coarsest level, not on the configured one.  `T0_estimate`, `fold_point`
-and `diagnostics.fold_lambda_min` are the configured mesh's fold, and
-`fold_point` has no `stable` key: lambda_min is zero to rounding there, so
-its sign would flip with any change of the fold solve's path, and
-`diagnostics.fold_lambda_min` keeps the number.  `levels` lists each
+residual_norm, u_min, u_max, area_induced) and the curve.json `points`
+hold the trace, so they lie on the mesh of `levels[0]`, the coarsest
+level, not on the configured one.  `T0_estimate` and `fold_point` are the
+configured mesh's fold, and `fold_point` has no `stable` key: lambda_min
+is zero to rounding there, so its sign would flip with any change of the
+fold solve's path; its `lambda_min` keeps the number.  `levels` lists each
 level's `classes`, `T0` and `fold_newton_iterations`, coarsest first.
-The other `diagnostics` are the trace's: `rejected_steps`, `n_points`,
-`newton_iterations` (summed over the points) and `final_step`, the step it
-would have tried next.  A level whose fold solve fails exits 2 naming that
-level.  `solve`, `mpass` and `frame` require `t`, take the stable field
-at `t` from `continuation.branch_point`, and exit 2 when `t` is at or
+The `diagnostics` are the trace's: `rejected_steps`, `newton_iterations`
+(summed over the points) and `final_step`, the step it would have tried
+next.  A level whose fold solve fails exits 2 naming that level.
+`solve`, `mpass` and `frame` require `t`, take the stable field at `t`
+from `continuation.branch_point`, and exit 2 when `t` is at or
 beyond the fold.  Only `solve` classifies that
 field (`pde.newton_solve`, one eigen solve); `mpass` pays one eigen solve,
 when `pde.newton_solve` verifies and classifies its second critical point,
@@ -112,13 +109,12 @@ class ConfigError(ValueError):
 
 
 # the bases of every exception class minlag defines that is not a ValueError
-# (pde.SingularJacobian is a NonConvergence), and the ValueError the stacked
-# `np.linalg.solve` of `frame._vertex_wirtinger` raises: exit 2
+# (pde.SingularJacobian is a NonConvergence): exit 2
 NUMERICAL_FAILURES = (
     pde.ResidualBlowup, pde.NonConvergence, pde.EigenFailure,
     surface.MeshError, continuation.StallBeforeFold,
     continuation.NoFoldDetected, mpass.PathCollapse, mpass.VerificationFailure,
-    frame.StepTooLarge, np.linalg.LinAlgError)
+    frame.StepTooLarge)
 
 
 def _finite(parse):
@@ -336,10 +332,7 @@ def cmd_continue(cfg, args) -> int:
     del fold_point["stable"]
     emit({"points": [_point(p) for p in curve.points],
           "T0_estimate": fold.t, "fold_point": fold_point,
-          "levels": levels,
-          "sup_norms": [float(np.abs(p.u).max()) for p in curve.points],
-          "diagnostics": dict(curve.diagnostics,
-                              fold_lambda_min=fold.lambda_min),
+          "levels": levels, "diagnostics": curve.diagnostics,
           "nonexistence_bound": bound}, cfg, json_path)
     print(f"T0 estimate: {fold.t:.8g}")
     print(f"nonexistence bound T: {bound:.8g}")
@@ -357,7 +350,6 @@ def cmd_mpass(cfg, args) -> int:
         "lambda_min": p2.lambda_min,
         "vnorm_separation": p2.meta["vnorm_separation"],
         "path_iterations": p2.meta["path_iterations"],
-        "sup_norm": float(np.abs(p2.u).max()),
     }
     emit(payload, cfg, args.output)
     return EXIT_OK
@@ -417,7 +409,7 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minlag",
         description="Structure-equation solver for minimal Lagrangian "
@@ -430,7 +422,17 @@ def main(argv=None) -> int:
         p.add_argument("-o", "--output", default=None,
                        help="output file (JSON; or CSV base name for "
                             "continue/wpcheck)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    try:
+        args = PARSER.parse_args(argv)
+    except SystemExit as exc:   # argparse has printed the help or the error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
 
     try:
         cfg = load_config(args.config)

@@ -118,9 +118,9 @@ def trace_curve(q: CubicDifferential, dt0: float,
     Returns at the first accepted point from which
     `detect_fold` can start.  Raises StallBeforeFold if the step underflows
     (below dt0 * 1e-4) or MAX_POINTS are accepted before that.
-    `diagnostics` holds the rejected step count, `n_points`,
-    `newton_iterations` (summed over the points) and `final_step`, the step
-    the trace would have tried next from its last point.
+    `diagnostics` holds the rejected step count, `newton_iterations`
+    (summed over the points) and `final_step`, the step the trace would
+    have tried next from its last point.
     """
     if dt0 <= 0:
         raise ValueError("dt0 must be positive")
@@ -152,7 +152,6 @@ def trace_curve(q: CubicDifferential, dt0: float,
             return SolutionCurve(
                 points=points, cubic=q,
                 diagnostics={"rejected_steps": rejects, "final_step": dt,
-                             "n_points": len(points),
                              "newton_iterations": sum(
                                  pt.meta["newton_iterations"] for pt in points)})
 

@@ -3,8 +3,9 @@
 The pointwise norm with respect to the metric lambda |dz|^2 is
 ||q|| = |q| / lambda^(3/2), and the natural L^2 pairing of two cubic
 differentials is <q1, q2> = integral q1 conj(q2) / lambda^3 dA (the
-Weil-Petersson pairing).  Only `constant_cubic` on the torus backend gives
-a holomorphic q.  On the genus-2 backend the fields are synthetic
+Weil-Petersson pairing).  Only `constant_cubic` gives a holomorphic q: any
+constant on the torus backend, and q = 0 on every surface.  On the genus-2
+backend the other fields are synthetic
 (`synthetic_cubic`): smooth complex fields with zeros of prescribed orders
 summing to 6g - 6, built from Blaschke factors and evaluated at class
 representatives so the norm is well defined on the quotient.  They are not
@@ -46,10 +47,11 @@ class CubicDifferential:
 
 
 def constant_cubic(s: DiscreteSurface, c: complex) -> CubicDifferential:
-    """Constant field q = c, exactly holomorphic on the torus backend."""
-    if s.genus != 1:
-        warnings.warn("constant_cubic is only holomorphic on the torus backend",
-                      stacklevel=2)
+    """Constant field q = c, exactly holomorphic on the torus backend and,
+    for c = 0, on every surface; a c != 0 elsewhere warns."""
+    if s.genus != 1 and c != 0:
+        warnings.warn("a nonzero constant_cubic is only holomorphic on the "
+                      "torus backend", stacklevel=2)
     values = np.full(len(s.vertices), complex(c))
     return CubicDifferential(values=values, surface=s)
 

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cubic import CubicDifferential
-from .surface import DiscreteSurface
+from .surface import DiscreteSurface, MeshError
 
 ETA = np.diag([1.0, 1.0, -1.0]).astype(complex)
 MAX_STEP_DEFECT = 1e-6   # largest unitarity-defect growth in one RK4 step
@@ -108,7 +108,7 @@ class MeshCoefficients:
         self._interp = CloughTocher2DInterpolator(
             Delaunay(pts, qhull_options="QJ"),
             np.column_stack([s_chart, s_z.real, s_z.imag, qv.real, qv.imag]))
-        self._off_mesh = _off_mesh(self._interp.tri, surface.triangles)
+        self._off_mesh = _off_mesh(self._interp.tri, surface.sides)
 
     def at_many(self, zs):
         """Arrays (s, s_z, q); StepTooLarge names the first point off the mesh.
@@ -130,19 +130,18 @@ class MeshCoefficients:
                 vals[:, 3:5].copy().view(complex)[:, 0])
 
 
-def _off_mesh(tri, triangles: np.ndarray) -> np.ndarray:
+def _off_mesh(tri, sides: np.ndarray) -> np.ndarray:
     """Per simplex of the Delaunay triangulation `tri`, whether it lies off
-    the mesh `triangles` (rows of indices into `tri.points`), with a last
-    True entry so that `find_simplex`'s -1, outside the hull, reads as off.
+    the mesh whose boundary is the polygon `sides` (`DiscreteSurface.sides`,
+    indices into `tri.points`), with a last True entry so that
+    `find_simplex`'s -1, outside the hull, reads as off.
 
     A simplex is on the mesh when its centroid is: the even-odd rule counts
-    the mesh's boundary edges, those of one triangle only, that a ray from
-    the centroid in the +x direction crosses.
+    the boundary edges that a ray from the centroid in the +x direction
+    crosses.  Each edge runs from its lower-numbered end, so the rounding
+    of its crossing point does not depend on the direction its side runs.
     """
-    n = len(tri.points)
-    e = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    keys, count = np.unique(e[:, 0] * n + e[:, 1], return_counts=True)
-    a, b = np.divmod(keys[count == 1], n)
+    a, b = np.sort([sides[:, :-1].ravel(), sides[:, 1:].ravel()], axis=0)
     cx, cy = tri.points[tri.simplices].mean(axis=1).T
     inside = np.zeros(len(cx), dtype=bool)
     for (ax, ay), (bx, by) in zip(tri.points[a].tolist(),
@@ -160,7 +159,7 @@ def _vertex_wirtinger(surface: DiscreteSurface, f: np.ndarray) -> np.ndarray:
     six neighbors) against a quadratic in the chart offsets.  All fits are
     one stacked QR solve: every ring is padded with zero rows (the vertex
     itself) up to the largest, which leaves its least-squares solution
-    unchanged.
+    unchanged.  A singular fit, from degenerate mesh data, raises MeshError.
     """
     z = surface.vertices
     n = len(z)
@@ -182,7 +181,10 @@ def _vertex_wirtinger(surface: DiscreteSurface, f: np.ndarray) -> np.ndarray:
     dx, dy = d.real, d.imag
     Q, R = np.linalg.qr(np.stack([dx, dy, dx * dx, dx * dy, dy * dy], -1))
     rhs = f[idx] - f[:, None]
-    coef = np.linalg.solve(R, np.einsum("nkj,nk->nj", Q, rhs)[..., None])
+    try:
+        coef = np.linalg.solve(R, np.einsum("nkj,nk->nj", Q, rhs)[..., None])
+    except np.linalg.LinAlgError as exc:
+        raise MeshError(f"singular derivative fit: {exc}") from exc
     return 0.5 * (coef[:, 0, 0] - 1j * coef[:, 1, 0])
 
 

@@ -157,6 +157,10 @@ class DiscreteSurface:
         Metric factor lambda at each chart vertex (chart dependent on the
         octagon, constant on the torus).
     genus : int
+    sides : int array, shape (n_sides, L), or None
+        Row k: the chart vertices of polygon side k, corner k to corner
+        k + 1; consecutive entries are the mesh's boundary edges.  A side
+        pairing (i, j, g) glues sides[j, 1:-1] to sides[i, -2:0:-1].
     stiffness : sparse CSR matrix, shape (n_classes, n_classes)
         Cotangent stiffness K on quotient classes.
     mass_diag : float array, shape (n_classes,)
@@ -168,6 +172,7 @@ class DiscreteSurface:
     class_of: np.ndarray
     conformal_factor: np.ndarray
     genus: int
+    sides: np.ndarray | None = field(default=None, repr=False)
     side_pairings: list = field(default_factory=list)
     nesting: Nesting | None = field(default=None, repr=False)
     stiffness: sp.csr_matrix = field(init=False, repr=False)
@@ -437,11 +442,11 @@ def _glued_polygon(verts, tris, sides, pairings, refinement, midpoint,
     expression of each g then snaps side i's interior onto the images of
     side j's, and the two are glued entry by entry: a class is one chart
     vertex, one glued pair or the corners, numbered by its first chart
-    vertex, so each level is a prefix of the next.  The quotient must have
-    Euler characteristic 2 - 2 genus.
+    vertex, so each level is a prefix of the next and keeps its refined
+    `sides`.  The quotient must have Euler characteristic 2 - 2 genus.
     """
-    levels = [(len(verts), tris, None)]   # chart vertex count, triangles and
-    for _ in range(refinement):           # midpoint edges of each level
+    levels = [(len(verts), tris, sides, None)]  # chart vertex count,
+    for _ in range(refinement):    # triangles, sides, midpoints of each level
         n = len(verts)
         edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
         unique, first, inverse = np.unique(
@@ -457,7 +462,7 @@ def _glued_polygon(verts, tris, sides, pairings, refinement, midpoint,
         keys = _edge_key(sides[:, :-1], sides[:, 1:], n)
         sides = np.repeat(sides, 2, axis=1)[:, :-1]
         sides[:, 1::2] = mid[np.searchsorted(unique, keys)]
-        levels.append((len(verts), tris, ends))
+        levels.append((len(verts), tris, sides, ends))
 
     rep = np.arange(len(verts))         # each class's first chart vertex
     rep[sides[:, 0]] = sides[:, 0].min()
@@ -471,7 +476,7 @@ def _glued_polygon(verts, tris, sides, pairings, refinement, midpoint,
 
     lam = conformal(verts)
     level = nesting = None
-    for n, tris, ends in levels:
+    for n, tris, sides, ends in levels:
         if (classes := class_of[:n].max() + 1) < MIN_CLASSES:
             continue
         if level is not None:           # it nests in the level before
@@ -481,7 +486,7 @@ def _glued_polygon(verts, tris, sides, pairings, refinement, midpoint,
             parents[class_of[:n]] = class_of[edge]     # chart copies agree
             nesting = Nesting(level, parents)
         level = partial(DiscreteSurface, verts[:n], tris, class_of[:n],
-                        lam[:n], genus, pairings, nesting)
+                        lam[:n], genus, sides, pairings, nesting)
 
     s = level()
     if s.euler_characteristic() != 2 - 2 * genus:

@@ -256,9 +256,9 @@ def side_pairing_frame_product(coeffs, surface: DiscreteSurface,
     if surface.genus != 2 or len(surface.side_pairings) != 4:
         raise ValueError("side pairing frames need the genus-2 octagon")
     i, j, g = surface.side_pairings[pair_index]
-    # octagon corners sit at chart indices 1..8 by construction
-    corner_j0 = complex(surface.vertices[1 + j])
-    corner_j1 = complex(surface.vertices[1 + (j + 1) % 8])
+    # side j runs from corner j to corner j + 1
+    corner_j0, corner_j1 = map(complex,
+                               surface.vertices[surface.sides[j, [0, -1]]])
     m_j = hyperbolic_midpoint(corner_j0, corner_j1)
     m_i = mobius_apply(g, m_j)
     # stop slightly short of the rim so interpolated coefficients stay valid

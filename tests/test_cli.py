@@ -64,15 +64,28 @@ def test_eigen_failure_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_singular_fit_exits_2(tmp_path, capsys, monkeypatch):
-    # LinAlgError is a ValueError, but the stacked solve of the frame's
-    # derivative fits raises it for a singular fit: a numerical failure
+    # the stacked solve of the frame's derivative fits raises numpy's
+    # LinAlgError, a ValueError, for a singular fit; the frame turns it into
+    # a MeshError, a numerical failure
     def singular(*args):
-        raise np.linalg.LinAlgError("injected singular fit")
+        raise np.linalg.LinAlgError("injected")
 
-    monkeypatch.setattr(frame, "_vertex_wirtinger", singular)
+    monkeypatch.setattr(np.linalg, "solve", singular)
     cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.1))
     assert main(["frame", cfg]) == 2
-    assert capsys.readouterr().err == "frame failed: injected singular fit\n"
+    assert (capsys.readouterr().err
+            == "frame failed: singular derivative fit: injected\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bogus", "c.json"], 1), (["solve"], 1), (["-h"], 0),
+    (["solve", "-h"], 0)],
+    ids=["unknown-command", "no-config", "help", "command-help"])
+def test_usage_exit_codes(capsys, argv, code):
+    # argparse prints its help or its message; main returns, it does not exit
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err).startswith("usage: minlag")
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):
@@ -179,14 +192,15 @@ def test_continue_outputs(tmp_path, capsys):
 def test_fold_point_has_no_stable_flag(tmp_path, capsys):
     # lambda_min is zero to rounding at the fold, so a stable flag read from
     # its sign flips with any change of the fold solve's path; the number
-    # is kept, once in fold_point and once in the diagnostics
+    # is kept once, in fold_point, and the diagnostics are the trace's
     cfg = write_cfg(tmp_path, "c.json",
                     {k: v for k, v in TORUS.items() if k != "t"})
     assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
     sidecar = json.loads((tmp_path / "curve.json").read_text())
     fold = sidecar["fold_point"]
     assert sorted(fold) == ["lambda_min", "residual_norm", "t", "u"]
-    assert fold["lambda_min"] == sidecar["diagnostics"]["fold_lambda_min"]
+    assert sorted(sidecar["diagnostics"]) == [
+        "final_step", "newton_iterations", "rejected_steps"]
     assert abs(fold["lambda_min"]) <= 1e-8
     assert all(p["stable"] is True for p in sidecar["points"])
 
@@ -405,7 +419,7 @@ def test_continue_solves_each_eigenpair_once(tmp_path, capsys, monkeypatch,
                  "-o", str(tmp_path / "curve")]) == 0
     payload = json.loads((tmp_path / "curve.json").read_text())
     assert payload["T0_estimate"] == pytest.approx(t0, rel=1e-12)
-    assert len(classified) >= payload["diagnostics"]["n_points"] + 1
+    assert len(classified) >= len(payload["points"]) + 1
     assert len(solves) == len(classified)
 
 

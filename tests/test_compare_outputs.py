@@ -40,29 +40,26 @@ def test_a_nan_against_a_number_is_a_mismatch():
 
 CURVE = (b'{"T0_estimate": 44.6, "levels": [{"T0": 45.0, "classes": 30}, '
          b'{"T0": 44.6, "classes": 126}], "points": [{"t": 0.5, '
-         b'"lambda_min": 1.9}], "diagnostics": {"fold_lambda_min": 1e-12, '
-         b'"rejected_steps": 1}}')
+         b'"lambda_min": 1.9}], "fold_point": {"t": 44.6, '
+         b'"lambda_min": 1e-12}, "diagnostics": {"rejected_steps": 1}}')
 
 
 def test_key_results_of_a_curve_a_point_and_a_wpcheck_table():
     assert key_results("curve.json", CURVE) == {
         "T0_estimate": 44.6, "levels[0].T0": 45.0, "levels[1].T0": 44.6,
-        "diagnostics.fold_lambda_min": 1e-12,
-        "diagnostics.rejected_steps": 1.0}
+        "fold_point.lambda_min": 1e-12, "diagnostics.rejected_steps": 1.0}
     # the work counts of a curve and of a mountain pass are key results too
     counted = (b'{"levels": [{"T0": 45.0, "classes": 30, '
                b'"fold_newton_iterations": 3}], "diagnostics": '
-               b'{"rejected_steps": 0, "n_points": 12, "newton_iterations": 40,'
-               b' "final_step": 0.5, "fold_lambda_min": 0.0}}')
+               b'{"rejected_steps": 0, "newton_iterations": 40,'
+               b' "final_step": 0.5}}')
     assert key_results("curve.json", counted) == {
         "levels[0].T0": 45.0, "levels[0].fold_newton_iterations": 3.0,
-        "diagnostics.rejected_steps": 0.0, "diagnostics.n_points": 12.0,
-        "diagnostics.newton_iterations": 40.0,
-        "diagnostics.fold_lambda_min": 0.0}
+        "diagnostics.rejected_steps": 0.0,
+        "diagnostics.newton_iterations": 40.0}
     assert key_results("mpass-0.45.json",
                        b'{"t": 20.1, "lambda_min": -20.4, "u2": [-1.0], '
-                       b'"path_iterations": 30, "sup_norm": 2.0, '
-                       b'"vnorm_separation": 3.5}'
+                       b'"path_iterations": 30, "vnorm_separation": 3.5}'
                        ) == {"lambda_min": -20.4, "path_iterations": 30.0,
                              "vnorm_separation": 3.5}
     assert key_results("wpcheck.csv", b"t,area\n0.0,-1.0\n"
@@ -76,10 +73,10 @@ def test_key_lines_follow_a_moved_curve():
     theirs = CURVE.replace(b'"t": 0.5', b'"t": 0.7').replace(
         b'"T0_estimate": 44.6', b'"T0_estimate": 44.60000000000001')
     assert key_lines("curve.json", CURVE, theirs.replace(
-        b'"fold_lambda_min": 1e-12', b'"fold_lambda_min": -1e-12')) == [
+        b'"lambda_min": 1e-12', b'"lambda_min": -1e-12')) == [
         "  T0_estimate: 44.6 | 44.60000000000001, rel diff 1.59e-16",
-        "  diagnostics.fold_lambda_min: 1e-12 | -1e-12, rel diff 2",
         "  diagnostics.rejected_steps: 1.0 | 1.0, rel diff 0",
+        "  fold_point.lambda_min: 1e-12 | -1e-12, rel diff 2",
         "  levels[0].T0: 45.0 | 45.0, rel diff 0",
         "  levels[1].T0: 44.6 | 44.6, rel diff 0"]
     assert key_lines("curve.json", CURVE,

@@ -245,7 +245,8 @@ def test_trace_stops_at_fold_entry(torus_curve, torus_fold):
     pts = torus_curve.points
     assert can_start(pts)
     assert not any(can_start(pts[:k]) for k in range(1, len(pts)))
-    assert torus_curve.diagnostics["n_points"] == len(pts)
+    assert sorted(torus_curve.diagnostics) == [
+        "final_step", "newton_iterations", "rejected_steps"]
     assert torus_curve.diagnostics["newton_iterations"] == sum(
         p.meta["newton_iterations"] for p in pts)
 

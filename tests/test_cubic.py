@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -30,8 +31,12 @@ def test_constant_norm_scaling():
 
 
 def test_constant_on_octagon_warns(octagon2):
+    # q = 0 is holomorphic on every surface, so only a nonzero c warns
     with pytest.warns(UserWarning):
         constant_cubic(octagon2, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(constant_cubic(octagon2, 0.0).values == 0.0)
 
 
 def test_synthetic_single_zero(octagon2):

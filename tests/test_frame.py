@@ -433,8 +433,7 @@ def test_constant_coefficients_order():
 def test_mesh_flatness_trivial_octagon(octagon3):
     # u = 0 with q = 0 solves the structure equation on the hyperbolic chart,
     # so the mesh flatness defect is pure discretization error
-    with pytest.warns(UserWarning):
-        q0 = constant_cubic(octagon3, 0.0)
+    q0 = constant_cubic(octagon3, 0.0)
     defect = flatness_defect(
         MeshCoefficients(np.zeros(octagon3.n_classes), q0), 0.15 + 0.1j,
         h=0.02)

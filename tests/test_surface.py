@@ -244,13 +244,17 @@ def test_hyperbolic_midpoint_is_elementwise_bitwise():
             == np.concatenate(one_by_one).tobytes())
 
 
-def _hierarchy(s):
-    """Class counts of the levels of s's hierarchy, coarsest first."""
-    counts = [s.n_classes]
+def _levels(s):
+    """s and the coarser levels of its hierarchy, finest first."""
+    yield s
     while s.nesting is not None:
         s = s.nesting.coarse()
-        counts.insert(0, s.n_classes)
-    return counts
+        yield s
+
+
+def _hierarchy(s):
+    """Class counts of the levels of s's hierarchy, coarsest first."""
+    return [level.n_classes for level in _levels(s)][::-1]
 
 
 def test_hierarchy_levels_have_at_least_16_classes():
@@ -278,8 +282,7 @@ def test_assembly_and_column_order_match_the_oracles(build):
     # on every level, K and M are bitwise the block-by-block assembly, and
     # the column order of `factorize`, taken from an ILU, is bitwise the
     # `perm_c` of a full LU of K + M, with K permuted by it
-    s = build()
-    while s is not None:
+    for s in _levels(build()):
         K, m = blockwise_operators(s)
         assert _bits(s.stiffness.indptr, s.stiffness.indices,
                      s.stiffness.data, s.mass_diag) == _bits(
@@ -292,7 +295,6 @@ def test_assembly_and_column_order_match_the_oracles(build):
                      got_Kp.data) == _bits(order, pos, Kp.indptr, Kp.indices,
                                            Kp.data)
         assert np.array_equal(got_Kp.data[diag], K.diagonal()[order])
-        s = s.nesting.coarse() if s.nesting is not None else None
 
 
 def _assert_coarse_level_is_a_prefix(s):
@@ -469,6 +471,28 @@ def _glued_classes(s, sides):
     for k, group in enumerate(sorted(groups, key=min)):
         expected[list(group)] = k
     return expected
+
+
+@pytest.mark.parametrize("build", [
+    *(partial(build_flat_torus, n, 2.0, 3.0)
+      for n in (4, 6, 8, 12, 16, 32, 64)),
+    *(partial(build_genus2_octagon, r) for r in (1, 2, 3, 4, 5))],
+    ids=[f"torus{n}" for n in (4, 6, 8, 12, 16, 32, 64)]
+    + [f"octagon_r{r}" for r in (1, 2, 3, 4, 5)])
+def test_every_level_keeps_its_sides(build):
+    # on every level the builder's sides are the boundary walk, their
+    # consecutive pairs are exactly the edges of one triangle, and the glued
+    # pairs read off them give the classes
+    for s in _levels(build()):
+        walk = _octagon_sides(s) if s.genus == 2 else _torus_sides(s, 2.0)
+        assert s.sides.tolist() == walk
+        key = [len(s.vertices), 1]
+        edges = np.sort(s.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), 1)
+        keys, counts = np.unique(edges @ key, return_counts=True)
+        on_sides = np.sort(np.stack([s.sides[:, :-1], s.sides[:, 1:]], -1)
+                           .reshape(-1, 2), 1) @ key
+        assert np.array_equal(np.sort(on_sides), keys[counts == 1])
+        assert np.array_equal(s.class_of, _glued_classes(s, s.sides))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 32])

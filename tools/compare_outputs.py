@@ -14,9 +14,9 @@ over its numbers (the numeric JSON entries, or the CSV cells), each with
 where it occurs, and the first mismatch that is not numeric, if there is
 one.  Below that line come the file's key results, one a line, here and
 there with their relative difference: `T0_estimate`, each `levels[k].T0`
-and `levels[k].fold_newton_iterations`, and the `diagnostics`
-`fold_lambda_min`, `rejected_steps`, `n_points` and `newton_iterations` of
-a curve, the `lambda_min` of a solved or mountain-pass point with the
+and `levels[k].fold_newton_iterations`, `fold_point.lambda_min` and the
+`diagnostics` `rejected_steps` and `newton_iterations` of a curve, the
+`lambda_min` of a solved or mountain-pass point with the
 `path_iterations` and `vnorm_separation` of the latter, and the `rel_err`
 of a wpcheck table.  A change that moves the traced curve on purpose moves
 its largest difference too, and these lines show whether the results and
@@ -42,7 +42,7 @@ SEEDS = (0, 7)
 TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 KEY_RESULTS = re.compile(
     r"\.(T0_estimate|levels\[\d+\]\.(T0|fold_newton_iterations)"
-    r"|diagnostics\.(fold_lambda_min|rejected_steps|n_points|newton_iterations)"
+    r"|fold_point\.lambda_min|diagnostics\.(rejected_steps|newton_iterations)"
     r"|lambda_min|path_iterations|vnorm_separation)")
 
 # runs the jobs of argv[1] in the directory argv[2]; one exit code per line
