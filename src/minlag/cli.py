@@ -20,12 +20,12 @@ on the coarsest level of the mesh hierarchy, every level with at least
 `surface.MIN_CLASSES` = 16 classes, with q taken at that level's
 chart vertices, and then solves the fold once per level up to the
 configured mesh (`continuation.detect_fold`).  It reads `dt0`, its first
-step in t (default 0.01); the step then grows by
-`continuation.STEP_GROWTH` after each accepted point until lambda_min
-starts to fall; from there each step goes at most
-`continuation.FOLD_STEP_FRACTION` of the way to the fold extrapolated from
-lambda_min^2, so curve.csv samples the branch coarsely at first and ever
-more finely as it nears the fold.  curve.csv (t, lambda_min,
+step in t (default 0.01).  After each point whose lambda_min fell, the
+next step goes `continuation.FOLD_STEP_FRACTION` of the way to the fold
+extrapolated from lambda_min^2, which is linear in t^2; the step grows by
+`continuation.STEP_GROWTH` only while lambda_min rounds to its value at
+t = 0.  So curve.csv holds a few points, ever closer together as they
+near the fold.  curve.csv (t, lambda_min,
 residual_norm, u_min, u_max, area_induced) and the curve.json `points`
 hold the trace, so they lie on the mesh of `levels[0]`, the coarsest
 level, not on the configured one.  `T0_estimate` and `fold_point` are the
@@ -57,8 +57,9 @@ every key but "side", "lambda0" and "amplitude":
 
     backend  {"type": "torus", "n": integer >= 4, "side" > 0, "lambda0" > 0}
              or {"type": "octagon", "refinement": integer >= 1}
-    cubic    {"constant": [re, im]} or {"zeros": one or more [class, order]
-             pairs of integers >= 0, "amplitude" > 0}
+    cubic    {"constant": [re, im]}, nonzero only on the torus, or
+             {"zeros": one or more [class, order] pairs of integers >= 0,
+             "amplitude" > 0}
     t >= 0, dt0 > 0, tol > 0
     frame    {"path": two or more [x, y] points, "step" > 0}
     wpcheck  {"h" > 0}
@@ -161,6 +162,9 @@ def validate_config(cfg) -> None:
     if isinstance(c, dict) and "constant" in c:
         _keys(c, "cubic/", ("constant",))
         _pair(c["constant"], "cubic/constant")
+        if kind != "torus" and any(c["constant"]):
+            raise ConfigError("config invalid at cubic/constant: a nonzero "
+                              "constant is only holomorphic on the torus")
     elif "cubic" in cfg:
         _keys(c, "cubic/", ("zeros",), ("zeros",), positive=("amplitude",))
         if not isinstance(c["zeros"], list) or not c["zeros"]:

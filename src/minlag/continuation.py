@@ -3,13 +3,19 @@
 The branch starts at the exact point (u, t) = (0, 0) and is continued in the
 natural parameter t with the previous solution as warm start.  A point is
 accepted when Newton converges there with lambda_min > 0, the smallest
-eigenvalue of the linearization.  The step grows by STEP_GROWTH after each
-accepted point and is halved whenever it is not accepted.  Near a quadratic
-fold lambda_min^2 ~ c (T0 - t) (Govaerts, Numerical Methods for
-Bifurcations of Dynamical Equilibria, SIAM 2000), so after a point whose
-lambda_min fell, the line through the last two (t, lambda_min^2) predicts
-the fold, and the next step goes at most FOLD_STEP_FRACTION of the way
-there.  That cap is the trace's only step control near the fold.  The
+eigenvalue of the linearization, and the step is halved whenever a point is
+not accepted.  The equation depends on t only through s = t^2
+(V = 16 t^2 ||q||^2), and lambda_min^2 is linear in s both at t = 0 and
+near a quadratic fold, where lambda_min^2 ~ c (T0 - t) (Govaerts, Numerical
+Methods for Bifurcations of Dynamical Equilibria, SIAM 2000).  So after a
+point whose lambda_min fell, the line through the last two
+(s, lambda_min^2) predicts the fold, and the next step goes
+FOLD_STEP_FRACTION of the way there; after a point whose lambda_min did not
+fall (a first step so small that lambda_min rounds to its value at t = 0),
+the step grows by STEP_GROWTH.  The long steps this gives are safe warm
+starts: the stable point at t_prev is a supersolution at t > t_prev
+(residual(u_prev, t) = -(V(t) - V(t_prev)) e^{-2 u_prev} <= 0), from which
+Newton descends onto the stable point at t, as in `branch_point`.  The
 trace stops at the first accepted point from which the fold solve can start
 (`_fold_solve_can_start`: at least 3 points, lambda_min down to
 NO_FOLD_FRACTION of its value at t = 0, and the last three lambda_min
@@ -47,6 +53,7 @@ differential (`q.surface`, `curve.cubic.surface`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +66,11 @@ from .surface import integrate
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
 NO_FOLD_FRACTION = 0.25  # the fold solve starts only once lambda_min is at
                          # or below this fraction of its value at t = 0
-STEP_GROWTH = 1.5      # step factor after each accepted continuation step
-FOLD_STEP_FRACTION = 0.5  # a step goes at most this fraction of the way to
-                          # the fold that the last two lambda_min^2 predict
+STEP_GROWTH = 1.5      # step factor after an accepted point whose
+                       # lambda_min did not fall
+FOLD_STEP_FRACTION = 0.5  # after a fall, the step goes this fraction of the
+                          # way to the fold that the last two lambda_min^2,
+                          # linear in t^2, predict
 MAX_POINTS = 2000      # accepted points after which the trace stalls
 
 
@@ -105,16 +114,18 @@ def trace_curve(q: CubicDifferential, dt0: float,
     """Natural-parameter continuation from (0, 0) to where the fold solve starts.
 
     The first step is dt0.  A point is accepted when its `newton_solve`
-    converges to a `stable` point (lambda_min > 0); the step then grows by
-    STEP_GROWTH, and it halves after any other outcome.  After an accepted
-    point t_k whose lambda_min fell from t_{k-1}, the step is also capped at
-    FOLD_STEP_FRACTION (t_est - t_k), with
+    converges to a `stable` point (lambda_min > 0), and the step halves
+    after any other outcome.  After an accepted point t_k whose lambda_min
+    fell from t_{k-1}, the next step is FOLD_STEP_FRACTION (t_est - t_k),
+    with s = t^2 and
 
-        t_est = t_k + lambda_k^2 (t_k - t_{k-1}) / (lambda_{k-1}^2 - lambda_k^2)
+        t_est = sqrt(s_k + lambda_k^2 (s_k - s_{k-1})
+                     / (lambda_{k-1}^2 - lambda_k^2)),
 
-    the zero of the line through the two (t, lambda_min^2), which is T0
-    when lambda_min^2 is linear in t; so the steps approach the fold
-    without overshooting it.
+    the zero of the line through the two (s, lambda_min^2), which is T0
+    when lambda_min^2 is linear in s; so the steps approach the fold
+    without overshooting it.  After an accepted point whose lambda_min did
+    not fall, the step grows by STEP_GROWTH.
     Returns at the first accepted point from which
     `detect_fold` can start.  Raises StallBeforeFold if the step underflows
     (below dt0 * 1e-4) or MAX_POINTS are accepted before that.
@@ -142,12 +153,15 @@ def trace_curve(q: CubicDifferential, dt0: float,
             rejects += 1
             continue
         points.append(p)
-        dt *= STEP_GROWTH
         lam2, prev2 = p.lambda_min ** 2, prev.lambda_min ** 2
         if lam2 < prev2:
-            # lambda_min^2 ~ c (T0 - t): stop short of its linear zero
-            dt = min(dt, FOLD_STEP_FRACTION * lam2 * (p.t - prev.t)
-                     / (prev2 - lam2))
+            # lambda_min^2 is linear in s = t^2 at t = 0 and at the fold:
+            # go part of the way to the zero of that line
+            s, s_prev = p.t ** 2, prev.t ** 2
+            t_est = math.sqrt(s + lam2 * (s - s_prev) / (prev2 - lam2))
+            dt = FOLD_STEP_FRACTION * (t_est - p.t)
+        else:
+            dt *= STEP_GROWTH
         if _fold_solve_can_start(points):
             return SolutionCurve(
                 points=points, cubic=q,

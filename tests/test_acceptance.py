@@ -59,9 +59,16 @@ class Context:
 
         # octagon branch and fold
         curve = trace_curve(self.oct_cubic, dt0=0.5, tol=1e-10)
-        self.oct_T0 = detect_fold(curve, tol=1e-10)[0].t
+        oct_fold = detect_fold(curve, tol=1e-10)[0]
+        self.oct_T0 = oct_fold.t
         self.oct_curve = curve
         self.accepted_points += [("octagon", p) for p in curve.points]
+        self.accepted_points.append(("octagon", oct_fold))
+        # the octagon branch at tenths of T0, each solved from u = 0
+        for frac in np.arange(1, 10) / 10:
+            self.accepted_points.append(("octagon", newton_solve(
+                np.zeros(self.octagon.n_classes), frac * self.oct_T0,
+                self.oct_cubic, tol=TOL)))
 
         # mountain-pass runs
         start = time.perf_counter()

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,27 @@ def test_integer_fields_take_json_integers(tmp_path, capsys, cfg, where):
     assert main(["mesh", write_cfg(tmp_path, "c.json", cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config invalid at {where}:")
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_nonzero_constant_off_the_torus_is_a_config_error(tmp_path, capsys,
+                                                         action):
+    # the config check comes before constant_cubic, so its UserWarning is
+    # not reached, whether warnings are errors or only shown; q = 0 is
+    # holomorphic on every surface and solves
+    octagon = {"backend": {"type": "octagon", "refinement": 2}, "t": 0.5}
+    nonzero = write_cfg(tmp_path, "c.json",
+                        dict(octagon, cubic={"constant": [1.0, 0.0]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        for command in ("solve", "mesh"):    # every command checks it
+            assert main([command, nonzero]) == 1
+            assert capsys.readouterr().err == (
+                "config error: config invalid at cubic/constant: a nonzero "
+                "constant is only holomorphic on the torus\n")
+        assert main(["solve", write_cfg(tmp_path, "z.json", dict(
+            octagon, cubic={"constant": [0.0, 0.0]}))]) == 0
+    assert not caught
 
 
 @pytest.mark.parametrize("command", ["solve", "mpass", "frame"])
@@ -621,7 +643,7 @@ def test_wpcheck_beyond_fold_exits_2(tmp_path, capsys):
 def test_mesh_octagon_reports_topology_and_area(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {
         "backend": {"type": "octagon", "refinement": 1},
-        "cubic": {"constant": [1.0, 0.0]},
+        "cubic": {"constant": [0.0, 0.0]},
     })
     out = tmp_path / "mesh.json"
     assert main(["mesh", cfg, "-o", str(out)]) == 0

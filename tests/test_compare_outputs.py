@@ -26,8 +26,24 @@ def test_csv_report_reads_cells_and_counts_entries():
     assert difference("w.csv", ours, b"# hash=1\nt,area\n0.1,2.5\n") == (
         "max abs diff 0.5 at row 2 col 1, max rel diff 0.2 at row 2 col 1")
     assert difference("w.csv", ours, ours + b"0.2,3.0\n") == (
-        "no numeric difference; first non-numeric mismatch: "
-        "5 entries here, 7 there")
+        "no numeric difference; only there: 2 (first row 3 col 0)")
+
+
+def test_entries_pair_by_where_they_occur():
+    # a shorter list shifts every later entry; they are still compared with
+    # the entries at the same path, and the extra ones are named as such
+    ours = b'{"points": [{"t": 0.5}], "T0": 44.6, "timestamp": ""}'
+    theirs = (b'{"points": [{"t": 0.5}, {"t": 1.0}, {"t": 2.0}], '
+              b'"T0": 44.7, "timestamp": ""}')
+    assert difference("a.json", ours, theirs) == (
+        "max abs diff 0.1 at .T0, max rel diff 0.00224 at .T0; "
+        "only there: 2 (first .points[1].t)")
+    assert difference("a.json", theirs.replace(b"44.7", b"44.6"), ours) == (
+        "no numeric difference; only here: 2 (first .points[1].t)")
+    assert difference("a.json", b'{"x": 1.0, "y": 2.0}',
+                      b'{"y": 2.0, "z": 3.0}') == (
+        "no numeric difference; only here: 1 (first .x); "
+        "only there: 1 (first .z)")
 
 
 def test_a_nan_against_a_number_is_a_mismatch():

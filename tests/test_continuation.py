@@ -298,21 +298,51 @@ def test_fold_cap_keeps_the_dense_fold(capped):
 
 
 def test_steps_stop_short_of_the_extrapolated_fold(capped):
-    # after each pair with falling lambda_min, the next accepted step goes
-    # at most FOLD_STEP_FRACTION of the way to the zero of the line
-    # through their (t, lambda_min^2)
+    # after each point whose lambda_min fell, the next accepted step goes
+    # FOLD_STEP_FRACTION of the way to the zero of the line through the
+    # last two (s, lambda_min^2), s = t^2, halved once per rejected step
     curve, _ = capped
     t = np.array([p.t for p in curve.points])
-    lam2 = lambda_mins(curve) ** 2
-    binding = 0
-    for k in range(1, len(t) - 1):
+    s, lam2 = t ** 2, lambda_mins(curve) ** 2
+    halvings = binding = 0
+    for k in range(1, len(t)):
         if lam2[k] >= lam2[k - 1]:
             continue
-        t_est = t[k] + lam2[k] * (t[k] - t[k - 1]) / (lam2[k - 1] - lam2[k])
+        t_est = np.sqrt(s[k] + lam2[k] * (s[k] - s[k - 1])
+                        / (lam2[k - 1] - lam2[k]))
         cap = continuation.FOLD_STEP_FRACTION * (t_est - t[k])
-        assert t[k + 1] - t[k] <= cap * (1.0 + 1e-12)
-        binding += t[k + 1] - t[k] >= cap * (1.0 - 1e-12)
+        assert 0.0 < cap < t_est - t[k]
+        if k == len(t) - 1:
+            assert curve.diagnostics["final_step"] == pytest.approx(
+                cap, rel=1e-12)
+            break
+        ratio = (t[k + 1] - t[k]) / cap
+        j = round(-math.log2(ratio))
+        assert j >= 0
+        assert ratio == pytest.approx(0.5 ** j, rel=1e-9)
+        halvings += j
+        binding += j == 0
+    assert halvings <= curve.diagnostics["rejected_steps"]
     assert binding > 0
+
+
+@pytest.mark.parametrize("dt0", [1e-3, 0.5, 5.0, 20.0])
+def test_octagon_trace_is_short_for_any_first_step(octagon2_cubic, dt0):
+    # lambda_min^2 is linear in t^2 from t = 0 on, so two points already
+    # aim the trace at the fold, however small or large the first step
+    curve = trace_curve(octagon2_cubic, dt0=dt0, tol=1e-10)
+    assert len(curve.points) <= 5
+    assert curve.diagnostics["rejected_steps"] == 0
+
+
+def test_step_growth_leaves_a_rounded_flat_start(unit_cubic):
+    # at dt0 = 1e-8 lambda_min rounds to its value at t = 0, so the step
+    # grows by STEP_GROWTH until lambda_min falls; the fold is the oracle's
+    curve = trace_curve(unit_cubic, dt0=1e-8, tol=1e-11)
+    lams = lambda_mins(curve)
+    assert lams[1] == lams[0]
+    assert len(curve.points) <= 12
+    assert detect_fold(curve)[0].t == pytest.approx(fold_t(1.0), rel=1e-11)
 
 
 def test_stall_before_fold(monkeypatch, torus16, unit_cubic):

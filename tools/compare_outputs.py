@@ -9,10 +9,12 @@ configs come from this checkout's `bench/`, which is only read.  Each
 checkout then runs all of them in one child process with its own `src/` on
 the path and one BLAS thread, and every output file is compared byte for
 byte after its JSON `timestamp` field is blanked.  For a file that
-differs, the report gives the largest absolute and relative difference
-over its numbers (the numeric JSON entries, or the CSV cells), each with
-where it occurs, and the first mismatch that is not numeric, if there is
-one.  Below that line come the file's key results, one a line, here and
+differs, the entries of the two versions are paired by where they occur
+(the JSON path, or the CSV row and column), and the report gives the
+largest absolute and relative difference over their numbers, each with
+where it occurs, the first mismatch that is not numeric, if there is
+one, and how many entries only one version holds, with the first of
+them.  Below that line come the file's key results, one a line, here and
 there with their relative difference: `T0_estimate`, each `levels[k].T0`
 and `levels[k].fold_newton_iterations`, `fold_point.lambda_min` and the
 `diagnostics` `rejected_steps` and `newton_iterations` of a curve, the
@@ -140,28 +142,34 @@ def entries(name: str, data: bytes) -> list:
 
 def difference(name: str, ours: bytes, theirs: bytes) -> str:
     """How two versions of one output file differ: the largest absolute and
-    relative difference of their numbers, with where each occurs, and the
-    first non-numeric mismatch."""
-    a, b = entries(name, ours), entries(name, theirs)
+    relative difference of their numbers, with where each occurs, the
+    first non-numeric mismatch, and the entries found in one file only.
+    Entries are paired by where they occur, not by their position."""
+    a, b = dict(entries(name, ours)), dict(entries(name, theirs))
     worst_abs, worst_rel, mismatch = (0.0, None), (0.0, None), None
-    for (wa, va), (wb, vb) in zip(a, b):
-        if wa == wb and (va == vb or va != va and vb != vb):    # NaN too
+    for where, va in a.items():
+        if where not in b:
+            continue
+        vb = b[where]
+        if va == vb or va != va and vb != vb:    # NaN too
             continue
         numeric = isinstance(va, float) and isinstance(vb, float)
-        if wa != wb or not numeric or math.isnan(va - vb):
-            mismatch = mismatch or f"{wa} {va!r} | {wb} {vb!r}"
+        if not numeric or math.isnan(va - vb):
+            mismatch = mismatch or f"{where} {va!r} | {where} {vb!r}"
             continue
         d = abs(va - vb)
-        worst_abs = max(worst_abs, (d, wa), key=lambda x: x[0])
-        worst_rel = max(worst_rel, (d / max(abs(va), abs(vb)), wa),
+        worst_abs = max(worst_abs, (d, where), key=lambda x: x[0])
+        worst_rel = max(worst_rel, (d / max(abs(va), abs(vb)), where),
                         key=lambda x: x[0])
-    if mismatch is None and len(a) != len(b):
-        mismatch = f"{len(a)} entries here, {len(b)} there"
     report = (f"max abs diff {worst_abs[0]:.3g} at {worst_abs[1]}, "
               f"max rel diff {worst_rel[0]:.3g} at {worst_rel[1]}"
               if worst_abs[1] else "no numeric difference")
     if mismatch is not None:
         report += f"; first non-numeric mismatch: {mismatch}"
+    for side, here, there in (("here", a, b), ("there", b, a)):
+        only = [where for where in here if where not in there]
+        if only:
+            report += f"; only {side}: {len(only)} (first {only[0]})"
     return report
 
 
