@@ -7,13 +7,12 @@ builds its JSON payload or CSV table from them and writes it.
 Exit codes: 0 success (and `-h`), 1 a usage error, a configuration or
 domain error or an unwritable output, 2 numerical failure.
 Commands raise; `main` holds the only exception-to-exit-code map.  A usage
-error exits 1 with argparse's message.  Every subclass of a class on
-`NUMERICAL_FAILURES` exits 2 as `<command> failed`, every other
-`ValueError` exits 1 as a config error, and an `OSError` (an unreadable
-config is a config error) exits 1 as `cannot write output`; `main` tries
-every output file before the command runs, so only a write that fails
-later (a full disk) exits 1 after the work.  A new failure class must
-either derive from a class on that tuple or from `ValueError`.
+error exits 1 with argparse's message.  A `surface.NumericalFailure`, the
+base of every failure class of a numerical method, exits 2 as `<command>
+failed`, a `ValueError` exits 1 as a config error, and an `OSError` (an
+unreadable config is a config error) exits 1 as `cannot write output`;
+`main` tries the output file before the command runs, so only a write that
+fails later (a full disk) exits 1 after the work.
 
 Every command but `mesh` needs a `cubic`.  `continue` traces the branch
 on the coarsest level of the mesh hierarchy, every level with at least
@@ -24,15 +23,17 @@ step in t (default 0.01).  After each point whose lambda_min fell, the
 next step goes `continuation.FOLD_STEP_FRACTION` of the way to the fold
 extrapolated from lambda_min^2, which is linear in t^2; the step grows by
 `continuation.STEP_GROWTH` only while lambda_min rounds to its value at
-t = 0.  So curve.csv holds a few points, ever closer together as they
-near the fold.  curve.csv (t, lambda_min,
-residual_norm, u_min, u_max, area_induced) and the curve.json `points`
-hold the trace, so they lie on the mesh of `levels[0]`, the coarsest
-level, not on the configured one.  `T0_estimate` and `fold_point` are the
-configured mesh's fold, and `fold_point` has no `stable` key: lambda_min
-is zero to rounding there, so its sign would flip with any change of the
-fold solve's path; its `lambda_min` keeps the number.  `levels` lists each
-level's `classes`, `T0` and `fold_newton_iterations`, coarsest first.
+t = 0.  So the trace holds a few points, ever closer together as they near
+the fold.  `continue` writes one JSON record, curve.json unless `-o` names
+another (a missing .json suffix is added).  Its `points` hold the trace,
+each with its t, u, residual_norm, lambda_min and `area_induced`, the area
+of the induced metric, the integral of e^u; they lie on the mesh of
+`levels[0]`, the coarsest level, not on the configured one.
+`T0_estimate` and `fold_point` are the configured mesh's fold.  No
+payload carries a `stable` flag: it would repeat the sign of lambda_min,
+which is positive on every traced point by construction and zero to
+rounding at the fold.  `levels` lists each level's `classes`, `T0` and
+`fold_newton_iterations`, coarsest first.
 The `diagnostics` are the trace's: `rejected_steps`, `newton_iterations`
 (summed over the points) and `final_step`, the step it would have tried
 next.  A level whose fold solve fails exits 2 naming that level.
@@ -107,15 +108,6 @@ EXIT_NUMERICAL = 2
 
 class ConfigError(ValueError):
     pass
-
-
-# the bases of every exception class minlag defines that is not a ValueError
-# (pde.SingularJacobian is a NonConvergence): exit 2
-NUMERICAL_FAILURES = (
-    pde.ResidualBlowup, pde.NonConvergence, pde.EigenFailure,
-    surface.MeshError, continuation.StallBeforeFold,
-    continuation.NoFoldDetected, mpass.PathCollapse, mpass.VerificationFailure,
-    frame.StepTooLarge)
 
 
 def _finite(parse):
@@ -258,24 +250,16 @@ def emit(payload: dict, cfg: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _outputs(args) -> list:
-    """The files the command writes: the JSON at -o, if given, or for
-    `continue` and `wpcheck` the CSV table at -o (default curve and
-    wpcheck) with a .csv suffix, and `continue`'s JSON beside it."""
-    default = {"continue": "curve", "wpcheck": "wpcheck"}.get(args.command)
+def _output(args) -> str | None:
+    """The one file the command writes: the path at -o, or None for
+    standard output; `continue` writes curve.json and `wpcheck`
+    wpcheck.csv by default, and each adds its suffix to an -o without it."""
+    default = {"continue": "curve.json",
+               "wpcheck": "wpcheck.csv"}.get(args.command)
     if default is None:
-        return [args.output] if args.output else []
-    path = (args.output or default).removesuffix(".csv") + ".csv"
-    if args.command == "wpcheck":
-        return [path]
-    return [path, path[:-4] + ".json"]
-
-
-def _write_csv(path: str, cfg: dict, rows) -> None:
-    """Write the `# config_hash=` line and the rows (floats as repr)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)}\n")
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        return args.output
+    suffix = os.path.splitext(default)[1]
+    return (args.output or default).removesuffix(suffix) + suffix
 
 
 def _single_t(cfg):
@@ -289,10 +273,10 @@ def _single_t(cfg):
 
 
 def _point(p: pde.SolutionPoint) -> dict:
-    """JSON of a solved point: t, u, residual_norm, lambda_min, stable."""
+    """JSON of a solved point: t, u, residual_norm, lambda_min."""
     return {"t": float(p.t), "u": p.u.tolist(),
             "residual_norm": float(p.residual_norm),
-            "lambda_min": float(p.lambda_min), "stable": bool(p.stable)}
+            "lambda_min": float(p.lambda_min)}
 
 
 def cmd_mesh(cfg, args) -> int:
@@ -306,8 +290,6 @@ def cmd_mesh(cfg, args) -> int:
         "area": float(s.area),
         "euler_characteristic": s.euler_characteristic(),
     }
-    if s.genus >= 2:
-        payload["area_error_vs_hyperbolic"] = abs(s.area - 4 * math.pi * (s.genus - 1))
     emit(payload, cfg, args.output)
     return EXIT_OK
 
@@ -325,22 +307,15 @@ def cmd_continue(cfg, args) -> int:
     qs = continuation.nested_cubics(q)
     curve = continuation.trace_curve(qs[0], dt0=cfg.get("dt0", 0.01), tol=tol)
     fold, levels = continuation.detect_fold(curve, qs[1:], tol=tol)
-    csv_path, json_path = _outputs(args)
-    _write_csv(csv_path, cfg, [
-        ["t", "lambda_min", "residual_norm", "u_min", "u_max", "area_induced"],
-        *np.array([(p.t, p.lambda_min, p.residual_norm, p.u.min(), p.u.max(),
-                    surface.integrate(qs[0].surface, np.exp(p.u)))
-                   for p in curve.points]).tolist()])
-    # lambda_min is zero to rounding at the fold, so its sign says nothing
-    fold_point = _point(fold)
-    del fold_point["stable"]
-    emit({"points": [_point(p) for p in curve.points],
-          "T0_estimate": fold.t, "fold_point": fold_point,
+    points = [dict(_point(p), area_induced=float(
+        surface.integrate(qs[0].surface, np.exp(p.u)))) for p in curve.points]
+    path = _output(args)
+    emit({"points": points, "T0_estimate": fold.t, "fold_point": _point(fold),
           "levels": levels, "diagnostics": curve.diagnostics,
-          "nonexistence_bound": bound}, cfg, json_path)
+          "nonexistence_bound": bound}, cfg, path)
     print(f"T0 estimate: {fold.t:.8g}")
     print(f"nonexistence bound T: {bound:.8g}")
-    print(f"curve written to {csv_path} and {json_path}")
+    print(f"curve written to {path}")
     return EXIT_OK
 
 
@@ -388,12 +363,15 @@ def cmd_wpcheck(cfg, args) -> int:
     q = build_cubic(cfg, build_backend(cfg))
     h = cfg.get("wpcheck", {}).get("h", 0.01)
     rec = wp.area_record(q, h, tol=cfg.get("tol", 1e-12))
-    (csv_path,) = _outputs(args)
-    _write_csv(csv_path, cfg, [
-        ["t", "area"], *zip(rec.ts.tolist(), rec.areas.tolist()),
-        ["# fd1", rec.fd1],
-        ["# fd2", rec.fd2, "exact", rec.exact_second, "rel_err", rec.rel_err],
-        ["# udd_gap", rec.udd_gap]])
+    csv_path = _output(args)
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(f"# config_hash={config_hash(cfg)}\n")
+        csv.writer(fh, lineterminator="\n").writerows([
+            ["t", "area"], *zip(rec.ts.tolist(), rec.areas.tolist()),
+            ["# fd1", rec.fd1],
+            ["# fd2", rec.fd2, "exact", rec.exact_second, "rel_err",
+             rec.rel_err],
+            ["# udd_gap", rec.udd_gap]])
     print(f"area(0) = {rec.areas[0]:.8g}")
     print(f"first-variation estimate: {rec.fd1:.3e}")
     print(f"second variation: fd2 = {rec.fd2:.8g}, exact = "
@@ -424,8 +402,8 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", help="JSON configuration file")
         p.add_argument("-o", "--output", default=None,
-                       help="output file (JSON; or CSV base name for "
-                            "continue/wpcheck)")
+                       help="output file (JSON, or CSV for wpcheck; "
+                            "continue and wpcheck add a missing suffix)")
     return parser
 
 
@@ -440,14 +418,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        # try each output before any work, and leave it as it was
-        for path in _outputs(args):
+        # try the output before any work, and leave it as it was
+        path = _output(args)
+        if path:
             existed = os.path.lexists(path)
             open(path, "a").close()
             if not existed:
                 os.remove(path)
         return COMMANDS[args.command](cfg, args)
-    except NUMERICAL_FAILURES as exc:
+    except surface.NumericalFailure as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -61,7 +61,7 @@ import numpy as np
 from .cubic import CubicDifferential, norm_field
 from .pde import (NonConvergence, SingularJacobian, SolutionPoint,
                   damped_newton, linearize, newton_solve, residual, solve_u)
-from .surface import integrate
+from .surface import NumericalFailure, integrate
 
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
 NO_FOLD_FRACTION = 0.25  # the fold solve starts only once lambda_min is at
@@ -74,11 +74,11 @@ FOLD_STEP_FRACTION = 0.5  # after a fall, the step goes this fraction of the
 MAX_POINTS = 2000      # accepted points after which the trace stalls
 
 
-class StallBeforeFold(RuntimeError):
+class StallBeforeFold(NumericalFailure):
     """The trace ended before the fold solve could start from its last point."""
 
 
-class NoFoldDetected(RuntimeError):
+class NoFoldDetected(NumericalFailure):
     """lambda_min is bounded below along the traced range."""
 
 
@@ -128,7 +128,8 @@ def trace_curve(q: CubicDifferential, dt0: float,
     not fall, the step grows by STEP_GROWTH.
     Returns at the first accepted point from which
     `detect_fold` can start.  Raises StallBeforeFold if the step underflows
-    (below dt0 * 1e-4) or MAX_POINTS are accepted before that.
+    (below 1e-4 times the last accepted t, or times dt0 while only t = 0
+    is accepted) or MAX_POINTS are accepted before that.
     `diagnostics` holds the rejected step count, `newton_iterations`
     (summed over the points) and `final_step`, the step the trace would
     have tried next from its last point.
@@ -140,8 +141,7 @@ def trace_curve(q: CubicDifferential, dt0: float,
     rejects = 0
 
     dt = dt0
-    dt_min = dt0 * 1e-4
-    while dt >= dt_min and len(points) < MAX_POINTS:
+    while dt >= 1e-4 * (points[-1].t or dt0) and len(points) < MAX_POINTS:
         prev = points[-1]
         try:
             p = newton_solve(prev.u, prev.t + dt, q, tol=tol)

@@ -37,13 +37,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cubic import CubicDifferential
-from .surface import DiscreteSurface, MeshError
+from .surface import DiscreteSurface, MeshError, NumericalFailure
 
 ETA = np.diag([1.0, 1.0, -1.0]).astype(complex)
 MAX_STEP_DEFECT = 1e-6   # largest unitarity-defect growth in one RK4 step
 
 
-class StepTooLarge(RuntimeError):
+class StepTooLarge(NumericalFailure):
     """A single integration step produced a group defect above threshold."""
 
 

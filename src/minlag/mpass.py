@@ -46,6 +46,7 @@ from numpy.polynomial import polynomial as P
 from .cubic import CubicDifferential
 from .pde import (TOL_POS, NonConvergence, SolutionPoint, linearize,
                   newton_solve, solve_u, v_field)
+from .surface import NumericalFailure
 
 THETA = 3.0           # growth exponent of the cutoffs for s > 1
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
@@ -58,11 +59,11 @@ class DegenerateNorm(ValueError):
     """integral V = 0: the V-inner product is not a norm (t = 0 or q = 0)."""
 
 
-class PathCollapse(RuntimeError):
+class PathCollapse(NumericalFailure):
     """The deformed path slid back to the stable minimizer."""
 
 
-class VerificationFailure(RuntimeError):
+class VerificationFailure(NumericalFailure):
     """A computed critical point violates the cutoff-equivalence checks."""
 
 

@@ -66,7 +66,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .cubic import CubicDifferential
-from .surface import DiscreteSurface
+from .surface import DiscreteSurface, NumericalFailure
 
 BLOWUP_THRESHOLD = -50.0     # e^{-2u} overflow guard; solutions are O(1)
 TOL_POS = 1e-8               # discrete ceiling for u <= 0
@@ -76,11 +76,11 @@ STALL_DAMPING = 2.0 ** -6    # a step this damped that keeps more than
 STALL_RATIO = 0.99           # this fraction of the merit ends the solve
 
 
-class ResidualBlowup(RuntimeError):
+class ResidualBlowup(NumericalFailure):
     """u dropped below the overflow guard; the iterate left the solution set."""
 
 
-class NonConvergence(RuntimeError):
+class NonConvergence(NumericalFailure):
     """Newton failed: t beyond the existence range or a bad initial guess."""
 
     def __init__(self, message, iterations=None):
@@ -95,7 +95,7 @@ class SingularJacobian(NonConvergence):
     failed Newton solve."""
 
 
-class EigenFailure(RuntimeError):
+class EigenFailure(NumericalFailure):
     """The smallest eigenpair could not be computed or failed its residual
     check."""
 

@@ -46,7 +46,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
-class MeshError(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """Base of every failure of a numerical method; the CLI exits 2 on it."""
+
+
+class MeshError(NumericalFailure):
     """Raised when mesh construction or assembly produces degenerate data."""
 
 

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import math
 import warnings
 
 import numpy as np
@@ -36,8 +37,10 @@ def test_solve_trivial(tmp_path, capsys):
     assert main(["solve", cfg, "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert max(abs(v) for v in payload["u"]) <= 1e-10
-    assert payload["stable"] is True
-    assert "config_hash" in payload and "timestamp" in payload
+    # stable: lambda_min is the only record of it
+    assert payload["lambda_min"] > 0.0
+    assert set(payload) == {"t", "u", "residual_norm", "lambda_min",
+                            "config_hash", "timestamp"}
 
 
 def _wrong_pair(A, **kwargs):
@@ -182,81 +185,94 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, command, raw):
     assert err.startswith("config error:") and raw in err
 
 
+CONTINUE_TORUS = {k: v for k, v in dict(TORUS, dt0=0.01).items() if k != "t"}
+
+
 def test_continue_outputs(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "c.json",
-                    {k: v for k, v in dict(TORUS, dt0=0.01).items()
-                     if k != "t"})
-    base = tmp_path / "curve"
-    assert main(["continue", cfg, "-o", str(base)]) == 0
+    cfg = write_cfg(tmp_path, "c.json", CONTINUE_TORUS)
+    assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
     out = capsys.readouterr().out
     assert "T0 estimate" in out and "0.136" in out
     assert "0.3535" in out
-    rows = (tmp_path / "curve.csv").read_text().strip().splitlines()
-    assert rows[0].startswith("# config_hash=")
-    assert rows[1] == "t,lambda_min,residual_norm,u_min,u_max,area_induced"
-    ts = [float(r.split(",")[0]) for r in rows[2:]]
-    assert ts == sorted(ts)
-    sidecar = json.loads((tmp_path / "curve.json").read_text())
-    assert sidecar["T0_estimate"] == pytest.approx(0.13608276, rel=1e-4)
-    assert sidecar["nonexistence_bound"] == pytest.approx(0.35355339, rel=1e-6)
-    iterations = sidecar["diagnostics"]["newton_iterations"]
+    record = json.loads((tmp_path / "curve.json").read_text())
+    assert record["T0_estimate"] == pytest.approx(0.13608276, rel=1e-4)
+    assert record["nonexistence_bound"] == pytest.approx(0.35355339, rel=1e-6)
+    iterations = record["diagnostics"]["newton_iterations"]
     assert isinstance(iterations, int) and iterations > 0
+    ts = [p["t"] for p in record["points"]]
+    assert ts[0] == 0.0 and ts == sorted(ts) and len(ts) >= 3
     # traced on torus 4, the fold solved on 4, 8 and 16
-    assert len(sidecar["points"]) == len(ts)
-    assert len(sidecar["points"][0]["u"]) == 16
-    assert len(sidecar["fold_point"]["u"]) == 256
-    levels = sidecar["levels"]
+    assert len(record["points"][0]["u"]) == 16
+    assert len(record["fold_point"]["u"]) == 256
+    levels = record["levels"]
     assert [lv["classes"] for lv in levels] == [16, 64, 256]
-    assert levels[-1]["T0"] == sidecar["T0_estimate"]
+    assert levels[-1]["T0"] == record["T0_estimate"]
     assert all(isinstance(lv["fold_newton_iterations"], int) for lv in levels)
 
 
+@pytest.mark.parametrize("output", [None, "x", "x.json"])
+def test_continue_writes_one_record(tmp_path, capsys, monkeypatch, output):
+    # the JSON record is the one file: -o gains a .json suffix if it lacks
+    # one, and the default is curve.json
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "c.json", CONTINUE_TORUS)
+    assert main(["continue", cfg] + (["-o", output] if output else [])) == 0
+    name = "x.json" if output else "curve.json"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", name]
+    assert capsys.readouterr().out.endswith(f"curve written to {name}\n")
+    assert "points" in json.loads((tmp_path / name).read_text())
+
+
 def test_fold_point_has_no_stable_flag(tmp_path, capsys):
-    # lambda_min is zero to rounding at the fold, so a stable flag read from
-    # its sign flips with any change of the fold solve's path; the number
-    # is kept once, in fold_point, and the diagnostics are the trace's
-    cfg = write_cfg(tmp_path, "c.json",
-                    {k: v for k, v in TORUS.items() if k != "t"})
-    assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
-    sidecar = json.loads((tmp_path / "curve.json").read_text())
-    fold = sidecar["fold_point"]
+    # lambda_min > 0 is what stable means, so no payload repeats it as a
+    # flag: every traced point is stable by construction, and lambda_min is
+    # zero to rounding at the fold, where a flag read from its sign would
+    # flip with any change of the fold solve's path
+    cfg = write_cfg(tmp_path, "c.json", dict(TORUS, t=0.1))
+    payloads = {}
+    for command in ("solve", "continue", "mpass"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, cfg, "-o", str(out)]) == 0
+        payloads[command] = json.loads(out.read_text())
+    assert all("stable" not in json.dumps(p) for p in payloads.values())
+    record = payloads["continue"]
+    fold = record["fold_point"]
     assert sorted(fold) == ["lambda_min", "residual_norm", "t", "u"]
-    assert sorted(sidecar["diagnostics"]) == [
+    assert sorted(record["diagnostics"]) == [
         "final_step", "newton_iterations", "rejected_steps"]
     assert abs(fold["lambda_min"]) <= 1e-8
-    assert all(p["stable"] is True for p in sidecar["points"])
+    assert all(p["lambda_min"] > 0.0 for p in record["points"])
 
 
-def test_curve_csv(tmp_path, capsys):
-    # one row per curve.json point, each the point's t, lambda_min,
-    # residual_norm and u range, in plain float reprs
-    cfg = write_cfg(tmp_path, "c.json",
-                    {k: v for k, v in dict(TORUS, dt0=0.01).items()
-                     if k != "t"})
+def test_curve_points_carry_the_induced_area(tmp_path, capsys):
+    # each point holds its t, u, residual_norm, lambda_min and the area of
+    # its induced metric on the traced mesh, torus 4 of area 1; a constant
+    # q gives a constant u, so that area is e^u
+    cfg = write_cfg(tmp_path, "c.json", CONTINUE_TORUS)
     assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
-    lines = (tmp_path / "curve.csv").read_text().splitlines()
-    assert lines[0].startswith("# config_hash=")
-    assert lines[1] == "t,lambda_min,residual_norm,u_min,u_max,area_induced"
     points = json.loads((tmp_path / "curve.json").read_text())["points"]
-    assert len(lines) == len(points) + 2
-    for line, p in zip(lines[2:], points):
-        row = line.split(",")
-        assert len(row) == 6 and "np." not in line
-        assert [float(v) for v in row[:5]] == [
-            p["t"], p["lambda_min"], p["residual_norm"], min(p["u"]),
-            max(p["u"])]
-    ts = [float(line.split(",")[0]) for line in lines[2:]]
-    assert ts == sorted(ts)
+    torus4 = build_flat_torus(4, 1.0, 1.0)
+    for p in points:
+        assert sorted(p) == ["area_induced", "lambda_min", "residual_norm",
+                             "t", "u"]
+        u = np.array(p["u"])
+        assert p["area_induced"] == surface.integrate(torus4, np.exp(u))
+        assert p["area_induced"] == pytest.approx(math.exp(u[0]), rel=1e-14)
+    areas = [p["area_induced"] for p in points]
+    assert areas[0] == pytest.approx(1.0, rel=1e-14)
+    assert areas == sorted(areas, reverse=True)
 
 
 def test_csv_lines_end_in_newline_only(tmp_path, capsys):
-    # the comment lines and the rows of a table share one line ending
+    # the comment lines and the rows of a table share one line ending, and
+    # the continue record is one line
     cfg = {k: v for k, v in TORUS.items() if k != "t"}
-    for command, name in (("continue", "curve"), ("wpcheck", "wpt")):
+    for command, name in (("continue", "curve.json"), ("wpcheck", "wpt.csv")):
         path = write_cfg(tmp_path, f"{name}.config.json", cfg)
         assert main([command, path, "-o", str(tmp_path / name)]) == 0
-        text = (tmp_path / f"{name}.csv").read_bytes()
-        assert text.count(b"\n") > 3 and b"\r" not in text
+        text = (tmp_path / name).read_bytes()
+        assert b"\r" not in text
+        assert text.count(b"\n") == (1 if command == "continue" else 7)
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -303,7 +319,7 @@ def test_continue_failing_level_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("continue failed:")
     assert "level 2 of 3 (64 classes)" in err and "forced failure" in err
-    assert not (tmp_path / "curve.csv").exists()
+    assert not (tmp_path / "curve.json").exists()
 
 
 def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
@@ -649,7 +665,13 @@ def test_mesh_octagon_reports_topology_and_area(tmp_path):
     assert main(["mesh", cfg, "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["euler_characteristic"] == -2
-    assert payload["area_error_vs_hyperbolic"] == pytest.approx(3.79, abs=0.01)
+    # the coarse mesh overshoots the hyperbolic area 4 pi (g - 1)
+    assert payload["genus"] == 2
+    assert payload["area"] - 4 * math.pi == pytest.approx(3.79, abs=0.01)
+
+
+MESH_KEYS = {"vertices", "triangles", "classes", "lambda", "genus", "area",
+             "euler_characteristic", "config_hash", "timestamp"}
 
 
 def test_mesh_export_schema(tmp_path, octagon2):
@@ -658,10 +680,7 @@ def test_mesh_export_schema(tmp_path, octagon2):
     out = tmp_path / "mesh.json"
     assert main(["mesh", cfg, "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert set(payload) == {"vertices", "triangles", "classes", "lambda",
-                            "genus", "area", "euler_characteristic",
-                            "area_error_vs_hyperbolic", "config_hash",
-                            "timestamp"}
+    assert set(payload) == MESH_KEYS
     assert len(payload["vertices"]) == len(payload["classes"])
     assert len(payload["lambda"]) == len(payload["vertices"])
     assert len(payload["triangles"]) == len(octagon2.triangles)
@@ -691,7 +710,7 @@ def test_mesh_torus_has_no_hyperbolic_area_error(tmp_path):
     assert main(["mesh", cfg, "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["euler_characteristic"] == 0
-    assert "area_error_vs_hyperbolic" not in payload
+    assert set(payload) == MESH_KEYS
 
 
 def _minlag_exception_classes():
@@ -707,12 +726,14 @@ def _minlag_exception_classes():
 
 def test_every_minlag_exception_has_an_exit_code():
     # the rule of the cli docstring: a ValueError exits 1, and every other
-    # class derives from one on NUMERICAL_FAILURES and exits 2
+    # class is a NumericalFailure and exits 2; the base is a RuntimeError,
+    # so a caller's `except RuntimeError` still catches every failure
     classes = _minlag_exception_classes()
-    assert len(classes) >= 13
+    assert len(classes) >= 14
+    assert issubclass(surface.NumericalFailure, RuntimeError)
     for exc_cls in classes:
         assert (issubclass(exc_cls, ValueError)
-                or issubclass(exc_cls, cli.NUMERICAL_FAILURES)), exc_cls
+                != issubclass(exc_cls, surface.NumericalFailure)), exc_cls
 
 
 @pytest.mark.parametrize("exc_cls", _minlag_exception_classes(),
@@ -730,18 +751,22 @@ def test_main_maps_every_minlag_exception(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == f"{prefix} injected\n"
 
 
-def test_continue_octagon_csv(tmp_path, capsys):
+def test_continue_octagon_record(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {
         "backend": {"type": "octagon", "refinement": 1},
         "cubic": {"zeros": [[5, 3], [11, 3]], "amplitude": 30.0},
         "dt0": 0.2,
         "tol": 1e-10,
     })
-    base = tmp_path / "oct"
-    assert main(["continue", cfg, "-o", str(base)]) == 0
-    rows = (tmp_path / "oct.csv").read_text().strip().splitlines()
-    ts = [float(r.split(",")[0]) for r in rows[2:]]
+    assert main(["continue", cfg, "-o", str(tmp_path / "oct.json")]) == 0
+    points = json.loads((tmp_path / "oct.json").read_text())["points"]
+    ts = [p["t"] for p in points]
     assert ts == sorted(ts) and len(ts) >= 3
+    # the induced area starts at the mesh's area and falls as u does
+    octagon1 = surface.build_genus2_octagon(1)
+    areas = [p["area_induced"] for p in points]
+    assert areas[0] == pytest.approx(octagon1.area, rel=1e-12)
+    assert areas == sorted(areas, reverse=True)
 
 
 def test_determinism_modulo_timestamp(tmp_path):

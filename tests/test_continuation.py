@@ -217,7 +217,7 @@ def test_fold_solve_failure_raises(torus_curve, monkeypatch, tmp_path):
         "cubic": {"constant": [1.0, 0.0]}, "dt0": 0.01}))
     code = main(["continue", str(cfg), "-o", str(tmp_path / "curve")])
     assert code == EXIT_NUMERICAL
-    assert not (tmp_path / "curve.csv").exists()
+    assert not (tmp_path / "curve.json").exists()
 
 
 def trace_to_underflow(curve, dt0, tol):
@@ -343,6 +343,17 @@ def test_step_growth_leaves_a_rounded_flat_start(unit_cubic):
     assert lams[1] == lams[0]
     assert len(curve.points) <= 12
     assert detect_fold(curve)[0].t == pytest.approx(fold_t(1.0), rel=1e-11)
+
+
+def test_step_floor_follows_t(unit_cubic):
+    # from dt0 = 100 the first accepted point is t = 0.119, ten halvings
+    # down; the steps after it are far below 1e-4 dt0 = 0.01, yet above
+    # 1e-4 t, so the trace goes on to the fold
+    curve = trace_curve(unit_cubic, dt0=100.0, tol=1e-11)
+    ts = [p.t for p in curve.points]
+    assert ts[1] < 0.13 and min(np.diff(ts[1:])) < 1e-4 * 100.0
+    fold = detect_fold(curve)[0]
+    assert fold.t == pytest.approx(fold_t(1.0), rel=1e-10)
 
 
 def test_stall_before_fold(monkeypatch, torus16, unit_cubic):
