@@ -4,28 +4,35 @@ Subcommands: mesh, solve, continue, mpass, frame, wpcheck.
 This module is the one writer of outputs: the other modules return results
 (arrays, `SolutionPoint`s, `FrameSheet`s, `AreaRecord`s) and each command
 builds its JSON payload or CSV table from them and writes it.
-Exit codes: 0 success (and `-h`), 1 a usage error, a configuration or
-domain error or an unwritable output, 2 numerical failure.
+Exit codes: 0 success (and `-h`, and a standard output that its reader
+closed), 1 a usage error, a configuration or domain error or an unwritable
+output, 2 numerical failure.
 Commands raise; `main` holds the only exception-to-exit-code map.  A usage
 error exits 1 with argparse's message.  A `surface.NumericalFailure`, the
 base of every failure class of a numerical method, exits 2 as `<command>
 failed`, a `ValueError` exits 1 as a config error, and an `OSError` (an
 unreadable config is a config error) exits 1 as `cannot write output`;
 `main` tries the output file before the command runs, so only a write that
-fails later (a full disk) exits 1 after the work.
+fails later (a full disk) exits 1 after the work.  A `BrokenPipeError` is
+not a failed write but a reader that closed standard output (as in
+`minlag continue c.json | head -1`), which costs `continue` and `wpcheck`
+only the summary printed after their record: `main` flushes standard
+output before it returns, so the error comes there whether or not the
+stream is buffered, then exits 0 with file descriptor 1 on os.devnull for
+the interpreter's exit flush.
 
 Every command but `mesh` needs a `cubic`.  `continue` traces the branch
 on the coarsest level of the mesh hierarchy, every level with at least
 `surface.MIN_CLASSES` = 16 classes, with q taken at that level's
 chart vertices, and then solves the fold once per level up to the
 configured mesh (`continuation.detect_fold`).  It reads `dt0`, its first
-step in t (default 0.01).  After each point whose lambda_min fell, the
-next step goes `continuation.FOLD_STEP_FRACTION` of the way to the fold
-extrapolated from lambda_min^2, which is linear in t^2; the step grows by
-`continuation.STEP_GROWTH` only while lambda_min rounds to its value at
-t = 0.  So the trace holds a few points, ever closer together as they near
-the fold.  `continue` writes one JSON record, curve.json unless `-o` names
-another (a missing .json suffix is added).  Its `points` hold the trace,
+step in t (default 0.01), capped at the nonexistence bound T.  After each
+point the next step goes `continuation.FOLD_STEP_FRACTION` of the way to
+the fold extrapolated from lambda_min^2, which is linear in t^2, or to T
+while lambda_min rounds to its value at t = 0.  So the trace holds a few
+points, ever closer together as they near the fold.  `continue` writes one
+JSON record, curve.json unless `-o` names another (a missing .json suffix
+is added).  Its `points` hold the trace,
 each with its t, u, residual_norm, lambda_min and `area_induced`, the area
 of the induced metric, the integral of e^u; they lie on the mesh of
 `levels[0]`, the coarsest level, not on the configured one.
@@ -425,13 +432,21 @@ def main(argv=None) -> int:
             open(path, "a").close()
             if not existed:
                 os.remove(path)
-        return COMMANDS[args.command](cfg, args)
+        code = COMMANDS[args.command](cfg, args)
+        # a closed reader must raise here, buffered or not, not at exit
+        sys.stdout.flush()
+        return code
     except surface.NumericalFailure as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # the reader closed standard output after the work; the interpreter's
+        # exit flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG

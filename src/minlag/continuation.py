@@ -4,22 +4,22 @@ The branch starts at the exact point (u, t) = (0, 0) and is continued in the
 natural parameter t with the previous solution as warm start.  A point is
 accepted when Newton converges there with lambda_min > 0, the smallest
 eigenvalue of the linearization, and the step is halved whenever a point is
-not accepted.  The equation depends on t only through s = t^2
-(V = 16 t^2 ||q||^2), and lambda_min^2 is linear in s both at t = 0 and
-near a quadratic fold, where lambda_min^2 ~ c (T0 - t) (Govaerts, Numerical
-Methods for Bifurcations of Dynamical Equilibria, SIAM 2000).  So after a
-point whose lambda_min fell, the line through the last two
-(s, lambda_min^2) predicts the fold, and the next step goes
-FOLD_STEP_FRACTION of the way there; after a point whose lambda_min did not
-fall (a first step so small that lambda_min rounds to its value at t = 0),
-the step grows by STEP_GROWTH.  The long steps this gives are safe warm
-starts: the stable point at t_prev is a supersolution at t > t_prev
+not accepted.  No solution exists beyond the nonexistence bound T of the
+traced q (`nonexistence_bound`, below), so the first step is at most T.
+The equation depends on t only through s = t^2 (V = 16 t^2 ||q||^2), and
+lambda_min^2 is linear in s both at t = 0 and near a quadratic fold, where
+lambda_min^2 ~ c (T0 - t) (Govaerts, Numerical Methods for Bifurcations of
+Dynamical Equilibria, SIAM 2000).  So after every accepted point the next
+step goes FOLD_STEP_FRACTION of the way to an estimate of the fold: the
+zero of the line through the last two (s, lambda_min^2) when lambda_min
+fell, and T when it did not (a first step so small that lambda_min rounds
+to its value at t = 0).  The long steps this gives are safe warm starts:
+the stable point at t_prev is a supersolution at t > t_prev
 (residual(u_prev, t) = -(V(t) - V(t_prev)) e^{-2 u_prev} <= 0), from which
 Newton descends onto the stable point at t, as in `branch_point`.  The
 trace stops at the first accepted point from which the fold solve can start
-(`_fold_solve_can_start`: at least 3 points, lambda_min down to
-NO_FOLD_FRACTION of its value at t = 0, and the last three lambda_min
-strictly decreasing).  The fold is then solved for directly (`solve_fold`):
+(`_fold_solve_can_start`: lambda_min down to NO_FOLD_FRACTION of its value
+at t = 0).  The fold is then solved for directly (`solve_fold`):
 Newton on the Moore-Spence extended system F(u, t) = 0, L(u, t) phi = 0,
 <M phi0, phi> = 1, whose solution is the turning point (u*, T0) with its
 null vector phi.  Each Newton step comes from one LU of L (`fold_step`),
@@ -47,8 +47,11 @@ it returns, and only `solve` classifies it (`pde.newton_solve`).
 
 The nonexistence threshold is T = (area/2 / integral ||q||^(2/3))^(3/2);
 on a hyperbolic surface area/2 = 2 pi (g - 1), and every computed fold must
-sit strictly below it.  Every function reads the surface from the cubic
-differential (`q.surface`, `curve.cubic.surface`).
+sit strictly below it.  It bounds the discrete equation as well: summed
+against M, K u drops out (K 1 = 0), and 2 e^u + V e^{-2u} >= 3 V^(1/3)
+pointwise (AM-GM), so every solution on the mesh has t <= 2 T / 3^(3/2).
+Every function reads the surface from the cubic differential
+(`q.surface`, `curve.cubic.surface`).
 """
 
 from __future__ import annotations
@@ -66,11 +69,9 @@ from .surface import NumericalFailure, integrate
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
 NO_FOLD_FRACTION = 0.25  # the fold solve starts only once lambda_min is at
                          # or below this fraction of its value at t = 0
-STEP_GROWTH = 1.5      # step factor after an accepted point whose
-                       # lambda_min did not fall
-FOLD_STEP_FRACTION = 0.5  # after a fall, the step goes this fraction of the
-                          # way to the fold that the last two lambda_min^2,
-                          # linear in t^2, predict
+FOLD_STEP_FRACTION = 0.5  # the step goes this fraction of the way to the
+                          # fold that the last two lambda_min^2, linear in
+                          # t^2, predict (or to T while lambda_min is flat)
 MAX_POINTS = 2000      # accepted points after which the trace stalls
 
 
@@ -99,53 +100,50 @@ class SolutionCurve:
 def _fold_solve_can_start(points) -> bool:
     """True when `detect_fold` will start from the last of `points`.
 
-    It needs at least 3 points, the last lambda_min at or below
-    NO_FOLD_FRACTION of the first, and the last three strictly decreasing.
+    It needs the last lambda_min at or below NO_FOLD_FRACTION of the first.
     """
-    if len(points) < 3:
-        return False
-    lam = [p.lambda_min for p in points[-3:]]
-    return (lam[2] <= NO_FOLD_FRACTION * points[0].lambda_min
-            and lam[2] < lam[1] < lam[0])
+    return points[-1].lambda_min <= NO_FOLD_FRACTION * points[0].lambda_min
 
 
 def trace_curve(q: CubicDifferential, dt0: float,
                 tol: float = 1e-10) -> SolutionCurve:
     """Natural-parameter continuation from (0, 0) to where the fold solve starts.
 
-    The first step is dt0.  A point is accepted when its `newton_solve`
-    converges to a `stable` point (lambda_min > 0), and the step halves
-    after any other outcome.  After an accepted point t_k whose lambda_min
-    fell from t_{k-1}, the next step is FOLD_STEP_FRACTION (t_est - t_k),
-    with s = t^2 and
+    The first step is min(dt0, T), T = `nonexistence_bound(q)`, so no
+    first step lies where no solution can.  A point is accepted when its
+    `newton_solve` converges with lambda_min > 0, and the step halves after
+    any other outcome.  After each accepted point t_k the next step is
+    FOLD_STEP_FRACTION (t_est - t_k).  When lambda_min fell from t_{k-1},
+    with s = t^2,
 
         t_est = sqrt(s_k + lambda_k^2 (s_k - s_{k-1})
                      / (lambda_{k-1}^2 - lambda_k^2)),
 
     the zero of the line through the two (s, lambda_min^2), which is T0
     when lambda_min^2 is linear in s; so the steps approach the fold
-    without overshooting it.  After an accepted point whose lambda_min did
-    not fall, the step grows by STEP_GROWTH.
+    without overshooting it.  When it did not fall, t_est = T.
     Returns at the first accepted point from which
-    `detect_fold` can start.  Raises StallBeforeFold if the step underflows
-    (below 1e-4 times the last accepted t, or times dt0 while only t = 0
-    is accepted) or MAX_POINTS are accepted before that.
+    `detect_fold` can start.  Raises ZeroCubic when q vanishes, and
+    StallBeforeFold if the step underflows (below 1e-4 times the last
+    accepted t, or times the first step while only t = 0 is accepted) or
+    MAX_POINTS are accepted before that.
     `diagnostics` holds the rejected step count, `newton_iterations`
     (summed over the points) and `final_step`, the step the trace would
     have tried next from its last point.
     """
     if dt0 <= 0:
         raise ValueError("dt0 must be positive")
+    bound = nonexistence_bound(q)
     p0 = newton_solve(np.zeros(q.surface.n_classes), 0.0, q, tol=tol)
     points = [p0]
     rejects = 0
 
-    dt = dt0
-    while dt >= 1e-4 * (points[-1].t or dt0) and len(points) < MAX_POINTS:
+    dt = first = min(dt0, bound)
+    while dt >= 1e-4 * (points[-1].t or first) and len(points) < MAX_POINTS:
         prev = points[-1]
         try:
             p = newton_solve(prev.u, prev.t + dt, q, tol=tol)
-            accepted = p.stable
+            accepted = p.lambda_min > 0.0
         except NonConvergence:
             accepted = False
         if not accepted:
@@ -154,14 +152,13 @@ def trace_curve(q: CubicDifferential, dt0: float,
             continue
         points.append(p)
         lam2, prev2 = p.lambda_min ** 2, prev.lambda_min ** 2
+        t_est = bound
         if lam2 < prev2:
             # lambda_min^2 is linear in s = t^2 at t = 0 and at the fold:
-            # go part of the way to the zero of that line
+            # aim at the zero of that line
             s, s_prev = p.t ** 2, prev.t ** 2
             t_est = math.sqrt(s + lam2 * (s - s_prev) / (prev2 - lam2))
-            dt = FOLD_STEP_FRACTION * (t_est - p.t)
-        else:
-            dt *= STEP_GROWTH
+        dt = FOLD_STEP_FRACTION * (t_est - p.t)
         if _fold_solve_can_start(points):
             return SolutionCurve(
                 points=points, cubic=q,
@@ -322,13 +319,11 @@ def detect_fold(curve: SolutionCurve, finer=(),
     """
     pts = curve.points
     if not _fold_solve_can_start(pts):
-        lams = np.array([p.lambda_min for p in pts])
         raise NoFoldDetected(
-            f"the curve does not approach a fold: {len(lams)} points, "
-            f"lambda_min {lams[0]:.3g} at t = 0 and {lams[-3:]} at the end; "
-            f"the fold solve needs at least 3 points, the last lambda_min at "
-            f"most {NO_FOLD_FRACTION:.2f} of the first, and the last three "
-            f"strictly decreasing")
+            f"the curve does not approach a fold: {len(pts)} points, "
+            f"lambda_min {pts[0].lambda_min:.3g} at t = 0 and "
+            f"{pts[-1].lambda_min:.3g} at the end; the fold solve needs the "
+            f"last lambda_min at most {NO_FOLD_FRACTION:.2f} of the first")
 
     p = pts[-1]
     u, t, phi = p.u, p.t, p.eigenvector

@@ -2,7 +2,11 @@ import importlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,18 +112,42 @@ def test_schema_violation_reports_path(tmp_path, capsys):
     assert "backend" in err
 
 
-@pytest.mark.parametrize("cfg, where", [
-    (dict(TORUS, backend=dict(TORUS["backend"], n=16.0)), "backend/n"),
-    ({"backend": {"type": "octagon", "refinement": 2.0}}, "backend/refinement"),
-    ({"backend": {"type": "octagon", "refinement": 1},
-      "cubic": {"zeros": [[5, 3], [11, 3.0]]}}, "cubic/zeros/1/1"),
-    (dict(TORUS, t=True), "t")],
-    ids=["n-16.0", "refinement-2.0", "order-3.0", "t-true"])
-def test_integer_fields_take_json_integers(tmp_path, capsys, cfg, where):
-    # 16.0 is a number but not a JSON integer literal, and a bool is neither
-    assert main(["mesh", write_cfg(tmp_path, "c.json", cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: config invalid at {where}:")
+OCTAGON1 = {"type": "octagon", "refinement": 1}
+
+
+@pytest.mark.parametrize("cfg, error", [
+    (dict(TORUS, backend=dict(TORUS["backend"], n=16.0)),
+     "config invalid at backend/n: 16.0 is not an integer"),
+    ({"backend": dict(OCTAGON1, refinement=2.0)},
+     "config invalid at backend/refinement: 2.0 is not an integer"),
+    ({"backend": OCTAGON1, "cubic": {"zeros": [[5, 3], [11, 3.0]]}},
+     "config invalid at cubic/zeros/1/1: 3.0 is not an integer"),
+    (dict(TORUS, t=True), "config invalid at t: true is not a number"),
+    (None, "cannot read config: [Errno 2]"),
+    ({"backend": {"type": "sphere"}},
+     "config invalid at backend: expected an object whose 'type' is "
+     "'torus' or 'octagon'"),
+    ({"backend": OCTAGON1, "cubic": {"zeros": []}},
+     "config invalid at cubic/zeros: not 1+ pairs"),
+    (dict(TORUS, frame={"path": [[0.25, 0.25]]}),
+     "config invalid at frame/path: not 2+ pairs"),
+    ([TORUS], f"config invalid at <root>: {json.dumps([TORUS])} is not an "
+              "object"),
+    (dict(TORUS, wpcheck=0.01),
+     "config invalid at wpcheck: 0.01 is not an object"),
+    ({"backend": {"type": "torus"}}, "config invalid at backend/n: missing"),
+    (dict(TORUS, cubic={"constant": [1.0]}),
+     "config invalid at cubic/constant: [1.0] is not a pair")],
+    ids=["n-16.0", "refinement-2.0", "order-3.0", "t-true", "missing-file",
+         "backend-type", "zeros-empty", "path-one-point", "root-list",
+         "wpcheck-number", "n-missing", "constant-single"])
+def test_integer_fields_take_json_integers(tmp_path, capsys, cfg, error):
+    # 16.0 is a number but not a JSON integer literal, and a bool is neither;
+    # every other breach names where it is, and an absent file is unreadable
+    path = (str(tmp_path / "missing.json") if cfg is None
+            else write_cfg(tmp_path, "c.json", cfg))
+    assert main(["mesh", path]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {error}")
 
 
 @pytest.mark.parametrize("action", ["error", "always"])
@@ -287,6 +315,32 @@ def test_unwritable_output_exits_1(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert err.startswith("cannot write output:") and str(out) in err
     assert lus == []
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_standard_output_is_not_a_failed_write(tmp_path, unbuffered):
+    # `continue` prints its summary after the record is complete; a reader
+    # that has already closed the pipe costs that summary, not the exit code,
+    # whether the print raises at once or the buffer holds it until a flush
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"backend": {"type": "torus", "n": 8},
+                     "cubic": {"constant": [1.0, 0.0]}})
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "minlag.cli", "continue", cfg, "-o", "out"],
+            cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (0, b"")
+    record = json.loads((tmp_path / "out.json").read_text())
+    assert record["T0_estimate"] == pytest.approx(0.13608276, abs=1e-8)
 
 
 def test_output_check_leaves_files_as_they_were(tmp_path, capsys):
@@ -516,6 +570,28 @@ def test_frame_takes_t_times_q(tmp_path, octagon2):
         assert main(["frame", cfg, "-o", str(out)]) == 0
         frames.append(np.array(json.loads(out.read_text())["frames"]))
     assert np.abs(frames[0] - frames[1]).max() <= 1e-12
+
+
+def test_frame_default_octagon_path_has_hyperbolic_length_one(tmp_path,
+                                                             octagon2):
+    # with no frame.path the octagon frame runs from the centre along the
+    # real axis to tanh(1/2), one unit of hyperbolic length
+    cubic = {"zeros": [list(z) for z in octagon_zero_classes(octagon2)],
+             "amplitude": 1.0}
+    cfg = dict(OCTAGON2_MESH, cubic=cubic)
+    del cfg["frame"]
+    out = tmp_path / "frame.json"
+    assert main(["frame", write_cfg(tmp_path, "c.json", cfg),
+                 "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    path = np.array(payload["path"])
+    assert path[0].tolist() == [0.0, 0.0]
+    assert path[-1].tolist() == [pytest.approx(math.tanh(0.5), abs=1e-15),
+                                 0.0]
+    assert np.all(path[:, 1] == 0.0) and np.all(np.diff(path[:, 0]) > 0.0)
+    assert 2.0 * math.atanh(path[-1, 0]) == pytest.approx(1.0, abs=1e-12)
+    assert payload["max_unitarity_defect"] <= 1e-8
+    assert payload["max_det_defect"] <= 1e-8
 
 
 def test_frame_path_leaving_patch_exits_2(tmp_path, capsys, octagon2):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,41 @@ def test_fold_solve_failure_raises(torus_curve, monkeypatch, tmp_path):
     assert not (tmp_path / "curve.json").exists()
 
 
+def test_fold_solve_behind_the_curve_raises(torus_curve, monkeypatch):
+    # a coarse fold solve that ends at or before the last traced t
+    t_last = torus_curve.points[-1].t
+
+    def behind(q, u, phi, t, tol):
+        return u, phi, t_last, 1
+
+    monkeypatch.setattr(continuation, "solve_fold", behind)
+    with pytest.raises(NoFoldDetected, match=r"level 1 of 1 .* not a fold "
+                       r"beyond t = "):
+        detect_fold(torus_curve)
+
+
+def test_fold_classification_failure_raises(torus_curve, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NonConvergence("forced failure")
+
+    monkeypatch.setattr(continuation, "newton_solve", fail)
+    with pytest.raises(NoFoldDetected, match=r"^fold classification failed "
+                       r"on level 1 of 1 \(256 classes\): forced failure$"):
+        detect_fold(torus_curve)
+
+
+def test_fold_off_the_fold_raises(torus_curve, monkeypatch):
+    # a classification whose lambda_min is far from 0 rejects the fold
+    def off(u, t, q, tol):
+        return dataclasses.replace(newton_solve(u, t, q, tol=tol),
+                                   lambda_min=10.0 * EPS_FOLD)
+
+    monkeypatch.setattr(continuation, "newton_solve", off)
+    with pytest.raises(NoFoldDetected, match=r"with lambda_min = 0\.001, "
+                       r"not a fold$"):
+        detect_fold(torus_curve)
+
+
 def trace_to_underflow(curve, dt0, tol):
     """Continue `curve` in steps capped at dt0 until the step underflows."""
     q = curve.cubic
@@ -335,20 +371,43 @@ def test_octagon_trace_is_short_for_any_first_step(octagon2_cubic, dt0):
     assert curve.diagnostics["rejected_steps"] == 0
 
 
-def test_step_growth_leaves_a_rounded_flat_start(unit_cubic):
-    # at dt0 = 1e-8 lambda_min rounds to its value at t = 0, so the step
-    # grows by STEP_GROWTH until lambda_min falls; the fold is the oracle's
-    curve = trace_curve(unit_cubic, dt0=1e-8, tol=1e-11)
+def test_flat_start_aims_at_the_bound(unit_cubic):
+    # at dt0 = 1e-12 lambda_min rounds to its value at t = 0, so the next
+    # step aims at the nonexistence bound T; one halving later the trace is
+    # on its way, and the fold is the oracle's
+    curve = trace_curve(unit_cubic, dt0=1e-12, tol=1e-11)
     lams = lambda_mins(curve)
     assert lams[1] == lams[0]
-    assert len(curve.points) <= 12
+    bound = nonexistence_bound(unit_cubic)
+    assert curve.points[2].t == pytest.approx(
+        1e-12 + 0.5 * continuation.FOLD_STEP_FRACTION * (bound - 1e-12),
+        rel=1e-12)
+    assert len(curve.points) <= 8
     assert detect_fold(curve)[0].t == pytest.approx(fold_t(1.0), rel=1e-11)
 
 
+def test_first_step_is_capped_by_the_bound(unit_cubic):
+    # no solution exists past T = 0.354, so a first step of 1e6 starts at
+    # T: two halvings reach the branch, and the fold is the oracle's
+    curve = trace_curve(unit_cubic, dt0=1e6, tol=1e-11)
+    assert curve.points[1].t == pytest.approx(
+        0.25 * nonexistence_bound(unit_cubic), rel=1e-15)
+    assert curve.diagnostics["rejected_steps"] == 2
+    assert detect_fold(curve)[0].t == pytest.approx(fold_t(1.0), rel=1e-10)
+
+
+def test_trace_of_zero_cubic_raises_at_once(torus16):
+    # q = 0 has no fold and no bound: the trace refuses it before any solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroCubic):
+            trace_curve(constant_cubic(torus16, 0.0), dt0=0.01)
+
+
 def test_step_floor_follows_t(unit_cubic):
-    # from dt0 = 100 the first accepted point is t = 0.119, ten halvings
-    # down; the steps after it are far below 1e-4 dt0 = 0.01, yet above
-    # 1e-4 t, so the trace goes on to the fold
+    # from dt0 = 100, capped at T = 0.354, the first accepted point is
+    # t = 0.088, two halvings down; the steps after it are far below
+    # 1e-4 dt0 = 0.01, yet above 1e-4 t, so the trace goes on to the fold
     curve = trace_curve(unit_cubic, dt0=100.0, tol=1e-11)
     ts = [p.t for p in curve.points]
     assert ts[1] < 0.13 and min(np.diff(ts[1:])) < 1e-4 * 100.0

@@ -96,7 +96,8 @@ def test_newton_trivial_is_immediate(torus16, octagon2, unit_cubic,
         assert np.all(p.u == 0.0)
         # L = -Delta + 2 at (0, 0): constants give the smallest eigenvalue
         assert p.lambda_min == pytest.approx(2.0, abs=1e-9)
-        assert p.stable
+        # the sign of lambda_min is the point's one record of its stability
+        assert not hasattr(p, "stable")
 
 
 def test_newton_matches_scalar_root(torus16, unit_cubic):
@@ -104,7 +105,7 @@ def test_newton_matches_scalar_root(torus16, unit_cubic):
         p = newton_solve(np.zeros(torus16.n_classes), t, unit_cubic, tol=1e-12)
         assert np.abs(p.u - root).max() <= 1e-10
         assert p.u.std() <= 1e-12            # field stays constant
-        assert p.stable
+        assert p.lambda_min > 0.0            # on the stable branch
 
 
 def test_newton_beyond_fold_fails(torus16, unit_cubic, monkeypatch):
@@ -125,8 +126,9 @@ def test_newton_beyond_fold_fails(torus16, unit_cubic, monkeypatch):
 def test_stalled_solve_fails_early(monkeypatch):
     # u^2 + 1/10 has no root: Newton slides toward u = 0, where the merit
     # has a positive minimum and J turns singular, in ever more damped steps
-    # that barely lower the merit.  The stall rule ends the solve there,
-    # long before MAX_NEWTON_ITER and sooner than the damping floor would
+    # that barely lower the merit.  The damping floor 2^-6 ends the solve
+    # there after 5 iterations, long before MAX_NEWTON_ITER and twice as
+    # soon as a floor of 1e-4 would
     def run():
         steps = []
 
@@ -140,12 +142,50 @@ def test_stalled_solve_fails_early(monkeypatch):
         return exc.value, len(steps)
 
     stalled, stall_steps = run()
-    assert "stalled" in str(stalled)
-    assert stalled.iterations <= 5 < pde.MAX_NEWTON_ITER
-    monkeypatch.setattr(pde, "STALL_DAMPING", 0.0)
+    assert "line search failed" in str(stalled)
+    assert (stalled.iterations, stall_steps) == (5, 6)
+    monkeypatch.setattr(pde, "MIN_DAMPING", 1e-4)
     floored, floor_steps = run()
     assert "line search failed" in str(floored)
-    assert stall_steps < floor_steps
+    assert (floored.iterations, floor_steps) == (10, 11)
+
+
+def test_initial_guess_below_the_guard_fails(torus16, unit_cubic):
+    # u0 below BLOWUP_THRESHOLD: the first merit cannot be evaluated
+    with pytest.raises(NonConvergence) as exc:
+        damped_newton(np.full(torus16.n_classes, -60.0),
+                      lambda v: -residual(v, 0.1, unit_cubic),
+                      lambda v, rhs: rhs, torus16.mass_diag, 1e-10)
+    assert type(exc.value) is NonConvergence
+    assert str(exc.value).startswith("initial guess out of range: min u")
+    assert exc.value.iterations is None
+
+
+def test_non_finite_step_fails():
+    # a step solver that returns NaN, as a singular LU can without raising
+    with pytest.raises(SingularJacobian) as exc:
+        damped_newton(np.ones(4), lambda u: u,
+                      lambda u, rhs: np.full_like(rhs, np.nan), np.ones(4),
+                      1e-10)
+    assert str(exc.value) == "non-finite Newton step"
+    assert exc.value.iterations is None
+
+
+def test_iteration_cap_fails(monkeypatch):
+    # a step solver with half the true step converges only linearly, so
+    # three iterations leave the field short of tol
+    monkeypatch.setattr(pde, "MAX_NEWTON_ITER", 3)
+    steps = []
+
+    def step(u, rhs):
+        steps.append(u)
+        return 0.5 * rhs
+
+    with pytest.raises(NonConvergence) as exc:
+        damped_newton(np.ones(4), lambda u: u, step, np.ones(4), 1e-10)
+    assert type(exc.value) is NonConvergence
+    assert str(exc.value) == "no convergence in 3 iterations"
+    assert exc.value.iterations == 3 == len(steps)
 
 
 def test_singular_jacobian_raises(torus16, unit_cubic):
