@@ -66,8 +66,8 @@ every key but "side", "lambda0" and "amplitude":
     backend  {"type": "torus", "n": integer >= 4, "side" > 0, "lambda0" > 0}
              or {"type": "octagon", "refinement": integer >= 1}
     cubic    {"constant": [re, im]}, nonzero only on the torus, or
-             {"zeros": one or more [class, order] pairs of integers >= 0,
-             "amplitude" > 0}
+             {"zeros": one or more [class, order] pairs of integers,
+             class >= 0 and order >= 1, "amplitude" > 0}
     t >= 0, dt0 > 0, tol > 0
     frame    {"path": two or more [x, y] points, "step" > 0}
     wpcheck  {"h" > 0}
@@ -169,7 +169,7 @@ def validate_config(cfg) -> None:
         if not isinstance(c["zeros"], list) or not c["zeros"]:
             raise ConfigError("config invalid at cubic/zeros: not 1+ pairs")
         for i, zero in enumerate(c["zeros"]):
-            _pair(zero, f"cubic/zeros/{i}", integer=True)
+            _pair(zero, f"cubic/zeros/{i}", lows=(0, 1))
     if "t" in cfg:
         _number(cfg["t"], "t", 0)
     f = _keys(cfg.get("frame", {}), "frame/", ("path",), positive=("step",))
@@ -212,14 +212,14 @@ def _number(x, where: str, low=None, strict=False, integer=False) -> None:
                           + ("above" if strict else "at least") + f" {low}")
 
 
-def _pair(x, where: str, integer=False) -> None:
-    """ConfigError unless `x` is a list of two numbers, integers >= 0 if
-    `integer`."""
+def _pair(x, where: str, lows=None) -> None:
+    """ConfigError unless `x` is a list of two numbers, integers at least
+    `lows` if given."""
     if not isinstance(x, list) or len(x) != 2:
         raise ConfigError(f"config invalid at {where}: {json.dumps(x)} is "
                           "not a pair")
     for i, v in enumerate(x):
-        _number(v, f"{where}/{i}", 0 if integer else None, integer=integer)
+        _number(v, f"{where}/{i}", lows and lows[i], integer=bool(lows))
 
 
 def config_hash(cfg: dict) -> str:

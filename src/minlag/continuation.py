@@ -177,14 +177,15 @@ def branch_point(q: CubicDifferential, t: float,
                  tol: float = 1e-10) -> np.ndarray:
     """Stable field u at t: one `pde.solve_u` from u = 0, with no eigen solve.
 
-    Raises NonConvergence, naming t, when that solve fails (t at or beyond
-    the fold).
+    Raises NonConvergence, naming t and carrying the solve's iterations, when
+    that solve fails (t at or beyond the fold).
     """
     try:
         u, _, _ = solve_u(np.zeros(q.surface.n_classes), t, q, tol=tol)
     except NonConvergence as exc:
         raise NonConvergence(f"no stable solution from u = 0 at t = {t:.6g} "
-                             f"(at or beyond the fold): {exc}") from exc
+                             f"(at or beyond the fold): {exc}",
+                             iterations=exc.iterations) from exc
     return u
 
 

@@ -41,6 +41,7 @@ from .surface import DiscreteSurface, MeshError, NumericalFailure
 
 ETA = np.diag([1.0, 1.0, -1.0]).astype(complex)
 MAX_STEP_DEFECT = 1e-6   # largest unitarity-defect growth in one RK4 step
+STENCIL_RADIUS = 1e-3    # chart radius of flatness_defect's 5-point stencil
 
 
 class StepTooLarge(NumericalFailure):
@@ -131,25 +132,20 @@ class MeshCoefficients:
 
 
 def _off_mesh(tri, sides: np.ndarray) -> np.ndarray:
-    """Per simplex of the Delaunay triangulation `tri`, whether it lies off
-    the mesh whose boundary is the polygon `sides` (`DiscreteSurface.sides`,
-    indices into `tri.points`), with a last True entry so that
-    `find_simplex`'s -1, outside the hull, reads as off.
+    """Per simplex of the Delaunay triangulation `tri` of the chart vertices,
+    whether it lies off the mesh bounded by `sides` (`DiscreteSurface.sides`),
+    and a last True: `find_simplex`'s -1, outside the hull, reads as off.
 
-    A simplex is on the mesh when its centroid is: the even-odd rule counts
-    the boundary edges that a ray from the centroid in the +x direction
-    crosses.  Each edge runs from its lower-numbered end, so the rounding
-    of its crossing point does not depend on the direction its side runs.
+    The hull reaches past the mesh only in the lens between a side and its
+    chord.  Each side's vertices lie on a line, or on a circle whose disk
+    holds no other vertex (a geodesic bowing into the polygon), so they span
+    that lens as one Delaunay face: a simplex is off exactly when its three
+    vertices lie on one side.  On a straight side these are the joggle's
+    zero-area slivers, which `find_simplex` never returns.
     """
-    a, b = np.sort([sides[:, :-1].ravel(), sides[:, 1:].ravel()], axis=0)
-    cx, cy = tri.points[tri.simplices].mean(axis=1).T
-    inside = np.zeros(len(cx), dtype=bool)
-    for (ax, ay), (bx, by) in zip(tri.points[a].tolist(),
-                                  tri.points[b].tolist()):
-        if ay != by:                    # a horizontal edge never crosses
-            inside ^= (((ay > cy) != (by > cy))
-                       & (cx < ax + (cy - ay) * ((bx - ax) / (by - ay))))
-    return np.append(~inside, True)
+    on = np.zeros((len(sides), len(tri.points)), dtype=bool)
+    on[np.arange(len(sides))[:, None], sides] = True
+    return np.append(on[:, tri.simplices].all(axis=2).any(axis=0), True)
 
 
 def _vertex_wirtinger(surface: DiscreteSurface, f: np.ndarray) -> np.ndarray:
@@ -201,15 +197,16 @@ class FrameSheet:
     defects: np.ndarray       # (N, 3): unitarity, |det - 1|, flatness
 
 
-def flatness_defect(coeffs, z, h: float = 1e-3):
+def flatness_defect(coeffs, z):
     """Finite-difference residual of the local integrability equations.
 
     Returns the larger of |q_zbar| and the defect of
     d^2/dz dzbar log(s^2) = |q|^2 s^-4 + s^2, both sampled on a 5-point
-    stencil of radius h around z.  `z` is a point (float result) or an array
-    of points (array result); all 5 N stencil points, node by node, go to
-    one `coeffs.at_many` call.
+    stencil of radius STENCIL_RADIUS around z.  `z` is a point (float
+    result) or an array of points (array result); all 5 N stencil points,
+    node by node, go to one `coeffs.at_many` call.
     """
+    h = STENCIL_RADIUS
     z = np.asarray(z, dtype=complex)
     stencil = z.reshape(-1, 1) + np.array([0.0, h, -h, 1j * h, -1j * h])
     s, _, q = coeffs.at_many(stencil.ravel())

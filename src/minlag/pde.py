@@ -202,7 +202,7 @@ def damped_newton(u0: np.ndarray, field_fn, step, mass_diag: np.ndarray,
     cut the merit by 1%.  A solve still short of tol after MAX_NEWTON_ITER
     iterations fails too.
     Returns (u, residual_norm, iterations); raises NonConvergence, or its
-    subclass SingularJacobian when a step cannot be solved.
+    subclass SingularJacobian for an unsolvable step, with the iterations done.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -217,7 +217,8 @@ def damped_newton(u0: np.ndarray, field_fn, step, mass_diag: np.ndarray,
     try:
         phi, f = merit(u)
     except ResidualBlowup as exc:
-        raise NonConvergence(f"initial guess out of range: {exc}") from exc
+        raise NonConvergence(f"initial guess out of range: {exc}",
+                             iterations=0) from exc
 
     for it in range(MAX_NEWTON_ITER + 1):
         rnorm = np.sqrt(2.0 * phi)
@@ -228,9 +229,9 @@ def damped_newton(u0: np.ndarray, field_fn, step, mass_diag: np.ndarray,
         try:
             delta = step(u, m * f)
         except RuntimeError as exc:
-            raise SingularJacobian(str(exc)) from exc
+            raise SingularJacobian(str(exc), iterations=it) from exc
         if not np.all(np.isfinite(delta)):
-            raise SingularJacobian("non-finite Newton step")
+            raise SingularJacobian("non-finite Newton step", iterations=it)
 
         alpha = 1.0
         while True:

@@ -122,6 +122,8 @@ OCTAGON1 = {"type": "octagon", "refinement": 1}
      "config invalid at backend/refinement: 2.0 is not an integer"),
     ({"backend": OCTAGON1, "cubic": {"zeros": [[5, 3], [11, 3.0]]}},
      "config invalid at cubic/zeros/1/1: 3.0 is not an integer"),
+    ({"backend": OCTAGON1, "cubic": {"zeros": [[5, 6], [11, 0]]}},
+     "config invalid at cubic/zeros/1/1: 0 is not at least 1"),
     (dict(TORUS, t=True), "config invalid at t: true is not a number"),
     (None, "cannot read config: [Errno 2]"),
     ({"backend": {"type": "sphere"}},
@@ -138,9 +140,9 @@ OCTAGON1 = {"type": "octagon", "refinement": 1}
     ({"backend": {"type": "torus"}}, "config invalid at backend/n: missing"),
     (dict(TORUS, cubic={"constant": [1.0]}),
      "config invalid at cubic/constant: [1.0] is not a pair")],
-    ids=["n-16.0", "refinement-2.0", "order-3.0", "t-true", "missing-file",
-         "backend-type", "zeros-empty", "path-one-point", "root-list",
-         "wpcheck-number", "n-missing", "constant-single"])
+    ids=["n-16.0", "refinement-2.0", "order-3.0", "order-0", "t-true",
+         "missing-file", "backend-type", "zeros-empty", "path-one-point",
+         "root-list", "wpcheck-number", "n-missing", "constant-single"])
 def test_integer_fields_take_json_integers(tmp_path, capsys, cfg, error):
     # 16.0 is a number but not a JSON integer literal, and a bool is neither;
     # every other breach names where it is, and an absent file is unreadable

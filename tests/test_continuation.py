@@ -415,6 +415,12 @@ def test_step_floor_follows_t(unit_cubic):
     assert fold.t == pytest.approx(fold_t(1.0), rel=1e-10)
 
 
+@pytest.mark.parametrize("dt0", [0.0, -0.01])
+def test_trace_needs_a_positive_first_step(unit_cubic, dt0):
+    with pytest.raises(ValueError, match="dt0 must be positive"):
+        trace_curve(unit_cubic, dt0=dt0)
+
+
 def test_stall_before_fold(monkeypatch, torus16, unit_cubic):
     monkeypatch.setattr(continuation, "MAX_POINTS", 6)
     with pytest.raises(StallBeforeFold):
@@ -493,8 +499,12 @@ def test_branch_point_near_fold_is_upper_root(torus16, unit_cubic):
 
 def test_branch_point_beyond_fold_raises(torus16, unit_cubic):
     assert 0.15 > 1.0 / math.sqrt(54.0)
-    with pytest.raises(NonConvergence, match="fold"):
+    with pytest.raises(NonConvergence, match="fold") as err:
         branch_point(unit_cubic, 0.15)
+    # the failure carries the count of its Newton solve, two iterations
+    with pytest.raises(NonConvergence) as inner:
+        solve_u(np.zeros(torus16.n_classes), 0.15, unit_cubic)
+    assert err.value.iterations == inner.value.iterations == 2
 
 
 def nested_fold(q, dt0, tol):

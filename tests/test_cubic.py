@@ -59,6 +59,15 @@ def test_synthetic_degree_mismatch(octagon2):
         synthetic_cubic(octagon2, [(1, 2), (2, 3)], amplitude=1.0)
 
 
+@pytest.mark.parametrize("zeros, amplitude, error", [
+    ([(5, 6)], 0.0, "amplitude must be positive"),
+    ([(5, 6)], -1.0, "amplitude must be positive"),
+    ([(5, 6), (11, 0)], 1.0, "zero orders must be positive integers")])
+def test_synthetic_rejects_bad_data(octagon2, zeros, amplitude, error):
+    with pytest.raises(ValueError, match=error):
+        synthetic_cubic(octagon2, zeros, amplitude=amplitude)
+
+
 def test_synthetic_rejects_torus(torus16):
     with pytest.raises(ValueError):
         synthetic_cubic(torus16, [(0, 0)], amplitude=1.0)

@@ -11,12 +11,13 @@ from minlag.frame import (MeshCoefficients, StepTooLarge, flatness_defect,
                           integrate_frame, maurer_cartan, s_from_u,
                           su21_defect)
 from minlag.pde import newton_solve
-from minlag.surface import build_flat_torus
+from minlag.surface import build_flat_torus, build_genus2_octagon
 
 from reference import (constant_coefficients, poincare_trivial_coefficients,
                        second_fundamental_form, side_pairing_frame_product,
                        stagewise_rk4_frames, vertex_wirtinger_lstsq)
 from scalar_oracle import U_FOLD
+from test_surface import _levels
 
 ETA = np.diag([1.0, 1.0, -1.0])
 
@@ -216,11 +217,18 @@ def test_constant_coefficients_frame():
     assert growth.max() <= 2.0 * np.median(growth) + 1e-14
 
 
-def test_flatness_defect_second_order():
+def test_frame_path_needs_two_points():
+    with pytest.raises(ValueError, match="path needs at least two points"):
+        integrate_frame(poincare_trivial_coefficients(), [0.1], step=0.01)
+
+
+def test_flatness_defect_second_order(monkeypatch):
     coeffs = poincare_trivial_coefficients()
     z0 = 0.2 + 0.1j
-    d1 = flatness_defect(coeffs, z0, h=1e-2)
-    d2 = flatness_defect(coeffs, z0, h=1e-3)
+    monkeypatch.setattr(frame, "STENCIL_RADIUS", 1e-2)
+    d1 = flatness_defect(coeffs, z0)
+    monkeypatch.setattr(frame, "STENCIL_RADIUS", 1e-3)
+    d2 = flatness_defect(coeffs, z0)
     assert d2 <= 1e-5
     ratio = d1 / d2
     assert 30.0 <= ratio <= 300.0            # consistent with O(h^2)
@@ -293,13 +301,14 @@ def octagon2_mesh(octagon2, octagon2_cubic):
     return (MeshCoefficients(p.u, tq), _single_column_interpolators(p.u, tq))
 
 
-def on_mesh(surface, zs):
-    """Whether each chart point lies in a (counterclockwise) mesh triangle."""
+def on_mesh(surface, zs, slack=0.0):
+    """Whether each chart point lies in a (counterclockwise) mesh triangle,
+    or within `slack` of one."""
     z = np.asarray(zs)[:, None]
     a, b, c = (surface.vertices[surface.triangles[:, k]] for k in range(3))
 
     def left(p, q):                     # z on or left of the edge p -> q
-        return ((q - p).conjugate() * (z - p)).imag >= 0.0
+        return ((q - p).conjugate() * (z - p)).imag >= -slack * abs(q - p)
 
     return (left(a, b) & left(b, c) & left(c, a)).any(axis=1)
 
@@ -379,11 +388,39 @@ def test_mesh_at_many_refuses_points_off_the_mesh(octagon2, octagon2_mesh):
             coeffs.at_many([z])
 
 
-def test_flatness_flags_nonholomorphic(octagon2, octagon2_cubic):
+@pytest.mark.parametrize("s", [
+    *_levels(build_genus2_octagon(4)), *_levels(build_flat_torus(8, 1.0, 1.0)),
+    *_levels(build_flat_torus(32, 1.0, 1.0))],
+    ids=[*(f"octagon4-{k}" for k in range(4)), "torus8-0", "torus8-1",
+         *(f"torus32-{k}" for k in range(4))])
+def test_off_mesh_simplices_have_centroids_off_the_mesh(s):
+    # a simplex that find_simplex can return (one with a finite barycentric
+    # transform) is off exactly when its centroid lies in no mesh triangle;
+    # the rest, the torus joggle's zero-area slivers, are all off.  On the
+    # octagon's mirror lines some centroids fall on a mesh edge, which
+    # rounding may put just outside both of its triangles: a slack of 1e-12
+    # keeps them on, far below the 1.6e-4 that off centroids keep from it
+    from scipy.spatial import Delaunay
+
+    tri = Delaunay(np.column_stack([s.vertices.real, s.vertices.imag]),
+                   qhull_options="QJ")
+    off = frame._off_mesh(tri, s.sides)
+    assert len(off) == len(tri.simplices) + 1 and off[-1]
+    finite = np.isfinite(tri.transform).all(axis=(1, 2))
+    centroids = s.vertices[tri.simplices].mean(axis=1)
+    assert np.array_equal(off[:-1][finite],
+                          ~on_mesh(s, centroids[finite], slack=1e-12))
+    assert off[:-1][~finite].all()
+    assert off[:-1].any()
+
+
+def test_flatness_flags_nonholomorphic(octagon2, octagon2_cubic,
+                                      monkeypatch):
     p = newton_solve(np.zeros(octagon2.n_classes), 5.0, octagon2_cubic,
                      tol=1e-11)
+    monkeypatch.setattr(frame, "STENCIL_RADIUS", 0.02)
     defect = flatness_defect(MeshCoefficients(p.u, times(5.0, octagon2_cubic)),
-                             0.1 + 0.05j, h=0.02)
+                             0.1 + 0.05j)
     assert np.isfinite(defect)
     print(f"octagon mesh flatness defect (synthetic q): {defect:.3e}")
 
@@ -430,13 +467,13 @@ def test_constant_coefficients_order():
     assert min(orders) >= 3.5
 
 
-def test_mesh_flatness_trivial_octagon(octagon3):
+def test_mesh_flatness_trivial_octagon(octagon3, monkeypatch):
     # u = 0 with q = 0 solves the structure equation on the hyperbolic chart,
     # so the mesh flatness defect is pure discretization error
     q0 = constant_cubic(octagon3, 0.0)
+    monkeypatch.setattr(frame, "STENCIL_RADIUS", 0.02)
     defect = flatness_defect(
-        MeshCoefficients(np.zeros(octagon3.n_classes), q0), 0.15 + 0.1j,
-        h=0.02)
+        MeshCoefficients(np.zeros(octagon3.n_classes), q0), 0.15 + 0.1j)
     assert defect <= 0.5
     print(f"octagon trivial-solution mesh flatness defect: {defect:.3e}")
 

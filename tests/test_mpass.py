@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from scipy.integrate import quad
 
 from minlag.continuation import branch_point, detect_fold, trace_curve
 from minlag import mpass
-from minlag.mpass import (DegenerateNorm, PathCollapse, find_mountain_pass,
-                          functional_gradient, functional_value)
+from minlag.mpass import (DegenerateNorm, PathCollapse, VerificationFailure,
+                          find_mountain_pass, functional_gradient,
+                          functional_value)
 from minlag.pde import (NonConvergence, linearize, newton_solve, residual,
-                        smallest_eigenvalue, v_field)
+                        smallest_eigenvalue, solve_u, v_field)
 from minlag.cubic import constant_cubic, norm_field
 from minlag.surface import DiscreteSurface, ShiftedLU, integrate
 
@@ -350,6 +352,47 @@ def test_polish_gate_skips_singular_linearization(torus16, unit_cubic,
     monkeypatch.setattr(mpass, "solve_u", no_polish)
     with pytest.raises(PathCollapse, match="up to 80 nodes"):
         find_mountain_pass(torus_stables[0.10], 0.10, unit_cubic)
+
+
+def test_mountain_pass_refuses_a_positive_critical_point(
+        unit_cubic, torus_stables, monkeypatch):
+    # a polish landing above u = 0 leaves the cutoff equivalence: the
+    # lower root -1.0466 moved up by 2 breaks u <= 0
+    def lifted_solve_u(*args):
+        u, rnorm, it = solve_u(*args)
+        return u + 2.0, rnorm, it
+
+    monkeypatch.setattr(mpass, "solve_u", lifted_solve_u)
+    with pytest.raises(VerificationFailure, match=r"^critical point violates "
+                       r"u <= 0: max u = 0\.953$"):
+        find_mountain_pass(torus_stables[0.10], 0.10, unit_cubic, tol=1e-11)
+
+
+def test_mountain_pass_refuses_a_stable_critical_point(
+        unit_cubic, torus_stables, monkeypatch):
+    # a classifying Newton solve that lands on the stable minimizer, whose
+    # lambda_min is positive, signals a path that collapsed
+    u1 = torus_stables[0.10]
+    lam = newton_solve(u1, 0.10, unit_cubic, tol=1e-11).lambda_min
+    assert lam > mpass.EPS_UNSTABLE
+    monkeypatch.setattr(mpass, "newton_solve",
+                        lambda u, t, q, tol: newton_solve(u1, t, q, tol))
+    with pytest.raises(VerificationFailure, match=re.escape(
+            f"second critical point is stable (lambda_min = {lam:.3g}); "
+            "the path converged to another minimizer")):
+        find_mountain_pass(u1, 0.10, unit_cubic, tol=1e-11)
+
+
+def test_no_negative_constant_below_an_unreachable_level(unit_cubic):
+    # F(k) falls fast for the constants k = -1, -2, ..., -128 that the
+    # search tries, yet F(-128) = -1.2e110 stays far above -1e300
+    values = [functional_value(np.full(unit_cubic.surface.n_classes,
+                                       -2.0 ** j), 0.10, unit_cubic)
+              for j in range(8)]
+    assert -1e111 < min(values) < -1e110
+    with pytest.raises(VerificationFailure, match="^no negative constant "
+                       "with low functional value$"):
+        mpass._negative_endpoint(-1e300, 0.10, unit_cubic)
 
 
 def branch_stack(n, rng):

@@ -57,6 +57,11 @@ def test_residual_blowup_guard(torus16, unit_cubic):
         residual(np.full(torus16.n_classes, -60.0), 0.1, unit_cubic)
 
 
+def test_residual_needs_nonnegative_t(torus16, unit_cubic):
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        residual(np.zeros(torus16.n_classes), -0.1, unit_cubic)
+
+
 def test_linearize_at_origin(torus16, unit_cubic):
     p = linearize(np.zeros(torus16.n_classes), 0.0, unit_cubic)
     assert p == pytest.approx(2.0 * np.ones_like(p))
@@ -158,7 +163,7 @@ def test_initial_guess_below_the_guard_fails(torus16, unit_cubic):
                       lambda v, rhs: rhs, torus16.mass_diag, 1e-10)
     assert type(exc.value) is NonConvergence
     assert str(exc.value).startswith("initial guess out of range: min u")
-    assert exc.value.iterations is None
+    assert exc.value.iterations == 0
 
 
 def test_non_finite_step_fails():
@@ -168,7 +173,50 @@ def test_non_finite_step_fails():
                       lambda u, rhs: np.full_like(rhs, np.nan), np.ones(4),
                       1e-10)
     assert str(exc.value) == "non-finite Newton step"
-    assert exc.value.iterations is None
+    assert exc.value.iterations == 0
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.full(4, np.nan), "non-finite Newton step"),
+    (RuntimeError("singular LU"), "singular LU")])
+def test_singular_step_counts_its_iterations(bad, error):
+    # the third step solve fails, after two full steps of x -> x / 2
+    steps = []
+
+    def step(u, rhs):
+        steps.append(u)
+        if len(steps) < 3:
+            return 0.5 * rhs
+        if isinstance(bad, Exception):
+            raise bad
+        return bad
+
+    with pytest.raises(SingularJacobian) as exc:
+        damped_newton(np.ones(4), lambda u: u, step, np.ones(4), 1e-10)
+    assert str(exc.value) == error
+    assert exc.value.iterations == 2 == len(steps) - 1
+
+
+def test_trial_step_below_the_guard_is_halved():
+    # a step of twice the Newton step overshoots the root u = -40 to -80,
+    # below BLOWUP_THRESHOLD: that trial counts as an infinite merit, and
+    # the halved step lands on the root
+    trials = []
+
+    def field(u):
+        trials.append(float(u[0]))
+        return pde._checked(u, 0.0) + 40.0
+
+    u, rnorm, it = damped_newton(np.zeros(4), field,
+                                 lambda u, rhs: 2.0 * rhs, np.ones(4), 1e-10)
+    assert trials == [0.0, -80.0, -40.0]
+    assert (it, rnorm) == (1, 0.0) and np.all(u == -40.0)
+
+
+def test_damped_newton_needs_a_positive_tol():
+    with pytest.raises(ValueError, match="tol must be positive"):
+        damped_newton(np.ones(4), lambda u: u, lambda u, rhs: rhs,
+                      np.ones(4), 0.0)
 
 
 def test_iteration_cap_fails(monkeypatch):

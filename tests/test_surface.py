@@ -7,6 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from minlag import surface
 from minlag.pde import newton_solve
 from minlag.surface import (DiscreteSurface, MeshError, build_flat_torus,
                             build_genus2_octagon, hyperbolic_midpoint,
@@ -53,6 +54,20 @@ def test_torus_rejects_tiny_grid():
         build_flat_torus(3, 1.0, 1.0)
     with pytest.raises(MeshError):
         build_flat_torus(8, -1.0, 1.0)
+
+
+def test_octagon_rejects_refinement_zero():
+    with pytest.raises(MeshError, match="refinement must be at least 1"):
+        build_genus2_octagon(0)
+
+
+def test_glued_polygon_checks_the_genus(monkeypatch):
+    # the torus square glued as if it closed a genus-2 surface
+    glue = surface._glued_polygon
+    monkeypatch.setattr(surface, "_glued_polygon",
+                        lambda *args: glue(*args[:-1], 2))
+    with pytest.raises(MeshError, match="quotient is not a genus-2 surface"):
+        build_flat_torus(8, 1.0, 1.0)
 
 
 def test_octagon_topology(octagon2):

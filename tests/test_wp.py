@@ -68,6 +68,11 @@ def test_d_self_adjoint_positive(torus16, octagon2):
             assert float(m @ (df * f)) > 0.0
 
 
+def test_d_rejects_a_field_of_the_wrong_size(torus16):
+    with pytest.raises(ValueError, match="field size does not match"):
+        d_operator(torus16, np.ones(torus16.n_classes + 1))
+
+
 def test_udotdot_constant_data(torus16):
     for c in (1.0, 2.0):
         q = constant_cubic(torus16, c)
