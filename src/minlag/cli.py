@@ -28,11 +28,12 @@ chart vertices, and then solves the fold once per level up to the
 configured mesh (`continuation.detect_fold`).  It reads `dt0`, its first
 step in t (default 0.01), capped at the nonexistence bound T.  After each
 point the next step goes `continuation.FOLD_STEP_FRACTION` of the way to
-the fold extrapolated from lambda_min^2, which is linear in t^2, or to T
-while lambda_min rounds to its value at t = 0.  So the trace holds a few
-points, ever closer together as they near the fold.  `continue` writes one
-JSON record, curve.json unless `-o` names another (a missing .json suffix
-is added).  Its `points` hold the trace,
+the fold that the branch's power series in t^2 gives on that level
+(`continuation.branch_series`), capped at T.  So the trace holds three
+points, t = 0, dt0 and one just short of the fold, unless a step is
+rejected and halved.  `continue` writes one JSON record, curve.json
+unless `-o` names another (a missing .json suffix is added).  Its
+`points` hold the trace,
 each with its t, u, residual_norm, lambda_min and `area_induced`, the area
 of the induced metric, the integral of e^u; they lie on the mesh of
 `levels[0]`, the coarsest level, not on the configured one.

@@ -6,15 +6,15 @@ accepted when Newton converges there with lambda_min > 0, the smallest
 eigenvalue of the linearization, and the step is halved whenever a point is
 not accepted.  No solution exists beyond the nonexistence bound T of the
 traced q (`nonexistence_bound`, below), so the first step is at most T.
-The equation depends on t only through s = t^2 (V = 16 t^2 ||q||^2), and
-lambda_min^2 is linear in s both at t = 0 and near a quadratic fold, where
-lambda_min^2 ~ c (T0 - t) (Govaerts, Numerical Methods for Bifurcations of
-Dynamical Equilibria, SIAM 2000).  So after every accepted point the next
-step goes FOLD_STEP_FRACTION of the way to an estimate of the fold: the
-zero of the line through the last two (s, lambda_min^2) when lambda_min
-fell, and T when it did not (a first step so small that lambda_min rounds
-to its value at t = 0).  The long steps this gives are safe warm starts:
-the stable point at t_prev is a supersolution at t > t_prev
+The equation depends on t only through s = t^2 (V = 16 t^2 ||q||^2), so
+the stable branch is analytic in s up to the fold, a square-root branch
+point: T0^2 is the radius of convergence of the branch's series in s
+(`branch_series`), and one LU and the ratio of its last two area
+coefficients estimate T0 (Domb and Sykes, Proc. R. Soc. A 240, 1957).  The
+trace computes that estimate once, caps it at T, and after every accepted
+point steps FOLD_STEP_FRACTION of the way to it, so the first step after
+dt0 lands just short of the fold.  The long steps this gives are safe warm
+starts: the stable point at t_prev is a supersolution at t > t_prev
 (residual(u_prev, t) = -(V(t) - V(t_prev)) e^{-2 u_prev} <= 0), from which
 Newton descends onto the stable point at t, as in `branch_point`.  The
 trace stops at the first accepted point from which the fold solve can start
@@ -69,10 +69,11 @@ from .surface import NumericalFailure, integrate
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
 NO_FOLD_FRACTION = 0.25  # the fold solve starts only once lambda_min is at
                          # or below this fraction of its value at t = 0
-FOLD_STEP_FRACTION = 0.5  # the step goes this fraction of the way to the
-                          # fold that the last two lambda_min^2, linear in
-                          # t^2, predict (or to T while lambda_min is flat)
+FOLD_STEP_FRACTION = 0.995  # the step goes this fraction of the way to the
+                            # series estimate of T0, which is within 3e-4
+                            # of the traced level's fold
 MAX_POINTS = 2000      # accepted points after which the trace stalls
+SERIES_TERMS = 24      # orders of `branch_series` past the constant one
 
 
 class StallBeforeFold(NumericalFailure):
@@ -105,6 +106,67 @@ def _fold_solve_can_start(points) -> bool:
     return points[-1].lambda_min <= NO_FOLD_FRACTION * points[0].lambda_min
 
 
+@dataclass
+class BranchSeries:
+    """The stable branch as u = sum_n coefficients[n] sigma^n in
+    sigma = t^2 / bound^2, with the fold `t0` its coefficients give."""
+
+    coefficients: np.ndarray       # (SERIES_TERMS + 1, classes); row 0 is 0
+    bound: float                   # T = `nonexistence_bound(cubic)`
+    t0: float
+
+
+def branch_series(q: CubicDifferential) -> BranchSeries:
+    """Taylor coefficients of the stable branch in sigma = t^2 / T^2, and T0.
+
+    With u = sum U_n sigma^n (U_0 = 0), E = e^u and G = e^{-2u} expanded
+    alike, J. C. P. Miller's recurrences for powers of a series give
+
+        n E_n = sum_{k=1..n} k U_k E_{n-k},
+        n G_n = -2 sum_{k=1..n} k U_k G_{n-k},
+
+    so E_n = U_n + E~_n with E~_n known from the lower orders, and order n
+    of the structure equation is
+
+        (K + 2M) U_n = -M (2 E~_n + 16 T^2 ||q||^2 G_{n-1}):
+
+    one LU of K + 2M (the `wp` operator) and SERIES_TERMS back-substitutions.
+    T = `nonexistence_bound(q)` makes the coefficients independent of the
+    scale of q, and bounds their growth by (T / T0)^{2n} <= (27/4)^n, since
+    every discrete solution has t <= 2 T / 3^(3/2).  The fold is a
+    square-root branch point at sigma0 = T0^2 / T^2, so the area
+    coefficients a_n = sum_i m_i E_{n,i} go as n^(-3/2) sigma0^(-n), and
+    their last ratio with that exponent fixed gives, with N = SERIES_TERMS,
+
+        T0^2 = T^2 (1 - 3 / (2N)) a_{N-1} / a_N
+
+    (Domb and Sykes, Proc. R. Soc. A 240, 1957).  Raises ZeroCubic when q
+    vanishes and NoFoldDetected when that ratio is not positive.
+    """
+    s = q.surface
+    bound = nonexistence_bound(q)
+    n_terms, m = SERIES_TERMS, s.mass_diag
+    lu = s.factorize(2.0)
+    v = 16.0 * bound * bound * q.norm_sq
+    k = np.arange(1.0, n_terms + 1.0)
+    u = np.zeros((n_terms + 1, s.n_classes))
+    e, g = np.zeros_like(u), np.zeros_like(u)
+    e[0] = g[0] = 1.0
+    for n in range(1, n_terms + 1):
+        e_tilde = k[:n - 1] @ (u[1:n] * e[n - 1:0:-1]) / n
+        u[n] = lu.solve(-m * (2.0 * e_tilde + v * g[n - 1]))
+        e[n] = e_tilde + u[n]
+        g[n] = -2.0 * (k[:n] @ (u[1:n + 1] * g[n - 1::-1])) / n
+    area = e @ m
+    ratio = (1.0 - 1.5 / n_terms) * area[-2] / area[-1]
+    if not ratio > 0.0:
+        raise NoFoldDetected(
+            f"the branch series gives no fold: the ratio of its last area "
+            f"coefficients {area[-2]:.3g} and {area[-1]:.3g} is not positive")
+    return BranchSeries(coefficients=u, bound=bound,
+                        t0=bound * math.sqrt(ratio))
+
+
 def trace_curve(q: CubicDifferential, dt0: float,
                 tol: float = 1e-10) -> SolutionCurve:
     """Natural-parameter continuation from (0, 0) to where the fold solve starts.
@@ -112,33 +174,30 @@ def trace_curve(q: CubicDifferential, dt0: float,
     The first step is min(dt0, T), T = `nonexistence_bound(q)`, so no
     first step lies where no solution can.  A point is accepted when its
     `newton_solve` converges with lambda_min > 0, and the step halves after
-    any other outcome.  After each accepted point t_k the next step is
-    FOLD_STEP_FRACTION (t_est - t_k).  When lambda_min fell from t_{k-1},
-    with s = t^2,
-
-        t_est = sqrt(s_k + lambda_k^2 (s_k - s_{k-1})
-                     / (lambda_{k-1}^2 - lambda_k^2)),
-
-    the zero of the line through the two (s, lambda_min^2), which is T0
-    when lambda_min^2 is linear in s; so the steps approach the fold
-    without overshooting it.  When it did not fall, t_est = T.
-    Returns at the first accepted point from which
-    `detect_fold` can start.  Raises ZeroCubic when q vanishes, and
-    StallBeforeFold if the step underflows (below 1e-4 times the last
-    accepted t, or times the first step while only t = 0 is accepted) or
-    MAX_POINTS are accepted before that.
+    any other outcome.  The trace aims at t_est = min(T0, T), with T0 the
+    estimate of `branch_series(q)`, computed once: after each accepted point
+    t_k the next step is FOLD_STEP_FRACTION (t_est - t_k).  The estimate
+    lies within 3e-4 of the fold, so the steps stop short of it, and the
+    first one after dt0 reaches a point from which `detect_fold` can start.
+    Returns at the first such accepted point.  Raises ZeroCubic when q
+    vanishes, NoFoldDetected when the series gives no fold, and
+    StallBeforeFold, naming t_est, if the step underflows (below 1e-4 times
+    the last accepted t, or times the first step while only t = 0 is
+    accepted; so a t_est short of the fold fails here, and never yields a
+    wrong fold) or MAX_POINTS are accepted before that.
     `diagnostics` holds the rejected step count, `newton_iterations`
     (summed over the points) and `final_step`, the step the trace would
     have tried next from its last point.
     """
     if dt0 <= 0:
         raise ValueError("dt0 must be positive")
-    bound = nonexistence_bound(q)
+    series = branch_series(q)
+    target = min(series.t0, series.bound)
     p0 = newton_solve(np.zeros(q.surface.n_classes), 0.0, q, tol=tol)
     points = [p0]
     rejects = 0
 
-    dt = first = min(dt0, bound)
+    dt = first = min(dt0, series.bound)
     while dt >= 1e-4 * (points[-1].t or first) and len(points) < MAX_POINTS:
         prev = points[-1]
         try:
@@ -151,14 +210,7 @@ def trace_curve(q: CubicDifferential, dt0: float,
             rejects += 1
             continue
         points.append(p)
-        lam2, prev2 = p.lambda_min ** 2, prev.lambda_min ** 2
-        t_est = bound
-        if lam2 < prev2:
-            # lambda_min^2 is linear in s = t^2 at t = 0 and at the fold:
-            # aim at the zero of that line
-            s, s_prev = p.t ** 2, prev.t ** 2
-            t_est = math.sqrt(s + lam2 * (s - s_prev) / (prev2 - lam2))
-        dt = FOLD_STEP_FRACTION * (t_est - p.t)
+        dt = FOLD_STEP_FRACTION * (target - p.t)
         if _fold_solve_can_start(points):
             return SolutionCurve(
                 points=points, cubic=q,
@@ -170,7 +222,8 @@ def trace_curve(q: CubicDifferential, dt0: float,
         f"trace stopped at t = {points[-1].t:.6g} with lambda_min = "
         f"{points[-1].lambda_min:.3g} (started at {p0.lambda_min:.3g}) "
         f"before the fold solve could start; {len(points)} points, "
-        f"{rejects} rejected steps, step {dt:.3g}")
+        f"{rejects} rejected steps, step {dt:.3g} toward the estimated "
+        f"fold t = {target:.6g}")
 
 
 def branch_point(q: CubicDifferential, t: float,

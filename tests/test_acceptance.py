@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from minlag.continuation import detect_fold, nonexistence_bound, trace_curve
+from minlag.continuation import (branch_point, detect_fold,
+                                 nonexistence_bound, trace_curve)
 from minlag.cubic import constant_cubic, synthetic_cubic
 from minlag.frame import integrate_frame
 from minlag.mpass import (THETA, find_mountain_pass, functional_gradient,
@@ -43,7 +44,7 @@ class Context:
             self.octagon, octagon_zero_classes(self.octagon), 1.0)
         self.oct3_cubic = synthetic_cubic(
             self.octagon3, octagon_zero_classes(self.octagon3), 1.0)
-        self.accepted_points = []      # (surface label, SolutionPoint)
+        self.solved_fields = []        # (surface label, u of a solve)
 
         # constant-data folds for c in {0.5, 1, 2}
         self.fold_runs = {}
@@ -54,21 +55,26 @@ class Context:
             fold, _ = detect_fold(curve, tol=TOL)
             elapsed = time.perf_counter() - start
             self.fold_runs[c] = (fold, fold.t, elapsed, q)
-            self.accepted_points += [("torus", p) for p in curve.points]
-            self.accepted_points.append(("torus", fold))
+            self.solved_fields += [("torus", p.u)
+                                   for p in (*curve.points, fold)]
+            # the branch at tenths of T0, each solved from u = 0: the trace
+            # itself reaches the fold in three points
+            self.solved_fields += [("torus", branch_point(q, frac * fold.t,
+                                                          TOL))
+                                   for frac in np.arange(1, 10) / 10]
 
         # octagon branch and fold
         curve = trace_curve(self.oct_cubic, dt0=0.5, tol=1e-10)
         oct_fold = detect_fold(curve, tol=1e-10)[0]
         self.oct_T0 = oct_fold.t
         self.oct_curve = curve
-        self.accepted_points += [("octagon", p) for p in curve.points]
-        self.accepted_points.append(("octagon", oct_fold))
+        self.solved_fields += [("octagon", p.u)
+                               for p in (*curve.points, oct_fold)]
         # the octagon branch at tenths of T0, each solved from u = 0
         for frac in np.arange(1, 10) / 10:
-            self.accepted_points.append(("octagon", newton_solve(
+            self.solved_fields.append(("octagon", newton_solve(
                 np.zeros(self.octagon.n_classes), frac * self.oct_T0,
-                self.oct_cubic, tol=TOL)))
+                self.oct_cubic, tol=TOL).u))
 
         # mountain-pass runs
         start = time.perf_counter()
@@ -78,7 +84,7 @@ class Context:
                                   self.unit_cubic, tol=TOL)
             p2 = find_mountain_pass(stable.u, t, self.unit_cubic, tol=TOL)
             self.mpass_torus[t] = (stable, p2)
-            self.accepted_points += [("torus", stable), ("torus", p2)]
+            self.solved_fields += [("torus", stable.u), ("torus", p2.u)]
         self.mpass_octagon = {}
         for frac in (0.35, 0.55, 0.75):
             t = frac * self.oct_T0
@@ -89,7 +95,8 @@ class Context:
             stable = newton_solve(warm.u, t, self.oct_cubic, tol=TOL)
             p2 = find_mountain_pass(stable.u, t, self.oct_cubic, tol=TOL)
             self.mpass_octagon[t] = (stable, p2)
-            self.accepted_points += [("octagon", stable), ("octagon", p2)]
+            self.solved_fields += [("octagon", stable.u),
+                                   ("octagon", p2.u)]
         self.mpass_elapsed = time.perf_counter() - start
 
 
@@ -143,12 +150,12 @@ def test_criterion_3_nonexistence_bound(ctx):
 
 
 def test_criterion_4_maximum_principle(ctx):
-    points = ctx.accepted_points
-    assert len(points) >= 50
-    worst = max(p.u.max() for _, p in points)
+    fields = ctx.solved_fields
+    assert len(fields) >= 50
+    worst = max(u.max() for _, u in fields)
     assert worst <= 1e-8
     print(f"PASS criterion 4: max u = {worst:.2e} <= 1e-8 over "
-          f"{len(points)} converged points")
+          f"{len(fields)} converged solves")
 
 
 def test_criterion_5_two_solutions(ctx):

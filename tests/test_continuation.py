@@ -13,10 +13,11 @@ from minlag.continuation import (EPS_FOLD, NoFoldDetected, StallBeforeFold,
                                  fold_step, nested_cubics, nonexistence_bound,
                                  trace_curve)
 from minlag.cubic import (CubicDifferential, constant_cubic, norm_field,
-                          synthetic_cubic)
+                          synthetic_cubic, wp_pairing)
 from minlag.pde import (NonConvergence, SingularJacobian, linearize,
                         newton_solve, residual, smallest_eigenvalue, solve_u)
 from minlag.surface import build_genus2_octagon, integrate
+from minlag.wp import udotdot
 
 from conftest import octagon_zero_classes
 from reference import assembled_operator, moore_spence_jacobian
@@ -87,14 +88,15 @@ def test_sup_norm_monitor(torus_curve):
     assert sup_norms == sorted(sup_norms)
 
 
-def test_lambda_decreasing_near_fold(torus_curve):
-    # empirical monotonicity on the last fifth of the curve: report only
-    lams = lambda_mins(torus_curve)
-    tail = lams[int(0.8 * len(lams)):]
-    drops = np.diff(tail)
-    if not np.all(drops < 0.0):
-        print(f"note: lambda_min not strictly decreasing on tail: {tail}")
-    assert tail[-1] < tail[0]
+def test_lambda_decreasing_near_fold(torus_curve, torus_fold,
+                                     octagon_curve, octagon_fold):
+    # lambda_min falls at every traced point, and the last point, the first
+    # from which the fold solve may start, lies within 1% of the fold
+    for curve, fold in ((torus_curve, torus_fold),
+                        (octagon_curve, octagon_fold)):
+        lams = lambda_mins(curve)
+        assert np.all(np.diff(lams) < 0.0)
+        assert 0.99 * fold.t < curve.points[-1].t < fold.t
 
 
 def test_truncated_curve_has_no_fold(torus_curve, torus_fold):
@@ -334,20 +336,19 @@ def test_fold_cap_keeps_the_dense_fold(capped):
 
 
 def test_steps_stop_short_of_the_extrapolated_fold(capped):
-    # after each point whose lambda_min fell, the next accepted step goes
-    # FOLD_STEP_FRACTION of the way to the zero of the line through the
-    # last two (s, lambda_min^2), s = t^2, halved once per rejected step
+    # after each accepted point the next accepted step goes
+    # FOLD_STEP_FRACTION of the way to the series estimate of the fold,
+    # halved once per rejected step; from dt0 on, one such step reaches a
+    # point the fold solve starts from, short of the fold
     curve, _ = capped
+    series = continuation.branch_series(curve.cubic)
+    t_est = min(series.t0, series.bound)
     t = np.array([p.t for p in curve.points])
-    s, lam2 = t ** 2, lambda_mins(curve) ** 2
-    halvings = binding = 0
+    t_fold = detect_fold(curve)[0].t
+    assert len(t) == 3 and t[-1] < t_fold
+    halvings = 0
     for k in range(1, len(t)):
-        if lam2[k] >= lam2[k - 1]:
-            continue
-        t_est = np.sqrt(s[k] + lam2[k] * (s[k] - s[k - 1])
-                        / (lam2[k - 1] - lam2[k]))
         cap = continuation.FOLD_STEP_FRACTION * (t_est - t[k])
-        assert 0.0 < cap < t_est - t[k]
         if k == len(t) - 1:
             assert curve.diagnostics["final_step"] == pytest.approx(
                 cap, rel=1e-12)
@@ -357,32 +358,38 @@ def test_steps_stop_short_of_the_extrapolated_fold(capped):
         assert j >= 0
         assert ratio == pytest.approx(0.5 ** j, rel=1e-9)
         halvings += j
-        binding += j == 0
     assert halvings <= curve.diagnostics["rejected_steps"]
-    assert binding > 0
 
 
 @pytest.mark.parametrize("dt0", [1e-3, 0.5, 5.0, 20.0])
 def test_octagon_trace_is_short_for_any_first_step(octagon2_cubic, dt0):
-    # lambda_min^2 is linear in t^2 from t = 0 on, so two points already
-    # aim the trace at the fold, however small or large the first step
+    # the trace aims at the series estimate of the fold from its first
+    # point on, however small or large the first step
     curve = trace_curve(octagon2_cubic, dt0=dt0, tol=1e-10)
     assert len(curve.points) <= 5
     assert curve.diagnostics["rejected_steps"] == 0
 
 
-def test_flat_start_aims_at_the_bound(unit_cubic):
-    # at dt0 = 1e-12 lambda_min rounds to its value at t = 0, so the next
-    # step aims at the nonexistence bound T; one halving later the trace is
-    # on its way, and the fold is the oracle's
+def test_flat_start_aims_at_the_bound(unit_cubic, monkeypatch):
+    # at dt0 = 1e-12 lambda_min rounds to its value at t = 0, and the trace
+    # needs no fall of it: the next step aims at the series estimate of T0,
+    # and the fold is the oracle's
+    series = continuation.branch_series(unit_cubic)
+    fraction = continuation.FOLD_STEP_FRACTION
     curve = trace_curve(unit_cubic, dt0=1e-12, tol=1e-11)
     lams = lambda_mins(curve)
-    assert lams[1] == lams[0]
-    bound = nonexistence_bound(unit_cubic)
+    assert lams[1] == lams[0] and len(lams) == 3
     assert curve.points[2].t == pytest.approx(
-        1e-12 + 0.5 * continuation.FOLD_STEP_FRACTION * (bound - 1e-12),
-        rel=1e-12)
-    assert len(curve.points) <= 8
+        1e-12 + fraction * (series.t0 - 1e-12), rel=1e-12)
+    assert detect_fold(curve)[0].t == pytest.approx(fold_t(1.0), rel=1e-11)
+    # an estimate past the nonexistence bound T aims at T instead: the
+    # step halves down onto the branch, and the fold is the oracle's still
+    monkeypatch.setattr(continuation, "branch_series", lambda q: (
+        dataclasses.replace(series, t0=10.0 * series.bound)))
+    curve = trace_curve(unit_cubic, dt0=1e-12, tol=1e-11)
+    ratio = (curve.points[2].t - 1e-12) / (fraction * (series.bound - 1e-12))
+    j = round(-math.log2(ratio))
+    assert j >= 1 and ratio == pytest.approx(0.5 ** j, rel=1e-9)
     assert detect_fold(curve)[0].t == pytest.approx(fold_t(1.0), rel=1e-11)
 
 
@@ -404,15 +411,34 @@ def test_trace_of_zero_cubic_raises_at_once(torus16):
             trace_curve(constant_cubic(torus16, 0.0), dt0=0.01)
 
 
-def test_step_floor_follows_t(unit_cubic):
-    # from dt0 = 100, capped at T = 0.354, the first accepted point is
-    # t = 0.088, two halvings down; the steps after it are far below
-    # 1e-4 dt0 = 0.01, yet above 1e-4 t, so the trace goes on to the fold
-    curve = trace_curve(unit_cubic, dt0=100.0, tol=1e-11)
-    ts = [p.t for p in curve.points]
-    assert ts[1] < 0.13 and min(np.diff(ts[1:])) < 1e-4 * 100.0
-    fold = detect_fold(curve)[0]
-    assert fold.t == pytest.approx(fold_t(1.0), rel=1e-10)
+def aim_short(monkeypatch, q, factor):
+    """Make `trace_curve` aim at `factor` times the series estimate of T0;
+    returns that aim."""
+    series = continuation.branch_series(q)
+    short = dataclasses.replace(series, t0=factor * series.t0)
+    monkeypatch.setattr(continuation, "branch_series", lambda q: short)
+    return short.t0
+
+
+def test_step_floor_follows_t(unit_cubic, monkeypatch):
+    # aimed 10% short of the fold, each step closes the gap to the aim by a
+    # factor of 200, and the trace stops at the first step below 1e-4 times
+    # the last accepted t (1.2e-5): that step, 3e-6, is still far above
+    # 1e-4 dt0 = 1e-7
+    aim = aim_short(monkeypatch, unit_cubic, 0.9)
+    solved = []
+
+    def recording_solve(u0, t, q, tol):
+        solved.append(t)
+        return newton_solve(u0, t, q, tol=tol)
+
+    monkeypatch.setattr(continuation, "newton_solve", recording_solve)
+    with pytest.raises(StallBeforeFold):
+        trace_curve(unit_cubic, dt0=1e-3, tol=1e-11)
+    ts = np.array(solved)
+    assert len(ts) == 4 and np.all(np.diff(ts[1:]) >= 1e-4 * ts[1:-1])
+    last_step = continuation.FOLD_STEP_FRACTION * (aim - ts[-1])
+    assert 1e-4 * 1e-3 < last_step < 1e-4 * ts[-1]
 
 
 @pytest.mark.parametrize("dt0", [0.0, -0.01])
@@ -422,9 +448,69 @@ def test_trace_needs_a_positive_first_step(unit_cubic, dt0):
 
 
 def test_stall_before_fold(monkeypatch, torus16, unit_cubic):
-    monkeypatch.setattr(continuation, "MAX_POINTS", 6)
-    with pytest.raises(StallBeforeFold):
+    # the third point starts the fold solve; with room for two the trace
+    # stalls, and names the fold it aimed at
+    aim = continuation.branch_series(unit_cubic).t0
+    monkeypatch.setattr(continuation, "MAX_POINTS", 2)
+    with pytest.raises(StallBeforeFold,
+                       match=f"2 points, .* estimated fold t = {aim:.6g}$"):
         trace_curve(unit_cubic, dt0=1e-4, tol=1e-11)
+
+
+@pytest.mark.parametrize("name, dt0", [("unit_cubic", 0.01),
+                                       ("octagon2_cubic", 0.5)])
+def test_short_fold_estimate_stalls(name, dt0, monkeypatch, request):
+    # a series estimate 10% short of the fold leaves the trace where the
+    # fold solve cannot start: it fails naming that estimate, and returns
+    # no fold
+    q = request.getfixturevalue(name)
+    aim = aim_short(monkeypatch, q, 0.9)
+    with pytest.raises(StallBeforeFold,
+                       match=f"estimated fold t = {aim:.6g}$"):
+        trace_curve(q, dt0=dt0, tol=1e-10)
+
+
+def test_series_matches_the_wp_identity_and_udotdot(unit_cubic,
+                                                    octagon2_cubic):
+    # the first coefficient is the branch's second t-derivative at 0 over
+    # 2 T^2, so A_1, the s-derivative of the area -integral e^u at 0, is
+    # half the second variation 16 <q, q>, and 2 U_1 / T^2 is udotdot
+    for q in (unit_cubic, octagon2_cubic):
+        series = continuation.branch_series(q)
+        u1 = series.coefficients[1] / series.bound ** 2
+        a1 = -(q.surface.mass_diag @ u1)
+        exact = 8.0 * wp_pairing(q, q).real
+        assert abs(a1 - exact) <= 1e-12 * exact
+        udd = udotdot(q)
+        assert np.abs(2.0 * u1 - udd).max() <= 1e-12 * np.abs(udd).max()
+
+
+def test_summed_series_is_the_branch(octagon2_cubic):
+    # at half the fold the terms fall as 4^-n, so the summed series is the
+    # stable point that branch_point solves for
+    series = continuation.branch_series(octagon2_cubic)
+    t = 0.5 * series.t0
+    sigma = (t / series.bound) ** 2
+    u = sigma ** np.arange(len(series.coefficients)) @ series.coefficients
+    assert np.abs(u - branch_point(octagon2_cubic, t, tol=1e-12)).max() \
+        <= 1e-10
+
+
+@pytest.mark.parametrize("amplitude", [1.0, math.e, 1.0 / math.e],
+                         ids=["a1", "e", "1/e"])
+def test_series_fold_matches_the_traced_fold(amplitude, torus16):
+    # the series estimate lies within 1e-3 of the Moore-Spence fold of the
+    # level it is computed on: the oracle 1/(c sqrt(54)) on the torus, and
+    # the traced fold on octagon refinements 1 to 3
+    t0 = continuation.branch_series(constant_cubic(torus16, amplitude)).t0
+    assert t0 == pytest.approx(fold_t(amplitude), rel=1e-3)
+    for r in (1, 2, 3):
+        s = build_genus2_octagon(r)
+        q = synthetic_cubic(s, octagon_zero_classes(s), amplitude)
+        fold = detect_fold(trace_curve(q, dt0=0.5 / amplitude, tol=1e-10),
+                           tol=1e-10)[0]
+        assert continuation.branch_series(q).t0 == pytest.approx(
+            fold.t, rel=1e-3)
 
 
 def test_nonexistence_bound_torus(torus16, unit_cubic, torus_fold):

@@ -16,14 +16,14 @@ where it occurs, the first mismatch that is not numeric, if there is
 one, and how many entries only one version holds, with the first of
 them.  Below that line come the file's key results, one a line, here and
 there with their relative difference: `T0_estimate`, each `levels[k].T0`
-and `levels[k].fold_newton_iterations`, `fold_point.lambda_min` and the
-`diagnostics` `rejected_steps` and `newton_iterations` of a curve, the
-`lambda_min` of a solved or mountain-pass point with the
-`path_iterations` and `vnorm_separation` of the latter, and the `rel_err`
-of a wpcheck table.  A change that moves the traced curve on purpose moves
-its largest difference too, and these lines show whether the results and
-the work counts moved with it.  Exit status 0 when every command exits
-alike and every file is identical, 1 otherwise.
+and `levels[k].fold_newton_iterations`, `fold_point.lambda_min`, the
+`diagnostics` `rejected_steps` and `newton_iterations` and the number of
+`points` of a curve, the `lambda_min` of a solved or mountain-pass point
+with the `path_iterations` and `vnorm_separation` of the latter, and the
+`rel_err` of a wpcheck table.  A change that moves the traced curve on
+purpose moves its largest difference too, and these lines show whether
+the results and the work counts moved with it.  Exit status 0 when every
+command exits alike and every file is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -175,12 +175,16 @@ def difference(name: str, ours: bytes, theirs: bytes) -> str:
 
 def key_results(name: str, data: bytes) -> dict:
     """Key result name -> value of one output file: the JSON leaves that
-    KEY_RESULTS matches in full, and the cell after each `rel_err` cell of
-    a CSV file."""
+    KEY_RESULTS matches in full and the length of a top-level `points`
+    list, and the cell after each `rel_err` cell of a CSV file."""
     found = entries(name, data)
     if name.endswith(".json"):
-        return {where[1:]: value for where, value in found
-                if KEY_RESULTS.fullmatch(where)}
+        keys = {where[1:]: value for where, value in found
+                 if KEY_RESULTS.fullmatch(where)}
+        points = json.loads(data).get("points")
+        if isinstance(points, list):
+            keys["points"] = len(points)
+        return keys
     return {"rel_err": value for (_, label), (_, value)
             in zip(found, found[1:]) if label == "rel_err"}
 
