@@ -24,10 +24,11 @@ e^u and one e^{-2u} per entry, and only the positive entries are then
 overwritten with the blends or the s > 1 branch.  The cutoffs one by one
 are needed only by the tests (tests/reference.py), which check the kernel
 against them.  The second (mountain-pass) solution at t in (0, T0) is
-found by deforming a discrete path from the stable field (which the mpass
-command takes from `continuation.branch_point`) to a deep negative
-constant, then polishing the path maximum with `pde.solve_u`, Newton on
-the structure equation itself.  A mountain-pass critical point
+found by the local minimax method of Li and Zhou (SIAM J. Sci. Comput.
+23, 2001): among the rays from the stable field (which the mpass command
+takes from `continuation.branch_point`) it seeks one whose maximum of F is
+least, then polishes that ray's peak with `pde.solve_u`, Newton on the
+structure equation itself.  A mountain-pass critical point
 has Morse index at most 1 (Hofer, Proc. AMS 90, 1984), so the polish is
 tried only where L has index 1, read from the pivots of its LU.
 The point found is classified by `pde.newton_solve`, which returns it with
@@ -44,15 +45,16 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .cubic import CubicDifferential
-from .pde import (TOL_POS, NonConvergence, SolutionPoint, linearize,
-                  newton_solve, solve_u, v_field)
+from .pde import (BLOWUP_THRESHOLD, MIN_DAMPING, TOL_POS, NonConvergence,
+                  SolutionPoint, linearize, newton_solve, solve_u, v_field)
 from .surface import NumericalFailure
 
 THETA = 3.0           # growth exponent of the cutoffs for s > 1
 EPS_UNSTABLE = 1e-4   # mountain-pass points must have lambda_min below this
-PATH_NODES = 20       # nodes of the first mountain-pass path
-MAX_SWEEPS = 600      # relaxation sweeps per path
-POLISH_PERIOD = 5     # a Newton polish at least every this many sweeps
+MAX_STEPS = 600       # descent steps of the minimax over rays
+GATE_NORM = 0.5       # gradient M-norm below which the first polish is tried
+PEAK_ITER = 50        # Newton steps of one peak selection
+PEAK_TOL = 1e-12      # relative Newton step at which a peak is found
 
 
 class DegenerateNorm(ValueError):
@@ -60,7 +62,7 @@ class DegenerateNorm(ValueError):
 
 
 class PathCollapse(NumericalFailure):
-    """The deformed path slid back to the stable minimizer."""
+    """The minimax over rays found no second critical point."""
 
 
 class VerificationFailure(NumericalFailure):
@@ -199,142 +201,148 @@ def functional_gradient(u: np.ndarray, t: float,
 # mountain pass
 
 
-def _negative_endpoint(f_target, t, q):
-    """Constant field w with F(w) strictly below f_target; exists because
-    F(k) -> -infinity for constants k -> -infinity."""
-    n = q.surface.n_classes
-    k = -1.0
-    while k > -200.0:
-        w = np.full(n, k)
-        if functional_value(w, t, q) < f_target - 1.0:
-            return w
-        k *= 2.0
-    raise VerificationFailure("no negative constant with low functional value")
-
-
 def find_mountain_pass(u_stable: np.ndarray, t: float,
                        q: CubicDifferential,
                        tol: float = 1e-10) -> SolutionPoint:
     """Second critical point of F at t, given the stable field u_stable at t.
 
-    Runs a discretized min-max, the path deformation of Choi and McKenna.
-    The path is one (nodes, n_classes) array, at first the straight
-    PATH_NODES-node path from u_stable to a deep negative constant.  Each
-    sweep resamples it at uniform V-arclength with the endpoints fixed,
-    takes its interior node of highest F and moves that node by one
-    backtracked descent step preconditioned with the V-Gram matrix
-    K + M diag(V), which the V-norms apply and the descent factorizes once;
-    DegenerateNorm is raised when integral V = 0 (t = 0 or q = 0).  The
-    node as it was before the step is then a polish candidate when its
-    gradient norm is below 0.1, on every POLISH_PERIOD-th sweep, and when
-    the step could not lower F.  A candidate is polished by `pde.solve_u`,
-    Newton on the structure equation, only when L there has Morse index 1,
-    or one `ShiftedLU.morse_index` cannot read (an off-diagonal pivot).
-    The saddle sought has index 1 (Hofer 1984); on the octagons and tori
-    measured, every solve started at another index failed or came back to
-    u_stable.  A singular L admits no polish.  The gate costs one LU of L
-    per candidate, and the polish's first Newton step solves with it.  The
-    cutoff equivalence justifies the polish: for u <= 0, grad F = 0 is the
-    structure equation, and the verification below checks u <= 0.  A
-    polished point V-separated from u_stable ends the search.  A step that
-    cannot lower F, or MAX_SWEEPS sweeps, end the path; it restarts with
-    twice the nodes, twice at most, and then PathCollapse is raised.
+    Runs the local minimax method of Li and Zhou (SIAM J. Sci. Comput. 23,
+    2001) over the rays u_stable + s v from the stable point, with v of unit
+    norm in the inner product of H = L(u_stable), which is positive definite
+    at a stable point and is factorized once.  It has four parts.
 
-    The three are module constants, not options: no caller, config or
-    benchmark workload needs other values, and the node doubling already
-    refines a path that is too coarse.
+    - Peak selection.  The peak p(v) = u_stable + s*(v) v is the local
+      maximum of F on the ray, where <grad F(p), v>_M = 0 and the second
+      derivative v^T L(p) v (`DiscreteSurface.apply`) is negative.  It is
+      found by Newton on s, safeguarded by a bracket whose top is where the
+      ray leaves the overflow guard (min p = `pde.BLOWUP_THRESHOLD`), with
+      bisection, or a doubling of s below the peak, when the Newton step is
+      not a step up to a maximum inside the bracket.  It starts at the last
+      s*, and on the first ray, v along -1, at the s that lowers u by 1.
+    - Descent.  With g the nodal gradient at the peak, v steps to
+      normalize(v - alpha H^{-1}(M g) / s*), and alpha halves until F at
+      the new peak is below F at the old one by Armijo's 1e-4 alpha
+      <g, H^{-1} M g>_M; an accepted alpha doubles, up to 1, for the next
+      step.  Each step keeps the search on the ridge: every point it visits
+      is a ray's maximum.
+    - Gate.  Once the gradient's M-norm falls below GATE_NORM, L(p) is
+      factorized, and `pde.solve_u`, Newton on the structure equation, is
+      run from p with that LU when L(p) has Morse index 1, or one
+      `ShiftedLU.morse_index` cannot read (an off-diagonal pivot).  The
+      saddle sought has index 1 (Hofer 1984).  A singular L admits no
+      polish.  A polished point V-separated from u_stable ends the search;
+      after any other gate the next one waits until the gradient's M-norm
+      has halved.  The cutoff equivalence justifies the polish: for
+      u <= 0, grad F = 0 is the structure equation, and the verification
+      below checks u <= 0.
+    - Stop.  PathCollapse is raised after MAX_STEPS descent steps, when the
+      first ray has no peak, and when alpha falls below `pde.MIN_DAMPING`
+      (the damping floor of Newton's line search) with F not lowered.
+
+    DegenerateNorm is raised when integral V = 0 (t = 0 or q = 0), where
+    the V-norm that measures the separation is not a norm.  MAX_STEPS,
+    GATE_NORM, PEAK_ITER and PEAK_TOL are module constants, not options: no
+    caller, config or benchmark workload needs other values.
 
     The result is verified against the cutoff equivalence: u <= 0 within
     TOL_POS, then `pde.newton_solve` from it at tol, which returns the
     point only at structure-equation residual at most tol, and its
     smallest eigenvalue at most EPS_UNSTABLE (a second minimizer would
     signal a path collapse).  The point returned is `newton_solve`'s with
-    the search's own `meta`: path_iterations, vnorm_separation and
-    path_nodes.
+    the search's own `meta`: path_iterations (descent steps),
+    vnorm_separation and path_nodes (gates tried).
     """
     s, V = q.surface, v_field(t, q)
     m = s.mass_diag
     if float(m @ V) <= 0.0:
         raise DegenerateNorm("integral V = 0; V-norm requires t > 0 and q != 0")
-    gram_lu = s.factorize(V)
+    p_stable = linearize(u_stable, t, q)
+    hessian_lu = s.factorize(p_stable)
 
-    f_stable = functional_value(u_stable, t, q)
-    w = _negative_endpoint(f_stable, t, q)
+    def hnorm(x):
+        """Norm of x in the inner product of L(u_stable)."""
+        return np.sqrt(float(x @ s.apply(p_stable, x)))
 
-    def vnorms(X):
-        """V-norm of each row of X."""
-        return np.sqrt(_row_dots(X, s.apply(V, X.T).T))
+    def peak(v, x):
+        """(s*, p, g) of the peak on the ray along v, from s = x; None when
+        PEAK_ITER Newton steps do not reach it."""
+        down = v < 0.0
+        lo = 0.0
+        hi = float(np.min((u_stable[down] - BLOWUP_THRESHOLD) / -v[down])) \
+            if down.any() else np.inf
+        x = min(x, 0.5 * hi)
+        for _ in range(PEAK_ITER):
+            p = u_stable + x * v
+            g = functional_gradient(p, t, q)
+            d1 = float(m @ (g * v))
+            d2 = float(v @ s.apply(linearize(p, t, q), v))
+            if d2 < 0.0 and abs(d1) <= PEAK_TOL * x * -d2:
+                return x, p, g
+            if d1 > 0.0:
+                lo = x
+            else:
+                hi = x
+            x_new = x - d1 / d2
+            if not (d2 < 0.0 and lo < x_new < hi):
+                x_new = 0.5 * (lo + hi)
+                if d1 > 0.0:
+                    x_new = min(x_new, 2.0 * x)
+            x = x_new
+        return None
 
-    def polish_lu(u):
+    def gate_lu(u):
         """The LU of L(u) when L has Morse index 1, or one its LU cannot
-        read; None otherwise.
-
-        A singular L, or a u below the overflow guard (`ResidualBlowup`,
-        also a RuntimeError), admits no polish: its Newton solve would
-        fail at once.  The polish's first Newton step solves with the LU.
-        """
+        read; None otherwise.  A singular L admits no polish: its Newton
+        solve would fail at once.  The polish's first step solves with it."""
         try:
             lu = s.factorize(linearize(u, t, q))
         except RuntimeError:
             return None
         return lu if lu.morse_index() in (1, None) else None
 
-    def relax(nodes):
-        """(u, V-norm separation, sweeps), or None."""
-        tau = np.linspace(0.0, 1.0, nodes)[:, None]
-        path = (1.0 - tau) * u_stable + tau * w
-        step = 1.0
-        for sweeps in range(1, MAX_SWEEPS + 1):
-            # interior targets lie strictly inside the arclength range, so
-            # each falls in a segment of positive length
-            seg = vnorms(np.diff(path, axis=0))
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-            targets = np.linspace(0.0, cum[-1], nodes)[1:-1]
-            i = np.searchsorted(cum, targets) - 1
-            frac = ((targets - cum[i]) / seg[i])[:, None]
-            path[1:-1] = (1.0 - frac) * path[i] + frac * path[i + 1]
-
-            vals = functional_value(path[1:-1], t, q)
-            j = int(np.argmax(vals)) + 1
-            u_top = path[j].copy()
-            g = functional_gradient(u_top, t, q)
-            gnorm = np.sqrt(float(m @ g ** 2))
-            d = gram_lu.solve(m * g)   # descent in the V-inner product
-            alpha, moved = step, False
-            for _ in range(40):
-                u_try = u_top - alpha * d
-                if functional_value(u_try, t, q) < vals[j - 1]:
-                    path[j] = u_try
-                    step = min(alpha * 2.0, 1.0)
-                    moved = True
-                    break
-                alpha *= 0.5
-
-            # polish candidates near stationarity where L has Morse index 1;
-            # keep deforming if Newton fails or lands back on the stable
-            # minimizer
-            if ((gnorm < 0.1 or sweeps % POLISH_PERIOD == 0 or not moved)
-                    and (lu := polish_lu(u_top)) is not None):
+    v = -np.ones(s.n_classes)
+    unit = hnorm(v)        # the s that lowers u by 1
+    v /= unit
+    ray = peak(v, unit)
+    if ray is None:
+        raise PathCollapse("F has no peak on the ray along -1")
+    x, p, g = ray
+    f = functional_value(p, t, q)
+    alpha, gate, gates = 1.0, GATE_NORM, 0
+    for steps in range(MAX_STEPS + 1):
+        gnorm = np.sqrt(float(m @ g ** 2))
+        if gnorm < gate:
+            gates += 1
+            gate = 0.5 * gnorm
+            if (lu := gate_lu(p)) is not None:
                 try:
-                    u, _, _ = solve_u(u_top, t, q, tol, lu)
+                    u2, _, _ = solve_u(p, t, q, tol, lu)
                 except NonConvergence:
                     pass
                 else:
-                    sep = float(vnorms((u - u_stable)[None])[0])
+                    du = u2 - u_stable
+                    sep = np.sqrt(float(du @ s.apply(V, du)))
                     if sep > 10.0 * tol:
-                        return u, sep, sweeps
-            if not moved:
-                return None
-        return None
-
-    for nodes in (PATH_NODES, 2 * PATH_NODES, 4 * PATH_NODES):
-        found = relax(nodes)
-        if found is not None:
-            break
-    else:
-        raise PathCollapse(
-            f"path slid back to the stable solution for up to {nodes} nodes")
-    u2, sep, sweeps = found
+                        break
+        if steps == MAX_STEPS:
+            raise PathCollapse(
+                f"no critical point in {MAX_STEPS} descent steps")
+        d = hessian_lu.solve(m * g)
+        decrease = 1e-4 * float(m @ (g * d))
+        while True:
+            w = v - (alpha / x) * d
+            w /= hnorm(w)
+            ray = peak(w, x)
+            if ray is not None:
+                f_new = functional_value(ray[1], t, q)
+                if f_new <= f - alpha * decrease:
+                    break
+            alpha *= 0.5
+            if alpha < MIN_DAMPING:
+                raise PathCollapse(
+                    f"no descent step lowers F after {steps} steps")
+        v, (x, p, g), f = w, ray, f_new
+        alpha = min(2.0 * alpha, 1.0)
 
     if u2.max() > TOL_POS:
         raise VerificationFailure(
@@ -344,5 +352,5 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
         raise VerificationFailure(
             f"second critical point is stable (lambda_min = "
             f"{p2.lambda_min:.3g}); the path converged to another minimizer")
-    return replace(p2, meta={"path_iterations": sweeps,
-                             "vnorm_separation": sep, "path_nodes": nodes})
+    return replace(p2, meta={"path_iterations": steps,
+                             "vnorm_separation": sep, "path_nodes": gates})

@@ -32,18 +32,18 @@ system the loop solves is `continuation.solve_fold`'s.
 Every caller inherits its two stop rules: the damping floor `MIN_DAMPING`,
 which ends a stalled solve, and the iteration cap `MAX_NEWTON_ITER`.  The
 callers are `continuation`'s `trace_curve` (warm-started along t),
-`solve_fold` and `branch_point`, and the `mpass` polish, whose first step
-reuses the LU of its Morse-index gate.
+`solve_fold` and `branch_point`, and the `mpass` polish of a ray's peak,
+whose first step reuses the LU of its Morse-index gate.
 `branch_point` is the one cold solve, a `solve_u` from u = 0, which lies
 above the stable solution at every t.  The solve, mpass, frame and wpcheck
 commands start from its field; only `solve` passes it to `newton_solve`,
 and `mpass` passes its second critical point.
 
 Every matrix the package factorizes is K + M diag(p) with K's pattern:
-L (in Newton steps, and in `mpass` to read its Morse index from the pivots
-before a polish), the shift-invert operator L - sigma M of
-`smallest_eigenvalue`, the `mpass` V-Gram (p = V) and the `wp` operator
-K + 2M (p = 2).  So
+L (in Newton steps, and in `mpass` at the stable point, whose LU
+preconditions the descent, and at a ray's peak, to read its Morse index
+from the pivots before a polish), the shift-invert operator L - sigma M of
+`smallest_eigenvalue` and the `wp` operator K + 2M (p = 2).  So
 `DiscreteSurface.factorize` orders the columns once per surface, by
 minimum degree on the pattern, taken from an incomplete LU of K + M that
 costs a fraction of a full one, and every LU reuses that order in

@@ -183,8 +183,8 @@ def test_single_t_commands_require_t(tmp_path, capsys, command):
 
 
 def test_unknown_keys_rejected(tmp_path, capsys):
-    # an `mpass` block is unknown too: the mountain-pass path size and sweep
-    # budget are constants of minlag.mpass, as is the cutoff exponent theta;
+    # an `mpass` block is unknown too: the mountain-pass step cap and polish
+    # gate are constants of minlag.mpass, as is the cutoff exponent theta;
     # nothing reads a seed, the frame is never reprojected nor built from
     # trivial coefficients, and wpcheck has the centred stencil only
     for extra, key in (({"mystery": 1}, "mystery"),

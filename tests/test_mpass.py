@@ -13,9 +13,10 @@ from minlag.mpass import (DegenerateNorm, PathCollapse, VerificationFailure,
                           functional_value)
 from minlag.pde import (NonConvergence, linearize, newton_solve, residual,
                         smallest_eigenvalue, solve_u, v_field)
-from minlag.cubic import constant_cubic, norm_field
+from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
 from minlag.surface import DiscreteSurface, ShiftedLU, integrate
 
+from conftest import octagon_zero_classes
 from reference import (F1, F2, assembled_operator, f1, f2,
                        norm_equivalence_constants)
 from scalar_oracle import U_FOLD, scalar_roots
@@ -245,7 +246,7 @@ def test_mountain_pass_octagon(octagon2, octagon2_cubic):
     assert p2.u.std() > 1e-3
 
 
-@pytest.mark.parametrize("frac", [0.45, 0.55, 0.75])
+@pytest.mark.parametrize("frac", [0.2, 0.45, 0.55, 0.75, 0.999])
 def test_mountain_pass_has_morse_index_one(octagon2_cubic, frac):
     # a mountain-pass critical point has Morse index at most 1 (Hofer 1984),
     # and a saddle separated from the minimizer has exactly 1
@@ -272,32 +273,56 @@ def test_mountain_pass_is_classified_by_newton_solve(octagon2_cubic):
 
 
 def test_polish_gate_admits_index_one_only(octagon3_cubic, monkeypatch):
-    # on octagon r3 at 0.45 T0 the path maximum is polished 7 times without
-    # the gate: 2 Newton solves fail and 4 land back on the stable field.
-    # The gate admits only the 2 starts of index 1 and finds the same u2
+    # on octagon r3 at 0.45 T0 the one gate the search tries reads index 1
+    # and its polish finds u2.  A gate whose L reads index 2 is refused with
+    # no Newton solve, and the next gate, once the gradient's M-norm has
+    # halved, finds the same u2; a gate whose pivots cannot be read (None)
+    # polishes as an index-1 gate does
     t = 0.45 * T0_OCTAGON3
     u_stable = branch_point(octagon3_cubic, t)
-    solve_u = mpass.solve_u
+    mass = octagon3_cubic.surface.mass_diag
+    solve_u, morse_index = mpass.solve_u, ShiftedLU.morse_index
 
-    def run():
-        starts = []
+    def run(first_reads):
+        reads, starts, norms = iter(first_reads), [], []
 
         def recording_solve_u(u0, *args):
             starts.append(morse_indices(u0, t, octagon3_cubic)[1])
+            g = functional_gradient(u0, t, octagon3_cubic)
+            norms.append(math.sqrt(float(mass @ g ** 2)))
             return solve_u(u0, *args)
 
         with monkeypatch.context() as m:
             m.setattr(mpass, "solve_u", recording_solve_u)
+            m.setattr(ShiftedLU, "morse_index",
+                      lambda self: next(reads, morse_index(self)))
             p2 = find_mountain_pass(u_stable, t, octagon3_cubic, tol=1e-10)
-        return p2, starts
+        return p2, starts, norms
 
-    gated, starts = run()
-    assert starts == [1, 1]
-    monkeypatch.setattr(ShiftedLU, "morse_index", lambda self: None)
-    ungated, starts = run()
-    assert len(starts) == 7
-    assert gated.u.tobytes() == ungated.u.tobytes()
-    assert gated.meta == ungated.meta
+    gated, starts, (first,) = run([])
+    assert starts == [1] and gated.meta["path_nodes"] == 1
+    assert first < mpass.GATE_NORM
+    refused, starts, (second,) = run([2])
+    assert starts == [1] and refused.meta["path_nodes"] == 2
+    assert second < 0.5 * first
+    assert refused.lambda_min == pytest.approx(gated.lambda_min, rel=1e-10)
+    unread, starts, _ = run([None])
+    assert starts == [1]
+    assert unread.u.tobytes() == gated.u.tobytes()
+    assert unread.meta == gated.meta
+
+
+def recorded_factorizations(monkeypatch):
+    """The potentials `DiscreteSurface.factorize` is called with from now
+    on, as bytes."""
+    potentials, factorize = [], DiscreteSurface.factorize
+
+    def recording_factorize(self, p):
+        potentials.append(np.asarray(p, dtype=float).tobytes())
+        return factorize(self, p)
+
+    monkeypatch.setattr(DiscreteSurface, "factorize", recording_factorize)
+    return potentials
 
 
 @pytest.mark.parametrize("frac", [0.45, 0.55, 0.75])
@@ -306,16 +331,38 @@ def test_polish_reuses_the_gate_lu(octagon2_cubic, frac, monkeypatch):
     # gate made of the same L, so no potential is factorized twice in a row
     q, t = octagon2_cubic, frac * T0_OCTAGON2
     u_stable = branch_point(q, t)
-    potentials, factorize = [], DiscreteSurface.factorize
-
-    def recording_factorize(self, p):
-        potentials.append(np.asarray(p, dtype=float).tobytes())
-        return factorize(self, p)
-
-    monkeypatch.setattr(DiscreteSurface, "factorize", recording_factorize)
+    potentials = recorded_factorizations(monkeypatch)
     find_mountain_pass(u_stable, t, q, tol=1e-10)
     assert len(potentials) > 2
     assert all(a != b for a, b in zip(potentials, potentials[1:]))
+
+
+@pytest.mark.parametrize("frac", [0.45, 0.55, 0.75])
+def test_mountain_pass_lu_budget(octagon2_cubic, frac, monkeypatch):
+    # one LU of L(u_stable) for the descent, one per gate, the polish's
+    # further Newton steps and the classification's eigen solve: 8, 6 and 6
+    # on octagon r2 at the bench's fractions
+    q, t = octagon2_cubic, frac * T0_OCTAGON2
+    u_stable = branch_point(q, t)
+    potentials = recorded_factorizations(monkeypatch)
+    find_mountain_pass(u_stable, t, q, tol=1e-10)
+    assert len(potentials) <= 8
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.45])
+def test_mountain_pass_does_not_depend_on_rounding(octagon2, frac):
+    # q scaled by a at t = frac T0 / a is one problem for every amplitude a,
+    # up to rounding (V = 16 t^2 ||q||^2 is the same), and the search takes
+    # as many steps to the same critical point
+    zeros = octagon_zero_classes(octagon2)
+    found = []
+    for a in (0.9, 1.0, 1.1):
+        q = synthetic_cubic(octagon2, zeros, a)
+        t = frac * T0_OCTAGON2 / a
+        found.append(find_mountain_pass(branch_point(q, t), t, q, tol=1e-10))
+    for p2 in found[1:]:
+        assert p2.lambda_min == pytest.approx(found[0].lambda_min, rel=1e-10)
+        assert p2.meta["path_iterations"] == found[0].meta["path_iterations"]
 
 
 def test_mountain_pass_degenerate_at_zero(torus16, unit_cubic):
@@ -324,34 +371,51 @@ def test_mountain_pass_degenerate_at_zero(torus16, unit_cubic):
         find_mountain_pass(p0.u, 0.0, unit_cubic)
 
 
-def test_mountain_pass_collapse_after_three_paths(torus16, unit_cubic,
-                                                  torus_stables, monkeypatch):
-    # every polish fails, so each path runs out of sweeps; the search gives
-    # up after the 20-, 40- and 80-node paths
+def test_mountain_pass_collapses_at_the_step_cap(octagon2_cubic,
+                                                 monkeypatch):
+    # every polish fails, so the descent runs on past its gates to the cap
+    # on its steps and gives up
+    q, t = octagon2_cubic, 0.75 * T0_OCTAGON2
+    polishes = []
+
     def failing_solve_u(*args):
+        polishes.append(args)
         raise NonConvergence("injected")
 
-    monkeypatch.setattr(mpass, "MAX_SWEEPS", 3)
+    monkeypatch.setattr(mpass, "MAX_STEPS", 5)
     monkeypatch.setattr(mpass, "solve_u", failing_solve_u)
-    with pytest.raises(PathCollapse, match="up to 80 nodes"):
-        find_mountain_pass(torus_stables[0.10], 0.10, unit_cubic)
+    with pytest.raises(PathCollapse,
+                       match="^no critical point in 5 descent steps$"):
+        find_mountain_pass(branch_point(q, t), t, q)
+    assert len(polishes) >= 2
 
 
-def test_polish_gate_skips_singular_linearization(torus16, unit_cubic,
-                                                  torus_stables, monkeypatch):
+def test_polish_gate_skips_singular_linearization(octagon2_cubic,
+                                                  monkeypatch):
     # an L that cannot be factorized admits no polish, as a Newton solve
-    # from there would fail at its first step
-    def singular(*args):
-        raise RuntimeError("Factor is exactly singular")
+    # from there would fail at its first step.  Only the gates' LUs fail:
+    # the first LU, of L(u_stable), preconditions the descent
+    q, t = octagon2_cubic, 0.75 * T0_OCTAGON2
+    u_stable = branch_point(q, t)
+    potentials = recorded_factorizations(monkeypatch)
+    factorize = DiscreteSurface.factorize
+
+    def singular_after_the_first(self, p):
+        lu = factorize(self, p)
+        if len(potentials) > 1:
+            raise RuntimeError("Factor is exactly singular")
+        return lu
 
     def no_polish(*args):
         raise AssertionError("polish attempted")
 
-    monkeypatch.setattr(mpass, "MAX_SWEEPS", 3)
-    monkeypatch.setattr(mpass, "linearize", singular)
+    monkeypatch.setattr(DiscreteSurface, "factorize", singular_after_the_first)
+    monkeypatch.setattr(mpass, "MAX_STEPS", 5)
     monkeypatch.setattr(mpass, "solve_u", no_polish)
-    with pytest.raises(PathCollapse, match="up to 80 nodes"):
-        find_mountain_pass(torus_stables[0.10], 0.10, unit_cubic)
+    with pytest.raises(PathCollapse,
+                       match="^no critical point in 5 descent steps$"):
+        find_mountain_pass(u_stable, t, q)
+    assert len(potentials) >= 3
 
 
 def test_mountain_pass_refuses_a_positive_critical_point(
@@ -381,18 +445,6 @@ def test_mountain_pass_refuses_a_stable_critical_point(
             f"second critical point is stable (lambda_min = {lam:.3g}); "
             "the path converged to another minimizer")):
         find_mountain_pass(u1, 0.10, unit_cubic, tol=1e-11)
-
-
-def test_no_negative_constant_below_an_unreachable_level(unit_cubic):
-    # F(k) falls fast for the constants k = -1, -2, ..., -128 that the
-    # search tries, yet F(-128) = -1.2e110 stays far above -1e300
-    values = [functional_value(np.full(unit_cubic.surface.n_classes,
-                                       -2.0 ** j), 0.10, unit_cubic)
-              for j in range(8)]
-    assert -1e111 < min(values) < -1e110
-    with pytest.raises(VerificationFailure, match="^no negative constant "
-                       "with low functional value$"):
-        mpass._negative_endpoint(-1e300, 0.10, unit_cubic)
 
 
 def branch_stack(n, rng):

@@ -77,7 +77,7 @@ def test_pulled_back_fold_agrees(unmapped, pulled):
 
 def test_pulled_back_mountain_pass_agrees(class_map, unmapped, pulled,
                                           unmapped_passes):
-    # the V-norms of the path deformation see the renumbered classes
+    # the norms and the descent of the minimax see the renumbered classes
     t0 = unmapped[1]
     for f, p in zip((0.45, 0.55, 0.75), unmapped_passes):
         t = f * t0

@@ -3,9 +3,9 @@
 Usage: python tools/compare_outputs.py OTHER_CHECKOUT
 
 The commands are every command of `bench/workloads.build_commands`, for
-every workload at seeds 0 and 7, full and smoke size, plus `solve`, `mesh`
-and `frame` (with its default path) on the smoke torus and octagon.  Their
-configs come from this checkout's `bench/`, which is only read.  Each
+every workload at seeds 0 and 7, full and smoke size, plus `solve`, `mesh`,
+`mpass` and `frame` (with its default path) on the smoke torus and octagon.
+Their configs come from this checkout's `bench/`, which is only read.  Each
 checkout then runs all of them in one child process with its own `src/` on
 the path and one BLAS thread, and every output file is compared byte for
 byte after its JSON `timestamp` field is blanked.  For a file that
@@ -87,7 +87,7 @@ def jobs() -> list:
     for name, cfg in (("torus", torus), ("octagon", octagon)):
         found += [{"dir": f"{command}-{name}", "command": command,
                    "config": cfg, "output": f"{command}.json"}
-                  for command in ("solve", "mesh", "frame")]
+                  for command in ("solve", "mesh", "mpass", "frame")]
     return found
 
 
