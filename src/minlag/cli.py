@@ -21,33 +21,33 @@ output before it returns, so the error comes there whether or not the
 stream is buffered, then exits 0 with file descriptor 1 on os.devnull for
 the interpreter's exit flush.
 
-Every command but `mesh` needs a `cubic`.  `continue` traces the branch
-on the coarsest level of the mesh hierarchy, every level with at least
-`surface.MIN_CLASSES` = 16 classes, with q taken at that level's
-chart vertices, and then solves the fold once per level up to the
-configured mesh (`continuation.detect_fold`).  It reads `dt0`, its first
-step in t (default 0.01), capped at the nonexistence bound T.  After each
-point the next step goes `continuation.FOLD_STEP_FRACTION` of the way to
-the fold that the branch's power series in t^2 gives on that level
-(`continuation.branch_series`), capped at T.  So the trace holds three
-points, t = 0, dt0 and one just short of the fold, unless a step is
-rejected and halved.  `continue` writes one JSON record, curve.json
-unless `-o` names another (a missing .json suffix is added).  Its
-`points` hold the trace,
-each with its t, u, residual_norm, lambda_min and `area_induced`, the area
-of the induced metric, the integral of e^u; they lie on the mesh of
-`levels[0]`, the coarsest level, not on the configured one.
+Every command but `mesh` needs a `cubic`, and `solve`, `mpass` and
+`frame` need `t`; a config that lacks one exits 1 before any mesh is
+built.  `continue` traces the branch on the coarsest level of the mesh
+hierarchy, every level with at least `surface.MIN_CLASSES` = 16 classes,
+with q taken at that level's chart vertices, and then solves the fold
+once per level up to the configured mesh (`continuation.detect_fold`).
+Each step, from t = 0 on, goes `continuation.FOLD_STEP_FRACTION` of the
+way to the fold that the branch's power series in t^2 gives on that level
+(`continuation.branch_series`), capped at the nonexistence bound T.  So
+the trace holds two points, t = 0 and one just short of the fold, unless
+a step is rejected and halved.  `continue` writes one JSON record,
+curve.json unless `-o` names another (a missing .json suffix is added).
+Its `points` hold the trace, each with its t, u, residual_norm,
+lambda_min and `area_induced`, the area of the induced metric, the
+integral of e^u; they lie on the mesh of `levels[0]`, the coarsest
+level, not on the configured one.
 `T0_estimate` and `fold_point` are the configured mesh's fold.  No
 payload carries a `stable` flag: it would repeat the sign of lambda_min,
 which is positive on every traced point by construction and zero to
 rounding at the fold.  `levels` lists each level's `classes`, `T0` and
 `fold_newton_iterations`, coarsest first.
-The `diagnostics` are the trace's: `rejected_steps`, `newton_iterations`
-(summed over the points) and `final_step`, the step it would have tried
-next.  A level whose fold solve fails exits 2 naming that level.
-`solve`, `mpass` and `frame` require `t`, take the stable field at `t`
-from `continuation.branch_point`, and exit 2 when `t` is at or
-beyond the fold.  Only `solve` classifies that
+The `diagnostics` are the trace's: `rejected_steps` and
+`newton_iterations` (summed over the points).  A level whose fold solve
+fails exits 2 naming that level.
+`solve`, `mpass` and `frame` take the stable field at `t` from
+`continuation.branch_point`, and exit 2 when `t` is at or beyond the
+fold.  Only `solve` classifies that
 field (`pde.newton_solve`, one eigen solve); `mpass` pays one eigen solve,
 when `pde.newton_solve` verifies and classifies its second critical point,
 and `frame` none.  An eigen solve that fails exits 2.  `frame` integrates
@@ -69,7 +69,7 @@ every key but "side", "lambda0" and "amplitude":
     cubic    {"constant": [re, im]}, nonzero only on the torus, or
              {"zeros": one or more [class, order] pairs of integers,
              class >= 0 and order >= 1, "amplitude" > 0}
-    t >= 0, dt0 > 0, tol > 0
+    t >= 0, tol > 0, dt0 > 0 (no command reads it; bench configs carry it)
     frame    {"path": two or more [x, y] points, "step" > 0}
     wpcheck  {"h" > 0}
 
@@ -237,8 +237,6 @@ def build_backend(cfg: dict) -> surface.DiscreteSurface:
 
 
 def build_cubic(cfg: dict, s: surface.DiscreteSurface):
-    if "cubic" not in cfg:
-        raise ConfigError("this command requires a 'cubic' differential")
     c = cfg["cubic"]
     if "constant" in c:
         re, im = c["constant"]
@@ -273,9 +271,9 @@ def _output(args) -> str | None:
 def _single_t(cfg):
     """(q, t, tol, u) of a command at one t: the config's cubic, t and tol,
     and the stable field u at t from `continuation.branch_point`."""
-    q = build_cubic(cfg, build_backend(cfg))
     if "t" not in cfg:
         raise ConfigError("this command requires a single 't' value")
+    q = build_cubic(cfg, build_backend(cfg))
     t, tol = float(cfg["t"]), cfg.get("tol", 1e-10)
     return q, t, tol, continuation.branch_point(q, t, tol)
 
@@ -313,7 +311,7 @@ def cmd_continue(cfg, args) -> int:
     tol = cfg.get("tol", 1e-10)
     bound = continuation.nonexistence_bound(q)
     qs = continuation.nested_cubics(q)
-    curve = continuation.trace_curve(qs[0], dt0=cfg.get("dt0", 0.01), tol=tol)
+    curve = continuation.trace_curve(qs[0], tol=tol)
     fold, levels = continuation.detect_fold(curve, qs[1:], tol=tol)
     points = [dict(_point(p), area_induced=float(
         surface.integrate(qs[0].surface, np.exp(p.u)))) for p in curve.points]
@@ -426,6 +424,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.command != "mesh" and "cubic" not in cfg:
+            raise ConfigError("this command requires a 'cubic' differential")
         # try the output before any work, and leave it as it was
         path = _output(args)
         if path:

@@ -4,22 +4,22 @@ The branch starts at the exact point (u, t) = (0, 0) and is continued in the
 natural parameter t with the previous solution as warm start.  A point is
 accepted when Newton converges there with lambda_min > 0, the smallest
 eigenvalue of the linearization, and the step is halved whenever a point is
-not accepted.  No solution exists beyond the nonexistence bound T of the
-traced q (`nonexistence_bound`, below), so the first step is at most T.
-The equation depends on t only through s = t^2 (V = 16 t^2 ||q||^2), so
-the stable branch is analytic in s up to the fold, a square-root branch
-point: T0^2 is the radius of convergence of the branch's series in s
-(`branch_series`), and one LU and the ratio of its last two area
-coefficients estimate T0 (Domb and Sykes, Proc. R. Soc. A 240, 1957).  The
-trace computes that estimate once, caps it at T, and after every accepted
-point steps FOLD_STEP_FRACTION of the way to it, so the first step after
-dt0 lands just short of the fold.  The long steps this gives are safe warm
-starts: the stable point at t_prev is a supersolution at t > t_prev
-(residual(u_prev, t) = -(V(t) - V(t_prev)) e^{-2 u_prev} <= 0), from which
-Newton descends onto the stable point at t, as in `branch_point`.  The
-trace stops at the first accepted point from which the fold solve can start
-(`_fold_solve_can_start`: lambda_min down to NO_FOLD_FRACTION of its value
-at t = 0).  The fold is then solved for directly (`solve_fold`):
+not accepted.  The equation depends on t only through s = t^2
+(V = 16 t^2 ||q||^2), so the stable branch is analytic in s up to the fold,
+a square-root branch point: T0^2 is the radius of convergence of the
+branch's series in s (`branch_series`), and one LU and the ratio of its
+last two area coefficients estimate T0 (Domb and Sykes, Proc. R. Soc. A
+240, 1957).  The trace computes that estimate once and caps it at the
+nonexistence bound T of the traced q (`nonexistence_bound`, below), past
+which no solution exists.  Every step, the first included, goes
+FOLD_STEP_FRACTION of the way from the last accepted t to that aim, so the
+first step from t = 0 lands just short of the fold.  The long steps this
+gives are safe warm starts: the stable point at t_prev is a supersolution
+at t > t_prev (residual(u_prev, t) = -(V(t) - V(t_prev)) e^{-2 u_prev}
+<= 0), from which Newton descends onto the stable point at t, as in
+`branch_point`.  The trace stops at the first accepted point from which
+the fold solve can start (`_fold_solve_can_start`: lambda_min down to
+NO_FOLD_FRACTION of its value at t = 0).  The fold is then solved for directly (`solve_fold`):
 Newton on the Moore-Spence extended system F(u, t) = 0, L(u, t) phi = 0,
 <M phi0, phi> = 1, whose solution is the turning point (u*, T0) with its
 null vector phi.  Each Newton step comes from one LU of L (`fold_step`),
@@ -72,7 +72,6 @@ NO_FOLD_FRACTION = 0.25  # the fold solve starts only once lambda_min is at
 FOLD_STEP_FRACTION = 0.995  # the step goes this fraction of the way to the
                             # series estimate of T0, which is within 3e-4
                             # of the traced level's fold
-MAX_POINTS = 2000      # accepted points after which the trace stalls
 SERIES_TERMS = 24      # orders of `branch_series` past the constant one
 
 
@@ -167,38 +166,33 @@ def branch_series(q: CubicDifferential) -> BranchSeries:
                         t0=bound * math.sqrt(ratio))
 
 
-def trace_curve(q: CubicDifferential, dt0: float,
-                tol: float = 1e-10) -> SolutionCurve:
+def trace_curve(q: CubicDifferential, tol: float = 1e-10) -> SolutionCurve:
     """Natural-parameter continuation from (0, 0) to where the fold solve starts.
 
-    The first step is min(dt0, T), T = `nonexistence_bound(q)`, so no
-    first step lies where no solution can.  A point is accepted when its
-    `newton_solve` converges with lambda_min > 0, and the step halves after
-    any other outcome.  The trace aims at t_est = min(T0, T), with T0 the
-    estimate of `branch_series(q)`, computed once: after each accepted point
-    t_k the next step is FOLD_STEP_FRACTION (t_est - t_k).  The estimate
-    lies within 3e-4 of the fold, so the steps stop short of it, and the
-    first one after dt0 reaches a point from which `detect_fold` can start.
+    The trace aims at t_est = min(T0, T), with T0 the estimate of
+    `branch_series(q)`, computed once, and T = `nonexistence_bound(q)`, so
+    no step lies where no solution can.  Each step, the first included, is
+    FOLD_STEP_FRACTION (t_est - t_k) from the last accepted point t_k.  A
+    point is accepted when its `newton_solve` converges with
+    lambda_min > 0, and the step halves after any other outcome.  The
+    estimate lies within 3e-4 of the fold, so the first step from t = 0
+    stops short of it, at a point from which `detect_fold` can start.
     Returns at the first such accepted point.  Raises ZeroCubic when q
     vanishes, NoFoldDetected when the series gives no fold, and
-    StallBeforeFold, naming t_est, if the step underflows (below 1e-4 times
-    the last accepted t, or times the first step while only t = 0 is
-    accepted; so a t_est short of the fold fails here, and never yields a
-    wrong fold) or MAX_POINTS are accepted before that.
-    `diagnostics` holds the rejected step count, `newton_iterations`
-    (summed over the points) and `final_step`, the step the trace would
-    have tried next from its last point.
+    StallBeforeFold, naming t_est, if the step falls below 1e-4 t_est (so
+    a t_est short of the fold fails here, and never yields a wrong fold).
+    Every accepted t lies below t_est and gains at least 1e-4 t_est on the
+    last, so the loop ends.  `diagnostics` holds the rejected step count
+    and `newton_iterations` (summed over the points).
     """
-    if dt0 <= 0:
-        raise ValueError("dt0 must be positive")
     series = branch_series(q)
     target = min(series.t0, series.bound)
     p0 = newton_solve(np.zeros(q.surface.n_classes), 0.0, q, tol=tol)
     points = [p0]
     rejects = 0
 
-    dt = first = min(dt0, series.bound)
-    while dt >= 1e-4 * (points[-1].t or first) and len(points) < MAX_POINTS:
+    dt = FOLD_STEP_FRACTION * target
+    while dt >= 1e-4 * target:
         prev = points[-1]
         try:
             p = newton_solve(prev.u, prev.t + dt, q, tol=tol)
@@ -210,13 +204,13 @@ def trace_curve(q: CubicDifferential, dt0: float,
             rejects += 1
             continue
         points.append(p)
-        dt = FOLD_STEP_FRACTION * (target - p.t)
         if _fold_solve_can_start(points):
             return SolutionCurve(
                 points=points, cubic=q,
-                diagnostics={"rejected_steps": rejects, "final_step": dt,
+                diagnostics={"rejected_steps": rejects,
                              "newton_iterations": sum(
                                  pt.meta["newton_iterations"] for pt in points)})
+        dt = FOLD_STEP_FRACTION * (target - p.t)
 
     raise StallBeforeFold(
         f"trace stopped at t = {points[-1].t:.6g} with lambda_min = "

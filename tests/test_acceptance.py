@@ -51,20 +51,20 @@ class Context:
         for c in (0.5, 1.0, 2.0):
             q = constant_cubic(self.torus, c)
             start = time.perf_counter()
-            curve = trace_curve(q, dt0=0.01 / c, tol=TOL)
+            curve = trace_curve(q, tol=TOL)
             fold, _ = detect_fold(curve, tol=TOL)
             elapsed = time.perf_counter() - start
             self.fold_runs[c] = (fold, fold.t, elapsed, q)
             self.solved_fields += [("torus", p.u)
                                    for p in (*curve.points, fold)]
             # the branch at tenths of T0, each solved from u = 0: the trace
-            # itself reaches the fold in three points
+            # itself reaches the fold in two points
             self.solved_fields += [("torus", branch_point(q, frac * fold.t,
                                                           TOL))
                                    for frac in np.arange(1, 10) / 10]
 
         # octagon branch and fold
-        curve = trace_curve(self.oct_cubic, dt0=0.5, tol=1e-10)
+        curve = trace_curve(self.oct_cubic, tol=1e-10)
         oct_fold = detect_fold(curve, tol=1e-10)[0]
         self.oct_T0 = oct_fold.t
         self.oct_curve = curve

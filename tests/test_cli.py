@@ -182,6 +182,24 @@ def test_single_t_commands_require_t(tmp_path, capsys, command):
     assert err.startswith("config error:") and "'t'" in err
 
 
+def test_config_errors_come_before_the_build(tmp_path, capsys, monkeypatch):
+    # a missing t or cubic exits 1 before any surface is built
+    def no_build(cfg):
+        raise AssertionError("the surface was built")
+
+    monkeypatch.setattr(cli, "build_backend", no_build)
+    for command in ("solve", "mpass", "frame"):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {k: v for k, v in TORUS.items() if k != "t"})
+        assert main([command, cfg]) == 1
+        assert "'t'" in capsys.readouterr().err
+    for command in ("solve", "continue", "mpass", "frame", "wpcheck"):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {k: v for k, v in TORUS.items() if k != "cubic"})
+        assert main([command, cfg, "-o", str(tmp_path / "out")]) == 1
+        assert "'cubic'" in capsys.readouterr().err
+
+
 def test_unknown_keys_rejected(tmp_path, capsys):
     # an `mpass` block is unknown too: the mountain-pass step cap and polish
     # gate are constants of minlag.mpass, as is the cutoff exponent theta;
@@ -215,7 +233,7 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, command, raw):
     assert err.startswith("config error:") and raw in err
 
 
-CONTINUE_TORUS = {k: v for k, v in dict(TORUS, dt0=0.01).items() if k != "t"}
+CONTINUE_TORUS = {k: v for k, v in TORUS.items() if k != "t"}
 
 
 def test_continue_outputs(tmp_path, capsys):
@@ -230,7 +248,7 @@ def test_continue_outputs(tmp_path, capsys):
     iterations = record["diagnostics"]["newton_iterations"]
     assert isinstance(iterations, int) and iterations > 0
     ts = [p["t"] for p in record["points"]]
-    assert ts[0] == 0.0 and ts == sorted(ts) and len(ts) >= 3
+    assert ts[0] == 0.0 < ts[1] and len(ts) == 2
     # traced on torus 4, the fold solved on 4, 8 and 16
     assert len(record["points"][0]["u"]) == 16
     assert len(record["fold_point"]["u"]) == 256
@@ -269,7 +287,7 @@ def test_fold_point_has_no_stable_flag(tmp_path, capsys):
     fold = record["fold_point"]
     assert sorted(fold) == ["lambda_min", "residual_norm", "t", "u"]
     assert sorted(record["diagnostics"]) == [
-        "final_step", "newton_iterations", "rejected_steps"]
+        "newton_iterations", "rejected_steps"]
     assert abs(fold["lambda_min"]) <= 1e-8
     assert all(p["lambda_min"] > 0.0 for p in record["points"])
 
@@ -368,9 +386,7 @@ def test_continue_failing_level_exits_2(tmp_path, capsys, monkeypatch):
         return damped(x0, *args)
 
     monkeypatch.setattr(continuation, "damped_newton", fail_on_64)
-    cfg = write_cfg(tmp_path, "c.json",
-                    {k: v for k, v in dict(TORUS, dt0=0.01).items()
-                     if k != "t"})
+    cfg = write_cfg(tmp_path, "c.json", CONTINUE_TORUS)
     assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("continue failed:")
@@ -382,8 +398,8 @@ def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
     # continue traces on torus 4 and solves the fold on 8 and 16: at most one
     # ordering ILU per level surface, of that level's K + M, and every LU
     # reuses its column order; the n = 8 solve starts converged (constant
-    # q gives a constant u), so it factorizes nothing.  Measured: 16 LUs,
-    # on torus 4 the series' K + 2M, 3 eigen solves and 11 Newton and fold
+    # q gives a constant u), so it factorizes nothing.  Measured: 13 LUs,
+    # on torus 4 the series' K + 2M, 2 eigen solves and 9 Newton and fold
     # steps, and on torus 16 the fold's eigen solve
     orderings, lus = [], []
     spilu, splu = spla.spilu, spla.splu
@@ -398,12 +414,10 @@ def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(spla, "spilu", recording_spilu)
     monkeypatch.setattr(spla, "splu", recording_splu)
-    cfg = write_cfg(tmp_path, "c.json",
-                    {k: v for k, v in dict(TORUS, dt0=0.01).items()
-                     if k != "t"})
+    cfg = write_cfg(tmp_path, "c.json", CONTINUE_TORUS)
     assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
     assert [A.shape[0] for A in orderings] == [16, 256]
-    assert set(lus) == {"NATURAL"} and len(lus) >= 16
+    assert set(lus) == {"NATURAL"} and len(lus) >= 13
     for A, n in zip(orderings, (4, 16)):
         ref = assembled_operator(build_flat_torus(n, 1.0, 1.0), 1.0)
         assert abs(A - ref).max() == 0.0
@@ -425,6 +439,26 @@ def test_torus_continue_builds_the_torus_once(tmp_path, monkeypatch):
     levels = json.loads((tmp_path / "curve.json").read_text())["levels"]
     assert [lv["classes"] for lv in levels] == [16, 64, 256]
     assert calls == [(16, 1.0, 1.0)]
+
+
+def test_continue_ignores_dt0(tmp_path, capsys):
+    # no command reads dt0: the records with and without it are equal but
+    # for the config hash and the timestamp, yet the key is still validated
+    records = []
+    for extra in ({}, {"dt0": 0.01}, {"dt0": 5.0}):
+        cfg = write_cfg(tmp_path, "c.json", dict(CONTINUE_TORUS, **extra))
+        assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
+        record = json.loads((tmp_path / "curve.json").read_text())
+        del record["config_hash"], record["timestamp"]
+        records.append(record)
+    assert records[0] == records[1] == records[2]
+    assert len(records[0]["points"]) == 2
+    capsys.readouterr()
+    for dt0 in (0.0, -0.01):
+        cfg = write_cfg(tmp_path, "c.json", dict(CONTINUE_TORUS, dt0=dt0))
+        assert main(["continue", cfg]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: config invalid at dt0:")
 
 
 def test_continue_zero_cubic_exits_1(tmp_path, capsys):
@@ -485,10 +519,10 @@ def test_eigen_solves_per_command(tmp_path, monkeypatch):
 
 # continue on torus 16 and octagon r2, and the fold T0 each gives
 CONTINUE_CASES = {
-    "torus16": (dict(TORUS, dt0=0.01), 0.1360827634879544),
+    "torus16": (TORUS, 0.1360827634879544),
     "octagon2": ({"backend": {"type": "octagon", "refinement": 2},
                   "cubic": {"zeros": [[5, 3], [11, 3]], "amplitude": 30.0},
-                  "dt0": 0.2, "tol": 1e-10}, 0.4937185908639932),
+                  "tol": 1e-10}, 0.4937185908639932),
 }
 
 
@@ -660,6 +694,7 @@ def test_frame_bad_zero_class(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {
         "backend": {"type": "octagon", "refinement": 1},
         "cubic": {"zeros": [[10000, 6]], "amplitude": 1.0},
+        "t": 0.1,
     })
     assert main(["frame", cfg]) == 1
     assert "out of range" in capsys.readouterr().err
@@ -835,13 +870,12 @@ def test_continue_octagon_record(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {
         "backend": {"type": "octagon", "refinement": 1},
         "cubic": {"zeros": [[5, 3], [11, 3]], "amplitude": 30.0},
-        "dt0": 0.2,
         "tol": 1e-10,
     })
     assert main(["continue", cfg, "-o", str(tmp_path / "oct.json")]) == 0
     points = json.loads((tmp_path / "oct.json").read_text())["points"]
     ts = [p["t"] for p in points]
-    assert ts == sorted(ts) and len(ts) >= 3
+    assert ts[0] == 0.0 < ts[1] and len(ts) == 2
     # the induced area starts at the mesh's area and falls as u does
     octagon1 = surface.build_genus2_octagon(1)
     areas = [p["area_induced"] for p in points]

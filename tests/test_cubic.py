@@ -135,5 +135,5 @@ def test_norm_field_computed_once_per_cubic(torus16, monkeypatch):
 
     monkeypatch.setattr(cubic, "norm_field", counting)
     q = constant_cubic(torus16, 1.0)
-    detect_fold(trace_curve(q, dt0=0.01, tol=1e-11))
+    detect_fold(trace_curve(q, tol=1e-11))
     assert len(calls) == 1 and calls[0] is q

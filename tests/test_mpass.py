@@ -229,7 +229,7 @@ def test_mountain_pass_separation_shrinks(torus16, unit_cubic, torus_stables):
 
 
 def test_mountain_pass_octagon(octagon2, octagon2_cubic):
-    curve = trace_curve(octagon2_cubic, dt0=0.5, tol=1e-10)
+    curve = trace_curve(octagon2_cubic, tol=1e-10)
     t0 = detect_fold(curve)[0].t
     t = 0.5 * t0
     stable = None

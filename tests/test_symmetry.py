@@ -53,7 +53,7 @@ def unmapped(octagon2_cubic):
     """The field the pulled back one is compared with, ||q||^2 built the
     same way (`cubic_with_norm_sq`), and its nested fold T0."""
     q = cubic_with_norm_sq(octagon2_cubic.surface, octagon2_cubic.norm_sq)
-    return q, nested_fold(q, 0.5, 1e-11)[0].t
+    return q, nested_fold(q, 1e-11)[0].t
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def unmapped_passes(unmapped):
 
 
 def test_pulled_back_fold_agrees(unmapped, pulled):
-    assert nested_fold(pulled, 0.5, 1e-11)[0].t == pytest.approx(
+    assert nested_fold(pulled, 1e-11)[0].t == pytest.approx(
         unmapped[1], rel=1e-12)
 
 
