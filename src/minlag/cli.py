@@ -37,11 +37,22 @@ Its `points` hold the trace, each with its t, u, residual_norm,
 lambda_min and `area_induced`, the area of the induced metric, the
 integral of e^u; they lie on the mesh of `levels[0]`, the coarsest
 level, not on the configured one.
-`T0_estimate` and `fold_point` are the configured mesh's fold.  No
-payload carries a `stable` flag: it would repeat the sign of lambda_min,
-which is positive on every traced point by construction and zero to
-rounding at the fold.  `levels` lists each level's `classes`, `T0` and
-`fold_newton_iterations`, coarsest first.
+`T0_estimate` and `fold_point` are the configured mesh's fold, and the
+`fold` block says how it was classified and what its normal form is
+(`continuation.normal_form`, with phi the fold point's M-normalized
+eigenvector, signed so that sum m phi > 0):
+
+    lambda_bounds  [lo, hi], the Collatz-Wielandt enclosure of lambda_min
+                   where the mesh's K is a Z-matrix (every torus), or null
+                   where an eigen solve classified (the octagon)
+    phi_ratio      min phi / max phi, positive when phi is
+    a, b           <phi, F_uu[phi, phi]>_M and <phi, F_t>_M, both
+                   negative at a quadratic, transversal fold
+
+No payload carries a `stable` flag: it would repeat the sign of
+lambda_min, which is positive on every traced point by construction and
+zero to rounding at the fold.  `levels` lists each level's `classes`,
+`T0` and `fold_newton_iterations`, coarsest first.
 The `diagnostics` are the trace's: `rejected_steps` and
 `newton_iterations` (summed over the points).  A level whose fold solve
 fails exits 2 naming that level.
@@ -315,8 +326,11 @@ def cmd_continue(cfg, args) -> int:
     fold, levels = continuation.detect_fold(curve, qs[1:], tol=tol)
     points = [dict(_point(p), area_induced=float(
         surface.integrate(qs[0].surface, np.exp(p.u)))) for p in curve.points]
+    phi, a, b = continuation.normal_form(q, fold)
     path = _output(args)
     emit({"points": points, "T0_estimate": fold.t, "fold_point": _point(fold),
+          "fold": {"lambda_bounds": fold.meta.get("lambda_bounds"),
+                   "phi_ratio": float(phi.min() / phi.max()), "a": a, "b": b},
           "levels": levels, "diagnostics": curve.diagnostics,
           "nonexistence_bound": bound}, cfg, path)
     print(f"T0 estimate: {fold.t:.8g}")

@@ -32,10 +32,16 @@ its surface's hierarchy, coarsest first; the continue command traces only
 the coarsest level, and `detect_fold` solves the fold there from the last
 traced point, with the null-vector guess the trace's classification
 recorded, and then once per finer level, started from the prolonged
-(u*, phi*, T0) of the level below.  Only the finest level's fold is
-classified by an eigen solve.  `detect_fold` returns that fold point and
-the per-level table and leaves the traced curve as it was; the module
-holds results only, and `cli` writes them out.
+(u*, phi*, T0) of the level below.  The finest level's fold is classified
+once (`pde.newton_solve`): where its K is a Z-matrix, by the
+Collatz-Wielandt enclosure of phi*, which must be positive and must
+enclose lambda_min within EPS_FOLD of 0, and elsewhere by an eigen solve.
+The trace's point at t = 0 is classified alike from the constant field,
+whose enclosure there is exactly 2 (K 1 = 0 and L(0, 0) = K + 2M).
+`detect_fold` returns the fold point and the per-level table and leaves
+the traced curve as it was, and `normal_form` reads the fold's quadratic
+normal form off that point; the module holds results only, and `cli`
+writes them out.
 
 `branch_point` reaches a single t on the same branch with no path in t.
 The stable branch is the maximal solution, u = 0 is a supersolution at
@@ -62,8 +68,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubic import CubicDifferential, norm_field
-from .pde import (NonConvergence, SingularJacobian, SolutionPoint,
-                  damped_newton, linearize, newton_solve, residual, solve_u)
+from .pde import (EigenFailure, NonConvergence, SingularJacobian,
+                  SolutionPoint, damped_newton, linearize, newton_solve,
+                  residual, solve_u)
 from .surface import NumericalFailure, integrate
 
 EPS_FOLD = 1e-4        # |lambda_min| above this at the solved fold rejects it
@@ -175,8 +182,11 @@ def trace_curve(q: CubicDifferential, tol: float = 1e-10) -> SolutionCurve:
     FOLD_STEP_FRACTION (t_est - t_k) from the last accepted point t_k.  A
     point is accepted when its `newton_solve` converges with
     lambda_min > 0, and the step halves after any other outcome.  The
-    estimate lies within 3e-4 of the fold, so the first step from t = 0
-    stops short of it, at a point from which `detect_fold` can start.
+    point at t = 0 is classified from the constant field (`pde.newton_solve`
+    with `positive`): where K is a Z-matrix its enclosure is [2, 2] and no
+    eigen solve is made.  The estimate lies within 3e-4 of the fold, so
+    the first step from t = 0 stops short of it, at a point from which
+    `detect_fold` can start.
     Returns at the first such accepted point.  Raises ZeroCubic when q
     vanishes, NoFoldDetected when the series gives no fold, and
     StallBeforeFold, naming t_est, if the step falls below 1e-4 t_est (so
@@ -187,7 +197,8 @@ def trace_curve(q: CubicDifferential, tol: float = 1e-10) -> SolutionCurve:
     """
     series = branch_series(q)
     target = min(series.t0, series.bound)
-    p0 = newton_solve(np.zeros(q.surface.n_classes), 0.0, q, tol=tol)
+    n = q.surface.n_classes
+    p0 = newton_solve(np.zeros(n), 0.0, q, tol=tol, positive=np.ones(n))
     points = [p0]
     rejects = 0
 
@@ -358,7 +369,13 @@ def detect_fold(curve: SolutionCurve, finer=(),
     the M-normalized smallest eigenvector its `newton_solve` recorded; on
     each finer level it starts from the prolonged (u*, phi*, T0) of the
     level below, so no eigen solve is made for phi (nested iteration).
-    `newton_solve` classifies the finest level's (u*, T0).
+    `newton_solve` classifies the finest level's (u*, T0), given phi*
+    signed so that sum m phi* > 0.  Where that level's K is a Z-matrix it
+    makes no eigen solve: the fold is accepted only when phi* > 0 and its
+    Collatz-Wielandt enclosure [lo, hi] of lambda_min lies in
+    [-EPS_FOLD, EPS_FOLD].  A phi* with an entry <= 0 is refused, with no
+    eigen solve to retry: by Perron-Frobenius it is not the ground state.
+    Elsewhere the eigen solve's |lambda_min| must be at most EPS_FOLD.
     Raises NoFoldDetected, naming the level, if the curve does not approach
     a fold, a solve fails, the trace level's solve ends behind the curve or
     the finest ends off the fold.  Returns the finest level's fold point,
@@ -393,16 +410,45 @@ def detect_fold(curve: SolutionCurve, finer=(),
                 f"not a fold beyond t = {p.t:.10g}")
         levels.append({"classes": q.surface.n_classes, "T0": t,
                        "fold_newton_iterations": it})
+    if q.surface.mass_diag @ phi < 0.0:
+        phi = -phi
     try:
-        fold = newton_solve(u, t, q, tol=tol)
-    except NonConvergence as exc:
+        fold = newton_solve(u, t, q, tol=tol, positive=phi)
+    except (NonConvergence, EigenFailure) as exc:
         raise NoFoldDetected(f"fold classification failed on {where}: "
                              f"{exc}") from exc
-    if abs(fold.lambda_min) > EPS_FOLD:
+    bounds = fold.meta.get("lambda_bounds")
+    lo, hi = bounds or (fold.lambda_min, fold.lambda_min)
+    if lo < -EPS_FOLD or hi > EPS_FOLD:
+        within = f" in [{lo:.3g}, {hi:.3g}]" if bounds else ""
         raise NoFoldDetected(
             f"extended-system solve on {where} ended at t = {fold.t:.10g} "
-            f"with lambda_min = {fold.lambda_min:.3g}, not a fold")
+            f"with lambda_min = {fold.lambda_min:.3g}{within}, not a fold")
     return fold, levels
+
+
+def normal_form(q: CubicDifferential, fold: SolutionPoint):
+    """(phi, a, b): the fold's null vector and its quadratic normal form.
+
+    phi is the fold point's M-normalized eigenvector, signed so that
+    sum m phi > 0.  With F the structure equation's nodal residual,
+
+        a = <phi, F_uu[phi, phi]>_M
+          = -sum m (2 e^u + 64 t^2 ||q||^2 e^{-2u}) phi^3,
+        b = <phi, F_t>_M = -sum m 32 t ||q||^2 e^{-2u} phi,
+
+    both negative for a positive phi, so the fold is quadratic (a != 0)
+    and transversal (b != 0).  Near T0 the two branches are
+    u ~ u* +- s phi with s^2 = 2 b (T0 - t) / a, the stable one at +s.
+    """
+    m, t, u = q.surface.mass_diag, fold.t, fold.u
+    phi = fold.eigenvector
+    if m @ phi < 0.0:
+        phi = -phi
+    w = m * q.norm_sq * np.exp(-2.0 * u)       # M ||q||^2 e^{-2u}
+    a = -float((2.0 * m * np.exp(u) + 64.0 * t * t * w) @ phi ** 3)
+    b = -32.0 * t * float(w @ phi)
+    return phi, a, b
 
 
 def nonexistence_bound(q: CubicDifferential) -> float:

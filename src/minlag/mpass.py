@@ -216,9 +216,12 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
       derivative v^T L(p) v (`DiscreteSurface.apply`) is negative.  It is
       found by Newton on s, safeguarded by a bracket whose top is where the
       ray leaves the overflow guard (min p = `pde.BLOWUP_THRESHOLD`), with
-      bisection, or a doubling of s below the peak, when the Newton step is
-      not a step up to a maximum inside the bracket.  It starts at the last
-      s*, and on the first ray, v along -1, at the s that lowers u by 1.
+      bisection when the Newton step is not a step up to a maximum inside
+      the bracket.  No move, Newton's or bisection's, goes past 2s: where
+      F is nearly flat a Newton step inside the bracket can land where
+      e^{-2u} is huge, and the search never climbs back.  It starts at the
+      last s*, and on the first ray, v along -1, at the s that lowers u
+      by 1.
     - Descent.  With g the nodal gradient at the peak, v steps to
       normalize(v - alpha H^{-1}(M g) / s*), and alpha halves until F at
       the new peak is below F at the old one by Armijo's 1e-4 alpha
@@ -285,9 +288,7 @@ def find_mountain_pass(u_stable: np.ndarray, t: float,
             x_new = x - d1 / d2
             if not (d2 < 0.0 and lo < x_new < hi):
                 x_new = 0.5 * (lo + hi)
-                if d1 > 0.0:
-                    x_new = min(x_new, 2.0 * x)
-            x = x_new
+            x = min(x_new, 2.0 * x)
         return None
 
     def gate_lu(u):

@@ -24,11 +24,27 @@ EigenFailure, and nothing falls back.
 
 `damped_newton` is the one Newton/Armijo loop of the package.  `solve_u`
 runs it on the structure equation (field = -residual, Jacobian = L), and
-`newton_solve` adds the eigenvalue classification of the converged point;
-it is the package's one classification, and the only builder of a
-`SolutionPoint`.  A point holds results only, and the sign of its
-lambda_min is its stability; `cli` alone writes them out.  The only other
-system the loop solves is `continuation.solve_fold`'s.
+`newton_solve` adds the classification of the converged point; it is the
+package's one classification, and the only builder of a `SolutionPoint`.
+Given a positive field x on a surface whose K is a Z-matrix
+(`DiscreteSurface.z_matrix`: no positive off-diagonal entry, as on every
+flat torus), it classifies by the Collatz-Wielandt enclosure
+(`collatz_wielandt`) and makes no eigen solve.  M^{-1} L is then a
+Z-matrix too, so by Perron-Frobenius
+
+    min_i (L x)_i / (M x)_i <= lambda_min <= max_i (L x)_i / (M x)_i
+
+for every x > 0 (Berman and Plemmons, Nonnegative Matrices in the
+Mathematical Sciences, SIAM 1994), from one `DiscreteSurface.apply`.  The
+point's lambda_min is the Rayleigh quotient of x, which lies in that
+enclosure, its eigenvector x / ||x||_M and `meta["lambda_bounds"]` the
+enclosure.  A field with an entry <= 0 raises EigenFailure: the ground
+state of a Z-matrix is positive.  On any other surface, or with no x,
+`smallest_eigenvalue` classifies.  `continuation` passes x at two points,
+the constant at t = 0 and the fold's null vector; `solve` and `mpass`
+pass none.  A point holds results only, and the sign of its lambda_min is
+its stability; `cli` alone writes them out.  The only other system the
+loop solves is `continuation.solve_fold`'s.
 Every caller inherits its two stop rules: the damping floor `MIN_DAMPING`,
 which ends a stalled solve, and the iteration cap `MAX_NEWTON_ITER`.  The
 callers are `continuation`'s `trace_curve` (warm-started along t),
@@ -185,6 +201,28 @@ def smallest_eigenvalue(s: DiscreteSurface, p: np.ndarray):
     return lam, vec
 
 
+def collatz_wielandt(s: DiscreteSurface, p: np.ndarray, x: np.ndarray):
+    """Rayleigh quotient of x > 0 for (K + M diag(p), M), x / ||x||_M and
+    [lo, hi], the Collatz-Wielandt enclosure of the smallest eigenvalue.
+
+    For a Z-matrix K (`DiscreteSurface.z_matrix`) the ratios
+    r_i = (L x)_i / (m_i x_i) give lo = min r <= lambda_min <= max r = hi.
+    The Rayleigh quotient is their mean weighted by m_i x_i^2, so it lies
+    in [lo, hi] too; it is clipped there against rounding.  Raises
+    EigenFailure when x has an entry <= 0, which no ground state has.
+    """
+    if not x.min() > 0.0:
+        raise EigenFailure(
+            f"the field is not positive (min / max = "
+            f"{x.min() / np.abs(x).max():.3g}), so it is not the ground state")
+    m = s.mass_diag
+    ratio = s.apply(p, x) / (m * x)
+    lo, hi = float(ratio.min()), float(ratio.max())
+    w = m * x * x
+    lam = min(max(float(ratio @ w) / float(w.sum()), lo), hi)
+    return lam, x / np.sqrt(w.sum()), [lo, hi]
+
+
 def damped_newton(u0: np.ndarray, field_fn, step, mass_diag: np.ndarray,
                   tol: float):
     """Damped Newton iteration on M field_fn(u) = 0.
@@ -273,16 +311,23 @@ def solve_u(u0: np.ndarray, t: float, q: CubicDifferential,
 
 
 def newton_solve(u0: np.ndarray, t: float, q: CubicDifferential,
-                 tol: float = 1e-10) -> SolutionPoint:
+                 tol: float = 1e-10, positive=None) -> SolutionPoint:
     """Solve the structure equation at t from u0 (`solve_u`) and classify it.
 
     The returned point records the smallest eigenpair of L(u, t), whose
     eigenvalue is positive on the stable branch, and the Newton iteration
-    count.  It is returned only at residual norm <= tol; otherwise
-    NonConvergence is raised.
+    count.  When `positive`, a field the caller expects to be positive, is
+    given and q's surface is a Z-matrix, the pair is `collatz_wielandt`'s
+    and `meta["lambda_bounds"]` its enclosure; otherwise it is
+    `smallest_eigenvalue`'s.  The point is returned only at residual norm
+    <= tol; otherwise NonConvergence is raised.
     """
     u, rnorm, it = solve_u(u0, t, q, tol=tol)
-    lam, vec = smallest_eigenvalue(q.surface, linearize(u, t, q))
+    s, p = q.surface, linearize(u, t, q)
+    meta = {"newton_iterations": it}
+    if positive is not None and s.z_matrix:
+        lam, vec, meta["lambda_bounds"] = collatz_wielandt(s, p, positive)
+    else:
+        lam, vec = smallest_eigenvalue(s, p)
     return SolutionPoint(u=u, t=float(t), residual_norm=rnorm,
-                         lambda_min=lam, eigenvector=vec,
-                         meta={"newton_iterations": it})
+                         lambda_min=lam, eigenvector=vec, meta=meta)

@@ -169,6 +169,12 @@ class DiscreteSurface:
         Cotangent stiffness K on quotient classes.
     mass_diag : float array, shape (n_classes,)
         Diagonal of the lumped mass M.
+    z_matrix : bool
+        True when K has no positive off-diagonal entry, a Z-matrix (the
+        two angles opposite each edge sum to at most pi, as on a Delaunay
+        mesh).  Then every K + M diag(p) is one too, and any positive
+        field encloses its smallest eigenvalue (`pde.collatz_wielandt`).
+        Every flat torus is one; the octagon is not.
     """
 
     vertices: np.ndarray
@@ -181,6 +187,7 @@ class DiscreteSurface:
     nesting: Nesting | None = field(default=None, repr=False)
     stiffness: sp.csr_matrix = field(init=False, repr=False)
     mass_diag: np.ndarray = field(init=False, repr=False)
+    z_matrix: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         """Assemble cotangent stiffness and lumped mass over the quotient."""
@@ -218,6 +225,8 @@ class DiscreteSurface:
         # diagonal is structurally full and the diagonal shift of
         # `factorize` only rewrites values
         K.eliminate_zeros()
+        rows = np.repeat(np.arange(n), np.diff(K.indptr))
+        self.z_matrix = bool(np.all(K.data[K.indices != rows] <= 0.0))
         self.stiffness, self.mass_diag = K, m
 
     @property

@@ -12,17 +12,20 @@ derivative, the assembled operator K + M diag(p) that the package only
 factorizes or applies, K and M assembled in nine and three blocks (the
 package's assembly in loops) and the column order of a full LU of K + M
 (which the package takes from an ILU), the dense Jacobian of the fold
-solve's Moore-Spence system, and the octagon's subdivision one triangle at
-a time with a dict of edge midpoints.  They sit next to `scalar_oracle.py` and are imported
-the same way, `from reference import ...`.
+solve's Moore-Spence system, the octagon's subdivision one triangle at
+a time with a dict of edge midpoints, and the octagon glued as the Bolza
+surface (opposite sides paired).  They sit next to `scalar_oracle.py` and
+are imported the same way, `from reference import ...`.
 """
 
 import numpy as np
+import pytest
 from numpy.polynomial import polynomial as P
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from minlag import surface
 from minlag.cubic import CubicDifferential
 from minlag.frame import integrate_frame, maurer_cartan, su21_defect
 from minlag.mpass import _BLEND1, _BLEND2, THETA
@@ -342,3 +345,17 @@ def looped_octagon_refinement(refinement: int):
         verts = np.concatenate([verts,
                                 hyperbolic_midpoint(verts[a], verts[b])])
     return verts, tris, sides
+
+
+# the Bolza surface's side pairs: each side glued to the opposite one
+BOLZA_PAIRS = [(0, 4), (1, 5), (2, 6), (3, 7)]
+
+
+def bolza_octagon(refinement: int) -> DiscreteSurface:
+    """The regular octagon of `refinement` with opposite sides glued, the
+    Bolza surface of genus 2: `build_genus2_octagon` with its side pairs
+    swapped for BOLZA_PAIRS while it builds, which derives each pairing
+    isometry from the two sides it glues."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "_OCTAGON_PAIRS", BOLZA_PAIRS)
+        return surface.build_genus2_octagon(refinement)

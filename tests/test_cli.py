@@ -397,10 +397,12 @@ def test_continue_failing_level_exits_2(tmp_path, capsys, monkeypatch):
 def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
     # continue traces on torus 4 and solves the fold on 8 and 16: at most one
     # ordering ILU per level surface, of that level's K + M, and every LU
-    # reuses its column order; the n = 8 solve starts converged (constant
-    # q gives a constant u), so it factorizes nothing.  Measured: 13 LUs,
-    # on torus 4 the series' K + 2M, 2 eigen solves and 9 Newton and fold
-    # steps, and on torus 16 the fold's eigen solve
+    # reuses its column order; the n = 8 and 16 solves start converged
+    # (constant q gives a constant u), so they factorize nothing, and the
+    # torus is a Z-matrix, so its fold and its point at t = 0 are classified
+    # by their Collatz-Wielandt enclosures.  All 11 LUs are on torus 4: the
+    # series' K + 2M, the eigen solve of the point near the fold and 9
+    # Newton and fold steps; torus 16 is never ordered
     orderings, lus = [], []
     spilu, splu = spla.spilu, spla.splu
 
@@ -416,9 +418,9 @@ def test_continue_orders_the_surface_once(tmp_path, monkeypatch):
     monkeypatch.setattr(spla, "splu", recording_splu)
     cfg = write_cfg(tmp_path, "c.json", CONTINUE_TORUS)
     assert main(["continue", cfg, "-o", str(tmp_path / "curve")]) == 0
-    assert [A.shape[0] for A in orderings] == [16, 256]
-    assert set(lus) == {"NATURAL"} and len(lus) >= 13
-    for A, n in zip(orderings, (4, 16)):
+    assert [A.shape[0] for A in orderings] == [16]
+    assert set(lus) == {"NATURAL"} and len(lus) == 11
+    for A, n in zip(orderings, (4,)):
         ref = assembled_operator(build_flat_torus(n, 1.0, 1.0), 1.0)
         assert abs(A - ref).max() == 0.0
 
@@ -529,8 +531,11 @@ CONTINUE_CASES = {
 @pytest.mark.parametrize("case", sorted(CONTINUE_CASES))
 def test_continue_solves_each_eigenpair_once(tmp_path, capsys, monkeypatch,
                                              case):
-    # each classified point costs one eigen solve, and the fold solve starts
-    # from the eigenvector the last traced point kept: no other eigen solve
+    # the two traced points and the fold are classified once each, and the
+    # fold solve starts from the eigenvector the last traced point kept.  On
+    # the torus, a Z-matrix, the point at t = 0 and the fold are classified
+    # by their Collatz-Wielandt enclosures, so one eigen solve is left; on
+    # the octagon each classification is an eigen solve
     eigsh, newton_solve = pde.spla.eigsh, continuation.newton_solve
     solves, classified = [], []
 
@@ -549,8 +554,32 @@ def test_continue_solves_each_eigenpair_once(tmp_path, capsys, monkeypatch,
                  "-o", str(tmp_path / "curve")]) == 0
     payload = json.loads((tmp_path / "curve.json").read_text())
     assert payload["T0_estimate"] == pytest.approx(t0, rel=1e-12)
-    assert len(classified) >= len(payload["points"]) + 1
-    assert len(solves) == len(classified)
+    assert len(payload["points"]) == 2 and len(classified) == 3
+    assert len(solves) == {"torus16": 1, "octagon2": 3}[case]
+
+
+@pytest.mark.parametrize("case", sorted(CONTINUE_CASES))
+def test_continue_writes_the_fold_block(tmp_path, capsys, case):
+    # how the fold was classified, and its normal form: on the torus, a
+    # Z-matrix, the Collatz-Wielandt enclosure, which holds lambda_min; on
+    # the octagon an eigen solve classified, and there is no enclosure.
+    # phi is positive and a, b < 0 on both (a quadratic, transversal fold)
+    cfg, _ = CONTINUE_CASES[case]
+    assert main(["continue", write_cfg(tmp_path, "c.json", cfg),
+                 "-o", str(tmp_path / "curve")]) == 0
+    record = json.loads((tmp_path / "curve.json").read_text())
+    fold = record["fold"]
+    assert sorted(fold) == ["a", "b", "lambda_bounds", "phi_ratio"]
+    if case == "torus16":
+        lo, hi = fold["lambda_bounds"]
+        assert -1e-4 <= lo <= record["fold_point"]["lambda_min"] <= hi <= 1e-4
+        assert fold["phi_ratio"] == pytest.approx(1.0, rel=1e-12)
+        assert fold["a"] == pytest.approx(-4.0, rel=1e-9)
+        assert fold["b"] == pytest.approx(-4.0 * math.sqrt(6.0), rel=1e-9)
+    else:
+        assert fold["lambda_bounds"] is None
+        assert 0.0 < fold["phi_ratio"] < 1.0
+    assert fold["a"] < 0.0 and fold["b"] < 0.0
 
 
 def test_frame_computes_the_norm_once(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from minlag import continuation, surface
+from minlag import continuation, pde, surface
 from minlag.cli import EXIT_NUMERICAL, main
 from minlag.continuation import (EPS_FOLD, NoFoldDetected, StallBeforeFold,
                                  ZeroCubic, branch_point, detect_fold,
@@ -14,8 +14,9 @@ from minlag.continuation import (EPS_FOLD, NoFoldDetected, StallBeforeFold,
                                  trace_curve)
 from minlag.cubic import (CubicDifferential, constant_cubic, norm_field,
                           synthetic_cubic, wp_pairing)
-from minlag.pde import (NonConvergence, SingularJacobian, linearize,
-                        newton_solve, residual, smallest_eigenvalue, solve_u)
+from minlag.pde import (EigenFailure, NonConvergence, SingularJacobian,
+                        linearize, newton_solve, residual, smallest_eigenvalue,
+                        solve_u)
 from minlag.surface import build_genus2_octagon, integrate
 from minlag.wp import udotdot
 
@@ -238,24 +239,52 @@ def test_fold_solve_behind_the_curve_raises(torus_curve, monkeypatch):
 
 
 def test_fold_classification_failure_raises(torus_curve, monkeypatch):
-    def fail(*args, **kwargs):
-        raise NonConvergence("forced failure")
+    # a failed solve and a failed classification (on the torus, a null
+    # vector that is not positive) both reject the fold
+    for error in (NonConvergence, EigenFailure):
+        def fail(u, t, q, tol, positive):
+            raise error("forced failure")
 
-    monkeypatch.setattr(continuation, "newton_solve", fail)
-    with pytest.raises(NoFoldDetected, match=r"^fold classification failed "
-                       r"on level 1 of 1 \(256 classes\): forced failure$"):
-        detect_fold(torus_curve)
+        monkeypatch.setattr(continuation, "newton_solve", fail)
+        with pytest.raises(NoFoldDetected, match=r"^fold classification "
+                           r"failed on level 1 of 1 \(256 classes\): "
+                           r"forced failure$"):
+            detect_fold(torus_curve)
+
+
+def off_the_fold(lam, bounds):
+    """A `newton_solve` whose point has lambda_min `lam` and, unless
+    `bounds` is None, the enclosure `bounds`; with None it is classified as
+    by an eigen solve, with no enclosure."""
+    def solve(u, t, q, tol, positive):
+        p = newton_solve(u, t, q, tol=tol, positive=positive)
+        meta = {"newton_iterations": p.meta["newton_iterations"]}
+        if bounds is not None:
+            meta["lambda_bounds"] = bounds
+        return dataclasses.replace(p, lambda_min=lam, meta=meta)
+    return solve
 
 
 def test_fold_off_the_fold_raises(torus_curve, monkeypatch):
     # a classification whose lambda_min is far from 0 rejects the fold
-    def off(u, t, q, tol):
-        return dataclasses.replace(newton_solve(u, t, q, tol=tol),
-                                   lambda_min=10.0 * EPS_FOLD)
-
-    monkeypatch.setattr(continuation, "newton_solve", off)
+    monkeypatch.setattr(continuation, "newton_solve",
+                        off_the_fold(10.0 * EPS_FOLD, None))
     with pytest.raises(NoFoldDetected, match=r"with lambda_min = 0\.001, "
                        r"not a fold$"):
+        detect_fold(torus_curve)
+
+
+@pytest.mark.parametrize("bounds, within", [
+    ([0.5 * EPS_FOLD, 2.0 * EPS_FOLD], r"\[5e-05, 0\.0002\]"),
+    ([-2.0 * EPS_FOLD, 0.0], r"\[-0\.0002, 0\]")])
+def test_fold_enclosure_past_eps_raises(torus_curve, monkeypatch, bounds,
+                                        within):
+    # on a Z-matrix the enclosure decides: lambda_min within EPS_FOLD of 0
+    # is refused when either end of its enclosure lies past EPS_FOLD
+    monkeypatch.setattr(continuation, "newton_solve",
+                        off_the_fold(0.5 * EPS_FOLD, bounds))
+    with pytest.raises(NoFoldDetected, match=r"with lambda_min = 5e-05 in "
+                       + within + ", not a fold$"):
         detect_fold(torus_curve)
 
 
@@ -388,9 +417,9 @@ def test_short_fold_estimate_stalls(name, monkeypatch, request):
         dataclasses.replace(series, t0=aim)))
     solved = []
 
-    def recording_solve(u0, t, q, tol):
+    def recording_solve(u0, t, q, tol, **kwargs):
         solved.append(t)
-        return newton_solve(u0, t, q, tol=tol)
+        return newton_solve(u0, t, q, tol=tol, **kwargs)
 
     monkeypatch.setattr(continuation, "newton_solve", recording_solve)
     with pytest.raises(StallBeforeFold, match=f"3 points, 0 rejected steps, "
@@ -609,3 +638,125 @@ def test_nested_cubics_sample_the_chart_vertices(octagon2_cubic):
     nv = len(qs[0].surface.vertices)
     assert np.array_equal(qs[0].values, octagon2_cubic.values[:nv])
 
+
+
+# the benchmark's seed-7 torus cubic: a constant of seed-chosen modulus and
+# phase (bench/workloads.py's Variant)
+_SEED7 = np.random.default_rng(7).uniform([-0.2, 0.0], [0.2, 2.0 * math.pi])
+SEED7_CONSTANT = complex(np.exp(_SEED7[0]) * np.exp(1j * _SEED7[1]))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("c", [1.0, SEED7_CONSTANT], ids=["seed0", "seed7"])
+def test_fold_enclosure_contains_the_eigen_solve(n, c):
+    # the torus is a Z-matrix, so the fold is classified by the
+    # Collatz-Wielandt enclosure of phi*, which holds the Rayleigh quotient
+    # and the smallest eigenvalue an eigen solve finds at the same point.
+    # Both carry rounding of order eps ||M^{-1} L||_inf (1.8e-12 at n = 32)
+    # at a lambda_min of 3.4e-12: at n = 32, seed 7, ARPACK's value lies
+    # 1.4e-13 below the enclosure, so it is held to within that rounding.
+    # The constant field's enclosure, free of rounding here (K 1 = 0
+    # exactly, and u* is constant), must meet phi*'s
+    q = constant_cubic(surface.build_flat_torus(n, 1.0, 1.0), c)
+    s = q.surface
+    assert s.z_matrix
+    fold = nested_fold(q, 1e-10)[0]
+    lo, hi = fold.meta["lambda_bounds"]
+    p = linearize(fold.u, fold.t, q)
+    lam, _ = smallest_eigenvalue(s, p)
+    m = s.mass_diag
+    slack = np.finfo(float).eps * float(
+        (abs(assembled_operator(s, p)).sum(axis=1).A1 / m).max())
+    assert lo - slack <= lam <= hi + slack and lo <= fold.lambda_min <= hi
+    assert hi - lo <= 1e-9 and -EPS_FOLD <= lo and hi <= EPS_FOLD
+    _, _, (lo1, hi1) = pde.collatz_wielandt(s, p, np.ones(s.n_classes))
+    assert max(lo, lo1) <= min(hi, hi1)
+    assert fold.eigenvector.min() > 0.0
+    assert float(m @ fold.eigenvector ** 2) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_trace_classifies_t0_by_the_constant(torus_curve, octagon_curve):
+    # at t = 0, L = K + 2M and K 1 = 0, so the constant's enclosure on the
+    # torus is exactly [2, 2]; the octagon is no Z-matrix and its point at
+    # t = 0 is an eigen solve's, with no enclosure
+    p0 = torus_curve.points[0]
+    assert p0.meta["lambda_bounds"] == [2.0, 2.0] and p0.lambda_min == 2.0
+    assert np.ptp(p0.eigenvector) == 0.0
+    assert "lambda_bounds" not in octagon_curve.points[0].meta
+    assert octagon_curve.points[0].lambda_min == pytest.approx(2.0, rel=1e-9)
+
+
+def test_fold_refuses_a_null_vector_with_a_negative_entry(torus_curve,
+                                                          monkeypatch):
+    # by Perron-Frobenius the ground state of a Z-matrix is positive, so a
+    # phi* with a negative entry is not it: the fold is refused, with no
+    # eigen solve to retry
+    solve_fold, eigsh = continuation.solve_fold, pde.spla.eigsh
+    calls = []
+
+    def negated(*args):
+        u, phi, t, it = solve_fold(*args)
+        phi = phi.copy()
+        phi[7] = -phi[7]
+        return u, phi, t, it
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(args)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "solve_fold", negated)
+    monkeypatch.setattr(pde.spla, "eigsh", counting_eigsh)
+    with pytest.raises(NoFoldDetected, match=r"^fold classification failed "
+                       r"on level 1 of 1 \(256 classes\): the field is not "
+                       r"positive"):
+        detect_fold(torus_curve)
+    assert calls == []
+
+
+def test_octagon_fold_makes_one_eigen_solve(octagon_curve, octagon_fold,
+                                            monkeypatch):
+    # the octagon's K has positive off-diagonal entries, so its fold is
+    # classified by one eigen solve, as before, and carries no enclosure
+    calls = []
+    eigsh = pde.spla.eigsh
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(args)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(pde.spla, "eigsh", counting_eigsh)
+    fold = detect_fold(octagon_curve)[0]
+    assert len(calls) == 1
+    assert "lambda_bounds" not in fold.meta
+    assert fold.lambda_min == octagon_fold.lambda_min
+
+
+NORMAL_FORM_CASES = [("torus", 16), ("octagon", 1), ("octagon", 2),
+                     ("octagon", 3)]
+
+
+@pytest.mark.parametrize("kind, size", NORMAL_FORM_CASES,
+                         ids=[f"{k}{n}" for k, n in NORMAL_FORM_CASES])
+def test_normal_form_is_quadratic_and_transversal(kind, size):
+    # F_uu[phi, phi] = -(2 e^u + 64 t^2 ||q||^2 e^{-2u}) phi^2 and
+    # F_t = -32 t ||q||^2 e^{-2u} are negative, so a and b are for phi > 0
+    if kind == "torus":
+        q = constant_cubic(surface.build_flat_torus(size, 1.0, 1.0), 1.0)
+    else:
+        s = build_genus2_octagon(size)
+        q = synthetic_cubic(s, octagon_zero_classes(s), 1.0)
+    fold = nested_fold(q, 1e-10)[0]
+    phi, a, b = continuation.normal_form(q, fold)
+    assert phi.min() > 0.0
+    assert float(q.surface.mass_diag @ phi ** 2) == pytest.approx(1.0,
+                                                                  rel=1e-12)
+    assert a < 0.0 and b < 0.0
+
+
+def test_normal_form_closed_form_on_the_unit_torus(torus_fold, unit_cubic):
+    # q = 1 on the unit torus: u* is the constant with e^{u*} = 2/3 at
+    # T0 = 1/sqrt(54), phi = 1, so a = -(2 e^u + 64 T0^2 e^{-2u}) = -4 and
+    # b = -32 T0 e^{-2u} = -4 sqrt(6)
+    _, a, b = continuation.normal_form(unit_cubic, torus_fold)
+    assert abs(a + 4.0) <= 1e-9
+    assert abs(b + 4.0 * math.sqrt(6.0)) <= 1e-9

@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg as sla
 from scipy.integrate import quad
 
-from minlag.continuation import branch_point, detect_fold, trace_curve
+from minlag.continuation import (branch_point, detect_fold, nested_cubics,
+                                 trace_curve)
 from minlag import mpass
 from minlag.mpass import (DegenerateNorm, PathCollapse, VerificationFailure,
                           find_mountain_pass, functional_gradient,
@@ -17,7 +18,7 @@ from minlag.cubic import constant_cubic, norm_field, synthetic_cubic
 from minlag.surface import DiscreteSurface, ShiftedLU, integrate
 
 from conftest import octagon_zero_classes
-from reference import (F1, F2, assembled_operator, f1, f2,
+from reference import (F1, F2, assembled_operator, bolza_octagon, f1, f2,
                        norm_equivalence_constants)
 from scalar_oracle import U_FOLD, scalar_roots
 from test_pde import LOWER_ROOT
@@ -226,6 +227,24 @@ def test_mountain_pass_separation_shrinks(torus16, unit_cubic, torus_stables):
         assert seps[t] == pytest.approx(abs(hi - lo) * 4.0 * t, rel=1e-4)
     assert seps[0.05] > 0.1
     assert seps[0.10] > seps[0.13] > seps[0.135]   # roots merge at the fold
+
+
+def test_peak_search_caps_every_upward_move():
+    # the Bolza gluing at r2, with the octagon2_cubic construction and half
+    # its fold T0 = 53.808: the first ray starts where F is nearly flat
+    # (F' = 2.45, F'' = -0.017 at s = 4.98), and a Newton step inside the
+    # peak bracket jumped to s = 146.4, where e^{-2u} is near 1e24; the
+    # search never climbed back and found no peak on the ray along -1.  With
+    # every upward move capped at 2s it reaches an index-1 saddle
+    s = bolza_octagon(2)
+    q = synthetic_cubic(s, octagon_zero_classes(s), 1.0)
+    qs = nested_cubics(q)
+    t0 = detect_fold(trace_curve(qs[0], tol=1e-10), qs[1:], tol=1e-10)[0].t
+    assert t0 == pytest.approx(53.808, rel=1e-4)
+    t = 0.5 * t0
+    p2 = find_mountain_pass(branch_point(q, t), t, q, tol=1e-10)
+    assert p2.lambda_min == pytest.approx(-50.31, rel=1e-3)
+    assert morse_indices(p2.u, t, q) == (1, 1)
 
 
 def test_mountain_pass_octagon(octagon2, octagon2_cubic):

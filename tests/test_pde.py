@@ -383,3 +383,60 @@ def test_legendre_inequality_sampled():
     for ai, bi in zip(a, b):
         h, hstar = legendre_pair(ai, bi)
         assert ai * bi <= (h + hstar) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_collatz_wielandt_encloses_the_smallest_eigenvalue(n):
+    # on a Z-matrix every positive field's ratios (L x)_i / (m_i x_i)
+    # enclose the smallest eigenvalue, and its Rayleigh quotient lies in
+    # them; the dense eigen solve is the reference
+    s = build_flat_torus(n, 1.0, 1.0)
+    m = s.mass_diag
+    rng = np.random.default_rng(5)
+    for p in (rng.uniform(0.5, 3.0, s.n_classes),
+              rng.uniform(-8.0, 1.0, s.n_classes)):
+        w = sla.eigh(assembled_operator(s, p).toarray(), np.diag(m),
+                     eigvals_only=True)
+        for x in (np.ones(s.n_classes), rng.uniform(0.5, 2.0, s.n_classes)):
+            lam, vec, (lo, hi) = pde.collatz_wielandt(s, p, x)
+            assert lo <= w[0] <= hi and lo <= lam <= hi
+            assert lam == pytest.approx(x @ s.apply(p, x) / (m @ x ** 2),
+                                        rel=1e-12)
+            assert float(m @ vec ** 2) == pytest.approx(1.0, rel=1e-12)
+            assert np.allclose(vec * np.sqrt(m @ x ** 2), x, rtol=1e-14)
+
+
+def test_collatz_wielandt_refuses_a_field_that_is_not_positive(torus16):
+    p = np.full(torus16.n_classes, 2.0)
+    for x in (-np.ones(torus16.n_classes),
+              np.concatenate([[0.0], np.ones(torus16.n_classes - 1)])):
+        with pytest.raises(EigenFailure, match="the field is not positive"):
+            pde.collatz_wielandt(torus16, p, x)
+
+
+def test_newton_solve_classifies_a_positive_field_on_a_z_matrix(
+        torus16, octagon2, unit_cubic, octagon2_cubic, monkeypatch):
+    # on the torus a positive field replaces the eigen solve; the octagon's
+    # K has positive off-diagonal entries, so there it is ignored
+    calls = []
+    eigsh = spla.eigsh
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(args)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(pde.spla, "eigsh", counting_eigsh)
+    for s, q, t, solves in ((torus16, unit_cubic, 0.1, 0),
+                            (octagon2, octagon2_cubic, 20.0, 1)):
+        calls.clear()
+        x = np.ones(s.n_classes)
+        p = newton_solve(np.zeros(s.n_classes), t, q, positive=x)
+        assert len(calls) == solves
+        if solves:
+            assert "lambda_bounds" not in p.meta
+            assert p.lambda_min == newton_solve(p.u, t, q).lambda_min
+        else:
+            lo, hi = p.meta["lambda_bounds"]
+            # constant q: u and the ground state are constant
+            assert lo == pytest.approx(hi, rel=1e-12)
+            assert p.lambda_min == pytest.approx(lo, rel=1e-12)

@@ -625,3 +625,16 @@ def test_octagon_first_eigenvalue_order():
     assert 3.5 <= ratio <= 4.5, f"eigenvalues {lam}, gap ratio {ratio:.3f}"
     print(f"first nonzero eigenvalue at r = 3, 4, 5: "
           f"{', '.join(f'{x:.6f}' for x in lam)}; gap ratio {ratio:.2f}")
+
+
+def test_z_matrix_flag():
+    # every flat torus has nonpositive off-diagonal stiffness (the two
+    # angles opposite each edge sum to pi/2 or pi); the octagon's obtuse
+    # fan gives positive entries: 64 at refinement 1, 256 at 2, 1024 at 3
+    for n in (4, 16, 32):
+        assert build_flat_torus(n, 1.0, 1.0).z_matrix
+    for r, positive in ((1, 64), (2, 256), (3, 1024)):
+        s = build_genus2_octagon(r)
+        K = s.stiffness.tocoo()
+        assert np.count_nonzero(K.data[K.row != K.col] > 0.0) == positive
+        assert not s.z_matrix
